@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint suppressions build test race check bench-pipeline bench-writepipe bench-faults bench-scale bench-offload bench-attribution bench-persist profile chaos
+.PHONY: all vet lint suppressions build test race check bench-check bench-core bench-pipeline bench-writepipe bench-faults bench-scale bench-offload bench-attribution bench-persist profile chaos
 
 all: check
 
@@ -42,13 +42,25 @@ race:
 		./internal/hopscotch/... ./internal/nodelayout/... ./internal/rdwc/... \
 		./internal/lease/... ./internal/analysis/... ./internal/offroute/... \
 		./internal/folio/...
+	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
 
 # The seeded chaos suite alone (crash recovery invariants across all
 # four systems), under the race detector.
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/fault/
 
-check: vet lint build test race
+# The two-clock benchmark driver is a module of its own (benchmark/go.mod),
+# so `go vet/build/test ./...` at the root never see it.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+check: vet lint build test race bench-check
+
+# Hotspot-buffer micro-benchmarks (record on a full buffer, neighbourhood
+# lookup, a search's lookup+record from every thread), on one thread and
+# on two: the buffer has one mutex.
+bench-core:
+	$(GO) test -run '^$$' -bench Hotspot -benchmem -cpu 1,2 ./internal/core
 
 # Regenerate the committed pipeline-depth artifact.
 bench-pipeline:

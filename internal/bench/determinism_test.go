@@ -37,3 +37,44 @@ func TestSameSeedBitIdenticalRows(t *testing.T) {
 		t.Fatalf("same seed produced different rows:\n a: %+v\n b: %+v", a, b)
 	}
 }
+
+// TestFullHotspotBufferRowPinned pins, end to end, that the hotspot
+// buffer evicts the same victim it always has: a single-client YCSB-C
+// Zipf run (single loader, so no host interleaving reaches the tree or
+// the op stream) whose buffer holds 64 entries is full after the first
+// few dozen window reads and evicts on most ops after that, with most
+// counters tied at 1 — so the LFU tie-break decides nearly every
+// victim, and a different victim shows in the hit ratio and the bytes
+// read. The row was recorded at the last commit that found the victim
+// by scanning the whole map; a host-only change to the buffer must
+// reproduce it bit for bit.
+func TestFullHotspotBufferRowPinned(t *testing.T) {
+	sc := tinyScale
+	sc.LoadN = 3000
+	sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
+		c.LoadClients = 1
+		c.HotspotBytes = 64 * 16 // 64 entries of 16 B (Figure 11)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runPoint(sys, cfg, ycsb.WorkloadC, 1, 4000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs := sys.(*chimeSystem).cn.HotspotStats(); hs.Cap != 64 || hs.Entries != 64 {
+		t.Fatalf("hotspot buffer not full: %+v", hs)
+	}
+	want := Result{
+		System: "CHIME", Mix: "C", Clients: 1, Ops: 4000,
+		ThroughputMops: 0.4221885409586213, P50Us: 2.368, P99Us: 2.368,
+		TripsPerOp: 1.00025, ReadBytes: 183.518,
+		CacheBytes:      6860,
+		CacheHitRatio:   1,
+		HotspotHitRatio: 0.102,
+		NICUtilization:  0.007624725049712701,
+	}
+	if got != want {
+		t.Fatalf("full-buffer row moved:\n got: %+v\nwant: %+v", got, want)
+	}
+}

@@ -15,32 +15,32 @@ import (
 func haddr(off uint64) dmsim.GAddr { return dmsim.GAddr{Off: off} }
 
 func TestHotspotRecordAndLookup(t *testing.T) {
-	h := newHotspotBuffer(10 * hotspotEntryBytes)
+	h := newHotspotBuffer(10*hotspotEntryBytes, 64)
 	leaf := haddr(4096)
 	h.record(leaf, 3, 0xABC)
 	h.record(leaf, 3, 0xABC)
 	h.record(leaf, 3, 0xABC)
 
 	// Lookup within a neighborhood containing slot 3.
-	if got := h.lookup(leaf, 0xABC, 0, 8, 64); got != 3 {
+	if got := h.lookup(leaf, 0xABC, 0, 8); got != 3 {
 		t.Fatalf("lookup = %d, want 3", got)
 	}
 	// Wrong key (fingerprint mismatch) must miss.
-	if got := h.lookup(leaf, 0xDEF, 0, 8, 64); got != -1 {
+	if got := h.lookup(leaf, 0xDEF, 0, 8); got != -1 {
 		t.Fatalf("foreign key hit slot %d", got)
 	}
 	// Neighborhood not covering slot 3 must miss.
-	if got := h.lookup(leaf, 0xABC, 8, 8, 64); got != -1 {
+	if got := h.lookup(leaf, 0xABC, 8, 8); got != -1 {
 		t.Fatalf("out-of-neighborhood hit %d", got)
 	}
 	// Different leaf must miss.
-	if got := h.lookup(haddr(8192), 0xABC, 0, 8, 64); got != -1 {
+	if got := h.lookup(haddr(8192), 0xABC, 0, 8); got != -1 {
 		t.Fatalf("foreign leaf hit %d", got)
 	}
 }
 
 func TestHotspotHottestWins(t *testing.T) {
-	h := newHotspotBuffer(10 * hotspotEntryBytes)
+	h := newHotspotBuffer(10*hotspotEntryBytes, 64)
 	leaf := haddr(64)
 	// Two keys in the same neighborhood with colliding... use the same
 	// key recorded at two slots (it moved); the hotter slot must win.
@@ -48,13 +48,13 @@ func TestHotspotHottestWins(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.record(leaf, 5, 0x77)
 	}
-	if got := h.lookup(leaf, 0x77, 0, 8, 64); got != 5 {
+	if got := h.lookup(leaf, 0x77, 0, 8); got != 5 {
 		t.Fatalf("hottest slot = %d, want 5", got)
 	}
 }
 
 func TestHotspotFingerprintRefresh(t *testing.T) {
-	h := newHotspotBuffer(10 * hotspotEntryBytes)
+	h := newHotspotBuffer(10*hotspotEntryBytes, 64)
 	leaf := haddr(64)
 	for i := 0; i < 9; i++ {
 		h.record(leaf, 1, 0xAAA)
@@ -62,26 +62,26 @@ func TestHotspotFingerprintRefresh(t *testing.T) {
 	// The slot's occupant changed: recording a different key must reset
 	// the counter and refresh the fingerprint.
 	h.record(leaf, 1, 0xBBB)
-	if got := h.lookup(leaf, 0xAAA, 0, 8, 64); got != -1 {
+	if got := h.lookup(leaf, 0xAAA, 0, 8); got != -1 {
 		t.Fatal("stale fingerprint survived occupant change")
 	}
-	if got := h.lookup(leaf, 0xBBB, 0, 8, 64); got != 1 {
+	if got := h.lookup(leaf, 0xBBB, 0, 8); got != 1 {
 		t.Fatalf("new occupant not found: %d", got)
 	}
 }
 
 func TestHotspotLFUEviction(t *testing.T) {
-	h := newHotspotBuffer(2 * hotspotEntryBytes) // capacity 2
+	h := newHotspotBuffer(2*hotspotEntryBytes, 64) // capacity 2
 	leaf := haddr(64)
 	for i := 0; i < 5; i++ {
 		h.record(leaf, 0, 100) // hot
 	}
 	h.record(leaf, 1, 200) // cold
 	h.record(leaf, 2, 300) // evicts the LFU (slot 1)
-	if got := h.lookup(leaf, 100, 0, 8, 64); got != 0 {
+	if got := h.lookup(leaf, 100, 0, 8); got != 0 {
 		t.Fatal("hot entry evicted")
 	}
-	if got := h.lookup(leaf, 200, 0, 8, 64); got != -1 {
+	if got := h.lookup(leaf, 200, 0, 8); got != -1 {
 		t.Fatal("LFU entry survived past capacity")
 	}
 	st := h.stats()
@@ -91,19 +91,19 @@ func TestHotspotLFUEviction(t *testing.T) {
 }
 
 func TestHotspotDisabled(t *testing.T) {
-	h := newHotspotBuffer(0)
+	h := newHotspotBuffer(0, 64)
 	h.record(haddr(64), 0, 1)
-	if got := h.lookup(haddr(64), 1, 0, 8, 64); got != -1 {
+	if got := h.lookup(haddr(64), 1, 0, 8); got != -1 {
 		t.Fatal("disabled buffer must never hit")
 	}
 }
 
 func TestHotspotDrop(t *testing.T) {
-	h := newHotspotBuffer(4 * hotspotEntryBytes)
+	h := newHotspotBuffer(4*hotspotEntryBytes, 64)
 	leaf := haddr(64)
 	h.record(leaf, 3, 9)
 	h.drop(leaf, 3)
-	if got := h.lookup(leaf, 9, 0, 8, 64); got != -1 {
+	if got := h.lookup(leaf, 9, 0, 8); got != -1 {
 		t.Fatal("dropped entry still resolvable")
 	}
 }
@@ -132,7 +132,7 @@ func TestHotspotStaleSlotSpeculation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cl.cn.hotspot.record(ref.addr, wrong, key)
 	}
-	if got := cl.cn.hotspot.lookup(ref.addr, key, home, lay.h, lay.span); got != wrong {
+	if got := cl.cn.hotspot.lookup(ref.addr, key, home, lay.h); got != wrong {
 		t.Fatalf("hotspot primed at %d, want %d", got, wrong)
 	}
 	got, err := cl.Search(key)
@@ -142,7 +142,7 @@ func TestHotspotStaleSlotSpeculation(t *testing.T) {
 	if binary.LittleEndian.Uint64(got) != 111 {
 		t.Fatalf("stale speculation served %x", got)
 	}
-	if got := cl.cn.hotspot.lookup(ref.addr, key, home, lay.h, lay.span); got == wrong {
+	if got := cl.cn.hotspot.lookup(ref.addr, key, home, lay.h); got == wrong {
 		t.Fatal("failed speculative slot was not dropped")
 	}
 }

@@ -164,7 +164,7 @@ func (ix *Index) NewComputeNode(cacheBytes, hotspotBytes int64) *ComputeNode {
 	return &ComputeNode{
 		ix:      ix,
 		cache:   newNodeCache(cacheBytes),
-		hotspot: newHotspotBuffer(hotspotBytes),
+		hotspot: newHotspotBuffer(hotspotBytes, ix.leaf.span),
 		locks:   locktable.New(),
 	}
 }
@@ -516,7 +516,7 @@ func (c *Client) searchLeafChain(ref leafRef, key uint64) ([]byte, error) {
 	for hops := 0; hops <= maxRetries; hops++ {
 		// Hotness-aware speculative read (§4.3): try the single hot
 		// entry first.
-		if idx := c.cn.hotspot.lookup(cur.addr, key, home, lay.h, lay.span); idx >= 0 {
+		if idx := c.cn.hotspot.lookup(cur.addr, key, home, lay.h); idx >= 0 {
 			val, ok, err := c.speculativeRead(cur.addr, idx, key)
 			if err != nil {
 				return nil, err
