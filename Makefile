@@ -56,11 +56,14 @@ bench-check:
 
 check: vet lint build test race bench-check
 
-# Hotspot-buffer micro-benchmarks (record on a full buffer, neighbourhood
-# lookup, a search's lookup+record from every thread), on one thread and
-# on two: the buffer has one mutex.
+# Index-client micro-benchmarks. Hotspot buffer (record on a full buffer,
+# neighbourhood lookup, a search's lookup+record from every thread) on
+# one thread and on two: the buffer has one mutex. Then a warm point
+# search and a warm 50-key scan on one thread: the leaf-image decode and
+# whole-leaf validation floor, ns and allocs per simulated op.
 bench-core:
 	$(GO) test -run '^$$' -bench Hotspot -benchmem -cpu 1,2 ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkSearch' -benchmem -cpu 1 ./internal/core
 
 # Regenerate the committed pipeline-depth artifact.
 bench-pipeline:

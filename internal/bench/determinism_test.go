@@ -78,3 +78,38 @@ func TestFullHotspotBufferRowPinned(t *testing.T) {
 		t.Fatalf("full-buffer row moved:\n got: %+v\nwant: %+v", got, want)
 	}
 }
+
+// TestScanRowPinned pins, end to end, that a host-only change to the
+// scan path (leaf-image decode, whole-leaf validation, result assembly)
+// leaves every simulated figure of a scan-heavy run alone: a
+// single-client YCSB-E run (95% scans of up to 100 keys, 5% inserts;
+// single loader, so no host interleaving reaches the tree or the op
+// stream) reads whole leaves along sibling chains with inserts landing
+// between the scans, and reports the same virtual throughput, latency,
+// trips and bytes it did at the last commit whose decoder copied every
+// cell.
+func TestScanRowPinned(t *testing.T) {
+	sc := tinyScale
+	sc.LoadN = 3000
+	sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
+		c.LoadClients = 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runPoint(sys, cfg, ycsb.WorkloadE, 1, 2000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{
+		System: "CHIME", Mix: "E", Clients: 1, Ops: 2000,
+		ThroughputMops: 0.1206350251852758, P50Us: 7.04, P99Us: 14.08,
+		TripsPerOp: 3.511, ReadBytes: 5179.106, WriteBytes: 3.198,
+		CacheBytes:     5836,
+		CacheHitRatio:  1,
+		NICUtilization: 0.05009568468610133,
+	}
+	if got != want {
+		t.Fatalf("YCSB-E row moved:\n got: %+v\nwant: %+v", got, want)
+	}
+}

@@ -134,36 +134,38 @@ func (n *internalNode) insertEntry(span int, e pivotEntry) bool {
 
 // encodeInternal serializes the node into a fresh image, bumping the
 // node-level version relative to the previous image when prev is
-// non-nil (i.e. this encode represents a node write).
+// non-nil (i.e. this encode represents a node write). Cells are written
+// in place; the header's 36 content bytes always fit one line.
 func (l *internalLayout) encodeInternal(n *internalNode, prev []byte) []byte {
 	img := make([]byte, l.size)
 	if prev != nil {
 		copy(img, prev)
 	}
 
-	content := make([]byte, l.headerCell.Content)
+	h := img[l.headerCell.Off+1:]
+	h[0] = 0
 	if n.valid {
-		content[0] |= inodeFlagValid
+		h[0] |= inodeFlagValid
 	}
 	if n.fenceInf {
-		content[0] |= inodeFlagFenceInf
+		h[0] |= inodeFlagFenceInf
 	}
-	content[1] = n.level
-	binary.LittleEndian.PutUint16(content[2:4], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint64(content[4:12], n.fenceLow)
-	binary.LittleEndian.PutUint64(content[12:20], n.fenceHi)
-	binary.LittleEndian.PutUint64(content[20:28], n.sibling.Pack())
-	binary.LittleEndian.PutUint64(content[28:36], n.leftmost.Pack())
-	writeCellContent(img, l.headerCell, content)
+	h[1] = n.level
+	binary.LittleEndian.PutUint16(h[2:4], uint16(len(n.entries)))
+	binary.LittleEndian.PutUint64(h[4:12], n.fenceLow)
+	binary.LittleEndian.PutUint64(h[12:20], n.fenceHi)
+	binary.LittleEndian.PutUint64(h[20:28], n.sibling.Pack())
+	binary.LittleEndian.PutUint64(h[28:36], n.leftmost.Pack())
 
-	ec := make([]byte, l.keySize+8)
+	var child [8]byte
 	for i, e := range n.entries {
-		for j := range ec {
-			ec[j] = 0
-		}
-		binary.LittleEndian.PutUint64(ec[0:8], e.pivot)
-		binary.LittleEndian.PutUint64(ec[l.keySize:], e.child.Pack())
-		writeCellContent(img, l.entryCells[i], ec)
+		c := l.entryCells[i]
+		// The pivot's 8 bytes open the cell's first line; a key modelled
+		// wider than that pads with zeros up to the child pointer.
+		binary.LittleEndian.PutUint64(img[c.Off+1:], e.pivot)
+		zeroCellContentAt(img, c, 8, l.keySize-8)
+		binary.LittleEndian.PutUint64(child[:], e.child.Pack())
+		writeCellContentAt(img, c, l.keySize, child[:])
 	}
 	if prev != nil {
 		bumpNV(img, l.allCells)
@@ -172,30 +174,33 @@ func (l *internalLayout) encodeInternal(n *internalNode, prev []byte) []byte {
 }
 
 // decodeInternal parses a fetched whole-node image after version
-// validation. addr is recorded for cache bookkeeping.
+// validation, reading the header and pivots where they lie. addr is
+// recorded for cache bookkeeping.
 func (l *internalLayout) decodeInternal(addr dmsim.GAddr, img []byte) *internalNode {
-	content := readCellContent(img, l.headerCell, make([]byte, 0, l.headerCell.Content))
+	h := img[l.headerCell.Off+1:]
 	n := &internalNode{
 		addr:     addr,
-		valid:    content[0]&inodeFlagValid != 0,
-		fenceInf: content[0]&inodeFlagFenceInf != 0,
-		level:    content[1],
-		fenceLow: binary.LittleEndian.Uint64(content[4:12]),
-		fenceHi:  binary.LittleEndian.Uint64(content[12:20]),
-		sibling:  dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content[20:28])),
-		leftmost: dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content[28:36])),
+		valid:    h[0]&inodeFlagValid != 0,
+		fenceInf: h[0]&inodeFlagFenceInf != 0,
+		level:    h[1],
+		fenceLow: binary.LittleEndian.Uint64(h[4:12]),
+		fenceHi:  binary.LittleEndian.Uint64(h[12:20]),
+		sibling:  dmsim.UnpackGAddr(binary.LittleEndian.Uint64(h[20:28])),
+		leftmost: dmsim.UnpackGAddr(binary.LittleEndian.Uint64(h[28:36])),
 	}
-	nkeys := int(binary.LittleEndian.Uint16(content[2:4]))
+	nkeys := int(binary.LittleEndian.Uint16(h[2:4]))
 	if nkeys > l.span {
 		nkeys = l.span // torn header defends itself; version check re-runs
 	}
-	buf := make([]byte, 0, l.keySize+8)
-	for i := 0; i < nkeys; i++ {
-		buf = readCellContent(img, l.entryCells[i], buf)
-		n.entries = append(n.entries, pivotEntry{
-			pivot: binary.LittleEndian.Uint64(buf[0:8]),
-			child: dmsim.UnpackGAddr(binary.LittleEndian.Uint64(buf[l.keySize:])),
-		})
+	n.entries = make([]pivotEntry, nkeys)
+	var child [8]byte
+	for i := range n.entries {
+		c := l.entryCells[i]
+		readCellContentAt(img, c, l.keySize, child[:])
+		n.entries[i] = pivotEntry{
+			pivot: binary.LittleEndian.Uint64(img[c.Off+1:]),
+			child: dmsim.UnpackGAddr(binary.LittleEndian.Uint64(child[:])),
+		}
 	}
 	return n
 }

@@ -21,12 +21,16 @@ func layoutCells(start int, contents []int) ([]cell, int) {
 	return nodelayout.LayoutCells(start, contents)
 }
 
-func writeCellContent(img []byte, c cell, content []byte) {
-	nodelayout.WriteCellContent(img, c, content)
+func readCellContentAt(img []byte, c cell, off int, dst []byte) {
+	nodelayout.ReadCellContentAt(img, c, off, dst)
 }
 
-func readCellContent(img []byte, c cell, dst []byte) []byte {
-	return nodelayout.ReadCellContent(img, c, dst)
+func writeCellContentAt(img []byte, c cell, off int, src []byte) {
+	nodelayout.WriteCellContentAt(img, c, off, src)
+}
+
+func zeroCellContentAt(img []byte, c cell, off, n int) {
+	nodelayout.ZeroCellContentAt(img, c, off, n)
 }
 
 func bumpNV(img []byte, cells []cell) { nodelayout.BumpNV(img, cells) }

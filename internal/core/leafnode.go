@@ -43,6 +43,7 @@ type leafLayout struct {
 	span, h  int
 	keySize  int
 	valSize  int // stored bytes per value field (8 when indirect)
+	valOff   int // content offset of the value field: 3 + keySize
 	indirect bool
 
 	entryCells   []cell // indexed by entry index
@@ -68,7 +69,8 @@ func newLeafLayout(o Options) *leafLayout {
 	}
 	l.vacGroups, l.vacPerBit = vacancyGroups(o.SpanSize)
 
-	entryContent := 1 + 2 + l.keySize + l.valSize
+	l.valOff = 1 + 2 + l.keySize
+	entryContent := l.valOff + l.valSize
 	replicaContent := 1 + 8 + 8
 	groups := o.SpanSize / o.Neighborhood
 
@@ -99,7 +101,9 @@ func (l *leafLayout) homeOf(key uint64) int {
 // groupOfEntry returns the metadata-replica group of an entry index.
 func (l *leafLayout) groupOfEntry(idx int) int { return idx / l.h }
 
-// leafEntry is the decoded form of one leaf slot.
+// leafEntry is the decoded form of one leaf slot. A decoded value
+// aliases the image it came from (see leafImage): copy it, or unpack the
+// pointer it holds, before the image is recycled or the slot rewritten.
 type leafEntry struct {
 	occupied bool
 	hopBM    uint16
@@ -119,13 +123,28 @@ type leafMeta struct {
 // buffer holds a complete node (splits, bootstrap) or a partial window
 // fetched into the right offsets (searches, inserts); callers track
 // which cells are populated.
+//
+// Decoding is in place: entry and meta read flags, bitmap, key and
+// pointers straight out of buf, and an entry's value is a sub-slice of
+// buf. Only an entry cell too large for one cache line (inline values
+// past 52 bytes) has its value interleaved with version bytes; such a
+// layout gives the image a gather area, vals, with one valSize slot per
+// entry, and entry(i) gathers into slot i — so, either way, a decoded
+// value lives exactly as long as the image does, and values of different
+// slots never share bytes. meta copies everything it returns.
 type leafImage struct {
-	lay *leafLayout
-	buf []byte
+	lay  *leafLayout
+	buf  []byte
+	vals []byte   // span*valSize gather area; nil unless entry cells are big
+	hop  []uint16 // span expected-bitmap scratch of hopBitmapsConsistent
 }
 
 func newLeafImage(lay *leafLayout) *leafImage {
-	return &leafImage{lay: lay, buf: make([]byte, lay.size)}
+	im := &leafImage{lay: lay, buf: make([]byte, lay.size), hop: make([]uint16, lay.span)}
+	if lay.entryCells[0].Big {
+		im.vals = make([]byte, lay.span*lay.valSize)
+	}
+	return im
 }
 
 // getImage returns a (possibly recycled) full-size leaf image. Recycled
@@ -144,72 +163,107 @@ func (l *leafLayout) getImage() *leafImage {
 // recycled buffer's stale cells would otherwise reach the wire.
 func (l *leafLayout) getImageZeroed() *leafImage {
 	im := l.getImage()
-	for i := range im.buf {
-		im.buf[i] = 0
-	}
+	clear(im.buf)
 	return im
 }
 
-// putImage recycles an image once no decoded state references it.
-// Decoded entries and metadata copy their bytes out (readCellContent),
-// so releasing after the last entry()/meta() call is safe.
+// poisonRecycled makes both layouts' putImage scribble over every image
+// they recycle. Only the package's tests set it (TestMain), so that any
+// decoded value read after its image went back to the pool — the bug
+// in-place decoding makes possible — fails the suite instead of reading
+// bytes that usually still look right.
+var poisonRecycled bool
+
+const poisonByte = 0xA5
+
+// putImage recycles an image. Decoded entry values alias it, so the
+// caller must be done with them — copied out, or unpacked into a GAddr —
+// before this call; decoded metadata holds no reference.
 func (l *leafLayout) putImage(im *leafImage) {
 	if im == nil || len(im.buf) != l.size {
 		return
 	}
+	if poisonRecycled {
+		poison(im.buf)
+		poison(im.vals)
+	}
 	l.imgPool.Put(im)
 }
 
-// entry decodes slot i.
-func (im *leafImage) entry(i int) leafEntry {
-	c := im.lay.entryCells[i]
-	content := readCellContent(im.buf, c, make([]byte, 0, c.Content))
-	e := leafEntry{
-		occupied: content[0]&entryFlagOccupied != 0,
-		hopBM:    binary.LittleEndian.Uint16(content[1:3]),
-		key:      binary.LittleEndian.Uint64(content[3:11]),
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
 	}
-	e.value = content[3+im.lay.keySize : 3+im.lay.keySize+im.lay.valSize]
+}
+
+// slot reads slot i's occupancy, hopscotch bitmap and key in place. They
+// sit in the first 11 content bytes, which even a big cell keeps
+// contiguous in its first line.
+//
+//chime:noalloc
+func (im *leafImage) slot(i int) (occupied bool, hopBM uint16, key uint64) {
+	p := im.buf[im.lay.entryCells[i].Off+1:]
+	return p[0]&entryFlagOccupied != 0, binary.LittleEndian.Uint16(p[1:3]), binary.LittleEndian.Uint64(p[3:11])
+}
+
+// entry decodes slot i in place; the value aliases the image.
+//
+//chime:noalloc
+func (im *leafImage) entry(i int) leafEntry {
+	lay := im.lay
+	var e leafEntry
+	e.occupied, e.hopBM, e.key = im.slot(i)
+	if c := lay.entryCells[i]; c.Big {
+		e.value = im.vals[i*lay.valSize : (i+1)*lay.valSize : (i+1)*lay.valSize]
+		readCellContentAt(im.buf, c, lay.valOff, e.value)
+	} else {
+		v := c.Off + 1 + lay.valOff
+		e.value = im.buf[v : v+lay.valSize : v+lay.valSize]
+	}
 	return e
+}
+
+// setEntryNoBump encodes slot i in place without touching versions (bulk
+// builds followed by a whole-node write, which bumps NV instead).
+// e.value may be the slot's own decoded value (a read-modify-write of
+// the other fields) or shorter than valSize (zero-padded, as is the key
+// beyond its 8 bytes).
+func (im *leafImage) setEntryNoBump(i int, e leafEntry) {
+	lay := im.lay
+	c := lay.entryCells[i]
+	p := im.buf[c.Off+1:]
+	p[0] = 0
+	if e.occupied {
+		p[0] = entryFlagOccupied
+	}
+	binary.LittleEndian.PutUint16(p[1:3], e.hopBM)
+	binary.LittleEndian.PutUint64(p[3:11], e.key)
+	zeroCellContentAt(im.buf, c, 11, lay.keySize-8)
+	val := e.value
+	if len(val) > lay.valSize {
+		val = val[:lay.valSize]
+	}
+	writeCellContentAt(im.buf, c, lay.valOff, val)
+	zeroCellContentAt(im.buf, c, lay.valOff+len(val), lay.valSize-len(val))
 }
 
 // setEntry encodes slot i and bumps its entry-level version.
 func (im *leafImage) setEntry(i int, e leafEntry) {
-	c := im.lay.entryCells[i]
-	content := make([]byte, c.Content)
-	if e.occupied {
-		content[0] |= entryFlagOccupied
-	}
-	binary.LittleEndian.PutUint16(content[1:3], e.hopBM)
-	binary.LittleEndian.PutUint64(content[3:11], e.key)
-	copy(content[3+im.lay.keySize:], e.value)
-	writeCellContent(im.buf, c, content)
-	bumpEV(im.buf, c)
+	im.setEntryNoBump(i, e)
+	bumpEV(im.buf, im.lay.entryCells[i])
 }
 
-// setEntryNoBump encodes slot i without touching versions (bulk builds
-// followed by a whole-node write, which bumps NV instead).
-func (im *leafImage) setEntryNoBump(i int, e leafEntry) {
-	c := im.lay.entryCells[i]
-	content := make([]byte, c.Content)
-	if e.occupied {
-		content[0] |= entryFlagOccupied
-	}
-	binary.LittleEndian.PutUint16(content[1:3], e.hopBM)
-	binary.LittleEndian.PutUint64(content[3:11], e.key)
-	copy(content[3+im.lay.keySize:], e.value)
-	writeCellContent(im.buf, c, content)
-}
-
-// meta decodes the metadata replica of group g.
+// meta decodes the metadata replica of group g. A replica's 17 content
+// bytes always fit one line, so it is read where it lies.
+//
+//chime:noalloc
 func (im *leafImage) meta(g int) leafMeta {
-	c := im.lay.replicaCells[g]
-	content := readCellContent(im.buf, c, make([]byte, 0, c.Content))
+	p := im.buf[im.lay.replicaCells[g].Off+1:]
 	return leafMeta{
-		valid:    content[0]&replicaFlagValid != 0,
-		fenceInf: content[0]&replicaFlagFenceInf != 0,
-		sibling:  dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content[1:9])),
-		fenceHi:  binary.LittleEndian.Uint64(content[9:17]),
+		valid:    p[0]&replicaFlagValid != 0,
+		fenceInf: p[0]&replicaFlagFenceInf != 0,
+		sibling:  dmsim.UnpackGAddr(binary.LittleEndian.Uint64(p[1:9])),
+		fenceHi:  binary.LittleEndian.Uint64(p[9:17]),
 	}
 }
 
@@ -217,18 +271,18 @@ func (im *leafImage) meta(g int) leafMeta {
 // changes under node writes (splits), which bump NV for the whole node,
 // so no EV bump here.
 func (im *leafImage) setAllMeta(m leafMeta) {
-	for g := range im.lay.replicaCells {
-		c := im.lay.replicaCells[g]
-		content := make([]byte, c.Content)
-		if m.valid {
-			content[0] |= replicaFlagValid
-		}
-		if m.fenceInf {
-			content[0] |= replicaFlagFenceInf
-		}
-		binary.LittleEndian.PutUint64(content[1:9], m.sibling.Pack())
-		binary.LittleEndian.PutUint64(content[9:17], m.fenceHi)
-		writeCellContent(im.buf, c, content)
+	var flags byte
+	if m.valid {
+		flags |= replicaFlagValid
+	}
+	if m.fenceInf {
+		flags |= replicaFlagFenceInf
+	}
+	for _, c := range im.lay.replicaCells {
+		p := im.buf[c.Off+1:]
+		p[0] = flags
+		binary.LittleEndian.PutUint64(p[1:9], m.sibling.Pack())
+		binary.LittleEndian.PutUint64(p[9:17], m.fenceHi)
 	}
 }
 
@@ -240,16 +294,80 @@ func (im *leafImage) bumpAllNV() { bumpNV(im.buf, im.lay.allCells) }
 // bit d is set when slot (home+d)%span holds a key whose home is `home`.
 // Only the slots in [home, home+h) are examined, all of which a
 // neighborhood read fetches.
+//
+//chime:noalloc
 func (im *leafImage) reconstructHopBitmap(home int) uint16 {
 	var bm uint16
 	for d := 0; d < im.lay.h; d++ {
-		i := (home + d) % im.lay.span
-		e := im.entry(i)
-		if e.occupied && im.lay.homeOf(e.key) == home {
+		occupied, _, key := im.slot((home + d) % im.lay.span)
+		if occupied && im.lay.homeOf(key) == home {
 			bm |= 1 << uint(d)
 		}
 	}
 	return bm
+}
+
+// hopBitmapsConsistent is the third synchronization level (§4.1.2) over
+// a whole leaf: it reports whether every home entry's stored hopscotch
+// bitmap equals reconstructHopBitmap of that home, in one pass instead
+// of span of them. Slot i can only ever set one bit of one home's
+// reconstructed bitmap — bit (i-home) mod span of its key's home, and
+// only when that distance is below h — because reconstructHopBitmap(home)
+// looks at slot i exactly when i = (home+d) mod span for some d < h and
+// counts it exactly when the key's home is `home`. So hashing each
+// occupied slot once and OR-ing that bit into an expected bitmap per home
+// builds the same span values the per-home loops would.
+//
+//chime:noalloc
+func (im *leafImage) hopBitmapsConsistent() bool {
+	lay := im.lay
+	want := im.hop
+	clear(want)
+	for i := 0; i < lay.span; i++ {
+		occupied, _, key := im.slot(i)
+		if !occupied {
+			continue
+		}
+		home := lay.homeOf(key)
+		d := i - home
+		if d < 0 {
+			d += lay.span
+		}
+		if d < lay.h {
+			want[home] |= 1 << uint(d)
+		}
+	}
+	for home, bm := range want {
+		if _, stored, _ := im.slot(home); stored != bm {
+			return false
+		}
+	}
+	return true
+}
+
+// probe looks key up in a fetched neighborhood window of its home: the
+// third synchronization level (§4.1.2) first — the home entry's stored
+// hopscotch bitmap must match the one reconstructed from the keys
+// actually fetched, or a concurrent hop-range write was caught
+// mid-flight and consistent is false — then the slots the bitmap names.
+// slot is -1 when the key is absent; value aliases the image.
+//
+//chime:noalloc
+func (im *leafImage) probe(home int, key uint64) (slot int, value []byte, consistent bool) {
+	_, hopBM, _ := im.slot(home)
+	if hopBM != im.reconstructHopBitmap(home) {
+		return -1, nil, false
+	}
+	for d := 0; d < im.lay.h; d++ {
+		if hopBM&(1<<uint(d)) == 0 {
+			continue
+		}
+		i := (home + d) % im.lay.span
+		if e := im.entry(i); e.occupied && e.key == key {
+			return i, e.value, true
+		}
+	}
+	return -1, nil, true
 }
 
 // byteRange is a contiguous region of the node image.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"runtime"
-	"sort"
 
 	"chime/internal/dmsim"
 )
@@ -209,43 +208,31 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 func (p *mnProgram) searchLeafChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, key uint64, home int) (dmsim.OffloadStatus, bool) {
 	lay := p.ix.leaf
 	for hops := 0; hops < mnChainHops; hops++ {
-		im, idxs, metaG, step := p.readLeafWindow(ctx, leaf, home, lay.h)
+		im, _, metaG, step := p.readLeafWindow(ctx, leaf, home, lay.h)
 		if im == nil {
 			return step.st, false
 		}
-
-		homeEntry := im.entry(home)
-		if homeEntry.hopBM != im.reconstructHopBitmap(home) {
+		foundIdx, foundVal, consistent := im.probe(home, key)
+		if !consistent {
 			lay.putImage(im)
 			return 0, true // concurrent hop-range write: restart
 		}
-
-		foundIdx := -1
-		var foundVal []byte
-		for d := 0; d < lay.h; d++ {
-			if homeEntry.hopBM&(1<<uint(d)) == 0 {
-				continue
-			}
-			e := im.entry(idxs[d])
-			if e.occupied && e.key == key {
-				foundIdx = idxs[d]
-				foundVal = e.value
-				break
-			}
-		}
 		meta := im.meta(metaG)
-		lay.putImage(im)
-
 		if !meta.valid {
+			lay.putImage(im)
 			return 0, true
 		}
 		if foundIdx >= 0 {
+			// foundVal aliases the image: emit (or follow the block
+			// pointer) first, recycle after.
 			step := p.emitValue(ctx, key, foundVal)
+			lay.putImage(im)
 			if !step.done {
 				return 0, true
 			}
 			return step.st, false
 		}
+		lay.putImage(im)
 		// Half-split: the key may have moved right. The program has no
 		// parent "next child pointer", so it uses the fenceHigh replica
 		// directly (the same safety net the last-child reader uses).
@@ -370,20 +357,12 @@ func (p *mnProgram) updateInChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, key uint64
 	return dmsim.OffloadRetry, false
 }
 
-// mnKV is one collected scan record.
-type mnKV struct {
-	key uint64
-	val []byte
-}
-
 // readWholeLeaf mirrors readLeafForScan: a full node image with version
 // validation plus hop-bitmap reconstruction for every home entry.
 func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr) (*leafImage, mnStep) {
 	lay := p.ix.leaf
 	im := lay.getImage()
-	for i := range im.buf[:lineSize] {
-		im.buf[i] = 0
-	}
+	clear(im.buf[:lineSize])
 	for try := 0; try < mnTornRetries; try++ {
 		if !ctx.Read(leaf.Add(lineSize), im.buf[lineSize:]) {
 			lay.putImage(im)
@@ -393,14 +372,7 @@ func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr) (*leafImag
 			runtime.Gosched()
 			continue
 		}
-		consistent := true
-		for home := 0; home < lay.span; home++ {
-			if im.entry(home).hopBM != im.reconstructHopBitmap(home) {
-				consistent = false
-				break
-			}
-		}
-		if !consistent {
+		if !im.hopBitmapsConsistent() {
 			runtime.Gosched()
 			continue
 		}
@@ -410,11 +382,28 @@ func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr) (*leafImag
 	return nil, mnDone(dmsim.OffloadRetry)
 }
 
+// mnScanState carries one offloaded scan attempt along the leaf chain:
+// its progress and the scratch every leaf reuses.
+type mnScanState struct {
+	emitted int
+	slots   []scanSlot // one leaf's in-range entries
+	rec     []byte     // the [8B key][value] record being emitted
+	block   []byte     // indirect: the KV block being read
+}
+
+// conflict is the verdict for an optimistic conflict met mid-scan.
+// Emitted bytes cannot be retracted, so a restart is only honored before
+// the first record; after it the client falls back to one-sided verbs.
+func (s *mnScanState) conflict() mnStep {
+	if s.emitted == 0 {
+		return mnRestart
+	}
+	return mnDone(dmsim.OffloadRetry)
+}
+
 // Scan implements the offloaded range collection: walk the leaf chain
 // MN-side, sort each leaf's in-range entries, and emit [8B key][value]
-// records until limit records are out or the chain ends. Any failure
-// after the first emitted record is a fallback (emitted bytes cannot be
-// retracted), so restarts are only honored on the first leaf.
+// records until limit records are out or the chain ends.
 func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.OffloadStatus {
 	if p.ix.opts.VarKeys {
 		return dmsim.OffloadUnsupported
@@ -422,99 +411,85 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 	if limit <= 0 {
 		return dmsim.OffloadOK
 	}
-	lay := p.ix.leaf
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
 		leaf, step := p.descend(ctx, start)
-		if !step.done {
-			runtime.Gosched()
-			continue
+		if step.done && step.st == dmsim.OffloadOK {
+			var sc mnScanState
+			step = p.scanChain(ctx, leaf, start, limit, &sc)
 		}
-		if step.st != dmsim.OffloadOK {
+		if step.done {
 			return step.st
 		}
-		emitted := 0
-		var rec []byte
-		restart := false
-		for hops := 0; hops < mnChainHops; hops++ {
-			im, step := p.readWholeLeaf(ctx, leaf)
-			if im == nil {
-				if emitted == 0 && step.st == dmsim.OffloadRetry {
-					restart = true
-					break
-				}
-				return step.st
-			}
-			meta := im.meta(0)
-			if !meta.valid {
-				lay.putImage(im)
-				if emitted == 0 {
-					restart = true
-					break
-				}
-				return dmsim.OffloadRetry
-			}
-			var batch []mnKV
-			for i := 0; i < lay.span; i++ {
-				e := im.entry(i)
-				if e.occupied && e.key >= start {
-					batch = append(batch, mnKV{key: e.key, val: append([]byte(nil), e.value...)})
-				}
-			}
-			lay.putImage(im)
-			sort.Slice(batch, func(i, j int) bool { return batch[i].key < batch[j].key })
-			for _, kv := range batch {
-				val := kv.val
-				if p.ix.opts.Indirect {
-					ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(val[:8]))
-					if ptr.IsNil() {
-						if emitted == 0 {
-							restart = true
-							break
-						}
-						return dmsim.OffloadRetry
-					}
-					block := make([]byte, 8+p.ix.opts.ValueSize)
-					if !ctx.Read(ptr, block) {
-						return dmsim.OffloadCrossMN
-					}
-					if binary.LittleEndian.Uint64(block[:8]) != kv.key {
-						if emitted == 0 {
-							restart = true
-							break
-						}
-						return dmsim.OffloadRetry
-					}
-					val = block[8:]
-				}
-				if cap(rec) < 8+len(val) {
-					rec = make([]byte, 8+len(val))
-				}
-				rec = rec[:8+len(val)]
-				binary.LittleEndian.PutUint64(rec[:8], kv.key)
-				copy(rec[8:], val)
-				if !ctx.Emit(rec) {
-					return dmsim.OffloadOK // response buffer full: done
-				}
-				emitted++
-				if emitted >= limit {
-					return dmsim.OffloadOK
-				}
-			}
-			if restart {
-				break
-			}
-			if meta.sibling.IsNil() {
-				return dmsim.OffloadOK
-			}
-			leaf = meta.sibling
-		}
-		if restart {
-			runtime.Gosched()
-			continue
-		}
-		if emitted > 0 {
-			return dmsim.OffloadRetry // chain budget exhausted mid-scan
-		}
+		runtime.Gosched()
 	}
 	return dmsim.OffloadRetry
+}
+
+// scanChain emits leaf after leaf from `leaf` on, following sibling
+// pointers, until limit records are out or the chain ends.
+func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, limit int, sc *mnScanState) mnStep {
+	lay := p.ix.leaf
+	for hops := 0; hops < mnChainHops; hops++ {
+		im, step := p.readWholeLeaf(ctx, leaf)
+		if im == nil {
+			if step.st == dmsim.OffloadRetry {
+				return sc.conflict()
+			}
+			return step
+		}
+		meta := im.meta(0)
+		if !meta.valid {
+			lay.putImage(im)
+			return sc.conflict()
+		}
+		step, more := p.emitLeaf(ctx, im, start, limit, sc)
+		lay.putImage(im) // the records emitLeaf sorted aliased it
+		if !more {
+			return step
+		}
+		if meta.sibling.IsNil() {
+			return mnDone(dmsim.OffloadOK)
+		}
+		leaf = meta.sibling
+	}
+	return sc.conflict() // chain budget exhausted
+}
+
+// emitLeaf sorts one validated leaf's in-range entries and emits them.
+// more reports that the leaf is exhausted with the limit not yet
+// reached; otherwise the step is the scan's verdict.
+func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, start uint64, limit int, sc *mnScanState) (step mnStep, more bool) {
+	sc.slots = im.inRange(sc.slots[:0], start)
+	for _, s := range sortedPrefix(sc.slots, limit-sc.emitted) {
+		val := im.entry(s.idx).value
+		if p.ix.opts.Indirect {
+			ptr := ptrOf(val)
+			if ptr.IsNil() {
+				return sc.conflict(), false
+			}
+			if sc.block == nil {
+				sc.block = make([]byte, 8+p.ix.opts.ValueSize)
+			}
+			if !ctx.Read(ptr, sc.block) {
+				return mnDone(dmsim.OffloadCrossMN), false
+			}
+			if binary.LittleEndian.Uint64(sc.block[:8]) != s.key {
+				return sc.conflict(), false
+			}
+			val = sc.block[8:]
+		}
+		if sc.rec == nil {
+			sc.rec = make([]byte, 8+len(val))
+		}
+		binary.LittleEndian.PutUint64(sc.rec[:8], s.key)
+		copy(sc.rec[8:], val)
+		if !ctx.Emit(sc.rec) {
+			return mnDone(dmsim.OffloadOK), false // response buffer full: done
+		}
+		sc.emitted++
+	}
+	if sc.emitted >= limit {
+		return mnDone(dmsim.OffloadOK), false
+	}
+	return mnStep{}, true
 }

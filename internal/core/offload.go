@@ -142,7 +142,7 @@ func (c *Client) Scan(start uint64, count int) ([]KV, error) {
 		for off := 0; off+recSize <= n; off += recSize {
 			out = append(out, KV{
 				Key:   binary.LittleEndian.Uint64(dst[off : off+8]),
-				Value: dst[off+8 : off+recSize],
+				Value: dst[off+8 : off+recSize : off+recSize],
 			})
 		}
 		return out, nil

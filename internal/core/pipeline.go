@@ -60,7 +60,6 @@ type searchOp struct {
 	rootBuf [8]byte
 	img     []byte     // internal-node image (pooled)
 	im      *leafImage // leaf window image (pooled)
-	idxs    []int
 	metaG   int
 	ranges  []byteRange
 	valBuf  []byte // indirect KV block ([8B key][value])
@@ -297,8 +296,7 @@ func (c *Client) postLeafOp(op *searchOp) {
 	if op.im == nil {
 		op.im = lay.getImage()
 	}
-	segs, idxs := lay.neighborhoodSegments(home, lay.h, c.ix.opts.ReplicateMeta)
-	op.idxs = idxs
+	segs, _ := lay.neighborhoodSegments(home, lay.h, c.ix.opts.ReplicateMeta)
 	op.ranges = segs
 	op.metaG = lay.metaInRanges(segs)
 
@@ -347,39 +345,26 @@ func (c *Client) finishLeafOp(op *searchOp) {
 	}
 	c.resetBackoff()
 
-	home := lay.homeOf(op.key)
-	homeEntry := op.im.entry(home)
-	if homeEntry.hopBM != op.im.reconstructHopBitmap(home) {
+	foundIdx, foundVal, consistent := op.im.probe(lay.homeOf(op.key), op.key)
+	if !consistent {
 		c.restartOp(op) // concurrent hop-range write caught mid-flight
 		return
 	}
-
-	foundIdx := -1
-	var foundVal []byte
-	for d := 0; d < lay.h; d++ {
-		if homeEntry.hopBM&(1<<uint(d)) == 0 {
-			continue
-		}
-		e := op.im.entry(op.idxs[d])
-		if e.occupied && e.key == op.key {
-			foundIdx = op.idxs[d]
-			foundVal = e.value
-			break
-		}
-	}
-
 	meta := op.im.meta(op.metaG)
-	lay.putImage(op.im)
-	op.im = nil
 	follow, err := c.validateLeafMeta(&op.ref, meta, op.key, foundIdx >= 0)
 	if err != nil {
 		c.restartOp(op)
 		return
 	}
 	if foundIdx >= 0 {
+		// foundVal aliases the image, and hotspot.record can let another
+		// client run and draw it from the pool: detach first, recycle
+		// after.
+		val, ptr := c.detachValue(foundVal)
+		lay.putImage(op.im)
+		op.im = nil
 		c.cn.hotspot.record(op.ref.addr, foundIdx, op.key)
 		if c.ix.opts.Indirect {
-			ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(foundVal[:8]))
 			if ptr.IsNil() {
 				c.restartOp(op)
 				return
@@ -394,7 +379,7 @@ func (c *Client) finishLeafOp(op *searchOp) {
 			op.state = opIndirectWait
 			return
 		}
-		op.val = append([]byte(nil), foundVal...)
+		op.val = val
 		c.completeOp(op)
 		return
 	}

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"chime/internal/dmsim"
-
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+
+	"chime/internal/dmsim"
 )
 
 // KV is one result of a range scan.
@@ -42,24 +43,69 @@ func (c *Client) scanOnce(start uint64, count int) ([]KV, error) {
 	if err != nil {
 		return nil, err
 	}
+	var pre leafPrefetch
+	out, err := c.scanChain(ref.addr, start, count, &pre)
+	// A prefetch can be outstanding on every exit path (errors, early
+	// count satisfaction); drain it so in-flight accounting stays balanced
+	// and its image returns to the pool.
+	pre.abandon(c)
+	return out, err
+}
+
+// scanReserve caps the result entries (and value bytes) a scan reserves
+// up front; a longer scan grows by append, so an arbitrarily large count
+// costs nothing until the tree actually yields that much.
+const scanReserve = 1024
+
+// scanBuf is the storage a scan hands to its caller: the result and the
+// arena its values are carved from.
+type scanBuf struct {
+	out   []KV
+	arena []byte // value bytes of out; a chunk is only ever appended to
+}
+
+// own copies v into the arena and returns the copy, capped at its own
+// length so a caller appending to one result value cannot reach the
+// next. A full chunk is left to the values that alias it and a fresh one
+// started.
+func (b *scanBuf) own(v []byte) []byte {
+	if cap(b.arena)-len(b.arena) < len(v) {
+		b.arena = make([]byte, 0, scanReserve*len(v))
+	}
+	n := len(b.arena)
+	b.arena = append(b.arena, v...)
+	return b.arena[n:len(b.arena):len(b.arena)]
+}
+
+// scanSlot is one in-range entry of the leaf a scan is collecting: its
+// key and where its value is (the slot index; the block number on the
+// indirect path).
+type scanSlot struct {
+	key uint64
+	idx int
+}
+
+// scanChain walks the leaf chain from addr, appending each leaf's
+// in-range entries in key order until count are collected or the chain
+// ends. pre is the caller's prefetch slot; whatever it still holds on
+// return is the caller's to abandon.
+func (c *Client) scanChain(addr dmsim.GAddr, start uint64, count int, pre *leafPrefetch) ([]KV, error) {
 	lay := c.ix.leaf
-	var out []KV
-	addr := ref.addr
-	var pre *leafPrefetch
-	defer func() {
-		// A prefetch can be outstanding on every exit path (errors,
-		// early count satisfaction); drain it so in-flight accounting
-		// stays balanced and its image returns to the pool.
-		if pre != nil {
-			pre.abandon(c)
-		}
-	}()
+	valSize := lay.valSize
+	if c.ix.opts.Indirect {
+		valSize = c.ix.opts.ValueSize
+	}
+	reserve := min(count, scanReserve)
+	sb := scanBuf{
+		out:   make([]KV, 0, reserve),
+		arena: make([]byte, 0, reserve*valSize),
+	}
 	for leaves := 0; leaves <= maxRetries; leaves++ {
 		var im *leafImage
 		var meta leafMeta
-		if pre != nil {
+		var err error
+		if pre.posted {
 			im, meta, err = c.finishLeafPrefetch(pre)
-			pre = nil
 		} else {
 			im, meta, err = c.readLeafForScan(addr)
 		}
@@ -74,137 +120,145 @@ func (c *Client) scanOnce(start uint64, count int) ([]KV, error) {
 		// Post the sibling's whole-node read before resolving this
 		// leaf's values: its round trip proceeds while the indirect
 		// block reads below are in flight.
-		if !meta.sibling.IsNil() && len(out) < count {
-			pre = c.postLeafRead(meta.sibling)
+		if !meta.sibling.IsNil() && len(sb.out) < count {
+			*pre = c.postLeafRead(meta.sibling)
 		}
 		addr = meta.sibling
 
-		batch, err := c.collectLeafBatch(im, start)
+		err = c.collectLeafBatch(im, start, count, &sb)
 		lay.putImage(im)
 		if err != nil {
 			return nil, err
 		}
-		sort.Slice(batch, func(i, j int) bool { return batch[i].Key < batch[j].Key })
-		out = append(out, batch...)
-		if len(out) >= count {
-			return out[:count], nil
-		}
-		if addr.IsNil() {
-			return out, nil
+		if len(sb.out) >= count || addr.IsNil() {
+			return sb.out, nil
 		}
 	}
 	return nil, fmt.Errorf("core: Scan(%#x): sibling chain too long", start)
 }
 
-// collectLeafBatch extracts the in-range entries of a validated leaf
-// image. Values are copied out (or fetched from their blocks), so the
-// image can be recycled as soon as this returns. Indirect block reads
-// are posted as a group so their round trips overlap each other and any
-// sibling prefetch already in flight.
-func (c *Client) collectLeafBatch(im *leafImage, start uint64) ([]KV, error) {
+// collectLeafBatch appends the in-range entries of a validated leaf
+// image to sb.out in key order, stopping at count results. Values are
+// copied into the scan's arena (or fetched from their blocks and
+// copied), so the image can be recycled as soon as this returns.
+// Indirect block reads are posted as a group — for every in-range entry,
+// in slot order, wanted or not, which is what the modelled client does —
+// so their round trips overlap each other and any sibling prefetch
+// already in flight.
+func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *scanBuf) error {
 	lay := c.ix.leaf
-	var batch []KV
+	if c.scanSlots == nil {
+		c.scanSlots = make([]scanSlot, 0, lay.span)
+	}
+	slots := c.scanSlots[:0]
 	if !c.ix.opts.Indirect {
-		for i := 0; i < lay.span; i++ {
-			e := im.entry(i)
-			if !e.occupied || e.key < start {
-				continue
-			}
-			batch = append(batch, KV{Key: e.key, Value: append([]byte(nil), e.value...)})
+		for _, s := range sortedPrefix(im.inRange(slots, start), count-len(sb.out)) {
+			sb.out = append(sb.out, KV{Key: s.key, Value: sb.own(im.entry(s.idx).value)})
 		}
-		return batch, nil
+		return nil
 	}
-	type pending struct {
-		key uint64
-		buf []byte
-		h   *dmsim.Completion
+
+	blockSize := 8 + c.ix.opts.ValueSize
+	if c.scanBlocks == nil {
+		c.scanBlocks = make([]byte, lay.span*blockSize)
+		c.scanPends = make([]*dmsim.Completion, 0, lay.span)
 	}
-	var pends []pending
+	block := func(n int) []byte { return c.scanBlocks[n*blockSize : (n+1)*blockSize] }
+	pends := c.scanPends[:0]
 	var firstErr error
-	for i := 0; i < lay.span && firstErr == nil; i++ {
+	for i := 0; i < lay.span; i++ {
 		e := im.entry(i)
 		if !e.occupied || e.key < start {
 			continue
 		}
-		ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.value[:8]))
+		ptr := ptrOf(e.value)
 		if ptr.IsNil() {
 			firstErr = errRestart
 			break
 		}
-		buf := make([]byte, 8+c.ix.opts.ValueSize)
-		h, err := c.dc.PostRead(ptr, buf)
+		h, err := c.dc.PostRead(ptr, block(len(pends)))
 		if err != nil {
 			firstErr = err
 			break
 		}
-		pends = append(pends, pending{key: e.key, buf: buf, h: h})
+		slots = append(slots, scanSlot{key: e.key, idx: len(pends)})
+		pends = append(pends, h)
 	}
-	for _, p := range pends {
-		c.dc.Poll(p.h)
-		if firstErr != nil {
-			continue // drain only
-		}
-		if binary.LittleEndian.Uint64(p.buf[:8]) != p.key {
+	for n, h := range pends {
+		c.dc.Poll(h)
+		if firstErr == nil && binary.LittleEndian.Uint64(block(n)[:8]) != slots[n].key {
 			firstErr = errRestart
-			continue
 		}
-		batch = append(batch, KV{Key: p.key, Value: p.buf[8:]})
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	return batch, nil
+	for _, s := range sortedPrefix(slots, count-len(sb.out)) {
+		sb.out = append(sb.out, KV{Key: s.key, Value: sb.own(block(s.idx)[8:])})
+	}
+	return nil
 }
 
-// leafPrefetch is a posted whole-leaf read in flight.
+// inRange appends the leaf's occupied slots with keys >= start to dst, in
+// slot order.
+func (im *leafImage) inRange(dst []scanSlot, start uint64) []scanSlot {
+	for i := 0; i < im.lay.span; i++ {
+		if occupied, _, key := im.slot(i); occupied && key >= start {
+			dst = append(dst, scanSlot{key: key, idx: i})
+		}
+	}
+	return dst
+}
+
+// sortedPrefix sorts slots by key and returns the first n of them.
+func sortedPrefix(slots []scanSlot, n int) []scanSlot {
+	slices.SortFunc(slots, func(a, b scanSlot) int { return cmp.Compare(a.key, b.key) })
+	return slots[:min(n, len(slots))]
+}
+
+// leafPrefetch is a posted whole-leaf read in flight (posted is false
+// for the empty slot). im is nil when the post itself failed: the
+// synchronous path then re-reads addr and re-reports the error.
 type leafPrefetch struct {
-	addr dmsim.GAddr
-	im   *leafImage
-	h    *dmsim.Completion
+	posted bool
+	addr   dmsim.GAddr
+	im     *leafImage
+	h      *dmsim.Completion
 }
 
 // postLeafRead posts the whole-node read of a sibling leaf. Post errors
 // (range violations) are deferred: finishLeafPrefetch falls back to the
 // synchronous path, which re-reports them.
-func (c *Client) postLeafRead(addr dmsim.GAddr) *leafPrefetch {
+func (c *Client) postLeafRead(addr dmsim.GAddr) leafPrefetch {
 	lay := c.ix.leaf
 	im := lay.getImage()
-	for i := range im.buf[:lineSize] {
-		im.buf[i] = 0
-	}
+	clear(im.buf[:lineSize])
 	h, err := c.dc.PostRead(addr.Add(lineSize), im.buf[lineSize:])
 	if err != nil {
 		lay.putImage(im)
-		return &leafPrefetch{addr: addr}
+		return leafPrefetch{posted: true, addr: addr}
 	}
-	return &leafPrefetch{addr: addr, im: im, h: h}
+	return leafPrefetch{posted: true, addr: addr, im: im, h: h}
 }
 
-// finishLeafPrefetch polls a posted leaf read and validates it exactly
-// as readLeafForScan does (version bytes plus hopscotch-bitmap
-// reconstruction); any validation failure falls back to the synchronous
-// retry loop.
+// finishLeafPrefetch empties the slot: it polls the posted leaf read and
+// validates it exactly as readLeafForScan does (version bytes plus
+// hopscotch-bitmap reconstruction); any validation failure falls back to
+// the synchronous retry loop.
 func (c *Client) finishLeafPrefetch(p *leafPrefetch) (*leafImage, leafMeta, error) {
 	lay := c.ix.leaf
-	if p.im == nil {
-		return c.readLeafForScan(p.addr)
+	addr, im, h := p.addr, p.im, p.h
+	*p = leafPrefetch{}
+	if im == nil {
+		return c.readLeafForScan(addr)
 	}
-	c.dc.Poll(p.h)
-	ok := checkVersions(p.im.buf, 0, lay.allCells) == nil
-	if ok {
-		for home := 0; home < lay.span; home++ {
-			if p.im.entry(home).hopBM != p.im.reconstructHopBitmap(home) {
-				ok = false
-				break
-			}
-		}
+	c.dc.Poll(h)
+	if checkVersions(im.buf, 0, lay.allCells) == nil && im.hopBitmapsConsistent() {
+		return im, im.meta(0), nil
 	}
-	if ok {
-		return p.im, p.im.meta(0), nil
-	}
-	lay.putImage(p.im)
+	lay.putImage(im)
 	c.yield()
-	return c.readLeafForScan(p.addr)
+	return c.readLeafForScan(addr)
 }
 
 // abandon drains a prefetch that will not be consumed. The poll charges
@@ -227,14 +281,7 @@ func (c *Client) readLeafForScan(addr dmsim.GAddr) (*leafImage, leafMeta, error)
 		if err != nil {
 			return nil, leafMeta{}, err
 		}
-		consistent := true
-		for home := 0; home < lay.span; home++ {
-			if im.entry(home).hopBM != im.reconstructHopBitmap(home) {
-				consistent = false
-				break
-			}
-		}
-		if !consistent {
+		if !im.hopBitmapsConsistent() {
 			lay.putImage(im)
 			c.yield()
 			continue

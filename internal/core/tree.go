@@ -207,6 +207,13 @@ type Client struct {
 	// response buffer.
 	router *offroute.Router
 	offBuf []byte
+
+	// Per-leaf scratch of collectLeafBatch (scan.go), made on the first
+	// scan and reused by every later one: the leaf's in-range slots, and
+	// on the indirect path its posted block reads and their buffers.
+	scanSlots  []scanSlot
+	scanPends  []*dmsim.Completion
+	scanBlocks []byte
 }
 
 // NewClient creates a client handle bound to this compute node.
@@ -344,7 +351,7 @@ func (c *Client) traverseFrom(root dmsim.GAddr, rootLevel uint8, key uint64) (le
 		return leafRef{addr: root}, nil
 	}
 	cur := root
-	var path []pathEntry
+	path := make([]pathEntry, 0, rootLevel) // one entry per internal level
 	for hop := 0; hop < maxRetries; hop++ {
 		fromCache := true
 		n := c.cn.cache.get(cur)
@@ -530,50 +537,34 @@ func (c *Client) searchLeafChain(ref leafRef, key uint64) ([]byte, error) {
 			c.cn.hotspot.drop(cur.addr, idx)
 		}
 
-		im, idxs, metaG, err := c.fetchLeafWindow(cur.addr, home, lay.h)
+		im, _, metaG, err := c.fetchLeafWindow(cur.addr, home, lay.h)
 		if err != nil {
 			return nil, err
 		}
-
-		// Third synchronization level (§4.1.2): the stored hopscotch
-		// bitmap of the home entry must match the bitmap reconstructed
-		// from the keys actually fetched; a mismatch means a concurrent
-		// hop-range write was caught mid-flight.
-		homeEntry := im.entry(home)
-		if homeEntry.hopBM != im.reconstructHopBitmap(home) {
+		foundIdx, foundVal, consistent := im.probe(home, key)
+		if !consistent {
 			lay.putImage(im)
 			return nil, errRestart
 		}
-
-		foundIdx := -1
-		var foundVal []byte
-		for d := 0; d < lay.h; d++ {
-			if homeEntry.hopBM&(1<<uint(d)) == 0 {
-				continue
-			}
-			e := im.entry(idxs[d])
-			if e.occupied && e.key == key {
-				foundIdx = idxs[d]
-				foundVal = e.value
-				break
-			}
-		}
-
 		meta := im.meta(metaG)
-		// Everything consumed below (foundVal, meta) is already copied
-		// out of the image; recycle it before the verdict.
-		lay.putImage(im)
 		follow, err := c.validateLeafMeta(&cur, meta, key, foundIdx >= 0)
 		if err != nil {
+			lay.putImage(im)
 			return nil, err
 		}
 		if foundIdx >= 0 {
+			// foundVal aliases the image, and both hotspot.record and an
+			// indirect block read can let another client run and draw
+			// this image from the pool: detach first, recycle after.
+			val, ptr := c.detachValue(foundVal)
+			lay.putImage(im)
 			c.cn.hotspot.record(cur.addr, foundIdx, key)
 			if c.ix.opts.Indirect {
-				return c.readIndirect(foundVal, key)
+				return c.readIndirect(ptr, key)
 			}
-			return append([]byte(nil), foundVal...), nil
+			return val, nil
 		}
+		lay.putImage(im)
 		if follow {
 			c.obs.SiblingChases.Inc()
 			cur = leafRef{addr: meta.sibling}
@@ -582,6 +573,16 @@ func (c *Client) searchLeafChain(ref leafRef, key uint64) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return nil, fmt.Errorf("core: Search(%#x): sibling chain too long", key)
+}
+
+// detachValue takes a decoded entry's payload out of its image, so the
+// image can be recycled: a copy of an inline value, or the block pointer
+// an indirect entry holds.
+func (c *Client) detachValue(stored []byte) (val []byte, ptr dmsim.GAddr) {
+	if c.ix.opts.Indirect {
+		return nil, ptrOf(stored)
+	}
+	return append([]byte(nil), stored...), dmsim.NilGAddr
 }
 
 // speculativeRead fetches one entry cell and reports whether it held the
@@ -602,7 +603,7 @@ func (c *Client) speculativeRead(leaf dmsim.GAddr, idx int, key uint64) ([]byte,
 		return nil, false, nil
 	}
 	if c.ix.opts.Indirect {
-		val, err := c.readIndirect(e.value, key)
+		val, err := c.readIndirect(ptrOf(e.value), key)
 		if err == errRestart {
 			return nil, false, nil
 		}
@@ -614,8 +615,7 @@ func (c *Client) speculativeRead(leaf dmsim.GAddr, idx int, key uint64) ([]byte,
 // readIndirect follows a leaf entry's block pointer and returns the
 // value stored in the KV block (§4.5). The block holds [8B key][value];
 // a key mismatch means the entry was concurrently re-pointed.
-func (c *Client) readIndirect(ptrBytes []byte, key uint64) ([]byte, error) {
-	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(ptrBytes[:8]))
+func (c *Client) readIndirect(ptr dmsim.GAddr, key uint64) ([]byte, error) {
 	if ptr.IsNil() {
 		return nil, errRestart
 	}

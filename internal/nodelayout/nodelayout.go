@@ -138,6 +138,72 @@ func ReadCellContent(img []byte, c Cell, dst []byte) []byte {
 	return dst
 }
 
+// ContentAt maps content offset off of the cell to its image offset and
+// the number of content bytes that follow contiguously (to the end of
+// the cell's content, or of its 64-byte line for a big cell). It is the
+// one place the in-place accessors below learn the content geometry. off
+// must lie inside the content: anything else is a caller bug, and panics
+// here rather than spinning the gather loops on an empty run.
+//
+//chime:noalloc
+func (c Cell) ContentAt(off int) (imgOff, run int) {
+	if off < 0 || off >= c.Content {
+		panic("nodelayout: content offset outside the cell")
+	}
+	if !c.Big {
+		return c.Off + 1 + off, c.Content - off
+	}
+	line, in := off/(LineSize-1), off%(LineSize-1)
+	run = LineSize - 1 - in
+	if rest := c.Content - off; rest < run {
+		run = rest
+	}
+	return c.Off + line*LineSize + 1 + in, run
+}
+
+// ReadCellContentAt gathers len(dst) content bytes starting at content
+// offset off into dst, without allocating. A range that stays inside
+// one line needs no gather at all: ContentAt gives the image offset to
+// slice directly.
+//
+//chime:noalloc
+func ReadCellContentAt(img []byte, c Cell, off int, dst []byte) {
+	for len(dst) > 0 {
+		o, run := c.ContentAt(off)
+		n := copy(dst, img[o:o+run])
+		dst, off = dst[n:], off+n
+	}
+}
+
+// WriteCellContentAt scatters src into the cell's content starting at
+// content offset off, around the version bytes. src may alias the
+// target bytes (an entry re-encoded from its own in-place decode).
+//
+//chime:noalloc
+func WriteCellContentAt(img []byte, c Cell, off int, src []byte) {
+	for len(src) > 0 {
+		o, run := c.ContentAt(off)
+		n := copy(img[o:o+run], src)
+		src, off = src[n:], off+n
+	}
+}
+
+// ZeroCellContentAt clears n content bytes starting at content offset
+// off (the padding an in-place encode must not inherit from the bytes
+// it overwrites).
+//
+//chime:noalloc
+func ZeroCellContentAt(img []byte, c Cell, off, n int) {
+	for n > 0 {
+		o, run := c.ContentAt(off)
+		if run > n {
+			run = n
+		}
+		clear(img[o : o+run])
+		off, n = off+run, n-run
+	}
+}
+
 // BumpNV increments the node-level version in every version byte of the
 // given cells (a node write).
 func BumpNV(img []byte, cells []Cell) {

@@ -155,3 +155,70 @@ func TestWriteCellContentPanicsOnSizeMismatch(t *testing.T) {
 	cells, total := LayoutCells(0, []int{10})
 	WriteCellContent(make([]byte, total), cells[0], make([]byte, 11))
 }
+
+// TestContentAtHelpersMatchWholeCellCodec pins the in-place sub-range
+// accessors against the whole-cell gather/scatter for small and big
+// cells: any [off, off+n) range read, written or zeroed in place leaves
+// exactly what the whole-cell codec would.
+func TestContentAtHelpersMatchWholeCellCodec(t *testing.T) {
+	prop := func(seed int64, sz uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		size := int(sz)%400 + 1
+		cells, total := LayoutCells(LineSize, []int{7, size})
+		c := cells[1]
+		img := make([]byte, LineSize+total)
+		r.Read(img)
+		content := ReadCellContent(img, c, nil)
+
+		off := r.Intn(size)
+		n := r.Intn(size - off + 1)
+
+		got := make([]byte, n)
+		ReadCellContentAt(img, c, off, got)
+		if !bytes.Equal(got, content[off:off+n]) {
+			t.Logf("seed %d size %d: read [%d,%d) differs", seed, size, off, off+n)
+			return false
+		}
+		if n > 0 {
+			if o, run := c.ContentAt(off); run < 1 || img[o] != content[off] {
+				t.Logf("seed %d size %d: ContentAt(%d) = %d,%d", seed, size, off, o, run)
+				return false
+			}
+		}
+
+		want := append([]byte(nil), img...)
+		src := make([]byte, n)
+		r.Read(src)
+		copy(content[off:], src)
+		WriteCellContent(want, c, content)
+		WriteCellContentAt(img, c, off, src)
+		if !bytes.Equal(img, want) {
+			t.Logf("seed %d size %d: write [%d,%d) differs", seed, size, off, off+n)
+			return false
+		}
+
+		clear(content[off : off+n])
+		WriteCellContent(want, c, content)
+		ZeroCellContentAt(img, c, off, n)
+		return bytes.Equal(img, want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestContentAtPanicsOutsideTheCell(t *testing.T) {
+	cells, _ := LayoutCells(0, []int{10, 100})
+	for _, c := range cells {
+		for _, off := range []int{-1, c.Content} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("ContentAt(%d) on a %d-byte cell did not panic", off, c.Content)
+					}
+				}()
+				c.ContentAt(off)
+			}()
+		}
+	}
+}
