@@ -43,6 +43,7 @@ race:
 		./internal/lease/... ./internal/analysis/... ./internal/offroute/... \
 		./internal/folio/...
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestMNReadLineAtomicity|TestStraddlingAtomicVsWrite|TestWriterNotStarvedByReaders' ./internal/dmsim/
 
 # The seeded chaos suite alone (crash recovery invariants across all
 # four systems), under the race detector.
@@ -60,10 +61,15 @@ check: vet lint build test race bench-check
 # neighbourhood lookup, a search's lookup+record from every thread) on
 # one thread and on two: the buffer has one mutex. Then a warm point
 # search and a warm 50-key scan on one thread: the leaf-image decode and
-# whole-leaf validation floor, ns and allocs per simulated op.
+# whole-leaf validation floor, ns and allocs per simulated op; the same
+# search with the caches off, sync (BenchmarkSearchCold) and through
+# SearchBatch at depth 8 (BenchmarkSearchBatchCold): the cold descent.
+# Last, the verb under every level of that descent: one READ of an
+# internal node, one reader and two (the MN's reader counts are striped).
 bench-core:
 	$(GO) test -run '^$$' -bench Hotspot -benchmem -cpu 1,2 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkSearch' -benchmem -cpu 1 ./internal/core
+	$(GO) test -run '^$$' -bench BenchmarkReadNode -benchmem -cpu 1,2 ./internal/dmsim
 
 # Regenerate the committed pipeline-depth artifact.
 bench-pipeline:

@@ -64,6 +64,7 @@ var allowedStdlib = map[string]map[string]bool{
 	"math":            {"*": true},
 	"math/bits":       {"*": true},
 	"errors":          {"Is": true},
+	"runtime":         {"Gosched": true},
 	"encoding/binary": {"Uint16": true, "Uint32": true, "Uint64": true, "PutUint16": true, "PutUint32": true, "PutUint64": true},
 	"slices":          {"Sort": true, "Contains": true, "Index": true, "BinarySearch": true},
 }

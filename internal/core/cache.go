@@ -17,8 +17,12 @@ import (
 // would serialize every traversal of every client goroutine on the CN,
 // which shows up as wall-clock contention at high client counts.
 // Eviction is LRU per shard (global LRU order is approximated, which is
-// standard for striped caches). Decoded nodes are stored; lookups are
-// local and free of network cost.
+// standard for striped caches). Nodes are stored as fetched, an image
+// with its header decoded (internalImage), and every client routes on
+// the one shared image: the cache never writes to an image it holds and
+// never hands one back for reuse, since a client may still be reading a
+// node that was evicted under it. Lookups are local and free of network
+// cost.
 const cacheShards = 16
 
 // minShardBudget keeps striping from starving tiny caches: a shard that
@@ -42,7 +46,7 @@ type cacheShard struct {
 
 type cacheSlot struct {
 	addr dmsim.GAddr
-	node *internalNode
+	node *internalImage
 	size int64
 }
 
@@ -78,7 +82,7 @@ func (c *nodeCache) shardOf(addr dmsim.GAddr) *cacheShard {
 }
 
 // get returns the cached node, promoting it, or nil.
-func (c *nodeCache) get(addr dmsim.GAddr) *internalNode {
+func (c *nodeCache) get(addr dmsim.GAddr) *internalImage {
 	s := c.shardOf(addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -93,13 +97,15 @@ func (c *nodeCache) get(addr dmsim.GAddr) *internalNode {
 }
 
 // put inserts or replaces a node costing size bytes, evicting LRU
-// entries from its shard as needed. A budget of 0 disables caching.
-func (c *nodeCache) put(addr dmsim.GAddr, n *internalNode, size int64) {
+// entries from its shard as needed. A budget of 0 disables caching. It
+// reports whether the cache took the node: one it took is the cache's
+// from then on, one it declined is still the caller's to recycle.
+func (c *nodeCache) put(addr dmsim.GAddr, n *internalImage, size int64) bool {
 	s := c.shardOf(addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.budget <= 0 || size > s.budget {
-		return
+		return false
 	}
 	if el, ok := s.items[addr]; ok {
 		slot := el.Value.(*cacheSlot)
@@ -121,6 +127,7 @@ func (c *nodeCache) put(addr dmsim.GAddr, n *internalNode, size int64) {
 		delete(s.items, slot.addr)
 		s.used -= slot.size
 	}
+	return true
 }
 
 // invalidate drops a stale node (a sibling-based cache validation

@@ -21,7 +21,7 @@ func TestCacheShardingBudgetSplit(t *testing.T) {
 
 func TestCachePutGetInvalidate(t *testing.T) {
 	c := newNodeCache(1 << 20)
-	n := &internalNode{level: 1}
+	n := testNode(internalHeader{level: 1})
 	for i := 0; i < 100; i++ {
 		c.put(cacheAddr(i), n, 1024)
 	}
@@ -52,7 +52,7 @@ func TestCachePutGetInvalidate(t *testing.T) {
 func TestCacheEvictionStaysWithinBudget(t *testing.T) {
 	const budget = int64(64 << 10)
 	c := newNodeCache(budget)
-	n := &internalNode{}
+	n := testNode(internalHeader{})
 	for i := 0; i < 1000; i++ {
 		c.put(cacheAddr(i), n, 1024)
 	}
@@ -67,7 +67,7 @@ func TestCacheEvictionStaysWithinBudget(t *testing.T) {
 
 func TestCacheZeroBudgetDisables(t *testing.T) {
 	c := newNodeCache(0)
-	c.put(cacheAddr(1), &internalNode{}, 64)
+	c.put(cacheAddr(1), testNode(internalHeader{}), 64)
 	if c.get(cacheAddr(1)) != nil {
 		t.Fatal("zero-budget cache stored a node")
 	}
@@ -83,7 +83,7 @@ func TestCacheConcurrentSharded(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			n := &internalNode{}
+			n := testNode(internalHeader{})
 			for i := 0; i < 2000; i++ {
 				a := cacheAddr((g*31 + i) % 256)
 				switch i % 4 {

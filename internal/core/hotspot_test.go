@@ -284,7 +284,7 @@ func TestHotspotConcurrentWriteRead(t *testing.T) {
 
 func TestNodeCacheLRUOrder(t *testing.T) {
 	c := newNodeCache(3 * 100)
-	n := &internalNode{valid: true}
+	n := testNode(internalHeader{valid: true})
 	c.put(haddr(1), n, 100)
 	c.put(haddr(2), n, 100)
 	c.put(haddr(3), n, 100)
@@ -303,7 +303,7 @@ func TestNodeCacheLRUOrder(t *testing.T) {
 
 func TestNodeCacheOversizedRejected(t *testing.T) {
 	c := newNodeCache(100)
-	c.put(haddr(1), &internalNode{}, 500)
+	c.put(haddr(1), testNode(internalHeader{}), 500)
 	if c.get(haddr(1)) != nil {
 		t.Fatal("oversized entry must not be cached")
 	}
@@ -315,8 +315,8 @@ func TestNodeCacheOversizedRejected(t *testing.T) {
 
 func TestNodeCacheReplaceSameAddr(t *testing.T) {
 	c := newNodeCache(1000)
-	a := &internalNode{level: 1}
-	b := &internalNode{level: 2}
+	a := testNode(internalHeader{level: 1})
+	b := testNode(internalHeader{level: 2})
 	c.put(haddr(1), a, 100)
 	c.put(haddr(1), b, 200)
 	if got := c.get(haddr(1)); got == nil || got.level != 2 {

@@ -286,7 +286,7 @@ func TestNeighborhoodSegments(t *testing.T) {
 	lay := newLeafLayout(DefaultOptions())
 
 	// Mid-node, non-wrapping: one segment, containing a replica.
-	segs, idxs := lay.neighborhoodSegments(10, 8, true)
+	segs, idxs := lay.neighborhoodSegments(nil, 10, 8, true), lay.neighborhoodIndexes(10, 8)
 	if len(segs) != 1 {
 		t.Fatalf("non-wrap segments = %d", len(segs))
 	}
@@ -298,13 +298,13 @@ func TestNeighborhoodSegments(t *testing.T) {
 	}
 
 	// Group-aligned: replica precedes the group.
-	segs, _ = lay.neighborhoodSegments(16, 8, true)
+	segs = lay.neighborhoodSegments(nil, 16, 8, true)
 	if lay.metaInRanges(segs) != 2 {
 		t.Fatalf("group-aligned window replica group = %d, want 2", lay.metaInRanges(segs))
 	}
 
 	// Wrap-around: two segments, replica available.
-	segs, idxs = lay.neighborhoodSegments(60, 8, true)
+	segs, idxs = lay.neighborhoodSegments(nil, 60, 8, true), lay.neighborhoodIndexes(60, 8)
 	if len(segs) != 2 {
 		t.Fatalf("wrap segments = %d", len(segs))
 	}
@@ -317,7 +317,7 @@ func TestNeighborhoodSegments(t *testing.T) {
 
 	// Every home position must yield a window with a replica.
 	for home := 0; home < lay.span; home++ {
-		segs, _ := lay.neighborhoodSegments(home, lay.h, true)
+		segs := lay.neighborhoodSegments(nil, home, lay.h, true)
 		if lay.metaInRanges(segs) < 0 {
 			t.Fatalf("home %d: no replica in window", home)
 		}
@@ -326,8 +326,8 @@ func TestNeighborhoodSegments(t *testing.T) {
 
 func TestCoveredCells(t *testing.T) {
 	lay := newLeafLayout(DefaultOptions())
-	segs, _ := lay.neighborhoodSegments(10, 8, true)
-	cells := lay.coveredCells(segs)
+	segs := lay.neighborhoodSegments(nil, 10, 8, true)
+	cells := lay.coveredCells(nil, segs)
 	// At least the 8 entries plus 1 replica.
 	if len(cells) < 9 {
 		t.Fatalf("covered cells = %d, want >= 9", len(cells))
@@ -365,12 +365,14 @@ func TestBigValueLeafLayout(t *testing.T) {
 func TestInternalNodeCodec(t *testing.T) {
 	lay := newInternalLayout(DefaultOptions())
 	n := &internalNode{
-		level:    3,
-		valid:    true,
-		fenceLow: 100,
-		fenceHi:  2000,
-		sibling:  gaddr(0, 4096),
-		leftmost: gaddr(1, 8192),
+		internalHeader: internalHeader{
+			level:    3,
+			valid:    true,
+			fenceLow: 100,
+			fenceHi:  2000,
+			sibling:  gaddr(0, 4096),
+			leftmost: gaddr(1, 8192),
+		},
 		entries: []pivotEntry{
 			{pivot: 200, child: gaddr(0, 100)},
 			{pivot: 500, child: gaddr(0, 200)},
@@ -381,7 +383,7 @@ func TestInternalNodeCodec(t *testing.T) {
 	if err := lay.checkInternalImage(img); err != nil {
 		t.Fatal(err)
 	}
-	got := lay.decodeInternal(gaddr(0, 1), img)
+	got := lay.decodeInternal(gaddr(0, 1), lay.imageOf(img))
 	if got.level != 3 || !got.valid || got.fenceLow != 100 || got.fenceHi != 2000 {
 		t.Fatalf("header: %+v", got)
 	}
@@ -402,13 +404,14 @@ func TestInternalNodeCodec(t *testing.T) {
 }
 
 func TestInternalChildFor(t *testing.T) {
-	n := &internalNode{
-		leftmost: gaddr(0, 1),
+	lay := newInternalLayout(DefaultOptions())
+	n := lay.imageOf(lay.encodeInternal(&internalNode{
+		internalHeader: internalHeader{leftmost: gaddr(0, 1)},
 		entries: []pivotEntry{
 			{pivot: 100, child: gaddr(0, 2)},
 			{pivot: 200, child: gaddr(0, 3)},
 		},
-	}
+	}, nil))
 	cases := []struct {
 		key   uint64
 		child uint64

@@ -218,7 +218,7 @@ func TestInternalNodeCodecWideKeys(t *testing.T) {
 		o := DefaultOptions()
 		o.KeySize = keySize
 		lay := newInternalLayout(o)
-		n := &internalNode{level: 2, valid: true, fenceLow: 5, fenceHi: 1 << 40, sibling: gaddr(1, 0x4440), leftmost: gaddr(0, 0x80)}
+		n := &internalNode{internalHeader: internalHeader{level: 2, valid: true, fenceLow: 5, fenceHi: 1 << 40, sibling: gaddr(1, 0x4440), leftmost: gaddr(0, 0x80)}}
 		for i := 0; i < lay.span; i++ {
 			n.entries = append(n.entries, pivotEntry{pivot: uint64(10 + i*3), child: gaddr(uint8(i%3), uint64(0x1000+i*64))})
 		}
@@ -227,7 +227,7 @@ func TestInternalNodeCodecWideKeys(t *testing.T) {
 			prev[i] = 0xEE // stale bytes an in-place encode must not inherit as padding
 		}
 		img := lay.encodeInternal(n, prev)
-		got := lay.decodeInternal(gaddr(0, 0), img)
+		got := lay.decodeInternal(gaddr(0, 0), lay.imageOf(img))
 		if len(got.entries) != len(n.entries) || got.fenceHi != n.fenceHi || got.sibling != n.sibling || got.leftmost != n.leftmost {
 			t.Fatalf("keySize %d: header round trip: %+v", keySize, got)
 		}

@@ -137,10 +137,17 @@ type leafImage struct {
 	buf  []byte
 	vals []byte   // span*valSize gather area; nil unless entry cells are big
 	hop  []uint16 // span expected-bitmap scratch of hopBitmapsConsistent
+
+	covered []cell // checkRanges scratch, room for every cell
 }
 
 func newLeafImage(lay *leafLayout) *leafImage {
-	im := &leafImage{lay: lay, buf: make([]byte, lay.size), hop: make([]uint16, lay.span)}
+	im := &leafImage{
+		lay:     lay,
+		buf:     make([]byte, lay.size),
+		hop:     make([]uint16, lay.span),
+		covered: make([]cell, 0, len(lay.allCells)),
+	}
 	if lay.entryCells[0].Big {
 		im.vals = make([]byte, lay.span*lay.valSize)
 	}
@@ -167,11 +174,11 @@ func (l *leafLayout) getImageZeroed() *leafImage {
 	return im
 }
 
-// poisonRecycled makes both layouts' putImage scribble over every image
-// they recycle. Only the package's tests set it (TestMain), so that any
-// decoded value read after its image went back to the pool — the bug
-// in-place decoding makes possible — fails the suite instead of reading
-// bytes that usually still look right.
+// poisonRecycled makes putImage and Client.putInternal scribble over
+// every image they recycle. Only the package's tests set it (TestMain),
+// so that anything read from an image after it went back to its pool or
+// free list — the bug reading in place makes possible — fails the suite
+// instead of reading bytes that usually still look right.
 var poisonRecycled bool
 
 const poisonByte = 0xA5
@@ -396,11 +403,30 @@ func (l *leafLayout) cellSpanRange(first, count int, includeMeta bool) byteRange
 	return byteRange{Off: lo, End: hi}
 }
 
-// neighborhoodSegments returns the 1 or 2 byte ranges (2 on wrap-around)
-// covering entries [home, home+count) circularly, each extended to
-// include a metadata replica when includeMeta is set, plus the list of
-// covered entry indexes in fetch order.
-func (l *leafLayout) neighborhoodSegments(home, count int, includeMeta bool) ([]byteRange, []int) {
+// neighborhoodSegments appends to dst the 1 or 2 byte ranges (2 on
+// wrap-around) covering entries [home, home+count) circularly, each
+// extended to include a metadata replica when includeMeta is set. A dst
+// with room for two makes it allocation-free.
+func (l *leafLayout) neighborhoodSegments(dst []byteRange, home, count int, includeMeta bool) []byteRange {
+	if count > l.span {
+		count = l.span
+	}
+	if home+count <= l.span {
+		return append(dst, l.cellSpanRange(home, count, includeMeta))
+	}
+	first := l.span - home
+	// The second segment starts at entry 0, whose group replica is
+	// replica 0, located just before it.
+	second := l.cellSpanRange(0, count-first, false)
+	if includeMeta {
+		second.Off = l.replicaCells[0].Off
+	}
+	return append(dst, l.cellSpanRange(home, first, includeMeta), second)
+}
+
+// neighborhoodIndexes lists the entry indexes neighborhoodSegments
+// covers, in fetch order.
+func (l *leafLayout) neighborhoodIndexes(home, count int) []int {
 	if count > l.span {
 		count = l.span
 	}
@@ -408,35 +434,28 @@ func (l *leafLayout) neighborhoodSegments(home, count int, includeMeta bool) ([]
 	for i := range idxs {
 		idxs[i] = (home + i) % l.span
 	}
-	if home+count <= l.span {
-		return []byteRange{l.cellSpanRange(home, count, includeMeta)}, idxs
-	}
-	first := l.span - home
-	segs := []byteRange{
-		l.cellSpanRange(home, first, includeMeta),
-		// The second segment starts at entry 0, whose group replica is
-		// replica 0, located just before it.
-		l.cellSpanRange(0, count-first, false),
-	}
-	if includeMeta {
-		segs[1].Off = l.replicaCells[0].Off
-	}
-	return segs, idxs
+	return idxs
 }
 
-// coveredCells lists the cells fully contained in the given ranges; used
-// to validate versions over exactly what was fetched.
-func (l *leafLayout) coveredCells(ranges []byteRange) []cell {
-	var out []cell
+// coveredCells appends to dst the cells fully contained in the given
+// ranges: what a version check over exactly the fetched bytes covers.
+func (l *leafLayout) coveredCells(dst []cell, ranges []byteRange) []cell {
 	for _, c := range l.allCells {
 		for _, r := range ranges {
 			if c.Off >= r.Off && c.End() <= r.End {
-				out = append(out, c)
+				dst = append(dst, c)
 				break
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// checkRanges validates the version bytes of every cell the fetched
+// ranges cover.
+func (im *leafImage) checkRanges(ranges []byteRange) error {
+	im.covered = im.lay.coveredCells(im.covered[:0], ranges)
+	return checkVersions(im.buf, 0, im.covered)
 }
 
 // metaInRanges returns the group index of a metadata replica fully

@@ -61,14 +61,17 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	if err := c.lockNode(parentAddr); err != nil {
 		return
 	}
-	parent, parentImg, err := c.readInternal(parentAddr)
-	if err != nil || !parent.valid || parent.level != 1 || !parent.covers(key) {
+	pim, err := c.readInternal(parentAddr)
+	if err != nil || !pim.valid || pim.level != 1 || !pim.covers(key) {
 		c.unlockNode(parentAddr)
 		return
 	}
 
-	// Identify the victim's routing entry and its left neighbor.
-	child, entryIdx, _ := parent.childFor(key)
+	// Identify the victim's routing entry and its left neighbor. The
+	// parent is about to be rewritten, so it is decoded in full, and its
+	// fetched bytes stay here for encodeInternal to bump versions from.
+	child, entryIdx, _ := pim.childFor(key)
+	parent, parentImg := c.ix.inner.decodeInternal(parentAddr, pim), pim.buf
 	if child != victim || entryIdx < 0 {
 		// Either the tree moved, or the victim is the leftmost child
 		// (entryIdx == -1): skip.
@@ -158,7 +161,7 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 		c.unlockLeaf(leftAddr, leftLW)
 		return
 	}
-	c.cn.cache.put(parentAddr, parent, int64(c.ix.inner.size))
+	c.cn.cache.put(parentAddr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 	c.obs.Merges.Inc()
 
 	c.unlockLeaf(victim, victimLW)

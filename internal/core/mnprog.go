@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"runtime"
+	"sync"
 
 	"chime/internal/dmsim"
 )
@@ -37,9 +38,14 @@ const (
 )
 
 // mnProgram implements dmsim.MNProgram for one CHIME tree. Stateless
-// beyond the shared Index, so one value serves every MN and client.
+// beyond the shared Index and a pool of scratch images, so one value
+// serves every MN and client.
 type mnProgram struct {
 	ix *Index
+
+	// nodes recycles internal-node images across descents: the program
+	// has no client whose free list it could use.
+	nodes sync.Pool // of *internalImage
 }
 
 // mnStep is the internal control-flow verdict of the program's helpers:
@@ -54,24 +60,28 @@ var mnRestart = mnStep{}
 
 func mnDone(st dmsim.OffloadStatus) mnStep { return mnStep{st: st, done: true} }
 
-// readInternal fetches and validates an internal node through the
-// metered view. The returned image must be recycled by the caller after
-// the decoded node's last use (decode copies everything it keeps).
-func (p *mnProgram) readInternal(ctx *dmsim.MNCtx, addr dmsim.GAddr) (*internalNode, mnStep) {
-	lay := p.ix.inner
-	img := lay.getImage()
-	defer lay.putImage(img)
+// routeInternal fetches and validates an internal node through the
+// metered view and routes key on it in place. The image comes from the
+// program's own pool and goes back before the call returns: the verdict
+// is all that leaves.
+func (p *mnProgram) routeInternal(ctx *dmsim.MNCtx, addr dmsim.GAddr, key uint64) (route, mnStep) {
+	im, _ := p.nodes.Get().(*internalImage)
+	if im == nil {
+		im = newInternalImage(p.ix.inner)
+	}
+	defer p.nodes.Put(im)
 	for try := 0; try < mnTornRetries; try++ {
-		if !ctx.Read(addr, img) {
-			return nil, mnDone(dmsim.OffloadCrossMN)
+		if !ctx.Read(addr, im.buf) {
+			return route{}, mnDone(dmsim.OffloadCrossMN)
 		}
-		if lay.checkInternalImage(img) != nil {
+		if p.ix.inner.checkInternalImage(im.buf) != nil {
 			runtime.Gosched()
 			continue
 		}
-		return lay.decodeInternal(addr, img), mnStep{done: true, st: dmsim.OffloadOK}
+		im.decodeHeader()
+		return im.route(key), mnDone(dmsim.OffloadOK)
 	}
-	return nil, mnDone(dmsim.OffloadRetry)
+	return route{}, mnDone(dmsim.OffloadRetry)
 }
 
 // descend walks from the super block to the leaf covering key, chasing
@@ -87,28 +97,17 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, mnStep) 
 		return cur, mnDone(dmsim.OffloadOK)
 	}
 	for hop := 0; hop < mnChainHops; hop++ {
-		n, step := p.readInternal(ctx, cur)
-		if n == nil {
+		r, step := p.routeInternal(ctx, cur, key)
+		if step.st != dmsim.OffloadOK {
 			return dmsim.NilGAddr, step
 		}
-		if !n.valid {
+		switch {
+		case r.kind == routeLost:
 			return dmsim.NilGAddr, mnRestart
+		case r.kind == routeDown && r.level == 1:
+			return r.child, mnDone(dmsim.OffloadOK)
 		}
-		if !n.covers(key) {
-			if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-				cur = n.sibling
-				continue
-			}
-			return dmsim.NilGAddr, mnRestart
-		}
-		child, _, _ := n.childFor(key)
-		if child.IsNil() {
-			return dmsim.NilGAddr, mnRestart
-		}
-		if n.level == 1 {
-			return child, mnDone(dmsim.OffloadOK)
-		}
-		cur = child
+		cur = r.child // the covering child, or the sibling of a half-split
 	}
 	return dmsim.NilGAddr, mnDone(dmsim.OffloadRetry)
 }
@@ -119,7 +118,8 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, mnStep) 
 func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, count int) (*leafImage, []int, int, mnStep) {
 	lay := p.ix.leaf
 	im := lay.getImage()
-	segs, idxs := lay.neighborhoodSegments(home, count, p.ix.opts.ReplicateMeta)
+	segs := lay.neighborhoodSegments(nil, home, count, p.ix.opts.ReplicateMeta)
+	idxs := lay.neighborhoodIndexes(home, count)
 	for try := 0; try < mnTornRetries; try++ {
 		for _, s := range segs {
 			if !ctx.Read(leaf.Add(uint64(s.Off)), im.buf[s.Off:s.End]) {
@@ -138,7 +138,7 @@ func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, cou
 			metaG = 0
 			ranges = append(append([]byteRange{}, segs...), byteRange{Off: rc.Off, End: rc.End()})
 		}
-		if checkVersions(im.buf, 0, lay.coveredCells(ranges)) != nil {
+		if im.checkRanges(ranges) != nil {
 			runtime.Gosched()
 			continue
 		}

@@ -58,11 +58,12 @@ type searchOp struct {
 	// ReplicateMeta ablation is off.
 	h, h2   *dmsim.Completion
 	rootBuf [8]byte
-	img     []byte     // internal-node image (pooled)
-	im      *leafImage // leaf window image (pooled)
+	node    *internalImage // internal node being fetched (client free list)
+	im      *leafImage     // leaf window image (pooled)
 	metaG   int
-	ranges  []byteRange
-	valBuf  []byte // indirect KV block ([8B key][value])
+	ranges  []byteRange  // fetched leaf ranges, backed by segBuf
+	segBuf  [3]byteRange // two window segments and the ablation's replica
+	valBuf  []byte       // indirect KV block ([8B key][value])
 
 	restarts, torn int
 
@@ -94,39 +95,62 @@ func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
 		depth = 1
 	}
 
-	ops := make([]*searchOp, 0, depth)
-	next := 0
+	// The ops in flight form a FIFO ring of depth slots.
+	if cap(c.opRing) < depth {
+		c.opRing = make([]*searchOp, depth)
+	}
+	ring := c.opRing[:depth]
+	head, live, next := 0, 0, 0
+	finish := func(op *searchOp) {
+		vals[op.idx], errs[op.idx] = op.val, op.err
+		c.opFree = append(c.opFree, op)
+	}
 	admit := func() {
-		for next < n && len(ops) < depth {
-			op := &searchOp{key: keys[next], idx: next}
+		for next < n && live < depth {
+			op := c.newSearchOp(keys[next], next)
 			next++
 			c.beginOp(op)
 			if op.state == opDone {
-				vals[op.idx], errs[op.idx] = op.val, op.err
+				finish(op)
 				continue
 			}
-			ops = append(ops, op)
+			ring[(head+live)%depth] = op
+			live++
 		}
 	}
 	admit()
-	for len(ops) > 0 {
-		op := ops[0]
-		ops = ops[1:]
+	for live > 0 {
+		op := ring[head]
+		head = (head + 1) % depth
+		live--
 		c.stepOp(op)
 		if op.state == opDone {
-			vals[op.idx], errs[op.idx] = op.val, op.err
+			finish(op)
 			admit()
 		} else {
-			ops = append(ops, op)
+			ring[(head+live)%depth] = op
+			live++
 		}
 	}
 	return vals, errs
 }
 
+// newSearchOp returns a reset op for key, reusing a finished one (and
+// its path capacity) when the client has any.
+func (c *Client) newSearchOp(key uint64, idx int) *searchOp {
+	if n := len(c.opFree); n > 0 {
+		op := c.opFree[n-1]
+		c.opFree = c.opFree[:n-1]
+		*op = searchOp{key: key, idx: idx, path: op.path[:0]}
+		return op
+	}
+	return &searchOp{key: key, idx: idx}
+}
+
 // beginOp (re)starts a key's traversal: post the super-block read if the
 // root is unknown, otherwise descend through the cache from the root.
 func (c *Client) beginOp(op *searchOp) {
-	op.path = nil
+	op.path = op.path[:0]
 	op.hops = 0
 	c.chargeLocalWork()
 	if c.rootAddr.IsNil() {
@@ -148,7 +172,7 @@ func (c *Client) beginOp(op *searchOp) {
 func (c *Client) stepOp(op *searchOp) {
 	switch op.state {
 	case opRootWait:
-		c.dc.Poll(op.h)
+		c.reap(op.h)
 		op.h = nil
 		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
 		c.rootAddr, c.rootLevel = addr, lvl
@@ -156,16 +180,16 @@ func (c *Client) stepOp(op *searchOp) {
 		c.descendFromRoot(op)
 
 	case opInternalWait:
-		c.dc.Poll(op.h)
+		c.reap(op.h)
 		op.h = nil
-		if err := c.ix.inner.checkInternalImage(op.img); err != nil {
+		if err := c.ix.inner.checkInternalImage(op.node.buf); err != nil {
 			op.torn++
 			if op.torn > maxRetries {
 				c.failOp(op, fmt.Errorf("core: internal node %v: torn-read retries exhausted", op.cur))
 				return
 			}
 			c.yield()
-			h, perr := c.dc.PostRead(op.cur, op.img)
+			h, perr := c.dc.PostRead(op.cur, op.node.buf)
 			if perr != nil {
 				c.failOp(op, perr)
 				return
@@ -173,26 +197,22 @@ func (c *Client) stepOp(op *searchOp) {
 			op.h = h
 			return
 		}
-		fresh := c.ix.inner.decodeInternal(op.cur, op.img)
-		c.ix.inner.putImage(op.img)
-		op.img = nil
-		if !fresh.valid {
-			c.restartOp(op)
-			return
-		}
-		c.cn.cache.put(op.cur, fresh, int64(c.ix.inner.size))
-		if c.stepNode(op, fresh, false) {
+		op.node.decodeHeader()
+		r := op.node.route(op.key)
+		c.keepInternal(op.cur, op.node)
+		op.node = nil
+		if c.stepNode(op, r, false) {
 			c.descendLoop(op)
 		}
 
 	case opLeafWait:
-		c.dc.Poll(op.h)
-		c.dc.Poll(op.h2)
+		c.reap(op.h)
+		c.reap(op.h2)
 		op.h, op.h2 = nil, nil
 		c.finishLeafOp(op)
 
 	case opIndirectWait:
-		c.dc.Poll(op.h)
+		c.reap(op.h)
 		op.h = nil
 		if binary.LittleEndian.Uint64(op.valBuf[:8]) != op.key {
 			c.restartOp(op)
@@ -222,8 +242,8 @@ func (c *Client) descendLoop(op *searchOp) {
 	for ; op.hops < maxRetries; op.hops++ {
 		n := c.cn.cache.get(op.cur)
 		if n == nil {
-			op.img = c.ix.inner.getImage()
-			h, err := c.dc.PostRead(op.cur, op.img)
+			op.node = c.getInternal()
+			h, err := c.dc.PostRead(op.cur, op.node.buf)
 			if err != nil {
 				c.failOp(op, err)
 				return
@@ -232,47 +252,37 @@ func (c *Client) descendLoop(op *searchOp) {
 			op.state = opInternalWait
 			return
 		}
-		if !c.stepNode(op, n, true) {
+		if !c.stepNode(op, n.route(op.key), true) {
 			return
 		}
 	}
 	c.failOp(op, fmt.Errorf("core: SearchBatch(%#x): descent loop exhausted", op.key))
 }
 
-// stepNode applies one internal node to the op's descent (the body of
-// traverseFrom's loop). It reports whether the caller should keep
-// descending locally; false means the op posted a read, restarted, or
-// failed.
-func (c *Client) stepNode(op *searchOp, n *internalNode, fromCache bool) bool {
-	key := op.key
-	if !n.covers(key) {
+// stepNode applies one internal node's routing verdict to the op's
+// descent (the body of traverseFrom's loop). It reports whether the
+// caller should keep descending locally; false means the op posted a
+// read, restarted, or failed.
+func (c *Client) stepNode(op *searchOp, r route, fromCache bool) bool {
+	if r.kind != routeDown {
 		if fromCache {
 			// Stale cached node: drop it and retry this address remotely.
 			c.cn.cache.invalidate(op.cur)
 			return true
 		}
-		if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-			op.cur = n.sibling // half-split: chase the B-link sibling
+		if r.kind == routeRight {
+			op.cur = r.child // half-split: chase the B-link sibling
 			return true
 		}
 		c.restartOp(op)
 		return false
 	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: n.level})
-	child, _, nextC := n.childFor(key)
-	if child.IsNil() {
-		if fromCache {
-			c.cn.cache.invalidate(op.cur)
-			return true
-		}
-		c.restartOp(op)
-		return false
-	}
-	if n.level == 1 {
+	op.path = append(op.path, pathEntry{addr: op.cur, level: r.level})
+	if r.level == 1 {
 		op.ref = leafRef{
-			addr:            child,
-			expected:        nextC,
-			expectedKnown:   !nextC.IsNil(),
+			addr:            r.child,
+			expected:        r.next,
+			expectedKnown:   !r.next.IsNil(),
 			parentAddr:      op.cur,
 			parentFromCache: fromCache,
 			path:            op.path,
@@ -280,7 +290,7 @@ func (c *Client) stepNode(op *searchOp, n *internalNode, fromCache bool) bool {
 		c.postLeafOp(op)
 		return false
 	}
-	op.cur = child
+	op.cur = r.child
 	return true
 }
 
@@ -296,7 +306,7 @@ func (c *Client) postLeafOp(op *searchOp) {
 	if op.im == nil {
 		op.im = lay.getImage()
 	}
-	segs, _ := lay.neighborhoodSegments(home, lay.h, c.ix.opts.ReplicateMeta)
+	segs := lay.neighborhoodSegments(op.segBuf[:0], home, lay.h, c.ix.opts.ReplicateMeta)
 	op.ranges = segs
 	op.metaG = lay.metaInRanges(segs)
 
@@ -304,13 +314,7 @@ func (c *Client) postLeafOp(op *searchOp) {
 	if len(segs) == 1 {
 		op.h, err = c.dc.PostRead(op.ref.addr.Add(uint64(segs[0].Off)), op.im.buf[segs[0].Off:segs[0].End])
 	} else {
-		addrs := make([]dmsim.GAddr, len(segs))
-		bufs := make([][]byte, len(segs))
-		for i, s := range segs {
-			addrs[i] = op.ref.addr.Add(uint64(s.Off))
-			bufs[i] = op.im.buf[s.Off:s.End]
-		}
-		op.h, err = c.dc.PostReadBatch(addrs, bufs)
+		op.h, err = c.postWindowBatch(op.ref.addr, op.im, segs)
 	}
 	if err != nil {
 		c.failOp(op, err)
@@ -324,7 +328,7 @@ func (c *Client) postLeafOp(op *searchOp) {
 			return
 		}
 		op.metaG = 0
-		op.ranges = append(append([]byteRange{}, op.ranges...), byteRange{Off: rc.Off, End: rc.End()})
+		op.ranges = append(op.ranges, byteRange{Off: rc.Off, End: rc.End()})
 	}
 	op.state = opLeafWait
 }
@@ -333,7 +337,7 @@ func (c *Client) postLeafOp(op *searchOp) {
 // searchLeafChain does for the synchronous path.
 func (c *Client) finishLeafOp(op *searchOp) {
 	lay := c.ix.leaf
-	if err := checkVersions(op.im.buf, 0, lay.coveredCells(op.ranges)); err != nil {
+	if err := op.im.checkRanges(op.ranges); err != nil {
 		op.torn++
 		if op.torn > maxRetries {
 			c.failOp(op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", op.ref.addr))
@@ -419,15 +423,15 @@ func (c *Client) failOp(op *searchOp, err error) {
 	op.state = opDone
 }
 
-// releaseOpBuffers drains any in-flight completions (Poll is idempotent
-// and nil-safe) and returns pooled images.
+// releaseOpBuffers drains any in-flight completions (reap is nil-safe)
+// and returns pooled images.
 func (c *Client) releaseOpBuffers(op *searchOp) {
-	c.dc.Poll(op.h)
-	c.dc.Poll(op.h2)
+	c.reap(op.h)
+	c.reap(op.h2)
 	op.h, op.h2 = nil, nil
-	if op.img != nil {
-		c.ix.inner.putImage(op.img)
-		op.img = nil
+	if op.node != nil {
+		c.putInternal(op.node)
+		op.node = nil
 	}
 	if op.im != nil {
 		c.ix.leaf.putImage(op.im)

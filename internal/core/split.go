@@ -259,12 +259,14 @@ func (c *Client) growRoot(oldLevel uint8, splitKey uint64, rightAddr dmsim.GAddr
 		return false, err
 	}
 	n := &internalNode{
-		addr:     newRoot,
-		level:    oldLevel + 1,
-		valid:    true,
-		fenceInf: true,
-		leftmost: oldRoot,
-		entries:  []pivotEntry{{pivot: splitKey, child: rightAddr}},
+		internalHeader: internalHeader{
+			level:    oldLevel + 1,
+			valid:    true,
+			fenceInf: true,
+			leftmost: oldRoot,
+		},
+		addr:    newRoot,
+		entries: []pivotEntry{{pivot: splitKey, child: rightAddr}},
 	}
 	if err := c.dc.Write(newRoot, c.ix.inner.encodeInternal(n, nil)); err != nil {
 		return false, err
@@ -332,11 +334,15 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		if err := c.lockNode(addr); err != nil {
 			return false, dmsim.NilGAddr, err
 		}
-		n, img, err := c.readInternal(addr)
+		im, err := c.readInternal(addr)
 		if err != nil {
 			c.unlockNode(addr)
 			return false, dmsim.NilGAddr, err
 		}
+		// About to be rewritten: decode in full. The fetched bytes stay
+		// with the writer (encodeInternal bumps versions from them), so
+		// the image does not go back to the free list.
+		n, img := c.ix.inner.decodeInternal(addr, im), im.buf
 		if !n.valid || n.level != level {
 			c.unlockNode(addr)
 			return false, dmsim.NilGAddr, nil // stale: re-find the parent
@@ -356,7 +362,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			if err := c.writeInternalAndUnlock(addr, img); err != nil {
 				return false, dmsim.NilGAddr, err
 			}
-			c.cn.cache.put(addr, n, int64(c.ix.inner.size))
+			c.cn.cache.put(addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 			return true, dmsim.NilGAddr, nil
 		}
 
@@ -397,15 +403,17 @@ func (c *Client) splitInternal(n *internalNode, prevImg []byte, splitKey uint64,
 		return err
 	}
 	right := &internalNode{
-		addr:     newAddr,
-		level:    n.level,
-		valid:    true,
-		fenceLow: midKey,
-		fenceInf: n.fenceInf,
-		fenceHi:  n.fenceHi,
-		sibling:  n.sibling,
-		leftmost: n.entries[mid].child,
-		entries:  append([]pivotEntry(nil), n.entries[mid+1:]...),
+		internalHeader: internalHeader{
+			level:    n.level,
+			valid:    true,
+			fenceLow: midKey,
+			fenceInf: n.fenceInf,
+			fenceHi:  n.fenceHi,
+			sibling:  n.sibling,
+			leftmost: n.entries[mid].child,
+		},
+		addr:    newAddr,
+		entries: append([]pivotEntry(nil), n.entries[mid+1:]...),
 	}
 	if err := c.dc.Write(newAddr, c.ix.inner.encodeInternal(right, nil)); err != nil {
 		c.unlockNode(n.addr)
@@ -420,7 +428,7 @@ func (c *Client) splitInternal(n *internalNode, prevImg []byte, splitKey uint64,
 	if err := c.writeInternalAndUnlock(n.addr, img); err != nil {
 		return err
 	}
-	c.cn.cache.put(n.addr, n, int64(c.ix.inner.size))
+	c.cn.cache.put(n.addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 
 	return c.propagateSplit(path, n.level, midKey, newAddr)
 }
@@ -438,37 +446,23 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 			continue
 		}
 		cur := c.rootAddr
-		ok := true
-		for ok {
-			n, _, err := c.readInternal(cur)
+		for ok := true; ok; {
+			n, err := c.readInternal(cur)
 			if err != nil {
 				return dmsim.NilGAddr, err
 			}
-			if !n.valid {
+			r := n.route(key)
+			c.putInternal(n)
+			switch {
+			case r.kind == routeRight:
+				cur = r.child
+			case r.kind == routeLost || r.level < level:
 				ok = false
-				break
-			}
-			if !n.covers(key) {
-				if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-					cur = n.sibling
-					continue
-				}
-				ok = false
-				break
-			}
-			if n.level == level {
+			case r.level == level:
 				return cur, nil
+			default:
+				cur = r.child
 			}
-			if n.level < level {
-				ok = false
-				break
-			}
-			child, _, _ := n.childFor(key)
-			if child.IsNil() {
-				ok = false
-				break
-			}
-			cur = child
 		}
 		c.yield()
 	}

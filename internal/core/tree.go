@@ -214,6 +214,20 @@ type Client struct {
 	scanSlots  []scanSlot
 	scanPends  []*dmsim.Completion
 	scanBlocks []byte
+
+	// innerFree holds the internal-node images this client fetched and
+	// the cache declined, for its next fetches (getInternal).
+	innerFree []*internalImage
+
+	// SearchBatch scratch (pipeline.go): finished ops for the next
+	// batch to reuse, and the FIFO ring of the ops in flight.
+	opFree []*searchOp
+	opRing []*searchOp
+
+	// segAddrs/segBufs stage the doorbell batch of a leaf window that
+	// wraps around the leaf (two segments).
+	segAddrs [2]dmsim.GAddr
+	segBufs  [2][]byte
 }
 
 // NewClient creates a client handle bound to this compute node.
@@ -273,25 +287,59 @@ func (c *Client) refreshRoot() error {
 	return nil
 }
 
+// getInternal returns an internal-node image for this client's next
+// fetch: one it recycled earlier, or a new one.
+func (c *Client) getInternal() *internalImage {
+	if n := len(c.innerFree); n > 0 {
+		im := c.innerFree[n-1]
+		c.innerFree = c.innerFree[:n-1]
+		return im
+	}
+	return newInternalImage(c.ix.inner)
+}
+
+// putInternal recycles an image this client fetched and no one else
+// holds. The next fetch overwrites it, so the caller must be done with
+// everything it read from it (see internalImage).
+func (c *Client) putInternal(im *internalImage) {
+	if poisonRecycled {
+		poison(im.buf)
+		im.decodeHeader()
+	}
+	c.innerFree = append(c.innerFree, im)
+}
+
+// keepInternal offers a freshly fetched node to the cache and recycles
+// it if the cache declines (or the node is a deleted one, which must
+// not be cached). Either way the image is no longer the caller's.
+func (c *Client) keepInternal(addr dmsim.GAddr, im *internalImage) {
+	if !im.valid || !c.cn.cache.put(addr, im, int64(c.ix.inner.size)) {
+		c.putInternal(im)
+	}
+}
+
 // readInternal fetches and validates an internal node, retrying torn
-// reads. It does not consult the cache. The raw image is returned
-// alongside the decoded node so that a subsequent node write can bump
-// the node-level versions relative to the fetched state.
-func (c *Client) readInternal(addr dmsim.GAddr) (*internalNode, []byte, error) {
-	img := c.ix.inner.getImage()
+// reads. It does not consult the cache. The image is the caller's: to
+// route on and then hand to keepInternal or putInternal, or — a writer
+// under the node's lock — to decode in full and bump versions from.
+func (c *Client) readInternal(addr dmsim.GAddr) (*internalImage, error) {
+	im := c.getInternal()
 	for try := 0; try < maxRetries; try++ {
-		if err := c.dc.Read(addr, img); err != nil {
-			return nil, nil, err
+		if err := c.dc.Read(addr, im.buf); err != nil {
+			c.putInternal(im)
+			return nil, err
 		}
-		if err := c.ix.inner.checkInternalImage(img); err != nil {
+		if err := c.ix.inner.checkInternalImage(im.buf); err != nil {
 			c.obs.TornReads.Inc()
 			c.yield()
 			continue
 		}
 		c.resetBackoff()
-		return c.ix.inner.decodeInternal(addr, img), img, nil
+		im.decodeHeader()
+		return im, nil
 	}
-	return nil, nil, fmt.Errorf("core: internal node %v: torn-read retries exhausted", addr)
+	c.putInternal(im)
+	return nil, fmt.Errorf("core: internal node %v: torn-read retries exhausted", addr)
 }
 
 // pathEntry records one internal node visited during traversal, for
@@ -353,88 +401,90 @@ func (c *Client) traverseFrom(root dmsim.GAddr, rootLevel uint8, key uint64) (le
 	cur := root
 	path := make([]pathEntry, 0, rootLevel) // one entry per internal level
 	for hop := 0; hop < maxRetries; hop++ {
-		fromCache := true
 		n := c.cn.cache.get(cur)
-		if n == nil {
-			fromCache = false
-			fresh, img, err := c.readInternal(cur)
-			if err != nil {
+		fromCache := n != nil
+		if !fromCache {
+			var err error
+			if n, err = c.readInternal(cur); err != nil {
 				return leafRef{}, err
 			}
-			// The decoded node copies everything it keeps; recycle the
-			// fetch buffer.
-			c.ix.inner.putImage(img)
-			if !fresh.valid {
-				return leafRef{}, errRestart
-			}
-			c.cn.cache.put(cur, fresh, int64(c.ix.inner.size))
-			n = fresh
 		}
-		if !n.covers(key) {
+		r := n.route(key)
+		if !fromCache {
+			c.keepInternal(cur, n)
+		}
+		if r.kind != routeDown {
 			if fromCache {
 				// Stale cached node: drop it and retry this address
 				// remotely.
 				c.cn.cache.invalidate(cur)
 				continue
 			}
-			if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-				// Half-split at this level: chase the B-link sibling.
+			if r.kind == routeRight {
 				c.obs.SiblingChases.Inc()
-				cur = n.sibling
+				cur = r.child
 				continue
 			}
 			return leafRef{}, errRestart
 		}
-		path = append(path, pathEntry{addr: cur, level: n.level})
-		child, _, next := n.childFor(key)
-		if child.IsNil() {
-			if fromCache {
-				c.cn.cache.invalidate(cur)
-				continue
-			}
-			return leafRef{}, errRestart
-		}
-		if n.level == 1 {
+		path = append(path, pathEntry{addr: cur, level: r.level})
+		if r.level == 1 {
 			return leafRef{
-				addr:            child,
-				expected:        next,
-				expectedKnown:   !next.IsNil(),
+				addr:            r.child,
+				expected:        r.next,
+				expectedKnown:   !r.next.IsNil(),
 				parentAddr:      cur,
 				parentFromCache: fromCache,
 				path:            path,
 			}, nil
 		}
-		cur = child
+		cur = r.child
 	}
 	return leafRef{}, fmt.Errorf("core: traverseFrom(%#x): descent loop exhausted", key)
 }
 
+// postWindowBatch posts the doorbell batch of a leaf window that wraps
+// around the leaf (two segments), staged in client scratch: the verb
+// copies at post time and keeps neither slice.
+func (c *Client) postWindowBatch(leaf dmsim.GAddr, im *leafImage, segs []byteRange) (*dmsim.Completion, error) {
+	for i, s := range segs {
+		c.segAddrs[i] = leaf.Add(uint64(s.Off))
+		c.segBufs[i] = im.buf[s.Off:s.End]
+	}
+	return c.dc.PostReadBatch(c.segAddrs[:len(segs)], c.segBufs[:len(segs)])
+}
+
+// reap polls a posted verb and recycles its handle; the caller drops
+// its reference.
+func (c *Client) reap(h *dmsim.Completion) {
+	c.dc.Poll(h)
+	c.dc.Release(h)
+}
+
 // fetchLeafWindow reads entries [home, home+count) of a leaf (circular),
-// including a metadata replica, into a fresh image, validating versions
-// and returning the covered entry indexes and the replica group. When
-// the ReplicateMeta ablation is off, the replica is fetched with a
-// dedicated extra READ, as §3.2.2 describes.
-func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage, []int, int, error) {
+// including a metadata replica, into a pooled image, validating versions
+// and returning the replica group. When the ReplicateMeta ablation is
+// off, the replica is fetched with a dedicated extra READ, as §3.2.2
+// describes.
+func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage, int, error) {
 	lay := c.ix.leaf
 	im := lay.getImage()
-	segs, idxs := lay.neighborhoodSegments(home, count, c.ix.opts.ReplicateMeta)
+	var segBuf [2]byteRange
+	segs := lay.neighborhoodSegments(segBuf[:0], home, count, c.ix.opts.ReplicateMeta)
 
 	for try := 0; try < maxRetries; try++ {
 		var err error
 		if len(segs) == 1 {
 			err = c.dc.Read(leaf.Add(uint64(segs[0].Off)), im.buf[segs[0].Off:segs[0].End])
 		} else {
-			addrs := make([]dmsim.GAddr, len(segs))
-			bufs := make([][]byte, len(segs))
-			for i, s := range segs {
-				addrs[i] = leaf.Add(uint64(s.Off))
-				bufs[i] = im.buf[s.Off:s.End]
+			var h *dmsim.Completion
+			if h, err = c.postWindowBatch(leaf, im, segs); err == nil {
+				c.reap(h)
 			}
-			err = c.dc.ReadBatch(addrs, bufs)
 		}
 		if err != nil {
 			lay.putImage(im)
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 
 		ranges := segs
@@ -445,22 +495,22 @@ func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage,
 			rc := lay.replicaCells[0]
 			if err := c.dc.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End()]); err != nil {
 				lay.putImage(im)
-				return nil, nil, 0, err
+				return nil, 0, err
 			}
 			metaG = 0
 			ranges = append(append([]byteRange{}, segs...), byteRange{Off: rc.Off, End: rc.End()})
 		}
 
-		if err := checkVersions(im.buf, 0, lay.coveredCells(ranges)); err != nil {
+		if err := im.checkRanges(ranges); err != nil {
 			c.obs.TornReads.Inc()
 			c.yield()
 			continue
 		}
 		c.resetBackoff()
-		return im, idxs, metaG, nil
+		return im, metaG, nil
 	}
 	lay.putImage(im)
-	return nil, nil, 0, fmt.Errorf("core: leaf %v: torn-read retries exhausted", leaf)
+	return nil, 0, fmt.Errorf("core: leaf %v: torn-read retries exhausted", leaf)
 }
 
 // validateLeafMeta applies sibling-based validation to a fetched leaf
@@ -537,7 +587,7 @@ func (c *Client) searchLeafChain(ref leafRef, key uint64) ([]byte, error) {
 			c.cn.hotspot.drop(cur.addr, idx)
 		}
 
-		im, _, metaG, err := c.fetchLeafWindow(cur.addr, home, lay.h)
+		im, metaG, err := c.fetchLeafWindow(cur.addr, home, lay.h)
 		if err != nil {
 			return nil, err
 		}

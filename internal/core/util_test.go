@@ -65,3 +65,7 @@ func refHopBitmapsConsistent(im *leafImage) bool {
 	}
 	return true
 }
+
+// testNode is a cached node with the given header and no image, for
+// tests of the cache's own bookkeeping.
+func testNode(h internalHeader) *internalImage { return &internalImage{internalHeader: h} }

@@ -395,7 +395,8 @@ func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*le
 		count = lay.h
 	}
 
-	segs, idxs := lay.neighborhoodSegments(home, count, c.ix.opts.ReplicateMeta)
+	segs := lay.neighborhoodSegments(nil, home, count, c.ix.opts.ReplicateMeta)
+	idxs := lay.neighborhoodIndexes(home, count)
 	ranges := segs
 
 	// Include the argmax entry in the same batch when it is outside the
@@ -446,7 +447,7 @@ func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*le
 		// We hold the lock, so no writer races us; a version mismatch
 		// can only come from our own read tearing against nothing —
 		// still validate for defense in depth.
-		if err := checkVersions(im.buf, 0, lay.coveredCells(checkRanges)); err != nil {
+		if err := im.checkRanges(checkRanges); err != nil {
 			c.obs.TornReads.Inc()
 			c.yield()
 			continue
@@ -706,7 +707,8 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 			return err
 		}
 		home := lay.homeOf(key)
-		im, idxs, metaG, err := c.fetchLeafWindow(addr, home, lay.h)
+		im, metaG, err := c.fetchLeafWindow(addr, home, lay.h)
+		idxs := lay.neighborhoodIndexes(home, lay.h)
 		if err != nil {
 			c.unlockLeaf(addr, lw)
 			return err

@@ -72,7 +72,7 @@ type writeOp struct {
 
 	h       *dmsim.Completion
 	rootBuf [8]byte
-	img     []byte // internal-node image (pooled)
+	node    *internalImage // internal node being fetched (client free list)
 
 	restarts, torn, casFails int
 
@@ -280,8 +280,8 @@ func (c *Client) descendWriteLoop(st *wpSched, op *writeOp) {
 	for ; op.hops < maxRetries; op.hops++ {
 		n := c.cn.cache.get(op.cur)
 		if n == nil {
-			op.img = c.ix.inner.getImage()
-			h, err := c.dc.PostRead(op.cur, op.img)
+			op.node = c.getInternal()
+			h, err := c.dc.PostRead(op.cur, op.node.buf)
 			if err != nil {
 				c.failWriteOp(op, err)
 				return
@@ -290,44 +290,35 @@ func (c *Client) descendWriteLoop(st *wpSched, op *writeOp) {
 			op.state = wpInternalWait
 			return
 		}
-		if !c.stepWriteNode(st, op, n, true) {
+		if !c.stepWriteNode(st, op, n.route(op.key), true) {
 			return
 		}
 	}
 	c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): descent loop exhausted", op.key))
 }
 
-// stepWriteNode applies one internal node to the descent; false means
-// the op posted, arrived at its leaf, restarted, or failed.
-func (c *Client) stepWriteNode(st *wpSched, op *writeOp, n *internalNode, fromCache bool) bool {
-	key := op.key
-	if !n.covers(key) {
+// stepWriteNode applies one internal node's routing verdict to the
+// descent; false means the op posted, arrived at its leaf, restarted, or
+// failed.
+func (c *Client) stepWriteNode(st *wpSched, op *writeOp, r route, fromCache bool) bool {
+	if r.kind != routeDown {
 		if fromCache {
 			c.cn.cache.invalidate(op.cur)
 			return true
 		}
-		if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-			op.cur = n.sibling
+		if r.kind == routeRight {
+			op.cur = r.child
 			return true
 		}
 		c.restartWriteOp(st, op)
 		return false
 	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: n.level})
-	child, _, nextC := n.childFor(key)
-	if child.IsNil() {
-		if fromCache {
-			c.cn.cache.invalidate(op.cur)
-			return true
-		}
-		c.restartWriteOp(st, op)
-		return false
-	}
-	if n.level == 1 {
+	op.path = append(op.path, pathEntry{addr: op.cur, level: r.level})
+	if r.level == 1 {
 		op.ref = leafRef{
-			addr:            child,
-			expected:        nextC,
-			expectedKnown:   !nextC.IsNil(),
+			addr:            r.child,
+			expected:        r.next,
+			expectedKnown:   !r.next.IsNil(),
 			parentAddr:      op.cur,
 			parentFromCache: fromCache,
 			path:            op.path,
@@ -335,7 +326,7 @@ func (c *Client) stepWriteNode(st *wpSched, op *writeOp, n *internalNode, fromCa
 		c.arriveWriteAtLeaf(st, op)
 		return false
 	}
-	op.cur = child
+	op.cur = r.child
 	return true
 }
 
@@ -395,14 +386,14 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 	case wpInternalWait:
 		c.dc.Poll(op.h)
 		op.h = nil
-		if err := c.ix.inner.checkInternalImage(op.img); err != nil {
+		if err := c.ix.inner.checkInternalImage(op.node.buf); err != nil {
 			op.torn++
 			if op.torn > maxRetries {
 				c.failWriteOp(op, fmt.Errorf("core: internal node %v: torn-read retries exhausted", op.cur))
 				return
 			}
 			c.yield()
-			h, perr := c.dc.PostRead(op.cur, op.img)
+			h, perr := c.dc.PostRead(op.cur, op.node.buf)
 			if perr != nil {
 				c.failWriteOp(op, perr)
 				return
@@ -410,15 +401,11 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 			op.h = h
 			return
 		}
-		fresh := c.ix.inner.decodeInternal(op.cur, op.img)
-		c.ix.inner.putImage(op.img)
-		op.img = nil
-		if !fresh.valid {
-			c.restartWriteOp(st, op)
-			return
-		}
-		c.cn.cache.put(op.cur, fresh, int64(c.ix.inner.size))
-		if c.stepWriteNode(st, op, fresh, false) {
+		op.node.decodeHeader()
+		r := op.node.route(op.key)
+		c.keepInternal(op.cur, op.node)
+		op.node = nil
+		if c.stepWriteNode(st, op, r, false) {
 			c.descendWriteLoop(st, op)
 		}
 
@@ -484,7 +471,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 		}
 		// The lock is held, so tearing cannot happen; validate anyway for
 		// defense in depth (mirrors the sync path).
-		if err := checkVersions(cy.im.buf, 0, c.ix.leaf.coveredCells(check)); err != nil {
+		if err := cy.im.checkRanges(check); err != nil {
 			op.torn++
 			if op.torn > maxRetries {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", cy.leaf), true)
@@ -541,7 +528,8 @@ func (c *Client) postCycleFetch(st *wpSched, drv *writeOp) {
 			}
 		}
 		if count < lay.span {
-			segs, idxs := lay.neighborhoodSegments(home, count, c.ix.opts.ReplicateMeta)
+			segs := lay.neighborhoodSegments(nil, home, count, c.ix.opts.ReplicateMeta)
+			idxs := lay.neighborhoodIndexes(home, count)
 			ranges := segs
 			fetchedSet := make(map[int]bool, len(idxs))
 			for _, i := range idxs {
@@ -947,8 +935,8 @@ func (c *Client) releaseCycle(cy *writeCycle) {
 func (c *Client) releaseWriteOpBuffers(op *writeOp) {
 	c.dc.Poll(op.h)
 	op.h = nil
-	if op.img != nil {
-		c.ix.inner.putImage(op.img)
-		op.img = nil
+	if op.node != nil {
+		c.putInternal(op.node)
+		op.node = nil
 	}
 }

@@ -228,7 +228,7 @@ func (c *Client) PostRead(a GAddr, buf []byte) (*Completion, error) {
 	if err != nil {
 		return nil, err
 	}
-	mn.copyOut(a.Off, buf)
+	mn.copyOut(int32(c.id), a.Off, buf)
 
 	arrival := c.now + c.issueNs + penalty
 	done := mn.nic.serve(c.shard(), kindRead, arrival, len(buf))
@@ -276,7 +276,7 @@ func (c *Client) PostReadBatch(addrs []GAddr, bufs [][]byte) (*Completion, error
 		if err != nil {
 			return nil, err
 		}
-		mn.copyOut(a.Off, bufs[i])
+		mn.copyOut(int32(c.id), a.Off, bufs[i])
 		payloads[i] = len(bufs[i])
 		total += int64(len(bufs[i]))
 	}
@@ -417,9 +417,7 @@ func (c *Client) PostMaskedCAS(a GAddr, cmp, swap, cmpMask, swapMask uint64) (*C
 		return nil, err
 	}
 	var persistNs int64
-	lk := mn.casLock(a.Off)
-	lk.Lock()
-	word := mn.mem[a.Off : a.Off+8]
+	word := mn.lockWord(a.Off)
 	prev := binary.LittleEndian.Uint64(word)
 	ok := prev&cmpMask == cmp&cmpMask
 	if ok {
@@ -431,7 +429,7 @@ func (c *Client) PostMaskedCAS(a GAddr, cmp, swap, cmpMask, swapMask uint64) (*C
 			persistNs = mn.ps.logWord(a.Off, next)
 		}
 	}
-	lk.Unlock()
+	mn.unlockWord(a.Off)
 	c.observeCAS(a, ok, cmpMask, swap)
 
 	arrival := c.now + c.issueNs + penalty
@@ -464,15 +462,13 @@ func (c *Client) PostFetchAdd(a GAddr, delta uint64) (*Completion, error) {
 		return nil, err
 	}
 	var persistNs int64
-	lk := mn.casLock(a.Off)
-	lk.Lock()
-	word := mn.mem[a.Off : a.Off+8]
+	word := mn.lockWord(a.Off)
 	prev := binary.LittleEndian.Uint64(word)
 	binary.LittleEndian.PutUint64(word, prev+delta)
 	if mn.ps != nil {
 		persistNs = mn.ps.logWord(a.Off, prev+delta)
 	}
-	lk.Unlock()
+	mn.unlockWord(a.Off)
 
 	arrival := c.now + c.issueNs + penalty
 	done := mn.nic.serve(c.shard(), kindAtomic, arrival, 8) + persistNs

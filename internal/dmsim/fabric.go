@@ -2,20 +2,32 @@ package dmsim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"chime/internal/obs"
 )
 
+// lockStripes is the size of a memory node's stripe-lock table.
+const lockStripes = 256
+
 // memoryNode is one node in the memory pool: a flat byte region, its
-// NIC, a striped lock table for atomic verbs, and a bump allocator that
-// services chunk-allocation RPCs.
+// NIC, a striped lock table for line atomicity, and a bump allocator
+// that services chunk-allocation RPCs.
 type memoryNode struct {
 	mem   []byte
 	nic   *nic
-	cpu   *mnCPU          // bounded offload compute (mncpu.go)
-	locks [256]sync.Mutex // striped by address for CAS atomicity
+	cpu   *mnCPU                  // bounded offload compute (mncpu.go)
+	locks [lockStripes]sync.Mutex // striped by 64-byte line, see copyOut
+
+	// Read fast path (copyOut): writers that have announced themselves
+	// (beginWrite), and readers in flight, striped by client so that
+	// concurrent readers share no cache line with each other or with
+	// the writer count every one of them loads.
+	writers atomic.Int64
+	_       [56]byte
+	readers obs.Striped
 
 	allocMu  sync.Mutex
 	allocOff uint64
@@ -28,20 +40,58 @@ type memoryNode struct {
 	dead atomic.Bool
 }
 
-// casLock returns the stripe lock guarding atomics on the given offset.
-// Real NICs serialize atomics to the same cache line; striping by the
-// 64-byte line index reproduces that without a global bottleneck.
+// casLock returns the stripe lock guarding the 64-byte line that holds
+// the given offset. Real NICs serialize accesses to one cache line;
+// striping by line index reproduces that without a global bottleneck.
 func (m *memoryNode) casLock(off uint64) *sync.Mutex {
-	return &m.locks[(off>>6)%uint64(len(m.locks))]
+	return &m.locks[(off>>6)%lockStripes]
 }
 
-// copyOut copies remote memory into buf one 64-byte-aligned line at a
-// time, each line under its stripe lock. This models the atomicity
-// granularity of real RDMA data paths (PCIe TLPs): a transfer never
-// tears *within* a cache line, but transfers spanning multiple lines can
-// interleave with concurrent writers at line boundaries — the torn reads
-// that cache-line versioning exists to detect.
-func (m *memoryNode) copyOut(off uint64, buf []byte) {
+// The memory contract every verb keeps: a transfer never tears *within*
+// a 64-byte-aligned line (the atomicity granularity of real RDMA data
+// paths, PCIe TLPs), but a transfer spanning several lines can
+// interleave with a concurrent writer at line boundaries — the torn
+// reads that cache-line versioning exists to detect.
+//
+// Writers (copyIn, the atomics behind lockWord) keep it the direct way:
+// each line is written under its stripe lock. Readers would pay a lock
+// pair per line for the same guarantee, which is most of the host cost
+// of a cold descent, so copyOut first tries to prove that no writer can
+// overlap it at all:
+//
+//	reader: readers[s]++; if writers == 0 { copy }; readers[s]--
+//	writer: writers++; wait until every readers[s] was seen at 0;
+//	        write line by line under the stripe locks; writers--
+//
+// All of these are sequentially consistent atomics, so of a reader's
+// increment-then-load and a writer's increment-then-load at least one
+// sees the other (Dekker). A reader that saw no writer is therefore
+// seen by every writer that announces before the reader's decrement,
+// and that writer stores nothing until the decrement: memory does not
+// change under the copy, and one copy returns what the per-line loop
+// would have. A reader that does see a writer takes the per-line loop,
+// so whenever a writer and a reader really overlap the lines interleave
+// exactly as they always did — the fast path only ever removes
+// interleavings (the reader wholly before the writer), never adds one.
+// No clock is read or advanced here: virtual time cannot tell the two
+// paths apart.
+
+// copyOut copies remote memory into buf under the contract above.
+// stripe picks the reader-count stripe; any per-client value will do.
+//
+//chime:noalloc
+func (m *memoryNode) copyOut(stripe int32, off uint64, buf []byte) {
+	// The first load keeps a reader off the stripes while a writer is
+	// draining them, so a stream of readers cannot hold a writer up.
+	if m.writers.Load() == 0 {
+		m.readers.Add(stripe, 1)
+		if m.writers.Load() == 0 {
+			copy(buf, m.mem[off:off+uint64(len(buf))])
+			m.readers.Add(stripe, -1)
+			return
+		}
+		m.readers.Add(stripe, -1)
+	}
 	for len(buf) > 0 {
 		lineEnd := (off | 63) + 1
 		n := int(lineEnd - off)
@@ -57,8 +107,30 @@ func (m *memoryNode) copyOut(off uint64, buf []byte) {
 	}
 }
 
-// copyIn is the write-side counterpart of copyOut.
+// beginWrite announces a writer and waits out every fast-path reader
+// that may not have seen the announcement; endWrite retires it. Stripe
+// counts never go negative, so a zero sum means each stripe was seen
+// at zero, and a reader arriving on a stripe after that sees the
+// announcement. The wait yields: on one P the reader it waits for can
+// only be a preempted goroutine.
+//
+//chime:noalloc
+func (m *memoryNode) beginWrite() {
+	m.writers.Add(1)
+	for m.readers.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+//chime:noalloc
+func (m *memoryNode) endWrite() { m.writers.Add(-1) }
+
+// copyIn is the write-side counterpart of copyOut: every line under its
+// stripe lock, the whole transfer announced.
+//
+//chime:noalloc
 func (m *memoryNode) copyIn(off uint64, data []byte) {
+	m.beginWrite()
 	for len(data) > 0 {
 		lineEnd := (off | 63) + 1
 		n := int(lineEnd - off)
@@ -71,6 +143,56 @@ func (m *memoryNode) copyIn(off uint64, data []byte) {
 		lk.Unlock()
 		data = data[n:]
 		off += uint64(n)
+	}
+	m.endWrite()
+}
+
+// lockWord opens an atomic verb on the 8-byte word at off: it announces
+// a writer, takes the stripe lock of every line the word touches, and
+// returns the word. RDMA wants atomics 8-byte aligned, but ROLEX packs
+// its leaves back to back at a size that is no multiple of 64, so its
+// group lock words land anywhere in a line and some straddle two; a
+// straddling word locked by its first line alone races copyIn on the
+// second. Re-aligning ROLEX would change its remote layout and every
+// number measured on it, so the verb covers both lines instead. The
+// stripes are taken in ascending index order: the lock order ranks
+// classes, not the stripes inside one, and a fixed order inside the
+// class is what keeps two straddling atomics from deadlocking.
+//
+//chime:noalloc
+func (m *memoryNode) lockWord(off uint64) []byte {
+	m.beginWrite()
+	stripes, n := wordStripes(off)
+	for _, s := range stripes[:n] {
+		m.locks[s].Lock()
+	}
+	return m.mem[off : off+8]
+}
+
+// unlockWord closes the atomic verb lockWord opened on the same offset.
+//
+//chime:noalloc
+func (m *memoryNode) unlockWord(off uint64) {
+	stripes, n := wordStripes(off)
+	for _, s := range stripes[:n] {
+		m.locks[s].Unlock()
+	}
+	m.endWrite()
+}
+
+// wordStripes returns, ascending, the stripe indices of the n (1 or 2)
+// lines the 8-byte word at off touches.
+//
+//chime:noalloc
+func wordStripes(off uint64) (stripes [2]uint64, n int) {
+	a, b := (off>>6)%lockStripes, ((off+7)>>6)%lockStripes
+	switch {
+	case a == b:
+		return [2]uint64{a}, 1
+	case a < b:
+		return [2]uint64{a, b}, 2
+	default: // the word's second line wraps the stripe table
+		return [2]uint64{b, a}, 2
 	}
 }
 

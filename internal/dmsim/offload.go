@@ -157,6 +157,15 @@ func (x *MNCtx) local(a GAddr, n int) bool {
 	return int(a.MN) == x.mnIdx && n >= 0 && a.Off+uint64(n) <= uint64(len(x.mn.mem))
 }
 
+// stripe is the reader-count stripe of the program's reads: the issuing
+// client's, like its one-sided READs.
+func (x *MNCtx) stripe() int32 {
+	if x.cl == nil {
+		return 0
+	}
+	return int32(x.cl.id)
+}
+
 // Read copies MN-local memory into buf (line-atomic per 64 B, torn
 // across lines exactly like a one-sided READ). False means the address
 // leaves this MN or its bounds — return OffloadCrossMN.
@@ -164,7 +173,7 @@ func (x *MNCtx) Read(a GAddr, buf []byte) bool {
 	if !x.local(a, len(buf)) {
 		return false
 	}
-	x.mn.copyOut(a.Off, buf)
+	x.mn.copyOut(x.stripe(), a.Off, buf)
 	x.touched += int64(len(buf))
 	return true
 }
@@ -198,9 +207,7 @@ func (x *MNCtx) MaskedCAS(a GAddr, cmp, swap, cmpMask, swapMask uint64) (prev ui
 	if !x.local(a, 8) {
 		return 0, false, false
 	}
-	lk := x.mn.casLock(a.Off)
-	lk.Lock()
-	word := x.mn.mem[a.Off : a.Off+8]
+	word := x.mn.lockWord(a.Off)
 	prev = binary.LittleEndian.Uint64(word)
 	swapped = prev&cmpMask == cmp&cmpMask
 	if swapped {
@@ -212,7 +219,7 @@ func (x *MNCtx) MaskedCAS(a GAddr, cmp, swap, cmpMask, swapMask uint64) (prev ui
 			x.persistNs += x.mn.ps.logWord(a.Off, next)
 		}
 	}
-	lk.Unlock()
+	x.mn.unlockWord(a.Off)
 	x.touched += 8
 	if x.cl != nil {
 		x.cl.observeCAS(a, swapped, cmpMask, swap)
