@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint suppressions build test race check bench-check bench-core bench-pipeline bench-writepipe bench-faults bench-scale bench-offload bench-attribution bench-persist profile chaos
+.PHONY: all vet lint suppressions build test race check bench-check bench-core profile chaos
 
 all: check
 
@@ -71,44 +71,21 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkSearch' -benchmem -cpu 1 ./internal/core
 	$(GO) test -run '^$$' -bench BenchmarkReadNode -benchmem -cpu 1,2 ./internal/dmsim
 
-# Regenerate the committed pipeline-depth artifact.
-bench-pipeline:
-	$(GO) run ./cmd/chime-bench -run pipeline -scale small -json BENCH_PIPELINE.json
-
-# Regenerate the committed batch-write-depth artifact.
-bench-writepipe:
-	$(GO) run ./cmd/chime-bench -run writepipe -scale small -json BENCH_WRITEPIPE.json
-
-# Regenerate the committed fault-sweep artifact.
-bench-faults:
-	$(GO) run ./cmd/chime-bench -run faults -scale small -json BENCH_FAULTS.json
-
-# Regenerate the committed offload head-to-head artifact: one-sided vs
-# MN-side verbs vs the adaptive router, both schedulers, double-run
-# reproducibility fingerprints. Takes a few minutes (every point is
-# built fresh and run twice).
-bench-offload:
-	$(GO) run ./cmd/chime-bench -run offload -scale small -json BENCH_OFFLOAD.json
-
-# Regenerate the committed tail-latency attribution artifact (flight
-# recorder phase shares, zero-perturbation pins under both schedulers)
-# plus the sample virtual-time timeline. Every pin point is built fresh
-# and run twice (recorder off, then on).
-bench-attribution:
-	$(GO) run ./cmd/chime-bench -run attribution -scale small \
-		-json BENCH_ATTRIB.json -timeline-json BENCH_TIMELINE.json
-
-# Regenerate the committed host-capacity artifact: the full 1k-100k
-# client sweep, gate vs event loop, with determinism double-runs.
-# Takes a couple of minutes; the gate rows at 10k are most of it.
-bench-scale:
-	$(GO) run ./cmd/chime-bench -run scale -verify -json BENCH_SCALE.json
-
-# Regenerate the committed durability artifact: write-behind log
-# overhead vs off, MN kill/restart recovery cost vs log length, and
-# warm-start restore vs cold load, with double-run fingerprints.
-bench-persist:
-	$(GO) run ./cmd/chime-bench -run persist -scale small -json BENCH_PERSIST.json
+# Regenerate a committed artifact: `make bench-<id>` for any experiment
+# id that has one (pipeline, writepipe, faults, offload, attribution,
+# persist, scale; `chime-bench -list`). Every experiment goes through
+# the same command — run at -scale small, write the table with -json —
+# so the rule is one pattern; the two variables below hold what differs.
+# offload and attribution build every point fresh and run it twice (a
+# few minutes); scale runs the full 1k-100k client sweep at its own
+# sizes with determinism double-runs (a couple of minutes, the gate rows
+# at 10k are most of it); attribution also writes its sample timeline.
+BENCH_ARGS_scale       := -verify
+BENCH_ARGS_attribution := -scale small -timeline-json BENCH_TIMELINE.json
+BENCH_JSON_attribution := BENCH_ATTRIB.json
+bench-%:
+	$(GO) run ./cmd/chime-bench -run $* $(or $(BENCH_ARGS_$*),-scale small) \
+		-json $(or $(BENCH_JSON_$*),BENCH_$(shell echo $* | tr a-z A-Z).json)
 
 # CPU-profile the 100k-client capacity point and drop into pprof.
 profile:

@@ -1,5 +1,7 @@
 // Command chime-bench regenerates the tables and figures of the CHIME
-// paper (SOSP '24) on the simulated disaggregated-memory fabric.
+// paper (SOSP '24) on the simulated disaggregated-memory fabric, and
+// runs the beyond-the-paper experiments whose results are committed as
+// BENCH_*.json.
 //
 // Usage:
 //
@@ -7,6 +9,7 @@
 //	chime-bench -run fig12
 //	chime-bench -run all -scale small
 //	chime-bench -run fig18e -load 200000 -ops 50000 -clients 64
+//	chime-bench -run offload -scale small -json BENCH_OFFLOAD.json
 //
 // Each experiment prints the rows the corresponding paper artifact
 // reports (throughput in virtual-time Mops, latency percentiles in
@@ -14,58 +17,50 @@
 // Absolute numbers differ from the paper's CloudLab testbed; the shapes
 // — who wins, by what factor, where the crossovers sit — are the
 // reproduction targets (see EXPERIMENTS.md).
+//
+// Every experiment goes through one path — parse, run, print, and with
+// -json write its table — and registers the flags only it reads
+// (internal/bench: Experiment.Flags).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
+	"chime/cmd/internal/emit"
 	"chime/internal/bench"
 	"chime/internal/obs"
-	"chime/internal/offroute"
 )
 
 func main() {
 	var (
-		run     = flag.String("run", "", "experiment id (e.g. fig12, tab1) or 'all'")
+		run     = flag.String("run", "", "experiment id (e.g. fig12, tab1), a comma-separated list of ids, or 'all'")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		scale   = flag.String("scale", "default", "preset scale: small | default")
 		loadN   = flag.Int("load", 0, "override: items preloaded")
 		ops     = flag.Int("ops", 0, "override: measured operations per run")
 		clients = flag.Int("clients", 0, "override: fixed client count")
-		sweep   = flag.String("sweep", "", "override: comma-separated client sweep (e.g. 8,64,256)")
-		depths  = flag.String("depths", "", "pipeline experiment: comma-separated SearchBatch depths (default 1,2,4,8,16)")
-		jsonOut = flag.String("json", "", "pipeline experiment: also write rows as JSON to this file")
+		sweep   []int
+		jsonOut = flag.String("json", "", "also write the experiment's table (header params and rows) as JSON to this file; takes a single experiment")
 
 		metricsOut = flag.String("metrics-json", "", "write the unified metrics registry (counters, NIC/latency histograms, per-run rows) as JSON to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON (about:tracing / Perfetto) of per-op spans and NIC timelines to this file")
 
 		flightrec   = flag.Bool("flightrec", false, "attach the per-op flight recorder: metrics JSON gains the flight section (tail-latency attribution + virtual-time timeline); never perturbs virtual clocks")
-		timelineOut = flag.String("timeline-json", "", "write the flight recorder's virtual-time timeline (last run; implies -flightrec) as JSON to this file")
+		timelineOut = flag.String("timeline-json", "", "write the virtual-time timeline — the experiment's timeline sample when its table has one, else the flight recorder's last run (implies -flightrec) — as JSON to this file")
 
-		faultSeed = flag.Int64("fault-seed", 0, "faults experiment: schedule seed (0 = default)")
-		faultRate = flag.String("fault-rate", "", "faults experiment: comma-separated drop/spike rates (default 0,0.001,0.005,0.02)")
-
-		offload     = flag.String("offload", "", "offload experiment: comma-separated routing modes off|on|adaptive (default off,on,adaptive)")
-		mnCPUs      = flag.Int("mn-cpus", 0, "offload experiment: offload cores per MN (default: dmsim model default, 2)")
-		mnServiceNs = flag.Int64("mn-service-ns", 0, "offload experiment: fixed dispatch ns per offloaded program (default: dmsim model default, 600)")
-
-		snapshot = flag.String("snapshot", "", "persist experiment: warm-start cache dir — each system is loaded once, snapshotted under <dir>/<system>, and restored instead of re-loaded thereafter (across invocations)")
-
-		lanes      = flag.Int("lanes", 0, "scale experiment: event-loop lane count (default 1)")
-		depth      = flag.Int("depth", 0, "scale experiment: posted-verb pipeline depth (default 8)")
-		verbOps    = flag.Int("verb-ops", 0, "scale experiment: measured verbs per client (default auto)")
-		gateCap    = flag.Int("gate-cap", 0, "scale experiment: largest client count measured under the condvar gate (default 10000)")
-		quantum    = flag.Int("quantum-rtts", 0, "scale experiment: cohort window width in base RTTs, both schedulers (default 8)")
-		verify     = flag.Bool("verify", false, "scale experiment: double-run each point and record reproducibility")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	)
+	flag.Var(bench.ListFlag(&sweep, bench.PositiveInt), "sweep", "override: comma-separated client sweep (e.g. 8,64,256)")
+	for _, e := range bench.Experiments {
+		if e.Flags != nil {
+			e.Flags(flag.CommandLine)
+		}
+	}
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -94,6 +89,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: chime-bench -run <id>|all [-scale small|default] (see -list)")
 		os.Exit(2)
 	}
+	exps := bench.Experiments
+	if *run != "all" {
+		exps = nil
+		for _, id := range strings.Split(*run, ",") {
+			e, err := bench.FindExperiment(strings.TrimSpace(id))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			exps = append(exps, e)
+		}
+	}
+	if *jsonOut != "" && len(exps) != 1 {
+		fmt.Fprintf(os.Stderr, "-json writes one experiment's table; -run names %d\n", len(exps))
+		os.Exit(2)
+	}
 
 	sc := bench.DefaultScale
 	if *scale == "small" {
@@ -108,17 +119,8 @@ func main() {
 	if *clients > 0 {
 		sc.Clients = *clients
 	}
-	if *sweep != "" {
-		var cs []int
-		for _, part := range strings.Split(*sweep, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -sweep element %q\n", part)
-				os.Exit(2)
-			}
-			cs = append(cs, v)
-		}
-		sc.ClientSweep = cs
+	if sweep != nil {
+		sc.ClientSweep = sweep
 	}
 	// One observer spans every experiment of the invocation; tracing is
 	// only turned on when a trace artifact was asked for (span buffering
@@ -131,356 +133,40 @@ func main() {
 	if *flightrec || *timelineOut != "" {
 		sc.Obs.EnableFlightRecorder(obs.FlightConfig{})
 	}
-	writeObsArtifacts := func() {
-		if sc.Obs == nil {
-			return
-		}
-		if *metricsOut != "" {
-			blob, err := sc.Obs.MetricsJSON()
-			if err == nil {
-				err = os.WriteFile(*metricsOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *metricsOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *metricsOut)
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err == nil {
-				err = sc.Obs.WriteTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *traceOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *traceOut)
-		}
-		if *timelineOut != "" {
-			fr := sc.Obs.FlightReport()
-			if fr == nil {
-				fmt.Fprintln(os.Stderr, "-timeline-json: flight recorder recorded nothing")
-				os.Exit(1)
-			}
-			blob, err := json.MarshalIndent(fr.Timeline, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*timelineOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *timelineOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *timelineOut)
-		}
-	}
 
-	// The pipeline experiment supports depth overrides and a JSON
-	// artifact (BENCH_PIPELINE.json); it is dispatched directly so the
-	// structured rows are available for marshaling.
-	if *run == "pipeline" {
-		var ds []int
-		for _, part := range strings.Split(*depths, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			v, err := strconv.Atoi(part)
-			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -depths element %q\n", part)
-				os.Exit(2)
-			}
-			ds = append(ds, v)
-		}
-		fmt.Printf("==== pipeline: SearchBatch depth sweep (load=%d ops=%d) ====\n", sc.LoadN, sc.Ops)
-		start := time.Now()
-		rows, err := bench.RunPipeline(sc, ds)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatPipelineRows(rows))
-		if *jsonOut != "" {
-			blob, err := bench.MarshalPipelineJSON(sc, rows)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		fmt.Printf("---- pipeline done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// The writepipe experiment (batched writes over posted verbs) gets
-	// the same direct dispatch: depth overrides plus a JSON artifact
-	// (BENCH_WRITEPIPE.json).
-	if *run == "writepipe" {
-		var ds []int
-		for _, part := range strings.Split(*depths, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			v, err := strconv.Atoi(part)
-			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -depths element %q\n", part)
-				os.Exit(2)
-			}
-			ds = append(ds, v)
-		}
-		fmt.Printf("==== writepipe: batch-write depth sweep (load=%d ops=%d) ====\n", sc.LoadN, sc.Ops)
-		start := time.Now()
-		rows, err := bench.RunWritepipe(sc, ds)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writepipe failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatWritepipeRows(rows))
-		if *jsonOut != "" {
-			blob, err := bench.MarshalWritepipeJSON(sc, rows)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		fmt.Printf("---- writepipe done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// The faults experiment takes seed/rate overrides and emits the
-	// BENCH_FAULTS.json artifact; dispatched directly so the structured
-	// rows are available for marshaling.
-	if *run == "faults" {
-		var rates []float64
-		for _, part := range strings.Split(*faultRate, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(part, 64)
-			if err != nil || v < 0 || v >= 1 {
-				fmt.Fprintf(os.Stderr, "bad -fault-rate element %q\n", part)
-				os.Exit(2)
-			}
-			rates = append(rates, v)
-		}
-		fmt.Printf("==== faults: fault-rate sweep with lease recovery (load=%d ops=%d) ====\n", sc.LoadN, sc.Ops)
-		start := time.Now()
-		rows, err := bench.RunFaults(sc, *faultSeed, rates)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatFaultsRows(rows))
-		if *jsonOut != "" {
-			blob, err := bench.MarshalFaultsJSON(sc, rows)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		writeObsArtifacts()
-		fmt.Printf("---- faults done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// The offload experiment (MN-side verbs vs one-sided traversal, with
-	// the adaptive router head-to-head) takes routing-mode and MN-compute
-	// overrides and emits the BENCH_OFFLOAD.json artifact.
-	if *run == "offload" {
-		opts := bench.OffloadOptions{
-			MNCPUs:      *mnCPUs,
-			MNServiceNs: *mnServiceNs,
-		}
-		for _, part := range strings.Split(*offload, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			m, err := offroute.ParseMode(part)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -offload element %q: %v\n", part, err)
-				os.Exit(2)
-			}
-			opts.Modes = append(opts.Modes, m)
-		}
-		fmt.Printf("==== offload: MN-side verbs vs one-sided, adaptive router (load=%d ops=%d) ====\n", sc.LoadN, sc.Ops)
-		start := time.Now()
-		rows, err := bench.RunOffload(sc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "offload failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatOffloadRows(rows))
-		if *jsonOut != "" {
-			blob, err := bench.MarshalOffloadJSON(sc, opts, rows)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		writeObsArtifacts()
-		fmt.Printf("---- offload done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// The persist experiment (durability overhead, recovery cost,
-	// warm-start) takes the -snapshot warm-start cache dir and emits the
-	// BENCH_PERSIST.json artifact.
-	if *run == "persist" {
-		opts := bench.PersistOptions{SnapshotDir: *snapshot}
-		fmt.Printf("==== persist: durability overhead, recovery cost, warm-start (load=%d ops=%d) ====\n", sc.LoadN, sc.Ops)
-		start := time.Now()
-		rows, err := bench.RunPersist(sc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "persist failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatPersistRows(rows))
-		if *jsonOut != "" {
-			blob, err := bench.MarshalPersistJSON(sc, opts, rows)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		writeObsArtifacts()
-		fmt.Printf("---- persist done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// The attribution experiment (flight-recorder phase shares and the
-	// zero-perturbation pin) emits the BENCH_ATTRIB.json artifact and,
-	// with -timeline-json, the sample virtual-time timeline. It builds a
-	// fresh observer per point (the pin section needs recorder-off and
-	// recorder-on builds), so the invocation-wide observer is not used.
-	if *run == "attribution" {
-		fmt.Printf("==== attribution: tail-latency attribution and timelines (load=%d ops=%d) ====\n", sc.LoadN, sc.Ops)
-		start := time.Now()
-		opts := bench.AttributionOptions{}
-		rows, sample, err := bench.RunAttribution(sc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "attribution failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatAttributionRows(rows))
-		if sample != nil {
-			fmt.Printf("\n## Timeline sample (%s, contended mix)\n", bench.HeadToHeadSystems[0])
-			fmt.Print(bench.FormatTimeline(*sample))
-		}
-		if *jsonOut != "" {
-			blob, err := bench.MarshalAttribJSON(sc, opts, rows, sample)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		if *timelineOut != "" && sample != nil {
-			blob, err := json.MarshalIndent(sample, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*timelineOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *timelineOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *timelineOut)
-		}
-		fmt.Printf("---- attribution done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// The scale experiment measures the simulator's host-side capacity
-	// (simulated verbs per wall second, gate vs event loop); dispatched
-	// directly for its own knobs and the BENCH_SCALE.json artifact.
-	if *run == "scale" {
-		opts := bench.ScaleOptions{
-			ClientSweep:  sc.ClientSweep,
-			OpsPerClient: *verbOps,
-			Depth:        *depth,
-			Lanes:        *lanes,
-			QuantumRTTs:  *quantum,
-			GateCap:      *gateCap,
-			Verify:       *verify,
-		}
-		if *sweep == "" {
-			opts.ClientSweep = nil // RunScale default 1k/10k/100k, not the index-bench sweep
-		}
-		fmt.Printf("==== scale: host-side capacity sweep, gate vs event loop ====\n")
-		start := time.Now()
-		rows, err := bench.RunScale(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatScaleRows(rows))
-		if at, sp := bench.ScaleSpeedup(rows); at > 0 {
-			fmt.Printf("event/gate speedup at %d clients: %.1fx\n", at, sp)
-		}
-		if *jsonOut != "" {
-			blob, err := bench.MarshalScaleJSON(opts, rows)
-			if err == nil {
-				err = os.WriteFile(*jsonOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		fmt.Printf("---- scale done in %v ----\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	var exps []bench.Experiment
-	if *run == "all" {
-		exps = bench.Experiments
-	} else {
-		for _, id := range strings.Split(*run, ",") {
-			e, err := bench.FindExperiment(strings.TrimSpace(id))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			exps = append(exps, e)
-		}
-	}
-
+	var timeline *obs.TimelineReport
 	for _, e := range exps {
-		fmt.Printf("==== %s: %s (load=%d ops=%d) ====\n", e.ID, e.Title, sc.LoadN, sc.Ops)
+		esc := sc
+		if e.HostSide && sweep == nil {
+			esc.ClientSweep = nil // the preset's sweep is the index experiments'
+		}
+		fmt.Printf("==== %s ====\n", e.Heading(esc))
 		start := time.Now()
-		if err := e.Run(os.Stdout, sc); err != nil {
+		tab, err := e.Execute(os.Stdout, esc)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
+		if *jsonOut != "" {
+			blob, err := tab.JSON()
+			emit.File(*jsonOut, blob, err)
+		}
+		var sample obs.TimelineReport
+		if tab.Lookup("timeline_sample", &sample) {
+			timeline = &sample
+		}
 		fmt.Printf("---- %s done in %v ----\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	writeObsArtifacts()
+
+	emit.Observer(sc.Obs, *metricsOut, *traceOut)
+	if *timelineOut != "" {
+		if fr := sc.Obs.FlightReport(); timeline == nil && fr != nil {
+			timeline = &fr.Timeline
+		}
+		if timeline == nil {
+			fmt.Fprintln(os.Stderr, "-timeline-json: flight recorder recorded nothing")
+			os.Exit(1)
+		}
+		emit.JSON(*timelineOut, timeline)
+	}
 }

@@ -13,8 +13,8 @@
 //	chimectl report BENCH_ATTRIB.json
 //	chimectl folio snapshots/CHIME/mn0.folio
 //
-// The report subcommand renders observability artifacts (BENCH_ATTRIB
-// .json, a chime-bench/chimectl metrics JSON, or a bare timeline JSON)
+// The report subcommand renders artifacts — any BENCH_*.json experiment
+// table, a chime-bench/chimectl metrics JSON, or a bare timeline JSON —
 // as the same aligned tables the experiments print. The folio
 // subcommand summarizes a durability-plane .folio file: header fields,
 // section extents, record counts and recovered metadata. Everything it
@@ -29,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"chime/cmd/internal/emit"
 	"chime/internal/bench"
 	"chime/internal/dmsim"
 	"chime/internal/folio"
@@ -69,6 +70,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkSizes(*loadN, *ops, *clients); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	mix, err := ycsb.MixByName(*workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -135,14 +141,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	per := *ops / *clients
-	if per < 1 {
-		per = 1
-	}
 	res, err := bench.Run(sys, bench.RunConfig{
 		Mix:          mix,
 		Clients:      *clients,
-		OpsPerClient: per,
+		OpsPerClient: max(*ops / *clients, 1),
 		ValueSize:    *value,
 		KeySpace:     bench.NewKeySpaceFor(cfg.LoadKeys),
 		Seed:         *seed,
@@ -160,50 +162,32 @@ func main() {
 		float64(ns.ServedNs)/1e6, float64(ns.QueuedNs)/1e6)
 
 	if fr := observer.FlightReport(); fr != nil {
-		rows := []bench.AttributionRow{{
-			Section: "attrib", Scheduler: "gate", System: *index, Mix: mix.Name,
+		rows := bench.AttributionRows{{
+			Section: "attrib", Scheduler: bench.SchedulerName(fabric.Config().Scheduler), System: *index, Mix: mix.Name,
 			Clients: res.Clients, Ops: res.Ops, ThroughputMops: res.ThroughputMops,
 			P50Us: res.P50Us, P99Us: res.P99Us, Attribution: fr.Attribution,
 		}}
-		fmt.Printf("\n%s", bench.FormatAttributionRows(rows))
+		fmt.Printf("\n%s", (&bench.Table{Rows: rows}).Text())
 		fmt.Printf("\n## Virtual-time timeline\n%s", bench.FormatTimeline(fr.Timeline))
 		if *timelineOut != "" {
-			blob, err := json.MarshalIndent(fr.Timeline, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*timelineOut, blob, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *timelineOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *timelineOut)
+			emit.JSON(*timelineOut, fr.Timeline)
 		}
 	}
-	if *metricsOut != "" {
-		blob, err := observer.MetricsJSON()
-		if err == nil {
-			err = os.WriteFile(*metricsOut, blob, 0o644)
+	emit.Observer(observer, *metricsOut, *traceOut)
+}
+
+// checkSizes rejects the sizes a run cannot be built from: each of
+// -load, -ops and -clients must be positive.
+func checkSizes(load, ops, clients int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-load", load}, {"-ops", ops}, {"-clients", clients}} {
+		if f.v <= 0 {
+			return fmt.Errorf("chimectl: %s must be positive, got %d", f.name, f.v)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *metricsOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *metricsOut)
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = observer.WriteTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *traceOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *traceOut)
-	}
+	return nil
 }
 
 // runFolio summarizes .folio durability files. With -json it emits the
@@ -237,74 +221,53 @@ func runFolio(args []string) {
 	}
 }
 
-// runReport renders observability artifacts as tables. It recognizes
-// the three JSON shapes the tools emit: the attribution experiment's
-// BENCH_ATTRIB.json, a chime-bench/metrics/* registry dump (whose
-// optional flight section carries attribution and timeline), and a bare
-// timeline report.
+// runReport renders artifacts as tables. Every artifact is read through
+// bench.ReadTable: an experiment's BENCH_*.json renders as that
+// experiment printed it; a chime-bench/metrics/* registry dump renders
+// its optional flight section (attribution and timeline); a bare
+// timeline report renders as a timeline.
 func runReport(paths []string) {
 	if len(paths) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: chimectl report <artifact.json>...")
 		os.Exit(2)
 	}
+	fail := func(path string, err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+		os.Exit(1)
+	}
 	for _, path := range paths {
 		blob, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(path, err)
 		}
-		var probe struct {
-			Experiment string `json:"experiment"`
-			Schema     string `json:"schema"`
-			WindowNs   int64  `json:"window_ns"`
-		}
-		if err := json.Unmarshal(blob, &probe); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: not a JSON artifact: %v\n", path, err)
-			os.Exit(1)
+		art, err := bench.ReadTable(blob)
+		if err != nil {
+			fail(path, err)
 		}
 		fmt.Printf("==== %s ====\n", path)
+		var (
+			schema string
+			flight *bench.FlightSection
+			tl     obs.TimelineReport
+		)
 		switch {
-		case probe.Experiment == "attribution":
-			var art struct {
-				Rows     []bench.AttributionRow `json:"rows"`
-				Timeline *obs.TimelineReport    `json:"timeline_sample"`
-			}
-			if err := json.Unmarshal(blob, &art); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-				os.Exit(1)
-			}
-			fmt.Print(bench.FormatAttributionRows(art.Rows))
-			if art.Timeline != nil {
-				fmt.Printf("\n## Timeline sample\n%s", bench.FormatTimeline(*art.Timeline))
-			}
-		case strings.HasPrefix(probe.Schema, "chime-bench/metrics/"):
-			var art struct {
-				Flight *bench.FlightSection `json:"flight"`
-			}
-			if err := json.Unmarshal(blob, &art); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-				os.Exit(1)
-			}
-			if art.Flight == nil {
-				fmt.Printf("metrics artifact (%s) has no flight section; rerun with -flightrec\n", probe.Schema)
+		case art.ID != "":
+			fmt.Print(art.Text())
+		case art.Lookup("schema", &schema) && strings.HasPrefix(schema, "chime-bench/metrics/"):
+			if !art.Lookup("flight", &flight) || flight == nil {
+				fmt.Printf("metrics artifact (%s) has no flight section; rerun with -flightrec\n", schema)
 				break
 			}
-			rows := []bench.AttributionRow{{
+			rows := bench.AttributionRows{{
 				Section: "attrib", Scheduler: "-", System: "-", Mix: "-",
-				Attribution: art.Flight.Attribution,
+				Attribution: flight.Attribution,
 			}}
-			fmt.Print(bench.FormatAttributionRows(rows))
-			fmt.Printf("\n## Virtual-time timeline\n%s", bench.FormatTimeline(art.Flight.Timeline))
-		case probe.WindowNs > 0:
-			var tl obs.TimelineReport
-			if err := json.Unmarshal(blob, &tl); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-				os.Exit(1)
-			}
+			fmt.Print((&bench.Table{Rows: rows}).Text())
+			fmt.Printf("\n## Virtual-time timeline\n%s", bench.FormatTimeline(flight.Timeline))
+		case json.Unmarshal(blob, &tl) == nil && tl.WindowNs > 0:
 			fmt.Print(bench.FormatTimeline(tl))
 		default:
-			fmt.Fprintf(os.Stderr, "%s: unrecognized artifact (want BENCH_ATTRIB.json, a metrics JSON, or a timeline JSON)\n", path)
-			os.Exit(1)
+			fail(path, fmt.Errorf("unrecognized artifact (want a BENCH_*.json experiment table, a metrics JSON, or a timeline JSON)"))
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"chime/internal/dmsim"
@@ -48,46 +46,30 @@ import (
 // reads commute, so double runs are bit-identical.
 var attribPinMix = ycsb.Mix{Name: "Cu", ReadPct: 1.0, Dist: ycsb.DistUniform}
 
-// pinPoint is one zero-perturbation double-run configuration.
-type pinPoint struct {
-	mix       ycsb.Mix
-	coldCache bool
-	clients   int
-	ops       int
-}
+// attribTopK bounds the slowest-exemplar capture per op class (the
+// recorder default is 8; 4 keeps the artifact small).
+const attribTopK = 4
 
-// pinPoints returns the pin section's points for one scheduler. The
-// cold read-only point is multi-client only under the event loop,
-// whose lane-private NIC shards keep concurrent clients' virtual
-// clocks decoupled from host scheduling; gate mode shares one NIC
-// shard across the cohort and resolves same-window arrivals in host
-// lock order, so its cold pin runs a single client (see the package
-// comment for the full argument).
-func pinPoints(sched dmsim.SchedulerKind, sc Scale) []pinPoint {
+// pinPoints returns the pin section's zero-perturbation double-run
+// points for one scheduler: one read-only cold point and one
+// write-bearing single-client point. The cold point is multi-client
+// only under the event loop, whose lane-private NIC shards keep
+// concurrent clients' virtual clocks decoupled from host scheduling;
+// gate mode shares one NIC shard across the cohort and resolves
+// same-window arrivals in host lock order, so its cold pin runs a single
+// client (see the package comment for the full argument).
+func pinPoints(sched dmsim.SchedulerKind, sc Scale) []point {
 	coldClients := 1
 	if sched == dmsim.SchedulerEventLoop {
 		coldClients = 4
 	}
-	return []pinPoint{
-		{attribPinMix, true, coldClients, sc.Ops / 2},
-		{ycsb.WorkloadA, false, 1, sc.Ops / 4},
+	return []point{
+		{sched: sched, mix: attribPinMix, cold: true, clients: coldClients, ops: sc.Ops / 2, seed: 23},
+		{sched: sched, mix: ycsb.WorkloadA, clients: 1, ops: sc.Ops / 4, seed: 23},
 	}
 }
 
-// AttributionOptions parameterizes RunAttribution.
-type AttributionOptions struct {
-	// TopK bounds the slowest-exemplar capture per op class (default 4
-	// to keep the artifact small; the recorder default is 8).
-	TopK int
-
-	// Schedulers lists the cohort schedulers the pin section proves
-	// zero perturbation under (default: gate and event loop). The
-	// attrib section runs under the first.
-	Schedulers []dmsim.SchedulerKind
-}
-
-// AttributionRow is one measured point, JSON-serializable for the
-// committed BENCH_ATTRIB.json artifact.
+// AttributionRow is one measured point (BENCH_ATTRIB.json).
 type AttributionRow struct {
 	Section        string  `json:"section"`
 	Scheduler      string  `json:"scheduler"`
@@ -108,130 +90,87 @@ type AttributionRow struct {
 	Unperturbed    bool   `json:"unperturbed,omitempty"`
 }
 
-// attributionPoint stands up one fresh system and measures one point,
-// optionally with a flight recorder attached. It returns the flight
-// report (nil when record is false) and the run fingerprint.
-func attributionPoint(name string, sc Scale, sched dmsim.SchedulerKind, mix ycsb.Mix,
-	coldCache bool, clients, ops, topK int, record bool) (Result, *FlightSection, string, error) {
-	po := NewObserver(false)
+// recorded runs the point under a private observer — with a flight
+// recorder attached when record is set — and returns the flight report
+// (nil without one) beside the row and the run fingerprint.
+func (p point) recorded(name string, sc Scale, record bool) (Result, *FlightSection, string, error) {
+	sc.Obs = NewObserver(false)
 	if record {
-		po.EnableFlightRecorder(obs.FlightConfig{TopK: topK})
+		sc.Obs.EnableFlightRecorder(obs.FlightConfig{TopK: attribTopK})
 	}
-	scp := sc
-	scp.Obs = po
-	var fab *dmsim.Fabric
-	sys, cfg, err := buildSystem(name, scp, 1, func(c *SystemConfig) {
-		fcfg := dmsim.DefaultConfig()
-		fcfg.MNs = 1
-		fcfg.MNSize = sc.MNSize
-		fcfg.ChunkBytes = 1 << 20
-		fcfg.Scheduler = sched
-		fab = dmsim.MustNewFabric(fcfg)
-		c.Fabric = fab
-		// Single-threaded bulk load: parallel loaders race host-side for
-		// virtual-time ties, which would break the pin fingerprints.
-		c.LoadClients = 1
-		if coldCache {
-			// No CN cache and no RDWC: no shared LRU or combiner whose
-			// behavior depends on host interleaving (see offloadPoint).
-			c.CacheBytes = 0
-			c.HotspotBytes = 0
-			c.DisableRDWC = true
-		}
-	})
-	if err != nil {
-		return Result{}, nil, "", err
-	}
-	r, err := runPoint(sys, cfg, mix, clients, ops, 23)
-	if err != nil {
-		return Result{}, nil, "", err
-	}
-	return r, po.FlightReport(), offloadFingerprint(r, fab), nil
+	r, fp, err := p.run(name, sc)
+	return r, sc.Obs.FlightReport(), fp, err
 }
 
-// RunAttribution measures both sections for every system. It returns
+// runAttribution measures both sections for every system. It returns
 // the rows plus one sample timeline (the first system's contended
 // point) for the committed timeline artifact.
-func RunAttribution(sc Scale, opts AttributionOptions) ([]AttributionRow, *obs.TimelineReport, error) {
-	if opts.TopK <= 0 {
-		opts.TopK = 4
-	}
-	if len(opts.Schedulers) == 0 {
-		opts.Schedulers = []dmsim.SchedulerKind{dmsim.SchedulerGate, dmsim.SchedulerEventLoop}
-	}
-	var rows []AttributionRow
+func runAttribution(sc Scale) (AttributionRows, *obs.TimelineReport, error) {
+	var rows AttributionRows
 	var sample *obs.TimelineReport
+	row := func(section string, pt point, name string, r Result, fs *FlightSection) AttributionRow {
+		return AttributionRow{
+			Section:        section,
+			Scheduler:      SchedulerName(pt.sched),
+			System:         name,
+			Mix:            pt.mix.Name,
+			Clients:        r.Clients,
+			Ops:            r.Ops,
+			ThroughputMops: r.ThroughputMops,
+			P50Us:          r.P50Us,
+			P99Us:          r.P99Us,
+			Attribution:    fs.Attribution,
+		}
+	}
 
 	// attrib: contended zipfian points, recorder on, first scheduler.
-	attribSched := opts.Schedulers[0]
 	for _, name := range HeadToHeadSystems {
 		for _, mix := range []ycsb.Mix{ycsb.WorkloadA, ycsb.WorkloadC} {
-			r, fs, _, err := attributionPoint(name, sc, attribSched, mix, false, sc.Clients, sc.Ops, opts.TopK, true)
+			pt := point{sched: bothSchedulers[0], mix: mix, clients: sc.Clients, ops: sc.Ops, seed: 23}
+			r, fs, _, err := pt.recorded(name, sc, true)
 			if err != nil {
 				return nil, nil, fmt.Errorf("attribution %s/%s: %w", name, mix.Name, err)
 			}
-			rows = append(rows, AttributionRow{
-				Section:        "attrib",
-				Scheduler:      schedulerName(attribSched),
-				System:         name,
-				Mix:            mix.Name,
-				Clients:        r.Clients,
-				Ops:            r.Ops,
-				ThroughputMops: r.ThroughputMops,
-				P50Us:          r.P50Us,
-				P99Us:          r.P99Us,
-				Attribution:    fs.Attribution,
-			})
+			rows = append(rows, row("attrib", pt, name, r, fs))
 			if sample == nil {
-				tl := fs.Timeline
-				sample = &tl
+				sample = &fs.Timeline
 			}
 		}
 	}
 
-	// pin: zero-perturbation double runs per scheduler. One read-only
-	// cold point and one write-bearing single-client point. The cold
-	// point runs multi-client only under the event loop (lane-private
-	// NIC shards); under the gate all clients share one NIC shard whose
-	// arbitration follows host lock order, so its pin must be a single
-	// client to stay interleaving-independent (see the package comment).
-	for _, sched := range opts.Schedulers {
-		points := pinPoints(sched, sc)
+	// pin: zero-perturbation double runs per scheduler, recorder off then
+	// on, from fresh builds.
+	for _, sched := range bothSchedulers {
 		for _, name := range HeadToHeadSystems {
-			for _, pt := range points {
-				rOff, _, fpOff, err := attributionPoint(name, sc, sched, pt.mix, pt.coldCache, pt.clients, pt.ops, opts.TopK, false)
+			for _, pt := range pinPoints(sched, sc) {
+				rOff, _, fpOff, err := pt.recorded(name, sc, false)
 				if err != nil {
-					return nil, nil, fmt.Errorf("attribution pin %s/%s/%s off: %w", schedulerName(sched), name, pt.mix.Name, err)
+					return nil, nil, fmt.Errorf("attribution pin %s/%s/%s off: %w", SchedulerName(sched), name, pt.mix.Name, err)
 				}
-				_, fs, fpOn, err := attributionPoint(name, sc, sched, pt.mix, pt.coldCache, pt.clients, pt.ops, opts.TopK, true)
+				_, fs, fpOn, err := pt.recorded(name, sc, true)
 				if err != nil {
-					return nil, nil, fmt.Errorf("attribution pin %s/%s/%s on: %w", schedulerName(sched), name, pt.mix.Name, err)
+					return nil, nil, fmt.Errorf("attribution pin %s/%s/%s on: %w", SchedulerName(sched), name, pt.mix.Name, err)
 				}
-				rows = append(rows, AttributionRow{
-					Section:        "pin",
-					Scheduler:      schedulerName(sched),
-					System:         name,
-					Mix:            pt.mix.Name,
-					Clients:        rOff.Clients,
-					Ops:            rOff.Ops,
-					ThroughputMops: rOff.ThroughputMops,
-					P50Us:          rOff.P50Us,
-					P99Us:          rOff.P99Us,
-					Attribution:    fs.Attribution,
-					FingerprintOff: fpOff,
-					FingerprintOn:  fpOn,
-					Unperturbed:    fpOff == fpOn,
-				})
+				pin := row("pin", pt, name, rOff, fs)
+				pin.FingerprintOff, pin.FingerprintOn, pin.Unperturbed = fpOff, fpOn, fpOff == fpOn
+				rows = append(rows, pin)
 			}
 		}
 	}
 	return rows, sample, nil
 }
 
-// attribPhaseColumns orders the share columns by overall weight so the
-// tables lead with the phases that matter; zero-everywhere phases are
-// dropped.
-func attribPhaseColumns(rows []AttributionRow) []string {
+// AttributionRows is the experiment's table (chimectl also renders its
+// own runs and a metrics artifact's flight section as one: a Table needs
+// only Rows to print). Its text is two aligned
+// blocks — mean-latency shares and p99-tail shares, one line per system,
+// mix and op class — then the pin section's verdict lines and the
+// table's timeline_sample, when it has one.
+type AttributionRows []AttributionRow
+
+// phaseColumns orders the share columns by overall weight so the blocks
+// lead with the phases that matter; zero-everywhere phases are dropped.
+func (rows AttributionRows) phaseColumns() []string {
 	weight := map[string]float64{}
 	for _, r := range rows {
 		for _, ca := range r.Attribution.Classes {
@@ -253,99 +192,87 @@ func attribPhaseColumns(rows []AttributionRow) []string {
 	return cols
 }
 
-// FormatAttributionRows renders the attrib section as two aligned
-// tables — mean-latency shares and p99-tail shares — one line per
-// system, mix and op class, plus the pin section's verdict lines.
-func FormatAttributionRows(rows []AttributionRow) string {
-	cols := attribPhaseColumns(rows)
-	header := func(title string) string {
-		out := fmt.Sprintf("## %s\n%-6s %-8s %-4s %-11s %8s %9s %9s %6s", title,
-			"sched", "system", "mix", "class", "ops", "mean(us)", "p99(us)", "cov%")
-		for _, ph := range cols {
-			out += fmt.Sprintf(" %12s", ph)
+func (rows AttributionRows) grids(t *Table) []grid {
+	phases := rows.phaseColumns()
+	shares := func(title string) grid {
+		g := grid{title: "## " + title + "\n", cols: []col{
+			{"sched", "%-6s"}, {"system", "%-8s"}, {"mix", "%-4s"}, {"class", "%-11s"},
+			{"ops", "%8d"}, {"mean(us)", "%9.1f"}, {"p99(us)", "%9.1f"}, {"cov%", "%5.1f%%"},
+		}}
+		for _, ph := range phases {
+			g.cols = append(g.cols, col{ph, "%11.1f%%"})
 		}
-		return out + "\n"
+		return g
 	}
-	shares := func(share obs.PhaseShare) string {
-		var out string
-		for _, ph := range cols {
-			out += fmt.Sprintf(" %11.1f%%", share[ph]*100)
-		}
-		return out
-	}
-	var mean, tail, pin string
+	mean := shares("Mean-latency attribution")
+	tail := shares("p99-tail attribution (ops at and above the p99 bucket)")
+	tail.title = "\n" + tail.title
+	pin := grid{title: "\n## Zero-perturbation pin (recorder off vs on, fresh builds)\n", cols: []col{
+		{"", "%-6s"}, {"", "%-8s"}, {"", "%-4s"}, {"", "clients=%-3d"}, {"", "off=%s"}, {"", "on=%s"}, {"", "unperturbed=%t"},
+	}}
 	for _, r := range rows {
 		if r.Section == "pin" {
-			pin += fmt.Sprintf("%-6s %-8s %-4s clients=%-3d off=%s on=%s unperturbed=%t\n",
-				r.Scheduler, r.System, r.Mix, r.Clients, r.FingerprintOff, r.FingerprintOn, r.Unperturbed)
+			pin.rows = append(pin.rows, []any{r.Scheduler, r.System, r.Mix, r.Clients, r.FingerprintOff, r.FingerprintOn, r.Unperturbed})
 			continue
 		}
 		for _, ca := range r.Attribution.Classes {
-			prefix := fmt.Sprintf("%-6s %-8s %-4s %-11s %8d %9.1f %9.1f",
-				r.Scheduler, r.System, r.Mix, ca.Class, ca.Ops, ca.MeanNs/1e3, float64(ca.P99Ns)/1e3)
-			mean += fmt.Sprintf("%s %5.1f%%%s\n", prefix, ca.Coverage*100, shares(ca.MeanShare))
-			tail += fmt.Sprintf("%s %5.1f%%%s\n", prefix, ca.TailCoverage*100, shares(ca.TailShare))
+			line := func(coverage float64, share obs.PhaseShare) []any {
+				cells := []any{r.Scheduler, r.System, r.Mix, ca.Class, ca.Ops, ca.MeanNs / 1e3, float64(ca.P99Ns) / 1e3, coverage * 100}
+				for _, ph := range phases {
+					cells = append(cells, share[ph]*100)
+				}
+				return cells
+			}
+			mean.rows = append(mean.rows, line(ca.Coverage, ca.MeanShare))
+			tail.rows = append(tail.rows, line(ca.TailCoverage, ca.TailShare))
 		}
 	}
-	out := header("Mean-latency attribution") + mean
-	out += "\n" + header("p99-tail attribution (ops at and above the p99 bucket)") + tail
-	if pin != "" {
-		out += "\n## Zero-perturbation pin (recorder off vs on, fresh builds)\n" + pin
+	gs := []grid{mean, tail}
+	if len(pin.rows) > 0 {
+		gs = append(gs, pin)
 	}
-	return out
+	var tl obs.TimelineReport
+	if t.Lookup("timeline_sample", &tl) && len(rows) > 0 {
+		g := timelineGrid(tl)
+		g.title = fmt.Sprintf("\n## Timeline sample (%s, contended mix)\n", rows[0].System) + g.title
+		gs = append(gs, g)
+	}
+	return gs
 }
 
 // FormatTimeline renders a timeline report as an aligned table, one
 // line per populated window.
-func FormatTimeline(tl obs.TimelineReport) string {
-	out := fmt.Sprintf("window=%dns origin=%dns dropped=%d\n%10s %8s %8s %9s %9s %7s %7s\n",
-		tl.WindowNs, tl.OriginNs, tl.Dropped,
-		"t(us)", "ops", "Mops", "p50(us)", "p99(us)", "nic%", "mncpu%")
-	for _, w := range tl.Windows {
-		out += fmt.Sprintf("%10.0f %8d %8.3f %9.1f %9.1f %7.1f %7.1f\n",
-			float64(w.StartNs-tl.OriginNs)/1e3, w.Ops, w.ThroughputMops,
-			float64(w.P50Ns)/1e3, float64(w.P99Ns)/1e3,
-			w.NICUtilization*100, w.MNUtilization*100)
+func FormatTimeline(tl obs.TimelineReport) string { return timelineGrid(tl).String() }
+
+func timelineGrid(tl obs.TimelineReport) grid {
+	g := grid{
+		title: fmt.Sprintf("window=%dns origin=%dns dropped=%d\n", tl.WindowNs, tl.OriginNs, tl.Dropped),
+		cols: []col{{"t(us)", "%10.0f"}, {"ops", "%8d"}, {"Mops", "%8.3f"}, {"p50(us)", "%9.1f"},
+			{"p99(us)", "%9.1f"}, {"nic%", "%7.1f"}, {"mncpu%", "%7.1f"}},
 	}
-	return out
+	for _, w := range tl.Windows {
+		g.rows = append(g.rows, []any{float64(w.StartNs-tl.OriginNs) / 1e3, w.Ops, w.ThroughputMops,
+			float64(w.P50Ns) / 1e3, float64(w.P99Ns) / 1e3, w.NICUtilization * 100, w.MNUtilization * 100})
+	}
+	return g
 }
 
-// MarshalAttribJSON renders the rows and the sample timeline as the
-// BENCH_ATTRIB.json artifact format.
-func MarshalAttribJSON(sc Scale, opts AttributionOptions, rows []AttributionRow, sample *obs.TimelineReport) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string              `json:"experiment"`
-		LoadN      int                 `json:"load_n"`
-		Ops        int                 `json:"ops"`
-		TopK       int                 `json:"top_k"`
-		Rows       []AttributionRow    `json:"rows"`
-		Timeline   *obs.TimelineReport `json:"timeline_sample,omitempty"`
-	}{
-		Experiment: "attribution",
-		LoadN:      sc.LoadN,
-		Ops:        sc.Ops,
-		TopK:       opts.TopK,
-		Rows:       rows,
-		Timeline:   sample,
-	}, "", "  ")
+// attributionTable wraps rows and an optional timeline in the
+// experiment's artifact envelope.
+func attributionTable(sc Scale, rows AttributionRows, timeline *obs.TimelineReport) *Table {
+	t := &Table{ID: "attribution", Params: append(sizeParams(sc), Param{"top_k", attribTopK}), Rows: rows}
+	if timeline != nil {
+		t.Extra = []Param{{"timeline_sample", timeline}}
+	}
+	return t
 }
 
 func init() {
-	register(Experiment{ID: "attribution", Title: "Flight-recorder tail-latency attribution and zero-perturbation pin", Run: Attribution})
-}
-
-// Attribution is the registered experiment wrapper around
-// RunAttribution.
-func Attribution(w io.Writer, sc Scale) error {
-	fmt.Fprintf(w, "# Attribution: per-phase latency shares (mean and p99 tail), zero-perturbation pin\n")
-	rows, sample, err := RunAttribution(sc, AttributionOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, FormatAttributionRows(rows))
-	if sample != nil {
-		fmt.Fprintf(w, "\n## Timeline sample (%s, mix %s)\n", HeadToHeadSystems[0], ycsb.WorkloadA.Name)
-		fmt.Fprint(w, FormatTimeline(*sample))
-	}
-	return nil
+	register(Experiment{
+		ID: "attribution", Title: "tail-latency attribution and timelines", Rows: AttributionRows(nil),
+		Table: func(sc Scale) (*Table, error) {
+			rows, sample, err := runAttribution(sc)
+			return attributionTable(sc, rows, sample), err
+		},
+	})
 }

@@ -19,8 +19,8 @@ import (
 func TestAttributionCoverage(t *testing.T) {
 	sc := SmallScale
 	for _, name := range HeadToHeadSystems {
-		_, fs, _, err := attributionPoint(name, sc, dmsim.SchedulerGate, ycsb.WorkloadA,
-			false, sc.Clients, sc.Ops, 4, true)
+		pt := point{sched: dmsim.SchedulerGate, mix: ycsb.WorkloadA, clients: sc.Clients, ops: sc.Ops, seed: 23}
+		_, fs, _, err := pt.recorded(name, sc, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,27 +51,25 @@ func TestAttributionCoverage(t *testing.T) {
 // only under the event loop's lane-private shards.
 func TestFlightZeroPerturbation(t *testing.T) {
 	sc := SmallScale
-	for _, sched := range []dmsim.SchedulerKind{dmsim.SchedulerGate, dmsim.SchedulerEventLoop} {
-		points := pinPoints(sched, sc)
+	for _, sched := range bothSchedulers {
 		for _, name := range HeadToHeadSystems {
-			for _, pt := range points {
-				_, _, fpOff, err := attributionPoint(name, sc, sched, pt.mix, pt.coldCache,
-					pt.clients, sc.Ops/4, 4, false)
+			for _, pt := range pinPoints(sched, sc) {
+				pt.ops = sc.Ops / 4
+				_, _, fpOff, err := pt.recorded(name, sc, false)
 				if err != nil {
-					t.Fatalf("%s/%s/%s off: %v", schedulerName(sched), name, pt.mix.Name, err)
+					t.Fatalf("%s/%s/%s off: %v", SchedulerName(sched), name, pt.mix.Name, err)
 				}
-				_, fs, fpOn, err := attributionPoint(name, sc, sched, pt.mix, pt.coldCache,
-					pt.clients, sc.Ops/4, 4, true)
+				_, fs, fpOn, err := pt.recorded(name, sc, true)
 				if err != nil {
-					t.Fatalf("%s/%s/%s on: %v", schedulerName(sched), name, pt.mix.Name, err)
+					t.Fatalf("%s/%s/%s on: %v", SchedulerName(sched), name, pt.mix.Name, err)
 				}
 				if fpOff != fpOn {
 					t.Errorf("%s/%s/%s: recorder perturbed the run: off=%s on=%s",
-						schedulerName(sched), name, pt.mix.Name, fpOff, fpOn)
+						SchedulerName(sched), name, pt.mix.Name, fpOff, fpOn)
 				}
 				if fs == nil || len(fs.Attribution.Classes) == 0 {
 					t.Errorf("%s/%s/%s: recorder-on run recorded nothing",
-						schedulerName(sched), name, pt.mix.Name)
+						SchedulerName(sched), name, pt.mix.Name)
 				}
 			}
 		}
@@ -79,7 +77,7 @@ func TestFlightZeroPerturbation(t *testing.T) {
 }
 
 // TestAttributionReportRendering sanity-checks the table renderers and
-// the metrics-v4 flight section plumbing on one cheap point.
+// the metrics artifact's flight section plumbing on one cheap point.
 func TestAttributionReportRendering(t *testing.T) {
 	sc := SmallScale
 	po := NewObserver(false)
@@ -100,11 +98,11 @@ func TestAttributionReportRendering(t *testing.T) {
 	if fs == nil {
 		t.Fatal("no flight report despite recorder enabled")
 	}
-	rows := []AttributionRow{{
+	rows := AttributionRows{{
 		Section: "attrib", Scheduler: "gate", System: "CHIME", Mix: "A",
 		Clients: r.Clients, Ops: r.Ops, Attribution: fs.Attribution,
 	}}
-	table := FormatAttributionRows(rows)
+	table := (&Table{Rows: rows}).Text()
 	for _, want := range []string{"search", "update", "descend"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("attribution table missing %q:\n%s", want, table)

@@ -106,13 +106,6 @@ type SystemConfig struct {
 	// internal/offroute).
 	Offload offroute.Mode
 
-	// MNCPUs / MNServiceNs override the fabric's MN compute model when
-	// > 0 (cores per MN; fixed dispatch ns per offloaded program). Only
-	// honored by the experiment-level fabric builders — SystemConfig
-	// .Fabric arrives pre-built.
-	MNCPUs      int
-	MNServiceNs int64
-
 	// LeaseLocks switches every system's remote locks to lease words so
 	// orphaned locks (crashed holders) are stolen and recovered instead
 	// of spinning forever; LeaseNs overrides the lease length when > 0.
@@ -147,12 +140,28 @@ type RunConfig struct {
 	KeySpace *ycsb.KeySpace
 	Seed     int64
 
+	// ReadDepth > 0 accumulates point reads into batches of batchKeys
+	// keys and issues each through BatchSearcher.SearchBatch at that
+	// pipeline depth; WriteDepth > 0 does the same for inserts
+	// (BatchWriter.MultiPut) and updates (UpdateBatch), each kind in a
+	// batch of its own. Depth 1 is sequential ops through the batch code
+	// path; zero keeps the kind synchronous. A synchronous op first
+	// flushes every pending batch, as a coroutine-multiplexed client
+	// would. The system's clients must implement the interfaces asked
+	// for (the RDWC wrapper hides them).
+	ReadDepth  int
+	WriteDepth int
+
 	// Obs, when set, folds the observer's registry deltas into the
 	// Result and records the row for the metrics JSON artifact. The
 	// system must have been built with the same observer (SystemConfig
 	// .Obs) for the protocol-event columns to be populated.
 	Obs *Observer
 }
+
+// batchKeys is how many same-kind keys a batched run accumulates before
+// it issues them.
+const batchKeys = 64
 
 // Result is one measured point.
 type Result struct {
@@ -169,6 +178,8 @@ type Result struct {
 	TripsPerOp float64
 	ReadBytes  float64 // per op
 	WriteBytes float64 // per op
+	// MaxInflight is the deepest post/poll pipeline any client reached.
+	MaxInflight int64
 
 	CacheBytes int64
 
@@ -227,7 +238,41 @@ type CombinerReporter interface {
 	Combiner() *rdwc.Combiner
 }
 
-// Run executes the workload against the system and aggregates metrics.
+// batch is one op kind's pending keys in a batched run, and the batch
+// interface call that issues them.
+type batch struct {
+	keys  []uint64
+	vals  [][]byte
+	issue func(keys []uint64, vals [][]byte) []error
+}
+
+// syncOp runs one op through the synchronous client interface; a key
+// that is not there is an outcome, not an error.
+func syncOp(cl Client, op ycsb.Op, value []byte) error {
+	var err error
+	switch op.Kind {
+	case ycsb.OpRead:
+		_, err = cl.Search(op.Key)
+	case ycsb.OpUpdate:
+		err = cl.Update(op.Key, value)
+	case ycsb.OpInsert:
+		err = cl.Insert(op.Key, value)
+	case ycsb.OpScan:
+		_, err = cl.Scan(op.Key, op.ScanLen)
+	case ycsb.OpReadModifyWrite:
+		if _, err = cl.Search(op.Key); err == nil || errors.Is(err, ErrNotFound) {
+			err = cl.Update(op.Key, value)
+		}
+	}
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	return err
+}
+
+// Run executes the workload against the system and aggregates metrics:
+// one closed loop per client, synchronous ops or — per RunConfig
+// .ReadDepth/.WriteDepth — batches over posted verbs.
 func Run(sys System, cfg RunConfig) (Result, error) {
 	if cfg.Clients <= 0 || cfg.OpsPerClient <= 0 {
 		return Result{}, fmt.Errorf("bench: bad run config %+v", cfg)
@@ -273,6 +318,13 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 	clients := make([]Client, cfg.Clients)
 	for ci := range clients {
 		clients[ci] = sys.NewClient()
+		_, searcher := clients[ci].(BatchSearcher)
+		_, writer := clients[ci].(BatchWriter)
+		if cfg.ReadDepth > 0 && !searcher || cfg.WriteDepth > 0 && !writer {
+			// Every client of a system has one type: this is the first
+			// client, and nobody has joined the cohort yet.
+			return Result{}, fmt.Errorf("bench: %s clients do not implement the batch interfaces (RDWC enabled?)", sys.Name())
+		}
 		// Cohort membership bounds virtual-clock skew between clients so
 		// the NIC queueing model stays faithful.
 		clients[ci].DM().JoinCohort()
@@ -304,29 +356,81 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 			dm.ResetStats()
 			start := dm.Now()
 			value := make([]byte, cfg.ValueSize)
+
+			// Pending batches, nil for a kind that runs synchronously.
+			// Values are the constant benchmark payload, so one shared
+			// slice serves every slot.
+			var reads, inserts, updates *batch
+			if cfg.ReadDepth > 0 {
+				bs := cl.(BatchSearcher)
+				reads = &batch{issue: func(keys []uint64, _ [][]byte) []error {
+					_, errs := bs.SearchBatch(keys, cfg.ReadDepth)
+					return errs
+				}}
+			}
+			if cfg.WriteDepth > 0 {
+				bw := cl.(BatchWriter)
+				inserts = &batch{issue: func(keys []uint64, vals [][]byte) []error {
+					return bw.MultiPut(keys, vals, cfg.WriteDepth)
+				}}
+				updates = &batch{issue: func(keys []uint64, vals [][]byte) []error {
+					return bw.UpdateBatch(keys, vals, cfg.WriteDepth)
+				}}
+			}
+			flush := func(batches ...*batch) error {
+				for _, b := range batches {
+					if b == nil || len(b.keys) == 0 {
+						continue
+					}
+					t0 := dm.Now()
+					for _, err := range b.issue(b.keys, b.vals) {
+						if err != nil && !errors.Is(err, ErrNotFound) {
+							return err
+						}
+					}
+					// Amortize the batch's virtual time over its keys so
+					// the histogram stays per-op.
+					per := (dm.Now() - t0) / int64(len(b.keys))
+					for range b.keys {
+						h.Observe(per)
+					}
+					b.keys, b.vals = b.keys[:0], b.vals[:0]
+				}
+				return nil
+			}
+			batchFor := func(kind ycsb.OpKind) *batch {
+				switch kind {
+				case ycsb.OpRead:
+					return reads
+				case ycsb.OpInsert:
+					return inserts
+				case ycsb.OpUpdate:
+					return updates
+				}
+				return nil
+			}
 			for i := 0; i < cfg.OpsPerClient; i++ {
 				op := gen.Next()
-				t0 := dm.Now()
 				var err error
-				switch op.Kind {
-				case ycsb.OpRead:
-					_, err = cl.Search(op.Key)
-				case ycsb.OpUpdate:
-					err = cl.Update(op.Key, value)
-				case ycsb.OpInsert:
-					err = cl.Insert(op.Key, value)
-				case ycsb.OpScan:
-					_, err = cl.Scan(op.Key, op.ScanLen)
-				case ycsb.OpReadModifyWrite:
-					if _, err = cl.Search(op.Key); err == nil || errors.Is(err, ErrNotFound) {
-						err = cl.Update(op.Key, value)
+				if b := batchFor(op.Kind); b != nil {
+					b.keys, b.vals = append(b.keys, op.Key), append(b.vals, value)
+					if len(b.keys) >= batchKeys {
+						err = flush(b)
+					}
+				} else if err = flush(reads, inserts, updates); err == nil {
+					t0 := dm.Now()
+					if err = syncOp(cl, op, value); err == nil {
+						h.Observe(dm.Now() - t0)
 					}
 				}
-				if err != nil && !errors.Is(err, ErrNotFound) {
+				if err != nil {
 					outs[ci].err = fmt.Errorf("bench: client %d op %d (%v %#x): %w", ci, i, op.Kind, op.Key, err)
 					return
 				}
-				h.Observe(dm.Now() - t0)
+			}
+			if err := flush(reads, inserts, updates); err != nil {
+				outs[ci].err = fmt.Errorf("bench: client %d final batch: %w", ci, err)
+				return
 			}
 			outs[ci] = clientOut{
 				hist:     h,
@@ -350,6 +454,7 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 		if o.duration > maxDur {
 			maxDur = o.duration
 		}
+		stats.MaxInflight = max(stats.MaxInflight, o.stats.MaxInflight)
 		stats.Trips += o.stats.Trips
 		stats.BytesRead += o.stats.BytesRead
 		stats.BytesWritten += o.stats.BytesWritten
@@ -369,6 +474,7 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 		TripsPerOp:     float64(stats.Trips) / float64(ops),
 		ReadBytes:      float64(stats.BytesRead) / float64(ops),
 		WriteBytes:     float64(stats.BytesWritten) / float64(ops),
+		MaxInflight:    stats.MaxInflight,
 		CacheBytes:     sys.CacheBytes(),
 	}
 
@@ -438,30 +544,32 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 // row: protocol-event rates per op, cache/hotspot hit ratios, NIC
 // utilization and the read-delegation/write-combining totals.
 func FormatObsResults(rows []Result) string {
-	out := fmt.Sprintf("%-22s %-5s %7s %8s %9s %9s %9s %9s %7s %7s %6s %8s %8s\n",
-		"system", "mix", "clients", "Mops", "retry/op", "torn/op", "lockbk/op", "chase/op",
-		"cache%", "hot%", "nic%", "dlgReads", "combWr")
+	g := grid{cols: []col{
+		{"system", "%-22s"}, {"mix", "%-5s"}, {"clients", "%7d"}, {"Mops", "%8.3f"},
+		{"retry/op", "%9.4f"}, {"torn/op", "%9.4f"}, {"lockbk/op", "%9.4f"}, {"chase/op", "%9.4f"},
+		{"cache%", "%7.1f"}, {"hot%", "%7.1f"}, {"nic%", "%6.1f"}, {"dlgReads", "%8d"}, {"combWr", "%8d"},
+	}}
 	for _, r := range rows {
-		out += fmt.Sprintf("%-22s %-5s %7d %8.3f %9.4f %9.4f %9.4f %9.4f %7.1f %7.1f %6.1f %8d %8d\n",
-			r.System, r.Mix, r.Clients, r.ThroughputMops,
+		g.rows = append(g.rows, []any{r.System, r.Mix, r.Clients, r.ThroughputMops,
 			r.RetriesPerOp, r.TornReadsPerOp, r.LockBackoffsPerOp, r.SiblingChasesPerOp,
-			r.CacheHitRatio*100, r.HotspotHitRatio*100, r.NICUtilization*100,
-			r.DelegatedReads, r.CombinedWrites)
+			r.CacheHitRatio * 100, r.HotspotHitRatio * 100, r.NICUtilization * 100,
+			r.DelegatedReads, r.CombinedWrites})
 	}
-	return out
+	return g.String()
 }
 
 // FormatResults renders results as an aligned text table, one row per
 // result — the "same rows the paper reports" output format.
 func FormatResults(rows []Result) string {
-	out := fmt.Sprintf("%-22s %-5s %8s %10s %9s %9s %8s %10s %10s\n",
-		"system", "mix", "clients", "Mops", "p50(us)", "p99(us)", "trips/op", "rdB/op", "cacheMB")
+	g := grid{cols: []col{
+		{"system", "%-22s"}, {"mix", "%-5s"}, {"clients", "%8d"}, {"Mops", "%10.3f"},
+		{"p50(us)", "%9.1f"}, {"p99(us)", "%9.1f"}, {"trips/op", "%8.2f"}, {"rdB/op", "%10.0f"}, {"cacheMB", "%10.2f"},
+	}}
 	for _, r := range rows {
-		out += fmt.Sprintf("%-22s %-5s %8d %10.3f %9.1f %9.1f %8.2f %10.0f %10.2f\n",
-			r.System, r.Mix, r.Clients, r.ThroughputMops, r.P50Us, r.P99Us,
-			r.TripsPerOp, r.ReadBytes, float64(r.CacheBytes)/1e6)
+		g.rows = append(g.rows, []any{r.System, r.Mix, r.Clients, r.ThroughputMops, r.P50Us, r.P99Us,
+			r.TripsPerOp, r.ReadBytes, float64(r.CacheBytes) / 1e6})
 	}
-	return out
+	return g.String()
 }
 
 // SortedLoadKeys returns the first n logical keys in sorted order

@@ -69,6 +69,7 @@ func TestFullHotspotBufferRowPinned(t *testing.T) {
 		System: "CHIME", Mix: "C", Clients: 1, Ops: 4000,
 		ThroughputMops: 0.4221885409586213, P50Us: 2.368, P99Us: 2.368,
 		TripsPerOp: 1.00025, ReadBytes: 183.518,
+		MaxInflight:     1,
 		CacheBytes:      6860,
 		CacheHitRatio:   1,
 		HotspotHitRatio: 0.102,
@@ -105,6 +106,7 @@ func TestScanRowPinned(t *testing.T) {
 		System: "CHIME", Mix: "E", Clients: 1, Ops: 2000,
 		ThroughputMops: 0.1206350251852758, P50Us: 7.04, P99Us: 14.08,
 		TripsPerOp: 3.511, ReadBytes: 5179.106, WriteBytes: 3.198,
+		MaxInflight:    1,
 		CacheBytes:     5836,
 		CacheHitRatio:  1,
 		NICUtilization: 0.05009568468610133,

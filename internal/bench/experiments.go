@@ -1,12 +1,18 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
+	"time"
 
 	"chime/internal/dmsim"
+	"chime/internal/offroute"
 	"chime/internal/ycsb"
 )
 
@@ -101,11 +107,10 @@ func buildSystem(name string, sc Scale, mns int, cfgMut func(*SystemConfig)) (Sy
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}
-	// The fabric is built after the mutator so offload experiments can
-	// size the MN compute model (SystemConfig.MNCPUs/MNServiceNs) — or
-	// supply a pre-built fabric outright (scheduler-variant tests).
+	// The fabric is built after the mutator so a caller can supply one of
+	// its own (another scheduler, an MN compute model, persistence).
 	if cfg.Fabric == nil {
-		cfg.Fabric = OffloadFabric(mns, sc.MNSize/mns, cfg.MNCPUs, cfg.MNServiceNs)
+		cfg.Fabric = DefaultFabric(mns, sc.MNSize/mns)
 	}
 	cfg.Fabric.SetObserver(cfg.Obs.Sink())
 	factory, ok := Factories[name]
@@ -118,14 +123,10 @@ func buildSystem(name string, sc Scale, mns int, cfgMut func(*SystemConfig)) (Sy
 
 // runPoint is the common "one measured point" helper.
 func runPoint(sys System, cfg SystemConfig, mix ycsb.Mix, clients, totalOps int, seed int64) (Result, error) {
-	per := totalOps / clients
-	if per < 1 {
-		per = 1
-	}
 	return Run(sys, RunConfig{
 		Mix:          mix,
 		Clients:      clients,
-		OpsPerClient: per,
+		OpsPerClient: max(totalOps/clients, 1),
 		ValueSize:    cfg.ValueSize,
 		KeySpace:     NewKeySpaceFor(cfg.LoadKeys),
 		Seed:         seed,
@@ -133,11 +134,153 @@ func runPoint(sys System, cfg SystemConfig, mix ycsb.Mix, clients, totalOps int,
 	})
 }
 
-// Experiment is a named, runnable reproduction of one paper artifact.
+// measured builds one fresh single-MN system, runs one point on it at
+// the scale's fixed client count, and labels the row.
+func measured(label, name string, sc Scale, mut func(*SystemConfig), mix ycsb.Mix, seed int64) (Result, error) {
+	sys, cfg, err := buildSystem(name, sc, 1, mut)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s: %w", label, err)
+	}
+	r, err := runPoint(sys, cfg, mix, sc.Clients, sc.Ops, seed)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%s: %w", label, mix.Name, err)
+	}
+	r.System = label
+	return r, nil
+}
+
+// point is one measured point on a fabric of its own, the unit the
+// determinism-pinning experiments (offload, attribution, persist) double-
+// run: a fresh single-MN fabric under the given scheduler, a
+// single-threaded bulk load (parallel loaders race host-side for
+// virtual-time ties, which would break the fingerprint), one workload.
+type point struct {
+	sched       dmsim.SchedulerKind
+	mnCPUs      int    // 0 = model default
+	mnServiceNs int64  // 0 = model default
+	persistDir  string // "" = durability plane off
+	offload     offroute.Mode
+
+	// cold drops the CN cache, the hotspot buffer and RDWC: every
+	// one-sided op pays the full descent, and there is no shared LRU or
+	// combiner whose state would depend on how the host interleaves
+	// concurrent clients.
+	cold bool
+
+	mix     ycsb.Mix
+	clients int
+	ops     int
+	seed    int64
+}
+
+// run builds the named system for the point, measures it, and returns
+// the row with the run's fingerprint.
+func (p point) run(name string, sc Scale) (Result, string, error) {
+	sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
+		fcfg := testbedConfig(1, sc.MNSize)
+		fcfg.Scheduler = p.sched
+		fcfg.MNCPUs = p.mnCPUs
+		fcfg.MNServiceTime = time.Duration(p.mnServiceNs)
+		fcfg.Persist.Dir = p.persistDir
+		c.Fabric = dmsim.MustNewFabric(fcfg)
+		c.Offload = p.offload
+		c.LoadClients = 1
+		if p.cold {
+			c.CacheBytes = 0
+			c.HotspotBytes = 0
+			c.DisableRDWC = true
+		}
+	})
+	if err != nil {
+		return Result{}, "", err
+	}
+	r, err := runPoint(sys, cfg, p.mix, p.clients, p.ops, p.seed)
+	if err != nil {
+		return Result{}, "", err
+	}
+	return r, fingerprint(cfg.Fabric, r), nil
+}
+
+// fingerprint hashes everything a run makes observable: the caller's
+// parts (the Result row; for index-free runs each client's clock and
+// counters) plus the fabric's NIC, MN-CPU, persistence and frontier
+// totals. Two runs fingerprint equal iff they were bit-identical.
+func fingerprint(f *dmsim.Fabric, parts ...any) string {
+	h := fnv.New64a()
+	for _, p := range parts {
+		fmt.Fprintf(h, "%+v", p)
+	}
+	fmt.Fprintf(h, "%+v%+v%+v%d", f.TotalNICStats(), f.TotalMNCPUStats(), f.PersistStats(), f.Frontier())
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// SchedulerName is the name rows and artifacts carry for a cohort
+// scheduler.
+func SchedulerName(mode dmsim.SchedulerKind) string {
+	if mode == dmsim.SchedulerEventLoop {
+		return "event"
+	}
+	return "gate"
+}
+
+// bothSchedulers is the order the scheduler-comparing experiments run
+// the cohort schedulers in.
+var bothSchedulers = []dmsim.SchedulerKind{dmsim.SchedulerGate, dmsim.SchedulerEventLoop}
+
+// Experiment is a named, runnable reproduction of one paper artifact or
+// one beyond-the-paper plane. Adding one is one file: the row type with
+// its json/col tags, a function from Scale to a Table, and a register
+// call in init (DESIGN.md §4).
 type Experiment struct {
-	ID    string // e.g. "fig12", "tab1"
+	ID    string // e.g. "fig12", "tab1", "offload"
 	Title string
-	Run   func(w io.Writer, sc Scale) error
+
+	// Run streams a paper-figure experiment's text to w as it goes.
+	// Exactly one of Run and Table is set.
+	Run func(w io.Writer, sc Scale) error
+	// Table runs an experiment that has a BENCH_*.json artifact and
+	// returns its rows; Rows is the zero value of their slice type, so
+	// ReadTable can decode the artifact back.
+	Table func(sc Scale) (*Table, error)
+	Rows  any
+
+	// Flags registers the command-line flags the experiment owns; Table
+	// reads them through the variables they are bound to.
+	Flags func(fs *flag.FlagSet)
+
+	// HostSide marks an experiment that measures the simulator rather
+	// than an index: Scale's load and op counts do not apply (Heading
+	// omits them) and its client axis is its own unless the caller
+	// overrides ClientSweep.
+	HostSide bool
+}
+
+// Heading is the line a front end prints above the experiment's output.
+func (e Experiment) Heading(sc Scale) string {
+	if e.HostSide {
+		return fmt.Sprintf("%s: %s", e.ID, e.Title)
+	}
+	return fmt.Sprintf("%s: %s (load=%d ops=%d)", e.ID, e.Title, sc.LoadN, sc.Ops)
+}
+
+// Execute is the one dispatch path: it runs the experiment, writes its
+// text to w and returns its table, which for a paper-figure experiment
+// carries the printed lines.
+func (e Experiment) Execute(w io.Writer, sc Scale) (*Table, error) {
+	if e.Table != nil {
+		t, err := e.Table(sc)
+		if err != nil {
+			return nil, err
+		}
+		_, err = io.WriteString(w, t.Text())
+		return t, err
+	}
+	var out strings.Builder
+	if err := e.Run(io.MultiWriter(w, &out), sc); err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	return &Table{ID: e.ID, Params: sizeParams(sc), Extra: []Param{{"output", lines}}}, nil
 }
 
 // Experiments is the registry the CLI and bench targets dispatch on,
@@ -154,4 +297,46 @@ func FindExperiment(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
+}
+
+// ListFlag is a flag.Value that parses a comma-separated list element by
+// element into *dst, so a bad element is a usage error at flag.Parse.
+func ListFlag[T any](dst *[]T, parse func(string) (T, error)) flag.Value {
+	return listFlag[T]{dst, parse}
+}
+
+type listFlag[T any] struct {
+	dst   *[]T
+	parse func(string) (T, error)
+}
+
+func (l listFlag[T]) String() string {
+	if l.dst == nil {
+		return ""
+	}
+	return strings.Trim(fmt.Sprint(*l.dst), "[]")
+}
+
+func (l listFlag[T]) Set(s string) error {
+	*l.dst = nil
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := l.parse(part)
+		if err != nil {
+			return fmt.Errorf("bad element %q: %w", part, err)
+		}
+		*l.dst = append(*l.dst, v)
+	}
+	return nil
+}
+
+// PositiveInt parses one element of a list of counts (clients, depths).
+func PositiveInt(s string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err == nil && v <= 0 {
+		err = fmt.Errorf("must be positive")
+	}
+	return v, err
 }

@@ -48,15 +48,10 @@ func Fig15(w io.Writer, sc Scale) error {
 		fmt.Fprintf(w, "# Figure 15: factor analysis, YCSB %s\n", mix.Name)
 		var rows []Result
 		for _, st := range stages {
-			sys, cfg, err := buildSystem(st.name, sc, 1, st.mut)
+			r, err := measured(st.label, st.name, sc, st.mut, mix, 15)
 			if err != nil {
-				return fmt.Errorf("%s: %w", st.label, err)
+				return err
 			}
-			r, err := runPoint(sys, cfg, mix, sc.Clients, sc.Ops, 15)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", st.label, mix.Name, err)
-			}
-			r.System = st.label
 			rows = append(rows, r)
 		}
 		fmt.Fprint(w, FormatResults(rows))

@@ -103,26 +103,16 @@ func Fig13(w io.Writer, sc Scale) error {
 			if !workloadSupported(name, mix) {
 				continue
 			}
-			sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
+			label := map[string]string{
+				"CHIME": "CHIME-Indirect", "Sherman": "Marlin(Sherman-Ind)",
+				"ROLEX": "ROLEX-Indirect", "SMART": "SMART-RCU",
+			}[name]
+			r, err := measured(label, name, sc, func(c *SystemConfig) {
 				c.ValueSize = valueSize
 				c.Indirect = name != "SMART" // SMART-RCU keeps KV in the leaf
-			})
+			}, mix, 13)
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", name, mix.Name, err)
-			}
-			r, err := runPoint(sys, cfg, mix, sc.Clients, sc.Ops, 13)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", name, mix.Name, err)
-			}
-			switch name {
-			case "CHIME":
-				r.System = "CHIME-Indirect"
-			case "Sherman":
-				r.System = "Marlin(Sherman-Ind)"
-			case "ROLEX":
-				r.System = "ROLEX-Indirect"
-			case "SMART":
-				r.System = "SMART-RCU"
+				return err
 			}
 			rows = append(rows, r)
 		}

@@ -133,17 +133,12 @@ func Fig4a(w io.Writer, sc Scale) error {
 		label   string
 		disable bool
 	}{{"piggybacked", false}, {"dedicated-access", true}} {
-		sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
+		r, err := measured("CHIME/"+variant.label, "CHIME", sc, func(c *SystemConfig) {
 			c.DisablePiggyback = variant.disable
-		})
+		}, ycsb.WorkloadLoad, 3)
 		if err != nil {
 			return err
 		}
-		r, err := runPoint(sys, cfg, ycsb.WorkloadLoad, sc.Clients, sc.Ops, 3)
-		if err != nil {
-			return err
-		}
-		r.System = "CHIME/" + variant.label
 		rows = append(rows, r)
 	}
 	fmt.Fprint(w, FormatResults(rows))
@@ -160,17 +155,12 @@ func Fig4b(w io.Writer, sc Scale) error {
 		label   string
 		disable bool
 	}{{"replicated", false}, {"dedicated-access", true}} {
-		sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
+		r, err := measured("CHIME/"+variant.label, "CHIME", sc, func(c *SystemConfig) {
 			c.DisableReplication = variant.disable
-		})
+		}, ycsb.WorkloadC, 4)
 		if err != nil {
 			return err
 		}
-		r, err := runPoint(sys, cfg, ycsb.WorkloadC, sc.Clients, sc.Ops, 4)
-		if err != nil {
-			return err
-		}
-		r.System = "CHIME/" + variant.label
 		rows = append(rows, r)
 	}
 	fmt.Fprint(w, FormatResults(rows))

@@ -56,17 +56,12 @@ func Fig18b(w io.Writer, sc Scale) error {
 	for _, name := range HeadToHeadSystems {
 		for _, mult := range []int64{0, 1, 4, 16, 64} {
 			budget := base * mult / 4
-			sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
+			r, err := measured(fmt.Sprintf("%s/%dKB", name, budget>>10), name, sc, func(c *SystemConfig) {
 				c.CacheBytes = budget
-			})
+			}, ycsb.WorkloadC, 19)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return err
 			}
-			r, err := runPoint(sys, cfg, ycsb.WorkloadC, sc.Clients, sc.Ops, 19)
-			if err != nil {
-				return fmt.Errorf("%s cache=%d: %w", name, budget, err)
-			}
-			r.System = fmt.Sprintf("%s/%dKB", name, budget>>10)
 			rows = append(rows, r)
 		}
 	}
@@ -79,18 +74,13 @@ func valueSizeSweep(w io.Writer, sc Scale, indirect bool, seed int64) error {
 	var rows []Result
 	for _, name := range HeadToHeadSystems {
 		for _, vs := range []int{8, 64, 128, 256} {
-			sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
+			r, err := measured(fmt.Sprintf("%s/%dB", name, vs), name, sc, func(c *SystemConfig) {
 				c.ValueSize = vs
 				c.Indirect = indirect && name != "SMART"
-			})
+			}, ycsb.WorkloadC, seed)
 			if err != nil {
-				return fmt.Errorf("%s vs=%d: %w", name, vs, err)
+				return err
 			}
-			r, err := runPoint(sys, cfg, ycsb.WorkloadC, sc.Clients, sc.Ops, seed)
-			if err != nil {
-				return fmt.Errorf("%s vs=%d: %w", name, vs, err)
-			}
-			r.System = fmt.Sprintf("%s/%dB", name, vs)
 			rows = append(rows, r)
 		}
 	}
@@ -122,17 +112,12 @@ func Fig18e(w io.Writer, sc Scale) error {
 	var rows []Result
 	for _, name := range []string{"CHIME", "Sherman", "ROLEX"} {
 		for _, span := range []int{8, 16, 64, 128, 256} {
-			sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
+			r, err := measured(fmt.Sprintf("%s/s%d", name, span), name, sc, func(c *SystemConfig) {
 				c.SpanSize = span
-			})
+			}, ycsb.WorkloadC, 22)
 			if err != nil {
-				return fmt.Errorf("%s span=%d: %w", name, span, err)
+				return err
 			}
-			r, err := runPoint(sys, cfg, ycsb.WorkloadC, sc.Clients, sc.Ops, 22)
-			if err != nil {
-				return fmt.Errorf("%s span=%d: %w", name, span, err)
-			}
-			r.System = fmt.Sprintf("%s/s%d", name, span)
 			rows = append(rows, r)
 		}
 	}
@@ -147,17 +132,12 @@ func Fig18f(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "# Figure 18f: neighborhood size sweep, YCSB C (CHIME)\n")
 	var rows []Result
 	for _, h := range []int{2, 4, 8, 16} {
-		sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
+		r, err := measured(fmt.Sprintf("CHIME/H%d", h), "CHIME", sc, func(c *SystemConfig) {
 			c.Neighborhood = h
-		})
+		}, ycsb.WorkloadC, 23)
 		if err != nil {
-			return fmt.Errorf("H=%d: %w", h, err)
+			return err
 		}
-		r, err := runPoint(sys, cfg, ycsb.WorkloadC, sc.Clients, sc.Ops, 23)
-		if err != nil {
-			return fmt.Errorf("H=%d: %w", h, err)
-		}
-		r.System = fmt.Sprintf("CHIME/H%d", h)
 		rows = append(rows, r)
 	}
 	fmt.Fprint(w, FormatResults(rows))

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
-	"io"
+	"strconv"
 
 	"chime/internal/fault"
 	"chime/internal/ycsb"
@@ -17,10 +17,10 @@ import (
 // every other experiment; TestFaultsZeroScheduleBitIdentical pins that
 // a zero-rate schedule reproduces it bit for bit.
 
-// FaultRates is the default escalation: fraction of verbs that lose
+// faultRates is the default escalation: fraction of verbs that lose
 // their completion (retried after a timeout) and, independently, that
 // suffer a latency spike.
-var FaultRates = []float64{0, 0.001, 0.005, 0.02}
+var faultRates = []float64{0, 0.001, 0.005, 0.02}
 
 // faultSpikeNs is the injected spike size: 10x the fabric RTT.
 const faultSpikeNs = 20_000
@@ -30,48 +30,45 @@ const faultSpikeNs = 20_000
 // crash (see internal/fault's chaos harness for the sizing argument).
 const faultLeaseNs = 10_000_000
 
-// DefaultFaultSeed seeds the sweep's schedules when the caller passes
+// defaultFaultSeed seeds the sweep's schedules when the caller passes
 // 0; each rate step salts it so escalation steps are independent draws.
-const DefaultFaultSeed = 1000
+const defaultFaultSeed = 1000
 
-// FaultRow is one point of the fault sweep, JSON-serializable for the
-// committed BENCH_FAULTS.json artifact.
+// FaultRow is one point of the fault sweep (BENCH_FAULTS.json).
 type FaultRow struct {
-	System            string  `json:"system"`
-	Mix               string  `json:"mix"`
-	Rate              float64 `json:"rate"`
-	Clients           int     `json:"clients"`
+	System            string  `json:"system" col:"system,%-10s"`
+	Mix               string  `json:"mix" col:"mix,%-4s"`
+	Rate              float64 `json:"rate" col:"rate,%7.3f"`
+	Clients           int     `json:"clients" col:"clients,%8d"`
 	Ops               int64   `json:"ops"`
-	ThroughputMops    float64 `json:"throughput_mops"`
-	SlowdownVsClean   float64 `json:"slowdown_vs_clean"`
-	P50Us             float64 `json:"p50_us"`
-	P99Us             float64 `json:"p99_us"`
-	VerbTimeoutsPerOp float64 `json:"verb_timeouts_per_op"`
-	VerbRetriesPerOp  float64 `json:"verb_retries_per_op"`
-	LeaseExpired      int64   `json:"lease_expired"`
-	Recoveries        int64   `json:"recoveries"`
+	ThroughputMops    float64 `json:"throughput_mops" col:"Mops,%10.3f"`
+	SlowdownVsClean   float64 `json:"slowdown_vs_clean" col:"slowdown,%9.2f"`
+	P50Us             float64 `json:"p50_us" col:"p50(us),%9.1f"`
+	P99Us             float64 `json:"p99_us" col:"p99(us),%9.1f"`
+	VerbTimeoutsPerOp float64 `json:"verb_timeouts_per_op" col:"tmo/op,%10.4f"`
+	VerbRetriesPerOp  float64 `json:"verb_retries_per_op" col:"retry/op,%10.4f"`
+	LeaseExpired      int64   `json:"lease_expired" col:"expired,%8d"`
+	Recoveries        int64   `json:"recoveries" col:"recov,%6d"`
 }
 
-// RunFaults sweeps the fault rate for every system on YCSB A and B.
+// runFaults sweeps the fault rate for every system on YCSB A and B.
 // Each (system, mix) pair is built once and the escalation reuses the
 // instance — caches are warm past the first rate, which is the regime
 // the sweep probes (fault tolerance of a running system, not cold
 // start). Rates beyond the first attach a fresh seeded Schedule; the
 // injector is detached before the next pair so the clean rows stay
 // uncontaminated.
-func RunFaults(sc Scale, seed int64, rates []float64) ([]FaultRow, error) {
+func runFaults(sc Scale, seed int64, rates []float64) ([]FaultRow, error) {
 	if seed == 0 {
-		seed = DefaultFaultSeed
+		seed = defaultFaultSeed
 	}
 	if len(rates) == 0 {
-		rates = FaultRates
+		rates = faultRates
 	}
-	obs := sc.Obs
-	if obs == nil {
+	if sc.Obs == nil {
 		// The fault columns fold through the observer registry; thread a
 		// private one when the caller didn't ask for metrics capture.
-		obs = NewObserver(false)
-		sc.Obs = obs
+		sc.Obs = NewObserver(false)
 	}
 	var rows []FaultRow
 	for _, name := range HeadToHeadSystems {
@@ -122,51 +119,30 @@ func RunFaults(sc Scale, seed int64, rates []float64) ([]FaultRow, error) {
 	return rows, nil
 }
 
-// FormatFaultsRows renders the sweep as an aligned table.
-func FormatFaultsRows(rows []FaultRow) string {
-	out := fmt.Sprintf("%-10s %-4s %7s %8s %10s %9s %9s %9s %10s %10s %8s %6s\n",
-		"system", "mix", "rate", "clients", "Mops", "slowdown", "p50(us)", "p99(us)",
-		"tmo/op", "retry/op", "expired", "recov")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-10s %-4s %7.3f %8d %10.3f %9.2f %9.1f %9.1f %10.4f %10.4f %8d %6d\n",
-			r.System, r.Mix, r.Rate, r.Clients, r.ThroughputMops, r.SlowdownVsClean,
-			r.P50Us, r.P99Us, r.VerbTimeoutsPerOp, r.VerbRetriesPerOp,
-			r.LeaseExpired, r.Recoveries)
-	}
-	return out
-}
-
-// MarshalFaultsJSON renders the rows as the BENCH_FAULTS.json artifact
-// format.
-func MarshalFaultsJSON(sc Scale, rows []FaultRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string     `json:"experiment"`
-		LoadN      int        `json:"load_n"`
-		Ops        int        `json:"ops"`
-		SpikeNs    int        `json:"spike_ns"`
-		LeaseNs    int        `json:"lease_ns"`
-		Rows       []FaultRow `json:"rows"`
-	}{
-		Experiment: "faults",
-		LoadN:      sc.LoadN,
-		Ops:        sc.Ops,
-		SpikeNs:    faultSpikeNs,
-		LeaseNs:    faultLeaseNs,
-		Rows:       rows,
-	}, "", "  ")
+// faultsTable wraps the sweep's rows in its artifact envelope.
+func faultsTable(sc Scale, rows []FaultRow) *Table {
+	return &Table{ID: "faults", Rows: rows,
+		Params: append(sizeParams(sc), Param{"spike_ns", faultSpikeNs}, Param{"lease_ns", faultLeaseNs})}
 }
 
 func init() {
-	register(Experiment{ID: "faults", Title: "Fault-rate sweep: transient verb faults with lease recovery armed", Run: Faults})
-}
-
-// Faults is the registered experiment wrapper around RunFaults.
-func Faults(w io.Writer, sc Scale) error {
-	fmt.Fprintf(w, "# Fault sweep: dropped completions + latency spikes per verb, lease locks on\n")
-	rows, err := RunFaults(sc, 0, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, FormatFaultsRows(rows))
-	return nil
+	var seed int64
+	var rates []float64
+	register(Experiment{
+		ID: "faults", Title: "fault-rate sweep with lease recovery", Rows: []FaultRow(nil),
+		Flags: func(fs *flag.FlagSet) {
+			fs.Int64Var(&seed, "fault-seed", 0, "faults experiment: schedule seed (0 = default)")
+			fs.Var(ListFlag(&rates, func(s string) (float64, error) {
+				v, err := strconv.ParseFloat(s, 64)
+				if err == nil && (v < 0 || v >= 1) {
+					err = fmt.Errorf("must be in [0, 1)")
+				}
+				return v, err
+			}), "fault-rate", "faults experiment: comma-separated drop/spike rates (default 0,0.001,0.005,0.02)")
+		},
+		Table: func(sc Scale) (*Table, error) {
+			rows, err := runFaults(sc, seed, rates)
+			return faultsTable(sc, rows), err
+		},
+	})
 }

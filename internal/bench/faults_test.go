@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -54,7 +53,7 @@ func TestRunFaultsSweep(t *testing.T) {
 	sc := tinyScale
 	sc.Ops = 1000
 	sc.Clients = 4
-	rows, err := RunFaults(sc, 0, []float64{0, 0.02})
+	rows, err := runFaults(sc, 0, []float64{0, 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,24 +76,21 @@ func TestRunFaultsSweep(t *testing.T) {
 		}
 	}
 
-	table := FormatFaultsRows(rows)
-	for _, want := range []string{"CHIME", "ROLEX", "retry/op"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("table missing %q:\n%s", want, table)
-		}
-	}
-	blob, err := MarshalFaultsJSON(sc, rows)
+	// The rows survive their own artifact: written, read back, rendered.
+	blob, err := faultsTable(sc, rows).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parsed struct {
-		Experiment string     `json:"experiment"`
-		Rows       []FaultRow `json:"rows"`
+	back, err := ReadTable(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(blob, &parsed); err != nil {
-		t.Fatalf("faults JSON does not parse: %v", err)
+	if got := back.Rows.([]FaultRow); len(got) != len(rows) || got[0] != rows[0] {
+		t.Fatalf("artifact round trip mangled the rows: %d rows, first %+v", len(got), got[0])
 	}
-	if parsed.Experiment != "faults" || len(parsed.Rows) != len(rows) {
-		t.Fatalf("artifact shape: experiment=%q rows=%d", parsed.Experiment, len(parsed.Rows))
+	for _, want := range []string{"CHIME", "ROLEX", "retry/op"} {
+		if !strings.Contains(back.Text(), want) {
+			t.Fatalf("table missing %q:\n%s", want, back.Text())
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 
@@ -17,8 +16,9 @@ import (
 // dm.mn.offload, dm.mn.fallback) and the offload columns of Result.
 // v4 adds the optional flight section (per-op-class tail-latency
 // attribution plus the virtual-time timeline) emitted when the flight
-// recorder is enabled (chime-bench -flightrec).
-const MetricsSchema = "chime-bench/metrics/v4"
+// recorder is enabled (chime-bench -flightrec). v5 adds MaxInflight to
+// the rows' Result.
+const MetricsSchema = "chime-bench/metrics/v5"
 
 // Observer ties one obs.Sink to the bench harness: systems built with
 // SystemConfig.Obs count protocol events (and optionally trace spans)
@@ -110,7 +110,7 @@ func (o *Observer) FlightReport() *FlightSection {
 	}
 }
 
-// FlightSection is the metrics-v4 flight block: per-op-class latency
+// FlightSection is the metrics artifact's flight block: per-op-class latency
 // attribution plus the windowed virtual-time timeline. The recorder is
 // reset at the start of every measured Run, so the section reflects the
 // observer's most recent run.
@@ -134,25 +134,19 @@ func (o *Observer) Rows() []ObsRow {
 // histogram summaries, including the NIC service/queue distributions)
 // and the trace buffer's fill level.
 func (o *Observer) MetricsJSON() ([]byte, error) {
-	out := struct {
-		Schema       string         `json:"schema"`
-		Rows         []ObsRow       `json:"rows"`
-		Registry     obs.Snapshot   `json:"registry"`
-		TraceEvents  int            `json:"trace_events"`
-		TraceDropped int64          `json:"trace_dropped"`
-		Flight       *FlightSection `json:"flight,omitempty"`
-	}{
-		Schema:       MetricsSchema,
-		Rows:         o.Rows(),
-		Registry:     o.sink.Registry().Snapshot(),
-		TraceEvents:  o.sink.Tracer().Len(),
-		TraceDropped: o.sink.Tracer().Dropped(),
-		Flight:       o.FlightReport(),
+	t := &Table{
+		Params: []Param{{"schema", MetricsSchema}},
+		Rows:   append([]ObsRow{}, o.Rows()...), // [] rather than null when nothing ran
+		Extra: []Param{
+			{"registry", o.sink.Registry().Snapshot()},
+			{"trace_events", o.sink.Tracer().Len()},
+			{"trace_dropped", o.sink.Tracer().Dropped()},
+		},
 	}
-	if out.Rows == nil {
-		out.Rows = []ObsRow{}
+	if fr := o.FlightReport(); fr != nil {
+		t.Extra = append(t.Extra, Param{"flight", fr})
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return t.JSON()
 }
 
 // WriteTrace writes the buffered spans in Chrome trace_event JSON

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"time"
 
-	"chime/internal/dmsim"
 	"chime/internal/offroute"
 	"chime/internal/ycsb"
 )
@@ -28,11 +24,14 @@ import (
 //	           policies split; the adaptive router should match or beat
 //	           the better static one.
 //
-// Every point is run twice from a fresh build and its fingerprint —
-// a hash of the full Result row plus the fabric's NIC, MN-CPU and
-// frontier totals — must be bit-identical across the double run, per
-// scheduler (the gate and the event loop are each deterministic but not
-// bit-identical to each other; see internal/dmsim).
+// Every point is run twice from a fresh build and the row records
+// whether its fingerprint — a hash of the full Result row plus the
+// fabric's NIC, MN-CPU, persistence and frontier totals — came out the
+// same. It always does under the event loop and for a single client
+// (the two schedulers are not bit-identical to each other; see
+// internal/dmsim). A multi-client gate cohort's timings can differ
+// between runs on a multi-core host: the condvar gate arbitrates
+// same-window NIC arrivals in host lock order (DESIGN.md §5e).
 
 // offloadDeepMix is the deep/cold section's workload: uniform point
 // reads, so the CN cache can't learn a hot set and every one-sided op
@@ -43,150 +42,87 @@ var offloadDeepMix = ycsb.Mix{Name: "Cu", ReadPct: 1.0, Dist: ycsb.DistUniform}
 // that the default 2-core MN CPU stays under its service ceiling.
 const offloadDeepClients = 4
 
-// OffloadOptions parameterizes RunOffload (the chime-bench -offload,
+// offloadOptions parameterizes runOffload (the chime-bench -offload,
 // -mn-cpus and -mn-service-ns flags land here).
-type OffloadOptions struct {
-	// Modes restricts the routing modes compared (default off, on,
+type offloadOptions struct {
+	// modes restricts the routing modes compared (default off, on,
 	// adaptive).
-	Modes []offroute.Mode
+	modes []offroute.Mode
 
-	// MNCPUs / MNServiceNs size the MN compute model; zeros keep the
+	// mnCPUs / mnServiceNs size the MN compute model; zeros keep the
 	// dmsim defaults (2 cores, 600 ns dispatch).
-	MNCPUs      int
-	MNServiceNs int64
-
-	// Schedulers lists the cohort schedulers to run the whole sweep
-	// under (default: gate and event loop).
-	Schedulers []dmsim.SchedulerKind
+	mnCPUs      int
+	mnServiceNs int64
 }
 
-// OffloadRow is one measured point, JSON-serializable for the committed
-// BENCH_OFFLOAD.json artifact.
+// OffloadRow is one measured point (BENCH_OFFLOAD.json).
 type OffloadRow struct {
-	Section        string  `json:"section"`
-	Scheduler      string  `json:"scheduler"`
-	System         string  `json:"system"`
-	Mode           string  `json:"mode"`
-	Mix            string  `json:"mix"`
-	Clients        int     `json:"clients"`
+	Section        string  `json:"section" col:"section,%-9s"`
+	Scheduler      string  `json:"scheduler" col:"sched,%-6s"`
+	System         string  `json:"system" col:"system,%-8s"`
+	Mode           string  `json:"mode" col:"mode,%-9s"`
+	Mix            string  `json:"mix" col:"mix,%-4s"`
+	Clients        int     `json:"clients" col:"clients,%8d"`
 	Ops            int64   `json:"ops"`
-	ThroughputMops float64 `json:"throughput_mops"`
-	P50Us          float64 `json:"p50_us"`
-	P99Us          float64 `json:"p99_us"`
-	TripsPerOp     float64 `json:"trips_per_op"`
-	OffloadsPerOp  float64 `json:"offloads_per_op"`
-	FallbacksPerOp float64 `json:"mn_fallbacks_per_op"`
-	MNUtilization  float64 `json:"mn_utilization"`
+	ThroughputMops float64 `json:"throughput_mops" col:"Mops,%10.3f"`
+	P50Us          float64 `json:"p50_us" col:"p50(us),%9.1f"`
+	P99Us          float64 `json:"p99_us" col:"p99(us),%9.1f"`
+	TripsPerOp     float64 `json:"trips_per_op" col:"trips/op,%9.2f"`
+	OffloadsPerOp  float64 `json:"offloads_per_op" col:"offl/op,%8.2f"`
+	FallbacksPerOp float64 `json:"mn_fallbacks_per_op" col:"fallb/op,%8.4f"`
+	MNUtilization  float64 `json:"mn_utilization" col:"mncpu%,%6.1f,*100"`
 	Fingerprint    string  `json:"fingerprint"`
-	Reproducible   bool    `json:"reproducible"`
+	Reproducible   bool    `json:"reproducible" col:"repro,%6t"`
 }
 
-// offloadFingerprint hashes everything one point makes observable: the
-// full Result row plus the fabric's cumulative NIC, MN-CPU and frontier
-// state. Two runs fingerprint equal iff they were bit-identical.
-func offloadFingerprint(r Result, f *dmsim.Fabric) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", r)
-	fmt.Fprintf(h, "%+v%+v%d", f.TotalNICStats(), f.TotalMNCPUStats(), f.Frontier())
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// offloadPoint stands up one fresh system and measures one point.
-// ColdCache shrinks the CN cache to a sliver so every one-sided op pays
-// the full descent (the regime offload targets); it also drops RDWC so
-// the trips accounting is the raw protocol's.
-func offloadPoint(name string, sc Scale, opts OffloadOptions, sched dmsim.SchedulerKind,
-	mode offroute.Mode, mix ycsb.Mix, coldCache bool, clients, ops int) (Result, string, error) {
-	var fab *dmsim.Fabric
-	sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
-		fcfg := dmsim.DefaultConfig()
-		fcfg.MNs = 1
-		fcfg.MNSize = sc.MNSize
-		fcfg.ChunkBytes = 1 << 20
-		fcfg.MNCPUs = opts.MNCPUs
-		fcfg.MNServiceTime = time.Duration(opts.MNServiceNs)
-		fcfg.Scheduler = sched
-		fab = dmsim.MustNewFabric(fcfg)
-		c.Fabric = fab
-		c.Offload = mode
-		// Single-threaded bulk load: parallel loaders race host-side for
-		// virtual-time ties, which would break the double-run fingerprint
-		// (see TestSameSeedBitIdenticalRows).
-		c.LoadClients = 1
-		if coldCache {
-			// No CN cache at all: every one-sided op pays the full descent
-			// (the regime offload targets), and — as important for the
-			// fingerprint pin — there is no shared LRU whose eviction order
-			// would depend on how the host interleaves concurrent readers.
-			c.CacheBytes = 0
-			c.HotspotBytes = 0
-			c.DisableRDWC = true
-		}
-	})
-	if err != nil {
-		return Result{}, "", err
-	}
-	r, err := runPoint(sys, cfg, mix, clients, ops, 23)
-	if err != nil {
-		return Result{}, "", err
-	}
-	return r, offloadFingerprint(r, fab), nil
-}
-
-// RunOffload runs the four sections for every system, mode and
+// runOffload runs the four sections for every system, mode and
 // scheduler, double-running each point for the reproducibility pin.
-func RunOffload(sc Scale, opts OffloadOptions) ([]OffloadRow, error) {
-	if len(opts.Modes) == 0 {
-		opts.Modes = []offroute.Mode{offroute.ModeOff, offroute.ModeAlways, offroute.ModeAdaptive}
-	}
-	if len(opts.Schedulers) == 0 {
-		opts.Schedulers = []dmsim.SchedulerKind{dmsim.SchedulerGate, dmsim.SchedulerEventLoop}
-	}
-	type point struct {
-		section   string
-		mix       ycsb.Mix
-		coldCache bool
-		clients   int
-		ops       int
-		modes     []offroute.Mode
+func runOffload(sc Scale, opts offloadOptions) ([]OffloadRow, error) {
+	if len(opts.modes) == 0 {
+		opts.modes = []offroute.Mode{offroute.ModeOff, offroute.ModeAlways, offroute.ModeAdaptive}
 	}
 	// The saturation sweep's high end: past the default MN CPU's
 	// closed-loop capacity for point ops.
-	satClients := sc.Clients * 4
-	if satClients < 64 {
-		satClients = 64
-	}
+	satClients := max(sc.Clients*4, 64)
 	// Multi-client sections stay read-only: concurrent reads commute, so
 	// the double-run fingerprints are bit-identical, while contended
 	// write outcomes within a cohort window depend on host scheduling
 	// (which client's CAS lands first at equal virtual times). The
 	// write-bearing mixed section therefore runs a single client —
 	// routing is per-client anyway, so the adaptive-vs-static comparison
-	// is unaffected.
-	points := []point{
-		{"trips", offloadDeepMix, true, 1, sc.Ops / 4, staticModes(opts.Modes)},
-		{"deep", offloadDeepMix, true, offloadDeepClients, sc.Ops, opts.Modes},
-		{"saturate", offloadDeepMix, true, satClients, sc.Ops, staticModes(opts.Modes)},
-		{"mixed", ycsb.WorkloadB, false, 1, sc.Ops / 2, opts.Modes},
+	// is unaffected. Cold sections also shed the CN cache and RDWC so the
+	// trips accounting is the raw protocol's.
+	sections := []struct {
+		name  string
+		modes []offroute.Mode
+		point
+	}{
+		{"trips", staticModes(opts.modes), point{mix: offloadDeepMix, cold: true, clients: 1, ops: sc.Ops / 4}},
+		{"deep", opts.modes, point{mix: offloadDeepMix, cold: true, clients: offloadDeepClients, ops: sc.Ops}},
+		{"saturate", staticModes(opts.modes), point{mix: offloadDeepMix, cold: true, clients: satClients, ops: sc.Ops}},
+		{"mixed", opts.modes, point{mix: ycsb.WorkloadB, clients: 1, ops: sc.Ops / 2}},
 	}
 	var rows []OffloadRow
-	for _, sched := range opts.Schedulers {
+	for _, sched := range bothSchedulers {
 		for _, name := range HeadToHeadSystems {
-			for _, pt := range points {
-				for _, mode := range pt.modes {
-					r, fp, err := offloadPoint(name, sc, opts, sched, mode, pt.mix, pt.coldCache, pt.clients, pt.ops)
+			for _, sec := range sections {
+				for _, mode := range sec.modes {
+					pt := sec.point
+					pt.sched, pt.offload, pt.seed = sched, mode, 23
+					pt.mnCPUs, pt.mnServiceNs = opts.mnCPUs, opts.mnServiceNs
+					r, fp, err := pt.run(name, sc)
 					if err != nil {
 						return nil, fmt.Errorf("offload %s/%s/%s/%s: %w",
-							schedulerName(sched), name, pt.section, mode, err)
+							SchedulerName(sched), name, sec.name, mode, err)
 					}
-					_, fp2, err := offloadPoint(name, sc, opts, sched, mode, pt.mix, pt.coldCache, pt.clients, pt.ops)
+					_, fp2, err := pt.run(name, sc)
 					if err != nil {
 						return nil, fmt.Errorf("offload %s/%s/%s/%s rerun: %w",
-							schedulerName(sched), name, pt.section, mode, err)
+							SchedulerName(sched), name, sec.name, mode, err)
 					}
 					rows = append(rows, OffloadRow{
-						Section:        pt.section,
-						Scheduler:      schedulerName(sched),
+						Section:        sec.name,
+						Scheduler:      SchedulerName(sched),
 						System:         name,
 						Mode:           mode.String(),
 						Mix:            pt.mix.Name,
@@ -221,51 +157,26 @@ func staticModes(modes []offroute.Mode) []offroute.Mode {
 	return out
 }
 
-// FormatOffloadRows renders the sweep as an aligned table.
-func FormatOffloadRows(rows []OffloadRow) string {
-	out := fmt.Sprintf("%-9s %-6s %-8s %-9s %-4s %8s %10s %9s %9s %9s %8s %8s %6s %6s\n",
-		"section", "sched", "system", "mode", "mix", "clients", "Mops", "p50(us)", "p99(us)",
-		"trips/op", "offl/op", "fallb/op", "mncpu%", "repro")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-9s %-6s %-8s %-9s %-4s %8d %10.3f %9.1f %9.1f %9.2f %8.2f %8.4f %6.1f %6t\n",
-			r.Section, r.Scheduler, r.System, r.Mode, r.Mix, r.Clients, r.ThroughputMops,
-			r.P50Us, r.P99Us, r.TripsPerOp, r.OffloadsPerOp, r.FallbacksPerOp,
-			r.MNUtilization*100, r.Reproducible)
-	}
-	return out
-}
-
-// MarshalOffloadJSON renders the rows as the BENCH_OFFLOAD.json
-// artifact format.
-func MarshalOffloadJSON(sc Scale, opts OffloadOptions, rows []OffloadRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment  string       `json:"experiment"`
-		LoadN       int          `json:"load_n"`
-		Ops         int          `json:"ops"`
-		MNCPUs      int          `json:"mn_cpus"`       // 0 = model default
-		MNServiceNs int64        `json:"mn_service_ns"` // 0 = model default
-		Rows        []OffloadRow `json:"rows"`
-	}{
-		Experiment:  "offload",
-		LoadN:       sc.LoadN,
-		Ops:         sc.Ops,
-		MNCPUs:      opts.MNCPUs,
-		MNServiceNs: opts.MNServiceNs,
-		Rows:        rows,
-	}, "", "  ")
+// offloadTable wraps the sweep's rows in its artifact envelope; zero MN
+// knobs mean the model defaults.
+func offloadTable(sc Scale, opts offloadOptions, rows []OffloadRow) *Table {
+	return &Table{ID: "offload", Rows: rows,
+		Params: append(sizeParams(sc), Param{"mn_cpus", opts.mnCPUs}, Param{"mn_service_ns", opts.mnServiceNs})}
 }
 
 func init() {
-	register(Experiment{ID: "offload", Title: "MN-side offload verbs vs one-sided traversal, adaptive router head-to-head", Run: Offload})
-}
-
-// Offload is the registered experiment wrapper around RunOffload.
-func Offload(w io.Writer, sc Scale) error {
-	fmt.Fprintf(w, "# Offload: trips/op accounting, deep/cold vs MN-CPU-saturated head-to-head, adaptive router\n")
-	rows, err := RunOffload(sc, OffloadOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, FormatOffloadRows(rows))
-	return nil
+	var opts offloadOptions
+	register(Experiment{
+		ID: "offload", Title: "MN-side verbs vs one-sided, adaptive router", Rows: []OffloadRow(nil),
+		Flags: func(fs *flag.FlagSet) {
+			fs.Var(ListFlag(&opts.modes, offroute.ParseMode), "offload",
+				"offload experiment: comma-separated routing modes off|on|adaptive (default off,on,adaptive)")
+			fs.IntVar(&opts.mnCPUs, "mn-cpus", 0, "offload experiment: offload cores per MN (default: dmsim model default, 2)")
+			fs.Int64Var(&opts.mnServiceNs, "mn-service-ns", 0, "offload experiment: fixed dispatch ns per offloaded program (default: dmsim model default, 600)")
+		},
+		Table: func(sc Scale) (*Table, error) {
+			rows, err := runOffload(sc, opts)
+			return offloadTable(sc, opts, rows), err
+		},
+	})
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -23,36 +22,33 @@ func TestOffloadOffMeansOff(t *testing.T) {
 
 	measure := func(mut func(*SystemConfig)) (Result, string) {
 		t.Helper()
-		var fab *dmsim.Fabric
 		sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
 			c.LoadClients = 1
 			if mut != nil {
 				mut(c)
 			}
-			fab = c.Fabric
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fab == nil {
-			fab = cfg.Fabric
-		}
 		// One client: a write-bearing mix only fingerprints bit-identically
 		// single-threaded (contended CAS winners at equal virtual times are
-		// host-schedule-dependent — see RunOffload's section comment).
+		// host-schedule-dependent — see runOffload's section comment).
 		r, err := runPoint(sys, cfg, ycsb.WorkloadB, 1, 800, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, offloadFingerprint(r, fab)
+		return r, fingerprint(cfg.Fabric, r)
 	}
 
 	zero, fpZero := measure(nil)
 	_, fpOff := measure(func(c *SystemConfig) { c.Offload = offroute.ModeOff })
 	_, fpKnobs := measure(func(c *SystemConfig) {
 		c.Offload = offroute.ModeOff
-		c.MNCPUs = 1
-		c.MNServiceNs = 5000 // must be invisible: nothing dispatches to the MN CPU
+		fcfg := testbedConfig(1, sc.MNSize)
+		fcfg.MNCPUs = 1
+		fcfg.MNServiceTime = 5000 // ns; must be invisible: nothing dispatches to the MN CPU
+		c.Fabric = dmsim.MustNewFabric(fcfg)
 	})
 
 	if fpZero != fpOff || fpZero != fpKnobs {
@@ -70,20 +66,19 @@ func TestOffloadOffMeansOff(t *testing.T) {
 func TestOffloadAdaptiveSameSeedBitIdentical(t *testing.T) {
 	sc := tinyScale
 	sc.LoadN = 3000
-	for _, sched := range []dmsim.SchedulerKind{dmsim.SchedulerGate, dmsim.SchedulerEventLoop} {
-		_, fp1, err := offloadPoint("CHIME", sc, OffloadOptions{}, sched,
-			offroute.ModeAdaptive, ycsb.WorkloadB, false, 1, 800)
+	for _, sched := range bothSchedulers {
+		pt := point{sched: sched, offload: offroute.ModeAdaptive, mix: ycsb.WorkloadB, clients: 1, ops: 800, seed: 23}
+		_, fp1, err := pt.run("CHIME", sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fp2, err := offloadPoint("CHIME", sc, OffloadOptions{}, sched,
-			offroute.ModeAdaptive, ycsb.WorkloadB, false, 1, 800)
+		_, fp2, err := pt.run("CHIME", sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fp1 != fp2 {
 			t.Errorf("%s: same-seed adaptive runs diverged: %s vs %s",
-				schedulerName(sched), fp1, fp2)
+				SchedulerName(sched), fp1, fp2)
 		}
 	}
 }
@@ -91,12 +86,17 @@ func TestOffloadAdaptiveSameSeedBitIdentical(t *testing.T) {
 // TestRunOffloadSweep smoke-runs the registered experiment shape on a
 // reduced matrix: static modes only, and checks the Table-1-style
 // accounting — offloaded point ops take ~1 round trip, off rows never
-// touch the MN CPU, and every row double-runs bit-identically under
-// both schedulers.
+// touch the MN CPU — and the double-run pin: every event-loop row and
+// every single-client gate row is bit-identical across its two runs. A
+// multi-client gate row need not be: the condvar gate arbitrates
+// same-window NIC arrivals in host lock order (DESIGN.md §5e), so its
+// timings may differ between runs on a multi-core host and only the
+// counts that no interleaving can move — ops, trips/op, offloads/op —
+// are held, to what the protocol fixes them at.
 func TestRunOffloadSweep(t *testing.T) {
 	sc := Scale{LoadN: 2500, Ops: 800, Clients: 4, MNSize: 512 << 20}
-	opts := OffloadOptions{Modes: []offroute.Mode{offroute.ModeOff, offroute.ModeAlways}}
-	rows, err := RunOffload(sc, opts)
+	opts := offloadOptions{modes: []offroute.Mode{offroute.ModeOff, offroute.ModeAlways}}
+	rows, err := runOffload(sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,12 @@ func TestRunOffloadSweep(t *testing.T) {
 		if r.ThroughputMops <= 0 {
 			t.Fatalf("degenerate row: %+v", r)
 		}
-		if !r.Reproducible {
+		if !r.Reproducible && (r.Scheduler == "event" || r.Clients == 1) {
 			t.Errorf("row not bit-identical across the double run: %+v", r)
+		}
+		total := map[string]int{"trips": sc.Ops / 4, "deep": sc.Ops, "saturate": sc.Ops, "mixed": sc.Ops / 2}[r.Section]
+		if want := int64(total / r.Clients * r.Clients); r.Ops != want {
+			t.Errorf("row ran %d ops, want %d: %+v", r.Ops, want, r)
 		}
 		switch r.Mode {
 		case "off":
@@ -117,41 +121,25 @@ func TestRunOffloadSweep(t *testing.T) {
 				t.Errorf("off row shows MN activity: %+v", r)
 			}
 		case "on":
-			// Read-only sections offload every op; the mixed section's 5%
-			// updates may take a non-offloadable path (e.g. SMART's
-			// replace-leaf writes), so only require the read share there.
-			min := 0.99
+			// Read-only sections offload every op, one round trip each;
+			// the mixed section's 5% updates may take a non-offloadable
+			// path (e.g. SMART's replace-leaf writes), so only require the
+			// read share there.
 			if r.Section == "mixed" {
-				min = 0.9
-			}
-			if r.OffloadsPerOp < min {
-				t.Errorf("on row barely offloaded: %+v", r)
-			}
-			if r.Section == "trips" && r.TripsPerOp > 1.05 {
-				t.Errorf("offloaded point op took %.2f trips, want ~1: %+v", r.TripsPerOp, r)
+				if r.OffloadsPerOp < 0.9 {
+					t.Errorf("on row barely offloaded: %+v", r)
+				}
+			} else if r.OffloadsPerOp != 1 || r.TripsPerOp != 1 {
+				t.Errorf("offloaded read-only row took %v offloads and %v trips per op, want 1 and 1: %+v",
+					r.OffloadsPerOp, r.TripsPerOp, r)
 			}
 		}
 	}
 
-	table := FormatOffloadRows(rows)
+	table := offloadTable(sc, opts, rows).Text()
 	for _, col := range []string{"section", "trips/op", "offl/op", "mncpu%", "repro"} {
 		if !strings.Contains(table, col) {
 			t.Errorf("table missing column %q:\n%s", col, table)
 		}
-	}
-
-	blob, err := MarshalOffloadJSON(sc, opts, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Experiment string       `json:"experiment"`
-		Rows       []OffloadRow `json:"rows"`
-	}
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Experiment != "offload" || len(decoded.Rows) != len(rows) {
-		t.Fatalf("JSON round trip mangled: experiment=%q rows=%d", decoded.Experiment, len(decoded.Rows))
 	}
 }

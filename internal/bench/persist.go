@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -38,54 +36,30 @@ import (
 // bit-identical (single-client measured phases, so the host cannot
 // reorder anything observable).
 
-// PersistOptions parameterizes RunPersist (the chime-bench -snapshot
-// flag lands in SnapshotDir).
-type PersistOptions struct {
-	// SnapshotDir, when set, is the warm-start cache: the loaded tree's
-	// folio snapshot is written under <dir>/<system> on first use and
-	// restored — instead of re-running the loader — thereafter, across
-	// invocations. Empty means a scratch dir, removed afterwards.
-	SnapshotDir string
-
-	// Systems restricts the warm-start section (default CHIME, Sherman:
-	// the two tree indexes with a warm Attach path).
-	Systems []string
-}
-
-// PersistRow is one measured point, JSON-serializable for the committed
-// BENCH_PERSIST.json artifact. Sections fill disjoint column subsets.
+// PersistRow is one measured point (BENCH_PERSIST.json). Sections fill
+// disjoint column subsets.
 type PersistRow struct {
-	Section string `json:"section"`
-	System  string `json:"system"`
-	Persist bool   `json:"persist"`
+	Section string `json:"section" col:"section,%-10s"`
+	System  string `json:"system" col:"system,%-8s"`
+	Persist bool   `json:"persist" col:"persist,%-7t"`
 
 	Clients        int     `json:"clients,omitempty"`
-	Ops            int64   `json:"ops,omitempty"`
-	ThroughputMops float64 `json:"throughput_mops,omitempty"`
-	P50Us          float64 `json:"p50_us,omitempty"`
-	P99Us          float64 `json:"p99_us,omitempty"`
-	OverheadPct    float64 `json:"overhead_pct,omitempty"`
+	Ops            int64   `json:"ops,omitempty" col:"ops,%8d"`
+	ThroughputMops float64 `json:"throughput_mops,omitempty" col:"Mops,%10.3f"`
+	P50Us          float64 `json:"p50_us,omitempty" col:"p50(us),%9.1f"`
+	P99Us          float64 `json:"p99_us,omitempty" col:"p99(us),%9.1f"`
+	OverheadPct    float64 `json:"overhead_pct,omitempty" col:"ovhd%,%8.2f"`
 
-	LogRecords int64 `json:"log_records,omitempty"`
+	LogRecords int64 `json:"log_records,omitempty" col:"logRecs,%10d"`
 	LogBytes   int64 `json:"log_bytes,omitempty"`
-	RecoverNs  int64 `json:"recover_ns,omitempty"`
+	RecoverNs  int64 `json:"recover_ns,omitempty" col:"recoverUs,%10.1f,/1e3"`
 
-	ColdLoadMs float64 `json:"cold_load_ms,omitempty"`
-	RestoreMs  float64 `json:"restore_ms,omitempty"`
-	Speedup    float64 `json:"warmstart_speedup,omitempty"`
+	ColdLoadMs float64 `json:"cold_load_ms,omitempty" col:"coldMs,%10.1f"`
+	RestoreMs  float64 `json:"restore_ms,omitempty" col:"restoreMs,%9.1f"`
+	Speedup    float64 `json:"warmstart_speedup,omitempty" col:"speedup,%8.1f"`
 
 	Fingerprint  string `json:"fingerprint"`
-	Reproducible bool   `json:"reproducible"`
-}
-
-// persistFingerprint extends the offload fingerprint with the
-// persistence plane's counters: two runs fingerprint equal iff the
-// workload, its timing, and every logged byte were bit-identical.
-func persistFingerprint(r Result, f *dmsim.Fabric) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", r)
-	fmt.Fprintf(h, "%+v%+v%+v%d", f.TotalNICStats(), f.TotalMNCPUStats(), f.PersistStats(), f.Frontier())
-	return fmt.Sprintf("%016x", h.Sum64())
+	Reproducible bool   `json:"reproducible" col:"repro,%6t"`
 }
 
 // persistMix is the overhead section's workload: write-heavy so the
@@ -94,55 +68,29 @@ func persistFingerprint(r Result, f *dmsim.Fabric) string {
 // dependent; see the offload experiment's mixed section).
 var persistMix = ycsb.WorkloadA
 
-// overheadPoint stands up one system on a fresh fabric — persistent
-// into dir when non-empty — and measures the standard workload.
-func overheadPoint(name string, sc Scale, dir string) (Result, string, error) {
-	var fab *dmsim.Fabric
-	sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
-		fcfg := dmsim.DefaultConfig()
-		fcfg.MNs = 1
-		fcfg.MNSize = sc.MNSize
-		fcfg.ChunkBytes = 1 << 20
-		fcfg.Persist.Dir = dir
-		fab = dmsim.MustNewFabric(fcfg)
-		c.Fabric = fab
-		// Single-threaded load: parallel loaders race host-side for
-		// virtual-time ties, which would break the double-run fingerprint.
-		c.LoadClients = 1
-	})
-	if err != nil {
-		return Result{}, "", err
-	}
-	r, err := runPoint(sys, cfg, persistMix, 1, sc.Ops/2, 31)
-	if err != nil {
-		return Result{}, "", err
-	}
-	return r, persistFingerprint(r, fab), nil
-}
-
 // runOverhead measures every system with the log off and on.
 func runOverhead(sc Scale) ([]PersistRow, error) {
 	var rows []PersistRow
 	for _, name := range HeadToHeadSystems {
 		var offMops float64
 		for _, persist := range []bool{false, true} {
-			point := func() (Result, string, error) {
-				var dir string
+			run := func() (Result, string, error) {
+				pt := point{mix: persistMix, clients: 1, ops: sc.Ops / 2, seed: 31}
 				if persist {
-					d, err := folio.ScratchDir("chime-persist-overhead")
+					dir, err := folio.ScratchDir("chime-persist-overhead")
 					if err != nil {
 						return Result{}, "", err
 					}
-					defer folio.RemoveDir(d)
-					dir = d
+					defer folio.RemoveDir(dir)
+					pt.persistDir = dir
 				}
-				return overheadPoint(name, sc, dir)
+				return pt.run(name, sc)
 			}
-			r, fp, err := point()
+			r, fp, err := run()
 			if err != nil {
 				return nil, fmt.Errorf("persist overhead %s persist=%t: %w", name, persist, err)
 			}
-			_, fp2, err := point()
+			_, fp2, err := run()
 			if err != nil {
 				return nil, fmt.Errorf("persist overhead %s persist=%t rerun: %w", name, persist, err)
 			}
@@ -185,10 +133,7 @@ func runRecovery(sc Scale) ([]PersistRow, error) {
 				return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
 			}
 			defer folio.RemoveDir(dir)
-			cfg := dmsim.DefaultConfig()
-			cfg.MNs = 1
-			cfg.MNSize = 64 << 20
-			cfg.ChunkBytes = 1 << 20
+			cfg := testbedConfig(1, 64<<20)
 			cfg.Persist.Dir = dir
 			f := dmsim.MustNewFabric(cfg)
 			c := f.NewClient()
@@ -210,9 +155,7 @@ func runRecovery(sc Scale) ([]PersistRow, error) {
 			if err != nil {
 				return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
 			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%+v%+v%d", stats, ps, f.Frontier())
-			return stats, ps, fmt.Sprintf("%016x", h.Sum64()), nil
+			return stats, ps, fingerprint(f, stats, ps), nil
 		}
 		stats, ps, fp, err := point()
 		if err != nil {
@@ -323,10 +266,7 @@ func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 		return PersistRow{}, err
 	}
 
-	pcfg := dmsim.DefaultConfig()
-	pcfg.MNs = 1
-	pcfg.MNSize = sc.MNSize
-	pcfg.ChunkBytes = 1 << 20
+	pcfg := testbedConfig(1, sc.MNSize)
 	pcfg.Persist.Dir = dir
 
 	// Load once: only if the snapshot is not already cached in dir.
@@ -376,7 +316,7 @@ func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 		if err != nil {
 			return 0, "", fmt.Errorf("post-restore verification: %w", err)
 		}
-		return ms, persistFingerprint(r, fabW), nil
+		return ms, fingerprint(fabW, r), nil
 	}
 	_, fp, err := restore()
 	if err != nil {
@@ -402,12 +342,13 @@ func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 	return row, nil
 }
 
-// RunPersist runs the three sections and returns the artifact rows.
-func RunPersist(sc Scale, opts PersistOptions) ([]PersistRow, error) {
-	systems := opts.Systems
-	if len(systems) == 0 {
-		systems = []string{"CHIME", "Sherman"}
-	}
+// runPersist runs the three sections and returns the artifact rows.
+// snapshotDir, when set, is the warm-start cache (the chime-bench
+// -snapshot flag): each system's loaded tree is snapshotted under
+// <dir>/<system> on first use and restored — instead of re-running the
+// loader — thereafter, across invocations. Empty means a scratch dir,
+// removed afterwards. The warm-start section covers warmSystems.
+func runPersist(sc Scale, snapshotDir string, warmSystems []string) ([]PersistRow, error) {
 	rows, err := runOverhead(sc)
 	if err != nil {
 		return nil, err
@@ -418,17 +359,16 @@ func RunPersist(sc Scale, opts PersistOptions) ([]PersistRow, error) {
 	}
 	rows = append(rows, rec...)
 
-	snapRoot := opts.SnapshotDir
-	if snapRoot == "" {
+	if snapshotDir == "" {
 		d, err := folio.ScratchDir("chime-persist-warmstart")
 		if err != nil {
 			return nil, err
 		}
 		defer folio.RemoveDir(d)
-		snapRoot = d
+		snapshotDir = d
 	}
-	for _, name := range systems {
-		row, err := warmstartPoint(name, sc, folio.Join(snapRoot, name))
+	for _, name := range warmSystems {
+		row, err := warmstartPoint(name, sc, folio.Join(snapshotDir, name))
 		if err != nil {
 			return nil, fmt.Errorf("persist warmstart %s: %w", name, err)
 		}
@@ -437,49 +377,28 @@ func RunPersist(sc Scale, opts PersistOptions) ([]PersistRow, error) {
 	return rows, nil
 }
 
-// FormatPersistRows renders the sweep as aligned per-section tables.
-func FormatPersistRows(rows []PersistRow) string {
-	out := fmt.Sprintf("%-10s %-8s %-7s %8s %10s %9s %9s %8s %10s %10s %10s %9s %8s %6s\n",
-		"section", "system", "persist", "ops", "Mops", "p50(us)", "p99(us)", "ovhd%",
-		"logRecs", "recoverUs", "coldMs", "restoreMs", "speedup", "repro")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-10s %-8s %-7t %8d %10.3f %9.1f %9.1f %8.2f %10d %10.1f %10.1f %9.1f %8.1f %6t\n",
-			r.Section, r.System, r.Persist, r.Ops, r.ThroughputMops, r.P50Us, r.P99Us,
-			r.OverheadPct, r.LogRecords, float64(r.RecoverNs)/1e3, r.ColdLoadMs, r.RestoreMs,
-			r.Speedup, r.Reproducible)
-	}
-	return out
-}
+// warmSystems are the two tree indexes with a warm Attach path.
+var warmSystems = []string{"CHIME", "Sherman"}
 
-// MarshalPersistJSON renders the rows as the BENCH_PERSIST.json
-// artifact format.
-func MarshalPersistJSON(sc Scale, opts PersistOptions, rows []PersistRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment  string       `json:"experiment"`
-		LoadN       int          `json:"load_n"`
-		Ops         int          `json:"ops"`
-		SnapshotDir string       `json:"snapshot_dir,omitempty"`
-		Rows        []PersistRow `json:"rows"`
-	}{
-		Experiment:  "persist",
-		LoadN:       sc.LoadN,
-		Ops:         sc.Ops,
-		SnapshotDir: opts.SnapshotDir,
-		Rows:        rows,
-	}, "", "  ")
+// persistTable wraps the rows in the experiment's artifact envelope.
+func persistTable(sc Scale, snapshotDir string, rows []PersistRow) *Table {
+	t := &Table{ID: "persist", Params: sizeParams(sc), Rows: rows}
+	if snapshotDir != "" {
+		t.Params = append(t.Params, Param{"snapshot_dir", snapshotDir})
+	}
+	return t
 }
 
 func init() {
-	register(Experiment{ID: "persist", Title: "Durability overhead, MN crash recovery cost, warm-start vs cold load", Run: Persist})
-}
-
-// Persist is the registered experiment wrapper around RunPersist.
-func Persist(w io.Writer, sc Scale) error {
-	fmt.Fprintf(w, "# Persist: folio write-behind log overhead, recovery replay cost, warm-start\n")
-	rows, err := RunPersist(sc, PersistOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, FormatPersistRows(rows))
-	return nil
+	var snapshotDir string
+	register(Experiment{
+		ID: "persist", Title: "durability overhead, recovery cost, warm-start", Rows: []PersistRow(nil),
+		Flags: func(fs *flag.FlagSet) {
+			fs.StringVar(&snapshotDir, "snapshot", "", "persist experiment: warm-start cache dir — each system is loaded once, snapshotted under <dir>/<system>, and restored instead of re-loaded thereafter (across invocations)")
+		},
+		Table: func(sc Scale) (*Table, error) {
+			rows, err := runPersist(sc, snapshotDir, warmSystems)
+			return persistTable(sc, snapshotDir, rows), err
+		},
+	})
 }

@@ -18,21 +18,19 @@ func persistPin(t *testing.T, sched dmsim.SchedulerKind, dir string) string {
 	t.Helper()
 	sc := tinyScale
 	sc.LoadN = 2500
-	var fab *dmsim.Fabric
+	// The system is built by hand rather than through point.run so the
+	// test can look at the fabric's persistence plane afterwards.
 	sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
-		fcfg := dmsim.DefaultConfig()
-		fcfg.MNs = 1
-		fcfg.MNSize = sc.MNSize
-		fcfg.ChunkBytes = 1 << 20
+		fcfg := testbedConfig(1, sc.MNSize)
 		fcfg.Scheduler = sched
 		fcfg.Persist.Dir = dir
-		fab = dmsim.MustNewFabric(fcfg)
-		c.Fabric = fab
+		c.Fabric = dmsim.MustNewFabric(fcfg)
 		c.LoadClients = 1
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fab := cfg.Fabric
 	r, err := runPoint(sys, cfg, ycsb.WorkloadA, 1, 600, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +45,7 @@ func persistPin(t *testing.T, sched dmsim.SchedulerKind, dir string) string {
 	} else if s := fab.PersistStats(); s.Records == 0 {
 		t.Fatal("persistence-on fabric logged nothing under a write workload")
 	}
-	return persistFingerprint(r, fab)
+	return fingerprint(fab, r)
 }
 
 // TestPersistOffMeansOff is the durability plane's determinism pin.
@@ -106,7 +104,7 @@ func TestRunPersistSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer folio.RemoveDir(dir)
-	rows, err := RunPersist(sc, PersistOptions{SnapshotDir: dir, Systems: []string{"CHIME"}})
+	rows, err := runPersist(sc, dir, []string{"CHIME"})
 	if err != nil {
 		t.Fatal(err)
 	}

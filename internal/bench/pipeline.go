@@ -1,252 +1,74 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
+	"flag"
 	"fmt"
-	"io"
-	"sync"
 
-	"chime/internal/dmsim"
-	"chime/internal/obs"
 	"chime/internal/ycsb"
 )
 
-// Pipelined multi-get experiment (async verb pipelining). RunMultiGet
-// drives a workload where read ops are accumulated into batches and
-// issued through BatchSearcher.SearchBatch with a given pipeline depth;
-// non-read ops (the updates of YCSB B) flush the pending batch and run
-// synchronously, as a coroutine-multiplexed client would.
+// Pipeline-depth experiments (async verb pipelining). Both sweep the
+// batch pipeline depth of bench.Run for CHIME and Sherman with a COLD
+// internal-node cache (budget 0): every descent pays full-depth remote
+// reads, the regime where posting several state machines at once
+// matters most. RDWC is disabled so the harness reaches the concrete
+// batch interfaces.
+//
+//	pipeline  — reads through SearchBatch under YCSB C and B; B's updates
+//	            flush the pending batch and run synchronously.
+//	writepipe — reads, inserts and updates all batched (SearchBatch,
+//	            MultiPut, UpdateBatch) under YCSB A and the 100%-insert
+//	            LOAD mix; the pipeline's own per-leaf write combining
+//	            stands in for RDWC and is reported per row.
+//
+// Depth 1 is sequential ops through the same code path, so each sweep
+// isolates what posting several keys' verbs concurrently buys.
 
-// MultiGetConfig drives one RunMultiGet phase.
-type MultiGetConfig struct {
-	Mix          ycsb.Mix
-	Clients      int
-	OpsPerClient int
-	// BatchSize is how many read keys accumulate before a SearchBatch
-	// is issued (default 64).
-	BatchSize int
-	// Depth is the pipeline depth passed to SearchBatch. 1 reproduces
-	// sequential lookups through the same code path.
-	Depth     int
-	ValueSize int
-	KeySpace  *ycsb.KeySpace
-	Seed      int64
-}
+// pipelineDepths is the sweeps' default depth axis.
+var pipelineDepths = []int{1, 2, 4, 8, 16}
 
-// MultiGetResult extends Result with pipeline-depth metadata.
-type MultiGetResult struct {
-	Result
-	Depth       int
-	MaxInflight int64
-}
-
-// RunMultiGet executes the batched workload. The system's clients must
-// implement BatchSearcher.
-func RunMultiGet(sys System, cfg MultiGetConfig) (MultiGetResult, error) {
-	if cfg.Clients <= 0 || cfg.OpsPerClient <= 0 {
-		return MultiGetResult{}, fmt.Errorf("bench: bad multiget config %+v", cfg)
-	}
-	if cfg.KeySpace == nil {
-		return MultiGetResult{}, fmt.Errorf("bench: MultiGetConfig.KeySpace required")
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.Depth < 1 {
-		cfg.Depth = 1
-	}
-
-	type clientOut struct {
-		hist     *obs.Histogram
-		ops      int64
-		duration int64
-		stats    dmsim.ClientStats
-		err      error
-	}
-	outs := make([]clientOut, cfg.Clients)
-	clients := make([]Client, cfg.Clients)
-	for ci := range clients {
-		clients[ci] = sys.NewClient()
-		if _, ok := clients[ci].(BatchSearcher); !ok {
-			return MultiGetResult{}, fmt.Errorf("bench: %s clients do not implement SearchBatch (RDWC enabled?)", sys.Name())
-		}
-		clients[ci].DM().JoinCohort()
-	}
-	var wg sync.WaitGroup
-	for ci := 0; ci < cfg.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			cl := clients[ci]
-			defer cl.DM().LeaveCohort()
-			bs := cl.(BatchSearcher)
-			gen, err := ycsb.NewGenerator(cfg.Mix, cfg.KeySpace, cfg.Seed+int64(ci)*7919)
-			if err != nil {
-				outs[ci].err = err
-				return
-			}
-			h := obs.NewHistogram()
-			dm := cl.DM()
-			dm.ResetStats()
-			start := dm.Now()
-			value := make([]byte, cfg.ValueSize)
-			pending := make([]uint64, 0, cfg.BatchSize)
-			flush := func() error {
-				if len(pending) == 0 {
-					return nil
-				}
-				t0 := dm.Now()
-				_, errs := bs.SearchBatch(pending, cfg.Depth)
-				for _, e := range errs {
-					if e != nil && !errors.Is(e, ErrNotFound) {
-						return e
-					}
-				}
-				// Amortize the batch's virtual time over its keys so the
-				// histogram stays per-op.
-				per := (dm.Now() - t0) / int64(len(pending))
-				for range pending {
-					h.Observe(per)
-				}
-				pending = pending[:0]
-				return nil
-			}
-			for i := 0; i < cfg.OpsPerClient; i++ {
-				op := gen.Next()
-				if op.Kind == ycsb.OpRead {
-					pending = append(pending, op.Key)
-					if len(pending) >= cfg.BatchSize {
-						if err := flush(); err != nil {
-							outs[ci].err = fmt.Errorf("bench: client %d batch: %w", ci, err)
-							return
-						}
-					}
-					continue
-				}
-				if err := flush(); err != nil {
-					outs[ci].err = fmt.Errorf("bench: client %d batch: %w", ci, err)
-					return
-				}
-				t0 := dm.Now()
-				var err error
-				switch op.Kind {
-				case ycsb.OpUpdate:
-					err = cl.Update(op.Key, value)
-				case ycsb.OpInsert:
-					err = cl.Insert(op.Key, value)
-				case ycsb.OpScan:
-					_, err = cl.Scan(op.Key, op.ScanLen)
-				case ycsb.OpReadModifyWrite:
-					if _, err = cl.Search(op.Key); err == nil || errors.Is(err, ErrNotFound) {
-						err = cl.Update(op.Key, value)
-					}
-				}
-				if err != nil && !errors.Is(err, ErrNotFound) {
-					outs[ci].err = fmt.Errorf("bench: client %d op %d (%v %#x): %w", ci, i, op.Kind, op.Key, err)
-					return
-				}
-				h.Observe(dm.Now() - t0)
-			}
-			if err := flush(); err != nil {
-				outs[ci].err = fmt.Errorf("bench: client %d final batch: %w", ci, err)
-				return
-			}
-			outs[ci] = clientOut{
-				hist:     h,
-				ops:      int64(cfg.OpsPerClient),
-				duration: dm.Now() - start,
-				stats:    dm.Stats(),
-			}
-		}(ci)
-	}
-	wg.Wait()
-
-	total := obs.NewHistogram()
-	var ops, maxDur, maxInflight int64
-	var stats dmsim.ClientStats
-	for _, o := range outs {
-		if o.err != nil {
-			return MultiGetResult{}, o.err
-		}
-		total.Merge(o.hist)
-		ops += o.ops
-		if o.duration > maxDur {
-			maxDur = o.duration
-		}
-		if o.stats.MaxInflight > maxInflight {
-			maxInflight = o.stats.MaxInflight
-		}
-		stats.Trips += o.stats.Trips
-		stats.BytesRead += o.stats.BytesRead
-		stats.BytesWritten += o.stats.BytesWritten
-	}
-	if maxDur == 0 {
-		maxDur = 1
-	}
-	return MultiGetResult{
-		Result: Result{
-			System:         sys.Name(),
-			Mix:            cfg.Mix.Name,
-			Clients:        cfg.Clients,
-			Ops:            ops,
-			ThroughputMops: float64(ops) * 1e3 / float64(maxDur),
-			P50Us:          float64(total.Quantile(0.50)) / 1e3,
-			P99Us:          float64(total.Quantile(0.99)) / 1e3,
-			TripsPerOp:     float64(stats.Trips) / float64(ops),
-			ReadBytes:      float64(stats.BytesRead) / float64(ops),
-			WriteBytes:     float64(stats.BytesWritten) / float64(ops),
-			CacheBytes:     sys.CacheBytes(),
-		},
-		Depth:       cfg.Depth,
-		MaxInflight: maxInflight,
-	}, nil
-}
-
-// PipelineDepths is the sensitivity sweep's depth axis.
-var PipelineDepths = []int{1, 2, 4, 8, 16}
-
-// PipelineRow is one point of the pipeline-depth sensitivity experiment,
-// JSON-serializable for the committed BENCH_PIPELINE.json artifact.
+// PipelineRow is one point of the pipeline sweep (BENCH_PIPELINE.json).
 type PipelineRow struct {
-	System          string  `json:"system"`
-	Mix             string  `json:"mix"`
-	Depth           int     `json:"depth"`
-	Clients         int     `json:"clients"`
+	System          string  `json:"system" col:"system,%-10s"`
+	Mix             string  `json:"mix" col:"mix,%-6s"`
+	Depth           int     `json:"depth" col:"depth,%6d"`
+	Clients         int     `json:"clients" col:"clients,%8d"`
 	Ops             int64   `json:"ops"`
-	ThroughputMops  float64 `json:"throughput_mops"`
-	SpeedupVsDepth1 float64 `json:"speedup_vs_depth1"`
-	P50Us           float64 `json:"p50_us"`
-	P99Us           float64 `json:"p99_us"`
-	TripsPerOp      float64 `json:"trips_per_op"`
-	MaxInflight     int64   `json:"max_inflight"`
+	ThroughputMops  float64 `json:"throughput_mops" col:"Mops,%10.3f"`
+	SpeedupVsDepth1 float64 `json:"speedup_vs_depth1" col:"speedup,%9.2f"`
+	P50Us           float64 `json:"p50_us" col:"p50(us),%9.1f"`
+	P99Us           float64 `json:"p99_us" col:"p99(us),%9.1f"`
+	TripsPerOp      float64 `json:"trips_per_op" col:"trips,%8.2f"`
+	MaxInflight     int64   `json:"max_inflight" col:"inflight,%9d"`
 }
 
-// pipelineClients picks the sweep's client count: modest, so the NIC is
+// WritepipeRow is one point of the writepipe sweep
+// (BENCH_WRITEPIPE.json): the pipeline columns plus the write-combining
+// counters summed over the cohort's clients.
+type WritepipeRow struct {
+	PipelineRow
+	WriteCycles  int64 `json:"write_cycles" col:"cycles,%8d"`
+	CombinedKeys int64 `json:"combined_keys" col:"combined,%9d"`
+}
+
+// pipelineClients picks the sweeps' client count: modest, so the NIC is
 // not already saturated at depth 1 (pipelining can only expose queueing
 // that sequential clients leave on the table; a saturated NIC compresses
 // every depth to the same throughput).
 func pipelineClients(sc Scale) int {
-	pc := sc.Clients / 4
-	if pc < 4 {
-		pc = 4
-	}
-	return pc
+	return max(sc.Clients/4, 4)
 }
 
-// RunPipeline sweeps SearchBatch pipeline depth for CHIME and Sherman
-// under YCSB C and YCSB B with a COLD internal-node cache (budget 0):
-// every lookup pays full-depth remote reads, the regime where verb
-// pipelining matters most. RDWC is disabled so the harness reaches the
-// concrete batch interface.
-func RunPipeline(sc Scale, depths []int) ([]PipelineRow, error) {
+// depthSweep measures both systems under each mix at each depth. Reads
+// are always batched; writes too when batchWrites is set.
+func depthSweep(sc Scale, depths []int, mixes []ycsb.Mix, batchWrites bool) ([]WritepipeRow, error) {
 	if len(depths) == 0 {
-		depths = PipelineDepths
+		depths = pipelineDepths
 	}
 	clients := pipelineClients(sc)
-	var rows []PipelineRow
+	var rows []WritepipeRow
 	for _, name := range []string{"CHIME", "Sherman"} {
-		for _, mix := range []ycsb.Mix{ycsb.WorkloadC, ycsb.WorkloadB} {
+		for _, mix := range mixes {
 			sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
 				c.CacheBytes = 0 // cold: every internal hop is remote
 				c.DisableRDWC = true
@@ -256,33 +78,41 @@ func RunPipeline(sc Scale, depths []int) ([]PipelineRow, error) {
 			}
 			var base float64
 			for _, depth := range depths {
-				r, err := RunMultiGet(sys, MultiGetConfig{
+				rc := RunConfig{
 					Mix:          mix,
 					Clients:      clients,
-					OpsPerClient: maxInt(sc.Ops/clients, 1),
-					Depth:        depth,
+					OpsPerClient: max(sc.Ops/clients, 1),
 					ValueSize:    cfg.ValueSize,
 					KeySpace:     NewKeySpaceFor(cfg.LoadKeys),
 					Seed:         31,
-				})
+					ReadDepth:    depth,
+				}
+				if batchWrites {
+					rc.WriteDepth = depth
+				}
+				r, err := Run(sys, rc)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s depth=%d: %w", name, mix.Name, depth, err)
 				}
 				if base == 0 {
 					base = r.ThroughputMops
 				}
-				rows = append(rows, PipelineRow{
-					System:          name,
-					Mix:             mix.Name,
-					Depth:           depth,
-					Clients:         clients,
-					Ops:             r.Ops,
-					ThroughputMops:  r.ThroughputMops,
-					SpeedupVsDepth1: r.ThroughputMops / base,
-					P50Us:           r.P50Us,
-					P99Us:           r.P99Us,
-					TripsPerOp:      r.TripsPerOp,
-					MaxInflight:     r.MaxInflight,
+				rows = append(rows, WritepipeRow{
+					PipelineRow: PipelineRow{
+						System:          name,
+						Mix:             mix.Name,
+						Depth:           depth,
+						Clients:         clients,
+						Ops:             r.Ops,
+						ThroughputMops:  r.ThroughputMops,
+						SpeedupVsDepth1: r.ThroughputMops / base,
+						P50Us:           r.P50Us,
+						P99Us:           r.P99Us,
+						TripsPerOp:      r.TripsPerOp,
+						MaxInflight:     r.MaxInflight,
+					},
+					WriteCycles:  r.WCCycles,
+					CombinedKeys: r.WCCombinedKeys,
 				})
 			}
 		}
@@ -290,54 +120,34 @@ func RunPipeline(sc Scale, depths []int) ([]PipelineRow, error) {
 	return rows, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// FormatPipelineRows renders the sweep as an aligned table.
-func FormatPipelineRows(rows []PipelineRow) string {
-	out := fmt.Sprintf("%-10s %-6s %6s %8s %10s %9s %9s %9s %8s %9s\n",
-		"system", "mix", "depth", "clients", "Mops", "speedup", "p50(us)", "p99(us)", "trips", "inflight")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-10s %-6s %6d %8d %10.3f %9.2f %9.1f %9.1f %8.2f %9d\n",
-			r.System, r.Mix, r.Depth, r.Clients, r.ThroughputMops,
-			r.SpeedupVsDepth1, r.P50Us, r.P99Us, r.TripsPerOp, r.MaxInflight)
-	}
-	return out
-}
-
-// MarshalPipelineJSON renders the rows as the BENCH_PIPELINE.json
-// artifact format.
-func MarshalPipelineJSON(sc Scale, rows []PipelineRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string        `json:"experiment"`
-		LoadN      int           `json:"load_n"`
-		Ops        int           `json:"ops"`
-		ColdCache  bool          `json:"cold_cache"`
-		Rows       []PipelineRow `json:"rows"`
-	}{
-		Experiment: "pipeline",
-		LoadN:      sc.LoadN,
-		Ops:        sc.Ops,
-		ColdCache:  true,
-		Rows:       rows,
-	}, "", "  ")
+// depthTable wraps either sweep's rows in its artifact envelope.
+func depthTable(id string, sc Scale, rows any) *Table {
+	return &Table{ID: id, Params: append(sizeParams(sc), Param{"cold_cache", true}), Rows: rows}
 }
 
 func init() {
-	register(Experiment{ID: "pipeline", Title: "SearchBatch pipeline depth sweep (cold cache)", Run: Pipeline})
-}
-
-// Pipeline is the registered experiment wrapper around RunPipeline.
-func Pipeline(w io.Writer, sc Scale) error {
-	fmt.Fprintf(w, "# Pipeline depth sweep: posted-verb multi-get, cold internal-node cache\n")
-	rows, err := RunPipeline(sc, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, FormatPipelineRows(rows))
-	return nil
+	var depths []int
+	register(Experiment{
+		ID: "pipeline", Title: "SearchBatch depth sweep", Rows: []PipelineRow(nil),
+		// -depths serves both sweeps; a flag can be defined only once.
+		Flags: func(fs *flag.FlagSet) {
+			fs.Var(ListFlag(&depths, PositiveInt), "depths",
+				"pipeline and writepipe experiments: comma-separated batch pipeline depths (default 1,2,4,8,16)")
+		},
+		Table: func(sc Scale) (*Table, error) {
+			rows, err := depthSweep(sc, depths, []ycsb.Mix{ycsb.WorkloadC, ycsb.WorkloadB}, false)
+			reads := make([]PipelineRow, len(rows))
+			for i, r := range rows {
+				reads[i] = r.PipelineRow
+			}
+			return depthTable("pipeline", sc, reads), err
+		},
+	})
+	register(Experiment{
+		ID: "writepipe", Title: "batch-write depth sweep", Rows: []WritepipeRow(nil),
+		Table: func(sc Scale) (*Table, error) {
+			rows, err := depthSweep(sc, depths, []ycsb.Mix{ycsb.WorkloadA, ycsb.WorkloadLoad}, true)
+			return depthTable("writepipe", sc, rows), err
+		},
+	})
 }

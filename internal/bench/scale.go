@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bufio"
-	"encoding/json"
+	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os" //lint:allow durableio host-capacity experiment reads /proc/self/status (RSS) by design
 	"runtime"
 	"runtime/debug"
@@ -28,77 +26,75 @@ import (
 // multi-lane event-loop runs stay bit-identical (no cross-lane races on
 // remote lines).
 
-// ScaleOptions parameterizes RunScale beyond the shared Scale knobs.
-type ScaleOptions struct {
-	// ClientSweep is the simulated-client axis (default 1k, 10k, 100k).
-	ClientSweep []int
-	// OpsPerClient is the measured verbs each client issues (default
+// scaleOptions parameterizes runScale (the chime-bench -sweep, -verb-ops,
+// -lanes, -gate-cap and -verify flags land here).
+type scaleOptions struct {
+	// clientSweep is the simulated-client axis (default 1k, 10k, 100k).
+	clientSweep []int
+	// opsPerClient is the measured verbs each client issues (default
 	// scaled so every point issues at least ~2M verbs total).
-	OpsPerClient int
-	// Depth is the posted-verb pipeline depth (default 8).
-	Depth int
-	// Lanes is the event-loop lane count (default 1: single-core hosts
+	opsPerClient int
+	// lanes is the event-loop lane count (default 1: single-core hosts
 	// gain nothing from more, and 1 keeps shard timing bit-compatible
 	// with the gate's single-server NIC).
-	Lanes int
-	// QuantumRTTs pins the cohort window width (base RTTs) for every
-	// point. The default 0 is auto mode: each point runs both schedulers
-	// at the faithful window (faithfulQuantumRTTs, the width index
-	// experiments use — where the schedulers are compared head to head)
-	// plus the event loop at a capacity window that scales with the
-	// cohort (capacityQuantumRTTs), the loosely-coupled regime that
-	// shows the simulator's raw verb ceiling. Window width trades
-	// synchronization fidelity for park amortization identically in both
-	// schedulers, so cross-scheduler speedups are only quoted between
-	// same-quantum rows.
-	QuantumRTTs int
-	// GateCap caps the client count for condvar-gate points (default
+	lanes int
+	// gateCap caps the client count for condvar-gate points (default
 	// 10k): the gate's O(members) broadcast makes 100k-member windows
 	// take minutes of host time, which is the finding, not a bug worth
 	// waiting on in every run.
-	GateCap int
-	// Verify re-runs each point and records whether the fingerprint —
+	gateCap int
+	// verify re-runs each point and records whether the fingerprint —
 	// every client clock and counter plus the NIC totals — reproduced
 	// bit-identically.
-	Verify bool
+	verify bool
 }
 
-func (o ScaleOptions) withDefaults() ScaleOptions {
-	if len(o.ClientSweep) == 0 {
-		o.ClientSweep = []int{1_000, 10_000, 100_000}
+func (o scaleOptions) withDefaults() scaleOptions {
+	if len(o.clientSweep) == 0 {
+		o.clientSweep = []int{1_000, 10_000, 100_000}
 	}
-	if o.Depth <= 0 {
-		o.Depth = 8
+	if o.lanes <= 0 {
+		o.lanes = 1
 	}
-	if o.Lanes <= 0 {
-		o.Lanes = 1
-	}
-	if o.GateCap <= 0 {
-		o.GateCap = 10_000
+	if o.gateCap <= 0 {
+		o.gateCap = 10_000
 	}
 	return o
 }
 
-// ScaleRow is one measured point, JSON-serializable for the committed
-// BENCH_SCALE.json artifact.
+// scaleDepth is the posted-verb pipeline depth of every client.
+const scaleDepth = 8
+
+// ScaleRow is one measured point (BENCH_SCALE.json).
 type ScaleRow struct {
-	Scheduler    string  `json:"scheduler"` // "gate" | "event"
-	Clients      int     `json:"clients"`
-	Lanes        int     `json:"lanes"`
-	Depth        int     `json:"depth"`
-	QuantumRTTs  int     `json:"quantum_rtts"`
-	Ops          int64   `json:"ops"` // simulated verbs issued
-	HostSeconds  float64 `json:"host_seconds"`
-	HostMops     float64 `json:"host_mops"` // simulated verbs / host second, millions
-	VirtualMs    float64 `json:"virtual_ms"`
-	RSSMB        float64 `json:"rss_mb"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
+	Scheduler    string  `json:"scheduler" col:"sched,%-6s"` // "gate" | "event"
+	Clients      int     `json:"clients" col:"clients,%8d"`
+	Lanes        int     `json:"lanes" col:"lanes,%6d"`
+	Depth        int     `json:"depth" col:"depth,%6d"`
+	QuantumRTTs  int     `json:"quantum_rtts" col:"qRTTs,%8d"`
+	Ops          int64   `json:"ops" col:"ops,%10d"` // simulated verbs issued
+	HostSeconds  float64 `json:"host_seconds" col:"host(s),%9.2f"`
+	HostMops     float64 `json:"host_mops" col:"Mops/s,%10.2f"` // simulated verbs / host second, millions
+	VirtualMs    float64 `json:"virtual_ms" col:"virt(ms),%9.1f"`
+	RSSMB        float64 `json:"rss_mb" col:"rss(MB),%8.0f"`
+	AllocsPerOp  float64 `json:"allocs_per_op" col:"allocs/op,%11.4f"`
 	Fingerprint  string  `json:"fingerprint"`
-	Reproducible *bool   `json:"reproducible,omitempty"` // set by Verify
+	Reproducible *bool   `json:"reproducible,omitempty" col:"repro,%6t"` // set by verify
+}
+
+// ScaleRows is the sweep's table; its text adds the headline ratio.
+type ScaleRows []ScaleRow
+
+func (rows ScaleRows) grids(*Table) []grid {
+	gs := []grid{gridOf([]ScaleRow(rows))}
+	if at, sp := scaleSpeedup(rows); at > 0 {
+		gs = append(gs, grid{title: fmt.Sprintf("event/gate speedup at %d clients: %.1fx\n", at, sp)})
+	}
+	return gs
 }
 
 // scalePoint runs one (scheduler, clients) point and returns its row.
-func scalePoint(mode dmsim.SchedulerKind, clients, ops, depth, lanes, quantumRTTs int) (ScaleRow, error) {
+func scalePoint(mode dmsim.SchedulerKind, clients, ops, lanes, quantumRTTs int) (ScaleRow, error) {
 	cfg := dmsim.DefaultConfig()
 	cfg.Scheduler = mode
 	cfg.Lanes = lanes
@@ -134,9 +130,9 @@ func scalePoint(mode dmsim.SchedulerKind, clients, ops, depth, lanes, quantumRTT
 			defer c.LeaveCohort()
 			addr := dmsim.NilGAddr.Add(uint64(64 * (i + 1)))
 			buf := make([]byte, 64)
-			hs := make([]*dmsim.Completion, depth)
+			hs := make([]*dmsim.Completion, scaleDepth)
 			<-startCh
-			for j := 0; j < ops; j += depth {
+			for j := 0; j < ops; j += scaleDepth {
 				for d := range hs {
 					h, err := c.PostRead(addr, buf)
 					if err != nil {
@@ -171,10 +167,10 @@ func scalePoint(mode dmsim.SchedulerKind, clients, ops, depth, lanes, quantumRTT
 
 	totalOps := int64(clients) * int64(ops)
 	row := ScaleRow{
-		Scheduler:   schedulerName(mode),
+		Scheduler:   SchedulerName(mode),
 		Clients:     clients,
 		Lanes:       lanes,
-		Depth:       depth,
+		Depth:       scaleDepth,
 		QuantumRTTs: quantumRTTs,
 		Ops:         totalOps,
 		HostSeconds: hostSec,
@@ -182,48 +178,14 @@ func scalePoint(mode dmsim.SchedulerKind, clients, ops, depth, lanes, quantumRTT
 		VirtualMs:   float64(f.Frontier()) / 1e6,
 		RSSMB:       readRSSMB(),
 		AllocsPerOp: float64(memAfter.Mallocs-memBefore.Mallocs) / float64(totalOps),
-		Fingerprint: scaleFingerprint(f, cls),
 	}
+	// Each client's final clock and counters, in creation order.
+	clocks, stats := make([]int64, clients), make([]dmsim.ClientStats, clients)
+	for i, c := range cls {
+		clocks[i], stats[i] = c.Now(), c.Stats()
+	}
+	row.Fingerprint = fingerprint(f, clocks, stats)
 	return row, nil
-}
-
-func schedulerName(mode dmsim.SchedulerKind) string {
-	if mode == dmsim.SchedulerEventLoop {
-		return "event"
-	}
-	return "gate"
-}
-
-// scaleFingerprint hashes everything a run makes observable — each
-// client's final clock and traffic counters in creation order, the NIC
-// totals, and the fabric frontier — so two runs fingerprint equal iff
-// their Result-level outputs are bit-identical.
-func scaleFingerprint(f *dmsim.Fabric, cls []*dmsim.Client) string {
-	h := fnv.New64a()
-	w := func(v int64) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	for _, c := range cls {
-		w(c.Now())
-		s := c.Stats()
-		w(s.Reads)
-		w(s.Writes)
-		w(s.Trips)
-		w(s.BytesRead)
-		w(s.Posted)
-	}
-	n := f.TotalNICStats()
-	w(n.Verbs)
-	w(n.BytesIn)
-	w(n.BytesOut)
-	w(n.QueuedNs)
-	w(n.ServedNs)
-	w(f.Frontier())
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // readRSSMB reads the process's current resident set from
@@ -266,58 +228,54 @@ func capacityQuantumRTTs(clients int) int {
 	return 20 * clients
 }
 
-// RunScale sweeps the client axis. Gate points stop at GateCap; event
-// points cover the whole sweep. With QuantumRTTs unset, each point runs
-// the head-to-head pair at the faithful window plus an event capacity
-// row (see ScaleOptions.QuantumRTTs). With Verify, each configuration
-// runs twice and Reproducible records whether the fingerprints matched —
-// the expected outcome is true for every event row (the loop is
-// deterministic by construction) and false for multi-client gate rows
-// (the condvar gate admits host-scheduling interleavings at the NIC).
-func RunScale(opts ScaleOptions) ([]ScaleRow, error) {
+// runScale sweeps the client axis. Each point runs the head-to-head
+// pair at the faithful window (faithfulQuantumRTTs, the width index
+// experiments use) plus the event loop at a capacity window that scales
+// with the cohort (capacityQuantumRTTs), the loosely-coupled regime that
+// shows the simulator's raw verb ceiling. Window width trades
+// synchronization fidelity for park amortization identically in both
+// schedulers, so cross-scheduler speedups are only quoted between
+// same-quantum rows. Gate points stop at gateCap. With verify, each
+// configuration runs twice and Reproducible records whether the
+// fingerprints matched — the expected outcome is true for every event
+// row (the loop is deterministic by construction) and false for
+// multi-client gate rows (the condvar gate admits host-scheduling
+// interleavings at the NIC).
+func runScale(opts scaleOptions) (ScaleRows, error) {
 	opts = opts.withDefaults()
-	type config struct {
-		mode    dmsim.SchedulerKind
-		quantum int
-	}
-	var rows []ScaleRow
-	for _, clients := range opts.ClientSweep {
-		ops := opts.OpsPerClient
+	var rows ScaleRows
+	for _, clients := range opts.clientSweep {
+		ops := opts.opsPerClient
 		if ops <= 0 {
 			// At least ~2M verbs per point, and at least 300 per client so
 			// one-time per-client costs (completion-pool warm-up, cold
 			// structures) do not masquerade as steady-state cost.
-			ops = maxInt(2_000_000/clients, 300)
+			ops = max(2_000_000/clients, 300)
 		}
-		var configs []config
-		if opts.QuantumRTTs > 0 {
-			configs = []config{
-				{dmsim.SchedulerGate, opts.QuantumRTTs},
-				{dmsim.SchedulerEventLoop, opts.QuantumRTTs},
-			}
-		} else {
-			configs = []config{
-				{dmsim.SchedulerGate, faithfulQuantumRTTs},
-				{dmsim.SchedulerEventLoop, faithfulQuantumRTTs},
-				{dmsim.SchedulerEventLoop, capacityQuantumRTTs(clients)},
-			}
+		configs := []struct {
+			mode    dmsim.SchedulerKind
+			quantum int
+		}{
+			{dmsim.SchedulerGate, faithfulQuantumRTTs},
+			{dmsim.SchedulerEventLoop, faithfulQuantumRTTs},
+			{dmsim.SchedulerEventLoop, capacityQuantumRTTs(clients)},
 		}
 		for _, cf := range configs {
-			if cf.mode == dmsim.SchedulerGate && clients > opts.GateCap {
+			if cf.mode == dmsim.SchedulerGate && clients > opts.gateCap {
 				continue
 			}
 			lanes := 1
 			if cf.mode == dmsim.SchedulerEventLoop {
-				lanes = opts.Lanes
+				lanes = opts.lanes
 			}
-			row, err := scalePoint(cf.mode, clients, ops, opts.Depth, lanes, cf.quantum)
+			row, err := scalePoint(cf.mode, clients, ops, lanes, cf.quantum)
 			if err != nil {
-				return nil, fmt.Errorf("scale %s/%d: %w", schedulerName(cf.mode), clients, err)
+				return nil, fmt.Errorf("scale %s/%d: %w", SchedulerName(cf.mode), clients, err)
 			}
-			if opts.Verify {
-				again, err := scalePoint(cf.mode, clients, ops, opts.Depth, lanes, cf.quantum)
+			if opts.verify {
+				again, err := scalePoint(cf.mode, clients, ops, lanes, cf.quantum)
 				if err != nil {
-					return nil, fmt.Errorf("scale %s/%d verify: %w", schedulerName(cf.mode), clients, err)
+					return nil, fmt.Errorf("scale %s/%d verify: %w", SchedulerName(cf.mode), clients, err)
 				}
 				repro := again.Fingerprint == row.Fingerprint
 				row.Reproducible = &repro
@@ -329,28 +287,12 @@ func RunScale(opts ScaleOptions) ([]ScaleRow, error) {
 	return rows, nil
 }
 
-// FormatScaleRows renders the sweep as an aligned table.
-func FormatScaleRows(rows []ScaleRow) string {
-	out := fmt.Sprintf("%-6s %8s %6s %6s %8s %10s %9s %10s %9s %8s %11s %6s\n",
-		"sched", "clients", "lanes", "depth", "qRTTs", "ops", "host(s)", "Mops/s", "virt(ms)", "rss(MB)", "allocs/op", "repro")
-	for _, r := range rows {
-		repro := "-"
-		if r.Reproducible != nil {
-			repro = strconv.FormatBool(*r.Reproducible)
-		}
-		out += fmt.Sprintf("%-6s %8d %6d %6d %8d %10d %9.2f %10.2f %9.1f %8.0f %11.4f %6s\n",
-			r.Scheduler, r.Clients, r.Lanes, r.Depth, r.QuantumRTTs, r.Ops,
-			r.HostSeconds, r.HostMops, r.VirtualMs, r.RSSMB, r.AllocsPerOp, repro)
-	}
-	return out
-}
-
-// ScaleSpeedup returns the event/gate host-throughput ratio at the
+// scaleSpeedup returns the event/gate host-throughput ratio at the
 // largest client count both schedulers covered (0 when no pair exists).
 // Only same-quantum rows are compared: window width changes the
 // park/advance amortization for both schedulers alike, so cross-quantum
 // ratios would measure the window, not the scheduler.
-func ScaleSpeedup(rows []ScaleRow) (int, float64) {
+func scaleSpeedup(rows []ScaleRow) (int, float64) {
 	best := 0
 	var gate, event float64
 	for _, r := range rows {
@@ -367,41 +309,30 @@ func ScaleSpeedup(rows []ScaleRow) (int, float64) {
 	return best, event / gate
 }
 
-// MarshalScaleJSON renders the rows as the BENCH_SCALE.json artifact.
-func MarshalScaleJSON(opts ScaleOptions, rows []ScaleRow) ([]byte, error) {
-	opts = opts.withDefaults()
-	atClients, speedup := ScaleSpeedup(rows)
-	return json.MarshalIndent(struct {
-		Experiment      string     `json:"experiment"`
-		Depth           int        `json:"depth"`
-		Lanes           int        `json:"lanes"`
-		SpeedupClients  int        `json:"speedup_clients"`
-		SpeedupEventVs1 float64    `json:"speedup_event_vs_gate"`
-		Rows            []ScaleRow `json:"rows"`
-	}{
-		Experiment:      "scale",
-		Depth:           opts.Depth,
-		Lanes:           opts.Lanes,
-		SpeedupClients:  atClients,
-		SpeedupEventVs1: speedup,
-		Rows:            rows,
-	}, "", "  ")
+// scaleTable wraps the sweep's rows in its artifact envelope.
+func scaleTable(opts scaleOptions, rows ScaleRows) *Table {
+	at, speedup := scaleSpeedup(rows)
+	return &Table{ID: "scale", Rows: rows, Params: []Param{
+		{"depth", scaleDepth}, {"lanes", opts.withDefaults().lanes},
+		{"speedup_clients", at}, {"speedup_event_vs_gate", speedup},
+	}}
 }
 
 func init() {
-	register(Experiment{ID: "scale", Title: "Host-side simulator capacity: gate vs event loop, 1k-100k clients", Run: ScaleExperiment})
-}
-
-// ScaleExperiment is the registered experiment wrapper around RunScale.
-func ScaleExperiment(w io.Writer, sc Scale) error {
-	fmt.Fprintf(w, "# Scale sweep: simulated verbs per host second, condvar gate vs batch event loop\n")
-	rows, err := RunScale(ScaleOptions{Verify: true})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, FormatScaleRows(rows))
-	if at, sp := ScaleSpeedup(rows); at > 0 {
-		fmt.Fprintf(w, "event/gate speedup at %d clients: %.1fx\n", at, sp)
-	}
-	return nil
+	var opts scaleOptions
+	register(Experiment{
+		ID: "scale", Title: "host-side capacity sweep, gate vs event loop", Rows: ScaleRows(nil), HostSide: true,
+		Flags: func(fs *flag.FlagSet) {
+			fs.IntVar(&opts.lanes, "lanes", 0, "scale experiment: event-loop lane count (default 1)")
+			fs.IntVar(&opts.opsPerClient, "verb-ops", 0, "scale experiment: measured verbs per client (default auto)")
+			fs.IntVar(&opts.gateCap, "gate-cap", 0, "scale experiment: largest client count measured under the condvar gate (default 10000)")
+			fs.BoolVar(&opts.verify, "verify", false, "scale experiment: double-run each point and record reproducibility")
+		},
+		Table: func(sc Scale) (*Table, error) {
+			opts := opts
+			opts.clientSweep = sc.ClientSweep // nil unless the caller overrode it (HostSide)
+			rows, err := runScale(opts)
+			return scaleTable(opts, rows), err
+		},
+	})
 }

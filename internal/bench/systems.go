@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"chime/internal/core"
 	"chime/internal/dmsim"
@@ -487,27 +486,22 @@ var Factories = map[string]Factory{
 	"ROLEX":   NewROLEX,
 }
 
-// DefaultFabric builds the standard 1-MN testbed fabric with enough
-// remote memory for the configured load. Allocation chunks are shrunk
-// to 1 MB so client-count sweeps into the hundreds fit a laptop-sized
-// MN (chunk size only changes allocation-RPC frequency; see
-// dmsim.Config.ChunkBytes).
-func DefaultFabric(mns int, mnSize int) *dmsim.Fabric {
-	return OffloadFabric(mns, mnSize, 0, 0)
-}
-
-// OffloadFabric is DefaultFabric with the MN compute model's knobs
-// exposed: cores per MN and the fixed dispatch cost per offloaded
-// program. Zeros keep the model defaults (the fabric resolves them), so
-// OffloadFabric(mns, size, 0, 0) builds the standard testbed.
-func OffloadFabric(mns, mnSize, mnCPUs int, mnServiceNs int64) *dmsim.Fabric {
+// testbedConfig is the fabric configuration every experiment starts
+// from: the dmsim defaults with the given MN count and per-MN memory.
+// Allocation chunks are shrunk to 1 MB so client-count sweeps into the
+// hundreds fit a laptop-sized MN (chunk size only changes allocation-RPC
+// frequency; see dmsim.Config.ChunkBytes).
+func testbedConfig(mns, mnSize int) dmsim.Config {
 	cfg := dmsim.DefaultConfig()
 	cfg.MNs = mns
 	cfg.MNSize = mnSize
 	cfg.ChunkBytes = 1 << 20
-	cfg.MNCPUs = mnCPUs
-	cfg.MNServiceTime = time.Duration(mnServiceNs)
-	return dmsim.MustNewFabric(cfg)
+	return cfg
+}
+
+// DefaultFabric builds the standard testbed fabric.
+func DefaultFabric(mns int, mnSize int) *dmsim.Fabric {
+	return dmsim.MustNewFabric(testbedConfig(mns, mnSize))
 }
 
 // NewKeySpaceFor returns the shared keyspace seeded with the load size.

@@ -408,16 +408,41 @@ func sameOffloadFP(t *testing.T, label string, a, b offloadFingerprint) {
 	}
 }
 
-// TestOffloadDeterministicAcrossSchedulers pins the tentpole
-// determinism claim at the dmsim layer: an offload-heavy cohort remains
-// bit-identical across reruns under BOTH schedulers — the condvar gate,
-// and the event loop at one and four lanes regardless of GOMAXPROCS.
-// (Gate and event loop are each deterministic but not identical to one
-// another: they order concurrent verbs within a quantum differently,
-// with or without offload.)
+// sameOffloadCounts compares what no interleaving of a cohort can move:
+// how many verbs of each kind every client issued and the MN received.
+// Clocks, queueing totals and the bytes of reads that raced a write are
+// left out.
+func sameOffloadCounts(t *testing.T, label string, a, b offloadFingerprint) {
+	t.Helper()
+	if a.nic.Verbs != b.nic.Verbs || a.mncpu.Ops != b.mncpu.Ops {
+		t.Fatalf("%s: MN saw %d verbs / %d programs, then %d / %d",
+			label, a.nic.Verbs, a.mncpu.Ops, b.nic.Verbs, b.mncpu.Ops)
+	}
+	for i := range a.stats {
+		x, y := a.stats[i], b.stats[i]
+		if x.Reads != y.Reads || x.Writes != y.Writes || x.Trips != y.Trips ||
+			x.Offloads != y.Offloads || x.Posted != y.Posted {
+			t.Fatalf("%s: client %d counts %+v != %+v", label, i, x, y)
+		}
+	}
+}
+
+// TestOffloadDeterministicAcrossSchedulers pins the determinism claim
+// at the dmsim layer for an offload-heavy cohort. The event loop is
+// bit-identical across reruns at one and four lanes regardless of
+// GOMAXPROCS, and so is the condvar gate with a single client. A
+// multi-client gate cohort is not: the gate arbitrates same-window NIC
+// arrivals in host lock order, so on a multi-core host its clocks and
+// queueing totals may differ between runs (every multi-client gate row
+// of BENCH_SCALE.json says reproducible: false) — for it only the verb
+// counts are held. (Gate and event loop are not identical to one
+// another either: they order concurrent verbs within a quantum
+// differently, with or without offload.)
 func TestOffloadDeterministicAcrossSchedulers(t *testing.T) {
-	gate := runOffloadCohort(t, testConfig(), 8, 60)
-	sameOffloadFP(t, "gate rerun", gate, runOffloadCohort(t, testConfig(), 8, 60))
+	sameOffloadFP(t, "gate rerun, one client",
+		runOffloadCohort(t, testConfig(), 1, 60), runOffloadCohort(t, testConfig(), 1, 60))
+	sameOffloadCounts(t, "gate rerun, eight clients",
+		runOffloadCohort(t, testConfig(), 8, 60), runOffloadCohort(t, testConfig(), 8, 60))
 
 	for _, lanes := range []int{1, 4} {
 		cfg := evConfig(lanes)

@@ -94,18 +94,6 @@ func (c *Combiner) Stats() (delegatedReads, combinedWrites int64) {
 	return c.delegated, c.combined
 }
 
-// NoteExternalCombined folds writes coalesced outside the combiner —
-// e.g. the batch write pipeline's per-leaf combining — into the
-// combined-writes counter, so one CN-level figure covers both layers.
-func (c *Combiner) NoteExternalCombined(n int64) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.combined += n
-	c.mu.Unlock()
-}
-
 // Read performs a delegated read: the first caller for a key becomes
 // the leader and runs fn; concurrent callers for the same key block
 // (suspended from the time gate) and adopt the leader's result and
