@@ -43,6 +43,7 @@ race:
 		./internal/lease/... ./internal/analysis/... ./internal/offroute/... \
 		./internal/folio/...
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
+	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestMNReadLineAtomicity|TestStraddlingAtomicVsWrite|TestWriterNotStarvedByReaders' ./internal/dmsim/
 
 # The seeded chaos suite alone (crash recovery invariants across all

@@ -20,9 +20,9 @@ import (
 	"chime/internal/ycsb"
 )
 
-// ErrNotFound is the harness's normalized not-found error; adapters map
-// each index's own sentinel onto it.
-var ErrNotFound = errors.New("bench: key not found")
+// ErrNotFound is the not-found error of every index under test: the
+// four share one sentinel (offroute.ErrNotFound).
+var ErrNotFound = offroute.ErrNotFound
 
 // Client is the per-simulated-client view of an index under test.
 type Client interface {
@@ -38,8 +38,8 @@ type Client interface {
 
 // BatchSearcher is the optional pipelined multi-get interface: clients
 // that multiplex several lookups over posted verbs implement it.
-// Results are positionally aligned with keys; absent keys report the
-// index's not-found sentinel (normalized to ErrNotFound by adapters).
+// Results are positionally aligned with keys; absent keys report
+// ErrNotFound.
 type BatchSearcher interface {
 	SearchBatch(keys []uint64, depth int) ([][]byte, []error)
 }
@@ -47,7 +47,7 @@ type BatchSearcher interface {
 // BatchWriter is the optional pipelined write interface: clients whose
 // write path drives several keys through posted lock/fetch/write state
 // machines implement it. Results align positionally with keys;
-// UpdateBatch reports ErrNotFound (normalized) per absent key.
+// UpdateBatch reports ErrNotFound per absent key.
 type BatchWriter interface {
 	MultiPut(keys []uint64, values [][]byte, depth int) []error
 	UpdateBatch(keys []uint64, values [][]byte, depth int) []error

@@ -221,7 +221,7 @@ func attachWarm(name string, fab *dmsim.Fabric, cfg SystemConfig) (System, error
 		}
 		s := &chimeSystem{ix: ix, cn: ix.NewComputeNode(cfg.CacheBytes, cfg.HotspotBytes), comb: rdwc.NewCombiner()}
 		s.cn.SetObserver(cfg.Obs.Sink())
-		s.newC = withRDWC(cfg, s.comb, func() Client { return chimeClient{cl: s.cn.NewClient()} })
+		s.newC = withRDWC(cfg, s.comb, func() Client { return adaptBatching(s.cn.NewClient()) })
 		return s, nil
 	case "Sherman":
 		ix, err := sherman.Attach(fab, shermanOptions(cfg), super)
@@ -230,7 +230,7 @@ func attachWarm(name string, fab *dmsim.Fabric, cfg SystemConfig) (System, error
 		}
 		s := &shermanSystem{ix: ix, cn: ix.NewComputeNode(cfg.CacheBytes), comb: rdwc.NewCombiner()}
 		s.cn.SetObserver(cfg.Obs.Sink())
-		s.newC = withRDWC(cfg, s.comb, func() Client { return shermanClient{cl: s.cn.NewClient()} })
+		s.newC = withRDWC(cfg, s.comb, func() Client { return adaptBatching(s.cn.NewClient()) })
 		return s, nil
 	}
 	return nil, fmt.Errorf("bench: %s has no warm-start attach path", name)

@@ -1,12 +1,12 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"chime/internal/core"
 	"chime/internal/dmsim"
+	"chime/internal/offroute"
 	"chime/internal/rdwc"
 	"chime/internal/rolex"
 	"chime/internal/sherman"
@@ -52,9 +52,46 @@ func withRDWC(cfg SystemConfig, comb *rdwc.Combiner, inner func() Client) func()
 	return func() Client { return rdwcClient{Client: inner(), comb: comb} }
 }
 
-// Adapters wrapping each index behind the System/Client interfaces.
-// Every adapter normalizes its index's not-found sentinel to
-// bench.ErrNotFound and bulk-loads with parallel clients.
+// index is what the four index clients have in common. They share one
+// KV type and report absent keys with ErrNotFound itself (offroute), so
+// one adapter serves them all.
+type index interface {
+	Search(key uint64) ([]byte, error)
+	Insert(key uint64, value []byte) error
+	Update(key uint64, value []byte) error
+	Delete(key uint64) error
+	Scan(start uint64, count int) ([]offroute.KV, error)
+	DM() *dmsim.Client
+}
+
+// adapter puts an index client behind Client: only Scan's result needs
+// reshaping.
+type adapter struct{ index }
+
+func (a adapter) Scan(start uint64, count int) (int, error) {
+	kvs, err := a.index.Scan(start, count)
+	return len(kvs), err
+}
+
+// batcher is the posted-verb batch surface of the tree indexes.
+type batcher interface {
+	BatchSearcher
+	BatchWriter
+	WriteCombineReporter
+}
+
+// batchAdapter is adapter for an index client that also batches.
+type batchAdapter struct {
+	adapter
+	batcher
+}
+
+func adaptBatching[C interface {
+	index
+	batcher
+}](cl C) Client {
+	return batchAdapter{adapter{cl}, cl}
+}
 
 func loadClients(cfg SystemConfig) int {
 	if cfg.LoadClients > 0 {
@@ -122,60 +159,6 @@ type chimeSystem struct {
 	cn   *core.ComputeNode
 }
 
-type chimeClient struct{ cl *core.Client }
-
-func (c chimeClient) Search(key uint64) ([]byte, error) {
-	v, err := c.cl.Search(key)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (c chimeClient) Insert(key uint64, value []byte) error { return c.cl.Insert(key, value) }
-func (c chimeClient) Update(key uint64, value []byte) error {
-	err := c.cl.Update(key, value)
-	if errors.Is(err, core.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c chimeClient) Delete(key uint64) error {
-	err := c.cl.Delete(key)
-	if errors.Is(err, core.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c chimeClient) Scan(start uint64, count int) (int, error) {
-	kvs, err := c.cl.Scan(start, count)
-	return len(kvs), err
-}
-func (c chimeClient) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
-	vals, errs := c.cl.SearchBatch(keys, depth)
-	for i, err := range errs {
-		if errors.Is(err, core.ErrNotFound) {
-			errs[i] = ErrNotFound
-		}
-	}
-	return vals, errs
-}
-func (c chimeClient) MultiPut(keys []uint64, values [][]byte, depth int) []error {
-	return c.cl.MultiPut(keys, values, depth)
-}
-func (c chimeClient) UpdateBatch(keys []uint64, values [][]byte, depth int) []error {
-	errs := c.cl.UpdateBatch(keys, values, depth)
-	for i, err := range errs {
-		if errors.Is(err, core.ErrNotFound) {
-			errs[i] = ErrNotFound
-		}
-	}
-	return errs
-}
-func (c chimeClient) WriteCombineStats() (cycles, combinedKeys int64) {
-	return c.cl.WriteCombineStats()
-}
-func (c chimeClient) DM() *dmsim.Client { return c.cl.DM() }
-
 func (s *chimeSystem) Name() string             { return "CHIME" }
 func (s *chimeSystem) NewClient() Client        { return s.newC() }
 func (s *chimeSystem) Combiner() *rdwc.Combiner { return s.comb }
@@ -223,7 +206,7 @@ func NewCHIME(cfg SystemConfig) (System, error) {
 	}
 	sys := &chimeSystem{ix: ix, cn: ix.NewComputeNode(cfg.CacheBytes, cfg.HotspotBytes), comb: rdwc.NewCombiner()}
 	sys.cn.SetObserver(cfg.Obs.Sink())
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return chimeClient{cl: sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adaptBatching(sys.cn.NewClient()) })
 	if err := parallelLoad(cfg, sys.NewClient); err != nil {
 		return nil, fmt.Errorf("chime load: %w", err)
 	}
@@ -238,60 +221,6 @@ type shermanSystem struct {
 	ix   *sherman.Index
 	cn   *sherman.ComputeNode
 }
-
-type shermanClient struct{ cl *sherman.Client }
-
-func (c shermanClient) Search(key uint64) ([]byte, error) {
-	v, err := c.cl.Search(key)
-	if errors.Is(err, sherman.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (c shermanClient) Insert(key uint64, value []byte) error { return c.cl.Insert(key, value) }
-func (c shermanClient) Update(key uint64, value []byte) error {
-	err := c.cl.Update(key, value)
-	if errors.Is(err, sherman.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c shermanClient) Delete(key uint64) error {
-	err := c.cl.Delete(key)
-	if errors.Is(err, sherman.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c shermanClient) Scan(start uint64, count int) (int, error) {
-	kvs, err := c.cl.Scan(start, count)
-	return len(kvs), err
-}
-func (c shermanClient) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
-	vals, errs := c.cl.SearchBatch(keys, depth)
-	for i, err := range errs {
-		if errors.Is(err, sherman.ErrNotFound) {
-			errs[i] = ErrNotFound
-		}
-	}
-	return vals, errs
-}
-func (c shermanClient) MultiPut(keys []uint64, values [][]byte, depth int) []error {
-	return c.cl.MultiPut(keys, values, depth)
-}
-func (c shermanClient) UpdateBatch(keys []uint64, values [][]byte, depth int) []error {
-	errs := c.cl.UpdateBatch(keys, values, depth)
-	for i, err := range errs {
-		if errors.Is(err, sherman.ErrNotFound) {
-			errs[i] = ErrNotFound
-		}
-	}
-	return errs
-}
-func (c shermanClient) WriteCombineStats() (cycles, combinedKeys int64) {
-	return c.cl.WriteCombineStats()
-}
-func (c shermanClient) DM() *dmsim.Client { return c.cl.DM() }
 
 func (s *shermanSystem) Name() string             { return "Sherman" }
 func (s *shermanSystem) NewClient() Client        { return s.newC() }
@@ -328,7 +257,7 @@ func NewSherman(cfg SystemConfig) (System, error) {
 	}
 	sys := &shermanSystem{ix: ix, cn: ix.NewComputeNode(cfg.CacheBytes), comb: rdwc.NewCombiner()}
 	sys.cn.SetObserver(cfg.Obs.Sink())
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return shermanClient{cl: sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adaptBatching(sys.cn.NewClient()) })
 	if err := parallelLoad(cfg, sys.NewClient); err != nil {
 		return nil, fmt.Errorf("sherman load: %w", err)
 	}
@@ -343,36 +272,6 @@ type smartSystem struct {
 	ix   *smartidx.Index
 	cn   *smartidx.ComputeNode
 }
-
-type smartClient struct{ cl *smartidx.Client }
-
-func (c smartClient) Search(key uint64) ([]byte, error) {
-	v, err := c.cl.Search(key)
-	if errors.Is(err, smartidx.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (c smartClient) Insert(key uint64, value []byte) error { return c.cl.Insert(key, value) }
-func (c smartClient) Update(key uint64, value []byte) error {
-	err := c.cl.Update(key, value)
-	if errors.Is(err, smartidx.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c smartClient) Delete(key uint64) error {
-	err := c.cl.Delete(key)
-	if errors.Is(err, smartidx.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c smartClient) Scan(start uint64, count int) (int, error) {
-	kvs, err := c.cl.Scan(start, count)
-	return len(kvs), err
-}
-func (c smartClient) DM() *dmsim.Client { return c.cl.DM() }
 
 func (s *smartSystem) Name() string             { return "SMART" }
 func (s *smartSystem) NewClient() Client        { return s.newC() }
@@ -400,7 +299,7 @@ func NewSMART(cfg SystemConfig) (System, error) {
 	}
 	sys := &smartSystem{ix: ix, cn: ix.NewComputeNode(cfg.CacheBytes), comb: rdwc.NewCombiner()}
 	sys.cn.SetObserver(cfg.Obs.Sink())
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return smartClient{cl: sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapter{sys.cn.NewClient()} })
 	if err := parallelLoad(cfg, sys.NewClient); err != nil {
 		return nil, fmt.Errorf("smart load: %w", err)
 	}
@@ -415,36 +314,6 @@ type rolexSystem struct {
 	ix   *rolex.Index
 	cn   *rolex.ComputeNode
 }
-
-type rolexClient struct{ cl *rolex.Client }
-
-func (c rolexClient) Search(key uint64) ([]byte, error) {
-	v, err := c.cl.Search(key)
-	if errors.Is(err, rolex.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-func (c rolexClient) Insert(key uint64, value []byte) error { return c.cl.Insert(key, value) }
-func (c rolexClient) Update(key uint64, value []byte) error {
-	err := c.cl.Update(key, value)
-	if errors.Is(err, rolex.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c rolexClient) Delete(key uint64) error {
-	err := c.cl.Delete(key)
-	if errors.Is(err, rolex.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-func (c rolexClient) Scan(start uint64, count int) (int, error) {
-	kvs, err := c.cl.Scan(start, count)
-	return len(kvs), err
-}
-func (c rolexClient) DM() *dmsim.Client { return c.cl.DM() }
 
 func (s *rolexSystem) Name() string             { return "ROLEX" }
 func (s *rolexSystem) NewClient() Client        { return s.newC() }
@@ -474,7 +343,7 @@ func NewROLEX(cfg SystemConfig) (System, error) {
 	}
 	sys := &rolexSystem{ix: ix, cn: ix.NewComputeNode(), comb: rdwc.NewCombiner()}
 	sys.cn.SetObserver(cfg.Obs.Sink())
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return rolexClient{cl: sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapter{sys.cn.NewClient()} })
 	return sys, nil
 }
 

@@ -1,0 +1,211 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"chime/internal/dmsim"
+	"chime/internal/nodelayout"
+	"chime/internal/obs"
+)
+
+// depth1Tree builds one deterministic tree and a fresh client on a fresh
+// compute node to read it with.
+func depth1Tree(t *testing.T, opts Options, cacheBytes int64) *Client {
+	t.Helper()
+	cfg := dmsim.DefaultConfig()
+	cfg.MNSize = 256 << 20
+	ix, err := Bootstrap(dmsim.MustNewFabric(cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := ix.NewComputeNode(64<<20, 0).NewClient()
+	for i := uint64(1); i <= 3000; i++ {
+		if err := loader.Insert(i*5, val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix.NewComputeNode(cacheBytes, 0).NewClient() // hotspot off: no speculation
+}
+
+// TestDepth1SearchEqualsSearchBatch pins "sync = depth 1": with
+// speculation off, N Searches and N one-key SearchBatches at depth 1
+// over the same tree and key stream are the same verbs at the same
+// virtual times — same final clock, same ClientStats, same cache
+// counters, same results — because they are the same state machine.
+func TestDepth1SearchEqualsSearchBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		mut        func(*Options)
+		cacheBytes int64
+	}{
+		{"cached", func(*Options) {}, 64 << 20},
+		{"cold", func(*Options) {}, 0},
+		{"indirect", func(o *Options) { o.Indirect = true }, 64 << 20},
+		{"dedicated_meta_read", func(o *Options) { o.ReplicateMeta = false }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tc.mut(&opts)
+			a, b := depth1Tree(t, opts, tc.cacheBytes), depth1Tree(t, opts, tc.cacheBytes)
+			for i := uint64(0); i < 2000; i++ {
+				k := (i*2654435761%3000 + 1) * 5
+				if i%11 == 0 {
+					k++ // absent
+				}
+				va, ea := a.Search(k)
+				vs, es := b.SearchBatch([]uint64{k}, 1)
+				if !bytes.Equal(va, vs[0]) || !errors.Is(es[0], ea) {
+					t.Fatalf("key %d: Search = (%x, %v), SearchBatch = (%x, %v)", k, va, ea, vs[0], es[0])
+				}
+			}
+			if an, bn := a.DM().Now(), b.DM().Now(); an != bn {
+				t.Errorf("final clock: Search %d ns, SearchBatch depth 1 %d ns", an, bn)
+			}
+			if as, bs := a.DM().Stats(), b.DM().Stats(); as != bs {
+				t.Errorf("ClientStats:\n Search      %+v\n SearchBatch %+v", as, bs)
+			}
+			if ac, bc := a.cn.CacheStats(), b.cn.CacheStats(); ac != bc {
+				t.Errorf("CacheStats:\n Search      %+v\n SearchBatch %+v", ac, bc)
+			}
+		})
+	}
+}
+
+// tearOnce is a fault injector that tears one node under a reader: just
+// before the reader's nth READ it has a second client overwrite the
+// back half of the node at addr with a copy whose node version is
+// bumped, and just before the READ after that it puts the original
+// back — so exactly one fetch of the node fails its version check.
+type tearOnce struct {
+	reader  int64
+	nth     int64
+	w       *dmsim.Client
+	addr    dmsim.GAddr
+	good    []byte
+	torn    []byte
+	reads   int64
+	touched int
+}
+
+func (f *tearOnce) Decide(v dmsim.VerbInfo) dmsim.FaultDecision {
+	if v.Client != f.reader || v.Class != dmsim.VerbRead {
+		return dmsim.FaultDecision{}
+	}
+	f.reads++
+	half := len(f.good) / 2
+	switch f.reads {
+	case f.nth:
+		if err := f.w.Write(f.addr.Add(uint64(half)), f.torn[half:]); err != nil {
+			panic(err)
+		}
+		f.touched++
+	case f.nth + 1:
+		if err := f.w.Write(f.addr.Add(uint64(half)), f.good[half:]); err != nil {
+			panic(err)
+		}
+		f.touched++
+	}
+	return dmsim.FaultDecision{}
+}
+
+func (*tearOnce) ObserveCAS(dmsim.CASInfo) {}
+
+// TestBatchPathsCountTornReadsAndSiblingChases: the batch entry points
+// run the same descent and leaf stage as the synchronous ones, so a torn
+// internal-node read and a half-split sibling chase met under
+// SearchBatch / InsertBatch / UpdateBatch show up in the obs counters
+// (they never did while the batch engines were separate copies).
+func TestBatchPathsCountTornReadsAndSiblingChases(t *testing.T) {
+	for _, path := range []string{"SearchBatch", "UpdateBatch", "InsertBatch"} {
+		t.Run(path, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.SpanSize, opts.Neighborhood = 16, 4
+			cfg := dmsim.DefaultConfig()
+			cfg.MNSize = 256 << 20
+			f := dmsim.MustNewFabric(cfg)
+			ix, err := Bootstrap(f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := obs.NewSink(false)
+			cn := ix.NewComputeNode(64<<20, 0)
+			cn.SetObserver(sink)
+			cl := cn.NewClient()
+			w := ix.NewComputeNode(64<<20, 0).NewClient()
+			batch := func(keys []uint64) {
+				t.Helper()
+				vals := make([][]byte, len(keys))
+				for i, k := range keys {
+					vals[i] = val8(k)
+				}
+				var errs []error
+				switch path {
+				case "SearchBatch":
+					_, errs = cl.SearchBatch(keys, 4)
+				case "UpdateBatch":
+					errs = cl.UpdateBatch(keys, vals, 4)
+				default:
+					errs = cl.InsertBatch(keys, vals, 4)
+				}
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("%s(%d): %v", path, keys[i], err)
+					}
+				}
+			}
+			counter := func(name string) int64 { return sink.Registry().Counter(name).Load() }
+
+			const n = 600
+			var keys []uint64
+			for i := uint64(1); i <= n; i++ {
+				keys = append(keys, i*16)
+				if err := cl.Insert(i*16, val8(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch(keys) // warm this CN's node cache
+			if cl.rootLevel < 2 {
+				t.Fatalf("tree has %d internal levels, the test wants 2", cl.rootLevel)
+			}
+
+			// Half-split chases: a writer on another CN splits leaves; the
+			// reader's cached parents still route to the left halves.
+			for i := uint64(1); i <= n; i++ {
+				for j := uint64(1); j <= 3; j++ {
+					if err := w.Insert(i*16+j, val8(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			chases0 := counter(obs.NameSiblingChase)
+			batch(keys)
+			if got := counter(obs.NameSiblingChase) - chases0; got == 0 {
+				t.Errorf("%s chased no sibling across %d split leaves (obs %s did not move)", path, n/4, obs.NameSiblingChase)
+			}
+
+			// A torn internal read: drop the root from the cache so the next
+			// descent fetches it, and tear that fetch once.
+			root := cl.rootAddr
+			good := make([]byte, ix.inner.size)
+			if err := w.DM().Read(root, good); err != nil {
+				t.Fatal(err)
+			}
+			torn := append([]byte(nil), good...)
+			nodelayout.BumpNV(torn, ix.inner.allCells)
+			cn.cache.invalidate(root)
+			inj := &tearOnce{reader: cl.DM().ID(), nth: 1, w: w.DM(), addr: root, good: good, torn: torn}
+			f.SetFaultInjector(inj)
+			torn0 := counter(obs.NameTornRead)
+			batch(keys[:1])
+			f.SetFaultInjector(nil)
+			if inj.touched != 2 {
+				t.Fatalf("injector tore/restored the root %d times, want 2 (reads seen: %d)", inj.touched, inj.reads)
+			}
+			if got := counter(obs.NameTornRead) - torn0; got != 1 {
+				t.Errorf("%s: obs %s moved by %d across one torn root read, want 1", path, obs.NameTornRead, got)
+			}
+		})
+	}
+}

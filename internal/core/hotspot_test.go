@@ -119,7 +119,7 @@ func TestHotspotStaleSlotSpeculation(t *testing.T) {
 	if err := cl.Insert(key, val8(111)); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := cl.traverse(key)
+	ref, err := cl.descend(key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -285,7 +285,7 @@ func TestOffloadUpdateLockInterop(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cl := cnOne.NewClient()
-			cl.router = nil // force pure one-sided writes on the same leaves
+			cl.port.Router = nil // force pure one-sided writes on the same leaves
 			for r := 0; r < 30; r++ {
 				for i := uint64(1); i < keys; i += 2 {
 					if err := cl.Insert(i, val8(2_000_000+i)); err != nil {
@@ -337,7 +337,7 @@ func TestOffloadScanDeep(t *testing.T) {
 		}
 	}
 	oneSided := ix.NewComputeNode(64<<20, 0).NewClient()
-	oneSided.router = nil
+	oneSided.port.Router = nil
 
 	offBefore := cl.DM().Stats().Offloads
 	for _, tc := range []struct {

@@ -8,67 +8,85 @@ import (
 	"chime/internal/obs"
 )
 
-// Pipelined multi-get (async verb pipelining). SearchBatch drives up to
-// `depth` point lookups through the tree at once on ONE client: each key
-// is a small state machine whose remote reads are posted verbs, so the
-// round trips of different keys overlap on the virtual clock exactly as
-// coroutine-multiplexed lookups overlap on a real NIC (the CHIME
-// artifact runs several coroutines per CPU thread for this reason).
+// The point-read engine. One key is a small state machine (searchOp)
+// whose remote reads are posted verbs: the descent (descent.go), an
+// optional speculative single-entry read (§4.3), the hopscotch
+// neighborhood window with sibling validation (§4.2.3), and the KV block
+// of an indirect entry (§4.5).
 //
-// Scheduling is FIFO round-robin: the op whose read was posted earliest
-// is polled first (its completion is the oldest, so polling it advances
-// the clock the least), then it posts its next read and goes to the back
-// of the queue. Cache hits advance an op several levels without posting
-// anything. Optimistic-retry failures (torn reads, stale caches,
-// half-splits) are isolated per key: one key restarting its traversal
-// never unwinds its neighbors.
+// Search steps one op to completion: every step polls the verb the last
+// one posted, which is exactly a synchronous verb. SearchBatch drives up
+// to `depth` ops at once on ONE client, so the round trips of different
+// keys overlap on the virtual clock exactly as coroutine-multiplexed
+// lookups overlap on a real NIC (the CHIME artifact runs several
+// coroutines per CPU thread for this reason). Scheduling is FIFO
+// round-robin: the op whose read was posted earliest is polled first
+// (its completion is the oldest, so polling it advances the clock the
+// least), then it posts its next read and goes to the back of the queue.
+// Cache hits advance an op several levels without posting anything.
+// Optimistic-retry failures (torn reads, stale caches, half-splits) are
+// isolated per key: one key restarting its traversal never unwinds its
+// neighbors.
 //
-// Hotness-aware speculation (§4.3) is deliberately skipped in batch
-// mode: a speculative single-entry read saves bytes but serializes an
-// extra dependent round trip per key, which is exactly what pipelining
-// is trying to hide. Found entries are still *recorded* in the hotspot
-// buffer so interleaved synchronous Searches keep their speculation.
+// Hotness-aware speculation is a state only a Search-started op enters.
+// It is deliberately skipped in batch mode: a speculative single-entry
+// read saves bytes but serializes an extra dependent round trip per key,
+// which is exactly what pipelining is trying to hide. Found entries are
+// still *recorded* in the hotspot buffer so interleaved Searches keep
+// their speculation.
 
-// searchOp states.
+// searchOp states: what the op's in-flight read is.
 const (
-	opStart = iota
-	opRootWait
-	opInternalWait
-	opLeafWait
-	opIndirectWait
+	opDescend      = iota // the descent's super-block or internal-node read
+	opSpecWait            // the speculated hot entry's cell
+	opLeafWait            // the leaf window, then (needMeta) the dedicated replica
+	opIndirectWait        // the KV block of an indirect entry
 	opDone
 )
 
-// searchOp is one in-flight key of a SearchBatch.
+// searchOp is one point lookup in flight.
 type searchOp struct {
 	key uint64
 	idx int // position in the input / result slices
 
 	state int
+	d     descent // root→leaf; d.ref is the leaf being read from then on
 
-	// Traversal state (mirrors traverse/traverseFrom).
-	root      dmsim.GAddr
-	rootLevel uint8
-	cur       dmsim.GAddr
-	path      []pathEntry
-	ref       leafRef
-	hops      int
+	// spec marks an op started by Search: it tries the hotspot buffer's
+	// entry before each leaf window. speculating is set while that read
+	// (or the block read it led to) is in flight; specIdx is its slot.
+	spec, speculating bool
+	specIdx           int
 
-	// In-flight reads. h2 is the dedicated metadata READ when the
-	// ReplicateMeta ablation is off.
-	h, h2   *dmsim.Completion
-	rootBuf [8]byte
-	node    *internalImage // internal node being fetched (client free list)
-	im      *leafImage     // leaf window image (pooled)
-	metaG   int
-	ranges  []byteRange  // fetched leaf ranges, backed by segBuf
-	segBuf  [3]byteRange // two window segments and the ablation's replica
-	valBuf  []byte       // indirect KV block ([8B key][value])
+	h        *dmsim.Completion
+	im       *leafImage   // leaf window image (pooled)
+	metaG    int          // replica group the window's metadata comes from
+	needMeta bool         // the dedicated replica READ is still to be issued
+	ranges   []byteRange  // fetched leaf ranges, backed by segBuf
+	segBuf   [3]byteRange // two window segments and the ablation's replica
+	valBuf   []byte       // indirect KV block ([8B key][value])
 
 	restarts, torn int
 
 	val []byte
 	err error
+}
+
+// reset readies the op for a new key, keeping its path capacity.
+func (op *searchOp) reset(key uint64, idx int, spec bool) {
+	*op = searchOp{key: key, idx: idx, spec: spec, d: descent{path: op.d.path[:0]}}
+}
+
+// searchOneSided performs a point query with one-sided verbs only: the
+// client's own op, stepped until done. The public Search (offload.go)
+// routes between this and the MN-side offload program.
+func (c *Client) searchOneSided(key uint64) ([]byte, error) {
+	op := &c.sop
+	op.reset(key, 0, true)
+	for c.beginOp(op); op.state != opDone; {
+		c.stepOp(op)
+	}
+	return op.val, op.err
 }
 
 // SearchBatch performs up to depth point lookups concurrently on this
@@ -135,219 +153,186 @@ func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
 	return vals, errs
 }
 
-// newSearchOp returns a reset op for key, reusing a finished one (and
-// its path capacity) when the client has any.
+// newSearchOp returns a reset batch op for key, reusing a finished one
+// (and its path capacity) when the client has any.
 func (c *Client) newSearchOp(key uint64, idx int) *searchOp {
+	var op *searchOp
 	if n := len(c.opFree); n > 0 {
-		op := c.opFree[n-1]
+		op = c.opFree[n-1]
 		c.opFree = c.opFree[:n-1]
-		*op = searchOp{key: key, idx: idx, path: op.path[:0]}
-		return op
+	} else {
+		op = new(searchOp)
 	}
-	return &searchOp{key: key, idx: idx}
+	op.reset(key, idx, false)
+	return op
 }
 
-// beginOp (re)starts a key's traversal: post the super-block read if the
-// root is unknown, otherwise descend through the cache from the root.
+// beginOp (re)starts a key's traversal.
 func (c *Client) beginOp(op *searchOp) {
-	op.path = op.path[:0]
-	op.hops = 0
-	c.chargeLocalWork()
-	if c.rootAddr.IsNil() {
-		h, err := c.dc.PostRead(c.ix.super, op.rootBuf[:])
-		if err != nil {
-			c.failOp(op, err)
-			return
-		}
-		op.h = h
-		op.state = opRootWait
+	c.descended(op, op.d.begin(c, op.key))
+}
+
+// descended acts on what the op's descent reported.
+func (c *Client) descended(op *searchOp, st descentStatus) {
+	switch st {
+	case descPosted:
+		op.state = opDescend
+	case descArrived:
+		c.enterLeaf(op)
+	case descRestart:
+		c.restartOp(op)
+	default:
+		c.failOp(op, op.d.err)
+	}
+}
+
+// stepOp polls the op's outstanding read and advances its state machine
+// until it either posts again or completes.
+func (c *Client) stepOp(op *searchOp) {
+	if op.state == opDescend {
+		c.descended(op, op.d.step(c))
 		return
 	}
-	op.root, op.rootLevel = c.rootAddr, c.rootLevel
-	c.descendFromRoot(op)
-}
-
-// stepOp polls the op's outstanding completion(s) and advances its state
-// machine until it either posts again or completes.
-func (c *Client) stepOp(op *searchOp) {
+	c.reap(op.h)
+	op.h = nil
 	switch op.state {
-	case opRootWait:
-		c.reap(op.h)
-		op.h = nil
-		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
-		c.rootAddr, c.rootLevel = addr, lvl
-		op.root, op.rootLevel = addr, lvl
-		c.descendFromRoot(op)
-
-	case opInternalWait:
-		c.reap(op.h)
-		op.h = nil
-		if err := c.ix.inner.checkInternalImage(op.node.buf); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
-				c.failOp(op, fmt.Errorf("core: internal node %v: torn-read retries exhausted", op.cur))
-				return
+	case opSpecWait:
+		cellC := c.ix.leaf.entryCells[op.specIdx]
+		if checkVersions(op.im.buf, 0, []cell{cellC}) == nil { // torn: misspeculation
+			if e := op.im.entry(op.specIdx); e.occupied && e.key == op.key {
+				val, ptr := c.detachValue(e.value)
+				if !c.ix.opts.Indirect {
+					op.val = val
+					c.completeOp(op)
+					return
+				}
+				if !ptr.IsNil() {
+					c.postIndirectOp(op, ptr)
+					return
+				}
 			}
-			c.yield()
-			h, perr := c.dc.PostRead(op.cur, op.node.buf)
-			if perr != nil {
-				c.failOp(op, perr)
-				return
-			}
-			op.h = h
-			return
 		}
-		op.node.decodeHeader()
-		r := op.node.route(op.key)
-		c.keepInternal(op.cur, op.node)
-		op.node = nil
-		if c.stepNode(op, r, false) {
-			c.descendLoop(op)
-		}
+		c.misspeculated(op)
 
 	case opLeafWait:
-		c.reap(op.h)
-		c.reap(op.h2)
-		op.h, op.h2 = nil, nil
+		if op.needMeta {
+			// Dedicated metadata READ (the "+Leaf Meta" ablation, §3.2.2):
+			// replica 0 is fetched after the window, costing the extra
+			// dependent round trip the ablation measures.
+			op.needMeta = false
+			rc := c.ix.leaf.replicaCells[0]
+			c.postOpRead(op, op.d.ref.addr.Add(uint64(rc.Off)), op.im.buf[rc.Off:rc.End()], opLeafWait)
+			return
+		}
 		c.finishLeafOp(op)
 
 	case opIndirectWait:
-		c.reap(op.h)
-		op.h = nil
-		if binary.LittleEndian.Uint64(op.valBuf[:8]) != op.key {
+		// The block holds [8B key][value]; a key mismatch means the entry
+		// was concurrently re-pointed.
+		switch {
+		case binary.LittleEndian.Uint64(op.valBuf[:8]) == op.key:
+			op.val = op.valBuf[8:]
+			c.completeOp(op)
+		case op.speculating:
+			c.misspeculated(op)
+		default:
 			c.restartOp(op)
-			return
 		}
-		op.val = op.valBuf[8:]
-		c.completeOp(op)
 
 	default:
-		c.failOp(op, fmt.Errorf("core: SearchBatch: step in state %d", op.state))
+		c.failOp(op, fmt.Errorf("core: search(%#x): step in state %d", op.key, op.state))
 	}
 }
 
-func (c *Client) descendFromRoot(op *searchOp) {
-	if op.rootLevel == 0 {
-		op.ref = leafRef{addr: op.root}
-		c.postLeafOp(op)
-		return
-	}
-	op.cur = op.root
-	c.descendLoop(op)
-}
-
-// descendLoop walks internal levels through the cache until it needs a
-// remote read (posting it) or reaches level 1 (posting the leaf window).
-func (c *Client) descendLoop(op *searchOp) {
-	for ; op.hops < maxRetries; op.hops++ {
-		n := c.cn.cache.get(op.cur)
-		if n == nil {
-			op.node = c.getInternal()
-			h, err := c.dc.PostRead(op.cur, op.node.buf)
-			if err != nil {
-				c.failOp(op, err)
-				return
-			}
-			op.h = h
-			op.state = opInternalWait
-			return
-		}
-		if !c.stepNode(op, n.route(op.key), true) {
-			return
-		}
-	}
-	c.failOp(op, fmt.Errorf("core: SearchBatch(%#x): descent loop exhausted", op.key))
-}
-
-// stepNode applies one internal node's routing verdict to the op's
-// descent (the body of traverseFrom's loop). It reports whether the
-// caller should keep descending locally; false means the op posted a
-// read, restarted, or failed.
-func (c *Client) stepNode(op *searchOp, r route, fromCache bool) bool {
-	if r.kind != routeDown {
-		if fromCache {
-			// Stale cached node: drop it and retry this address remotely.
-			c.cn.cache.invalidate(op.cur)
-			return true
-		}
-		if r.kind == routeRight {
-			op.cur = r.child // half-split: chase the B-link sibling
-			return true
-		}
-		c.restartOp(op)
-		return false
-	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: r.level})
-	if r.level == 1 {
-		op.ref = leafRef{
-			addr:            r.child,
-			expected:        r.next,
-			expectedKnown:   !r.next.IsNil(),
-			parentAddr:      op.cur,
-			parentFromCache: fromCache,
-			path:            op.path,
-		}
-		c.postLeafOp(op)
-		return false
-	}
-	op.cur = r.child
-	return true
-}
-
-// postLeafOp posts the leaf neighborhood window read(s) for op.ref,
-// mirroring fetchLeafWindow's geometry. When the metadata replica is not
-// covered (the "+Leaf Meta" ablation), the dedicated replica READ is
-// posted alongside rather than after — both complete before the window
-// is decoded, so validation is unchanged, but the two round trips
-// overlap.
-func (c *Client) postLeafOp(op *searchOp) {
-	lay := c.ix.leaf
-	home := lay.homeOf(op.key)
-	if op.im == nil {
-		op.im = lay.getImage()
-	}
-	segs := lay.neighborhoodSegments(op.segBuf[:0], home, lay.h, c.ix.opts.ReplicateMeta)
-	op.ranges = segs
-	op.metaG = lay.metaInRanges(segs)
-
-	var err error
-	if len(segs) == 1 {
-		op.h, err = c.dc.PostRead(op.ref.addr.Add(uint64(segs[0].Off)), op.im.buf[segs[0].Off:segs[0].End])
-	} else {
-		op.h, err = c.postWindowBatch(op.ref.addr, op.im, segs)
-	}
+// postOpRead posts one READ for the op and moves it to state.
+func (c *Client) postOpRead(op *searchOp, addr dmsim.GAddr, buf []byte, state int) {
+	h, err := c.dc.PostRead(addr, buf)
 	if err != nil {
 		c.failOp(op, err)
 		return
 	}
-	if !c.ix.opts.ReplicateMeta || op.metaG < 0 {
-		rc := lay.replicaCells[0]
-		op.h2, err = c.dc.PostRead(op.ref.addr.Add(uint64(rc.Off)), op.im.buf[rc.Off:rc.End()])
-		if err != nil {
-			c.failOp(op, err)
+	op.h, op.state = h, state
+}
+
+// postIndirectOp follows a leaf entry's block pointer (§4.5). The buffer
+// is the caller's result, so every read gets its own.
+func (c *Client) postIndirectOp(op *searchOp, ptr dmsim.GAddr) {
+	op.valBuf = make([]byte, 8+c.ix.opts.ValueSize)
+	c.postOpRead(op, ptr, op.valBuf, opIndirectWait)
+}
+
+// enterLeaf starts reading the leaf at op.d.ref. A Search-started op
+// first asks the hotspot buffer for a hot entry of the key's
+// neighborhood and speculatively reads that single cell (§4.3).
+func (c *Client) enterLeaf(op *searchOp) {
+	lay := c.ix.leaf
+	if op.im == nil {
+		op.im = lay.getImage()
+	}
+	if op.spec {
+		leaf := op.d.ref.addr
+		if idx := c.cn.hotspot.lookup(leaf, op.key, lay.homeOf(op.key), lay.h); idx >= 0 {
+			op.speculating, op.specIdx = true, idx
+			cellC := lay.entryCells[idx]
+			c.postOpRead(op, leaf.Add(uint64(cellC.Off)), op.im.buf[cellC.Off:cellC.End()], opSpecWait)
 			return
 		}
+	}
+	c.postLeafOp(op)
+}
+
+// misspeculated drops the hot entry that did not hold the key (moved,
+// deleted, torn, or re-pointed) and falls back to the window read.
+func (c *Client) misspeculated(op *searchOp) {
+	op.speculating = false
+	c.cn.hotspot.noteSpeculation(false)
+	c.obs.HotspotMisses.Inc()
+	c.cn.hotspot.drop(op.d.ref.addr, op.specIdx)
+	c.postLeafOp(op)
+}
+
+// postLeafOp posts the neighborhood window of the leaf at op.d.ref:
+// entries [home, home+h) (circular) plus a metadata replica, as one READ
+// or, when the window wraps around the leaf, one doorbell batch. With
+// the ReplicateMeta ablation off no replica is covered and a dedicated
+// READ follows (needMeta).
+func (c *Client) postLeafOp(op *searchOp) {
+	lay := c.ix.leaf
+	leaf := op.d.ref.addr
+	segs := lay.neighborhoodSegments(op.segBuf[:0], lay.homeOf(op.key), lay.h, c.ix.opts.ReplicateMeta)
+	op.ranges = segs
+	op.metaG = lay.metaInRanges(segs)
+	if op.needMeta = !c.ix.opts.ReplicateMeta || op.metaG < 0; op.needMeta {
+		rc := lay.replicaCells[0]
 		op.metaG = 0
 		op.ranges = append(op.ranges, byteRange{Off: rc.Off, End: rc.End()})
 	}
-	op.state = opLeafWait
+	if len(segs) == 1 {
+		c.postOpRead(op, leaf.Add(uint64(segs[0].Off)), op.im.buf[segs[0].Off:segs[0].End], opLeafWait)
+		return
+	}
+	h, err := c.postWindowBatch(leaf, op.im, segs)
+	if err != nil {
+		c.failOp(op, err)
+		return
+	}
+	op.h, op.state = h, opLeafWait
 }
 
-// finishLeafOp validates and decodes a completed leaf window, exactly as
-// searchLeafChain does for the synchronous path.
+// finishLeafOp validates and decodes a completed leaf window.
 func (c *Client) finishLeafOp(op *searchOp) {
 	lay := c.ix.leaf
 	if err := op.im.checkRanges(op.ranges); err != nil {
-		op.torn++
-		if op.torn > maxRetries {
-			c.failOp(op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", op.ref.addr))
+		c.obs.TornReads.Inc()
+		if op.torn++; op.torn > maxRetries {
+			c.failOp(op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", op.d.ref.addr))
 			return
 		}
-		c.yield()
+		c.backoff.Yield(c.dc)
 		c.postLeafOp(op) // repost the same window into the same image
 		return
 	}
-	c.resetBackoff()
+	c.backoff.Reset()
 
 	foundIdx, foundVal, consistent := op.im.probe(lay.homeOf(op.key), op.key)
 	if !consistent {
@@ -355,7 +340,7 @@ func (c *Client) finishLeafOp(op *searchOp) {
 		return
 	}
 	meta := op.im.meta(op.metaG)
-	follow, err := c.validateLeafMeta(&op.ref, meta, op.key, foundIdx >= 0)
+	follow, err := c.validateLeafMeta(&op.d.ref, meta, op.key, foundIdx >= 0)
 	if err != nil {
 		c.restartOp(op)
 		return
@@ -367,29 +352,26 @@ func (c *Client) finishLeafOp(op *searchOp) {
 		val, ptr := c.detachValue(foundVal)
 		lay.putImage(op.im)
 		op.im = nil
-		c.cn.hotspot.record(op.ref.addr, foundIdx, op.key)
-		if c.ix.opts.Indirect {
-			if ptr.IsNil() {
-				c.restartOp(op)
-				return
-			}
-			op.valBuf = make([]byte, 8+c.ix.opts.ValueSize)
-			h, perr := c.dc.PostRead(ptr, op.valBuf)
-			if perr != nil {
-				c.failOp(op, perr)
-				return
-			}
-			op.h = h
-			op.state = opIndirectWait
-			return
+		c.cn.hotspot.record(op.d.ref.addr, foundIdx, op.key)
+		switch {
+		case !c.ix.opts.Indirect:
+			op.val = val
+			c.completeOp(op)
+		case ptr.IsNil():
+			c.restartOp(op)
+		default:
+			c.postIndirectOp(op, ptr)
 		}
-		op.val = val
-		c.completeOp(op)
 		return
 	}
 	if follow {
-		op.ref = leafRef{addr: meta.sibling}
-		c.postLeafOp(op)
+		c.obs.SiblingChases.Inc()
+		if op.d.hops++; op.d.hops > maxRetries {
+			c.failOp(op, fmt.Errorf("core: search(%#x): sibling chain too long", op.key))
+			return
+		}
+		op.d.ref = leafRef{addr: meta.sibling}
+		c.enterLeaf(op)
 		return
 	}
 	op.err = ErrNotFound
@@ -397,22 +379,23 @@ func (c *Client) finishLeafOp(op *searchOp) {
 }
 
 // restartOp retraverses one key after an optimistic conflict; other keys
-// in the batch are untouched.
+// in a batch are untouched.
 func (c *Client) restartOp(op *searchOp) {
-	op.restarts++
-	c.obs.Retries.Inc()
-	if op.restarts > maxRetries {
-		c.failOp(op, fmt.Errorf("core: SearchBatch(%#x): retries exhausted", op.key))
+	if op.restarts++; op.restarts > maxRetries {
+		c.failOp(op, fmt.Errorf("core: search(%#x): retries exhausted", op.key))
 		return
 	}
 	c.releaseOpBuffers(op)
-	c.rootAddr = dmsim.NilGAddr // a split root invalidates it
-	c.yield()
+	c.noteRestart()
 	c.beginOp(op)
 }
 
 func (c *Client) completeOp(op *searchOp) {
-	c.resetBackoff()
+	if op.speculating {
+		c.cn.hotspot.noteSpeculation(true)
+		c.obs.HotspotHits.Inc()
+	}
+	c.backoff.Reset()
 	c.releaseOpBuffers(op)
 	op.state = opDone
 }
@@ -423,16 +406,12 @@ func (c *Client) failOp(op *searchOp, err error) {
 	op.state = opDone
 }
 
-// releaseOpBuffers drains any in-flight completions (reap is nil-safe)
+// releaseOpBuffers drains any in-flight completion (reap is nil-safe)
 // and returns pooled images.
 func (c *Client) releaseOpBuffers(op *searchOp) {
+	op.d.release(c)
 	c.reap(op.h)
-	c.reap(op.h2)
-	op.h, op.h2 = nil, nil
-	if op.node != nil {
-		c.putInternal(op.node)
-		op.node = nil
-	}
+	op.h = nil
 	if op.im != nil {
 		c.ix.leaf.putImage(op.im)
 		op.im = nil

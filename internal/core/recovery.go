@@ -119,7 +119,7 @@ func (c *Client) acquireLeafLease(leaf dmsim.GAddr) (lockWord, error) {
 			return lockWord{}, err
 		}
 		if ok {
-			c.resetBackoff()
+			c.backoff.Reset()
 			return decodeLockWord(prev), nil
 		}
 		lw, stolen, err := c.tryStealLeafLease(leaf, prev)
@@ -127,11 +127,11 @@ func (c *Client) acquireLeafLease(leaf dmsim.GAddr) (lockWord, error) {
 			return lockWord{}, err
 		}
 		if stolen {
-			c.resetBackoff()
+			c.backoff.Reset()
 			return lw, nil
 		}
 		c.obs.LockBackoffs.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return lockWord{}, fmt.Errorf("core: leaf %v: lock acquisition starved", leaf)
 }

@@ -7,13 +7,11 @@ import (
 	"slices"
 
 	"chime/internal/dmsim"
+	"chime/internal/offroute"
 )
 
 // KV is one result of a range scan.
-type KV struct {
-	Key   uint64
-	Value []byte
-}
+type KV = offroute.KV
 
 // scanOneSided returns up to count items with keys >= start, in
 // ascending key order (§4.4), using one-sided verbs only; the public
@@ -28,9 +26,7 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		out, err := c.scanOnce(start, count)
 		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr
-			c.yield()
+			c.noteRestart()
 			continue
 		}
 		return out, err
@@ -39,7 +35,7 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 }
 
 func (c *Client) scanOnce(start uint64, count int) ([]KV, error) {
-	ref, err := c.traverse(start)
+	ref, err := c.descend(start)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +253,7 @@ func (c *Client) finishLeafPrefetch(p *leafPrefetch) (*leafImage, leafMeta, erro
 		return im, im.meta(0), nil
 	}
 	lay.putImage(im)
-	c.yield()
+	c.backoff.Yield(c.dc)
 	return c.readLeafForScan(addr)
 }
 
@@ -283,7 +279,7 @@ func (c *Client) readLeafForScan(addr dmsim.GAddr) (*leafImage, leafMeta, error)
 		}
 		if !im.hopBitmapsConsistent() {
 			lay.putImage(im)
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		return im, im.meta(metaG), nil

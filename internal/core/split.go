@@ -241,7 +241,7 @@ func (c *Client) propagateSplit(path []pathEntry, childLevel uint8, splitKey uin
 			return nil
 		}
 		parentAddr = retryAddr // nil forces a re-find
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return fmt.Errorf("core: propagateSplit(%#x): retries exhausted", splitKey)
 }
@@ -302,7 +302,7 @@ func (c *Client) lockNode(addr dmsim.GAddr) error {
 			return err
 		}
 		if ok {
-			c.resetBackoff()
+			c.backoff.Reset()
 			return nil
 		}
 		if lease {
@@ -311,11 +311,11 @@ func (c *Client) lockNode(addr dmsim.GAddr) error {
 				return err
 			}
 			if stolen {
-				c.resetBackoff()
+				c.backoff.Reset()
 				return nil
 			}
 		}
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return fmt.Errorf("core: internal node %v: lock starved", addr)
 }
@@ -442,7 +442,7 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 			return dmsim.NilGAddr, err
 		}
 		if c.rootLevel < level {
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		cur := c.rootAddr
@@ -464,7 +464,7 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 				cur = r.child
 			}
 		}
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return dmsim.NilGAddr, fmt.Errorf("core: findParentAt(level %d, %#x): retries exhausted", level, key)
 }

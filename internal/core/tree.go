@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"chime/internal/dmsim"
 	"chime/internal/locktable"
@@ -31,7 +30,7 @@ type Index struct {
 }
 
 // ErrNotFound reports that a key is absent from the tree.
-var ErrNotFound = errors.New("core: key not found")
+var ErrNotFound = offroute.ErrNotFound
 
 // errRestart is an internal signal: the current attempt observed a
 // structural change (stale cache, half-split, deleted node) and the
@@ -169,11 +168,6 @@ func (ix *Index) NewComputeNode(cacheBytes, hotspotBytes int64) *ComputeNode {
 	}
 }
 
-// LockTableStats reports local-lock acquisitions and handovers.
-func (cn *ComputeNode) LockTableStats() (acquires, handovers int64) {
-	return cn.locks.Stats()
-}
-
 // CacheStats reports the CN's internal-node cache counters.
 func (cn *ComputeNode) CacheStats() CacheStats { return cn.cache.stats() }
 
@@ -191,7 +185,7 @@ type Client struct {
 	rootAddr  dmsim.GAddr
 	rootLevel uint8
 
-	backoff int64
+	backoff dmsim.Backoff
 
 	// Write-pipeline counters: leaf write cycles executed and batch keys
 	// absorbed into an already-open cycle (per-leaf write combining).
@@ -202,11 +196,9 @@ type Client struct {
 	// fields are nil-safe no-ops without a sink.
 	obs obs.IndexInstruments
 
-	// router decides one-sided vs. MN-side offload per op (offload.go);
-	// nil when Options.Offload is off. offBuf is the reusable offload
-	// response buffer.
-	router *offroute.Router
-	offBuf []byte
+	// port holds the routed entry points: one-sided vs. MN-side offload
+	// per op (offload.go).
+	port offroute.Port
 
 	// Per-leaf scratch of collectLeafBatch (scan.go), made on the first
 	// scan and reused by every later one: the leaf's in-range slots, and
@@ -218,6 +210,11 @@ type Client struct {
 	// innerFree holds the internal-node images this client fetched and
 	// the cache declined, for its next fetches (getInternal).
 	innerFree []*internalImage
+
+	// desc is the descent the synchronous write and scan paths step to
+	// their leaf (descent.go); sop the one op Search steps to completion.
+	desc descent
+	sop  searchOp
 
 	// SearchBatch scratch (pipeline.go): finished ops for the next
 	// batch to reuse, and the FIFO ring of the ops in flight.
@@ -234,39 +231,20 @@ type Client struct {
 func (cn *ComputeNode) NewClient() *Client {
 	dc := cn.ix.fabric.NewClient()
 	dc.SetFlight(cn.obs.Flight.NewFlight(dc.ID()))
-	bufSize := cn.ix.opts.ValueSize
-	if bufSize < 8 {
-		bufSize = 8
+	c := &Client{
+		cn:    cn,
+		ix:    cn.ix,
+		dc:    dc,
+		alloc: dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
+		obs:   cn.obs,
 	}
-	return &Client{
-		cn:     cn,
-		ix:     cn.ix,
-		dc:     dc,
-		alloc:  dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
-		obs:    cn.obs,
-		router: offroute.New(cn.ix.opts.Offload),
-		offBuf: make([]byte, bufSize),
-	}
+	c.port = c.newPort()
+	return c
 }
 
 // DM returns the underlying fabric client (virtual clock and traffic
 // stats), used by the benchmark harness.
 func (c *Client) DM() *dmsim.Client { return c.dc }
-
-// yield backs off after an optimistic conflict: a little virtual time
-// plus a scheduler yield so the conflicting writer can finish in real
-// time too.
-func (c *Client) yield() {
-	if c.backoff < 64 {
-		c.backoff = 64
-	} else if c.backoff < 8192 {
-		c.backoff *= 2
-	}
-	c.dc.Advance(c.backoff)
-	runtime.Gosched()
-}
-
-func (c *Client) resetBackoff() { c.backoff = 0 }
 
 // chargeLocalWork charges the per-step CN-side compute, labeled as
 // cache/local-lookup work in the flight ledger.
@@ -331,10 +309,10 @@ func (c *Client) readInternal(addr dmsim.GAddr) (*internalImage, error) {
 		}
 		if err := c.ix.inner.checkInternalImage(im.buf); err != nil {
 			c.obs.TornReads.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
-		c.resetBackoff()
+		c.backoff.Reset()
 		im.decodeHeader()
 		return im, nil
 	}
@@ -365,82 +343,9 @@ type leafRef struct {
 	parentAddr      dmsim.GAddr
 	parentFromCache bool
 
+	// path is the internal nodes routed through, for split propagation.
+	// It aliases the descent the ref came from (descent.begin).
 	path []pathEntry
-}
-
-// traverse walks internal nodes (cache first, remote on miss) down to
-// the leaf covering key.
-func (c *Client) traverse(key uint64) (leafRef, error) {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		if c.rootAddr.IsNil() {
-			if err := c.refreshRoot(); err != nil {
-				return leafRef{}, err
-			}
-		}
-		ref, err := c.traverseFrom(c.rootAddr, c.rootLevel, key)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr // force a super-block re-read
-			c.yield()
-			continue
-		}
-		if err == nil {
-			c.resetBackoff()
-		}
-		return ref, err
-	}
-	return leafRef{}, fmt.Errorf("core: traverse(%#x): restart loop exhausted", key)
-}
-
-func (c *Client) traverseFrom(root dmsim.GAddr, rootLevel uint8, key uint64) (leafRef, error) {
-	c.chargeLocalWork()
-	if rootLevel == 0 {
-		// The root is a leaf.
-		return leafRef{addr: root}, nil
-	}
-	cur := root
-	path := make([]pathEntry, 0, rootLevel) // one entry per internal level
-	for hop := 0; hop < maxRetries; hop++ {
-		n := c.cn.cache.get(cur)
-		fromCache := n != nil
-		if !fromCache {
-			var err error
-			if n, err = c.readInternal(cur); err != nil {
-				return leafRef{}, err
-			}
-		}
-		r := n.route(key)
-		if !fromCache {
-			c.keepInternal(cur, n)
-		}
-		if r.kind != routeDown {
-			if fromCache {
-				// Stale cached node: drop it and retry this address
-				// remotely.
-				c.cn.cache.invalidate(cur)
-				continue
-			}
-			if r.kind == routeRight {
-				c.obs.SiblingChases.Inc()
-				cur = r.child
-				continue
-			}
-			return leafRef{}, errRestart
-		}
-		path = append(path, pathEntry{addr: cur, level: r.level})
-		if r.level == 1 {
-			return leafRef{
-				addr:            r.child,
-				expected:        r.next,
-				expectedKnown:   !r.next.IsNil(),
-				parentAddr:      cur,
-				parentFromCache: fromCache,
-				path:            path,
-			}, nil
-		}
-		cur = r.child
-	}
-	return leafRef{}, fmt.Errorf("core: traverseFrom(%#x): descent loop exhausted", key)
 }
 
 // postWindowBatch posts the doorbell batch of a leaf window that wraps
@@ -503,10 +408,10 @@ func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage,
 
 		if err := im.checkRanges(ranges); err != nil {
 			c.obs.TornReads.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
-		c.resetBackoff()
+		c.backoff.Reset()
 		return im, metaG, nil
 	}
 	lay.putImage(im)
@@ -543,88 +448,6 @@ func (c *Client) validateLeafMeta(ref *leafRef, meta leafMeta, key uint64, found
 	return false, nil
 }
 
-// searchOneSided performs a point query with one-sided verbs only; the
-// public Search (offload.go) routes between this and the MN-side
-// offload program.
-func (c *Client) searchOneSided(key uint64) ([]byte, error) {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		ref, err := c.traverse(key)
-		if err != nil {
-			return nil, err
-		}
-		val, err := c.searchLeafChain(ref, key)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr // a split root-leaf invalidates it
-			c.yield()
-			continue
-		}
-		return val, err
-	}
-	return nil, fmt.Errorf("core: Search(%#x): retries exhausted", key)
-}
-
-// searchLeafChain searches the leaf ref points at, following sibling
-// pointers across half-splits.
-func (c *Client) searchLeafChain(ref leafRef, key uint64) ([]byte, error) {
-	lay := c.ix.leaf
-	home := lay.homeOf(key)
-	cur := ref
-	for hops := 0; hops <= maxRetries; hops++ {
-		// Hotness-aware speculative read (§4.3): try the single hot
-		// entry first.
-		if idx := c.cn.hotspot.lookup(cur.addr, key, home, lay.h); idx >= 0 {
-			val, ok, err := c.speculativeRead(cur.addr, idx, key)
-			if err != nil {
-				return nil, err
-			}
-			c.cn.hotspot.noteSpeculation(ok)
-			if ok {
-				c.obs.HotspotHits.Inc()
-				return val, nil
-			}
-			c.obs.HotspotMisses.Inc()
-			c.cn.hotspot.drop(cur.addr, idx)
-		}
-
-		im, metaG, err := c.fetchLeafWindow(cur.addr, home, lay.h)
-		if err != nil {
-			return nil, err
-		}
-		foundIdx, foundVal, consistent := im.probe(home, key)
-		if !consistent {
-			lay.putImage(im)
-			return nil, errRestart
-		}
-		meta := im.meta(metaG)
-		follow, err := c.validateLeafMeta(&cur, meta, key, foundIdx >= 0)
-		if err != nil {
-			lay.putImage(im)
-			return nil, err
-		}
-		if foundIdx >= 0 {
-			// foundVal aliases the image, and both hotspot.record and an
-			// indirect block read can let another client run and draw
-			// this image from the pool: detach first, recycle after.
-			val, ptr := c.detachValue(foundVal)
-			lay.putImage(im)
-			c.cn.hotspot.record(cur.addr, foundIdx, key)
-			if c.ix.opts.Indirect {
-				return c.readIndirect(ptr, key)
-			}
-			return val, nil
-		}
-		lay.putImage(im)
-		if follow {
-			c.obs.SiblingChases.Inc()
-			cur = leafRef{addr: meta.sibling}
-			continue
-		}
-		return nil, ErrNotFound
-	}
-	return nil, fmt.Errorf("core: Search(%#x): sibling chain too long", key)
-}
-
 // detachValue takes a decoded entry's payload out of its image, so the
 // image can be recycled: a copy of an inline value, or the block pointer
 // an indirect entry holds.
@@ -633,48 +456,4 @@ func (c *Client) detachValue(stored []byte) (val []byte, ptr dmsim.GAddr) {
 		return nil, ptrOf(stored)
 	}
 	return append([]byte(nil), stored...), dmsim.NilGAddr
-}
-
-// speculativeRead fetches one entry cell and reports whether it held the
-// key with consistent versions.
-func (c *Client) speculativeRead(leaf dmsim.GAddr, idx int, key uint64) ([]byte, bool, error) {
-	lay := c.ix.leaf
-	cellC := lay.entryCells[idx]
-	im := lay.getImage()
-	defer lay.putImage(im)
-	if err := c.dc.Read(leaf.Add(uint64(cellC.Off)), im.buf[cellC.Off:cellC.End()]); err != nil {
-		return nil, false, err
-	}
-	if err := checkVersions(im.buf, 0, []cell{cellC}); err != nil {
-		return nil, false, nil // torn: treat as misspeculation
-	}
-	e := im.entry(idx)
-	if !e.occupied || e.key != key {
-		return nil, false, nil
-	}
-	if c.ix.opts.Indirect {
-		val, err := c.readIndirect(ptrOf(e.value), key)
-		if err == errRestart {
-			return nil, false, nil
-		}
-		return val, err == nil, err
-	}
-	return append([]byte(nil), e.value...), true, nil
-}
-
-// readIndirect follows a leaf entry's block pointer and returns the
-// value stored in the KV block (§4.5). The block holds [8B key][value];
-// a key mismatch means the entry was concurrently re-pointed.
-func (c *Client) readIndirect(ptr dmsim.GAddr, key uint64) ([]byte, error) {
-	if ptr.IsNil() {
-		return nil, errRestart
-	}
-	buf := make([]byte, 8+c.ix.opts.ValueSize)
-	if err := c.dc.Read(ptr, buf); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(buf[:8]) != key {
-		return nil, errRestart
-	}
-	return buf[8:], nil
 }

@@ -90,3 +90,102 @@ func TestInsertBatchSingletonTripCount(t *testing.T) {
 		t.Fatalf("singleton InsertBatch cost %d trips, want 3", got)
 	}
 }
+
+// TestSearchTripCount pins the exact round trips of a point query on a
+// tree with one internal level, once the root pointer is known: cold
+// (cache off) = the internal node + the leaf window; cached = the window
+// alone; a speculative hit = the one hot cell; a misspeculation = the
+// cell and then the window; indirect adds the KV block; the
+// dedicated-metadata-READ ablation adds the replica's dependent read.
+// SearchBatch at depth 1 is the same op minus the speculation.
+func TestSearchTripCount(t *testing.T) {
+	const key = 300 * 7
+	plain := func(*Options) {}
+	indirect := func(o *Options) { o.Indirect = true }
+	noReplica := func(o *Options) { o.ReplicateMeta = false }
+	makeHot := func(t *testing.T, cl *Client) {
+		if _, err := cl.Search(key); err != nil { // a window read records the key's slot
+			t.Fatal(err)
+		}
+	}
+	// makeStale leaves the key hot at a neighborhood slot it does not
+	// occupy: what a concurrent relocation leaves behind.
+	makeStale := func(t *testing.T, cl *Client) {
+		ref, err := cl.descend(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay := cl.ix.leaf
+		home := lay.homeOf(key)
+		im, _, err := cl.fetchLeafWindow(ref.addr, home, lay.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, _, _ := im.probe(home, key)
+		lay.putImage(im)
+		wrong := (home + lay.h - 1) % lay.span
+		if wrong == at {
+			wrong = home
+		}
+		cl.cn.hotspot.record(ref.addr, wrong, key)
+	}
+	for _, tc := range []struct {
+		name                     string
+		mut                      func(*Options)
+		cacheBytes, hotspotBytes int64
+		prime                    func(*testing.T, *Client)
+		search, batch            int64 // trips of Search, then of SearchBatch(key, depth 1)
+		specHit                  bool
+	}{
+		{name: "cold", mut: plain, search: 2, batch: 2},
+		{name: "cached", mut: plain, cacheBytes: 64 << 20, search: 1, batch: 1},
+		{name: "cold_indirect", mut: indirect, search: 3, batch: 3},
+		{name: "cached_indirect", mut: indirect, cacheBytes: 64 << 20, search: 2, batch: 2},
+		{name: "cold_dedicated_meta_read", mut: noReplica, search: 3, batch: 3},
+		{name: "cached_dedicated_meta_read", mut: noReplica, cacheBytes: 64 << 20, search: 2, batch: 2},
+		{name: "hotspot_hit", mut: plain, cacheBytes: 64 << 20, hotspotBytes: 1 << 20, prime: makeHot, search: 1, batch: 1, specHit: true},
+		{name: "hotspot_hit_indirect", mut: indirect, cacheBytes: 64 << 20, hotspotBytes: 1 << 20, prime: makeHot, search: 2, batch: 2, specHit: true},
+		{name: "hotspot_miss", mut: plain, cacheBytes: 64 << 20, hotspotBytes: 1 << 20, prime: makeStale, search: 2, batch: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tc.mut(&opts)
+			ix, err := Bootstrap(testFabric(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := ix.NewComputeNode(tc.cacheBytes, tc.hotspotBytes).NewClient()
+			for i := uint64(1); i <= 500; i++ {
+				if err := cl.Insert(i*7, val8(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cl.rootLevel != 1 {
+				t.Fatalf("tree has %d internal levels, the counts assume 1", cl.rootLevel)
+			}
+			if tc.prime != nil {
+				tc.prime(t, cl)
+			}
+			correct0 := cl.cn.HotspotStats().Correct
+			got := tripsOf(t, cl, func() {
+				if _, err := cl.Search(key); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != tc.search {
+				t.Errorf("Search cost %d trips, want %d", got, tc.search)
+			}
+			if hit := cl.cn.HotspotStats().Correct-correct0 == 1; hit != tc.specHit {
+				t.Errorf("speculative hit = %v, want %v", hit, tc.specHit)
+			}
+			got = tripsOf(t, cl, func() {
+				if _, errs := cl.SearchBatch([]uint64{key}, 1); errs[0] != nil {
+					t.Fatal(errs[0])
+				}
+			})
+			if got != tc.batch {
+				t.Errorf("SearchBatch(1 key, depth 1) cost %d trips, want %d", got, tc.batch)
+			}
+		})
+	}
+}

@@ -44,7 +44,7 @@ func (c *Client) acquireLeafLock(leaf dmsim.GAddr) (lockWord, error) {
 				return lockWord{}, err
 			}
 			if ok {
-				c.resetBackoff()
+				c.backoff.Reset()
 				return decodeLockWord(prev), nil
 			}
 		} else {
@@ -57,12 +57,12 @@ func (c *Client) acquireLeafLock(leaf dmsim.GAddr) (lockWord, error) {
 				if err := c.dc.Read(addr, b[:]); err != nil {
 					return lockWord{}, err
 				}
-				c.resetBackoff()
+				c.backoff.Reset()
 				return decodeLockWord(binary.LittleEndian.Uint64(b[:])), nil
 			}
 		}
 		c.obs.LockBackoffs.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return lockWord{}, fmt.Errorf("core: leaf %v: lock acquisition starved", leaf)
 }
@@ -192,18 +192,13 @@ func (c *Client) Insert(key uint64, value []byte) error {
 // callback to splice blocks atomically.
 func (c *Client) insertWith(key uint64, valFn func(old []byte, exists bool) ([]byte, error)) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		ref, err := c.traverse(key)
+		ref, err := c.descend(key)
 		if err != nil {
 			return err
 		}
 		done, err := c.insertIntoLeaf(ref, key, valFn)
 		if err == errRestart {
-			// The leaf moved under us (split/delete). Re-read the super
-			// block too: when the root itself was a leaf that split, the
-			// cached root pointer is what went stale.
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr
-			c.yield()
+			c.noteRestart() // the leaf moved under us (split/delete)
 			continue
 		}
 		if err != nil {
@@ -449,7 +444,7 @@ func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*le
 		// still validate for defense in depth.
 		if err := im.checkRanges(checkRanges); err != nil {
 			c.obs.TornReads.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		fetched := make([]bool, lay.span)
@@ -509,7 +504,7 @@ func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, []bool, int, erro
 		}
 		if err := checkVersions(im.buf, 0, lay.allCells); err != nil {
 			c.obs.TornReads.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		fetched := make([]bool, lay.span)
@@ -682,15 +677,13 @@ func (c *Client) Delete(key uint64) error {
 // entry after all.
 func (c *Client) modifyEntry(key uint64, mutate func(*leafEntry) (bool, error)) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		ref, err := c.traverse(key)
+		ref, err := c.descend(key)
 		if err != nil {
 			return err
 		}
 		err = c.modifyInLeaf(ref, key, mutate)
 		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr
-			c.yield()
+			c.noteRestart()
 			continue
 		}
 		return err

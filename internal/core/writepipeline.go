@@ -36,8 +36,7 @@ import (
 
 // writeOp states.
 const (
-	wpRootWait = iota + 1
-	wpInternalWait
+	wpDescend = iota + 1 // the descent's super-block or internal-node read
 	wpLockWait
 	wpLockRead
 	wpFetchWait
@@ -61,18 +60,7 @@ type writeOp struct {
 	idx  int    // position in the input / result slices
 
 	state int
-
-	// Traversal state (mirrors searchOp).
-	root      dmsim.GAddr
-	rootLevel uint8
-	cur       dmsim.GAddr
-	path      []pathEntry
-	ref       leafRef
-	hops      int
-
-	h       *dmsim.Completion
-	rootBuf [8]byte
-	node    *internalImage // internal node being fetched (client free list)
+	d     descent // root→leaf; d.ref is the leaf the op writes to
 
 	restarts, torn, casFails int
 
@@ -244,96 +232,30 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 
 // beginWriteOp (re)starts a key's traversal toward its leaf.
 func (c *Client) beginWriteOp(st *wpSched, op *writeOp) {
-	op.path = nil
-	op.hops = 0
 	op.cy = nil
 	op.notFound = false
-	c.chargeLocalWork()
-	if c.rootAddr.IsNil() {
-		h, err := c.dc.PostRead(c.ix.super, op.rootBuf[:])
-		if err != nil {
-			c.failWriteOp(op, err)
-			return
-		}
-		op.h = h
-		op.state = wpRootWait
-		return
-	}
-	op.root, op.rootLevel = c.rootAddr, c.rootLevel
-	c.descendWriteFromRoot(st, op)
+	c.writeDescended(st, op, op.d.begin(c, op.key))
 }
 
-func (c *Client) descendWriteFromRoot(st *wpSched, op *writeOp) {
-	if op.rootLevel == 0 {
-		op.ref = leafRef{addr: op.root}
+// writeDescended acts on what the op's descent reported: at the leaf the
+// op joins or opens a write cycle.
+func (c *Client) writeDescended(st *wpSched, op *writeOp, ds descentStatus) {
+	switch ds {
+	case descPosted:
+		op.state = wpDescend
+	case descArrived:
 		c.arriveWriteAtLeaf(st, op)
-		return
-	}
-	op.cur = op.root
-	c.descendWriteLoop(st, op)
-}
-
-// descendWriteLoop walks internal levels through the cache until it
-// needs a remote read (posting it) or reaches level 1 (arriving at the
-// leaf and joining/opening a write cycle).
-func (c *Client) descendWriteLoop(st *wpSched, op *writeOp) {
-	for ; op.hops < maxRetries; op.hops++ {
-		n := c.cn.cache.get(op.cur)
-		if n == nil {
-			op.node = c.getInternal()
-			h, err := c.dc.PostRead(op.cur, op.node.buf)
-			if err != nil {
-				c.failWriteOp(op, err)
-				return
-			}
-			op.h = h
-			op.state = wpInternalWait
-			return
-		}
-		if !c.stepWriteNode(st, op, n.route(op.key), true) {
-			return
-		}
-	}
-	c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): descent loop exhausted", op.key))
-}
-
-// stepWriteNode applies one internal node's routing verdict to the
-// descent; false means the op posted, arrived at its leaf, restarted, or
-// failed.
-func (c *Client) stepWriteNode(st *wpSched, op *writeOp, r route, fromCache bool) bool {
-	if r.kind != routeDown {
-		if fromCache {
-			c.cn.cache.invalidate(op.cur)
-			return true
-		}
-		if r.kind == routeRight {
-			op.cur = r.child
-			return true
-		}
+	case descRestart:
 		c.restartWriteOp(st, op)
-		return false
+	default:
+		c.failWriteOp(op, op.d.err)
 	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: r.level})
-	if r.level == 1 {
-		op.ref = leafRef{
-			addr:            r.child,
-			expected:        r.next,
-			expectedKnown:   !r.next.IsNil(),
-			parentAddr:      op.cur,
-			parentFromCache: fromCache,
-			path:            op.path,
-		}
-		c.arriveWriteAtLeaf(st, op)
-		return false
-	}
-	op.cur = r.child
-	return true
 }
 
 // arriveWriteAtLeaf joins the leaf's collecting cycle, or opens a new
 // one and posts its lock CAS.
 func (c *Client) arriveWriteAtLeaf(st *wpSched, op *writeOp) {
-	k := op.ref.addr.Pack()
+	k := op.d.ref.addr.Pack()
 	if cy, ok := st.cycles[k]; ok && cy.collecting {
 		op.cy = cy
 		cy.ops = append(cy.ops, op)
@@ -341,7 +263,7 @@ func (c *Client) arriveWriteAtLeaf(st *wpSched, op *writeOp) {
 		st.combined++
 		return
 	}
-	cy := &writeCycle{leaf: op.ref.addr, leader: op, ops: []*writeOp{op}, collecting: true}
+	cy := &writeCycle{leaf: op.d.ref.addr, leader: op, ops: []*writeOp{op}, collecting: true}
 	st.cycles[k] = cy
 	st.cyclesN++
 	op.cy = cy
@@ -375,39 +297,8 @@ func (c *Client) postCycleLock(st *wpSched, op *writeOp) {
 // and advances the state machine.
 func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 	switch op.state {
-	case wpRootWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
-		c.rootAddr, c.rootLevel = addr, lvl
-		op.root, op.rootLevel = addr, lvl
-		c.descendWriteFromRoot(st, op)
-
-	case wpInternalWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		if err := c.ix.inner.checkInternalImage(op.node.buf); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
-				c.failWriteOp(op, fmt.Errorf("core: internal node %v: torn-read retries exhausted", op.cur))
-				return
-			}
-			c.yield()
-			h, perr := c.dc.PostRead(op.cur, op.node.buf)
-			if perr != nil {
-				c.failWriteOp(op, perr)
-				return
-			}
-			op.h = h
-			return
-		}
-		op.node.decodeHeader()
-		r := op.node.route(op.key)
-		c.keepInternal(op.cur, op.node)
-		op.node = nil
-		if c.stepWriteNode(st, op, r, false) {
-			c.descendWriteLoop(st, op)
-		}
+	case wpDescend:
+		c.writeDescended(st, op, op.d.step(c))
 
 	case wpLockWait:
 		cy := op.cy
@@ -424,7 +315,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 					return
 				}
 				if stolen {
-					c.resetBackoff()
+					c.backoff.Reset()
 					cy.lw = lw
 					c.postCycleFetch(st, op)
 					return
@@ -435,11 +326,11 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: lock acquisition starved", cy.leaf), false)
 				return
 			}
-			c.yield()
+			c.backoff.Yield(c.dc)
 			c.postCycleLock(st, op) // the cycle keeps collecting meanwhile
 			return
 		}
-		c.resetBackoff()
+		c.backoff.Reset()
 		if c.ix.opts.PiggybackVacancy {
 			cy.lw = decodeLockWord(prev)
 			c.postCycleFetch(st, op)
@@ -477,7 +368,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", cy.leaf), true)
 				return
 			}
-			c.yield()
+			c.backoff.Yield(c.dc)
 			c.postCycleRanges(st, op)
 			return
 		}
@@ -487,7 +378,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 		cy := op.cy
 		c.dc.Poll(cy.h)
 		cy.h = nil
-		c.resetBackoff()
+		c.backoff.Reset()
 		for _, d := range cy.settled {
 			d.cy = nil
 			if d.notFound {
@@ -640,7 +531,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		c.unlockLeaf(cy.leaf, cy.lw)
 		for _, op := range cy.ops {
 			leave(op, func(op *writeOp) {
-				c.invalidateRefParent(op.ref)
+				c.invalidateRefParent(op.d.ref)
 				c.restartWriteOp(st, op)
 			})
 		}
@@ -650,10 +541,10 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 
 	pending := make([]*writeOp, 0, len(cy.ops))
 	for _, op := range cy.ops {
-		if op.ref.expectedKnown && meta.sibling != op.ref.expected && op.ref.parentFromCache {
+		if op.d.ref.expectedKnown && meta.sibling != op.d.ref.expected && op.d.ref.parentFromCache {
 			// Cache validation (§4.2.3): the cached parent predates a split.
 			leave(op, func(op *writeOp) {
-				c.invalidateRefParent(op.ref)
+				c.invalidateRefParent(op.d.ref)
 				c.restartWriteOp(st, op)
 			})
 			continue
@@ -667,7 +558,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 				leave(op, func(op *writeOp) { c.rearriveWriteOp(st, op, sib) })
 			} else {
 				leave(op, func(op *writeOp) {
-					c.invalidateRefParent(op.ref)
+					c.invalidateRefParent(op.d.ref)
 					c.restartWriteOp(st, op)
 				})
 			}
@@ -784,7 +675,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 // already-applied ops complete; the splitting op and the not-yet-applied
 // rest retraverse into the half-split leaves.
 func (c *Client) splitCycle(st *wpSched, cy *writeCycle, stepped, splitter *writeOp, meta leafMeta, lw lockWord, done, rest []*writeOp) {
-	err := c.splitLeaf(splitter.ref, cy.im, meta, lw, splitter.key)
+	err := c.splitLeaf(splitter.d.ref, cy.im, meta, lw, splitter.key)
 	for _, op := range done {
 		op.cy = nil
 		if op.notFound {
@@ -867,33 +758,30 @@ func containsWriteOp(ops []*writeOp, op *writeOp) bool {
 
 // rearriveWriteOp re-enters the leaf layer at a sibling (B-link chase).
 func (c *Client) rearriveWriteOp(st *wpSched, op *writeOp, leaf dmsim.GAddr) {
-	op.hops++
-	if op.hops > maxRetries {
+	c.obs.SiblingChases.Inc()
+	if op.d.hops++; op.d.hops > maxRetries {
 		c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): sibling chain too long", op.key))
 		return
 	}
-	op.ref = leafRef{addr: leaf}
+	op.d.ref = leafRef{addr: leaf}
 	c.arriveWriteAtLeaf(st, op)
 }
 
 // restartWriteOp retraverses one key after an optimistic conflict; the
 // rest of the batch is untouched.
 func (c *Client) restartWriteOp(st *wpSched, op *writeOp) {
-	op.restarts++
-	c.obs.Retries.Inc()
-	if op.restarts > maxRetries {
+	if op.restarts++; op.restarts > maxRetries {
 		c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): retries exhausted", op.key))
 		return
 	}
-	c.releaseWriteOpBuffers(op)
-	c.rootAddr = dmsim.NilGAddr // a split root invalidates it
-	c.yield()
+	op.d.release(c)
+	c.noteRestart()
 	c.beginWriteOp(st, op)
 }
 
 func (c *Client) failWriteOp(op *writeOp, err error) {
 	op.err = err
-	c.releaseWriteOpBuffers(op)
+	op.d.release(c) // cycle resources are cycle-owned
 	op.state = wpDone
 }
 
@@ -928,15 +816,4 @@ func (c *Client) releaseCycle(cy *writeCycle) {
 	}
 	cy.settled = nil
 	cy.ops = nil
-}
-
-// releaseWriteOpBuffers drains the op's own in-flight completion and
-// returns its pooled internal image (cycle resources are cycle-owned).
-func (c *Client) releaseWriteOpBuffers(op *writeOp) {
-	c.dc.Poll(op.h)
-	op.h = nil
-	if op.node != nil {
-		c.putInternal(op.node)
-		op.node = nil
-	}
 }

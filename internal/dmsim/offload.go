@@ -149,9 +149,6 @@ type MNCtx struct {
 // MN returns the index of the memory node the program runs on.
 func (x *MNCtx) MN() int { return x.mnIdx }
 
-// Touched returns the bytes moved through the view so far.
-func (x *MNCtx) Touched() int64 { return x.touched }
-
 // local reports whether [a, a+n) is on this MN and in bounds.
 func (x *MNCtx) local(a GAddr, n int) bool {
 	return int(a.MN) == x.mnIdx && n >= 0 && a.Off+uint64(n) <= uint64(len(x.mn.mem))
@@ -238,9 +235,6 @@ func (x *MNCtx) Emit(p []byte) bool {
 	x.touched += int64(len(p))
 	return true
 }
-
-// EmitLen returns the bytes emitted so far.
-func (x *MNCtx) EmitLen() int { return x.outN }
 
 // ExecOffload runs fn against an unmetered-cost MN-side view: no NIC or
 // MN CPU charge, no fault gate, no client. It exists for dmsim tests

@@ -317,20 +317,8 @@ func (f *Fabric) FlushPersist() error {
 // (folio heap+index, atomic rename), stamped with the fabric's
 // frontier. Call it quiesced — compaction reads MN memory without the
 // stripe locks. MNs whose log is below AutoCompactEvery still compact:
-// this is the explicit snapshot; use MaybeSnapshotPersist for the
-// threshold-gated form.
+// this is the explicit snapshot.
 func (f *Fabric) SnapshotPersist() error {
-	return f.snapshotPersist(false)
-}
-
-// MaybeSnapshotPersist compacts only the MNs whose sparse log has
-// outgrown Persist.AutoCompactEvery. A zero threshold makes it a
-// no-op. Requires the same quiescence as SnapshotPersist.
-func (f *Fabric) MaybeSnapshotPersist() error {
-	return f.snapshotPersist(true)
-}
-
-func (f *Fabric) snapshotPersist(thresholdOnly bool) error {
 	if !f.PersistEnabled() {
 		return fmt.Errorf("dmsim: snapshot on a fabric without persistence")
 	}
@@ -339,13 +327,7 @@ func (f *Fabric) snapshotPersist(thresholdOnly bool) error {
 		mn.allocMu.Lock()
 		allocOff := mn.allocOff
 		mn.allocMu.Unlock()
-		var err error
-		if thresholdOnly {
-			_, err = mn.ps.st.MaybeCompact(mn.mem, allocOff, f.persistMetaFor(i), stamp)
-		} else {
-			err = mn.ps.st.Compact(mn.mem, allocOff, f.persistMetaFor(i), stamp)
-		}
-		if err != nil {
+		if err := mn.ps.st.Compact(mn.mem, allocOff, f.persistMetaFor(i), stamp); err != nil {
 			return fmt.Errorf("dmsim: snapshotting MN %d: %w", i, err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"chime/internal/lease"
 	"chime/internal/nodelayout"
 	"chime/internal/obs"
+	"chime/internal/offroute"
 )
 
 // readGroup fetches a leaf group's main leaf and overflow buddy in one
@@ -29,10 +30,10 @@ func (c *Client) readGroup(g int) (main, buddy []byte, err error) {
 		if nodelayout.CheckVersions(main, 0, lay.allCells) != nil ||
 			nodelayout.CheckVersions(buddy, 0, lay.allCells) != nil {
 			c.obs.TornReads.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
-		c.backoff = 0
+		c.backoff.Reset()
 		return main, buddy, nil
 	}
 	return nil, nil, fmt.Errorf("rolex: group %d: torn-read retries exhausted", g)
@@ -48,10 +49,10 @@ func (c *Client) readChained(addr dmsim.GAddr) ([]byte, error) {
 		}
 		if nodelayout.CheckVersions(img, 0, lay.allCells) != nil {
 			c.obs.TornReads.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
-		c.backoff = 0
+		c.backoff.Reset()
 		return img, nil
 	}
 	return nil, fmt.Errorf("rolex: chained leaf %v: retries exhausted", addr)
@@ -139,7 +140,7 @@ func (c *Client) resolve(e entry, key uint64) ([]byte, error) {
 			return buf[8:], nil
 		}
 		c.obs.Retries.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return nil, ErrNotFound
 }
@@ -164,11 +165,11 @@ func (c *Client) lockGroup(g int) error {
 			return err
 		}
 		if ok {
-			c.backoff = 0
+			c.backoff.Reset()
 			return nil
 		}
 		c.obs.LockBackoffs.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return fmt.Errorf("rolex: group %d lock starved", g)
 }
@@ -189,7 +190,7 @@ func (c *Client) lockGroupLease(addr dmsim.GAddr, g int) error {
 			return err
 		}
 		if ok {
-			c.backoff = 0
+			c.backoff.Reset()
 			return nil
 		}
 		if lease.Expired(prev, c.dc.Now()) {
@@ -198,12 +199,12 @@ func (c *Client) lockGroupLease(addr dmsim.GAddr, g int) error {
 				return err
 			} else if won {
 				c.obs.Recoveries.Inc()
-				c.backoff = 0
+				c.backoff.Reset()
 				return nil
 			}
 		}
 		c.obs.LockBackoffs.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return fmt.Errorf("rolex: group %d lock starved", g)
 }
@@ -456,10 +457,7 @@ func (c *Client) modify(key uint64, val *[]byte) error {
 }
 
 // KV is one scan result.
-type KV struct {
-	Key   uint64
-	Value []byte
-}
+type KV = offroute.KV
 
 // scanOneSided reads consecutive groups until the budget is filled;
 // ROLEX's small span makes scans cheap.

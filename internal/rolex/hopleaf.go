@@ -182,7 +182,7 @@ func (c *Client) searchHopGroup(g int, key uint64) (entry, bool, error) {
 		cells := lay.coveredCells(ranges)
 		if nodelayout.CheckVersions(mainImg, 0, cells) != nil ||
 			nodelayout.CheckVersions(buddyImg, 0, cells) != nil {
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		consistent := true
@@ -193,10 +193,10 @@ func (c *Client) searchHopGroup(g int, key uint64) (entry, bool, error) {
 			}
 		}
 		if !consistent {
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
-		c.backoff = 0
+		c.backoff.Reset()
 		for _, img := range [][]byte{mainImg, buddyImg} {
 			bm := lay.decodeEntry(img, home).hopBM
 			for d := 0; d < lay.h; d++ {

@@ -142,10 +142,10 @@ func TestOffloadIndirectSearch(t *testing.T) {
 	opts.Indirect = true
 	opts.ValueSize = 64
 	opts.Offload = offroute.ModeAlways
-	ix, cl := buildOffloadTest(t, cfg, opts, 500)
+	_, cl := buildOffloadTest(t, cfg, opts, 500)
 	keys := sortedKeys(500)
 
-	if ix.offloadUpdateOK() {
+	if cl.port.UpdateOK {
 		t.Fatal("indirect updates must not be offloadable")
 	}
 	for _, k := range keys {
@@ -245,7 +245,7 @@ func TestOffloadUpdateLockInterop(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cl := cnOne.NewClient()
-			cl.router = nil // force pure one-sided writes on the same groups
+			cl.port.Router = nil // force pure one-sided writes on the same groups
 			for r := 0; r < 30; r++ {
 				for i := 1; i < len(keys); i += 2 {
 					if err := cl.Insert(keys[i], val8(2_000_000+uint64(i))); err != nil {

@@ -2,9 +2,7 @@ package rolex
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -87,7 +85,7 @@ func (o Options) Validate() error {
 }
 
 // ErrNotFound reports an absent key.
-var ErrNotFound = errors.New("rolex: key not found")
+var ErrNotFound = offroute.ErrNotFound
 
 const (
 	maxRetries = 100000
@@ -395,45 +393,29 @@ type Client struct {
 	ix      *Index
 	dc      *dmsim.Client
 	alloc   *dmsim.ChunkAllocator
-	backoff int64
+	backoff dmsim.Backoff
 	obs     obs.IndexInstruments
 
-	// router decides one-sided vs. MN-side offload per op (offload.go);
-	// nil when Options.Offload is off. offBuf is the reusable offload
-	// response buffer.
-	router *offroute.Router
-	offBuf []byte
+	// port holds the routed entry points: one-sided vs. MN-side offload
+	// per op (offload.go).
+	port offroute.Port
 }
 
 // NewClient creates a client bound to the compute node.
 func (cn *ComputeNode) NewClient() *Client {
 	dc := cn.ix.fabric.NewClient()
 	dc.SetFlight(cn.obs.Flight.NewFlight(dc.ID()))
-	bufSize := cn.ix.opts.ValueSize
-	if bufSize < 8 {
-		bufSize = 8
-	}
-	return &Client{
+	c := &Client{
 		cn: cn, ix: cn.ix, dc: dc,
-		alloc:  dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
-		router: offroute.New(cn.ix.opts.Offload),
-		offBuf: make([]byte, bufSize),
-		obs:    cn.obs,
+		alloc: dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
+		obs:   cn.obs,
 	}
+	c.port = c.newPort()
+	return c
 }
 
 // DM exposes the fabric client for the benchmark harness.
 func (c *Client) DM() *dmsim.Client { return c.dc }
-
-func (c *Client) yield() {
-	if c.backoff < 64 {
-		c.backoff = 64
-	} else if c.backoff < 8192 {
-		c.backoff *= 2
-	}
-	c.dc.Advance(c.backoff)
-	runtime.Gosched()
-}
 
 // chargeModel charges the CN-side learned-model inference that routes a
 // key to its leaf group, labeled as cache-lookup time in the flight

@@ -149,7 +149,14 @@ type Client struct {
 
 	rootAddr  dmsim.GAddr
 	rootLevel uint8
-	ys        yieldState
+	ys        dmsim.Backoff
+
+	// desc is the descent the synchronous write and scan paths step to
+	// their leaf (descent.go); sop the one op Search steps to completion;
+	// opFree the finished SearchBatch ops the next batch reuses.
+	desc   descent
+	sop    batchOp
+	opFree []*batchOp
 
 	// Write-pipeline counters: leaf write cycles executed and batch keys
 	// absorbed into an already-open cycle (per-leaf write combining).
@@ -158,28 +165,22 @@ type Client struct {
 
 	obs obs.IndexInstruments
 
-	// router decides one-sided vs. MN-side offload per op (offload.go);
-	// nil when Options.Offload is off. offBuf is the reusable offload
-	// response buffer.
-	router *offroute.Router
-	offBuf []byte
+	// port holds the routed entry points: one-sided vs. MN-side offload
+	// per op (offload.go).
+	port offroute.Port
 }
 
 // NewClient creates a client bound to the compute node.
 func (cn *ComputeNode) NewClient() *Client {
 	dc := cn.ix.fabric.NewClient()
 	dc.SetFlight(cn.obs.Flight.NewFlight(dc.ID()))
-	bufSize := cn.ix.opts.ValueSize
-	if bufSize < 8 {
-		bufSize = 8
-	}
-	return &Client{
+	c := &Client{
 		cn: cn, ix: cn.ix, dc: dc,
-		alloc:  dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
-		obs:    cn.obs,
-		router: offroute.New(cn.ix.opts.Offload),
-		offBuf: make([]byte, bufSize),
+		alloc: dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
+		obs:   cn.obs,
 	}
+	c.port = c.newPort()
+	return c
 }
 
 // DM exposes the fabric client for the benchmark harness.
@@ -213,10 +214,10 @@ func (c *Client) readNode(lay *layout, addr dmsim.GAddr) ([]byte, header, error)
 		}
 		if err := nodelayout.CheckVersions(img, 0, lay.allCells); err != nil {
 			c.obs.TornReads.Inc()
-			c.ys.yield(c.dc)
+			c.ys.Yield(c.dc)
 			continue
 		}
-		c.ys.reset()
+		c.ys.Reset()
 		return img, lay.decodeHeader(img), nil
 	}
 	return nil, header{}, fmt.Errorf("sherman: node %v: torn-read retries exhausted", addr)
@@ -237,130 +238,9 @@ type pathEntry struct {
 	level uint8
 }
 
-// traverse descends to the leaf covering key, preferring cached internal
-// nodes, and returns the leaf address plus the visited path.
-func (c *Client) traverse(key uint64) (dmsim.GAddr, []pathEntry, error) {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		if c.rootAddr.IsNil() {
-			if err := c.refreshRoot(); err != nil {
-				return dmsim.NilGAddr, nil, err
-			}
-		}
-		c.chargeLocalWork()
-		if c.rootLevel == 0 {
-			return c.rootAddr, nil, nil
-		}
-		cur := c.rootAddr
-		var path []pathEntry
-		restart := false
-		for hop := 0; hop < maxRetries && !restart; hop++ {
-			fromCache := true
-			n := c.cn.cacheGet(cur)
-			if n == nil {
-				fromCache = false
-				img, hdr, err := c.readNode(c.ix.inner, cur)
-				if err != nil {
-					return dmsim.NilGAddr, nil, err
-				}
-				if !hdr.valid {
-					restart = true
-					break
-				}
-				n = c.decodeInternal(cur, img, hdr)
-				c.cn.cachePut(cur, n)
-			}
-			if !n.covers(key) {
-				if fromCache {
-					c.cn.cacheDrop(cur)
-					continue
-				}
-				if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
-					c.obs.SiblingChases.Inc()
-					cur = n.hdr.sibling
-					continue
-				}
-				restart = true
-				break
-			}
-			path = append(path, pathEntry{addr: cur, level: n.hdr.level})
-			child := n.childFor(key)
-			if child.IsNil() {
-				if fromCache {
-					c.cn.cacheDrop(cur)
-					continue
-				}
-				restart = true
-				break
-			}
-			if n.hdr.level == 1 {
-				return child, path, nil
-			}
-			cur = child
-		}
-		c.obs.Retries.Inc()
-		c.rootAddr = dmsim.NilGAddr
-		c.ys.yield(c.dc)
-	}
-	return dmsim.NilGAddr, nil, fmt.Errorf("sherman: traverse(%#x) exhausted", key)
-}
-
-// searchOneSided performs a point query with one-sided verbs, fetching
-// the entire leaf node — the read amplification CHIME's hopscotch leaves
-// eliminate. The public Search (offload.go) routes between this and the
-// MN-side offload program.
-func (c *Client) searchOneSided(key uint64) ([]byte, error) {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, _, err := c.traverse(key)
-		if err != nil {
-			return nil, err
-		}
-		val, err := c.searchLeafChain(leaf, key)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr // a split root-leaf invalidates it
-			c.ys.yield(c.dc)
-			continue
-		}
-		return val, err
-	}
-	return nil, fmt.Errorf("sherman: Search(%#x) exhausted", key)
-}
-
-func (c *Client) searchLeafChain(leaf dmsim.GAddr, key uint64) ([]byte, error) {
-	lay := c.ix.leaf
-	for hops := 0; hops <= maxRetries; hops++ {
-		img, hdr, err := c.readNode(lay, leaf)
-		if err != nil {
-			return nil, err
-		}
-		if !hdr.valid {
-			return nil, errRestart
-		}
-		if key < hdr.fenceLow {
-			return nil, errRestart
-		}
-		if !hdr.fenceInf && key >= hdr.fenceHi {
-			if hdr.sibling.IsNil() {
-				return nil, errRestart
-			}
-			c.obs.SiblingChases.Inc()
-			leaf = hdr.sibling // half-split validation via fence keys
-			continue
-		}
-		for i := 0; i < lay.span; i++ {
-			e := lay.decodeEntry(img, i)
-			if e.occupied && e.key == key {
-				if c.ix.opts.Indirect {
-					return c.readIndirect(e.val, key)
-				}
-				return append([]byte(nil), e.val[:lay.valSize]...), nil
-			}
-		}
-		return nil, ErrNotFound
-	}
-	return nil, fmt.Errorf("sherman: leaf chain too long")
-}
-
+// readIndirect follows an entry's block pointer for a scan (point reads
+// post theirs, pipeline.go). The block holds [8B key][value]; a key
+// mismatch means the entry was concurrently re-pointed.
 func (c *Client) readIndirect(ptrBytes []byte, key uint64) ([]byte, error) {
 	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(ptrBytes[:8]))
 	if ptr.IsNil() {
@@ -396,11 +276,11 @@ func (c *Client) lock(addr dmsim.GAddr) error {
 			return err
 		}
 		if ok {
-			c.ys.reset()
+			c.ys.Reset()
 			return nil
 		}
 		c.obs.LockBackoffs.Inc()
-		c.ys.yield(c.dc)
+		c.ys.Yield(c.dc)
 	}
 	return fmt.Errorf("sherman: lock %v starved", addr)
 }
@@ -422,7 +302,7 @@ func (c *Client) lockLease(addr dmsim.GAddr) error {
 			return err
 		}
 		if ok {
-			c.ys.reset()
+			c.ys.Reset()
 			return nil
 		}
 		if lease.Expired(prev, c.dc.Now()) {
@@ -431,12 +311,12 @@ func (c *Client) lockLease(addr dmsim.GAddr) error {
 				return err
 			} else if won {
 				c.obs.Recoveries.Inc()
-				c.ys.reset()
+				c.ys.Reset()
 				return nil
 			}
 		}
 		c.obs.LockBackoffs.Inc()
-		c.ys.yield(c.dc)
+		c.ys.Yield(c.dc)
 	}
 	return fmt.Errorf("sherman: lock %v starved", addr)
 }
@@ -538,15 +418,13 @@ func (c *Client) Insert(key uint64, value []byte) error {
 		return err
 	}
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, path, err := c.traverse(key)
+		leaf, path, err := c.descend(key)
 		if err != nil {
 			return err
 		}
 		done, err := c.insertIntoLeaf(leaf, path, key, val)
 		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr
-			c.ys.yield(c.dc)
+			c.noteRestart()
 			continue
 		}
 		if err != nil {
@@ -698,7 +576,7 @@ func (c *Client) Delete(key uint64) error {
 func (c *Client) modify(key uint64, val *[]byte) error {
 	lay := c.ix.leaf
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, _, err := c.traverse(key)
+		leaf, _, err := c.descend(key)
 		if err != nil {
 			return err
 		}
@@ -746,18 +624,13 @@ func (c *Client) modify(key uint64, val *[]byte) error {
 			c.unlock(leaf)
 			return ErrNotFound
 		}
-		c.obs.Retries.Inc()
-		c.rootAddr = dmsim.NilGAddr
-		c.ys.yield(c.dc)
+		c.noteRestart()
 	}
 	return fmt.Errorf("sherman: modify(%#x) exhausted", key)
 }
 
 // KV is one scan result.
-type KV struct {
-	Key   uint64
-	Value []byte
-}
+type KV = offroute.KV
 
 // scanOneSided returns up to count items with keys >= start in
 // ascending order, reading whole leaves along the sibling chain with
@@ -766,7 +639,7 @@ type KV struct {
 func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 	lay := c.ix.leaf
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, _, err := c.traverse(start)
+		leaf, _, err := c.descend(start)
 		if err != nil {
 			return nil, err
 		}
@@ -815,9 +688,7 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 			leaf = hdr.sibling
 		}
 		if restart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr
-			c.ys.yield(c.dc)
+			c.noteRestart()
 			continue
 		}
 	}

@@ -1,145 +1,38 @@
 package sherman
 
-import (
-	"encoding/binary"
+import "chime/internal/offroute"
 
-	"chime/internal/dmsim"
-	"chime/internal/obs"
-)
+// Public operation entry points: each goes through the client's
+// offroute.Port, which routes it between the one-sided implementation
+// and the MN-side program (mnprog.go).
 
-// Public operation entry points and the hybrid one-sided/offload router
-// wiring; the same shape as internal/core's offload.go. Support gates
-// run before the router so unsupported ops never pollute its cost
-// estimates; a routed offload that falls back redoes the op one-sided
-// and reports the combined cost, so adaptive mode learns the true price.
-
-// offloadUpdateOK: indirect values need client-side allocation and
-// lease locks carry the holder's identity — both stay one-sided.
-func (ix *Index) offloadUpdateOK() bool {
-	return !ix.opts.Indirect && !ix.opts.LeaseLocks
+// newPort wires the client's routed entry points. Indirect values need
+// client-side allocation and lease locks carry the holder's identity, so
+// updates under either stay one-sided.
+func (c *Client) newPort() offroute.Port {
+	o := c.ix.opts
+	return offroute.Port{
+		DC: c.dc, Tracer: c.obs.Tracer, Router: offroute.New(o.Offload),
+		Prog: c.ix.mnprog, MN: c.ix.offMN, SpanPrefix: "sherman",
+		SearchOneSided: c.searchOneSided, UpdateOneSided: c.updateOneSided, ScanOneSided: c.scanOneSided,
+		ReadOK: true, UpdateOK: !o.Indirect && !o.LeaseLocks,
+		ValueSize: o.ValueSize, RecSize: 8 + o.ValueSize,
+	}
 }
 
 // Search performs a point query. With offload enabled the op may
 // execute as a single LeafSearchAtMN RPC instead of fetching the whole
 // leaf node to the CN.
-func (c *Client) Search(key uint64) ([]byte, error) {
-	if sp := c.obs.Tracer.Begin("sherman.search", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpSearch, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if c.router == nil {
-		return c.searchOneSided(key)
-	}
-	if !c.router.UseOffload() {
-		t0, trips0 := c.dc.Now(), c.dc.Stats().Trips
-		val, err := c.searchOneSided(key)
-		c.router.ObserveOneSided(c.dc.Now()-t0, c.dc.Stats().Trips-trips0)
-		return val, err
-	}
-	t0 := c.dc.Now()
-	n, st, err := c.dc.LeafSearchAtMN(c.ix.mnprog, c.ix.offMN, key, 0, c.offBuf)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Fallback() {
-		c.router.ObserveOffload(c.dc.Now() - t0)
-		if st == dmsim.OffloadNotFound {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), c.offBuf[:n]...), nil
-	}
-	val, err := c.searchOneSided(key)
-	c.router.ObserveOffload(c.dc.Now() - t0)
-	return val, err
-}
+func (c *Client) Search(key uint64) ([]byte, error) { return c.port.Search(key) }
 
 // Update overwrites an existing key's value, possibly as a single
 // CompareAndCASAtMN RPC.
-func (c *Client) Update(key uint64, value []byte) error {
-	if sp := c.obs.Tracer.Begin("sherman.update", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpUpdate, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if c.router == nil || !c.ix.offloadUpdateOK() {
-		return c.updateOneSided(key, value)
-	}
-	if !c.router.UseOffload() {
-		t0, trips0 := c.dc.Now(), c.dc.Stats().Trips
-		err := c.updateOneSided(key, value)
-		c.router.ObserveOneSided(c.dc.Now()-t0, c.dc.Stats().Trips-trips0)
-		return err
-	}
-	t0 := c.dc.Now()
-	st, err := c.dc.CompareAndCASAtMN(c.ix.mnprog, c.ix.offMN, key, 0, value)
-	if err != nil {
-		return err
-	}
-	if !st.Fallback() {
-		c.router.ObserveOffload(c.dc.Now() - t0)
-		if st == dmsim.OffloadNotFound {
-			return ErrNotFound
-		}
-		return nil
-	}
-	err = c.updateOneSided(key, value)
-	c.router.ObserveOffload(c.dc.Now() - t0)
-	return err
-}
+func (c *Client) Update(key uint64, value []byte) error { return c.port.Update(key, value) }
 
 // Scan returns up to count items with keys >= start in ascending order,
 // possibly as a single ScatterGatherScan RPC.
-func (c *Client) Scan(start uint64, count int) ([]KV, error) {
-	if count <= 0 {
-		return nil, nil
-	}
-	if sp := c.obs.Tracer.Begin("sherman.scan", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpScan, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if c.router == nil {
-		return c.scanOneSided(start, count)
-	}
-	if !c.router.UseOffload() {
-		t0, trips0 := c.dc.Now(), c.dc.Stats().Trips
-		out, err := c.scanOneSided(start, count)
-		c.router.ObserveOneSided(c.dc.Now()-t0, c.dc.Stats().Trips-trips0)
-		return out, err
-	}
-	t0 := c.dc.Now()
-	valSize := c.ix.opts.ValueSize
-	recSize := 8 + valSize
-	dst := make([]byte, count*recSize)
-	n, st, err := c.dc.ScatterGatherScan(c.ix.mnprog, c.ix.offMN, start, 0, count, dst)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Fallback() {
-		c.router.ObserveOffload(c.dc.Now() - t0)
-		out := make([]KV, 0, n/recSize)
-		for off := 0; off+recSize <= n; off += recSize {
-			out = append(out, KV{
-				Key:   binary.LittleEndian.Uint64(dst[off : off+8]),
-				Value: dst[off+8 : off+recSize],
-			})
-		}
-		return out, nil
-	}
-	out, err := c.scanOneSided(start, count)
-	c.router.ObserveOffload(c.dc.Now() - t0)
-	return out, err
-}
+func (c *Client) Scan(start uint64, count int) ([]KV, error) { return c.port.Scan(start, count) }
 
 // OffloadStats reports how many of this client's routed ops went to
 // each path (zeros with offload off).
-func (c *Client) OffloadStats() (offloaded, onesided uint64) {
-	return c.router.Stats()
-}
+func (c *Client) OffloadStats() (offloaded, onesided uint64) { return c.port.OffloadStats() }

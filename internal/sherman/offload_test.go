@@ -113,9 +113,9 @@ func TestOffloadIndirectSearch(t *testing.T) {
 	opts.Indirect = true
 	opts.ValueSize = 64
 	opts.Offload = offroute.ModeAlways
-	ix, cl := newOffloadTree(t, cfg, opts)
+	_, cl := newOffloadTree(t, cfg, opts)
 
-	if ix.offloadUpdateOK() {
+	if cl.port.UpdateOK {
 		t.Fatal("indirect updates must not be offloadable")
 	}
 	val := make([]byte, 64)
@@ -281,7 +281,7 @@ func TestOffloadUpdateLockInterop(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cl := cnOne.NewClient()
-			cl.router = nil // force pure one-sided writes on the same leaves
+			cl.port.Router = nil // force pure one-sided writes on the same leaves
 			for r := 0; r < 30; r++ {
 				for i := uint64(1); i < keys; i += 2 {
 					if err := cl.Insert(i, val8(2_000_000+i)); err != nil {

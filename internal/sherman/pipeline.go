@@ -9,18 +9,20 @@ import (
 	"chime/internal/obs"
 )
 
-// Pipelined multi-get for the Sherman baseline: the same posted-verb
-// state machine as core.SearchBatch, so the pipelining sensitivity
-// experiment compares the two systems through an identical interface.
-// Sherman reads whole leaves (its read amplification is the point of
-// the comparison), so each in-flight key posts full-node READs.
+// The point-read engine for the Sherman baseline: the same posted-verb
+// state machine as core's, so the pipelining sensitivity experiment
+// compares the two systems through an identical interface. One key is a
+// batchOp: the descent (descent.go), whole-leaf READs along the B-link
+// chain (Sherman's read amplification is the point of the comparison),
+// and the KV block of an indirect entry. Search steps the client's own op
+// to completion — every step polls the verb the last one posted, which
+// is exactly a synchronous verb; SearchBatch keeps up to depth ops in
+// flight on one client.
 
 const (
-	sOpStart = iota
-	sOpRootWait
-	sOpInternalWait
-	sOpLeafWait
-	sOpIndirectWait
+	sOpDescend      = iota // the descent's super-block or internal-node read
+	sOpLeafWait            // a whole-leaf read
+	sOpIndirectWait        // the KV block of an indirect entry
 	sOpDone
 )
 
@@ -29,22 +31,34 @@ type batchOp struct {
 	idx int
 
 	state int
+	d     descent // root→leaf; d.leaf is the leaf being read from then on
 
-	root      dmsim.GAddr
-	rootLevel uint8
-	cur       dmsim.GAddr // internal node being fetched / descended
-	leaf      dmsim.GAddr
-	hops      int
-
-	h       *dmsim.Completion
-	rootBuf [8]byte
-	img     []byte
-	valBuf  []byte
+	h      *dmsim.Completion
+	img    []byte // leaf image, kept across the op's reuses
+	valBuf []byte
 
 	restarts, torn int
 
 	val []byte
 	err error
+}
+
+// reset readies the op for a new key, keeping its buffers.
+func (op *batchOp) reset(key uint64, idx int) {
+	*op = batchOp{key: key, idx: idx, img: op.img, d: descent{path: op.d.path[:0], img: op.d.img}}
+}
+
+// searchOneSided performs a point query with one-sided verbs, fetching
+// the entire leaf node — the read amplification CHIME's hopscotch leaves
+// eliminate: the client's own op, stepped until done. The public Search
+// (offload.go) routes between this and the MN-side offload program.
+func (c *Client) searchOneSided(key uint64) ([]byte, error) {
+	op := &c.sop
+	op.reset(key, 0)
+	for c.beginOp(op); op.state != sOpDone; {
+		c.stepOp(op)
+	}
+	return op.val, op.err
 }
 
 // SearchBatch performs up to depth point lookups concurrently on this
@@ -72,13 +86,24 @@ func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
 
 	ops := make([]*batchOp, 0, depth)
 	next := 0
+	finish := func(op *batchOp) {
+		vals[op.idx], errs[op.idx] = op.val, op.err
+		c.opFree = append(c.opFree, op)
+	}
 	admit := func() {
 		for next < n && len(ops) < depth {
-			op := &batchOp{key: keys[next], idx: next}
+			var op *batchOp
+			if f := len(c.opFree); f > 0 {
+				op = c.opFree[f-1]
+				c.opFree = c.opFree[:f-1]
+			} else {
+				op = new(batchOp)
+			}
+			op.reset(keys[next], next)
 			next++
 			c.beginOp(op)
 			if op.state == sOpDone {
-				vals[op.idx], errs[op.idx] = op.val, op.err
+				finish(op)
 				continue
 			}
 			ops = append(ops, op)
@@ -90,7 +115,7 @@ func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
 		ops = ops[1:]
 		c.stepOp(op)
 		if op.state == sOpDone {
-			vals[op.idx], errs[op.idx] = op.val, op.err
+			finish(op)
 			admit()
 		} else {
 			ops = append(ops, op)
@@ -99,154 +124,64 @@ func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
 	return vals, errs
 }
 
+// beginOp (re)starts a key's traversal.
 func (c *Client) beginOp(op *batchOp) {
-	op.hops = 0
-	c.chargeLocalWork()
-	if c.rootAddr.IsNil() {
-		h, err := c.dc.PostRead(c.ix.super, op.rootBuf[:])
-		if err != nil {
-			c.failOp(op, err)
-			return
-		}
-		op.h = h
-		op.state = sOpRootWait
-		return
-	}
-	op.root, op.rootLevel = c.rootAddr, c.rootLevel
-	c.descendFromRoot(op)
+	c.descended(op, op.d.begin(c, op.key))
 }
 
-func (c *Client) descendFromRoot(op *batchOp) {
-	if op.rootLevel == 0 {
-		op.leaf = op.root
+// descended acts on what the op's descent reported.
+func (c *Client) descended(op *batchOp, st descentStatus) {
+	switch st {
+	case descPosted:
+		op.state = sOpDescend
+	case descArrived:
 		c.postLeafOp(op)
-		return
-	}
-	op.cur = op.root
-	c.descendLoop(op)
-}
-
-func (c *Client) descendLoop(op *batchOp) {
-	for ; op.hops < maxRetries; op.hops++ {
-		n := c.cn.cacheGet(op.cur)
-		if n == nil {
-			c.postInternalOp(op)
-			return
-		}
-		if !c.stepNode(op, n, true) {
-			return
-		}
-	}
-	c.failOp(op, fmt.Errorf("sherman: SearchBatch(%#x): descent loop exhausted", op.key))
-}
-
-// stepNode applies one internal node to the descent; false means the op
-// posted a read, restarted, or failed.
-func (c *Client) stepNode(op *batchOp, n *node, fromCache bool) bool {
-	key := op.key
-	if !n.covers(key) {
-		if fromCache {
-			c.cn.cacheDrop(op.cur)
-			return true
-		}
-		if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
-			op.cur = n.hdr.sibling
-			return true
-		}
+	case descRestart:
 		c.restartOp(op)
-		return false
+	default:
+		c.failOp(op, op.d.err)
 	}
-	child := n.childFor(key)
-	if child.IsNil() {
-		if fromCache {
-			c.cn.cacheDrop(op.cur)
-			return true
-		}
-		c.restartOp(op)
-		return false
-	}
-	if n.hdr.level == 1 {
-		op.leaf = child
-		c.postLeafOp(op)
-		return false
-	}
-	op.cur = child
-	return true
-}
-
-func (c *Client) postInternalOp(op *batchOp) {
-	if op.img == nil || len(op.img) != c.ix.inner.size {
-		op.img = make([]byte, c.ix.inner.size)
-	}
-	h, err := c.dc.PostRead(op.cur.Add(lineSize), op.img[lineSize:])
-	if err != nil {
-		c.failOp(op, err)
-		return
-	}
-	op.h = h
-	op.state = sOpInternalWait
 }
 
 func (c *Client) postLeafOp(op *batchOp) {
-	if op.img == nil || len(op.img) != c.ix.leaf.size {
+	if op.img == nil {
 		op.img = make([]byte, c.ix.leaf.size)
 	}
-	h, err := c.dc.PostRead(op.leaf.Add(lineSize), op.img[lineSize:])
+	h, err := c.dc.PostRead(op.d.leaf.Add(lineSize), op.img[lineSize:])
 	if err != nil {
 		c.failOp(op, err)
 		return
 	}
-	op.h = h
-	op.state = sOpLeafWait
+	op.h, op.state = h, sOpLeafWait
 }
 
+// stepOp polls the op's outstanding read and advances its state machine
+// until it either posts again or completes.
 func (c *Client) stepOp(op *batchOp) {
+	if op.state == sOpDescend {
+		c.descended(op, op.d.step(c))
+		return
+	}
+	c.reap(op.h)
+	op.h = nil
 	switch op.state {
-	case sOpRootWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
-		c.rootAddr, c.rootLevel = addr, lvl
-		op.root, op.rootLevel = addr, lvl
-		c.descendFromRoot(op)
-
-	case sOpInternalWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		if err := nodelayout.CheckVersions(op.img, 0, c.ix.inner.allCells); err != nil {
-			if !c.retryTorn(op, func() { c.postInternalOp(op) }) {
-				return
-			}
-			return
-		}
-		c.ys.reset()
-		hdr := c.ix.inner.decodeHeader(op.img)
-		if !hdr.valid {
-			c.restartOp(op)
-			return
-		}
-		n := c.decodeInternal(op.cur, op.img, hdr)
-		c.cn.cachePut(op.cur, n)
-		op.img = nil
-		if c.stepNode(op, n, false) {
-			c.descendLoop(op)
-		}
-
 	case sOpLeafWait:
-		c.dc.Poll(op.h)
-		op.h = nil
 		if err := nodelayout.CheckVersions(op.img, 0, c.ix.leaf.allCells); err != nil {
-			if !c.retryTorn(op, func() { c.postLeafOp(op) }) {
+			c.obs.TornReads.Inc()
+			if op.torn++; op.torn > maxRetries {
+				c.failOp(op, fmt.Errorf("sherman: leaf %v: torn-read retries exhausted", op.d.leaf))
 				return
 			}
+			c.ys.Yield(c.dc)
+			c.postLeafOp(op)
 			return
 		}
-		c.ys.reset()
+		c.ys.Reset()
 		c.finishLeafOp(op)
 
 	case sOpIndirectWait:
-		c.dc.Poll(op.h)
-		op.h = nil
+		// The block holds [8B key][value]; a key mismatch means the entry
+		// was concurrently re-pointed.
 		if binary.LittleEndian.Uint64(op.valBuf[:8]) != op.key {
 			c.restartOp(op)
 			return
@@ -255,23 +190,13 @@ func (c *Client) stepOp(op *batchOp) {
 		op.state = sOpDone
 
 	default:
-		c.failOp(op, fmt.Errorf("sherman: SearchBatch: step in state %d", op.state))
+		c.failOp(op, fmt.Errorf("sherman: search(%#x): step in state %d", op.key, op.state))
 	}
 }
 
-// retryTorn reposts after a torn read; returns false when the op failed
-// on the retry guard.
-func (c *Client) retryTorn(op *batchOp, repost func()) bool {
-	op.torn++
-	if op.torn > maxRetries {
-		c.failOp(op, fmt.Errorf("sherman: node %v: torn-read retries exhausted", op.cur))
-		return false
-	}
-	c.ys.yield(c.dc)
-	repost()
-	return true
-}
-
+// finishLeafOp searches a validated leaf image: fence keys first (a
+// half-split or stale parent sends the op along the B-link chain or
+// back to the root), then the slots.
 func (c *Client) finishLeafOp(op *batchOp) {
 	lay := c.ix.leaf
 	hdr := lay.decodeHeader(op.img)
@@ -284,59 +209,58 @@ func (c *Client) finishLeafOp(op *batchOp) {
 			c.restartOp(op)
 			return
 		}
-		op.hops++
-		if op.hops > maxRetries {
-			c.failOp(op, fmt.Errorf("sherman: SearchBatch(%#x): leaf chain too long", op.key))
+		c.obs.SiblingChases.Inc()
+		if op.d.hops++; op.d.hops > maxRetries {
+			c.failOp(op, fmt.Errorf("sherman: search(%#x): leaf chain too long", op.key))
 			return
 		}
-		op.leaf = hdr.sibling
+		op.d.leaf = hdr.sibling
 		c.postLeafOp(op)
 		return
 	}
 	for i := 0; i < lay.span; i++ {
 		e := lay.decodeEntry(op.img, i)
-		if e.occupied && e.key == op.key {
-			if c.ix.opts.Indirect {
-				ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
-				if ptr.IsNil() {
-					c.restartOp(op)
-					return
-				}
-				op.valBuf = make([]byte, 8+c.ix.opts.ValueSize)
-				h, err := c.dc.PostRead(ptr, op.valBuf)
-				if err != nil {
-					c.failOp(op, err)
-					return
-				}
-				op.h = h
-				op.state = sOpIndirectWait
-				return
-			}
+		if !e.occupied || e.key != op.key {
+			continue
+		}
+		if !c.ix.opts.Indirect {
 			op.val = append([]byte(nil), e.val[:lay.valSize]...)
 			op.state = sOpDone
 			return
 		}
+		ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
+		if ptr.IsNil() {
+			c.restartOp(op)
+			return
+		}
+		op.valBuf = make([]byte, 8+c.ix.opts.ValueSize) // the caller's result
+		h, err := c.dc.PostRead(ptr, op.valBuf)
+		if err != nil {
+			c.failOp(op, err)
+			return
+		}
+		op.h, op.state = h, sOpIndirectWait
+		return
 	}
 	op.err = ErrNotFound
 	op.state = sOpDone
 }
 
+// restartOp retraverses one key after an optimistic conflict; other keys
+// in a batch are untouched.
 func (c *Client) restartOp(op *batchOp) {
-	op.restarts++
-	c.obs.Retries.Inc()
-	if op.restarts > maxRetries {
-		c.failOp(op, fmt.Errorf("sherman: SearchBatch(%#x): retries exhausted", op.key))
+	if op.restarts++; op.restarts > maxRetries {
+		c.failOp(op, fmt.Errorf("sherman: search(%#x): retries exhausted", op.key))
 		return
 	}
-	c.dc.Poll(op.h)
-	op.h = nil
-	c.rootAddr = dmsim.NilGAddr
-	c.ys.yield(c.dc)
+	op.d.release(c)
+	c.noteRestart()
 	c.beginOp(op)
 }
 
 func (c *Client) failOp(op *batchOp, err error) {
-	c.dc.Poll(op.h)
+	op.d.release(c)
+	c.reap(op.h)
 	op.h = nil
 	op.err = err
 	op.state = sOpDone

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"chime/internal/dmsim"
@@ -74,7 +73,7 @@ func (o Options) Validate() error {
 }
 
 // ErrNotFound reports an absent key.
-var ErrNotFound = errors.New("sherman: key not found")
+var ErrNotFound = offroute.ErrNotFound
 
 var errRestart = errors.New("sherman: restart traversal")
 
@@ -298,22 +297,6 @@ func packSuper(addr dmsim.GAddr, level uint8) uint64 {
 func unpackSuper(w uint64) (dmsim.GAddr, uint8) {
 	return dmsim.UnpackTagged(w)
 }
-
-// yieldState implements capped exponential virtual-time backoff shared
-// by retry loops.
-type yieldState struct{ backoff int64 }
-
-func (y *yieldState) yield(dc *dmsim.Client) {
-	if y.backoff < 64 {
-		y.backoff = 64
-	} else if y.backoff < 8192 {
-		y.backoff *= 2
-	}
-	dc.Advance(y.backoff)
-	runtime.Gosched()
-}
-
-func (y *yieldState) reset() { y.backoff = 0 }
 
 // sortEntries returns the occupied entries of a decoded node sorted by
 // key; used by splits and scans (Sherman leaves are slot-allocated, not

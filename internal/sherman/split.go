@@ -49,7 +49,7 @@ func (c *Client) propagate(path []pathEntry, childLevel uint8, splitKey uint64, 
 			return nil
 		}
 		parentAddr = dmsim.NilGAddr
-		c.ys.yield(c.dc)
+		c.ys.Yield(c.dc)
 	}
 	return fmt.Errorf("sherman: propagate(%#x) exhausted", splitKey)
 }
@@ -200,7 +200,7 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 			return dmsim.NilGAddr, err
 		}
 		if c.rootLevel < level {
-			c.ys.yield(c.dc)
+			c.ys.Yield(c.dc)
 			continue
 		}
 		cur := c.rootAddr
@@ -232,7 +232,7 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 			}
 			cur = child
 		}
-		c.ys.yield(c.dc)
+		c.ys.Yield(c.dc)
 	}
 	return dmsim.NilGAddr, fmt.Errorf("sherman: findParentAt(%d, %#x) exhausted", level, key)
 }

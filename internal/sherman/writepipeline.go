@@ -1,7 +1,6 @@
 package sherman
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -26,8 +25,7 @@ import (
 
 // wOp states.
 const (
-	swRootWait = iota + 1
-	swInternalWait
+	swDescend = iota + 1 // the descent's super-block or internal-node read
 	swLockWait
 	swFetchWait
 	swWriteWait
@@ -50,17 +48,7 @@ type wOp struct {
 	idx  int
 
 	state int
-
-	root      dmsim.GAddr
-	rootLevel uint8
-	cur       dmsim.GAddr
-	path      []pathEntry
-	leaf      dmsim.GAddr
-	hops      int
-
-	h       *dmsim.Completion
-	rootBuf [8]byte
-	img     []byte // internal-node image
+	d     descent // root→leaf; d.leaf is the leaf the op writes to
 
 	restarts, torn, casFails int
 
@@ -214,101 +202,30 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 
 // beginWOp (re)starts a key's traversal toward its leaf.
 func (c *Client) beginWOp(st *swSched, op *wOp) {
-	op.path = nil
-	op.hops = 0
 	op.cy = nil
 	op.notFound = false
-	c.chargeLocalWork()
-	if c.rootAddr.IsNil() {
-		h, err := c.dc.PostRead(c.ix.super, op.rootBuf[:])
-		if err != nil {
-			c.failWOp(op, err)
-			return
-		}
-		op.h = h
-		op.state = swRootWait
-		return
-	}
-	op.root, op.rootLevel = c.rootAddr, c.rootLevel
-	c.descendWFromRoot(st, op)
+	c.wDescended(st, op, op.d.begin(c, op.key))
 }
 
-func (c *Client) descendWFromRoot(st *swSched, op *wOp) {
-	if op.rootLevel == 0 {
-		op.leaf = op.root
+// wDescended acts on what the op's descent reported: at the leaf the op
+// joins or opens a write cycle.
+func (c *Client) wDescended(st *swSched, op *wOp, ds descentStatus) {
+	switch ds {
+	case descPosted:
+		op.state = swDescend
+	case descArrived:
 		c.arriveWAtLeaf(st, op)
-		return
-	}
-	op.cur = op.root
-	c.descendWLoop(st, op)
-}
-
-func (c *Client) descendWLoop(st *swSched, op *wOp) {
-	for ; op.hops < maxRetries; op.hops++ {
-		n := c.cn.cacheGet(op.cur)
-		if n == nil {
-			c.postWInternal(op)
-			return
-		}
-		if !c.stepWNode(st, op, n, true) {
-			return
-		}
-	}
-	c.failWOp(op, fmt.Errorf("sherman: write batch(%#x): descent loop exhausted", op.key))
-}
-
-// stepWNode applies one internal node to the descent; false means the
-// op posted, arrived at its leaf, restarted, or failed.
-func (c *Client) stepWNode(st *swSched, op *wOp, n *node, fromCache bool) bool {
-	key := op.key
-	if !n.covers(key) {
-		if fromCache {
-			c.cn.cacheDrop(op.cur)
-			return true
-		}
-		if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
-			op.cur = n.hdr.sibling
-			return true
-		}
+	case descRestart:
 		c.restartWOp(st, op)
-		return false
+	default:
+		c.failWOp(op, op.d.err)
 	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: n.hdr.level})
-	child := n.childFor(key)
-	if child.IsNil() {
-		if fromCache {
-			c.cn.cacheDrop(op.cur)
-			return true
-		}
-		c.restartWOp(st, op)
-		return false
-	}
-	if n.hdr.level == 1 {
-		op.leaf = child
-		c.arriveWAtLeaf(st, op)
-		return false
-	}
-	op.cur = child
-	return true
-}
-
-func (c *Client) postWInternal(op *wOp) {
-	if op.img == nil || len(op.img) != c.ix.inner.size {
-		op.img = make([]byte, c.ix.inner.size)
-	}
-	h, err := c.dc.PostRead(op.cur.Add(lineSize), op.img[lineSize:])
-	if err != nil {
-		c.failWOp(op, err)
-		return
-	}
-	op.h = h
-	op.state = swInternalWait
 }
 
 // arriveWAtLeaf joins the leaf's collecting cycle, or opens a new one
 // and posts its lock CAS.
 func (c *Client) arriveWAtLeaf(st *swSched, op *wOp) {
-	k := op.leaf.Pack()
+	k := op.d.leaf.Pack()
 	if cy, ok := st.cycles[k]; ok && cy.collecting {
 		op.cy = cy
 		cy.ops = append(cy.ops, op)
@@ -316,7 +233,7 @@ func (c *Client) arriveWAtLeaf(st *swSched, op *wOp) {
 		st.combined++
 		return
 	}
-	cy := &wCycle{leaf: op.leaf, leader: op, ops: []*wOp{op}, collecting: true}
+	cy := &wCycle{leaf: op.d.leaf, leader: op, ops: []*wOp{op}, collecting: true}
 	st.cycles[k] = cy
 	st.cyclesN++
 	op.cy = cy
@@ -358,39 +275,8 @@ func (c *Client) postWCycleFetch(st *swSched, drv *wOp) {
 
 func (c *Client) stepWOp(st *swSched, op *wOp) {
 	switch op.state {
-	case swRootWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
-		c.rootAddr, c.rootLevel = addr, lvl
-		op.root, op.rootLevel = addr, lvl
-		c.descendWFromRoot(st, op)
-
-	case swInternalWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		if err := nodelayout.CheckVersions(op.img, 0, c.ix.inner.allCells); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
-				c.failWOp(op, fmt.Errorf("sherman: node %v: torn-read retries exhausted", op.cur))
-				return
-			}
-			c.ys.yield(c.dc)
-			c.postWInternal(op)
-			return
-		}
-		c.ys.reset()
-		hdr := c.ix.inner.decodeHeader(op.img)
-		if !hdr.valid {
-			c.restartWOp(st, op)
-			return
-		}
-		n := c.decodeInternal(op.cur, op.img, hdr)
-		c.cn.cachePut(op.cur, n)
-		op.img = nil
-		if c.stepWNode(st, op, n, false) {
-			c.descendWLoop(st, op)
-		}
+	case swDescend:
+		c.wDescended(st, op, op.d.step(c))
 
 	case swLockWait:
 		cy := op.cy
@@ -403,11 +289,11 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 				c.failWCycle(st, op, fmt.Errorf("sherman: leaf %v: lock acquisition starved", cy.leaf), false)
 				return
 			}
-			c.ys.yield(c.dc)
+			c.ys.Yield(c.dc)
 			c.postWCycleLock(st, op) // the cycle keeps collecting meanwhile
 			return
 		}
-		c.ys.reset()
+		c.ys.Reset()
 		c.postWCycleFetch(st, op)
 
 	case swFetchWait:
@@ -422,7 +308,7 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 				c.failWCycle(st, op, fmt.Errorf("sherman: leaf %v: torn-read retries exhausted", cy.leaf), true)
 				return
 			}
-			c.ys.yield(c.dc)
+			c.ys.Yield(c.dc)
 			h, perr := c.dc.PostRead(cy.leaf.Add(lineSize), cy.img[lineSize:])
 			if perr != nil {
 				c.failWCycle(st, op, perr, true)
@@ -437,7 +323,7 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 		cy := op.cy
 		c.dc.Poll(cy.h)
 		cy.h = nil
-		c.ys.reset()
+		c.ys.Reset()
 		for _, d := range cy.settled {
 			d.cy = nil
 			if d.notFound {
@@ -591,7 +477,7 @@ func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 // already-applied mutation) and unlocks internally. Applied ops
 // complete; the splitting op and the not-yet-applied rest retraverse.
 func (c *Client) splitWCycle(st *swSched, cy *wCycle, stepped, splitter *wOp, hdr header, done, rest []*wOp) {
-	err := c.splitLeaf(cy.leaf, splitter.path, cy.img, hdr)
+	err := c.splitLeaf(cy.leaf, splitter.d.path, cy.img, hdr)
 	for _, op := range done {
 		op.cy = nil
 		if op.notFound {
@@ -669,35 +555,29 @@ func (c *Client) batchUnlock(leaf dmsim.GAddr) {
 // op keeps its path: sibling leaves propagate splits through the same
 // ancestors, exactly as the synchronous chase does.
 func (c *Client) rearriveWOp(st *swSched, op *wOp, leaf dmsim.GAddr) {
-	op.hops++
-	if op.hops > maxRetries {
+	c.obs.SiblingChases.Inc()
+	if op.d.hops++; op.d.hops > maxRetries {
 		c.failWOp(op, fmt.Errorf("sherman: write batch(%#x): sibling chain too long", op.key))
 		return
 	}
-	op.leaf = leaf
+	op.d.leaf = leaf
 	c.arriveWAtLeaf(st, op)
 }
 
 // restartWOp retraverses one key after an optimistic conflict; the rest
 // of the batch is untouched.
 func (c *Client) restartWOp(st *swSched, op *wOp) {
-	op.restarts++
-	c.obs.Retries.Inc()
-	if op.restarts > maxRetries {
+	if op.restarts++; op.restarts > maxRetries {
 		c.failWOp(op, fmt.Errorf("sherman: write batch(%#x): retries exhausted", op.key))
 		return
 	}
-	c.dc.Poll(op.h)
-	op.h = nil
-	op.img = nil
-	c.rootAddr = dmsim.NilGAddr
-	c.ys.yield(c.dc)
+	op.d.release(c)
+	c.noteRestart()
 	c.beginWOp(st, op)
 }
 
 func (c *Client) failWOp(op *wOp, err error) {
-	c.dc.Poll(op.h)
-	op.h = nil
+	op.d.release(c)
 	op.err = err
 	op.state = swDone
 }

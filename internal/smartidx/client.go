@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -119,13 +118,11 @@ type Client struct {
 	ix      *Index
 	dc      *dmsim.Client
 	alloc   *dmsim.ChunkAllocator
-	backoff int64
+	backoff dmsim.Backoff
 
-	// router decides one-sided vs. MN-side offload per read op
-	// (offload.go); nil when Options.Offload is off. offBuf is the
-	// reusable point-query response buffer.
-	router *offroute.Router
-	offBuf []byte
+	// port holds the routed read entry points: one-sided vs. MN-side
+	// offload per op (offload.go).
+	port offroute.Port
 
 	obs obs.IndexInstruments
 }
@@ -134,31 +131,17 @@ type Client struct {
 func (cn *ComputeNode) NewClient() *Client {
 	dc := cn.ix.fabric.NewClient()
 	dc.SetFlight(cn.obs.Flight.NewFlight(dc.ID()))
-	bufSize := cn.ix.opts.ValueSize
-	if bufSize < 8 {
-		bufSize = 8
-	}
-	return &Client{
+	c := &Client{
 		cn: cn, ix: cn.ix, dc: dc,
-		alloc:  dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
-		router: offroute.New(cn.ix.opts.Offload),
-		offBuf: make([]byte, bufSize),
-		obs:    cn.obs,
+		alloc: dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
+		obs:   cn.obs,
 	}
+	c.port = c.newPort()
+	return c
 }
 
 // DM exposes the fabric client for the benchmark harness.
 func (c *Client) DM() *dmsim.Client { return c.dc }
-
-func (c *Client) yield() {
-	if c.backoff < 64 {
-		c.backoff = 64
-	} else if c.backoff < 8192 {
-		c.backoff *= 2
-	}
-	c.dc.Advance(c.backoff)
-	runtime.Gosched()
-}
 
 // readNodeRemote fetches a node of the given kind.
 func (c *Client) readNodeRemote(addr dmsim.GAddr, kind int) (*node, error) {
@@ -277,7 +260,7 @@ func (c *Client) descend(key uint64) (*node, []step, uint64, error) {
 			return nil, nil, 0, fmt.Errorf("smartidx: descend(%#x): path too deep", key)
 		}
 		c.obs.Retries.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return nil, nil, 0, fmt.Errorf("smartidx: descend(%#x) exhausted", key)
 }
@@ -324,7 +307,7 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 			// A concurrent split replaced the leaf with a subtree.
 			c.obs.Retries.Inc()
 			c.cn.cacheDrop(n.addr)
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		k, v, err := c.readLeaf(addr)
@@ -338,7 +321,7 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 			if _, err := c.readNodeRemote(n.addr, n.hdr.kind); err != nil {
 				return nil, err
 			}
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		c.dc.Advance(150)
@@ -376,7 +359,7 @@ func (c *Client) lockNode(addr dmsim.GAddr) error {
 			return err
 		}
 		if ok {
-			c.backoff = 0
+			c.backoff.Reset()
 			return nil
 		}
 		if leaseMode && lease.Expired(prev, c.dc.Now()) {
@@ -385,12 +368,12 @@ func (c *Client) lockNode(addr dmsim.GAddr) error {
 				return err
 			} else if won {
 				c.obs.Recoveries.Inc()
-				c.backoff = 0
+				c.backoff.Reset()
 				return nil
 			}
 		}
 		c.obs.LockBackoffs.Inc()
-		c.yield()
+		c.backoff.Yield(c.dc)
 	}
 	return fmt.Errorf("smartidx: lock %v starved", addr)
 }
@@ -460,7 +443,7 @@ func (c *Client) Insert(key uint64, value []byte) error {
 		done, err := c.install(n, path, child, key, leafWord)
 		if err == errRestart {
 			c.obs.Retries.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		if err != nil {
@@ -771,7 +754,7 @@ func (c *Client) Update(key uint64, value []byte) error {
 		done, err := c.replaceLeaf(n, key, leafWord, false)
 		if err == errRestart {
 			c.obs.Retries.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		if err != nil {
@@ -805,7 +788,7 @@ func (c *Client) Delete(key uint64) error {
 		done, err := c.replaceLeaf(n, key, 0, true)
 		if err == errRestart {
 			c.obs.Retries.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		if err != nil {
@@ -884,10 +867,7 @@ func (c *Client) replaceLeaf(n *node, key uint64, newWord uint64, clearing bool)
 }
 
 // KV is one scan result.
-type KV struct {
-	Key   uint64
-	Value []byte
-}
+type KV = offroute.KV
 
 // scanOneSided walks the radix tree in byte order; every result costs
 // its own small leaf READ — the IOPS-bound behaviour that makes SMART
@@ -899,7 +879,7 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 		err := c.scanNode(c.ix.root, kindN256, acc, start, count, &out)
 		if err == errRestart {
 			c.obs.Retries.Inc()
-			c.yield()
+			c.backoff.Yield(c.dc)
 			continue
 		}
 		if err != nil {

@@ -1,103 +1,33 @@
 package smartidx
 
-import (
-	"encoding/binary"
+import "chime/internal/offroute"
 
-	"chime/internal/dmsim"
-	"chime/internal/obs"
-)
+// Public read entry points: each goes through the client's
+// offroute.Port, which routes it between the one-sided implementation
+// and the MN-side program (mnprog.go). Only reads route: SMART's writes
+// allocate leaf blocks (and nodes) client-side, so Insert/Update/Delete
+// stay pure one-sided and never touch the router.
 
-// Public read entry points and the hybrid one-sided/offload router
-// wiring; same shape as internal/core's offload.go. Only reads route:
-// SMART's writes allocate leaf blocks (and nodes) client-side, so
-// Insert/Update/Delete stay pure one-sided and never touch the router.
-// A routed offload that falls back redoes the op one-sided and reports
-// the combined cost, so adaptive mode learns the true price.
+// newPort wires the client's routed entry points.
+func (c *Client) newPort() offroute.Port {
+	return offroute.Port{
+		DC: c.dc, Tracer: c.obs.Tracer, Router: offroute.New(c.ix.opts.Offload),
+		Prog: c.ix.mnprog, MN: c.ix.offMN, SpanPrefix: "smart",
+		SearchOneSided: c.searchOneSided, ScanOneSided: c.scanOneSided,
+		ReadOK:    true,
+		ValueSize: c.ix.opts.ValueSize, RecSize: c.ix.leafSz,
+	}
+}
 
 // Search performs a point query. With offload enabled the radix descent
 // and leaf read may run MN-side as a single LeafSearchAtMN RPC.
-func (c *Client) Search(key uint64) ([]byte, error) {
-	if sp := c.obs.Tracer.Begin("smart.search", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpSearch, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if c.router == nil {
-		return c.searchOneSided(key)
-	}
-	if !c.router.UseOffload() {
-		t0, trips0 := c.dc.Now(), c.dc.Stats().Trips
-		val, err := c.searchOneSided(key)
-		c.router.ObserveOneSided(c.dc.Now()-t0, c.dc.Stats().Trips-trips0)
-		return val, err
-	}
-	t0 := c.dc.Now()
-	n, st, err := c.dc.LeafSearchAtMN(c.ix.mnprog, c.ix.offMN, key, 0, c.offBuf)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Fallback() {
-		c.router.ObserveOffload(c.dc.Now() - t0)
-		if st == dmsim.OffloadNotFound {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), c.offBuf[:n]...), nil
-	}
-	val, err := c.searchOneSided(key)
-	c.router.ObserveOffload(c.dc.Now() - t0)
-	return val, err
-}
+func (c *Client) Search(key uint64) ([]byte, error) { return c.port.Search(key) }
 
 // Scan returns up to count items with keys >= start in ascending order,
 // possibly as a single ScatterGatherScan RPC instead of one leaf READ
 // round trip per result.
-func (c *Client) Scan(start uint64, count int) ([]KV, error) {
-	if count <= 0 {
-		return nil, nil
-	}
-	if sp := c.obs.Tracer.Begin("smart.scan", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpScan, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if c.router == nil {
-		return c.scanOneSided(start, count)
-	}
-	if !c.router.UseOffload() {
-		t0, trips0 := c.dc.Now(), c.dc.Stats().Trips
-		out, err := c.scanOneSided(start, count)
-		c.router.ObserveOneSided(c.dc.Now()-t0, c.dc.Stats().Trips-trips0)
-		return out, err
-	}
-	t0 := c.dc.Now()
-	recSize := c.ix.leafSz
-	dst := make([]byte, count*recSize)
-	n, st, err := c.dc.ScatterGatherScan(c.ix.mnprog, c.ix.offMN, start, 0, count, dst)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Fallback() {
-		c.router.ObserveOffload(c.dc.Now() - t0)
-		out := make([]KV, 0, n/recSize)
-		for off := 0; off+recSize <= n; off += recSize {
-			out = append(out, KV{
-				Key:   binary.LittleEndian.Uint64(dst[off : off+8]),
-				Value: dst[off+8 : off+recSize],
-			})
-		}
-		return out, nil
-	}
-	out, err := c.scanOneSided(start, count)
-	c.router.ObserveOffload(c.dc.Now() - t0)
-	return out, err
-}
+func (c *Client) Scan(start uint64, count int) ([]KV, error) { return c.port.Scan(start, count) }
 
 // OffloadStats reports how many of this client's routed ops went to
 // each path (zeros with offload off).
-func (c *Client) OffloadStats() (offloaded, onesided uint64) {
-	return c.router.Stats()
-}
+func (c *Client) OffloadStats() (offloaded, onesided uint64) { return c.port.OffloadStats() }

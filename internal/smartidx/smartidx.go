@@ -57,7 +57,7 @@ func (o Options) Validate() error {
 }
 
 // ErrNotFound reports an absent key.
-var ErrNotFound = errors.New("smartidx: key not found")
+var ErrNotFound = offroute.ErrNotFound
 
 var errRestart = errors.New("smartidx: restart traversal")
 
@@ -330,10 +330,6 @@ func Bootstrap(f *dmsim.Fabric, opts Options) (*Index, error) {
 
 // Options returns the index configuration.
 func (ix *Index) Options() Options { return ix.opts }
-
-// NodeSizeOf reports the encoded size of a node kind (exported for
-// cache-consumption accounting in benchmarks).
-func (ix *Index) NodeSizeOf(kind int) int { return nodeSize(kind) }
 
 // LeafSize reports the leaf block footprint.
 func (ix *Index) LeafSize() int { return ix.leafSz }
