@@ -44,6 +44,7 @@ race:
 		./internal/folio/...
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
+	$(GO) test -race -cpu 1,2 -count=5 ./internal/rdwc/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestMNReadLineAtomicity|TestStraddlingAtomicVsWrite|TestWriterNotStarvedByReaders' ./internal/dmsim/
 
 # The seeded chaos suite alone (crash recovery invariants across all
@@ -65,11 +66,16 @@ check: vet lint build test race bench-check
 # whole-leaf validation floor, ns and allocs per simulated op; the same
 # search with the caches off, sync (BenchmarkSearchCold) and through
 # SearchBatch at depth 8 (BenchmarkSearchBatchCold): the cold descent.
-# Last, the verb under every level of that descent: one READ of an
-# internal node, one reader and two (the MN's reader counts are striped).
+# Then the three baselines on the same shapes — a warm point search, a
+# warm update and a warm 50-key scan — whose clients read and write the
+# fetched node image where it lies too. Last, the verb under every level
+# of a descent: one READ of an internal node, one reader and two (the
+# MN's reader counts are striped).
 bench-core:
 	$(GO) test -run '^$$' -bench Hotspot -benchmem -cpu 1,2 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkSearch' -benchmem -cpu 1 ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkUpdate|BenchmarkScan' -benchmem -cpu 1 \
+		./internal/sherman ./internal/rolex ./internal/smartidx
 	$(GO) test -run '^$$' -bench BenchmarkReadNode -benchmem -cpu 1,2 ./internal/dmsim
 
 # Regenerate a committed artifact: `make bench-<id>` for any experiment

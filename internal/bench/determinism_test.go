@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
+	"chime/internal/dmsim"
 	"chime/internal/ycsb"
 )
 
@@ -113,5 +116,73 @@ func TestScanRowPinned(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("YCSB-E row moved:\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestRemoteImageDeterministic pins that what a system leaves in MN
+// memory is a function of the op sequence: one loader and one client
+// replay the same load, YCSB-A and insert script on two fresh fabrics,
+// and the final clock and a SHA-256 over every allocated MN byte must
+// agree. Virtual time cannot see a node whose slots were laid out in Go
+// map iteration order (whole-node reads cost the same either way), but
+// folio snapshots, persist fingerprints and byte-level goldens can —
+// SMART did exactly that until its nodes stopped being decoded into maps.
+func TestRemoteImageDeterministic(t *testing.T) {
+	sc := tinyScale
+	sc.LoadN = 5000
+	sc.MNSize = 128 << 20
+	for _, name := range HeadToHeadSystems {
+		t.Run(name, func(t *testing.T) {
+			replay := func() (clock int64, sum string) {
+				t.Helper()
+				sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
+					c.LoadClients = 1
+					c.DisableRDWC = true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl := sys.NewClient()
+				space := NewKeySpaceFor(cfg.LoadKeys)
+				for _, phase := range []struct {
+					mix ycsb.Mix
+					ops int
+				}{{ycsb.WorkloadA, 1500}, {ycsb.WorkloadLoad, 2500}, {ycsb.WorkloadA, 500}} {
+					gen := ycsb.MustNewGenerator(phase.mix, space, 7)
+					for i := 0; i < phase.ops; i++ {
+						op := gen.Next()
+						var err error
+						switch op.Kind {
+						case ycsb.OpRead:
+							_, err = cl.Search(op.Key)
+						case ycsb.OpUpdate:
+							err = cl.Update(op.Key, ycsb.FillValue(op.Key, cfg.ValueSize, uint32(i)))
+						case ycsb.OpInsert:
+							err = cl.Insert(op.Key, ycsb.FillValue(op.Key, cfg.ValueSize, 0))
+						}
+						if err != nil {
+							t.Fatalf("%s op %d (%v %#x): %v", phase.mix.Name, i, op.Kind, op.Key, err)
+						}
+					}
+				}
+				h := sha256.New()
+				for mn := 0; mn < cfg.Fabric.MNs(); mn++ {
+					mem := make([]byte, cfg.Fabric.UsedBytes(mn))
+					if err := cfg.Fabric.Peek(dmsim.GAddr{MN: uint8(mn)}, mem); err != nil {
+						t.Fatal(err)
+					}
+					h.Write(mem)
+				}
+				return cl.DM().Now(), fmt.Sprintf("%x", h.Sum(nil))
+			}
+			clockA, sumA := replay()
+			clockB, sumB := replay()
+			if clockA != clockB {
+				t.Errorf("final clock differs between two replays: %d vs %d", clockA, clockB)
+			}
+			if sumA != sumB {
+				t.Errorf("MN memory differs between two replays of the same ops:\n %s\n %s", sumA, sumB)
+			}
+		})
 	}
 }

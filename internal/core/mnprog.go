@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"chime/internal/dmsim"
+	"chime/internal/offroute"
 )
 
 // MN-side offload program (dmsim offload verbs). The program is
@@ -386,9 +387,9 @@ func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr) (*leafImag
 // its progress and the scratch every leaf reuses.
 type mnScanState struct {
 	emitted int
-	slots   []scanSlot // one leaf's in-range entries
-	rec     []byte     // the [8B key][value] record being emitted
-	block   []byte     // indirect: the KV block being read
+	slots   []offroute.ScanSlot // one leaf's in-range entries
+	rec     []byte              // the [8B key][value] record being emitted
+	block   []byte              // indirect: the KV block being read
 }
 
 // conflict is the verdict for an optimistic conflict met mid-scan.
@@ -460,8 +461,8 @@ func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, 
 // reached; otherwise the step is the scan's verdict.
 func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, start uint64, limit int, sc *mnScanState) (step mnStep, more bool) {
 	sc.slots = im.inRange(sc.slots[:0], start)
-	for _, s := range sortedPrefix(sc.slots, limit-sc.emitted) {
-		val := im.entry(s.idx).value
+	for _, s := range offroute.SortedPrefix(sc.slots, limit-sc.emitted) {
+		val := im.entry(s.Idx).value
 		if p.ix.opts.Indirect {
 			ptr := ptrOf(val)
 			if ptr.IsNil() {
@@ -473,7 +474,7 @@ func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, start uint64, limi
 			if !ctx.Read(ptr, sc.block) {
 				return mnDone(dmsim.OffloadCrossMN), false
 			}
-			if binary.LittleEndian.Uint64(sc.block[:8]) != s.key {
+			if binary.LittleEndian.Uint64(sc.block[:8]) != s.Key {
 				return sc.conflict(), false
 			}
 			val = sc.block[8:]
@@ -481,7 +482,7 @@ func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, start uint64, limi
 		if sc.rec == nil {
 			sc.rec = make([]byte, 8+len(val))
 		}
-		binary.LittleEndian.PutUint64(sc.rec[:8], s.key)
+		binary.LittleEndian.PutUint64(sc.rec[:8], s.Key)
 		copy(sc.rec[8:], val)
 		if !ctx.Emit(sc.rec) {
 			return mnDone(dmsim.OffloadOK), false // response buffer full: done

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"chime/internal/dmsim"
 	"chime/internal/offroute"
@@ -48,39 +46,6 @@ func (c *Client) scanOnce(start uint64, count int) ([]KV, error) {
 	return out, err
 }
 
-// scanReserve caps the result entries (and value bytes) a scan reserves
-// up front; a longer scan grows by append, so an arbitrarily large count
-// costs nothing until the tree actually yields that much.
-const scanReserve = 1024
-
-// scanBuf is the storage a scan hands to its caller: the result and the
-// arena its values are carved from.
-type scanBuf struct {
-	out   []KV
-	arena []byte // value bytes of out; a chunk is only ever appended to
-}
-
-// own copies v into the arena and returns the copy, capped at its own
-// length so a caller appending to one result value cannot reach the
-// next. A full chunk is left to the values that alias it and a fresh one
-// started.
-func (b *scanBuf) own(v []byte) []byte {
-	if cap(b.arena)-len(b.arena) < len(v) {
-		b.arena = make([]byte, 0, scanReserve*len(v))
-	}
-	n := len(b.arena)
-	b.arena = append(b.arena, v...)
-	return b.arena[n:len(b.arena):len(b.arena)]
-}
-
-// scanSlot is one in-range entry of the leaf a scan is collecting: its
-// key and where its value is (the slot index; the block number on the
-// indirect path).
-type scanSlot struct {
-	key uint64
-	idx int
-}
-
 // scanChain walks the leaf chain from addr, appending each leaf's
 // in-range entries in key order until count are collected or the chain
 // ends. pre is the caller's prefetch slot; whatever it still holds on
@@ -91,11 +56,7 @@ func (c *Client) scanChain(addr dmsim.GAddr, start uint64, count int, pre *leafP
 	if c.ix.opts.Indirect {
 		valSize = c.ix.opts.ValueSize
 	}
-	reserve := min(count, scanReserve)
-	sb := scanBuf{
-		out:   make([]KV, 0, reserve),
-		arena: make([]byte, 0, reserve*valSize),
-	}
+	sb := offroute.NewScanBuf(count, valSize)
 	for leaves := 0; leaves <= maxRetries; leaves++ {
 		var im *leafImage
 		var meta leafMeta
@@ -116,7 +77,7 @@ func (c *Client) scanChain(addr dmsim.GAddr, start uint64, count int, pre *leafP
 		// Post the sibling's whole-node read before resolving this
 		// leaf's values: its round trip proceeds while the indirect
 		// block reads below are in flight.
-		if !meta.sibling.IsNil() && len(sb.out) < count {
+		if !meta.sibling.IsNil() && len(sb.Out) < count {
 			*pre = c.postLeafRead(meta.sibling)
 		}
 		addr = meta.sibling
@@ -126,30 +87,30 @@ func (c *Client) scanChain(addr dmsim.GAddr, start uint64, count int, pre *leafP
 		if err != nil {
 			return nil, err
 		}
-		if len(sb.out) >= count || addr.IsNil() {
-			return sb.out, nil
+		if len(sb.Out) >= count || addr.IsNil() {
+			return sb.Out, nil
 		}
 	}
 	return nil, fmt.Errorf("core: Scan(%#x): sibling chain too long", start)
 }
 
 // collectLeafBatch appends the in-range entries of a validated leaf
-// image to sb.out in key order, stopping at count results. Values are
+// image to sb.Out in key order, stopping at count results. Values are
 // copied into the scan's arena (or fetched from their blocks and
 // copied), so the image can be recycled as soon as this returns.
 // Indirect block reads are posted as a group — for every in-range entry,
 // in slot order, wanted or not, which is what the modelled client does —
 // so their round trips overlap each other and any sibling prefetch
 // already in flight.
-func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *scanBuf) error {
+func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *offroute.ScanBuf) error {
 	lay := c.ix.leaf
 	if c.scanSlots == nil {
-		c.scanSlots = make([]scanSlot, 0, lay.span)
+		c.scanSlots = make([]offroute.ScanSlot, 0, lay.span)
 	}
 	slots := c.scanSlots[:0]
 	if !c.ix.opts.Indirect {
-		for _, s := range sortedPrefix(im.inRange(slots, start), count-len(sb.out)) {
-			sb.out = append(sb.out, KV{Key: s.key, Value: sb.own(im.entry(s.idx).value)})
+		for _, s := range offroute.SortedPrefix(im.inRange(slots, start), count-len(sb.Out)) {
+			sb.Add(s.Key, im.entry(s.Idx).value)
 		}
 		return nil
 	}
@@ -177,39 +138,33 @@ func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *sc
 			firstErr = err
 			break
 		}
-		slots = append(slots, scanSlot{key: e.key, idx: len(pends)})
+		slots = append(slots, offroute.ScanSlot{Key: e.key, Idx: len(pends)})
 		pends = append(pends, h)
 	}
 	for n, h := range pends {
 		c.dc.Poll(h)
-		if firstErr == nil && binary.LittleEndian.Uint64(block(n)[:8]) != slots[n].key {
+		if firstErr == nil && binary.LittleEndian.Uint64(block(n)[:8]) != slots[n].Key {
 			firstErr = errRestart
 		}
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	for _, s := range sortedPrefix(slots, count-len(sb.out)) {
-		sb.out = append(sb.out, KV{Key: s.key, Value: sb.own(block(s.idx)[8:])})
+	for _, s := range offroute.SortedPrefix(slots, count-len(sb.Out)) {
+		sb.Add(s.Key, block(s.Idx)[8:])
 	}
 	return nil
 }
 
 // inRange appends the leaf's occupied slots with keys >= start to dst, in
 // slot order.
-func (im *leafImage) inRange(dst []scanSlot, start uint64) []scanSlot {
+func (im *leafImage) inRange(dst []offroute.ScanSlot, start uint64) []offroute.ScanSlot {
 	for i := 0; i < im.lay.span; i++ {
 		if occupied, _, key := im.slot(i); occupied && key >= start {
-			dst = append(dst, scanSlot{key: key, idx: i})
+			dst = append(dst, offroute.ScanSlot{Key: key, Idx: i})
 		}
 	}
 	return dst
-}
-
-// sortedPrefix sorts slots by key and returns the first n of them.
-func sortedPrefix(slots []scanSlot, n int) []scanSlot {
-	slices.SortFunc(slots, func(a, b scanSlot) int { return cmp.Compare(a.key, b.key) })
-	return slots[:min(n, len(slots))]
 }
 
 // leafPrefetch is a posted whole-leaf read in flight (posted is false

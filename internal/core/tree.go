@@ -203,7 +203,7 @@ type Client struct {
 	// Per-leaf scratch of collectLeafBatch (scan.go), made on the first
 	// scan and reused by every later one: the leaf's in-range slots, and
 	// on the indirect path its posted block reads and their buffers.
-	scanSlots  []scanSlot
+	scanSlots  []offroute.ScanSlot
 	scanPends  []*dmsim.Completion
 	scanBlocks []byte
 

@@ -99,7 +99,12 @@ func LayoutCells(start int, contents []int) ([]Cell, int) {
 }
 
 // WriteCellContent scatters content bytes into the image around the
-// cell's version bytes. len(content) must equal c.Content.
+// cell's version bytes. len(content) must equal c.Content. It and
+// ReadCellContent are the whole-cell copying codec every index once
+// decoded and encoded through; no non-test code calls either any more
+// (the indexes read and write cells where they lie, through ContentAt
+// and the *At helpers below), and they stay as the reference the
+// packages' fuzz targets compare the in-place accessors against.
 func WriteCellContent(img []byte, c Cell, content []byte) {
 	if len(content) != c.Content {
 		panic(fmt.Sprintf("nodelayout: cell content %d bytes, cell holds %d", len(content), c.Content))
@@ -119,7 +124,8 @@ func WriteCellContent(img []byte, c Cell, content []byte) {
 	}
 }
 
-// ReadCellContent gathers a cell's content bytes from the image.
+// ReadCellContent gathers a cell's content bytes from the image (tests'
+// reference only: see WriteCellContent).
 func ReadCellContent(img []byte, c Cell, dst []byte) []byte {
 	dst = dst[:0]
 	if !c.Big {

@@ -28,9 +28,14 @@ import (
 
 // readFlight is one in-flight delegated read.
 type readFlight struct {
-	done    chan struct{}
 	startAt int64 // leader's virtual clock when the read was issued
 
+	// done is closed once the result below is in. The first follower
+	// creates it, under Combiner.mu: most flights never get one, and their
+	// leader allocates nothing for followers that did not come.
+	done chan struct{}
+
+	// The result, published under Combiner.mu as the leader unregisters.
 	val    []byte
 	err    error
 	doneAt int64 // leader's virtual completion time
@@ -110,11 +115,15 @@ func (c *Combiner) Read(dc *dmsim.Client, key uint64, fn func() ([]byte, error))
 	c.mu.Lock()
 	if fl, ok := c.reads[key]; ok && now <= fl.startAt+c.window && now+c.window >= fl.startAt {
 		c.delegated++
+		if fl.done == nil {
+			fl.done = make(chan struct{})
+		}
+		done := fl.done
 		c.mu.Unlock()
 		fr := dc.Flight()
 		prev := fr.SetPhase(obs.PhaseWriteCombine)
 		suspended := dc.Suspend()
-		<-fl.done
+		<-done
 		if suspended {
 			dc.Resume(fl.doneAt)
 		} else if fl.doneAt > dc.Now() {
@@ -129,18 +138,21 @@ func (c *Combiner) Read(dc *dmsim.Client, key uint64, fn func() ([]byte, error))
 		c.mu.Unlock()
 		return fn()
 	}
-	fl := &readFlight{done: make(chan struct{}), startAt: now}
+	fl := &readFlight{startAt: now}
 	c.reads[key] = fl
 	c.mu.Unlock()
 
-	fl.val, fl.err = fn()
-	fl.doneAt = dc.Now()
+	val, err := fn()
 
 	c.mu.Lock()
+	fl.val, fl.err, fl.doneAt = val, err, dc.Now()
 	delete(c.reads, key)
+	done := fl.done // no follower can join, or create it, past this point
 	c.mu.Unlock()
-	close(fl.done)
-	return fl.val, fl.err
+	if done != nil {
+		close(done)
+	}
+	return val, err
 }
 
 // Write performs a combined write: the first caller for a key becomes

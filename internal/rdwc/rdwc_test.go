@@ -327,3 +327,35 @@ func TestWriteMergesAcrossBacklog(t *testing.T) {
 		t.Fatalf("flush sequence = %v", written)
 	}
 }
+
+// TestLeaderReadAllocs: an uncontended read — a leader no follower joins,
+// which is what ~97 % of delegated reads are — allocates its flight record
+// and nothing else: the channel followers wait on is theirs to create.
+func TestLeaderReadAllocs(t *testing.T) {
+	dc := newClients(1)[0]
+	c := NewCombiner()
+	val := []byte("value")
+	fn := func() ([]byte, error) { return val, nil }
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.Read(dc, 7, fn); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("uncontended leader read: %.1f allocs, want <= 1 (the flight record)", n)
+	}
+}
+
+// TestLeaderWriteAllocs: same for an uncontended write.
+func TestLeaderWriteAllocs(t *testing.T) {
+	dc := newClients(1)[0]
+	c := NewCombiner()
+	val := []byte("value")
+	fn := func([]byte) error { return nil }
+	if n := testing.AllocsPerRun(200, func() {
+		if err := c.Write(dc, 7, val, fn); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("uncontended leader write: %.1f allocs, want <= 1 (the flight record)", n)
+	}
+}

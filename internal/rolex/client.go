@@ -3,7 +3,6 @@ package rolex
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"chime/internal/dmsim"
 	"chime/internal/lease"
@@ -14,21 +13,20 @@ import (
 
 // readGroup fetches a leaf group's main leaf and overflow buddy in one
 // doorbell batch (one round trip, 2·span entries — ROLEX's read
-// amplification), validating versions on both.
-func (c *Client) readGroup(g int) (main, buddy []byte, err error) {
+// amplification), validating versions on both. They become the first two
+// leaves of c.group.
+func (c *Client) readGroup(g int) (main, buddy *image, err error) {
 	lay := c.ix.lay
-	main = make([]byte, lay.size)
-	buddy = make([]byte, lay.size)
+	c.group.reset()
+	main = c.group.next(lay, c.ix.groupMain(g))
+	buddy = c.group.next(lay, c.ix.groupBuddy(g))
+	c.addrs = append(c.addrs[:0], c.ix.groupMain(g).Add(lineSize), c.ix.groupBuddy(g).Add(lineSize))
+	c.bufs = append(c.bufs[:0], main.body(), buddy.body())
 	for try := 0; try < maxRetries; try++ {
-		err = c.dc.ReadBatch(
-			[]dmsim.GAddr{c.ix.groupMain(g).Add(lineSize), c.ix.groupBuddy(g).Add(lineSize)},
-			[][]byte{main[lineSize:], buddy[lineSize:]},
-		)
-		if err != nil {
+		if err = c.dc.ReadBatch(c.addrs, c.bufs); err != nil {
 			return nil, nil, err
 		}
-		if nodelayout.CheckVersions(main, 0, lay.allCells) != nil ||
-			nodelayout.CheckVersions(buddy, 0, lay.allCells) != nil {
+		if main.check() != nil || buddy.check() != nil {
 			c.obs.TornReads.Inc()
 			c.backoff.Yield(c.dc)
 			continue
@@ -39,34 +37,41 @@ func (c *Client) readGroup(g int) (main, buddy []byte, err error) {
 	return nil, nil, fmt.Errorf("rolex: group %d: torn-read retries exhausted", g)
 }
 
-// readChained fetches one extra overflow leaf (rare path).
-func (c *Client) readChained(addr dmsim.GAddr) ([]byte, error) {
-	lay := c.ix.lay
-	img := make([]byte, lay.size)
+// readChained fetches one extra overflow leaf (rare path) as the next
+// leaf of c.group.
+func (c *Client) readChained(addr dmsim.GAddr) (*image, error) {
+	im := c.group.next(c.ix.lay, addr)
 	for try := 0; try < maxRetries; try++ {
-		if err := c.dc.Read(addr.Add(lineSize), img[lineSize:]); err != nil {
+		if err := c.dc.Read(addr.Add(lineSize), im.body()); err != nil {
 			return nil, err
 		}
-		if nodelayout.CheckVersions(img, 0, lay.allCells) != nil {
+		if im.check() != nil {
 			c.obs.TornReads.Inc()
 			c.backoff.Yield(c.dc)
 			continue
 		}
 		c.backoff.Reset()
-		return img, nil
+		return im, nil
 	}
 	return nil, fmt.Errorf("rolex: chained leaf %v: retries exhausted", addr)
 }
 
-func (c *Client) findIn(img []byte, key uint64) (int, entry) {
-	lay := c.ix.lay
-	for i := 0; i < lay.span; i++ {
-		e := lay.decodeEntry(img, i)
-		if e.occupied && e.key == key {
-			return i, e
-		}
+// readWholeGroup fetches every leaf of a group — main, buddy and the
+// overflow chain to its end — so a writer's upsert and capacity checks,
+// and a scan, see the whole group. The leaves are c.group.leaves.
+func (c *Client) readWholeGroup(g int) ([]groupLeaf, error) {
+	_, buddy, err := c.readGroup(g)
+	if err != nil {
+		return nil, err
 	}
-	return -1, entry{}
+	for chain := buddy.chain(); !chain.IsNil(); {
+		im, err := c.readChained(chain)
+		if err != nil {
+			return nil, err
+		}
+		chain = im.chain()
+	}
+	return c.group.leaves, nil
 }
 
 // searchOneSided performs a point query. In hopscotch-leaf mode
@@ -76,12 +81,12 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 	g := c.ix.route(key)
 	c.chargeModel()
 	if c.ix.lay.hop {
-		e, found, err := c.searchHopGroup(g, key)
+		im, slot, err := c.searchHopGroup(g, key)
 		if err != nil {
 			return nil, err
 		}
-		if found {
-			return c.resolve(e, key)
+		if slot >= 0 {
+			return c.resolve(im.value(slot), key)
 		}
 		return c.searchChain(g, key, dmsim.NilGAddr, true)
 	}
@@ -89,50 +94,57 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, img := range [][]byte{main, buddy} {
-		if _, e := c.findIn(img, key); e.occupied {
-			return c.resolve(e, key)
+	for _, im := range [2]*image{main, buddy} {
+		if slot, _ := im.find(key); slot >= 0 {
+			return c.resolve(im.value(slot), key)
 		}
 	}
-	return c.searchChain(g, key, c.ix.lay.chain(buddy), false)
+	return c.searchChain(g, key, buddy.chain(), false)
 }
 
 // searchChain walks a group's overflow chain (rare). When fetchHead is
 // set the chain head is first read from the buddy's header cell.
 func (c *Client) searchChain(g int, key uint64, chain dmsim.GAddr, fetchHead bool) ([]byte, error) {
-	lay := c.ix.lay
 	if fetchHead {
-		hc := lay.header
-		hdr := make([]byte, lay.size)
-		if err := c.dc.Read(c.ix.groupBuddy(g).Add(uint64(hc.Off)), hdr[hc.Off:hc.End()]); err != nil {
+		hc := c.ix.lay.header
+		c.group.reset()
+		im := c.group.next(c.ix.lay, c.ix.groupBuddy(g))
+		if err := c.dc.Read(c.ix.groupBuddy(g).Add(uint64(hc.Off)), im.buf[hc.Off:hc.End()]); err != nil {
 			return nil, err
 		}
-		chain = lay.chain(hdr)
+		chain = im.chain()
 	}
 	for hops := 0; !chain.IsNil() && hops < maxRetries; hops++ {
 		c.obs.SiblingChases.Inc()
-		img, err := c.readChained(chain)
+		c.group.reset()
+		im, err := c.readChained(chain)
 		if err != nil {
 			return nil, err
 		}
-		if _, e := c.findIn(img, key); e.occupied {
-			return c.resolve(e, key)
+		if slot, _ := im.find(key); slot >= 0 {
+			return c.resolve(im.value(slot), key)
 		}
-		chain = lay.chain(img)
+		chain = im.chain()
 	}
 	return nil, ErrNotFound
 }
 
-func (c *Client) resolve(e entry, key uint64) ([]byte, error) {
+// resolve turns a found entry's stored bytes into the search result,
+// which is the caller's: a copy of them when inline, the KV block they
+// point to when indirect.
+func (c *Client) resolve(stored []byte, key uint64) ([]byte, error) {
 	if !c.ix.opts.Indirect {
-		return append([]byte(nil), e.val[:c.ix.lay.valSize]...), nil
+		return append([]byte(nil), stored...), nil
 	}
-	for try := 0; try < maxRetries; try++ {
-		ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
-		if ptr.IsNil() {
-			break
-		}
-		buf := make([]byte, 8+c.ix.opts.ValueSize)
+	return c.readBlock(stored, key, make([]byte, 8+c.ix.opts.ValueSize))
+}
+
+// readBlock follows an indirect entry's block pointer, reading the
+// [8B key][value] block into buf and returning the value in it. A key
+// mismatch means the entry was concurrently re-pointed.
+func (c *Client) readBlock(stored []byte, key uint64, buf []byte) ([]byte, error) {
+	ptr := ptrOf(stored)
+	for try := 0; try < maxRetries && !ptr.IsNil(); try++ {
 		if err := c.dc.Read(ptr, buf); err != nil {
 			return nil, err
 		}
@@ -248,26 +260,27 @@ func (c *Client) prepareValue(key uint64, value []byte) ([]byte, error) {
 	return ptr, nil
 }
 
+// unlocked is a released lock word, as a write's source buffer.
+var unlocked [8]byte
+
 // writeEntryAndUnlock writes one entry of a leaf and releases the group
 // lock: a combined doorbell batch without local contenders, a local
 // handover otherwise (the group is contiguous on one MN, so the batch
 // is always legal).
-func (c *Client) writeEntryAndUnlock(leafAddr dmsim.GAddr, g int, img []byte, slot int) error {
-	cellC := c.ix.lay.entryCells[slot]
+func (c *Client) writeEntryAndUnlock(lf groupLeaf, g int, slot int) error {
+	cellAddr := lf.addr.Add(uint64(c.ix.lay.entryCells[slot].Off))
 	lockAddr := c.ix.groupMain(g)
 	if c.cn.locks.HasWaiters(lockAddr.Pack()) {
-		if err := c.dc.Write(leafAddr.Add(uint64(cellC.Off)), img[cellC.Off:cellC.End()]); err != nil {
+		if err := c.dc.Write(cellAddr, lf.im.cell(slot)); err != nil {
 			return err
 		}
 		if c.cn.locks.ReleaseHandover(c.dc, lockAddr.Pack(), 1) {
 			return nil
 		}
 	}
-	var zero [8]byte
-	if err := c.dc.WriteBatch(
-		[]dmsim.GAddr{leafAddr.Add(uint64(cellC.Off)), lockAddr},
-		[][]byte{img[cellC.Off:cellC.End()], zero[:]},
-	); err != nil {
+	c.addrs = append(c.addrs[:0], cellAddr, lockAddr)
+	c.bufs = append(c.bufs[:0], lf.im.cell(slot), unlocked[:])
+	if err := c.dc.WriteBatch(c.addrs, c.bufs); err != nil {
 		return err
 	}
 	c.cn.locks.ReleaseRemote(c.dc, lockAddr.Pack())
@@ -295,55 +308,35 @@ func (c *Client) Insert(key uint64, value []byte) error {
 	if err := c.lockGroup(g); err != nil {
 		return err
 	}
-	main, buddy, err := c.readGroup(g)
+	leaves, err := c.readWholeGroup(g)
 	if err != nil {
 		c.unlockGroup(g)
 		return err
 	}
 	lay := c.ix.lay
 
-	type leafImg struct {
-		addr dmsim.GAddr
-		img  []byte
-	}
-	leaves := []leafImg{{c.ix.groupMain(g), main}, {c.ix.groupBuddy(g), buddy}}
-
-	// Follow any existing chain so upserts and capacity checks see the
-	// whole group.
-	chain := lay.chain(buddy)
-	for !chain.IsNil() {
-		img, err := c.readChained(chain)
-		if err != nil {
-			c.unlockGroup(g)
-			return err
-		}
-		leaves = append(leaves, leafImg{chain, img})
-		chain = lay.chain(img)
-	}
-
 	// Upsert in place (preserving the slot's hopscotch bitmap, which
 	// tracks keys homed at the slot, not the stored key).
-	for _, lf := range leaves {
-		if i, e := c.findIn(lf.img, key); i >= 0 && e.occupied {
-			e.val = val
-			lay.encodeEntry(lf.img, i, e, true)
-			return c.writeEntryAndUnlock(lf.addr, g, lf.img, i)
+	for i := range leaves {
+		lf := &leaves[i]
+		var slot int
+		if slot, lf.free = lf.im.find(key); slot >= 0 {
+			lf.im.put(slot, key, val, true)
+			return c.writeEntryAndUnlock(*lf, g, slot)
 		}
 	}
 	// Place the key: hopscotch planning per leaf in hop mode, first
 	// free slot otherwise.
 	for _, lf := range leaves {
 		if lay.hop {
-			if slots, ok := hopInsert(lay, lf.img, key, val); ok {
-				return c.writeSlotsAndUnlock(lf.addr, g, lf.img, slots)
+			if slots, ok := hopInsert(lf.im, key, val); ok {
+				return c.writeSlotsAndUnlock(lf, g, slots)
 			}
 			continue
 		}
-		for i := 0; i < lay.span; i++ {
-			if !lay.decodeEntry(lf.img, i).occupied {
-				lay.encodeEntry(lf.img, i, entry{occupied: true, key: key, val: val}, true)
-				return c.writeEntryAndUnlock(lf.addr, g, lf.img, i)
-			}
+		if lf.free >= 0 {
+			lf.im.put(lf.free, key, val, true)
+			return c.writeEntryAndUnlock(lf, g, lf.free)
 		}
 	}
 
@@ -354,24 +347,25 @@ func (c *Client) Insert(key uint64, value []byte) error {
 		c.unlockGroup(g)
 		return err
 	}
-	img := make([]byte, lay.size)
+	last := leaves[len(leaves)-1]
+	fresh := c.group.next(lay, newAddr)
+	clear(fresh.buf)
 	if lay.hop {
-		if !newPlacer(lay, img).place(key, val) {
+		if !newPlacer(fresh).place(key, val) {
 			c.unlockGroup(g)
 			return fmt.Errorf("rolex: fresh overflow leaf rejected key %#x", key)
 		}
 	} else {
-		lay.encodeEntry(img, 0, entry{occupied: true, key: key, val: val}, false)
+		fresh.put(0, key, val, false)
 	}
-	if err := c.dc.Write(newAddr, img); err != nil {
+	if err := c.dc.Write(newAddr, fresh.buf); err != nil {
 		c.unlockGroup(g)
 		return err
 	}
-	last := leaves[len(leaves)-1]
-	lay.setChain(last.img, newAddr)
-	nodelayout.BumpEV(last.img, lay.header)
+	last.im.setChain(newAddr)
+	nodelayout.BumpEV(last.im.buf, lay.header)
 	hc := lay.header
-	if err := c.dc.Write(last.addr.Add(uint64(hc.Off)), last.img[hc.Off:hc.End()]); err != nil {
+	if err := c.dc.Write(last.addr.Add(uint64(hc.Off)), last.im.buf[hc.Off:hc.End()]); err != nil {
 		return err
 	}
 	return c.unlockGroup(g)
@@ -404,53 +398,35 @@ func (c *Client) modify(key uint64, val *[]byte) error {
 	if err := c.lockGroup(g); err != nil {
 		return err
 	}
-	main, buddy, err := c.readGroup(g)
+	leaves, err := c.readWholeGroup(g)
 	if err != nil {
 		c.unlockGroup(g)
 		return err
 	}
 	lay := c.ix.lay
-	type leafImg struct {
-		addr dmsim.GAddr
-		img  []byte
-	}
-	leaves := []leafImg{{c.ix.groupMain(g), main}, {c.ix.groupBuddy(g), buddy}}
-	chain := lay.chain(buddy)
-	for !chain.IsNil() {
-		img, err := c.readChained(chain)
-		if err != nil {
-			c.unlockGroup(g)
-			return err
-		}
-		leaves = append(leaves, leafImg{chain, img})
-		chain = lay.chain(img)
-	}
 	for _, lf := range leaves {
-		if i, e := c.findIn(lf.img, key); i >= 0 && e.occupied {
-			if val != nil {
-				e.val = *val
-				lay.encodeEntry(lf.img, i, e, true)
-				return c.writeEntryAndUnlock(lf.addr, g, lf.img, i)
-			}
-			// Delete: clear occupancy but keep the slot's own bitmap;
-			// in hop mode also drop the key's bit in its home entry.
-			e.occupied = false
-			lay.encodeEntry(lf.img, i, e, true)
-			if !lay.hop {
-				return c.writeEntryAndUnlock(lf.addr, g, lf.img, i)
-			}
-			home := lay.homeOf(key)
-			hE := lay.decodeEntry(lf.img, home)
-			d := ((i-home)%lay.span + lay.span) % lay.span
-			hE.hopBM &^= 1 << uint(d)
-			lay.encodeEntry(lf.img, home, hE, true)
-			slots := []int{i}
-			if home != i {
-				slots = append(slots, home)
-			}
-			sort.Ints(slots)
-			return c.writeSlotsAndUnlock(lf.addr, g, lf.img, slots)
+		slot, _ := lf.im.find(key)
+		if slot < 0 {
+			continue
 		}
+		if val != nil {
+			lf.im.put(slot, key, *val, true)
+			return c.writeEntryAndUnlock(lf, g, slot)
+		}
+		// Delete: clear occupancy but keep the slot's own bitmap; in hop
+		// mode also drop the key's bit in its home entry.
+		lf.im.vacate(slot, true)
+		if !lay.hop {
+			return c.writeEntryAndUnlock(lf, g, slot)
+		}
+		home := lay.homeOf(key)
+		_, bm, _ := lf.im.slot(home)
+		lf.im.setHopBM(home, bm&^(1<<uint(lay.dist(home, slot))), true)
+		c.hopSlots = append(c.hopSlots[:0], min(slot, home))
+		if home != slot {
+			c.hopSlots = append(c.hopSlots, max(slot, home))
+		}
+		return c.writeSlotsAndUnlock(lf, g, c.hopSlots)
 	}
 	c.unlockGroup(g)
 	return ErrNotFound
@@ -460,48 +436,56 @@ func (c *Client) modify(key uint64, val *[]byte) error {
 type KV = offroute.KV
 
 // scanOneSided reads consecutive groups until the budget is filled;
-// ROLEX's small span makes scans cheap.
+// ROLEX's small span makes scans cheap. Every group is read whole and its
+// in-range entries sorted; values are copied out of the leaf images into
+// the scan's arena before the next group is read into them. An indirect
+// entry costs its block read whether the result is wanted or not — what
+// the modelled client does.
 func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
+	lay := c.ix.lay
 	g := c.ix.route(start)
 	c.chargeModel()
-	var out []KV
+	sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
+	if c.ix.opts.Indirect && c.block == nil {
+		c.block = make([]byte, 8+c.ix.opts.ValueSize)
+	}
 	for ; g < c.ix.numGroups; g++ {
-		main, buddy, err := c.readGroup(g)
+		leaves, err := c.readWholeGroup(g)
 		if err != nil {
 			return nil, err
 		}
-		var batch []entry
-		collect := func(img []byte) {
-			for i := 0; i < c.ix.lay.span; i++ {
-				e := c.ix.lay.decodeEntry(img, i)
-				if e.occupied && e.key >= start {
-					e.val = append([]byte(nil), e.val...)
-					batch = append(batch, e)
+		slots := c.scanSlots[:0]
+		for n, lf := range leaves {
+			slots = lf.im.inRange(slots, start, n*lay.span)
+		}
+		c.scanSlots = slots[:0]
+		offroute.SortSlots(slots)
+		if !c.ix.opts.Indirect {
+			slots = slots[:min(count-len(sb.Out), len(slots))]
+		}
+		for _, s := range slots {
+			v := leaves[s.Idx/lay.span].im.value(s.Idx % lay.span)
+			if c.ix.opts.Indirect {
+				if v, err = c.readBlock(v, s.Key, c.block); err != nil {
+					return nil, err
 				}
 			}
+			sb.Add(s.Key, v)
 		}
-		collect(main)
-		collect(buddy)
-		chain := c.ix.lay.chain(buddy)
-		for !chain.IsNil() {
-			img, err := c.readChained(chain)
-			if err != nil {
-				return nil, err
-			}
-			collect(img)
-			chain = c.ix.lay.chain(img)
-		}
-		sort.Slice(batch, func(i, j int) bool { return batch[i].key < batch[j].key })
-		for _, e := range batch {
-			v, err := c.resolve(e, e.key)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, KV{Key: e.key, Value: v})
-		}
-		if len(out) >= count {
-			return out[:count], nil
+		if len(sb.Out) >= count {
+			return sb.Out[:count], nil
 		}
 	}
-	return out, nil
+	return sb.Out, nil
+}
+
+// inRange appends the leaf's occupied slots with keys >= start to dst, in
+// slot order, numbering them from base.
+func (im *image) inRange(dst []offroute.ScanSlot, start uint64, base int) []offroute.ScanSlot {
+	for i := 0; i < im.lay.span; i++ {
+		if occupied, _, key := im.slot(i); occupied && key >= start {
+			dst = append(dst, offroute.ScanSlot{Key: key, Idx: base + i})
+		}
+	}
+	return dst
 }

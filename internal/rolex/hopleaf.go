@@ -2,9 +2,8 @@ package rolex
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
 	"chime/internal/nodelayout"
 )
@@ -18,19 +17,18 @@ import (
 // placer performs local hopscotch placement into a fresh leaf image
 // (bulk load and overflow-leaf builds).
 type placer struct {
-	lay      *layout
-	img      []byte
+	im       *image
 	occupied []bool
 	homes    []int
 }
 
-func newPlacer(lay *layout, img []byte) *placer {
-	return &placer{lay: lay, img: img, occupied: make([]bool, lay.span), homes: make([]int, lay.span)}
+func newPlacer(im *image) *placer {
+	return &placer{im: im, occupied: make([]bool, im.lay.span), homes: make([]int, im.lay.span)}
 }
 
 // place inserts one KV, reporting false when no hop sequence fits.
 func (p *placer) place(key uint64, val []byte) bool {
-	lay := p.lay
+	lay := p.im.lay
 	home := lay.homeOf(key)
 	moves, free, err := hopscotch.Plan(lay.span, lay.h, home,
 		func(i int) bool { return p.occupied[i] },
@@ -39,207 +37,191 @@ func (p *placer) place(key uint64, val []byte) bool {
 		return false
 	}
 	for _, m := range moves {
-		applyHopMove(lay, p.img, m, false)
+		p.im.applyHopMove(m, false)
 		p.occupied[m.To], p.occupied[m.From] = true, false
 		p.homes[m.To] = p.homes[m.From]
 	}
-	placeAt(lay, p.img, free, home, key, val, false)
+	p.im.placeAt(free, home, key, val, false)
 	p.occupied[free] = true
 	p.homes[free] = home
 	return true
 }
 
-// applyHopMove relocates the entry at m.From to m.To in img, updating
-// the hopscotch bitmap in the key's home entry.
-func applyHopMove(lay *layout, img []byte, m hopscotch.Move, bump bool) {
-	e := lay.decodeEntry(img, m.From)
-	kHome := lay.homeOf(e.key)
+// dist is the hopscotch distance from home to slot, around the leaf.
+func (l *layout) dist(home, slot int) int {
+	return ((slot-home)%l.span + l.span) % l.span
+}
 
-	tgt := lay.decodeEntry(img, m.To)
-	tgt.occupied, tgt.key = true, e.key
-	tgt.val = append([]byte(nil), e.val...)
-	lay.encodeEntry(img, m.To, tgt, bump)
-
-	src := lay.decodeEntry(img, m.From)
-	src.occupied = false
-	lay.encodeEntry(img, m.From, src, bump)
-
-	hE := lay.decodeEntry(img, kHome)
-	dOld := ((m.From-kHome)%lay.span + lay.span) % lay.span
-	dNew := ((m.To-kHome)%lay.span + lay.span) % lay.span
-	hE.hopBM &^= 1 << uint(dOld)
-	hE.hopBM |= 1 << uint(dNew)
-	lay.encodeEntry(img, kHome, hE, bump)
+// applyHopMove relocates the entry at m.From to m.To, updating the
+// hopscotch bitmap in the key's home entry; it returns that home. The
+// moved value is read in place out of m.From, which put tolerates.
+func (im *image) applyHopMove(m hopscotch.Move, bump bool) (kHome int) {
+	lay := im.lay
+	_, _, key := im.slot(m.From)
+	kHome = lay.homeOf(key)
+	im.put(m.To, key, im.value(m.From), bump)
+	im.vacate(m.From, bump)
+	_, bm, _ := im.slot(kHome)
+	bm &^= 1 << uint(lay.dist(kHome, m.From))
+	bm |= 1 << uint(lay.dist(kHome, m.To))
+	im.setHopBM(kHome, bm, bump)
+	return kHome
 }
 
 // placeAt stores a new KV at slot `at` and sets its home bitmap bit.
-func placeAt(lay *layout, img []byte, at, home int, key uint64, val []byte, bump bool) {
-	e := lay.decodeEntry(img, at)
-	e.occupied, e.key, e.val = true, key, val
-	lay.encodeEntry(img, at, e, bump)
-	hE := lay.decodeEntry(img, home)
-	d := ((at-home)%lay.span + lay.span) % lay.span
-	hE.hopBM |= 1 << uint(d)
-	lay.encodeEntry(img, home, hE, bump)
+func (im *image) placeAt(at, home int, key uint64, val []byte, bump bool) {
+	im.put(at, key, val, bump)
+	_, bm, _ := im.slot(home)
+	im.setHopBM(home, bm|1<<uint(im.lay.dist(home, at)), bump)
 }
 
 // hopInsert plans and applies a hopscotch insert on a locked, fully
-// fetched leaf image, returning the modified slot indexes, or ok=false
-// when the leaf cannot absorb the key.
-func hopInsert(lay *layout, img []byte, key uint64, val []byte) ([]int, bool) {
+// fetched leaf image, returning the modified slot indexes in ascending
+// order, or ok=false when the leaf cannot absorb the key.
+func hopInsert(im *image, key uint64, val []byte) ([]int, bool) {
+	lay := im.lay
 	home := lay.homeOf(key)
 	moves, free, err := hopscotch.Plan(lay.span, lay.h, home,
-		func(i int) bool { return lay.decodeEntry(img, i).occupied },
-		func(i int) int { return lay.homeOf(lay.decodeEntry(img, i).key) })
+		func(i int) bool { occupied, _, _ := im.slot(i); return occupied },
+		func(i int) int { _, _, k := im.slot(i); return lay.homeOf(k) })
 	if err != nil {
 		return nil, false
 	}
-	changed := map[int]bool{home: true, free: true}
+	slots := []int{home, free}
 	for _, m := range moves {
-		kHome := lay.homeOf(lay.decodeEntry(img, m.From).key)
-		applyHopMove(lay, img, m, true)
-		changed[m.From], changed[m.To], changed[kHome] = true, true, true
+		slots = append(slots, m.From, m.To, im.applyHopMove(m, true))
 	}
-	placeAt(lay, img, free, home, key, val, true)
-	slots := make([]int, 0, len(changed))
-	for i := range changed {
-		slots = append(slots, i)
-	}
-	sort.Ints(slots)
-	return slots, true
+	im.placeAt(free, home, key, val, true)
+	slices.Sort(slots)
+	return slices.Compact(slots), true
 }
 
-// neighborhoodRanges returns 1-2 byte ranges of the leaf image covering
-// entries [home, home+H) circularly.
+// hopRange is a byte range of the leaf image.
 type hopRange struct{ off, end int }
 
-func (l *layout) neighborhoodRanges(home int) []hopRange {
+// neighborhoodRanges returns the 1-2 byte ranges of the leaf image
+// covering entries [home, home+H) circularly.
+func (l *layout) neighborhoodRanges(home int) (r [2]hopRange, n int) {
 	last := home + l.h - 1
 	if last < l.span {
-		return []hopRange{{l.entryCells[home].Off, l.entryCells[last].End()}}
+		return [2]hopRange{{l.entryCells[home].Off, l.entryCells[last].End()}}, 1
 	}
-	return []hopRange{
+	return [2]hopRange{
 		{l.entryCells[home].Off, l.entryCells[l.span-1].End()},
 		{l.entryCells[0].Off, l.entryCells[last%l.span].End()},
-	}
+	}, 2
 }
 
-// coveredCells lists entry cells fully inside the fetched ranges.
-func (l *layout) coveredCells(ranges []hopRange) []nodelayout.Cell {
-	var out []nodelayout.Cell
+// coveredCells appends to dst the entry cells fully inside the fetched
+// ranges.
+func (l *layout) coveredCells(dst []nodelayout.Cell, ranges []hopRange) []nodelayout.Cell {
 	for _, c := range l.entryCells {
 		for _, r := range ranges {
 			if c.Off >= r.off && c.End() <= r.end {
-				out = append(out, c)
+				dst = append(dst, c)
 				break
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// reconstructHopBitmap recomputes the expected bitmap of home from the
-// keys actually present in the fetched neighborhood (the third
-// synchronization level, borrowed from CHIME §4.1.2).
-func (l *layout) reconstructHopBitmap(img []byte, home int) uint16 {
+// probe looks key up in a fetched neighborhood window of its home: the
+// third synchronization level, borrowed from CHIME §4.1.2, first — the
+// home entry's stored hopscotch bitmap must match the one reconstructed
+// from the keys actually fetched, or a concurrent hop-range write was
+// caught mid-flight and consistent is false — then the slots the bitmap
+// names. slot is -1 when the key is absent.
+//
+//chime:noalloc
+func (im *image) probe(home int, key uint64) (slot int, consistent bool) {
+	lay := im.lay
+	_, stored, _ := im.slot(home)
 	var bm uint16
-	for d := 0; d < l.h; d++ {
-		i := (home + d) % l.span
-		e := l.decodeEntry(img, i)
-		if e.occupied && l.homeOf(e.key) == home {
+	slot = -1
+	for d := 0; d < lay.h; d++ {
+		i := (home + d) % lay.span
+		occupied, _, k := im.slot(i)
+		if !occupied {
+			continue
+		}
+		if lay.homeOf(k) == home {
 			bm |= 1 << uint(d)
 		}
+		if k == key && slot < 0 && stored&(1<<uint(d)) != 0 {
+			slot = i
+		}
 	}
-	return bm
+	return slot, bm == stored
 }
 
 // searchHopGroup reads the H-entry neighborhoods of a group's main and
-// buddy leaves in one doorbell batch and looks the key up. found=false
-// with nil error means the key is in neither neighborhood (the caller
-// falls back to the overflow chain).
-func (c *Client) searchHopGroup(g int, key uint64) (entry, bool, error) {
+// buddy leaves in one doorbell batch and looks the key up. slot is -1
+// (with nil error) when the key is in neither neighborhood (the caller
+// falls back to the overflow chain); otherwise it is key's slot in im.
+func (c *Client) searchHopGroup(g int, key uint64) (im *image, slot int, err error) {
 	lay := c.ix.lay
 	home := lay.homeOf(key)
-	ranges := lay.neighborhoodRanges(home)
+	rs, n := lay.neighborhoodRanges(home)
+	ranges := rs[:n]
 
-	mainImg := make([]byte, lay.size)
-	buddyImg := make([]byte, lay.size)
-	var addrs []dmsim.GAddr
-	var bufs [][]byte
-	for _, r := range ranges {
-		addrs = append(addrs, c.ix.groupMain(g).Add(uint64(r.off)))
-		bufs = append(bufs, mainImg[r.off:r.end])
+	c.group.reset()
+	main := c.group.next(lay, c.ix.groupMain(g))
+	buddy := c.group.next(lay, c.ix.groupBuddy(g))
+	c.addrs, c.bufs = c.addrs[:0], c.bufs[:0]
+	for _, lf := range c.group.leaves {
+		for _, r := range ranges {
+			c.addrs = append(c.addrs, lf.addr.Add(uint64(r.off)))
+			c.bufs = append(c.bufs, lf.im.buf[r.off:r.end])
+		}
 	}
-	for _, r := range ranges {
-		addrs = append(addrs, c.ix.groupBuddy(g).Add(uint64(r.off)))
-		bufs = append(bufs, buddyImg[r.off:r.end])
-	}
+	c.covered = lay.coveredCells(c.covered[:0], ranges)
 
 	for try := 0; try < maxRetries; try++ {
-		if err := c.dc.ReadBatch(addrs, bufs); err != nil {
-			return entry{}, false, err
+		if err := c.dc.ReadBatch(c.addrs, c.bufs); err != nil {
+			return nil, -1, err
 		}
-		cells := lay.coveredCells(ranges)
-		if nodelayout.CheckVersions(mainImg, 0, cells) != nil ||
-			nodelayout.CheckVersions(buddyImg, 0, cells) != nil {
+		if nodelayout.CheckVersions(main.buf, 0, c.covered) != nil ||
+			nodelayout.CheckVersions(buddy.buf, 0, c.covered) != nil {
 			c.backoff.Yield(c.dc)
 			continue
 		}
-		consistent := true
-		for _, img := range [][]byte{mainImg, buddyImg} {
-			if lay.decodeEntry(img, home).hopBM != lay.reconstructHopBitmap(img, home) {
-				consistent = false
-				break
-			}
-		}
-		if !consistent {
+		mainSlot, mainOK := main.probe(home, key)
+		buddySlot, buddyOK := buddy.probe(home, key)
+		if !mainOK || !buddyOK {
 			c.backoff.Yield(c.dc)
 			continue
 		}
 		c.backoff.Reset()
-		for _, img := range [][]byte{mainImg, buddyImg} {
-			bm := lay.decodeEntry(img, home).hopBM
-			for d := 0; d < lay.h; d++ {
-				if bm&(1<<uint(d)) == 0 {
-					continue
-				}
-				e := lay.decodeEntry(img, (home+d)%lay.span)
-				if e.occupied && e.key == key {
-					e.val = append([]byte(nil), e.val...)
-					return e, true, nil
-				}
-			}
+		if mainSlot >= 0 {
+			return main, mainSlot, nil
 		}
-		return entry{}, false, nil
+		return buddy, buddySlot, nil
 	}
-	return entry{}, false, fmt.Errorf("rolex: group %d neighborhood: retries exhausted", g)
+	return nil, -1, fmt.Errorf("rolex: group %d neighborhood: retries exhausted", g)
 }
 
 // writeSlotsAndUnlock writes the changed entry cells of one leaf and
 // releases the group lock — combined into one doorbell batch unless a
 // local contender takes the lock by handover.
-func (c *Client) writeSlotsAndUnlock(leafAddr dmsim.GAddr, g int, img []byte, slots []int) error {
-	lay := c.ix.lay
-	addrs := make([]dmsim.GAddr, 0, len(slots)+1)
-	bufs := make([][]byte, 0, len(slots)+1)
+func (c *Client) writeSlotsAndUnlock(lf groupLeaf, g int, slots []int) error {
+	c.addrs, c.bufs = c.addrs[:0], c.bufs[:0]
 	for _, s := range slots {
-		cell := lay.entryCells[s]
-		addrs = append(addrs, leafAddr.Add(uint64(cell.Off)))
-		bufs = append(bufs, img[cell.Off:cell.End()])
+		c.addrs = append(c.addrs, lf.addr.Add(uint64(c.ix.lay.entryCells[s].Off)))
+		c.bufs = append(c.bufs, lf.im.cell(s))
 	}
 	lockAddr := c.ix.groupMain(g)
 	if c.cn.locks.HasWaiters(lockAddr.Pack()) {
-		if err := c.dc.WriteBatch(addrs, bufs); err != nil {
+		if err := c.dc.WriteBatch(c.addrs, c.bufs); err != nil {
 			return err
 		}
 		if c.cn.locks.ReleaseHandover(c.dc, lockAddr.Pack(), 1) {
 			return nil
 		}
 	}
-	var zero [8]byte
-	addrs = append(addrs, lockAddr)
-	bufs = append(bufs, zero[:])
-	if err := c.dc.WriteBatch(addrs, bufs); err != nil {
+	c.addrs = append(c.addrs, lockAddr)
+	c.bufs = append(c.bufs, unlocked[:])
+	if err := c.dc.WriteBatch(c.addrs, c.bufs); err != nil {
 		return err
 	}
 	c.cn.locks.ReleaseRemote(c.dc, lockAddr.Pack())

@@ -3,10 +3,10 @@ package rolex
 import (
 	"encoding/binary"
 	"runtime"
-	"sort"
+	"sync"
 
 	"chime/internal/dmsim"
-	"chime/internal/nodelayout"
+	"chime/internal/offroute"
 )
 
 // MN-side offload program (dmsim offload verbs), co-designed with
@@ -24,63 +24,93 @@ const (
 	mnChainHops   = 128
 )
 
+// mnProgram implements dmsim.MNProgram for one ROLEX index. Stateless
+// beyond the shared Index and a pool of per-invocation scratch, so one
+// value serves every MN and client.
 type mnProgram struct {
 	ix *Index
+
+	scratch sync.Pool // of *mnScratch
 }
 
-// readLeaf fetches one leaf image through the metered view, retrying
-// torn reads against a small budget.
-func (p *mnProgram) readLeaf(ctx *dmsim.MNCtx, addr dmsim.GAddr) ([]byte, dmsim.OffloadStatus) {
-	lay := p.ix.lay
-	img := make([]byte, lay.size)
+// mnScratch is what one invocation of the program reads leaves into and
+// stages its output in.
+type mnScratch struct {
+	group leafSet
+	slots []offroute.ScanSlot // one group's in-range entries
+	block []byte              // indirect: the KV block being read
+	rec   []byte              // the [8B key][value] record being emitted
+}
+
+// acquire takes a scratch for one invocation; the caller defers release.
+func (p *mnProgram) acquire() *mnScratch {
+	if s, _ := p.scratch.Get().(*mnScratch); s != nil {
+		return s
+	}
+	vs := p.ix.opts.ValueSize
+	return &mnScratch{block: make([]byte, 8+vs), rec: make([]byte, 8+vs)}
+}
+
+func (p *mnProgram) release(s *mnScratch) { p.scratch.Put(s) }
+
+// readLeaf fetches one leaf through the metered view as the next leaf of
+// the scratch group, retrying torn reads against a small budget. A nil
+// image carries a fallback status.
+func (p *mnProgram) readLeaf(ctx *dmsim.MNCtx, s *mnScratch, addr dmsim.GAddr) (*image, dmsim.OffloadStatus) {
+	im := s.group.next(p.ix.lay, addr)
 	for try := 0; try < mnTornRetries; try++ {
-		if !ctx.Read(addr.Add(lineSize), img[lineSize:]) {
+		if !ctx.Read(addr.Add(lineSize), im.body()) {
 			return nil, dmsim.OffloadCrossMN
 		}
-		if nodelayout.CheckVersions(img, 0, lay.allCells) != nil {
+		if im.check() != nil {
 			runtime.Gosched()
 			continue
 		}
-		return img, dmsim.OffloadOK
+		return im, dmsim.OffloadOK
 	}
 	return nil, dmsim.OffloadRetry
 }
 
-func mnFindIn(lay *layout, img []byte, key uint64) (int, entry) {
-	for i := 0; i < lay.span; i++ {
-		e := lay.decodeEntry(img, i)
-		if e.occupied && e.key == key {
-			return i, e
+// readWholeGroup fetches every leaf of group g — main, buddy, the
+// overflow chain — into s.group.leaves.
+func (p *mnProgram) readWholeGroup(ctx *dmsim.MNCtx, s *mnScratch, g int) dmsim.OffloadStatus {
+	s.group.reset()
+	if im, st := p.readLeaf(ctx, s, p.ix.groupMain(g)); im == nil {
+		return st
+	}
+	buddy, st := p.readLeaf(ctx, s, p.ix.groupBuddy(g))
+	if buddy == nil {
+		return st
+	}
+	chain := buddy.chain()
+	for hops := 0; !chain.IsNil() && hops < mnChainHops; hops++ {
+		im, st := p.readLeaf(ctx, s, chain)
+		if im == nil {
+			return st
 		}
-	}
-	return -1, entry{}
-}
-
-// emitValue resolves an entry (inline value or indirect KV block) into
-// the response.
-func (p *mnProgram) emitValue(ctx *dmsim.MNCtx, key uint64, e entry) dmsim.OffloadStatus {
-	lay := p.ix.lay
-	if !p.ix.opts.Indirect {
-		if !ctx.Emit(e.val[:lay.valSize]) {
-			return dmsim.OffloadRetry
-		}
-		return dmsim.OffloadOK
-	}
-	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
-	if ptr.IsNil() {
-		return dmsim.OffloadNotFound
-	}
-	block := make([]byte, 8+p.ix.opts.ValueSize)
-	if !ctx.Read(ptr, block) {
-		return dmsim.OffloadCrossMN
-	}
-	if binary.LittleEndian.Uint64(block[:8]) != key {
-		return dmsim.OffloadRetry
-	}
-	if !ctx.Emit(block[8:]) {
-		return dmsim.OffloadRetry
+		chain = im.chain()
 	}
 	return dmsim.OffloadOK
+}
+
+// resolve turns stored entry bytes into the value to emit: themselves
+// when inline, the KV block they point to (read into the scratch block)
+// when indirect. unlinked is the status for a nil block pointer.
+func (p *mnProgram) resolve(ctx *dmsim.MNCtx, s *mnScratch, key uint64, stored []byte, unlinked dmsim.OffloadStatus) ([]byte, dmsim.OffloadStatus) {
+	if !p.ix.opts.Indirect {
+		return stored, dmsim.OffloadOK
+	}
+	ptr := ptrOf(stored)
+	if ptr.IsNil() {
+		return nil, unlinked
+	}
+	if !ctx.Read(ptr, s.block) {
+		return nil, dmsim.OffloadCrossMN
+	}
+	if binary.LittleEndian.Uint64(s.block[:8]) != key {
+		return nil, dmsim.OffloadRetry
+	}
+	return s.block[8:], dmsim.OffloadOK
 }
 
 // Search: probe the routed group's main leaf, buddy, then the overflow
@@ -91,31 +121,27 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 	if g < 0 || g >= p.ix.numGroups {
 		return dmsim.OffloadUnsupported
 	}
-	lay := p.ix.lay
-	main, st := p.readLeaf(ctx, p.ix.groupMain(g))
-	if main == nil {
-		return st
-	}
-	if _, e := mnFindIn(lay, main, key); e.occupied {
-		return p.emitValue(ctx, key, e)
-	}
-	buddy, st := p.readLeaf(ctx, p.ix.groupBuddy(g))
-	if buddy == nil {
-		return st
-	}
-	if _, e := mnFindIn(lay, buddy, key); e.occupied {
-		return p.emitValue(ctx, key, e)
-	}
-	chain := lay.chain(buddy)
-	for hops := 0; !chain.IsNil() && hops < mnChainHops; hops++ {
-		img, st := p.readLeaf(ctx, chain)
-		if img == nil {
+	s := p.acquire()
+	defer p.release(s)
+	// The main leaf, then the buddy, then the chain the buddy heads: one
+	// leaf at a time, stopping at the first that holds the key.
+	next := p.ix.groupMain(g)
+	for leaves := 0; !next.IsNil() && leaves < 2+mnChainHops; leaves++ {
+		s.group.reset()
+		im, st := p.readLeaf(ctx, s, next)
+		if im == nil {
 			return st
 		}
-		if _, e := mnFindIn(lay, img, key); e.occupied {
-			return p.emitValue(ctx, key, e)
+		if slot, _ := im.find(key); slot >= 0 {
+			val, st := p.resolve(ctx, s, key, im.value(slot), dmsim.OffloadNotFound)
+			if st == dmsim.OffloadOK && !ctx.Emit(val) {
+				st = dmsim.OffloadRetry
+			}
+			return st
 		}
-		chain = lay.chain(img)
+		if next = im.chain(); leaves == 0 {
+			next = p.ix.groupBuddy(g)
+		}
 	}
 	return dmsim.OffloadNotFound
 }
@@ -166,41 +192,21 @@ func (p *mnProgram) Update(ctx *dmsim.MNCtx, key, arg uint64, val []byte) dmsim.
 	if st := p.lockGroup(ctx, lockAddr); st != dmsim.OffloadOK {
 		return st
 	}
-	st := p.updateLocked(ctx, g, key, val)
+	s := p.acquire()
+	defer p.release(s)
+	st := p.updateLocked(ctx, s, g, key, val)
 	p.unlockGroup(ctx, lockAddr)
 	return st
 }
 
-func (p *mnProgram) updateLocked(ctx *dmsim.MNCtx, g int, key uint64, val []byte) dmsim.OffloadStatus {
-	lay := p.ix.lay
-	type leafImg struct {
-		addr dmsim.GAddr
-		img  []byte
-	}
-	main, st := p.readLeaf(ctx, p.ix.groupMain(g))
-	if main == nil {
+func (p *mnProgram) updateLocked(ctx *dmsim.MNCtx, s *mnScratch, g int, key uint64, val []byte) dmsim.OffloadStatus {
+	if st := p.readWholeGroup(ctx, s, g); st != dmsim.OffloadOK {
 		return st
 	}
-	buddy, st := p.readLeaf(ctx, p.ix.groupBuddy(g))
-	if buddy == nil {
-		return st
-	}
-	leaves := []leafImg{{p.ix.groupMain(g), main}, {p.ix.groupBuddy(g), buddy}}
-	chain := lay.chain(buddy)
-	for hops := 0; !chain.IsNil() && hops < mnChainHops; hops++ {
-		img, st := p.readLeaf(ctx, chain)
-		if img == nil {
-			return st
-		}
-		leaves = append(leaves, leafImg{chain, img})
-		chain = lay.chain(img)
-	}
-	for _, lf := range leaves {
-		if i, e := mnFindIn(lay, lf.img, key); i >= 0 {
-			e.val = val
-			lay.encodeEntry(lf.img, i, e, true)
-			c := lay.entryCells[i]
-			if !ctx.Write(lf.addr.Add(uint64(c.Off)), lf.img[c.Off:c.End()]) {
+	for _, lf := range s.group.leaves {
+		if slot, _ := lf.im.find(key); slot >= 0 {
+			lf.im.put(slot, key, val, true)
+			if !ctx.Write(lf.addr.Add(uint64(p.ix.lay.entryCells[slot].Off)), lf.im.cell(slot)) {
 				return dmsim.OffloadCrossMN
 			}
 			return dmsim.OffloadOK
@@ -221,65 +227,30 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 		return dmsim.OffloadUnsupported
 	}
 	lay := p.ix.lay
+	s := p.acquire()
+	defer p.release(s)
 	emitted := 0
-	// Inline mode emits lay.valSize bytes per record, indirect mode the
-	// resolved opts.ValueSize — both equal opts.ValueSize.
-	rec := make([]byte, 8+p.ix.opts.ValueSize)
 	for ; g < p.ix.numGroups; g++ {
-		var batch []entry
-		collect := func(img []byte) {
-			for i := 0; i < lay.span; i++ {
-				e := lay.decodeEntry(img, i)
-				if e.occupied && e.key >= start {
-					e.val = append([]byte(nil), e.val...)
-					batch = append(batch, e)
-				}
-			}
-		}
-		main, st := p.readLeaf(ctx, p.ix.groupMain(g))
-		if main == nil {
+		if st := p.readWholeGroup(ctx, s, g); st != dmsim.OffloadOK {
 			return st
 		}
-		buddy, st := p.readLeaf(ctx, p.ix.groupBuddy(g))
-		if buddy == nil {
-			return st
+		s.slots = s.slots[:0]
+		for n, lf := range s.group.leaves {
+			s.slots = lf.im.inRange(s.slots, start, n*lay.span)
 		}
-		collect(main)
-		collect(buddy)
-		chain := lay.chain(buddy)
-		for hops := 0; !chain.IsNil() && hops < mnChainHops; hops++ {
-			img, st := p.readLeaf(ctx, chain)
-			if img == nil {
+		offroute.SortSlots(s.slots)
+		for _, sl := range s.slots {
+			stored := s.group.leaves[sl.Idx/lay.span].im.value(sl.Idx % lay.span)
+			val, st := p.resolve(ctx, s, sl.Key, stored, dmsim.OffloadRetry)
+			if st != dmsim.OffloadOK {
 				return st
 			}
-			collect(img)
-			chain = lay.chain(img)
-		}
-		sort.Slice(batch, func(i, j int) bool { return batch[i].key < batch[j].key })
-		for _, e := range batch {
-			v := e.val[:lay.valSize]
-			if p.ix.opts.Indirect {
-				ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
-				if ptr.IsNil() {
-					return dmsim.OffloadRetry
-				}
-				block := make([]byte, 8+p.ix.opts.ValueSize)
-				if !ctx.Read(ptr, block) {
-					return dmsim.OffloadCrossMN
-				}
-				if binary.LittleEndian.Uint64(block[:8]) != e.key {
-					return dmsim.OffloadRetry
-				}
-				v = block[8:]
-			}
-			rec = rec[:8+len(v)]
-			binary.LittleEndian.PutUint64(rec[:8], e.key)
-			copy(rec[8:], v)
-			if !ctx.Emit(rec) {
+			binary.LittleEndian.PutUint64(s.rec[:8], sl.Key)
+			copy(s.rec[8:], val)
+			if !ctx.Emit(s.rec) {
 				return dmsim.OffloadOK
 			}
-			emitted++
-			if emitted >= limit {
+			if emitted++; emitted >= limit {
 				return dmsim.OffloadOK
 			}
 		}

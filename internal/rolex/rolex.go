@@ -94,9 +94,9 @@ const (
 	flagOccupied = 1 << 0
 )
 
-// Leaf remote layout: lock word at 0, a header cell
-// [8B chain pointer][2B count unused], then span entry cells
-// [1B flags][8B key][val]. Every leaf group is a main leaf plus an
+// Leaf remote layout: lock word at 0, a header cell [8B chain pointer],
+// then span entry cells [1B flags][2B hopscotch bitmap, hopscotch-leaf
+// mode only][8B key][val]. Every leaf group is a main leaf plus an
 // eagerly allocated overflow buddy at a deterministic address, so a
 // search fetches both in one doorbell batch — the 2·span amplification
 // the paper reports. Buddies can chain further overflow leaves for
@@ -104,6 +104,8 @@ const (
 type layout struct {
 	span    int
 	valSize int
+	keyOff  int // content offset of the key: 1, or 3 behind the bitmap
+	valOff  int // content offset of the value: keyOff + 8
 	hop     bool
 	h       int
 
@@ -114,20 +116,20 @@ type layout struct {
 }
 
 func newLayout(o Options) *layout {
-	l := &layout{span: o.SpanSize, valSize: o.ValueSize, hop: o.HopscotchLeaves, h: o.Neighborhood}
+	l := &layout{span: o.SpanSize, valSize: o.ValueSize, keyOff: 1, hop: o.HopscotchLeaves, h: o.Neighborhood}
 	if l.hop && l.h == 0 {
 		l.h = 8
 	}
 	if o.Indirect {
 		l.valSize = 8
 	}
-	entryContent := 1 + 8 + l.valSize
 	if l.hop {
-		entryContent += 2 // hopscotch bitmap
+		l.keyOff = 3 // hopscotch bitmap
 	}
+	l.valOff = l.keyOff + 8
 	contents := []int{8}
 	for i := 0; i < o.SpanSize; i++ {
-		contents = append(contents, entryContent)
+		contents = append(contents, l.valOff+l.valSize)
 	}
 	cells, regionSize := nodelayout.LayoutCells(lineSize, contents)
 	l.header = cells[0]
@@ -137,44 +139,161 @@ func newLayout(o Options) *layout {
 	return l
 }
 
-type entry struct {
-	occupied bool
-	hopBM    uint16 // hopscotch-leaf mode only
-	key      uint64
-	val      []byte
+// image is a leaf-sized buffer one leaf at a time is fetched into, read
+// from and written back out of where it lies. Everything read from it —
+// a value above all, which aliases buf — is good until the image's owner
+// refills it (DESIGN.md §3): take what you need first. Flags, bitmap and
+// key sit in the first 11 content bytes, which even a cell spanning
+// several lines keeps contiguous in its first; only the value of such a
+// cell (inline values past 52 bytes) is interleaved with version bytes,
+// and value(i) gathers it into slot i of the image's own gather area, so
+// either way a value lives as long as its image and values of different
+// slots never share bytes.
+type image struct {
+	lay  *layout
+	buf  []byte
+	vals []byte // span*valSize gather area; nil unless entry cells are big
 }
 
-func (l *layout) encodeEntry(img []byte, i int, e entry, bump bool) {
-	c := l.entryCells[i]
-	content := make([]byte, c.Content)
-	if e.occupied {
-		content[0] |= flagOccupied
+func (l *layout) newImage() *image {
+	im := &image{lay: l, buf: make([]byte, l.size)}
+	if l.entryCells[0].Big {
+		im.vals = make([]byte, l.span*l.valSize)
 	}
-	off := 1
-	if l.hop {
-		binary.LittleEndian.PutUint16(content[1:3], e.hopBM)
-		off = 3
+	return im
+}
+
+// poisonRecycled makes recycle scribble over the image it is handed and
+// return a fresh one, so anything still read through the old image after
+// its owner moved on to the next leaf is a5a5… instead of that leaf's
+// plausible bytes. Only the package's tests set it (TestMain).
+var poisonRecycled bool
+
+const poisonByte = 0xA5
+
+// recycle readies an owner's image for its next fill; im may be nil (the
+// owner's first). Every fill goes through here.
+func (l *layout) recycle(im *image) *image {
+	if im == nil {
+		return l.newImage()
 	}
-	binary.LittleEndian.PutUint64(content[off:off+8], e.key)
-	copy(content[off+8:], e.val)
-	nodelayout.WriteCellContent(img, c, content)
+	if poisonRecycled {
+		poison(im.buf)
+		poison(im.vals)
+		return l.newImage()
+	}
+	return im
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+// check validates the version bytes of a whole fetched leaf.
+func (im *image) check() error {
+	return nodelayout.CheckVersions(im.buf, 0, im.lay.allCells)
+}
+
+// body is what a leaf read fetches: everything but the lock word's line.
+func (im *image) body() []byte { return im.buf[lineSize:] }
+
+// cell is slot i's bytes, version byte included: what an entry write
+// sends.
+func (im *image) cell(i int) []byte {
+	c := im.lay.entryCells[i]
+	return im.buf[c.Off:c.End()]
+}
+
+// slot reads slot i's occupancy, hopscotch bitmap (zero outside
+// hopscotch-leaf mode) and key in place.
+//
+//chime:noalloc
+func (im *image) slot(i int) (occupied bool, hopBM uint16, key uint64) {
+	p := im.buf[im.lay.entryCells[i].Off+1:]
+	if im.lay.hop {
+		hopBM = binary.LittleEndian.Uint16(p[1:3])
+	}
+	k := im.lay.keyOff
+	return p[0]&flagOccupied != 0, hopBM, binary.LittleEndian.Uint64(p[k : k+8])
+}
+
+// value returns slot i's valSize value bytes (the block pointer when
+// indirect). It aliases the image: see image.
+//
+//chime:noalloc
+func (im *image) value(i int) []byte {
+	lay := im.lay
+	c := lay.entryCells[i]
+	if !c.Big {
+		v := c.Off + 1 + lay.valOff
+		return im.buf[v : v+lay.valSize : v+lay.valSize]
+	}
+	v := im.vals[i*lay.valSize : (i+1)*lay.valSize : (i+1)*lay.valSize]
+	nodelayout.ReadCellContentAt(im.buf, c, lay.valOff, v)
+	return v
+}
+
+// find is the slot search of every leaf operation: the slot holding key
+// (-1 when absent) and the first unoccupied slot seen before it (-1 when
+// none), which is the leaf's first free slot whenever the key is absent.
+//
+//chime:noalloc
+func (im *image) find(key uint64) (slot, free int) {
+	free = -1
+	for i := 0; i < im.lay.span; i++ {
+		occupied, _, k := im.slot(i)
+		if occupied && k == key {
+			return i, free
+		}
+		if !occupied && free < 0 {
+			free = i
+		}
+	}
+	return -1, free
+}
+
+// put stores (key, val) in slot i and marks it occupied, in place; the
+// slot's hopscotch bitmap — which tracks the keys homed at the slot, not
+// the key stored in it — is left alone. bump also increments the cell's
+// entry-level version (so for the other field writes below). val may be
+// shorter than valSize (zero-padded) and may alias this or another
+// image, another slot's decoded value included (a hopscotch move): it is
+// copied before anything else of the slot's value field is touched.
+func (im *image) put(i int, key uint64, val []byte, bump bool) {
+	lay := im.lay
+	c := lay.entryCells[i]
+	p := im.buf[c.Off+1:]
+	p[0] = flagOccupied
+	binary.LittleEndian.PutUint64(p[lay.keyOff:lay.keyOff+8], key)
+	if len(val) > lay.valSize {
+		val = val[:lay.valSize]
+	}
+	nodelayout.WriteCellContentAt(im.buf, c, lay.valOff, val)
+	nodelayout.ZeroCellContentAt(im.buf, c, lay.valOff+len(val), lay.valSize-len(val))
 	if bump {
-		nodelayout.BumpEV(img, c)
+		nodelayout.BumpEV(im.buf, c)
 	}
 }
 
-func (l *layout) decodeEntry(img []byte, i int) entry {
-	c := l.entryCells[i]
-	content := nodelayout.ReadCellContent(img, c, make([]byte, 0, c.Content))
-	e := entry{occupied: content[0]&flagOccupied != 0}
-	off := 1
-	if l.hop {
-		e.hopBM = binary.LittleEndian.Uint16(content[1:3])
-		off = 3
+// vacate clears slot i's occupancy; bitmap, key and value keep their
+// bytes.
+func (im *image) vacate(i int, bump bool) {
+	c := im.lay.entryCells[i]
+	im.buf[c.Off+1] = 0
+	if bump {
+		nodelayout.BumpEV(im.buf, c)
 	}
-	e.key = binary.LittleEndian.Uint64(content[off : off+8])
-	e.val = content[off+8:]
-	return e
+}
+
+// setHopBM overwrites slot i's hopscotch bitmap (hopscotch-leaf mode).
+func (im *image) setHopBM(i int, bm uint16, bump bool) {
+	c := im.lay.entryCells[i]
+	binary.LittleEndian.PutUint16(im.buf[c.Off+2:c.Off+4], bm)
+	if bump {
+		nodelayout.BumpEV(im.buf, c)
+	}
 }
 
 // homeOf returns a key's hopscotch home slot within a leaf.
@@ -182,15 +301,53 @@ func (l *layout) homeOf(key uint64) int {
 	return int(hopscotch.Hash(key) % uint64(l.span))
 }
 
-func (l *layout) setChain(img []byte, chain dmsim.GAddr) {
-	content := make([]byte, l.header.Content)
-	binary.LittleEndian.PutUint64(content, chain.Pack())
-	nodelayout.WriteCellContent(img, l.header, content)
+// The header cell's 8 content bytes always fit one line: the chain
+// pointer is read and written where it lies.
+
+func (im *image) setChain(chain dmsim.GAddr) {
+	binary.LittleEndian.PutUint64(im.buf[im.lay.header.Off+1:], chain.Pack())
 }
 
-func (l *layout) chain(img []byte) dmsim.GAddr {
-	content := nodelayout.ReadCellContent(img, l.header, make([]byte, 0, 8))
-	return dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content))
+func (im *image) chain() dmsim.GAddr {
+	return ptrOf(im.buf[im.lay.header.Off+1:])
+}
+
+// ptrOf unpacks the address an 8-byte field holds: a chain pointer, or an
+// indirect entry's KV block.
+func ptrOf(v []byte) dmsim.GAddr {
+	return dmsim.UnpackGAddr(binary.LittleEndian.Uint64(v[:8]))
+}
+
+// leafSet is the scratch one operation reads a group's leaves into:
+// main, buddy, then the overflow chain in order. The images are reused
+// by the owner's next operation.
+type leafSet struct {
+	imgs   []*image
+	leaves []groupLeaf
+}
+
+// groupLeaf is one fetched leaf of the group being worked on: where it
+// lives, its image, and its first free slot (-1 when full) if a find
+// over it came up empty.
+type groupLeaf struct {
+	addr dmsim.GAddr
+	im   *image
+	free int
+}
+
+// reset forgets the previous group's leaves.
+func (s *leafSet) reset() { s.leaves = s.leaves[:0] }
+
+// next readies the image the group's next leaf, at addr, is read into
+// and lists the leaf.
+func (s *leafSet) next(lay *layout, addr dmsim.GAddr) *image {
+	n := len(s.leaves)
+	if n == len(s.imgs) {
+		s.imgs = append(s.imgs, nil)
+	}
+	s.imgs[n] = lay.recycle(s.imgs[n])
+	s.leaves = append(s.leaves, groupLeaf{addr: addr, im: s.imgs[n], free: -1})
+	return s.imgs[n]
 }
 
 // Index is one ROLEX index: the remote leaf-group array plus the
@@ -257,9 +414,9 @@ func Build(f *dmsim.Fabric, opts Options, keys []uint64, values map[uint64][]byt
 		}
 		ix.fences[g] = sorted[lo]
 
-		img := make([]byte, ix.lay.size)
-		mainPlacer := newPlacer(ix.lay, img)
-		var buddyImg []byte
+		img := ix.lay.newImage()
+		mainPlacer := newPlacer(img)
+		var buddyImg *image
 		var buddyPlacer *placer
 		for i, k := range sorted[lo:hi] {
 			v := values[k]
@@ -276,23 +433,22 @@ func Build(f *dmsim.Fabric, opts Options, keys []uint64, values map[uint64][]byt
 				// into the overflow buddy, which lookups fetch anyway.
 				if !mainPlacer.place(k, v) {
 					if buddyPlacer == nil {
-						buddyImg = make([]byte, ix.lay.size)
-						buddyPlacer = newPlacer(ix.lay, buddyImg)
+						buddyImg = ix.lay.newImage()
+						buddyPlacer = newPlacer(buddyImg)
 					}
 					if !buddyPlacer.place(k, v) {
 						return nil, fmt.Errorf("rolex: hopscotch bulk placement failed in group %d", g)
 					}
 				}
 			} else {
-				ix.lay.encodeEntry(img, i, entry{occupied: true, key: k, val: v}, false)
+				img.put(i, k, v, false)
 			}
-			_ = i
 		}
-		if err := boot.Write(ix.groupMain(g), img); err != nil {
+		if err := boot.Write(ix.groupMain(g), img.buf); err != nil {
 			return nil, err
 		}
 		if buddyImg != nil {
-			if err := boot.Write(ix.groupBuddy(g), buddyImg); err != nil {
+			if err := boot.Write(ix.groupBuddy(g), buddyImg.buf); err != nil {
 				return nil, err
 			}
 		}
@@ -395,6 +551,20 @@ type Client struct {
 	alloc   *dmsim.ChunkAllocator
 	backoff dmsim.Backoff
 	obs     obs.IndexInstruments
+
+	// group is where this client reads the leaves of the group it is
+	// working on; an image is good until the next operation refills it.
+	group leafSet
+
+	// Staging the verbs of one op reuse: the address/buffer lists of a
+	// read or write batch, the cells a neighborhood read covers, a scan's
+	// in-range slots and its indirect KV block.
+	addrs     []dmsim.GAddr
+	bufs      [][]byte
+	covered   []nodelayout.Cell
+	scanSlots []offroute.ScanSlot
+	block     []byte
+	hopSlots  []int // the two cells a hopscotch-leaf delete rewrites
 
 	// port holds the routed entry points: one-sided vs. MN-side offload
 	// per op (offload.go).

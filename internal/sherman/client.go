@@ -9,7 +9,6 @@ import (
 	"chime/internal/dmsim"
 	"chime/internal/lease"
 	"chime/internal/locktable"
-	"chime/internal/nodelayout"
 	"chime/internal/obs"
 	"chime/internal/offroute"
 )
@@ -158,6 +157,20 @@ type Client struct {
 	sop    batchOp
 	opFree []*batchOp
 
+	// The node images the synchronous paths fetch into and build in, one
+	// pair per layout, and the leaf images of finished write cycles the
+	// next cycles reuse. An image is good until its next fill (image).
+	leafIm, innerIm nodeImages
+	wcFree          []*image
+	wcChanged       []int // slots one write cycle mutated
+
+	// Staging the verbs of one op reuse: the address/buffer lists of a
+	// write batch, a scan's in-range slots and its indirect KV block.
+	wAddrs    []dmsim.GAddr
+	wBufs     [][]byte
+	scanSlots []offroute.ScanSlot
+	block     []byte
+
 	// Write-pipeline counters: leaf write cycles executed and batch keys
 	// absorbed into an already-open cycle (per-leaf write combining).
 	wcCycles   int64
@@ -205,32 +218,83 @@ func (c *Client) refreshRoot() error {
 	return nil
 }
 
-// readNode fetches and validates a whole node image of the given layout.
-func (c *Client) readNode(lay *layout, addr dmsim.GAddr) ([]byte, header, error) {
-	img := make([]byte, lay.size)
+// nodeImages are a client's two images of one layout: read is what
+// readNode fetches into, build what a split or a root growth assembles a
+// fresh node in. Each holds one node at a time.
+type nodeImages struct{ read, build *image }
+
+func (c *Client) images(lay *layout) *nodeImages {
+	if lay.leaf {
+		return &c.leafIm
+	}
+	return &c.innerIm
+}
+
+// readNode fetches and validates a whole node into the client's read
+// image of the layout: the previous node read through it is gone.
+func (c *Client) readNode(lay *layout, addr dmsim.GAddr) (*image, header, error) {
+	ims := c.images(lay)
+	ims.read = lay.recycle(ims.read)
+	im := ims.read
 	for try := 0; try < maxRetries; try++ {
-		if err := c.dc.Read(addr.Add(lineSize), img[lineSize:]); err != nil {
+		if err := c.dc.Read(addr.Add(lineSize), im.body()); err != nil {
 			return nil, header{}, err
 		}
-		if err := nodelayout.CheckVersions(img, 0, lay.allCells); err != nil {
+		if err := im.check(); err != nil {
 			c.obs.TornReads.Inc()
 			c.ys.Yield(c.dc)
 			continue
 		}
 		c.ys.Reset()
-		return img, lay.decodeHeader(img), nil
+		return im, im.header(), nil
 	}
 	return nil, header{}, fmt.Errorf("sherman: node %v: torn-read retries exhausted", addr)
 }
 
-func (c *Client) decodeInternal(addr dmsim.GAddr, img []byte, hdr header) *node {
-	n := &node{addr: addr, hdr: hdr}
-	for i := 0; i < hdr.nkeys; i++ {
-		e := c.ix.inner.decodeEntry(img, i)
-		n.piv = append(n.piv, e.key)
-		n.kids = append(n.kids, dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8])))
+// buildImage returns the client's build image of the layout, zeroed: the
+// node built in it before must have been written out.
+func (c *Client) buildImage(lay *layout) *image {
+	ims := c.images(lay)
+	ims.build = lay.recycle(ims.build)
+	clear(ims.build.buf)
+	return ims.build
+}
+
+// decodeInternal copies a validated internal node out of its image into
+// the decoded form the CN cache keeps. The slices have room for the one
+// pivot insertIntoParent adds.
+func decodeInternal(addr dmsim.GAddr, im *image, hdr header) *node {
+	n := &node{
+		addr: addr, hdr: hdr,
+		piv:  make([]uint64, hdr.nkeys, hdr.nkeys+1),
+		kids: make([]dmsim.GAddr, hdr.nkeys, hdr.nkeys+1),
+	}
+	for i := range n.piv {
+		_, n.piv[i] = im.slot(i)
+		n.kids[i] = im.child(i)
 	}
 	return n
+}
+
+// childFor routes key on a validated internal node where it lies: what
+// decodeInternal(…).childFor(key) returns, for the callers that visit a
+// node once and keep nothing of it.
+//
+//chime:noalloc
+func (im *image) childFor(hdr header, key uint64) dmsim.GAddr {
+	lo, hi := 0, hdr.nkeys
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if _, piv := im.slot(mid); piv > key {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == 0 {
+		return hdr.leftmost
+	}
+	return im.child(lo - 1)
 }
 
 type pathEntry struct {
@@ -240,20 +304,22 @@ type pathEntry struct {
 
 // readIndirect follows an entry's block pointer for a scan (point reads
 // post theirs, pipeline.go). The block holds [8B key][value]; a key
-// mismatch means the entry was concurrently re-pointed.
-func (c *Client) readIndirect(ptrBytes []byte, key uint64) ([]byte, error) {
-	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(ptrBytes[:8]))
+// mismatch means the entry was concurrently re-pointed. The value is in
+// the client's block buffer: good until the next readIndirect.
+func (c *Client) readIndirect(ptr dmsim.GAddr, key uint64) ([]byte, error) {
 	if ptr.IsNil() {
 		return nil, errRestart
 	}
-	buf := make([]byte, 8+c.ix.opts.ValueSize)
-	if err := c.dc.Read(ptr, buf); err != nil {
+	if c.block == nil {
+		c.block = make([]byte, 8+c.ix.opts.ValueSize)
+	}
+	if err := c.dc.Read(ptr, c.block); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(buf[:8]) != key {
+	if binary.LittleEndian.Uint64(c.block[:8]) != key {
 		return nil, errRestart
 	}
-	return buf[8:], nil
+	return c.block[8:], nil
 }
 
 // lock acquires a node's lock bit, absorbing same-CN contention in the
@@ -323,63 +389,50 @@ func (c *Client) lockLease(addr dmsim.GAddr) error {
 
 func (c *Client) unlock(addr dmsim.GAddr) error {
 	if c.ix.opts.LeaseLocks {
-		var b [8]byte
-		return c.dc.Write(addr, b[:])
+		return c.dc.Write(addr, unlocked[:])
 	}
 	if c.cn.locks.ReleaseHandover(c.dc, addr.Pack(), 1) {
 		return nil
 	}
-	var b [8]byte
-	if err := c.dc.Write(addr, b[:]); err != nil {
+	if err := c.dc.Write(addr, unlocked[:]); err != nil {
 		return err
 	}
 	c.cn.locks.ReleaseRemote(c.dc, addr.Pack())
 	return nil
 }
 
-// writeEntryAndUnlock writes one entry cell and releases the lock: a
-// combined doorbell batch when no local contender waits, a local
+// unlocked is a released lock word, as a write's source buffer.
+var unlocked [8]byte
+
+// writeAndUnlock writes buf at off in the locked node and releases its
+// lock: a combined doorbell batch when no local contender waits, a local
 // handover otherwise.
-func (c *Client) writeEntryAndUnlock(lay *layout, addr dmsim.GAddr, img []byte, slot int) error {
-	cellC := lay.entryCells[slot]
+func (c *Client) writeAndUnlock(addr dmsim.GAddr, off int, buf []byte) error {
 	if c.cn.locks.HasWaiters(addr.Pack()) {
-		if err := c.dc.Write(addr.Add(uint64(cellC.Off)), img[cellC.Off:cellC.End()]); err != nil {
+		if err := c.dc.Write(addr.Add(uint64(off)), buf); err != nil {
 			return err
 		}
 		if c.cn.locks.ReleaseHandover(c.dc, addr.Pack(), 1) {
 			return nil
 		}
 	}
-	var zero [8]byte
-	if err := c.dc.WriteBatch(
-		[]dmsim.GAddr{addr.Add(uint64(cellC.Off)), addr},
-		[][]byte{img[cellC.Off:cellC.End()], zero[:]},
-	); err != nil {
+	c.wAddrs = append(c.wAddrs[:0], addr.Add(uint64(off)), addr)
+	c.wBufs = append(c.wBufs[:0], buf, unlocked[:])
+	if err := c.dc.WriteBatch(c.wAddrs, c.wBufs); err != nil {
 		return err
 	}
 	c.cn.locks.ReleaseRemote(c.dc, addr.Pack())
 	return nil
+}
+
+// writeEntryAndUnlock writes one entry cell and releases the lock.
+func (c *Client) writeEntryAndUnlock(addr dmsim.GAddr, im *image, slot int) error {
+	return c.writeAndUnlock(addr, im.lay.entryCells[slot].Off, im.cell(slot))
 }
 
 // writeNodeAndUnlock writes the whole node body and releases the lock.
-func (c *Client) writeNodeAndUnlock(addr dmsim.GAddr, img []byte) error {
-	if c.cn.locks.HasWaiters(addr.Pack()) {
-		if err := c.dc.Write(addr.Add(lineSize), img[lineSize:]); err != nil {
-			return err
-		}
-		if c.cn.locks.ReleaseHandover(c.dc, addr.Pack(), 1) {
-			return nil
-		}
-	}
-	var zero [8]byte
-	if err := c.dc.WriteBatch(
-		[]dmsim.GAddr{addr.Add(lineSize), addr},
-		[][]byte{img[lineSize:], zero[:]},
-	); err != nil {
-		return err
-	}
-	c.cn.locks.ReleaseRemote(c.dc, addr.Pack())
-	return nil
+func (c *Client) writeNodeAndUnlock(addr dmsim.GAddr, im *image) error {
+	return c.writeAndUnlock(addr, lineSize, im.body())
 }
 
 func (c *Client) prepareValue(key uint64, value []byte) ([]byte, error) {
@@ -437,117 +490,126 @@ func (c *Client) Insert(key uint64, value []byte) error {
 	return fmt.Errorf("sherman: Insert(%#x) exhausted", key)
 }
 
-func (c *Client) insertIntoLeaf(leaf dmsim.GAddr, path []pathEntry, key uint64, val []byte) (bool, error) {
-	lay := c.ix.leaf
-	var img []byte
-	var hdr header
-	// Chase the sibling chain across half-splits and stale caches, as
-	// the read path does.
-	for hops := 0; ; hops++ {
-		if hops > maxRetries {
-			return false, fmt.Errorf("sherman: insert(%#x): sibling chain too long", key)
-		}
+// lockCovering locks and fetches the leaf that covers key, starting at
+// leaf and chasing the B-link sibling chain under per-leaf locks: a stale
+// cached parent may route to a long-split leaf whose keys moved right,
+// and the chain — not a retraversal through the same stale cache — is
+// what reaches them. On errRestart (the leaf is gone, or starts past the
+// key) and on any other error no lock is held.
+func (c *Client) lockCovering(leaf dmsim.GAddr, key uint64) (dmsim.GAddr, *image, header, error) {
+	for hops := 0; hops <= maxRetries; hops++ {
 		if err := c.lock(leaf); err != nil {
-			return false, err
+			return leaf, nil, header{}, err
 		}
-		var err error
-		img, hdr, err = c.readNode(lay, leaf)
+		im, hdr, err := c.readNode(c.ix.leaf, leaf)
 		if err != nil {
 			c.unlock(leaf)
-			return false, err
+			return leaf, nil, header{}, err
 		}
 		if !hdr.valid || key < hdr.fenceLow {
 			c.unlock(leaf)
-			return false, errRestart
+			return leaf, nil, header{}, errRestart
 		}
-		if !hdr.fenceInf && key >= hdr.fenceHi {
-			next := hdr.sibling
-			c.unlock(leaf)
-			if next.IsNil() {
-				return false, errRestart
-			}
-			c.obs.SiblingChases.Inc()
-			leaf = next
-			continue
+		if hdr.fenceInf || key < hdr.fenceHi {
+			return leaf, im, hdr, nil
 		}
-		break
-	}
-
-	freeSlot := -1
-	for i := 0; i < lay.span; i++ {
-		e := lay.decodeEntry(img, i)
-		if e.occupied && e.key == key {
-			// Upsert in place: one entry write + combined unlock.
-			lay.encodeEntry(img, i, entry{occupied: true, key: key, val: val}, true)
-			return true, c.writeEntryAndUnlock(lay, leaf, img, i)
+		next := hdr.sibling
+		c.unlock(leaf)
+		if next.IsNil() {
+			return leaf, nil, header{}, errRestart
 		}
-		if !e.occupied && freeSlot < 0 {
-			freeSlot = i
-		}
+		c.obs.SiblingChases.Inc()
+		leaf = next
 	}
-	if freeSlot >= 0 {
-		lay.encodeEntry(img, freeSlot, entry{occupied: true, key: key, val: val}, true)
-		return true, c.writeEntryAndUnlock(lay, leaf, img, freeSlot)
-	}
-
-	// Leaf full: split (median key), write new right node then old node.
-	if err := c.splitLeaf(leaf, path, img, hdr); err != nil {
-		return false, err
-	}
-	return false, nil
+	return leaf, nil, header{}, fmt.Errorf("sherman: leaf chain of %#x too long", key)
 }
 
-func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, img []byte, hdr header) error {
+func (c *Client) insertIntoLeaf(leaf dmsim.GAddr, path []pathEntry, key uint64, val []byte) (bool, error) {
+	leaf, im, hdr, err := c.lockCovering(leaf, key)
+	if err != nil {
+		return false, err
+	}
+	slot, free := im.find(key)
+	if slot < 0 {
+		slot = free
+	}
+	if slot >= 0 {
+		// Upsert in place or fill a free slot: one entry write + combined
+		// unlock.
+		im.setEntry(slot, key, val, true)
+		return true, c.writeEntryAndUnlock(leaf, im, slot)
+	}
+	// Leaf full: split (median key), write new right node then old node.
+	return false, c.splitLeaf(leaf, path, im, hdr)
+}
+
+// splitLeaf moves the upper half of a full, locked leaf (im, fetched or
+// mutated under the lock) into a fresh right sibling, rewrites the leaf
+// compacted, unlocks it and propagates the split key. Both halves are
+// assembled in the client's build image, one after the other, reading
+// entries out of im, which is not modified and is dead once the leaf is
+// written — before any parent is read.
+func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr header) error {
 	c.obs.Splits.Inc()
 	lay := c.ix.leaf
-	var all []entry
-	for i := 0; i < lay.span; i++ {
-		e := lay.decodeEntry(img, i)
-		if e.occupied {
-			e.val = append([]byte(nil), e.val...)
-			all = append(all, e)
-		}
-	}
-	all = sortEntries(all)
+	all := im.occupied(c.scanSlots[:0], 0)
+	c.scanSlots = all[:0]
+	offroute.SortSlots(all)
 	mid := len(all) / 2
-	splitKey := all[mid].key
+	splitKey := all[mid].Key
 
 	rightAddr, err := c.alloc.Alloc(lay.size)
 	if err != nil {
 		c.unlock(leaf)
 		return err
 	}
-	rightImg := make([]byte, lay.size)
-	lay.encodeHeader(rightImg, header{
+	right := c.buildImage(lay)
+	right.setHeader(header{
 		valid: true, level: 0,
 		fenceLow: splitKey, fenceHi: hdr.fenceHi, fenceInf: hdr.fenceInf,
 		sibling: hdr.sibling,
 	})
-	for i, e := range all[mid:] {
-		lay.encodeEntry(rightImg, i, e, false)
+	for i, s := range all[mid:] {
+		right.setEntry(i, s.Key, im.value(s.Idx), false)
 	}
-	if err := c.dc.Write(rightAddr, rightImg); err != nil {
+	if err := c.dc.Write(rightAddr, right.buf); err != nil {
 		c.unlock(leaf)
 		return err
 	}
 
-	// Rewrite the old node compacted; a node write bumps NV everywhere.
-	for i := 0; i < lay.span; i++ {
-		lay.encodeEntry(img, i, entry{}, false)
+	// Rewrite the old node compacted, over its own version bytes; a node
+	// write bumps NV everywhere.
+	left := c.buildImage(lay)
+	copy(left.buf, im.buf)
+	for i := range lay.entryCells {
+		left.clearEntry(i, false)
 	}
-	for i, e := range all[:mid] {
-		lay.encodeEntry(img, i, e, false)
+	for i, s := range all[:mid] {
+		left.setEntry(i, s.Key, im.value(s.Idx), false)
 	}
-	lay.encodeHeader(img, header{
+	left.setHeader(header{
 		valid: true, level: 0,
 		fenceLow: hdr.fenceLow, fenceHi: splitKey,
 		sibling: rightAddr,
 	})
-	nodelayout.BumpNV(img, lay.allCells)
-	if err := c.writeNodeAndUnlock(leaf, img); err != nil {
+	left.bumpNV()
+	if err := c.writeNodeAndUnlock(leaf, left); err != nil {
 		return err
 	}
 	return c.propagate(path, 0, splitKey, rightAddr)
+}
+
+// occupied appends the image's occupied slots with keys >= start to dst,
+// in slot order. Sherman leaves are slot-allocated, not kept sorted — an
+// insert touches one slot, preserving the fine-grained write property —
+// so splits and scans sort what they collect here.
+func (im *image) occupied(dst []offroute.ScanSlot, start uint64) []offroute.ScanSlot {
+	for i := 0; i < im.lay.span; i++ {
+		if occ, key := im.slot(i); occ && key >= start {
+			dst = append(dst, offroute.ScanSlot{Key: key, Idx: i})
+		}
+	}
+	return dst
 }
 
 // updateOneSided overwrites an existing key's value with one-sided
@@ -574,57 +636,30 @@ func (c *Client) Delete(key uint64) error {
 }
 
 func (c *Client) modify(key uint64, val *[]byte) error {
-	lay := c.ix.leaf
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		leaf, _, err := c.descend(key)
 		if err != nil {
 			return err
 		}
-		// Chase the B-link sibling chain under per-leaf locks: a stale
-		// cached parent may route to a long-split leaf whose keys moved
-		// right, and the chain — not a retraversal through the same
-		// stale cache — is what reaches them.
-		restart := false
-		for hops := 0; hops <= maxRetries && !restart; hops++ {
-			if err := c.lock(leaf); err != nil {
-				return err
-			}
-			img, hdr, err := c.readNode(lay, leaf)
-			if err != nil {
-				c.unlock(leaf)
-				return err
-			}
-			if !hdr.valid || key < hdr.fenceLow {
-				c.unlock(leaf)
-				restart = true
-				break
-			}
-			if !hdr.fenceInf && key >= hdr.fenceHi {
-				next := hdr.sibling
-				c.unlock(leaf)
-				if next.IsNil() {
-					restart = true
-					break
-				}
-				c.obs.SiblingChases.Inc()
-				leaf = next
-				continue
-			}
-			for i := 0; i < lay.span; i++ {
-				e := lay.decodeEntry(img, i)
-				if e.occupied && e.key == key {
-					if val != nil {
-						lay.encodeEntry(img, i, entry{occupied: true, key: key, val: *val}, true)
-					} else {
-						lay.encodeEntry(img, i, entry{}, true)
-					}
-					return c.writeEntryAndUnlock(lay, leaf, img, i)
-				}
-			}
+		leaf, im, _, err := c.lockCovering(leaf, key)
+		if err == errRestart {
+			c.noteRestart()
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		slot, _ := im.find(key)
+		if slot < 0 {
 			c.unlock(leaf)
 			return ErrNotFound
 		}
-		c.noteRestart()
+		if val != nil {
+			im.setEntry(slot, key, *val, true)
+		} else {
+			im.clearEntry(slot, true)
+		}
+		return c.writeEntryAndUnlock(leaf, im, slot)
 	}
 	return fmt.Errorf("sherman: modify(%#x) exhausted", key)
 }
@@ -637,60 +672,59 @@ type KV = offroute.KV
 // one-sided verbs; the public Scan (offload.go) routes between this and
 // the MN-side offload program.
 func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
-	lay := c.ix.leaf
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		leaf, _, err := c.descend(start)
 		if err != nil {
 			return nil, err
 		}
-		var out []KV
-		restart := false
-		for leaves := 0; leaves <= maxRetries; leaves++ {
-			img, hdr, err := c.readNode(lay, leaf)
-			if err != nil {
-				return nil, err
-			}
-			if !hdr.valid {
-				restart = true
-				break
-			}
-			var batch []entry
-			for i := 0; i < lay.span; i++ {
-				e := lay.decodeEntry(img, i)
-				if e.occupied && e.key >= start {
-					e.val = append([]byte(nil), e.val...)
-					batch = append(batch, e)
-				}
-			}
-			for _, e := range sortEntries(batch) {
-				v := e.val[:lay.valSize]
-				if c.ix.opts.Indirect {
-					v, err = c.readIndirect(e.val, e.key)
-					if err == errRestart {
-						restart = true
-						break
-					}
-					if err != nil {
-						return nil, err
-					}
-				}
-				out = append(out, KV{Key: e.key, Value: append([]byte(nil), v...)})
-			}
-			if restart {
-				break
-			}
-			if len(out) >= count {
-				return out[:count], nil
-			}
-			if hdr.sibling.IsNil() {
-				return out, nil
-			}
-			leaf = hdr.sibling
-		}
-		if restart {
+		out, err := c.scanChain(leaf, start, count)
+		if err == errRestart {
 			c.noteRestart()
 			continue
 		}
+		return out, err
 	}
 	return nil, fmt.Errorf("sherman: Scan(%#x) exhausted", start)
+}
+
+// scanChain walks the leaf chain from leaf, appending each leaf's
+// in-range entries in key order until count are collected or the chain
+// ends. Values are copied out of the leaf image into the scan's arena
+// before the next leaf is read into it. An indirect leaf costs one block
+// read per in-range entry, wanted or not — what the modelled client does.
+func (c *Client) scanChain(leaf dmsim.GAddr, start uint64, count int) ([]KV, error) {
+	lay := c.ix.leaf
+	sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
+	for leaves := 0; leaves <= maxRetries; leaves++ {
+		im, hdr, err := c.readNode(lay, leaf)
+		if err != nil {
+			return nil, err
+		}
+		if !hdr.valid {
+			return nil, errRestart
+		}
+		slots := im.occupied(c.scanSlots[:0], start)
+		c.scanSlots = slots[:0]
+		offroute.SortSlots(slots)
+		if !lay.indirect {
+			slots = slots[:min(count-len(sb.Out), len(slots))]
+		}
+		for _, s := range slots {
+			v := im.value(s.Idx)
+			if lay.indirect {
+				if v, err = c.readIndirect(ptrOf(v), s.Key); err != nil {
+					return nil, err
+				}
+			}
+			sb.Add(s.Key, v)
+		}
+		if len(sb.Out) >= count {
+			return sb.Out[:count], nil
+		}
+		if hdr.sibling.IsNil() {
+			return sb.Out, nil
+		}
+		leaf = hdr.sibling
+	}
+	return nil, fmt.Errorf("sherman: Scan(%#x): leaf chain too long", start)
 }

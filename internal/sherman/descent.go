@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"chime/internal/dmsim"
-	"chime/internal/nodelayout"
 )
 
 // descent is the one root→leaf walk of the tree: internal nodes from the
@@ -28,7 +27,7 @@ type descent struct {
 	// node at cur into img, which the descent keeps for its next fetch.
 	h        *dmsim.Completion
 	rootBuf  [8]byte
-	img      []byte
+	img      *image
 	fetching bool
 
 	err error // set when step reports descFailed
@@ -44,16 +43,12 @@ const (
 	descFailed                       // err says why
 )
 
-// poisonPaths makes begin scribble over the previous walk's path, so a
-// path used after the next begin on its descent fails the suite instead
-// of naming a plausible parent. Only the package's tests set it.
-var poisonPaths bool
-
 // begin (re)starts the walk for key from the root. The path of the
 // previous walk is overwritten: it must not outlive the next begin on
-// the descent it came from.
+// the descent it came from (under poisonRecycled it is scribbled over,
+// so a path used past that point names no plausible parent).
 func (d *descent) begin(c *Client, key uint64) descentStatus {
-	if poisonPaths {
+	if poisonRecycled {
 		old := d.path[:cap(d.path)]
 		for i := range old {
 			old[i] = pathEntry{addr: dmsim.UnpackGAddr(^uint64(0)), level: 0xA5}
@@ -82,7 +77,7 @@ func (d *descent) step(c *Client) descentStatus {
 		return d.fromRoot(c)
 	}
 	d.fetching = false
-	if err := nodelayout.CheckVersions(d.img, 0, c.ix.inner.allCells); err != nil {
+	if err := d.img.check(); err != nil {
 		c.obs.TornReads.Inc()
 		if d.torn++; d.torn > maxRetries {
 			return d.fail(c, fmt.Errorf("sherman: node %v: torn-read retries exhausted", d.cur))
@@ -91,11 +86,11 @@ func (d *descent) step(c *Client) descentStatus {
 		return d.postNode(c)
 	}
 	c.ys.Reset()
-	hdr := c.ix.inner.decodeHeader(d.img)
+	hdr := d.img.header()
 	if !hdr.valid {
 		return descRestart
 	}
-	n := c.decodeInternal(d.cur, d.img, hdr)
+	n := decodeInternal(d.cur, d.img, hdr)
 	c.cn.cachePut(d.cur, n)
 	if st, walkOn := d.apply(c, n, false); !walkOn {
 		return st
@@ -128,10 +123,8 @@ func (d *descent) walk(c *Client) descentStatus {
 }
 
 func (d *descent) postNode(c *Client) descentStatus {
-	if d.img == nil {
-		d.img = make([]byte, c.ix.inner.size)
-	}
-	h, err := c.dc.PostRead(d.cur.Add(lineSize), d.img[lineSize:])
+	d.img = c.ix.inner.recycle(d.img)
+	h, err := c.dc.PostRead(d.cur.Add(lineSize), d.img.body())
 	if err != nil {
 		return d.fail(c, err)
 	}

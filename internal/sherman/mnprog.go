@@ -3,9 +3,10 @@ package sherman
 import (
 	"encoding/binary"
 	"runtime"
+	"sync"
 
 	"chime/internal/dmsim"
-	"chime/internal/nodelayout"
+	"chime/internal/offroute"
 )
 
 // MN-side offload program (dmsim offload verbs), co-designed with
@@ -22,31 +23,63 @@ const (
 	mnChainHops   = 128
 )
 
+// mnProgram implements dmsim.MNProgram for one Sherman tree. Stateless
+// beyond the shared Index and a pool of per-invocation scratch, so one
+// value serves every MN and client.
 type mnProgram struct {
 	ix *Index
+
+	scratch sync.Pool // of *mnScratch
 }
 
-// readNode fetches and validates a whole node image through the metered
-// view. ok=false carries a fallback status; torn=true requests a
-// restart after the budget (reported as Retry by the caller's loop).
-func (p *mnProgram) readNode(ctx *dmsim.MNCtx, lay *layout, addr dmsim.GAddr) (img []byte, hdr header, st dmsim.OffloadStatus) {
-	img = make([]byte, lay.size)
+// mnScratch is what one invocation of the program reads nodes into and
+// stages its output in. Each image holds one node at a time: the leaf
+// image is good until the next leaf is read, the inner one until the
+// next internal node is.
+type mnScratch struct {
+	leaf, inner *image
+	slots       []offroute.ScanSlot // one leaf's in-range entries
+	block       []byte              // indirect: the KV block being read
+	rec         []byte              // the [8B key][value] record being emitted
+}
+
+// acquire takes a scratch for one invocation; the caller defers release.
+func (p *mnProgram) acquire() *mnScratch {
+	if s, _ := p.scratch.Get().(*mnScratch); s != nil {
+		return s
+	}
+	vs := p.ix.opts.ValueSize
+	return &mnScratch{block: make([]byte, 8+vs), rec: make([]byte, 8+vs)}
+}
+
+func (p *mnProgram) release(s *mnScratch) { p.scratch.Put(s) }
+
+// readNode fetches and validates a whole node through the metered view,
+// into the scratch image of its layout. A nil image carries a fallback
+// status (Retry when the torn-read budget ran out).
+func (p *mnProgram) readNode(ctx *dmsim.MNCtx, s *mnScratch, lay *layout, addr dmsim.GAddr) (*image, header, dmsim.OffloadStatus) {
+	slot := &s.inner
+	if lay.leaf {
+		slot = &s.leaf
+	}
+	*slot = lay.recycle(*slot)
+	im := *slot
 	for try := 0; try < mnTornRetries; try++ {
-		if !ctx.Read(addr.Add(lineSize), img[lineSize:]) {
+		if !ctx.Read(addr.Add(lineSize), im.body()) {
 			return nil, header{}, dmsim.OffloadCrossMN
 		}
-		if nodelayout.CheckVersions(img, 0, lay.allCells) != nil {
+		if im.check() != nil {
 			runtime.Gosched()
 			continue
 		}
-		return img, lay.decodeHeader(img), dmsim.OffloadOK
+		return im, im.header(), dmsim.OffloadOK
 	}
 	return nil, header{}, dmsim.OffloadRetry
 }
 
 // descend walks from the super block to the leaf covering key. A zero
 // status with a nil address requests a restart from the caller.
-func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, dmsim.OffloadStatus, bool) {
+func (p *mnProgram) descend(ctx *dmsim.MNCtx, s *mnScratch, key uint64) (dmsim.GAddr, dmsim.OffloadStatus, bool) {
 	var b [8]byte
 	if !ctx.Read(p.ix.super, b[:]) {
 		return dmsim.NilGAddr, dmsim.OffloadCrossMN, false
@@ -56,8 +89,8 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, dmsim.Of
 		return cur, dmsim.OffloadOK, false
 	}
 	for hop := 0; hop < mnChainHops; hop++ {
-		img, hdr, st := p.readNode(ctx, p.ix.inner, cur)
-		if img == nil {
+		im, hdr, st := p.readNode(ctx, s, p.ix.inner, cur)
+		if im == nil {
 			return dmsim.NilGAddr, st, false
 		}
 		if !hdr.valid {
@@ -73,13 +106,7 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, dmsim.Of
 			cur = hdr.sibling
 			continue
 		}
-		n := &node{addr: cur, hdr: hdr}
-		for i := 0; i < hdr.nkeys; i++ {
-			e := p.ix.inner.decodeEntry(img, i)
-			n.piv = append(n.piv, e.key)
-			n.kids = append(n.kids, dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8])))
-		}
-		child := n.childFor(key)
+		child := im.childFor(hdr, key)
 		if child.IsNil() {
 			return dmsim.NilGAddr, 0, true
 		}
@@ -91,38 +118,32 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, dmsim.Of
 	return dmsim.NilGAddr, dmsim.OffloadRetry, false
 }
 
-// emitValue resolves stored entry bytes (inline value or indirect KV
-// block) into the response. restart=true requests a fresh descent.
-func (p *mnProgram) emitValue(ctx *dmsim.MNCtx, key uint64, stored []byte) (dmsim.OffloadStatus, bool) {
-	lay := p.ix.leaf
+// resolve turns stored entry bytes into the value to emit: themselves
+// when inline, the KV block they point to (read into the scratch block)
+// when indirect. restart=true requests a fresh descent.
+func (p *mnProgram) resolve(ctx *dmsim.MNCtx, s *mnScratch, key uint64, stored []byte) (val []byte, st dmsim.OffloadStatus, restart bool) {
 	if !p.ix.opts.Indirect {
-		if !ctx.Emit(stored[:lay.valSize]) {
-			return dmsim.OffloadRetry, false
-		}
-		return dmsim.OffloadOK, false
+		return stored, dmsim.OffloadOK, false
 	}
-	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(stored[:8]))
+	ptr := ptrOf(stored)
 	if ptr.IsNil() {
-		return 0, true
+		return nil, 0, true
 	}
-	block := make([]byte, 8+p.ix.opts.ValueSize)
-	if !ctx.Read(ptr, block) {
-		return dmsim.OffloadCrossMN, false
+	if !ctx.Read(ptr, s.block) {
+		return nil, dmsim.OffloadCrossMN, false
 	}
-	if binary.LittleEndian.Uint64(block[:8]) != key {
-		return 0, true
+	if binary.LittleEndian.Uint64(s.block[:8]) != key {
+		return nil, 0, true
 	}
-	if !ctx.Emit(block[8:]) {
-		return dmsim.OffloadRetry, false
-	}
-	return dmsim.OffloadOK, false
+	return s.block[8:], dmsim.OffloadOK, false
 }
 
 // Search: descend + whole-leaf probe, MN-local.
 func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatus {
-	lay := p.ix.leaf
+	s := p.acquire()
+	defer p.release(s)
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
-		leaf, st, restart := p.descend(ctx, key)
+		leaf, st, restart := p.descend(ctx, s, key)
 		if restart {
 			runtime.Gosched()
 			continue
@@ -130,7 +151,7 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 		if st != dmsim.OffloadOK {
 			return st
 		}
-		st, restart = p.searchChain(ctx, lay, leaf, key)
+		st, restart = p.searchChain(ctx, s, leaf, key)
 		if restart {
 			runtime.Gosched()
 			continue
@@ -140,10 +161,10 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 	return dmsim.OffloadRetry
 }
 
-func (p *mnProgram) searchChain(ctx *dmsim.MNCtx, lay *layout, leaf dmsim.GAddr, key uint64) (dmsim.OffloadStatus, bool) {
+func (p *mnProgram) searchChain(ctx *dmsim.MNCtx, s *mnScratch, leaf dmsim.GAddr, key uint64) (dmsim.OffloadStatus, bool) {
 	for hops := 0; hops < mnChainHops; hops++ {
-		img, hdr, st := p.readNode(ctx, lay, leaf)
-		if img == nil {
+		im, hdr, st := p.readNode(ctx, s, p.ix.leaf, leaf)
+		if im == nil {
 			return st, false
 		}
 		if !hdr.valid || key < hdr.fenceLow {
@@ -156,13 +177,18 @@ func (p *mnProgram) searchChain(ctx *dmsim.MNCtx, lay *layout, leaf dmsim.GAddr,
 			leaf = hdr.sibling
 			continue
 		}
-		for i := 0; i < lay.span; i++ {
-			e := lay.decodeEntry(img, i)
-			if e.occupied && e.key == key {
-				return p.emitValue(ctx, key, e.val)
-			}
+		slot, _ := im.find(key)
+		if slot < 0 {
+			return dmsim.OffloadNotFound, false
 		}
-		return dmsim.OffloadNotFound, false
+		val, st, restart := p.resolve(ctx, s, key, im.value(slot))
+		if restart || st != dmsim.OffloadOK {
+			return st, restart
+		}
+		if !ctx.Emit(val) {
+			return dmsim.OffloadRetry, false
+		}
+		return dmsim.OffloadOK, false
 	}
 	return dmsim.OffloadRetry, false
 }
@@ -196,12 +222,13 @@ func (p *mnProgram) Update(ctx *dmsim.MNCtx, key, arg uint64, val []byte) dmsim.
 	if o.Indirect || o.LeaseLocks {
 		return dmsim.OffloadUnsupported
 	}
-	lay := p.ix.leaf
-	if len(val) != lay.valSize {
+	if len(val) != p.ix.leaf.valSize {
 		return dmsim.OffloadUnsupported
 	}
+	s := p.acquire()
+	defer p.release(s)
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
-		leaf, st, restart := p.descend(ctx, key)
+		leaf, st, restart := p.descend(ctx, s, key)
 		if restart {
 			runtime.Gosched()
 			continue
@@ -209,7 +236,7 @@ func (p *mnProgram) Update(ctx *dmsim.MNCtx, key, arg uint64, val []byte) dmsim.
 		if st != dmsim.OffloadOK {
 			return st
 		}
-		st, restart = p.updateInChain(ctx, lay, leaf, key, val)
+		st, restart = p.updateInChain(ctx, s, leaf, key, val)
 		if restart {
 			runtime.Gosched()
 			continue
@@ -219,13 +246,13 @@ func (p *mnProgram) Update(ctx *dmsim.MNCtx, key, arg uint64, val []byte) dmsim.
 	return dmsim.OffloadRetry
 }
 
-func (p *mnProgram) updateInChain(ctx *dmsim.MNCtx, lay *layout, leaf dmsim.GAddr, key uint64, val []byte) (dmsim.OffloadStatus, bool) {
+func (p *mnProgram) updateInChain(ctx *dmsim.MNCtx, s *mnScratch, leaf dmsim.GAddr, key uint64, val []byte) (dmsim.OffloadStatus, bool) {
 	for hops := 0; hops < mnChainHops; hops++ {
 		if st := p.lockNode(ctx, leaf); st != dmsim.OffloadOK {
 			return st, false
 		}
-		img, hdr, st := p.readNode(ctx, lay, leaf)
-		if img == nil {
+		im, hdr, st := p.readNode(ctx, s, p.ix.leaf, leaf)
+		if im == nil {
 			p.unlockNode(ctx, leaf)
 			return st, false
 		}
@@ -242,21 +269,18 @@ func (p *mnProgram) updateInChain(ctx *dmsim.MNCtx, lay *layout, leaf dmsim.GAdd
 			leaf = next
 			continue
 		}
-		for i := 0; i < lay.span; i++ {
-			e := lay.decodeEntry(img, i)
-			if e.occupied && e.key == key {
-				lay.encodeEntry(img, i, entry{occupied: true, key: key, val: val}, true)
-				cellC := lay.entryCells[i]
-				ok := ctx.Write(leaf.Add(uint64(cellC.Off)), img[cellC.Off:cellC.End()])
-				p.unlockNode(ctx, leaf)
-				if !ok {
-					return dmsim.OffloadCrossMN, false
-				}
-				return dmsim.OffloadOK, false
-			}
+		slot, _ := im.find(key)
+		if slot < 0 {
+			p.unlockNode(ctx, leaf)
+			return dmsim.OffloadNotFound, false
 		}
+		im.setEntry(slot, key, val, true)
+		ok := ctx.Write(leaf.Add(uint64(im.lay.entryCells[slot].Off)), im.cell(slot))
 		p.unlockNode(ctx, leaf)
-		return dmsim.OffloadNotFound, false
+		if !ok {
+			return dmsim.OffloadCrossMN, false
+		}
+		return dmsim.OffloadOK, false
 	}
 	return dmsim.OffloadRetry, false
 }
@@ -267,95 +291,62 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 	if limit <= 0 {
 		return dmsim.OffloadOK
 	}
-	lay := p.ix.leaf
+	s := p.acquire()
+	defer p.release(s)
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
-		leaf, st, restart := p.descend(ctx, start)
-		if restart {
-			runtime.Gosched()
-			continue
+		leaf, st, restart := p.descend(ctx, s, start)
+		if !restart && st == dmsim.OffloadOK {
+			st, restart = p.scanChain(ctx, s, leaf, start, limit)
 		}
-		if st != dmsim.OffloadOK {
+		if !restart {
 			return st
 		}
-		emitted := 0
-		var rec []byte
-		for hops := 0; hops < mnChainHops; hops++ {
-			img, hdr, st := p.readNode(ctx, lay, leaf)
-			if img == nil {
-				if emitted == 0 && st == dmsim.OffloadRetry {
-					restart = true
-					break
-				}
-				return st
-			}
-			if !hdr.valid {
-				if emitted == 0 {
-					restart = true
-					break
-				}
-				return dmsim.OffloadRetry
-			}
-			var batch []entry
-			for i := 0; i < lay.span; i++ {
-				e := lay.decodeEntry(img, i)
-				if e.occupied && e.key >= start {
-					e.val = append([]byte(nil), e.val...)
-					batch = append(batch, e)
-				}
-			}
-			for _, e := range sortEntries(batch) {
-				v := e.val[:lay.valSize]
-				if p.ix.opts.Indirect {
-					ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
-					if ptr.IsNil() {
-						if emitted == 0 {
-							restart = true
-							break
-						}
-						return dmsim.OffloadRetry
-					}
-					block := make([]byte, 8+p.ix.opts.ValueSize)
-					if !ctx.Read(ptr, block) {
-						return dmsim.OffloadCrossMN
-					}
-					if binary.LittleEndian.Uint64(block[:8]) != e.key {
-						if emitted == 0 {
-							restart = true
-							break
-						}
-						return dmsim.OffloadRetry
-					}
-					v = block[8:]
-				}
-				if cap(rec) < 8+len(v) {
-					rec = make([]byte, 8+len(v))
-				}
-				rec = rec[:8+len(v)]
-				binary.LittleEndian.PutUint64(rec[:8], e.key)
-				copy(rec[8:], v)
-				if !ctx.Emit(rec) {
-					return dmsim.OffloadOK
-				}
-				emitted++
-				if emitted >= limit {
-					return dmsim.OffloadOK
-				}
-			}
-			if restart {
-				break
-			}
-			if hdr.sibling.IsNil() {
-				return dmsim.OffloadOK
-			}
-			leaf = hdr.sibling
-		}
-		if restart {
-			runtime.Gosched()
-			continue
-		}
-		if emitted > 0 {
-			return dmsim.OffloadRetry
-		}
+		runtime.Gosched()
 	}
 	return dmsim.OffloadRetry
+}
+
+// scanChain emits leaf after leaf from `leaf` on, following sibling
+// pointers, until limit records are out or the chain ends. An optimistic
+// conflict asks for a restart while nothing has been emitted (emitted
+// bytes cannot be retracted) and for the one-sided fallback after.
+func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, s *mnScratch, leaf dmsim.GAddr, start uint64, limit int) (dmsim.OffloadStatus, bool) {
+	emitted := 0
+	conflict := func() (dmsim.OffloadStatus, bool) { return dmsim.OffloadRetry, emitted == 0 }
+	for hops := 0; hops < mnChainHops; hops++ {
+		im, hdr, st := p.readNode(ctx, s, p.ix.leaf, leaf)
+		if im == nil {
+			if st == dmsim.OffloadRetry {
+				return conflict()
+			}
+			return st, false
+		}
+		if !hdr.valid {
+			return conflict()
+		}
+		s.slots = im.occupied(s.slots[:0], start)
+		offroute.SortSlots(s.slots)
+		for _, sl := range s.slots {
+			val, st, restart := p.resolve(ctx, s, sl.Key, im.value(sl.Idx))
+			if restart {
+				return conflict()
+			}
+			if st != dmsim.OffloadOK {
+				return st, false
+			}
+			binary.LittleEndian.PutUint64(s.rec[:8], sl.Key)
+			copy(s.rec[8:], val)
+			if !ctx.Emit(s.rec) {
+				return dmsim.OffloadOK, false // response buffer full: done
+			}
+			if emitted++; emitted >= limit {
+				return dmsim.OffloadOK, false
+			}
+		}
+		if hdr.sibling.IsNil() {
+			return dmsim.OffloadOK, false
+		}
+		leaf = hdr.sibling
+	}
+	return conflict() // chain budget exhausted
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"chime/internal/dmsim"
-	"chime/internal/nodelayout"
 	"chime/internal/obs"
 )
 
@@ -34,7 +33,7 @@ type batchOp struct {
 	d     descent // root→leaf; d.leaf is the leaf being read from then on
 
 	h      *dmsim.Completion
-	img    []byte // leaf image, kept across the op's reuses
+	img    *image // leaf image, kept across the op's reuses
 	valBuf []byte
 
 	restarts, torn int
@@ -144,10 +143,8 @@ func (c *Client) descended(op *batchOp, st descentStatus) {
 }
 
 func (c *Client) postLeafOp(op *batchOp) {
-	if op.img == nil {
-		op.img = make([]byte, c.ix.leaf.size)
-	}
-	h, err := c.dc.PostRead(op.d.leaf.Add(lineSize), op.img[lineSize:])
+	op.img = c.ix.leaf.recycle(op.img)
+	h, err := c.dc.PostRead(op.d.leaf.Add(lineSize), op.img.body())
 	if err != nil {
 		c.failOp(op, err)
 		return
@@ -166,7 +163,7 @@ func (c *Client) stepOp(op *batchOp) {
 	op.h = nil
 	switch op.state {
 	case sOpLeafWait:
-		if err := nodelayout.CheckVersions(op.img, 0, c.ix.leaf.allCells); err != nil {
+		if err := op.img.check(); err != nil {
 			c.obs.TornReads.Inc()
 			if op.torn++; op.torn > maxRetries {
 				c.failOp(op, fmt.Errorf("sherman: leaf %v: torn-read retries exhausted", op.d.leaf))
@@ -198,8 +195,7 @@ func (c *Client) stepOp(op *batchOp) {
 // half-split or stale parent sends the op along the B-link chain or
 // back to the root), then the slots.
 func (c *Client) finishLeafOp(op *batchOp) {
-	lay := c.ix.leaf
-	hdr := lay.decodeHeader(op.img)
+	hdr := op.img.header()
 	if !hdr.valid || op.key < hdr.fenceLow {
 		c.restartOp(op)
 		return
@@ -218,32 +214,29 @@ func (c *Client) finishLeafOp(op *batchOp) {
 		c.postLeafOp(op)
 		return
 	}
-	for i := 0; i < lay.span; i++ {
-		e := lay.decodeEntry(op.img, i)
-		if !e.occupied || e.key != op.key {
-			continue
-		}
-		if !c.ix.opts.Indirect {
-			op.val = append([]byte(nil), e.val[:lay.valSize]...)
-			op.state = sOpDone
-			return
-		}
-		ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(e.val[:8]))
-		if ptr.IsNil() {
-			c.restartOp(op)
-			return
-		}
-		op.valBuf = make([]byte, 8+c.ix.opts.ValueSize) // the caller's result
-		h, err := c.dc.PostRead(ptr, op.valBuf)
-		if err != nil {
-			c.failOp(op, err)
-			return
-		}
-		op.h, op.state = h, sOpIndirectWait
+	slot, _ := op.img.find(op.key)
+	if slot < 0 {
+		op.err = ErrNotFound
+		op.state = sOpDone
 		return
 	}
-	op.err = ErrNotFound
-	op.state = sOpDone
+	if !c.ix.opts.Indirect {
+		op.val = append([]byte(nil), op.img.value(slot)...) // the caller's result
+		op.state = sOpDone
+		return
+	}
+	ptr := ptrOf(op.img.value(slot))
+	if ptr.IsNil() {
+		c.restartOp(op)
+		return
+	}
+	op.valBuf = make([]byte, 8+c.ix.opts.ValueSize) // the caller's result
+	h, err := c.dc.PostRead(ptr, op.valBuf)
+	if err != nil {
+		c.failOp(op, err)
+		return
+	}
+	op.h, op.state = h, sOpIndirectWait
 }
 
 // restartOp retraverses one key after an optimistic conflict; other keys

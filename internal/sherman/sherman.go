@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"chime/internal/dmsim"
 	"chime/internal/nodelayout"
@@ -95,8 +94,10 @@ const (
 type layout struct {
 	span     int
 	keySize  int
-	valSize  int
+	valSize  int // stored bytes per value field: the child or block pointer's 8, or the inline value
+	valOff   int // content offset of the value field: 1 + keySize
 	indirect bool
+	leaf     bool
 
 	header     nodelayout.Cell
 	entryCells []nodelayout.Cell
@@ -105,21 +106,22 @@ type layout struct {
 }
 
 // Header content: [1B flags][1B level][2B nkeys][8B fenceLow]
-// [8B fenceHigh][8B sibling][8B leftmost].
+// [8B fenceHigh][8B sibling][8B leftmost]. It always fits one line, so
+// the header is read and written where it lies.
 const headerContent = 1 + 1 + 2 + 8 + 8 + 8 + 8
 
+// Entry content: [1B flags][keySize key][valSize value]. Flags and the
+// key's 8 significant bytes are the first 9 content bytes, which even a
+// cell spanning several lines keeps contiguous in its first.
 func newLayout(o Options, leaf bool) *layout {
-	l := &layout{span: o.SpanSize, keySize: o.KeySize, valSize: o.ValueSize, indirect: o.Indirect}
-	if o.Indirect {
+	l := &layout{span: o.SpanSize, keySize: o.KeySize, valSize: o.ValueSize, indirect: o.Indirect, leaf: leaf}
+	if !leaf || o.Indirect {
 		l.valSize = 8
 	}
-	entryContent := 1 + l.keySize + 8 // flags + key + child/value word
-	if leaf && !o.Indirect {
-		entryContent = 1 + l.keySize + l.valSize
-	}
+	l.valOff = 1 + l.keySize
 	contents := []int{headerContent}
 	for i := 0; i < o.SpanSize; i++ {
-		contents = append(contents, entryContent)
+		contents = append(contents, l.valOff+l.valSize)
 	}
 	cells, regionSize := nodelayout.LayoutCells(lineSize, contents)
 	l.header = cells[0]
@@ -141,73 +143,216 @@ type header struct {
 	leftmost dmsim.GAddr
 }
 
-func (l *layout) encodeHeader(img []byte, h header) {
-	content := make([]byte, l.header.Content)
-	if h.valid {
-		content[0] |= flagValid
-	}
-	if h.fenceInf {
-		content[0] |= flagFenceInf
-	}
-	content[1] = h.level
-	binary.LittleEndian.PutUint16(content[2:4], uint16(h.nkeys))
-	binary.LittleEndian.PutUint64(content[4:12], h.fenceLow)
-	binary.LittleEndian.PutUint64(content[12:20], h.fenceHi)
-	binary.LittleEndian.PutUint64(content[20:28], h.sibling.Pack())
-	binary.LittleEndian.PutUint64(content[28:36], h.leftmost.Pack())
-	nodelayout.WriteCellContent(img, l.header, content)
+// image is a node-sized buffer one node at a time is fetched into, read
+// from and written back out of where it lies. Everything read from it —
+// a value above all, which aliases buf — is good until the image's owner
+// refills it (DESIGN.md §3): take what you need first. Only a leaf whose
+// entry cells span cache lines (inline values past 54 bytes) has its
+// values interleaved with version bytes; such a layout gives the image a
+// gather area with one valSize slot per entry, and value(i) gathers into
+// slot i, so either way a value lives as long as its image and values of
+// different slots never share bytes.
+type image struct {
+	lay  *layout
+	buf  []byte
+	vals []byte // span*valSize gather area; nil unless leaf entry cells are big
 }
 
-func (l *layout) decodeHeader(img []byte) header {
-	content := nodelayout.ReadCellContent(img, l.header, make([]byte, 0, l.header.Content))
-	h := header{
-		valid:    content[0]&flagValid != 0,
-		fenceInf: content[0]&flagFenceInf != 0,
-		level:    content[1],
-		nkeys:    int(binary.LittleEndian.Uint16(content[2:4])),
-		fenceLow: binary.LittleEndian.Uint64(content[4:12]),
-		fenceHi:  binary.LittleEndian.Uint64(content[12:20]),
-		sibling:  dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content[20:28])),
-		leftmost: dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content[28:36])),
+func (l *layout) newImage() *image {
+	im := &image{lay: l, buf: make([]byte, l.size)}
+	if l.leaf && l.entryCells[0].Big {
+		im.vals = make([]byte, l.span*l.valSize)
 	}
-	if h.nkeys > l.span {
-		h.nkeys = l.span
+	return im
+}
+
+// poisonRecycled makes recycle scribble over the image it is handed and
+// return a fresh one, so anything still read through the old image after
+// its owner moved on to the next node is a5a5… instead of that node's
+// plausible bytes; descent.begin does the same to the previous walk's
+// path. Only the package's tests set it (TestMain).
+var poisonRecycled bool
+
+const poisonByte = 0xA5
+
+// recycle readies an owner's image for its next fill; im may be nil (the
+// owner's first). Every fill goes through here.
+func (l *layout) recycle(im *image) *image {
+	if im == nil {
+		return l.newImage()
+	}
+	if poisonRecycled {
+		poison(im.buf)
+		poison(im.vals)
+		return l.newImage()
+	}
+	return im
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+// check validates the version bytes of a whole fetched node.
+func (im *image) check() error {
+	return nodelayout.CheckVersions(im.buf, 0, im.lay.allCells)
+}
+
+// body is what a node read fetches and a node write sends: everything
+// but the lock word's line.
+func (im *image) body() []byte { return im.buf[lineSize:] }
+
+// cell is slot i's bytes, version byte included: what an entry write
+// sends.
+func (im *image) cell(i int) []byte {
+	c := im.lay.entryCells[i]
+	return im.buf[c.Off:c.End()]
+}
+
+func (im *image) setHeader(h header) {
+	p := im.buf[im.lay.header.Off+1:][:headerContent]
+	p[0] = 0
+	if h.valid {
+		p[0] |= flagValid
+	}
+	if h.fenceInf {
+		p[0] |= flagFenceInf
+	}
+	p[1] = h.level
+	binary.LittleEndian.PutUint16(p[2:4], uint16(h.nkeys))
+	binary.LittleEndian.PutUint64(p[4:12], h.fenceLow)
+	binary.LittleEndian.PutUint64(p[12:20], h.fenceHi)
+	binary.LittleEndian.PutUint64(p[20:28], h.sibling.Pack())
+	binary.LittleEndian.PutUint64(p[28:36], h.leftmost.Pack())
+}
+
+// header decodes the node header straight into a value.
+//
+//chime:noalloc
+func (im *image) header() header {
+	p := im.buf[im.lay.header.Off+1:][:headerContent]
+	h := header{
+		valid:    p[0]&flagValid != 0,
+		fenceInf: p[0]&flagFenceInf != 0,
+		level:    p[1],
+		nkeys:    int(binary.LittleEndian.Uint16(p[2:4])),
+		fenceLow: binary.LittleEndian.Uint64(p[4:12]),
+		fenceHi:  binary.LittleEndian.Uint64(p[12:20]),
+		sibling:  dmsim.UnpackGAddr(binary.LittleEndian.Uint64(p[20:28])),
+		leftmost: dmsim.UnpackGAddr(binary.LittleEndian.Uint64(p[28:36])),
+	}
+	if h.nkeys > im.lay.span {
+		h.nkeys = im.lay.span
 	}
 	return h
 }
 
-// entry is one decoded slot: an (occupied, key, word/value) triple. For
-// internal nodes word is the packed child address; for leaves it is the
-// value bytes (or block pointer).
-type entry struct {
-	occupied bool
-	key      uint64
-	val      []byte
+// slot reads slot i's occupancy and key in place.
+//
+//chime:noalloc
+func (im *image) slot(i int) (occupied bool, key uint64) {
+	p := im.buf[im.lay.entryCells[i].Off+1:]
+	return p[0]&flagOccupied != 0, binary.LittleEndian.Uint64(p[1:9])
 }
 
-func (l *layout) encodeEntry(img []byte, i int, e entry, bump bool) {
-	c := l.entryCells[i]
-	content := make([]byte, c.Content)
-	if e.occupied {
-		content[0] |= flagOccupied
+// value returns slot i's valSize value bytes (the block pointer when
+// indirect). It aliases the image: see image.
+//
+//chime:noalloc
+func (im *image) value(i int) []byte {
+	lay := im.lay
+	c := lay.entryCells[i]
+	if !c.Big {
+		v := c.Off + 1 + lay.valOff
+		return im.buf[v : v+lay.valSize : v+lay.valSize]
 	}
-	binary.LittleEndian.PutUint64(content[1:9], e.key)
-	copy(content[1+l.keySize:], e.val)
-	nodelayout.WriteCellContent(img, c, content)
+	v := im.vals[i*lay.valSize : (i+1)*lay.valSize : (i+1)*lay.valSize]
+	nodelayout.ReadCellContentAt(im.buf, c, lay.valOff, v)
+	return v
+}
+
+// child returns the child address in slot i of an internal node. The
+// word is gathered onto the stack: an internal image has no gather area,
+// and wide keys make its cells span lines too.
+//
+//chime:noalloc
+func (im *image) child(i int) dmsim.GAddr {
+	var w [8]byte
+	nodelayout.ReadCellContentAt(im.buf, im.lay.entryCells[i], im.lay.valOff, w[:])
+	return ptrOf(w[:])
+}
+
+// ptrOf unpacks the address an 8-byte value field holds: a child, or an
+// indirect entry's KV block.
+func ptrOf(v []byte) dmsim.GAddr {
+	return dmsim.UnpackGAddr(binary.LittleEndian.Uint64(v[:8]))
+}
+
+// find is the slot search every leaf operation starts with: the slot
+// holding key (-1 when absent) and the first unoccupied slot seen before
+// it (-1 when none), which is the first free slot of the leaf whenever
+// the key is absent.
+//
+//chime:noalloc
+func (im *image) find(key uint64) (slot, free int) {
+	free = -1
+	for i := 0; i < im.lay.span; i++ {
+		occupied, k := im.slot(i)
+		if occupied && k == key {
+			return i, free
+		}
+		if !occupied && free < 0 {
+			free = i
+		}
+	}
+	return -1, free
+}
+
+// setEntry stores (key, val) in slot i in place; bump also increments the
+// cell's entry-level version (an entry write; a node write bumps NV
+// instead). val may be shorter than valSize (zero-padded, as the key is
+// beyond its 8 bytes) and may alias this or another image, another
+// slot's decoded value included: it is copied before anything else of
+// the slot's value field is touched.
+func (im *image) setEntry(i int, key uint64, val []byte, bump bool) {
+	lay := im.lay
+	c := lay.entryCells[i]
+	p := im.buf[c.Off+1:]
+	p[0] = flagOccupied
+	binary.LittleEndian.PutUint64(p[1:9], key)
+	nodelayout.ZeroCellContentAt(im.buf, c, 9, lay.keySize-8)
+	if len(val) > lay.valSize {
+		val = val[:lay.valSize]
+	}
+	nodelayout.WriteCellContentAt(im.buf, c, lay.valOff, val)
+	nodelayout.ZeroCellContentAt(im.buf, c, lay.valOff+len(val), lay.valSize-len(val))
 	if bump {
-		nodelayout.BumpEV(img, c)
+		nodelayout.BumpEV(im.buf, c)
 	}
 }
 
-func (l *layout) decodeEntry(img []byte, i int) entry {
-	c := l.entryCells[i]
-	content := nodelayout.ReadCellContent(img, c, make([]byte, 0, c.Content))
-	return entry{
-		occupied: content[0]&flagOccupied != 0,
-		key:      binary.LittleEndian.Uint64(content[1:9]),
-		val:      content[1+l.keySize:],
+// setChild stores (key, child address) in slot i: an internal node's
+// routing entry.
+func (im *image) setChild(i int, key uint64, child dmsim.GAddr) {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], child.Pack())
+	im.setEntry(i, key, w[:], false)
+}
+
+// clearEntry empties slot i: every content byte zero.
+func (im *image) clearEntry(i int, bump bool) {
+	c := im.lay.entryCells[i]
+	nodelayout.ZeroCellContentAt(im.buf, c, 0, c.Content)
+	if bump {
+		nodelayout.BumpEV(im.buf, c)
 	}
 }
+
+// bumpNV increments the node-level version across the image (a node
+// write).
+func (im *image) bumpNV() { nodelayout.BumpNV(im.buf, im.lay.allCells) }
 
 // Index is one Sherman tree on the fabric.
 type Index struct {
@@ -244,9 +389,9 @@ func Bootstrap(f *dmsim.Fabric, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := make([]byte, ix.leaf.size)
-	ix.leaf.encodeHeader(img, header{valid: true, fenceInf: true, level: 0})
-	if err := boot.Write(leafAddr, img); err != nil {
+	root := ix.leaf.newImage()
+	root.setHeader(header{valid: true, fenceInf: true, level: 0})
+	if err := boot.Write(leafAddr, root.buf); err != nil {
 		return nil, err
 	}
 	var b [8]byte
@@ -296,19 +441,4 @@ func packSuper(addr dmsim.GAddr, level uint8) uint64 {
 
 func unpackSuper(w uint64) (dmsim.GAddr, uint8) {
 	return dmsim.UnpackTagged(w)
-}
-
-// sortEntries returns the occupied entries of a decoded node sorted by
-// key; used by splits and scans (Sherman leaves are slot-allocated, not
-// kept sorted — an insert touches one slot, preserving the fine-grained
-// write property).
-func sortEntries(es []entry) []entry {
-	out := make([]entry, 0, len(es))
-	for _, e := range es {
-		if e.occupied {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
 }

@@ -1,11 +1,9 @@
 package sherman
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"chime/internal/dmsim"
-	"chime/internal/nodelayout"
 )
 
 // Up-propagation after a split, following the same Step 1–3 protocol as
@@ -63,15 +61,13 @@ func (c *Client) growRoot(oldLevel uint8, splitKey uint64, rightAddr dmsim.GAddr
 	if err != nil {
 		return false, err
 	}
-	img := make([]byte, c.ix.inner.size)
-	c.ix.inner.encodeHeader(img, header{
+	root := c.buildImage(c.ix.inner)
+	root.setHeader(header{
 		valid: true, fenceInf: true, level: oldLevel + 1, nkeys: 1,
 		leftmost: oldRoot,
 	})
-	child := make([]byte, 8)
-	binary.LittleEndian.PutUint64(child, rightAddr.Pack())
-	c.ix.inner.encodeEntry(img, 0, entry{occupied: true, key: splitKey, val: child}, false)
-	if err := c.dc.Write(newRoot, img); err != nil {
+	root.setChild(0, splitKey, rightAddr)
+	if err := c.dc.Write(newRoot, root.buf); err != nil {
 		return false, err
 	}
 	prev, ok, err := c.dc.CAS(c.ix.super, packSuper(oldRoot, oldLevel), packSuper(newRoot, oldLevel+1))
@@ -86,26 +82,20 @@ func (c *Client) growRoot(oldLevel uint8, splitKey uint64, rightAddr dmsim.GAddr
 	return true, nil
 }
 
-// encodeInternalNode serializes a decoded internal node over prev (nil
-// for fresh nodes; non-nil bumps NV as a node write).
-func (c *Client) encodeInternalNode(n *node, prev []byte) []byte {
-	lay := c.ix.inner
-	img := make([]byte, lay.size)
-	if prev != nil {
-		copy(img, prev)
-	}
+// encodeInternalNode serializes a decoded internal node into im. For a
+// node rewritten under its lock, im is the image it was fetched into —
+// slots past its pivots keep their bytes — and nodeWrite bumps NV; a
+// fresh node goes into a zeroed build image.
+func encodeInternalNode(n *node, im *image, nodeWrite bool) {
 	hdr := n.hdr
 	hdr.nkeys = len(n.piv)
-	c.ix.inner.encodeHeader(img, hdr)
-	child := make([]byte, 8)
+	im.setHeader(hdr)
 	for i := range n.piv {
-		binary.LittleEndian.PutUint64(child, n.kids[i].Pack())
-		lay.encodeEntry(img, i, entry{occupied: true, key: n.piv[i], val: child}, false)
+		im.setChild(i, n.piv[i], n.kids[i])
 	}
-	if prev != nil {
-		nodelayout.BumpNV(img, lay.allCells)
+	if nodeWrite {
+		im.bumpNV()
 	}
-	return img
 }
 
 func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64, rightAddr dmsim.GAddr, path []pathEntry) (bool, error) {
@@ -113,7 +103,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		if err := c.lock(addr); err != nil {
 			return false, err
 		}
-		img, hdr, err := c.readNode(c.ix.inner, addr)
+		im, hdr, err := c.readNode(c.ix.inner, addr)
 		if err != nil {
 			c.unlock(addr)
 			return false, err
@@ -122,7 +112,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			c.unlock(addr)
 			return false, nil
 		}
-		n := c.decodeInternal(addr, img, hdr)
+		n := decodeInternal(addr, im, hdr)
 		if !n.covers(splitKey) {
 			sib := hdr.sibling
 			c.unlock(addr)
@@ -146,8 +136,8 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		n.kids[pos] = rightAddr
 
 		if len(n.piv) <= c.ix.inner.span {
-			out := c.encodeInternalNode(n, img)
-			if err := c.writeNodeAndUnlock(addr, out); err != nil {
+			encodeInternalNode(n, im, true)
+			if err := c.writeNodeAndUnlock(addr, im); err != nil {
 				return false, err
 			}
 			c.cn.cachePut(addr, n)
@@ -173,7 +163,9 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			kids: append([]dmsim.GAddr(nil), n.kids[mid+1:]...),
 		}
 		right.hdr.leftmost = n.kids[mid]
-		if err := c.dc.Write(newAddr, c.encodeInternalNode(right, nil)); err != nil {
+		rightIm := c.buildImage(c.ix.inner)
+		encodeInternalNode(right, rightIm, false)
+		if err := c.dc.Write(newAddr, rightIm.buf); err != nil {
 			c.unlock(addr)
 			return false, err
 		}
@@ -182,10 +174,12 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		n.hdr.fenceInf = false
 		n.hdr.fenceHi = midKey
 		n.hdr.sibling = newAddr
-		if err := c.writeNodeAndUnlock(addr, c.encodeInternalNode(n, img)); err != nil {
+		encodeInternalNode(n, im, true)
+		if err := c.writeNodeAndUnlock(addr, im); err != nil {
 			return false, err
 		}
 		c.cn.cachePut(addr, n)
+		// im is dead here: the recursion reads this level's parent into it.
 		if err := c.propagate(path, level, midKey, newAddr); err != nil {
 			return false, err
 		}
@@ -205,7 +199,7 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 		}
 		cur := c.rootAddr
 		for {
-			img, hdr, err := c.readNode(c.ix.inner, cur)
+			im, hdr, err := c.readNode(c.ix.inner, cur)
 			if err != nil {
 				return dmsim.NilGAddr, err
 			}
@@ -225,8 +219,7 @@ func (c *Client) findParentAt(level uint8, key uint64) (dmsim.GAddr, error) {
 			if hdr.level < level {
 				break
 			}
-			n := c.decodeInternal(cur, img, hdr)
-			child := n.childFor(key)
+			child := im.childFor(hdr, key)
 			if child.IsNil() {
 				break
 			}

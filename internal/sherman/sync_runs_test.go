@@ -41,6 +41,10 @@ type syncRun struct {
 
 	NotFound int `json:"not_found"`
 	Items    int `json:"items"`
+
+	// CacheBytes is pinned only by the rows added after the file was
+	// first written (pinCacheBytes), so the older rows keep their bytes.
+	CacheBytes int64 `json:"cache_bytes,omitempty"`
 }
 
 type syncHarness struct {
@@ -49,6 +53,8 @@ type syncHarness struct {
 	cl   *Client
 	sink *obs.Sink
 	run  syncRun
+
+	pinCacheBytes bool
 }
 
 func newSyncHarness(t *testing.T, name string, ix *Index, cacheBytes int64) *syncHarness {
@@ -92,7 +98,11 @@ func (h *syncHarness) finish() syncRun {
 	r.LockBackoffs = reg.Counter(obs.NameLockBackoff).Load()
 	r.SiblingChases = reg.Counter(obs.NameSiblingChase).Load()
 	r.Splits = reg.Counter(obs.NameSplit).Load()
-	r.CacheHits, r.CacheMisses, r.CacheNodes, _ = h.cn.CacheStats()
+	var used int64
+	r.CacheHits, r.CacheMisses, r.CacheNodes, used = h.cn.CacheStats()
+	if h.pinCacheBytes {
+		r.CacheBytes = used
+	}
 	return r
 }
 
@@ -103,7 +113,10 @@ const (
 )
 
 func ycsbSyncRun(t *testing.T, name string, mix ycsb.Mix, opts Options, cacheBytes int64) syncRun {
-	h := newSyncHarness(t, name, newSyncIndex(t, opts), cacheBytes)
+	return ycsbSyncRunOn(newSyncHarness(t, name, newSyncIndex(t, opts), cacheBytes), mix, opts)
+}
+
+func ycsbSyncRunOn(h *syncHarness, mix ycsb.Mix, opts Options) syncRun {
 	for _, k := range ycsb.LoadKeys(syncLoadKeys) {
 		h.did(h.cl.Insert(k, ycsb.FillValue(k, opts.ValueSize, 0)))
 	}
@@ -175,6 +188,52 @@ func staleCacheSyncRun(t *testing.T, indirect bool) (reader, writer syncRun) {
 	return h.finish(), w.finish()
 }
 
+// deleteHeavySyncRun empties most of a small-span tree, probes and scans
+// the sparse leaves, then refills them: deletes, absent-key reads and
+// updates, and inserts landing in freed slots instead of splitting.
+func deleteHeavySyncRun(t *testing.T, valueSize int) syncRun {
+	opts := DefaultOptions()
+	opts.SpanSize = 16
+	opts.ValueSize = valueSize
+	h := newSyncHarness(t, fmt.Sprintf("delete_heavy/val%d", valueSize), newSyncIndex(t, opts), 64<<20)
+	h.pinCacheBytes = true
+	const n = 2400
+	val := func(k uint64, ver uint32) []byte { return ycsb.FillValue(k, valueSize, ver) }
+	for i := uint64(1); i <= n; i++ {
+		h.did(h.cl.Insert(i*8, val(i, 0)))
+	}
+	for i := uint64(1); i <= n; i++ {
+		if i%3 != 0 {
+			h.did(h.cl.Delete(i * 8))
+		}
+	}
+	for i := uint64(1); i <= n; i += 2 {
+		_, err := h.cl.Search(i * 8)
+		h.did(err)
+		if i%5 == 0 {
+			h.did(h.cl.Update(i*8, val(i, 1)))
+		}
+		if i%7 == 0 {
+			h.did(h.cl.Delete(i * 8)) // some already gone
+		}
+		if i%13 == 0 {
+			h.did(h.cl.Insert(i*8, val(i, 5))) // upsert, or refill of a deleted key
+		}
+		if i%11 == 0 {
+			kvs, err := h.cl.Scan(i*8, 20)
+			h.run.Items += len(kvs)
+			h.did(err)
+		}
+	}
+	for i := uint64(1); i <= n; i += 2 {
+		h.did(h.cl.Insert(i*8+1, val(i, 2)))
+	}
+	kvs, err := h.cl.Scan(0, 3*n)
+	h.run.Items += len(kvs)
+	h.did(err)
+	return h.finish()
+}
+
 func onOff(b bool) string {
 	if b {
 		return "on"
@@ -219,6 +278,30 @@ func TestSyncRunsMatchGolden(t *testing.T) {
 		r, w := staleCacheSyncRun(t, indirect)
 		runs = append(runs, r, w)
 	}
+
+	// Rows written by 59340e2, the last commit that decoded every fetched
+	// node into fresh slices: 256-byte inline values and 64-byte keys make
+	// leaf and internal entry cells span cache lines, and the delete-heavy
+	// script refills freed slots.
+	for _, mix := range []ycsb.Mix{ycsb.WorkloadA, ycsb.WorkloadC, ycsb.WorkloadE, ycsb.WorkloadLoad} {
+		for _, indirect := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.ValueSize = 256
+			opts.Indirect = indirect
+			name := fmt.Sprintf("%s/val256/indirect_%s", mix.Name, onOff(indirect))
+			h := newSyncHarness(t, name, newSyncIndex(t, opts), 64<<20)
+			h.pinCacheBytes = true
+			runs = append(runs, ycsbSyncRunOn(h, mix, opts))
+		}
+	}
+	for _, mix := range []ycsb.Mix{ycsb.WorkloadA, ycsb.WorkloadLoad} {
+		opts := DefaultOptions()
+		opts.KeySize = 64
+		h := newSyncHarness(t, mix.Name+"/key64", newSyncIndex(t, opts), 64<<20)
+		h.pinCacheBytes = true
+		runs = append(runs, ycsbSyncRunOn(h, mix, opts))
+	}
+	runs = append(runs, deleteHeavySyncRun(t, 8), deleteHeavySyncRun(t, 256))
 
 	got, err := json.MarshalIndent(runs, "", "  ")
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"chime/internal/dmsim"
-	"chime/internal/nodelayout"
 	"chime/internal/obs"
 )
 
@@ -65,7 +64,7 @@ type wCycle struct {
 	ops        []*wOp
 	collecting bool
 
-	img []byte
+	img *image // from the client's wcFree; back there in releaseWCycle
 	h   *dmsim.Completion
 
 	// settled holds the ops whose outcome commits when the posted
@@ -261,10 +260,11 @@ func (c *Client) postWCycleFetch(st *swSched, drv *wOp) {
 	if cur, ok := st.cycles[cy.leaf.Pack()]; ok && cur == cy {
 		delete(st.cycles, cy.leaf.Pack())
 	}
-	if cy.img == nil || len(cy.img) != c.ix.leaf.size {
-		cy.img = make([]byte, c.ix.leaf.size)
+	if n := len(c.wcFree); n > 0 {
+		cy.img, c.wcFree = c.wcFree[n-1], c.wcFree[:n-1]
 	}
-	h, err := c.dc.PostRead(cy.leaf.Add(lineSize), cy.img[lineSize:])
+	cy.img = c.ix.leaf.recycle(cy.img)
+	h, err := c.dc.PostRead(cy.leaf.Add(lineSize), cy.img.body())
 	if err != nil {
 		c.failWCycle(st, drv, err, true)
 		return
@@ -302,14 +302,14 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 		cy.h = nil
 		// The lock is held, so tearing cannot happen; validate anyway for
 		// defense in depth (mirrors the sync readNode).
-		if err := nodelayout.CheckVersions(cy.img, 0, c.ix.leaf.allCells); err != nil {
+		if err := cy.img.check(); err != nil {
 			op.torn++
 			if op.torn > maxRetries {
 				c.failWCycle(st, op, fmt.Errorf("sherman: leaf %v: torn-read retries exhausted", cy.leaf), true)
 				return
 			}
 			c.ys.Yield(c.dc)
-			h, perr := c.dc.PostRead(cy.leaf.Add(lineSize), cy.img[lineSize:])
+			h, perr := c.dc.PostRead(cy.leaf.Add(lineSize), cy.img.body())
 			if perr != nil {
 				c.failWCycle(st, op, perr, true)
 				return
@@ -347,8 +347,7 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 // peel only the affected ops off the cycle.
 func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 	cy := stepped.cy
-	lay := c.ix.leaf
-	hdr := lay.decodeHeader(cy.img)
+	hdr := cy.img.header()
 
 	leave := func(op *wOp, f func(*wOp)) {
 		op.cy = nil
@@ -397,20 +396,10 @@ func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 		cy.leader = pending[0]
 	}
 
-	changed := map[int]bool{}
+	changed := c.wcChanged[:0]
 	var done []*wOp
 	for pi, op := range pending {
-		slot, free := -1, -1
-		for i := 0; i < lay.span; i++ {
-			e := lay.decodeEntry(cy.img, i)
-			if e.occupied && e.key == op.key {
-				slot = i
-				break
-			}
-			if !e.occupied && free < 0 {
-				free = i
-			}
-		}
+		slot, free := cy.img.find(op.key)
 		if slot < 0 && op.kind == writeUpdate {
 			op.notFound = true
 			done = append(done, op)
@@ -425,10 +414,11 @@ func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 			c.splitWCycle(st, cy, stepped, op, hdr, done, pending[pi+1:])
 			return
 		}
-		lay.encodeEntry(cy.img, slot, entry{occupied: true, key: op.key, val: op.val}, true)
-		changed[slot] = true
+		cy.img.setEntry(slot, op.key, op.val, true)
+		changed = append(changed, slot)
 		done = append(done, op)
 	}
+	c.wcChanged = changed
 
 	if len(changed) == 0 {
 		// Every pending op was an absent-key update: nothing to write back.
@@ -443,17 +433,10 @@ func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 		return
 	}
 
-	ranges := mergedWCellRanges(lay, changed)
-	addrs := make([]dmsim.GAddr, 0, len(ranges)+1)
-	bufs := make([][]byte, 0, len(ranges)+1)
-	for _, r := range ranges {
-		addrs = append(addrs, cy.leaf.Add(uint64(r.off)))
-		bufs = append(bufs, cy.img[r.off:r.end])
-	}
-	var zero [8]byte
-	addrs = append(addrs, cy.leaf)
-	bufs = append(bufs, zero[:])
-	h, err := c.dc.PostWriteBatch(addrs, bufs)
+	c.stageWCells(cy, changed)
+	c.wAddrs = append(c.wAddrs, cy.leaf)
+	c.wBufs = append(c.wBufs, unlocked[:])
+	h, err := c.dc.PostWriteBatch(c.wAddrs, c.wBufs)
 	if err != nil {
 		c.batchUnlock(cy.leaf)
 		for _, op := range pending {
@@ -507,29 +490,30 @@ func (c *Client) splitWCycle(st *swSched, cy *wCycle, stepped, splitter *wOp, hd
 	c.releaseWCycle(cy)
 }
 
-// wCellRange is a half-open byte range [off, end) within a leaf image.
-type wCellRange struct{ off, end int }
-
-// mergedWCellRanges converts a changed-slot set into write-back ranges,
-// merging exactly-abutting entry cells.
-func mergedWCellRanges(lay *layout, changed map[int]bool) []wCellRange {
-	idxs := make([]int, 0, len(changed))
-	for i := range changed {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var out []wCellRange
-	for _, i := range idxs {
-		cell := lay.entryCells[i]
-		if n := len(out); n > 0 && out[n-1].end >= cell.Off {
-			if cell.End() > out[n-1].end {
-				out[n-1].end = cell.End()
-			}
-		} else {
-			out = append(out, wCellRange{off: cell.Off, end: cell.End()})
+// stageWCells stages the entry cells of the changed slots in the
+// client's write-batch lists as write-back ranges, in slot order, merging
+// cells that exactly abut (and the repeats of a slot two keys of the
+// cycle both wrote).
+func (c *Client) stageWCells(cy *wCycle, changed []int) {
+	sort.Ints(changed)
+	c.wAddrs, c.wBufs = c.wAddrs[:0], c.wBufs[:0]
+	off, end := 0, 0 // the open range; empty before the first cell
+	flush := func() {
+		if end > off {
+			c.wAddrs = append(c.wAddrs, cy.leaf.Add(uint64(off)))
+			c.wBufs = append(c.wBufs, cy.img.buf[off:end])
 		}
 	}
-	return out
+	for _, i := range changed {
+		cell := c.ix.leaf.entryCells[i]
+		if end >= cell.Off {
+			end = max(end, cell.End())
+			continue
+		}
+		flush()
+		off, end = cell.Off, cell.End()
+	}
+	flush()
 }
 
 func containsWOp(ops []*wOp, op *wOp) bool {
@@ -544,8 +528,7 @@ func containsWOp(ops []*wOp, op *wOp) bool {
 // batchUnlock releases a batch-held leaf lock without the local lock
 // table's handover path (the batch never Acquired the local slot).
 func (c *Client) batchUnlock(leaf dmsim.GAddr) {
-	var zero [8]byte
-	if err := c.dc.Write(leaf, zero[:]); err != nil {
+	if err := c.dc.Write(leaf, unlocked[:]); err != nil {
 		return
 	}
 	c.cn.locks.ReleaseRemote(c.dc, leaf.Pack())
@@ -602,11 +585,15 @@ func (c *Client) failWCycle(st *swSched, stepped *wOp, err error, locked bool) {
 	c.releaseWCycle(cy)
 }
 
-// releaseWCycle drains any in-flight completion and drops the image.
+// releaseWCycle drains any in-flight completion and hands the image to
+// the next cycle.
 func (c *Client) releaseWCycle(cy *wCycle) {
 	c.dc.Poll(cy.h)
 	cy.h = nil
-	cy.img = nil
+	if cy.img != nil {
+		c.wcFree = append(c.wcFree, cy.img)
+		cy.img = nil
+	}
 	cy.settled = nil
 	cy.ops = nil
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"chime/internal/dmsim"
@@ -73,12 +72,15 @@ func (cn *ComputeNode) cacheGet(addr dmsim.GAddr) *node {
 	return nil
 }
 
-func (cn *ComputeNode) cachePut(addr dmsim.GAddr, n *node) {
+// cachePut offers a fetched node to the cache and reports whether the
+// cache took it: a taken node (and its image) is the cache's, shared and
+// never written again; a declined one stays its fetcher's.
+func (cn *ComputeNode) cachePut(addr dmsim.GAddr, n *node) bool {
 	size := int64(nodeSize(n.hdr.kind))
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	if cn.budget <= 0 || size > cn.budget {
-		return
+		return false
 	}
 	if el, ok := cn.items[addr]; ok {
 		s := el.Value.(*cacheSlot)
@@ -99,6 +101,7 @@ func (cn *ComputeNode) cachePut(addr dmsim.GAddr, n *node) {
 		delete(cn.items, s.addr)
 		cn.used -= s.size
 	}
+	return true
 }
 
 func (cn *ComputeNode) cacheDrop(addr dmsim.GAddr) {
@@ -120,6 +123,25 @@ type Client struct {
 	alloc   *dmsim.ChunkAllocator
 	backoff dmsim.Backoff
 
+	// The nodes this client fetches for itself, by what fetches them: the
+	// descent (and a search's confirming re-read), a writer's re-read of
+	// the node it locked, swingParent's of that node's parent, and each
+	// level of a scan's recursion. A node is good until its set's next
+	// fetch (nodeSet), unless the CN cache took it.
+	walk, locked, parent nodeSet
+	scanLevels           []nodeSet
+
+	// Staging one op reuses: the descent's path, the image a new node is
+	// laid out in before it is written, a leaf block, and the pieces of a
+	// slot write.
+	path    []step
+	build   []byte
+	leaf    []byte
+	slotBuf [slotSize]byte
+	idxByte [1]byte
+	addrs   []dmsim.GAddr
+	bufs    [][]byte
+
 	// port holds the routed read entry points: one-sided vs. MN-side
 	// offload per op (offload.go).
 	port offroute.Port
@@ -135,6 +157,8 @@ func (cn *ComputeNode) NewClient() *Client {
 		cn: cn, ix: cn.ix, dc: dc,
 		alloc: dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
 		obs:   cn.obs,
+		build: make([]byte, nodeSize(kindN256)),
+		leaf:  make([]byte, cn.ix.leafSz),
 	}
 	c.port = c.newPort()
 	return c
@@ -143,28 +167,35 @@ func (cn *ComputeNode) NewClient() *Client {
 // DM exposes the fabric client for the benchmark harness.
 func (c *Client) DM() *dmsim.Client { return c.dc }
 
-// readNodeRemote fetches a node of the given kind.
-func (c *Client) readNodeRemote(addr dmsim.GAddr, kind int) (*node, error) {
-	img := make([]byte, nodeSize(kind))
-	if err := c.dc.Read(addr, img); err != nil {
+// fetch reads the node of the given kind at addr into set's node of that
+// kind.
+func (c *Client) fetch(set *nodeSet, addr dmsim.GAddr, kind int) (*node, error) {
+	n := set.take(kind)
+	if err := c.dc.Read(addr, n.img); err != nil {
 		return nil, err
 	}
-	return decodeNode(addr, img), nil
+	n.arrived(addr)
+	return n, nil
 }
 
-// getNode returns a decoded node, from cache or remote, and whether it
-// came from the cache.
-func (c *Client) getNode(addr dmsim.GAddr, kind int) (*node, bool, error) {
+// keep offers a valid node just fetched into set to the CN cache.
+func (c *Client) keep(set *nodeSet, n *node) {
+	if n.hdr.valid && c.cn.cachePut(n.addr, n) {
+		set.gone(n)
+	}
+}
+
+// getNode returns a node from the cache, or fetched into set (and
+// offered to the cache), and whether it came from the cache.
+func (c *Client) getNode(set *nodeSet, addr dmsim.GAddr, kind int) (*node, bool, error) {
 	if n := c.cn.cacheGet(addr); n != nil {
 		return n, true, nil
 	}
-	n, err := c.readNodeRemote(addr, kind)
+	n, err := c.fetch(set, addr, kind)
 	if err != nil {
 		return nil, false, err
 	}
-	if n.hdr.valid {
-		c.cn.cachePut(addr, n)
-	}
+	c.keep(set, n)
 	return n, false, nil
 }
 
@@ -180,28 +211,36 @@ func prefixMatch(h header, kb [8]byte) int {
 	return i
 }
 
-// step is one level of a traversal, kept for structural updates.
-type step struct {
+// nodeRef names a remote node: where it is and, from the pointer that
+// led there, how many bytes it has.
+type nodeRef struct {
 	addr dmsim.GAddr
 	kind int
-	kb   byte // key byte used to leave this node
+}
+
+// step is one level of a traversal, kept for structural updates.
+type step struct {
+	nodeRef
+	kb byte // key byte used to leave this node
 }
 
 // descend walks to the node responsible for key's next divergence. It
-// returns the final node, the path of steps taken (excluding the final
-// node), and the packed child value found under the key byte (0 if
-// none). It retries on invalidated nodes.
-func (c *Client) descend(key uint64) (*node, []step, uint64, error) {
+// returns that node's address and kind, the path of steps taken
+// (excluding it; the client's own slice, good until its next descend),
+// and the packed child value found under the key byte (0 if none). It
+// retries on invalidated nodes.
+func (c *Client) descend(key uint64) (nodeRef, []step, uint64, error) {
 	kb := keyBytes(key)
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		cur, kind := c.ix.root, kindN256
-		var path []step
+		path := c.path[:0]
 		restart := false
 		for hop := 0; hop < 10 && !restart; hop++ {
-			n, fromCache, err := c.getNode(cur, kind)
+			n, fromCache, err := c.getNode(&c.walk, cur, kind)
 			if err != nil {
-				return nil, nil, 0, err
+				return nodeRef{}, nil, 0, err
 			}
+			at := nodeRef{n.addr, n.hdr.kind}
 			if !n.hdr.valid {
 				// The node was replaced (expansion / prefix split). Drop
 				// it AND the cached parent that still routes here, or the
@@ -216,22 +255,22 @@ func (c *Client) descend(key uint64) (*node, []step, uint64, error) {
 			if prefixMatch(n.hdr, kb) < n.hdr.prefixLen {
 				// Prefix diverges: this node is where the key belongs
 				// (insert splits the prefix; search reports not-found).
-				return n, path, 0, nil
+				return at, path, 0, nil
 			}
 			d := n.hdr.depth + n.hdr.prefixLen
 			if d >= 8 {
-				return n, path, 0, nil
+				return at, path, 0, nil
 			}
-			child, ok := n.children[kb[d]]
-			if (!ok || child == 0) && fromCache {
+			child, _ := n.childAt(kb[d])
+			if child == 0 && fromCache {
 				// A cached copy cannot observe remote invalidation: the
 				// remote node may have been replaced (expansion/prefix
 				// split) with this child present in the replacement.
 				// Confirm absence against remote memory before trusting
 				// the miss.
-				fresh, err := c.readNodeRemote(cur, kind)
+				fresh, err := c.fetch(&c.walk, cur, kind)
 				if err != nil {
-					return nil, nil, 0, err
+					return nodeRef{}, nil, 0, err
 				}
 				if !fresh.hdr.valid {
 					c.cn.cacheDrop(cur)
@@ -241,33 +280,33 @@ func (c *Client) descend(key uint64) (*node, []step, uint64, error) {
 					restart = true
 					break
 				}
-				c.cn.cachePut(cur, fresh)
-				n = fresh
-				child, ok = n.children[kb[d]]
+				at = nodeRef{fresh.addr, fresh.hdr.kind}
+				child, _ = fresh.childAt(kb[d])
+				c.keep(&c.walk, fresh)
 			}
-			if !ok || child == 0 {
-				return n, path, 0, nil
+			if child == 0 {
+				return at, path, 0, nil
 			}
 			addr, leaf, ckind := unpackChild(child)
 			if leaf {
-				return n, path, child, nil
+				return at, path, child, nil
 			}
-			_ = fromCache // staleness is handled via the valid flag
-			path = append(path, step{addr: cur, kind: kind, kb: kb[d]})
+			path = append(path, step{nodeRef: nodeRef{cur, kind}, kb: kb[d]})
+			c.path = path
 			cur, kind = addr, ckind
 		}
 		if !restart {
-			return nil, nil, 0, fmt.Errorf("smartidx: descend(%#x): path too deep", key)
+			return nodeRef{}, nil, 0, fmt.Errorf("smartidx: descend(%#x): path too deep", key)
 		}
 		c.obs.Retries.Inc()
 		c.backoff.Yield(c.dc)
 	}
-	return nil, nil, 0, fmt.Errorf("smartidx: descend(%#x) exhausted", key)
+	return nodeRef{}, nil, 0, fmt.Errorf("smartidx: descend(%#x) exhausted", key)
 }
 
-// readLeaf fetches a leaf block and decodes (key, value).
-func (c *Client) readLeaf(addr dmsim.GAddr) (uint64, []byte, error) {
-	buf := make([]byte, c.ix.leafSz)
+// readLeaf fetches a leaf block into buf and decodes (key, value); the
+// value aliases buf.
+func (c *Client) readLeaf(addr dmsim.GAddr, buf []byte) (uint64, []byte, error) {
 	if err := c.dc.Read(addr, buf); err != nil {
 		return 0, nil, err
 	}
@@ -278,23 +317,22 @@ func (c *Client) readLeaf(addr dmsim.GAddr) (uint64, []byte, error) {
 // small leaf READ — amplification ≈ 1, SMART's defining property.
 func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		n, _, child, err := c.descend(key)
+		at, _, child, err := c.descend(key)
 		if err != nil {
 			return nil, err
 		}
 		if child == 0 {
 			// Could be a stale cached node missing a fresh install:
 			// re-read remotely once before declaring absence.
-			if fresh, err2 := c.readNodeRemote(n.addr, n.hdr.kind); err2 == nil && fresh.hdr.valid {
-				c.cn.cachePut(n.addr, fresh)
+			if fresh, err2 := c.fetch(&c.walk, at.addr, at.kind); err2 == nil && fresh.hdr.valid {
 				d := fresh.hdr.depth + fresh.hdr.prefixLen
 				kb := keyBytes(key)
 				if d < 8 {
-					if ch, ok := fresh.children[kb[d]]; ok && ch != 0 {
-						child = ch
-					}
+					child, _ = fresh.childAt(kb[d])
 				}
-				if prefixMatch(fresh.hdr, kb) < fresh.hdr.prefixLen {
+				diverges := prefixMatch(fresh.hdr, kb) < fresh.hdr.prefixLen
+				c.keep(&c.walk, fresh)
+				if diverges {
 					return nil, ErrNotFound
 				}
 			}
@@ -306,19 +344,19 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 		if !leaf {
 			// A concurrent split replaced the leaf with a subtree.
 			c.obs.Retries.Inc()
-			c.cn.cacheDrop(n.addr)
+			c.cn.cacheDrop(at.addr)
 			c.backoff.Yield(c.dc)
 			continue
 		}
-		k, v, err := c.readLeaf(addr)
+		k, v, err := c.readLeaf(addr, make([]byte, c.ix.leafSz)) // the caller's result
 		if err != nil {
 			return nil, err
 		}
 		if k != key {
 			// Stale cache or concurrent structural change.
 			c.obs.Retries.Inc()
-			c.cn.cacheDrop(n.addr)
-			if _, err := c.readNodeRemote(n.addr, n.hdr.kind); err != nil {
+			c.cn.cacheDrop(at.addr)
+			if _, err := c.fetch(&c.walk, at.addr, at.kind); err != nil {
 				return nil, err
 			}
 			c.backoff.Yield(c.dc)
@@ -378,27 +416,38 @@ func (c *Client) lockNode(addr dmsim.GAddr) error {
 	return fmt.Errorf("smartidx: lock %v starved", addr)
 }
 
+// unlocked is a released lock word, as a write's source buffer.
+var unlocked [8]byte
+
 func (c *Client) unlockNode(addr dmsim.GAddr) error {
-	var zero [8]byte
-	return c.dc.Write(addr, zero[:])
+	return c.dc.Write(addr, unlocked[:])
 }
 
 // writeSlotAndUnlock writes one slot record (and, for Node48, its index
 // byte) plus the unlock in a single doorbell batch.
 func (c *Client) writeSlotAndUnlock(n *node, slotIdx int, s slot, setIdx bool) error {
-	img := make([]byte, slotSize)
-	binary.LittleEndian.PutUint64(img[:8], s.child)
-	img[8] = s.keyByte
-	addrs := []dmsim.GAddr{n.addr.Add(uint64(slotOff(n.hdr.kind, slotIdx)))}
-	bufs := [][]byte{img}
+	clear(c.slotBuf[:])
+	binary.LittleEndian.PutUint64(c.slotBuf[:8], s.child)
+	c.slotBuf[8] = s.keyByte
+	c.addrs = append(c.addrs[:0], n.addr.Add(uint64(slotOff(n.hdr.kind, slotIdx))))
+	c.bufs = append(c.bufs[:0], c.slotBuf[:])
 	if n.hdr.kind == kindN48 && setIdx {
-		addrs = append(addrs, n.addr.Add(uint64(n48IdxOff+int(s.keyByte))))
-		bufs = append(bufs, []byte{byte(slotIdx + 1)})
+		c.idxByte[0] = byte(slotIdx + 1)
+		c.addrs = append(c.addrs, n.addr.Add(uint64(n48IdxOff+int(s.keyByte))))
+		c.bufs = append(c.bufs, c.idxByte[:])
 	}
-	var zero [8]byte
-	addrs = append(addrs, n.addr)
-	bufs = append(bufs, zero[:])
-	return c.dc.WriteBatch(addrs, bufs)
+	c.addrs = append(c.addrs, n.addr)
+	c.bufs = append(c.bufs, unlocked[:])
+	return c.dc.WriteBatch(c.addrs, c.bufs)
+}
+
+// invalidateAndUnlock clears a replaced node's valid flag and releases
+// its lock in one doorbell batch.
+func (c *Client) invalidateAndUnlock(addr dmsim.GAddr) error {
+	c.idxByte[0] = 0
+	c.addrs = append(c.addrs[:0], addr.Add(hdrOff+3), addr)
+	c.bufs = append(c.bufs[:0], c.idxByte[:], unlocked[:])
+	return c.dc.WriteBatch(c.addrs, c.bufs)
 }
 
 // writeLeaf allocates and writes a new leaf block, returning its tagged
@@ -407,17 +456,28 @@ func (c *Client) writeLeaf(key uint64, value []byte) (uint64, error) {
 	if len(value) != c.ix.opts.ValueSize {
 		return 0, fmt.Errorf("smartidx: value is %dB, index stores %dB", len(value), c.ix.opts.ValueSize)
 	}
-	buf := make([]byte, c.ix.leafSz)
-	binary.LittleEndian.PutUint64(buf[:8], key)
-	copy(buf[8:], value)
-	addr, err := c.alloc.Alloc(len(buf))
+	binary.LittleEndian.PutUint64(c.leaf[:8], key)
+	copy(c.leaf[8:], value)
+	addr, err := c.alloc.Alloc(len(c.leaf))
 	if err != nil {
 		return 0, err
 	}
-	if err := c.dc.Write(addr, buf); err != nil {
+	if err := c.dc.Write(addr, c.leaf); err != nil {
 		return 0, err
 	}
 	return packChild(addr, true, 0), nil
+}
+
+// writeNode lays a new node out in the client's build image and writes it
+// to freshly allocated remote memory.
+func (c *Client) writeNode(hdr header, src *node, extra ...slot) (dmsim.GAddr, error) {
+	img := c.build[:nodeSize(hdr.kind)]
+	encodeNode(img, hdr, src, extra...)
+	addr, err := c.alloc.Alloc(len(img))
+	if err != nil {
+		return dmsim.NilGAddr, err
+	}
+	return addr, c.dc.Write(addr, img)
 }
 
 // Insert adds or overwrites a key (upsert). The new leaf is written
@@ -436,11 +496,11 @@ func (c *Client) Insert(key uint64, value []byte) error {
 		return err
 	}
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		n, path, child, err := c.descend(key)
+		at, path, _, err := c.descend(key)
 		if err != nil {
 			return err
 		}
-		done, err := c.install(n, path, child, key, leafWord)
+		done, err := c.install(at, path, key, leafWord)
 		if err == errRestart {
 			c.obs.Retries.Inc()
 			c.backoff.Yield(c.dc)
@@ -456,23 +516,34 @@ func (c *Client) Insert(key uint64, value []byte) error {
 	return fmt.Errorf("smartidx: Insert(%#x) exhausted", key)
 }
 
-// install publishes leafWord for key at node n. It handles the four
-// structural cases: free slot, existing-leaf replacement or split,
-// prefix split, and node expansion.
-func (c *Client) install(n *node, path []step, observedChild uint64, key uint64, leafWord uint64) (bool, error) {
-	kb := keyBytes(key)
-	if err := c.lockNode(n.addr); err != nil {
-		return false, err
+// lockFresh locks the node at and re-reads it under the lock into the
+// client's locked set. errRestart (lock released, cached copy dropped)
+// means the node was replaced meanwhile.
+func (c *Client) lockFresh(at nodeRef) (*node, error) {
+	if err := c.lockNode(at.addr); err != nil {
+		return nil, err
 	}
-	fresh, err := c.readNodeRemote(n.addr, n.hdr.kind)
+	fresh, err := c.fetch(&c.locked, at.addr, at.kind)
 	if err != nil {
-		c.unlockNode(n.addr)
-		return false, err
+		c.unlockNode(at.addr)
+		return nil, err
 	}
 	if !fresh.hdr.valid {
-		c.unlockNode(n.addr)
-		c.cn.cacheDrop(n.addr)
-		return false, errRestart
+		c.unlockNode(at.addr)
+		c.cn.cacheDrop(at.addr)
+		return nil, errRestart
+	}
+	return fresh, nil
+}
+
+// install publishes leafWord for key at the node a descent ended on. It
+// handles the four structural cases: free slot, existing-leaf replacement
+// or split, prefix split, and node expansion.
+func (c *Client) install(at nodeRef, path []step, key uint64, leafWord uint64) (bool, error) {
+	kb := keyBytes(key)
+	fresh, err := c.lockFresh(at)
+	if err != nil {
+		return false, err
 	}
 
 	// Case C: the key diverges inside this node's compressed prefix.
@@ -483,78 +554,54 @@ func (c *Client) install(n *node, path []step, observedChild uint64, key uint64,
 
 	d := fresh.hdr.depth + fresh.hdr.prefixLen
 	if d >= 8 {
-		c.unlockNode(n.addr)
+		c.unlockNode(at.addr)
 		return false, fmt.Errorf("smartidx: key %#x: path exhausted at depth %d", key, d)
 	}
-	existing, ok := fresh.children[kb[d]]
+	existing, slotIdx := fresh.childAt(kb[d])
 
-	switch {
-	case !ok || existing == 0:
+	if existing == 0 {
 		// Case A: free slot.
-		if fresh.nSlots >= kindSlots[fresh.hdr.kind] {
-			err := c.expand(fresh, path, kb[d], leafWord)
+		children := fresh.count()
+		slotIdx = int(kb[d]) // Node256 slots are keybyte-indexed
+		if children < kindSlots[fresh.hdr.kind] && fresh.hdr.kind != kindN256 {
+			slotIdx = fresh.pickFreeSlot()
+		}
+		if children >= kindSlots[fresh.hdr.kind] || slotIdx < 0 {
+			err := c.expand(fresh, path, children, kb[d], leafWord)
 			return err == nil, err
 		}
-		var slotIdx int
-		var setIdx bool
-		if fresh.hdr.kind == kindN256 {
-			slotIdx = int(kb[d]) // Node256 slots are keybyte-indexed
-		} else {
-			slotIdx, setIdx = c.pickFreeSlot(fresh)
-			if slotIdx < 0 {
-				err := c.expand(fresh, path, kb[d], leafWord)
-				return err == nil, err
-			}
-		}
-		if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: leafWord, keyByte: kb[d]}, setIdx); err != nil {
+		if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: leafWord, keyByte: kb[d]}, true); err != nil {
 			return false, err
 		}
-		c.cn.cacheDrop(n.addr)
+		c.cn.cacheDrop(at.addr)
 		return true, nil
+	}
 
-	default:
-		addr, leaf, _ := unpackChild(existing)
-		if !leaf {
-			// The key belongs deeper; a subtree grew under this byte
-			// since our descent. Retry from the top.
-			c.unlockNode(n.addr)
-			c.cn.cacheDrop(n.addr)
-			return false, errRestart
-		}
-		exKey, _, err := c.readLeaf(addr)
-		if err != nil {
-			c.unlockNode(n.addr)
+	addr, leaf, _ := unpackChild(existing)
+	if !leaf {
+		// The key belongs deeper; a subtree grew under this byte
+		// since our descent. Retry from the top.
+		c.unlockNode(at.addr)
+		c.cn.cacheDrop(at.addr)
+		return false, errRestart
+	}
+	exKey, _, err := c.readLeaf(addr, c.leaf)
+	if err != nil {
+		c.unlockNode(at.addr)
+		return false, err
+	}
+	if exKey == key {
+		// Upsert: swap the leaf pointer in place.
+		if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: leafWord, keyByte: kb[d]}, false); err != nil {
 			return false, err
 		}
-		slotIdx := fresh.slotOf[kb[d]]
-		if exKey == key {
-			// Upsert: swap the leaf pointer in place.
-			if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: leafWord, keyByte: kb[d]}, false); err != nil {
-				return false, err
-			}
-			c.cn.cacheDrop(n.addr)
-			return true, nil
-		}
-		// Case B: two distinct keys share the path; grow a Node4 with
-		// the common suffix as its compressed prefix.
-		err = c.leafSplit(fresh, slotIdx, kb[d], d+1, exKey, existing, key, leafWord)
-		return err == nil, err
+		c.cn.cacheDrop(at.addr)
+		return true, nil
 	}
-}
-
-// pickFreeSlot returns a free slot index in a locked, fresh node image
-// (and whether the Node48 index byte must be set).
-func (c *Client) pickFreeSlot(n *node) (int, bool) {
-	used := make([]bool, kindSlots[n.hdr.kind])
-	for _, i := range n.slotOf {
-		used[i] = true
-	}
-	for i, u := range used {
-		if !u {
-			return i, n.hdr.kind == kindN48
-		}
-	}
-	return -1, false
+	// Case B: two distinct keys share the path; grow a Node4 with
+	// the common suffix as its compressed prefix.
+	err = c.leafSplit(fresh, slotIdx, kb[d], d+1, exKey, existing, key, leafWord)
+	return err == nil, err
 }
 
 // leafSplit replaces a leaf pointer with a new Node4 holding both the
@@ -570,19 +617,11 @@ func (c *Client) leafSplit(n *node, slotIdx int, kbyte byte, depth int, exKey ui
 		c.unlockNode(n.addr)
 		return fmt.Errorf("smartidx: identical key paths for distinct keys %#x %#x", exKey, key)
 	}
-	n4 := &node{
-		hdr:      header{kind: kindN4, depth: depth, prefixLen: common, valid: true},
-		children: map[byte]uint64{},
-	}
-	copy(n4.hdr.prefix[:], ka[depth:depth+common])
-	n4.children[ka[depth+common]] = exWord
-	n4.children[kn[depth+common]] = leafWord
-	addr, err := c.alloc.Alloc(nodeSize(kindN4))
+	hdr := header{kind: kindN4, depth: depth, prefixLen: common, valid: true}
+	copy(hdr.prefix[:], ka[depth:depth+common])
+	addr, err := c.writeNode(hdr, nil,
+		slot{child: exWord, keyByte: ka[depth+common]}, slot{child: leafWord, keyByte: kn[depth+common]})
 	if err != nil {
-		c.unlockNode(n.addr)
-		return err
-	}
-	if err := c.dc.Write(addr, encodeNode(n4)); err != nil {
 		c.unlockNode(n.addr)
 		return err
 	}
@@ -594,9 +633,10 @@ func (c *Client) leafSplit(n *node, slotIdx int, kbyte byte, depth int, exKey ui
 	return nil
 }
 
-// expand replaces a full node with the next kind up, adding the new
-// leaf, and swings the parent pointer. The old node is invalidated.
-func (c *Client) expand(n *node, path []step, kbyte byte, leafWord uint64) error {
+// expand replaces a full node (of `children` children) with the next
+// kind up, adding the new leaf, and swings the parent pointer. The old
+// node is invalidated.
+func (c *Client) expand(n *node, path []step, children int, kbyte byte, leafWord uint64) error {
 	c.obs.Splits.Inc()
 	if len(path) == 0 {
 		c.unlockNode(n.addr)
@@ -604,37 +644,25 @@ func (c *Client) expand(n *node, path []step, kbyte byte, leafWord uint64) error
 	}
 	parent := path[len(path)-1]
 
-	bigger := &node{
-		hdr:      n.hdr,
-		children: make(map[byte]uint64, n.nSlots+1),
-	}
-	bigger.hdr.kind = kindFor(n.nSlots + 1)
-	if bigger.hdr.kind <= n.hdr.kind {
-		bigger.hdr.kind = n.hdr.kind + 1
-	}
-	for kb, ch := range n.children {
-		bigger.children[kb] = ch
-	}
-	bigger.children[kbyte] = leafWord
-	newAddr, err := c.alloc.Alloc(nodeSize(bigger.hdr.kind))
+	bigger := n.hdr
+	bigger.kind = max(kindFor(children+1), n.hdr.kind+1)
+	newAddr, err := c.writeNode(bigger, n, slot{child: leafWord, keyByte: kbyte})
 	if err != nil {
 		c.unlockNode(n.addr)
 		return err
 	}
-	if err := c.dc.Write(newAddr, encodeNode(bigger)); err != nil {
-		c.unlockNode(n.addr)
-		return err
-	}
+	return c.replaceNode(n, parent, packChild(newAddr, false, bigger.kind))
+}
 
-	if err := c.swingParent(parent, n.addr, packChild(newAddr, false, bigger.hdr.kind)); err != nil {
+// replaceNode finishes a structural change that built a replacement for
+// the locked node n: the parent's pointer is swung to newWord, then n is
+// invalidated (header flag write) and its lock released.
+func (c *Client) replaceNode(n *node, parent step, newWord uint64) error {
+	if err := c.swingParent(parent, n.addr, newWord); err != nil {
 		c.unlockNode(n.addr)
 		return err
 	}
-	// Invalidate the old node (header flag write) and release its lock.
-	if err := c.dc.WriteBatch(
-		[]dmsim.GAddr{n.addr.Add(hdrOff + 3), n.addr},
-		[][]byte{{0}, make([]byte, 8)},
-	); err != nil {
+	if err := c.invalidateAndUnlock(n.addr); err != nil {
 		return err
 	}
 	c.cn.cacheDrop(n.addr)
@@ -653,51 +681,27 @@ func (c *Client) prefixSplit(n *node, path []step, p int, kb [8]byte, leafWord u
 	parent := path[len(path)-1]
 
 	// Adjusted copy of n with the prefix shortened past the split byte.
-	adj := &node{hdr: n.hdr, children: n.children}
-	adj.hdr.depth = n.hdr.depth + p + 1
-	adj.hdr.prefixLen = n.hdr.prefixLen - p - 1
-	var newPrefix [8]byte
-	copy(newPrefix[:], n.hdr.prefix[p+1:n.hdr.prefixLen])
-	adj.hdr.prefix = newPrefix
-	adjAddr, err := c.alloc.Alloc(nodeSize(adj.hdr.kind))
+	adj := n.hdr
+	adj.depth = n.hdr.depth + p + 1
+	adj.prefixLen = n.hdr.prefixLen - p - 1
+	adj.prefix = [8]byte{}
+	copy(adj.prefix[:], n.hdr.prefix[p+1:n.hdr.prefixLen])
+	adjAddr, err := c.writeNode(adj, n)
 	if err != nil {
 		c.unlockNode(n.addr)
 		return err
 	}
-	if err := c.dc.Write(adjAddr, encodeNode(adj)); err != nil {
-		c.unlockNode(n.addr)
-		return err
-	}
 
-	n4 := &node{
-		hdr:      header{kind: kindN4, depth: n.hdr.depth, prefixLen: p, valid: true},
-		children: map[byte]uint64{},
-	}
-	copy(n4.hdr.prefix[:], n.hdr.prefix[:p])
-	n4.children[n.hdr.prefix[p]] = packChild(adjAddr, false, adj.hdr.kind)
-	n4.children[kb[n.hdr.depth+p]] = leafWord
-	n4Addr, err := c.alloc.Alloc(nodeSize(kindN4))
+	n4 := header{kind: kindN4, depth: n.hdr.depth, prefixLen: p, valid: true}
+	copy(n4.prefix[:], n.hdr.prefix[:p])
+	n4Addr, err := c.writeNode(n4, nil,
+		slot{child: packChild(adjAddr, false, adj.kind), keyByte: n.hdr.prefix[p]},
+		slot{child: leafWord, keyByte: kb[n.hdr.depth+p]})
 	if err != nil {
 		c.unlockNode(n.addr)
 		return err
 	}
-	if err := c.dc.Write(n4Addr, encodeNode(n4)); err != nil {
-		c.unlockNode(n.addr)
-		return err
-	}
-
-	if err := c.swingParent(parent, n.addr, packChild(n4Addr, false, kindN4)); err != nil {
-		c.unlockNode(n.addr)
-		return err
-	}
-	if err := c.dc.WriteBatch(
-		[]dmsim.GAddr{n.addr.Add(hdrOff + 3), n.addr},
-		[][]byte{{0}, make([]byte, 8)},
-	); err != nil {
-		return err
-	}
-	c.cn.cacheDrop(n.addr)
-	return nil
+	return c.replaceNode(n, parent, packChild(n4Addr, false, kindN4))
 }
 
 // swingParent replaces the parent's child word oldAddr -> newWord under
@@ -706,13 +710,13 @@ func (c *Client) swingParent(parent step, oldAddr dmsim.GAddr, newWord uint64) e
 	if err := c.lockNode(parent.addr); err != nil {
 		return err
 	}
-	pn, err := c.readNodeRemote(parent.addr, parent.kind)
+	pn, err := c.fetch(&c.parent, parent.addr, parent.kind)
 	if err != nil {
 		c.unlockNode(parent.addr)
 		return err
 	}
-	cur, ok := pn.children[parent.kb]
-	if !ok || !pn.hdr.valid {
+	cur, slotIdx := pn.childAt(parent.kb)
+	if cur == 0 || !pn.hdr.valid {
 		c.unlockNode(parent.addr)
 		return errRestart
 	}
@@ -721,7 +725,6 @@ func (c *Client) swingParent(parent step, oldAddr dmsim.GAddr, newWord uint64) e
 		c.unlockNode(parent.addr)
 		return errRestart
 	}
-	slotIdx := pn.slotOf[parent.kb]
 	if err := c.writeSlotAndUnlock(pn, slotIdx, slot{child: newWord, keyByte: parent.kb}, false); err != nil {
 		return err
 	}
@@ -743,29 +746,7 @@ func (c *Client) Update(key uint64, value []byte) error {
 	if err != nil {
 		return err
 	}
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		n, _, child, err := c.descend(key)
-		if err != nil {
-			return err
-		}
-		if child == 0 {
-			return ErrNotFound
-		}
-		done, err := c.replaceLeaf(n, key, leafWord, false)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.backoff.Yield(c.dc)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		return ErrNotFound
-	}
-	return fmt.Errorf("smartidx: Update(%#x) exhausted", key)
+	return c.replaceLeafOf(key, leafWord, "Update")
 }
 
 // Delete removes a key by clearing its slot.
@@ -777,15 +758,21 @@ func (c *Client) Delete(key uint64) error {
 		fl.Begin(obs.OpDelete, c.dc.Now())
 		defer func() { fl.End(c.dc.Now()) }()
 	}
+	return c.replaceLeafOf(key, 0, "Delete")
+}
+
+// replaceLeafOf descends to key's leaf slot and swaps newWord into it (0
+// clears it), retrying while the tree changes under it.
+func (c *Client) replaceLeafOf(key uint64, newWord uint64, op string) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		n, _, child, err := c.descend(key)
+		at, _, child, err := c.descend(key)
 		if err != nil {
 			return err
 		}
 		if child == 0 {
 			return ErrNotFound
 		}
-		done, err := c.replaceLeaf(n, key, 0, true)
+		done, err := c.replaceLeaf(at, key, newWord)
 		if err == errRestart {
 			c.obs.Retries.Inc()
 			c.backoff.Yield(c.dc)
@@ -799,70 +786,54 @@ func (c *Client) Delete(key uint64) error {
 		}
 		return ErrNotFound
 	}
-	return fmt.Errorf("smartidx: Delete(%#x) exhausted", key)
+	return fmt.Errorf("smartidx: %s(%#x) exhausted", op, key)
 }
 
-// replaceLeaf swaps (or clears) the leaf slot for key under the node
-// lock. done=false (with nil error) means the key is absent.
-func (c *Client) replaceLeaf(n *node, key uint64, newWord uint64, clearing bool) (bool, error) {
+// replaceLeaf swaps newWord into the leaf slot for key under the node
+// lock; 0 clears the slot. done=false (with nil error) means the key is
+// absent.
+func (c *Client) replaceLeaf(at nodeRef, key uint64, newWord uint64) (bool, error) {
 	kb := keyBytes(key)
-	if err := c.lockNode(n.addr); err != nil {
-		return false, err
-	}
-	fresh, err := c.readNodeRemote(n.addr, n.hdr.kind)
+	fresh, err := c.lockFresh(at)
 	if err != nil {
-		c.unlockNode(n.addr)
 		return false, err
-	}
-	if !fresh.hdr.valid {
-		c.unlockNode(n.addr)
-		c.cn.cacheDrop(n.addr)
-		return false, errRestart
-	}
-	if prefixMatch(fresh.hdr, kb) < fresh.hdr.prefixLen {
-		c.unlockNode(n.addr)
-		return false, nil
 	}
 	d := fresh.hdr.depth + fresh.hdr.prefixLen
-	if d >= 8 {
-		c.unlockNode(n.addr)
+	if prefixMatch(fresh.hdr, kb) < fresh.hdr.prefixLen || d >= 8 {
+		c.unlockNode(at.addr)
 		return false, nil
 	}
-	child, ok := fresh.children[kb[d]]
-	if !ok || child == 0 {
-		c.unlockNode(n.addr)
+	child, slotIdx := fresh.childAt(kb[d])
+	if child == 0 {
+		c.unlockNode(at.addr)
 		return false, nil
 	}
 	addr, leaf, _ := unpackChild(child)
 	if !leaf {
-		c.unlockNode(n.addr)
-		c.cn.cacheDrop(n.addr)
+		c.unlockNode(at.addr)
+		c.cn.cacheDrop(at.addr)
 		return false, errRestart
 	}
-	exKey, _, err := c.readLeaf(addr)
+	exKey, _, err := c.readLeaf(addr, c.leaf)
 	if err != nil {
-		c.unlockNode(n.addr)
+		c.unlockNode(at.addr)
 		return false, err
 	}
 	if exKey != key {
-		c.unlockNode(n.addr)
+		c.unlockNode(at.addr)
 		return false, nil
 	}
-	slotIdx := fresh.slotOf[kb[d]]
-	s := slot{child: newWord, keyByte: kb[d]}
-	if clearing {
-		s = slot{child: 0, keyByte: kb[d]}
-	}
-	if err := c.writeSlotAndUnlock(fresh, slotIdx, s, false); err != nil {
+	if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: newWord, keyByte: kb[d]}, false); err != nil {
 		return false, err
 	}
-	if clearing && fresh.hdr.kind == kindN48 {
+	if newWord == 0 && fresh.hdr.kind == kindN48 {
 		// Clear the index byte too so the slot can be reused.
-		if err := c.dc.Write(n.addr.Add(uint64(n48IdxOff+int(kb[d]))), []byte{0}); err != nil {
+		c.idxByte[0] = 0
+		if err := c.dc.Write(at.addr.Add(uint64(n48IdxOff+int(kb[d]))), c.idxByte[:]); err != nil {
 			return false, err
 		}
 	}
-	c.cn.cacheDrop(n.addr)
+	c.cn.cacheDrop(at.addr)
 	return true, nil
 }
 
@@ -874,9 +845,9 @@ type KV = offroute.KV
 // lose YCSB E in the paper (§5.2).
 func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		var out []KV
+		sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
 		var acc [8]byte
-		err := c.scanNode(c.ix.root, kindN256, acc, start, count, &out)
+		err := c.scanNode(0, nodeRef{c.ix.root, kindN256}, acc, start, count, &sb)
 		if err == errRestart {
 			c.obs.Retries.Inc()
 			c.backoff.Yield(c.dc)
@@ -885,7 +856,7 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		return sb.Out, nil
 	}
 	return nil, fmt.Errorf("smartidx: Scan(%#x) exhausted", start)
 }
@@ -901,17 +872,24 @@ func subtreeMax(acc [8]byte, d int) uint64 {
 	return binary.BigEndian.Uint64(hi[:])
 }
 
-func (c *Client) scanNode(addr dmsim.GAddr, kind int, acc [8]byte, start uint64, count int, out *[]KV) error {
-	if len(*out) >= count {
+// scanNode appends the in-range leaves under the node at, level levels
+// below the root, in key order. A node the cache does not hold is
+// fetched into this level's own set: it must outlive the recursion into
+// its children.
+func (c *Client) scanNode(level int, at nodeRef, acc [8]byte, start uint64, count int, sb *offroute.ScanBuf) error {
+	if len(sb.Out) >= count {
 		return nil
 	}
-	n, _, err := c.getNode(addr, kind)
+	if level == len(c.scanLevels) {
+		c.scanLevels = append(c.scanLevels, nodeSet{})
+	}
+	n, _, err := c.getNode(&c.scanLevels[level], at.addr, at.kind)
 	if err != nil {
 		return err
 	}
 	if !n.hdr.valid {
-		c.cn.cacheDrop(addr)
-		n, err = c.readNodeRemote(addr, kind)
+		c.cn.cacheDrop(at.addr)
+		n, err = c.fetch(&c.scanLevels[level], at.addr, at.kind)
 		if err != nil {
 			return err
 		}
@@ -925,36 +903,30 @@ func (c *Client) scanNode(addr dmsim.GAddr, kind int, acc [8]byte, start uint64,
 	}
 	copy(acc[n.hdr.depth:], n.hdr.prefix[:n.hdr.prefixLen])
 	d := n.hdr.depth + n.hdr.prefixLen
-	kbs := make([]int, 0, len(n.children))
-	for kb := range n.children {
-		kbs = append(kbs, int(kb))
-	}
-	sort.Ints(kbs)
-	for _, kbi := range kbs {
-		if len(*out) >= count {
+	for kb, child := n.next(0); kb < 256; kb, child = n.next(kb + 1) {
+		if len(sb.Out) >= count {
 			return nil
 		}
 		if d < 8 {
-			acc[d] = byte(kbi)
+			acc[d] = byte(kb)
 			if subtreeMax(acc, d+1) < start {
 				continue // whole subtree below the scan start
 			}
 		}
-		child := n.children[byte(kbi)]
 		caddr, leaf, ckind := unpackChild(child)
 		if leaf {
-			k, v, err := c.readLeaf(caddr)
+			k, v, err := c.readLeaf(caddr, c.leaf)
 			if err != nil {
 				return err
 			}
 			if k >= start {
-				*out = append(*out, KV{Key: k, Value: v})
+				sb.Add(k, v)
 			}
 			continue
 		}
-		if err := c.scanNode(caddr, ckind, acc, start, count, out); err != nil {
+		if err := c.scanNode(level+1, nodeRef{caddr, ckind}, acc, start, count, sb); err != nil {
 			if err == errRestart {
-				c.cn.cacheDrop(addr)
+				c.cn.cacheDrop(at.addr)
 			}
 			return err
 		}

@@ -3,7 +3,7 @@ package smartidx
 import (
 	"encoding/binary"
 	"runtime"
-	"sort"
+	"sync"
 
 	"chime/internal/dmsim"
 )
@@ -26,24 +26,50 @@ const (
 	mnChainHops   = 10 // radix paths are at most 8 levels deep
 )
 
+// mnProgram implements dmsim.MNProgram for one SMART tree. Stateless
+// beyond the shared Index and a pool of per-invocation scratch, so one
+// value serves every MN and client.
 type mnProgram struct {
 	ix *Index
+
+	scratch sync.Pool // of *mnScratch
 }
 
-// readNode fetches and decodes a node through the metered view. A nil
-// node carries the fallback status.
-func (p *mnProgram) readNode(ctx *dmsim.MNCtx, addr dmsim.GAddr, kind int) (*node, dmsim.OffloadStatus) {
-	img := make([]byte, nodeSize(kind))
-	if !ctx.Read(addr, img) {
+// mnScratch is what one invocation of the program reads into: the nodes
+// of each level of its walk (a scan's recursion keeps one per level; a
+// search reads them all into level 0, one at a time) and a leaf block.
+type mnScratch struct {
+	levels []nodeSet
+	leaf   []byte
+}
+
+// acquire takes a scratch for one invocation; the caller defers release.
+func (p *mnProgram) acquire() *mnScratch {
+	if s, _ := p.scratch.Get().(*mnScratch); s != nil {
+		return s
+	}
+	return &mnScratch{levels: make([]nodeSet, 1), leaf: make([]byte, p.ix.leafSz)}
+}
+
+func (p *mnProgram) release(s *mnScratch) { p.scratch.Put(s) }
+
+// readNode fetches a node through the metered view into set. A nil node
+// carries the fallback status.
+func (p *mnProgram) readNode(ctx *dmsim.MNCtx, set *nodeSet, addr dmsim.GAddr, kind int) (*node, dmsim.OffloadStatus) {
+	n := set.take(kind)
+	if !ctx.Read(addr, n.img) {
 		return nil, dmsim.OffloadCrossMN
 	}
-	return decodeNode(addr, img), dmsim.OffloadOK
+	n.arrived(addr)
+	return n, dmsim.OffloadOK
 }
 
 // Search: radix descent plus leaf read, MN-local. Invalidated nodes are
 // observed fresh on every read (there is no MN-side cache), so a
 // restart simply re-descends from the root.
 func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatus {
+	s := p.acquire()
+	defer p.release(s)
 	kb := keyBytes(key)
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
 		restart := false
@@ -51,7 +77,7 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 		var leafAddr dmsim.GAddr
 		found := false
 		for hop := 0; hop < mnChainHops; hop++ {
-			n, st := p.readNode(ctx, cur, kind)
+			n, st := p.readNode(ctx, &s.levels[0], cur, kind)
 			if n == nil {
 				return st
 			}
@@ -66,8 +92,8 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 			if d >= 8 {
 				return dmsim.OffloadNotFound
 			}
-			child, ok := n.children[kb[d]]
-			if !ok || child == 0 {
+			child, _ := n.childAt(kb[d])
+			if child == 0 {
 				return dmsim.OffloadNotFound
 			}
 			addr, leaf, ckind := unpackChild(child)
@@ -84,16 +110,15 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 		if !found {
 			return dmsim.OffloadRetry
 		}
-		buf := make([]byte, p.ix.leafSz)
-		if !ctx.Read(leafAddr, buf) {
+		if !ctx.Read(leafAddr, s.leaf) {
 			return dmsim.OffloadCrossMN
 		}
-		if binary.LittleEndian.Uint64(buf[:8]) != key {
+		if binary.LittleEndian.Uint64(s.leaf[:8]) != key {
 			// Stale slot: a concurrent structural change moved the key.
 			runtime.Gosched()
 			continue
 		}
-		if !ctx.Emit(buf[8:]) {
+		if !ctx.Emit(s.leaf[8:]) {
 			return dmsim.OffloadRetry
 		}
 		return dmsim.OffloadOK
@@ -114,10 +139,12 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 	if limit <= 0 {
 		return dmsim.OffloadOK
 	}
+	s := p.acquire()
+	defer p.release(s)
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
 		emitted := 0
 		var acc [8]byte
-		st, restart := p.scanNode(ctx, p.ix.root, kindN256, acc, start, limit, &emitted)
+		st, restart := p.scanNode(ctx, s, 0, nodeRef{p.ix.root, kindN256}, acc, start, limit, &emitted)
 		if restart {
 			if emitted > 0 {
 				return dmsim.OffloadRetry
@@ -130,11 +157,17 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 	return dmsim.OffloadRetry
 }
 
-func (p *mnProgram) scanNode(ctx *dmsim.MNCtx, addr dmsim.GAddr, kind int, acc [8]byte, start uint64, limit int, emitted *int) (dmsim.OffloadStatus, bool) {
+// scanNode emits the in-range leaves under the node at, level levels
+// below the root, in key order; the node is read into that level's set,
+// so it outlives the recursion into its children.
+func (p *mnProgram) scanNode(ctx *dmsim.MNCtx, s *mnScratch, level int, at nodeRef, acc [8]byte, start uint64, limit int, emitted *int) (dmsim.OffloadStatus, bool) {
 	if *emitted >= limit {
 		return dmsim.OffloadOK, false
 	}
-	n, st := p.readNode(ctx, addr, kind)
+	if level == len(s.levels) {
+		s.levels = append(s.levels, nodeSet{})
+	}
+	n, st := p.readNode(ctx, &s.levels[level], at.addr, at.kind)
 	if n == nil {
 		return st, false
 	}
@@ -143,23 +176,17 @@ func (p *mnProgram) scanNode(ctx *dmsim.MNCtx, addr dmsim.GAddr, kind int, acc [
 	}
 	copy(acc[n.hdr.depth:], n.hdr.prefix[:n.hdr.prefixLen])
 	d := n.hdr.depth + n.hdr.prefixLen
-	kbs := make([]int, 0, len(n.children))
-	for kb := range n.children {
-		kbs = append(kbs, int(kb))
-	}
-	sort.Ints(kbs)
-	rec := make([]byte, p.ix.leafSz)
-	for _, kbi := range kbs {
+	rec := s.leaf
+	for kb, child := n.next(0); kb < 256; kb, child = n.next(kb + 1) {
 		if *emitted >= limit {
 			return dmsim.OffloadOK, false
 		}
 		if d < 8 {
-			acc[d] = byte(kbi)
+			acc[d] = byte(kb)
 			if subtreeMax(acc, d+1) < start {
 				continue // whole subtree below the scan start
 			}
 		}
-		child := n.children[byte(kbi)]
 		caddr, leaf, ckind := unpackChild(child)
 		if leaf {
 			// A leaf block is [8B key][value] — already the record
@@ -176,7 +203,7 @@ func (p *mnProgram) scanNode(ctx *dmsim.MNCtx, addr dmsim.GAddr, kind int, acc [
 			}
 			continue
 		}
-		st, restart := p.scanNode(ctx, caddr, ckind, acc, start, limit, emitted)
+		st, restart := p.scanNode(ctx, s, level+1, nodeRef{caddr, ckind}, acc, start, limit, emitted)
 		if restart || st != dmsim.OffloadOK {
 			return st, restart
 		}

@@ -197,85 +197,200 @@ func keyBytes(key uint64) [8]byte {
 	return b
 }
 
-// node is a decoded internal node.
+// node is a fetched internal node: its header, decoded on arrival, and
+// the image it came in, which children are looked up and counted in
+// where they lie.
+// A node the CN cache holds is immutable and shared; any other belongs
+// to the nodeSet it was fetched into and is good until that owner's next
+// fetch (DESIGN.md §3): take what you need from it first.
 type node struct {
 	addr dmsim.GAddr
 	hdr  header
-	// children maps keybyte -> packed child (tagged); absent = none.
-	children map[byte]uint64
-	// slotOf maps keybyte -> slot index (for in-place updates).
-	slotOf map[byte]int
-	nSlots int // occupied slots
+	img  []byte // nodeSize(hdr.kind) bytes, lock word included
 }
 
-func decodeNode(addr dmsim.GAddr, img []byte) *node {
-	h := decodeHeader(img)
-	n := &node{
-		addr:     addr,
-		hdr:      h,
-		children: make(map[byte]uint64),
-		slotOf:   make(map[byte]int),
-	}
-	switch h.kind {
-	case kindN48:
+// arrived decodes the header of the image just read into n from addr.
+func (n *node) arrived(addr dmsim.GAddr) {
+	n.addr, n.hdr = addr, decodeHeader(n.img)
+}
+
+// count returns the number of children: for a Node48 the key bytes whose
+// index entry names an occupied slot, otherwise the occupied slots. Only
+// a writer deciding whether the node is full asks.
+//
+//chime:noalloc
+func (n *node) count() int {
+	c := 0
+	if n.hdr.kind == kindN48 {
 		for kb := 0; kb < 256; kb++ {
-			si := img[n48IdxOff+kb]
-			if si == 0 {
-				continue
-			}
-			s := decodeSlot(img, h.kind, int(si-1))
-			if s.child != 0 {
-				n.children[byte(kb)] = s.child
-				n.slotOf[byte(kb)] = int(si - 1)
-				n.nSlots++
+			if w, _ := n.childAt(byte(kb)); w != 0 {
+				c++
 			}
 		}
-	case kindN256:
-		for i := 0; i < 256; i++ {
-			s := decodeSlot(img, h.kind, i)
-			if s.child != 0 {
-				n.children[byte(i)] = s.child
-				n.slotOf[byte(i)] = i
-				n.nSlots++
-			}
-		}
-	default:
-		for i := 0; i < kindSlots[h.kind]; i++ {
-			s := decodeSlot(img, h.kind, i)
-			if s.child != 0 {
-				n.children[s.keyByte] = s.child
-				n.slotOf[s.keyByte] = i
-				n.nSlots++
-			}
+		return c
+	}
+	for i := 0; i < kindSlots[n.hdr.kind]; i++ {
+		if n.word(i) != 0 {
+			c++
 		}
 	}
-	return n
+	return c
 }
 
-// encodeNode builds a fresh image for a node from its decoded form.
-func encodeNode(n *node) []byte {
-	img := make([]byte, nodeSize(n.hdr.kind))
-	encodeHeader(img, n.hdr)
+// word reads slot i's child word in place.
+//
+//chime:noalloc
+func (n *node) word(i int) uint64 {
+	off := slotOff(n.hdr.kind, i)
+	return binary.LittleEndian.Uint64(n.img[off : off+8])
+}
+
+// childAt looks key byte kb up where the node lies: the packed child
+// word (0 = none) and the slot holding it. Node256 slots are indexed by
+// key byte, a Node48's through its 256-byte index, and the up to 16
+// records of the small kinds are searched (from the last, so the slot a
+// key byte was last installed in wins, as it did when nodes were decoded
+// into a map).
+//
+//chime:noalloc
+func (n *node) childAt(kb byte) (word uint64, slot int) {
 	switch n.hdr.kind {
-	case kindN48:
-		i := 0
-		for kb, ch := range n.children {
-			encodeSlot(img, kindN48, i, slot{child: ch, keyByte: kb})
-			img[n48IdxOff+int(kb)] = byte(i + 1)
-			i++
-		}
 	case kindN256:
-		for kb, ch := range n.children {
-			encodeSlot(img, kindN256, int(kb), slot{child: ch, keyByte: kb})
+		return n.word(int(kb)), int(kb)
+	case kindN48:
+		si := int(n.img[n48IdxOff+int(kb)])
+		if si == 0 {
+			return 0, -1
 		}
-	default:
-		i := 0
-		for kb, ch := range n.children {
-			encodeSlot(img, n.hdr.kind, i, slot{child: ch, keyByte: kb})
-			i++
+		return n.word(si - 1), si - 1
+	}
+	for i := kindSlots[n.hdr.kind] - 1; i >= 0; i-- {
+		off := slotOff(n.hdr.kind, i)
+		if n.img[off+8] == kb {
+			if w := binary.LittleEndian.Uint64(n.img[off : off+8]); w != 0 {
+				return w, i
+			}
 		}
 	}
-	return img
+	return 0, -1
+}
+
+// next returns the smallest key byte >= from that has a child, with its
+// word, or (256, 0): `for kb, w := n.next(0); kb < 256; kb, w =
+// n.next(kb + 1)` walks the children in ascending key-byte order, which
+// is radix order — what a scan needs, and what makes every node laid out
+// from such a walk a function of its contents.
+//
+//chime:noalloc
+func (n *node) next(from int) (kb int, word uint64) {
+	if n.hdr.kind >= kindN48 {
+		for kb := from; kb < 256; kb++ {
+			if w, _ := n.childAt(byte(kb)); w != 0 {
+				return kb, w
+			}
+		}
+		return 256, 0
+	}
+	kb = 256
+	for i := 0; i < kindSlots[n.hdr.kind]; i++ {
+		off := slotOff(n.hdr.kind, i)
+		if b := int(n.img[off+8]); b >= from && b <= kb {
+			if w := binary.LittleEndian.Uint64(n.img[off : off+8]); w != 0 {
+				kb, word = b, w
+			}
+		}
+	}
+	return kb, word
+}
+
+// pickFreeSlot returns the first slot of a Node4/16/48 whose child word
+// is 0, or -1 when the node is full.
+//
+//chime:noalloc
+func (n *node) pickFreeSlot() int {
+	for i := 0; i < kindSlots[n.hdr.kind]; i++ {
+		if n.word(i) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// encodeNode lays a node of kind hdr.kind out in img (nodeSize bytes):
+// the header, then the children of src (nil for none) and the extra
+// slots — an extra replaces src's child under the same key byte — in
+// ascending key-byte order, so the image is a function of the node's
+// contents and never of how they were collected.
+func encodeNode(img []byte, hdr header, src *node, extra ...slot) {
+	var words [256]uint64
+	if src != nil {
+		for kb, w := src.next(0); kb < 256; kb, w = src.next(kb + 1) {
+			words[kb] = w
+		}
+	}
+	for _, s := range extra {
+		words[s.keyByte] = s.child
+	}
+	clear(img)
+	encodeHeader(img, hdr)
+	i := 0
+	for kb, w := range words {
+		if w == 0 {
+			continue
+		}
+		at := i
+		if hdr.kind == kindN256 {
+			at = kb // Node256 slots are keybyte-indexed
+		}
+		encodeSlot(img, hdr.kind, at, slot{child: w, keyByte: byte(kb)})
+		if hdr.kind == kindN48 {
+			img[n48IdxOff+kb] = byte(i + 1)
+		}
+		i++
+	}
+}
+
+// nodeSet is one owner's fetched nodes: at most one per kind, each with
+// an image sized to its kind, refilled by the owner's next fetch of that
+// kind. What the owner may rely on is less: a node is good until its
+// owner's next fetch of any kind (poisonRecycled holds it to that).
+type nodeSet [4]*node
+
+// poisonRecycled makes take scribble over every node its set holds and
+// hand out a fresh one, so anything read from a node after its owner
+// fetched another is a5a5… (an invalid node at depth 165 with 0xa5…
+// children) instead of a plausible neighbour. Only the package's tests
+// set it (TestMain).
+var poisonRecycled bool
+
+const poisonByte = 0xA5
+
+// take readies the set's node of the given kind for its next fill.
+func (s *nodeSet) take(kind int) *node {
+	if poisonRecycled {
+		for k, n := range s {
+			if n != nil {
+				for i := range n.img {
+					n.img[i] = poisonByte
+				}
+				n.hdr, s[k] = decodeHeader(n.img), nil
+			}
+		}
+	}
+	if s[kind] == nil {
+		s[kind] = &node{img: make([]byte, nodeSize(kind))}
+	}
+	return s[kind]
+}
+
+// gone tells the set the CN cache took n: its next fetch of that kind
+// gets a new image.
+func (s *nodeSet) gone(n *node) {
+	for k := range s {
+		if s[k] == n {
+			s[k] = nil
+		}
+	}
 }
 
 // grow returns the next node kind able to hold count children.

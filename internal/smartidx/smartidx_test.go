@@ -64,25 +64,54 @@ func TestNodeGeometry(t *testing.T) {
 
 func TestNodeCodecRoundTrip(t *testing.T) {
 	for kind := kindN4; kind <= kindN256; kind++ {
-		n := &node{
-			hdr:      header{kind: kind, depth: 2, prefixLen: 3, valid: true},
-			children: map[byte]uint64{},
-		}
-		copy(n.hdr.prefix[:], []byte{9, 8, 7})
+		hdr := header{kind: kind, depth: 2, prefixLen: 3, valid: true}
+		copy(hdr.prefix[:], []byte{9, 8, 7})
+		want := map[byte]uint64{}
+		var slots []slot
 		for i := 0; i < kindSlots[kind] && i < 40; i++ {
-			n.children[byte(i*5)] = packChild(dmsim.GAddr{Off: uint64(64 + i*64)}, i%2 == 0, kindN16)
+			// Descending key bytes: the layout must not depend on the order
+			// the children were handed over in.
+			kb := byte(200 - i*5)
+			want[kb] = packChild(dmsim.GAddr{Off: uint64(64 + i*64)}, i%2 == 0, kindN16)
+			slots = append(slots, slot{child: want[kb], keyByte: kb})
 		}
-		img := encodeNode(n)
-		got := decodeNode(dmsim.GAddr{Off: 1}, img)
-		if got.hdr.kind != kind || got.hdr.depth != 2 || got.hdr.prefixLen != 3 || !got.hdr.valid {
+		got := &node{img: make([]byte, nodeSize(kind))}
+		encodeNode(got.img, hdr, nil, slots...)
+		got.arrived(dmsim.GAddr{Off: 1})
+		if got.hdr != hdr {
 			t.Fatalf("kind %d: header %+v", kind, got.hdr)
 		}
-		if len(got.children) != len(n.children) {
-			t.Fatalf("kind %d: %d children, want %d", kind, len(got.children), len(n.children))
+		if got.count() != len(want) {
+			t.Fatalf("kind %d: %d children, want %d", kind, got.count(), len(want))
 		}
-		for kb, ch := range n.children {
-			if got.children[kb] != ch {
+		for kb, ch := range want {
+			if w, _ := got.childAt(kb); w != ch {
 				t.Fatalf("kind %d: child %d mismatch", kind, kb)
+			}
+		}
+		// Re-encoding a node from itself, into another kind too, keeps its
+		// children and lays them out in ascending key-byte order.
+		for to := kind; to <= kindN256; to++ {
+			hdr.kind = to
+			again := &node{img: make([]byte, nodeSize(to))}
+			encodeNode(again.img, hdr, got)
+			again.arrived(dmsim.GAddr{Off: 2})
+			ref := refDecodeNode(again.addr, again.img)
+			if !sameChildren(again, ref) || len(ref.children) != len(want) {
+				t.Fatalf("kind %d -> %d: children changed", kind, to)
+			}
+			for kb, ch := range want {
+				if ref.children[kb] != ch {
+					t.Fatalf("kind %d -> %d: child %d changed", kind, to, kb)
+				}
+			}
+			last := -1
+			for i := 0; to < kindN256 && i < again.count(); i++ {
+				s := decodeSlot(again.img, to, i)
+				if s.child == 0 || int(s.keyByte) <= last {
+					t.Fatalf("kind %d -> %d: slot %d holds key byte %d after %d", kind, to, i, s.keyByte, last)
+				}
+				last = int(s.keyByte)
 			}
 		}
 	}
