@@ -46,6 +46,7 @@ race:
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
 	$(GO) test -race -cpu 1,2 -count=5 ./internal/rdwc/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestMNReadLineAtomicity|TestStraddlingAtomicVsWrite|TestWriterNotStarvedByReaders' ./internal/dmsim/
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'Wait|Signal|Suspend|Gate|Chain|CrossLane|TestNIC' ./internal/dmsim/
 
 # The seeded chaos suite alone (crash recovery invariants across all
 # four systems), under the race detector.
@@ -85,8 +86,8 @@ bench-core:
 # so the rule is one pattern; the two variables below hold what differs.
 # offload and attribution build every point fresh and run it twice (a
 # few minutes); scale runs the full 1k-100k client sweep at its own
-# sizes with determinism double-runs (a couple of minutes, the gate rows
-# at 10k are most of it); attribution also writes its sample timeline.
+# sizes, every point twice and bit-identical or the run fails (about a
+# minute); attribution also writes its sample timeline.
 BENCH_ARGS_scale       := -verify
 BENCH_ARGS_attribution := -scale small -timeline-json BENCH_TIMELINE.json
 BENCH_JSON_attribution := BENCH_ATTRIB.json
@@ -97,5 +98,5 @@ bench-%:
 # CPU-profile the 100k-client capacity point and drop into pprof.
 profile:
 	$(GO) build -o /tmp/chime-bench ./cmd/chime-bench
-	/tmp/chime-bench -run scale -sweep 100000 -gate-cap 1 -cpuprofile scale-cpu.pprof
+	/tmp/chime-bench -run scale -sweep 100000 -cpuprofile scale-cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 /tmp/chime-bench scale-cpu.pprof

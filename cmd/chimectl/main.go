@@ -163,7 +163,7 @@ func main() {
 
 	if fr := observer.FlightReport(); fr != nil {
 		rows := bench.AttributionRows{{
-			Section: "attrib", Scheduler: bench.SchedulerName(fabric.Config().Scheduler), System: *index, Mix: mix.Name,
+			Section: "attrib", System: *index, Mix: mix.Name,
 			Clients: res.Clients, Ops: res.Ops, ThroughputMops: res.ThroughputMops,
 			P50Us: res.P50Us, P99Us: res.P99Us, Attribution: fr.Attribution,
 		}}
@@ -259,7 +259,7 @@ func runReport(paths []string) {
 				break
 			}
 			rows := bench.AttributionRows{{
-				Section: "attrib", Scheduler: "-", System: "-", Mix: "-",
+				Section: "attrib", System: "-", Mix: "-",
 				Attribution: flight.Attribution,
 			}}
 			fmt.Print((&bench.Table{Rows: rows}).Text())

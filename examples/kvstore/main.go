@@ -59,8 +59,8 @@ func main() {
 	}
 
 	// Measured phase: every client on both CNs runs YCSB B with Zipfian
-	// skew. Clients are created up front and join the fabric's time
-	// gate so the virtual-time throughput is meaningful.
+	// skew. Clients are created up front and join the fabric's cohort
+	// so the virtual-time throughput is meaningful.
 	type out struct {
 		ops   int
 		durNs int64
@@ -82,6 +82,7 @@ func main() {
 		go func(idx int, cl *core.Client) {
 			defer wg.Done()
 			defer cl.DM().LeaveCohort()
+			cl.DM().Sync() // run in the cohort scheduler's order from the first op
 			r := rand.New(rand.NewSource(int64(idx)))
 			zip := ycsb.NewZipfian(loadItems, 0.99)
 			start := cl.DM().Now()

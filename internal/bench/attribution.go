@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"chime/internal/dmsim"
 	"chime/internal/obs"
 	"chime/internal/ycsb"
 )
@@ -18,61 +17,40 @@ import (
 //	         shares, slowest-op exemplars, and the virtual-time timeline.
 //	         The shares must explain >= 95% of measured latency (pinned
 //	         by TestAttributionCoverage).
-//	pin    — the zero-perturbation guarantee: deterministic points run
-//	         twice from fresh builds, recorder off then on, per
-//	         scheduler; the run fingerprints (Result + NIC + MN-CPU +
-//	         frontier state) must be bit-identical. Recording observes
-//	         clock deltas dmsim already computed, so it can never move a
-//	         clock — this section proves it, per system and scheduler.
+//	pin    — the zero-perturbation guarantee: points run twice from
+//	         fresh builds, recorder off then on; the run fingerprints
+//	         (Result + NIC + MN-CPU + frontier state) must be
+//	         bit-identical. Recording observes clock deltas dmsim already
+//	         computed, so it can never move a clock — this section
+//	         proves it, per system.
 //
-// The pin section reuses the offload experiment's determinism recipe —
-// single-threaded bulk load, and for multi-client points a cold CN
-// cache plus no RDWC — but it needs one notch more than "double runs
-// reproduce": the off and on runs do DIFFERENT host work by design, so
-// a pin point must be interleaving-INDEPENDENT, not merely stable.
-// Gate mode fails that bar with concurrent clients: every client's
-// verbs funnel through the single NIC shard, whose queueing recurrence
-// resolves same-window arrivals in host lock-acquisition order, so a
-// GC pause shifted by the recorder's own allocations can legally
-// reorder arrivals and move virtual time. Gate pins therefore run one
-// client (a fully sequential virtual trajectory); the event loop keeps
-// the multi-client point, because its lane-private NIC shards decouple
-// the clients' virtual clocks no matter how the host schedules them.
-// The attrib section has no such restriction — contended writes are
-// exactly the regime whose tail is worth attributing — so it reports
-// no fingerprints.
-
-// attribPinMix is the pin section's read-only workload: uniform point
-// reads commute, so double runs are bit-identical.
-var attribPinMix = ycsb.Mix{Name: "Cu", ReadPct: 1.0, Dist: ycsb.DistUniform}
+// The off and on runs of a pin point do DIFFERENT host work by design,
+// so a pin point must be interleaving-INDEPENDENT, not merely stable
+// from run to run. Under the cohort scheduler every point is: a
+// cohort's virtual time is a function of its clocks, whatever the host
+// does meanwhile (a GC pause shifted by the recorder's own allocations
+// included). The pins are therefore the contended points themselves:
+// both attrib mixes at the scale's client count, CN cache, hotspot
+// buffer and RDWC on.
 
 // attribTopK bounds the slowest-exemplar capture per op class (the
 // recorder default is 8; 4 keeps the artifact small).
 const attribTopK = 4
 
-// pinPoints returns the pin section's zero-perturbation double-run
-// points for one scheduler: one read-only cold point and one
-// write-bearing single-client point. The cold point is multi-client
-// only under the event loop, whose lane-private NIC shards keep
-// concurrent clients' virtual clocks decoupled from host scheduling;
-// gate mode shares one NIC shard across the cohort and resolves
-// same-window arrivals in host lock order, so its cold pin runs a single
-// client (see the package comment for the full argument).
-func pinPoints(sched dmsim.SchedulerKind, sc Scale) []point {
-	coldClients := 1
-	if sched == dmsim.SchedulerEventLoop {
-		coldClients = 4
-	}
+// attribPoints returns the experiment's points: the contended 50/50
+// update mix A and the read-only mix C at the scale's client count. The
+// attrib section records them; the pin section runs them recorder off
+// and on.
+func attribPoints(sc Scale) []point {
 	return []point{
-		{sched: sched, mix: attribPinMix, cold: true, clients: coldClients, ops: sc.Ops / 2, seed: 23},
-		{sched: sched, mix: ycsb.WorkloadA, clients: 1, ops: sc.Ops / 4, seed: 23},
+		{mix: ycsb.WorkloadA, clients: sc.Clients, ops: sc.Ops, seed: 23},
+		{mix: ycsb.WorkloadC, clients: sc.Clients, ops: sc.Ops, seed: 23},
 	}
 }
 
 // AttributionRow is one measured point (BENCH_ATTRIB.json).
 type AttributionRow struct {
 	Section        string  `json:"section"`
-	Scheduler      string  `json:"scheduler"`
 	System         string  `json:"system"`
 	Mix            string  `json:"mix"`
 	Clients        int     `json:"clients"`
@@ -102,62 +80,45 @@ func (p point) recorded(name string, sc Scale, record bool) (Result, *FlightSect
 	return r, sc.Obs.FlightReport(), fp, err
 }
 
-// runAttribution measures both sections for every system. It returns
-// the rows plus one sample timeline (the first system's contended
-// point) for the committed timeline artifact.
+// runAttribution measures both sections for every system: each point
+// runs from a fresh build with the recorder off, then on. The recorded
+// run is the attrib row; the pair is the pin row. It returns the rows
+// plus one sample timeline (the first system's contended point) for the
+// committed timeline artifact.
 func runAttribution(sc Scale) (AttributionRows, *obs.TimelineReport, error) {
-	var rows AttributionRows
+	var attrib, pins AttributionRows
 	var sample *obs.TimelineReport
-	row := func(section string, pt point, name string, r Result, fs *FlightSection) AttributionRow {
-		return AttributionRow{
-			Section:        section,
-			Scheduler:      SchedulerName(pt.sched),
-			System:         name,
-			Mix:            pt.mix.Name,
-			Clients:        r.Clients,
-			Ops:            r.Ops,
-			ThroughputMops: r.ThroughputMops,
-			P50Us:          r.P50Us,
-			P99Us:          r.P99Us,
-			Attribution:    fs.Attribution,
-		}
-	}
-
-	// attrib: contended zipfian points, recorder on, first scheduler.
 	for _, name := range HeadToHeadSystems {
-		for _, mix := range []ycsb.Mix{ycsb.WorkloadA, ycsb.WorkloadC} {
-			pt := point{sched: bothSchedulers[0], mix: mix, clients: sc.Clients, ops: sc.Ops, seed: 23}
-			r, fs, _, err := pt.recorded(name, sc, true)
+		for _, pt := range attribPoints(sc) {
+			_, _, fpOff, err := pt.recorded(name, sc, false)
 			if err != nil {
-				return nil, nil, fmt.Errorf("attribution %s/%s: %w", name, mix.Name, err)
+				return nil, nil, fmt.Errorf("attribution %s/%s recorder off: %w", name, pt.mix.Name, err)
 			}
-			rows = append(rows, row("attrib", pt, name, r, fs))
+			r, fs, fpOn, err := pt.recorded(name, sc, true)
+			if err != nil {
+				return nil, nil, fmt.Errorf("attribution %s/%s recorder on: %w", name, pt.mix.Name, err)
+			}
+			row := AttributionRow{
+				Section:        "attrib",
+				System:         name,
+				Mix:            pt.mix.Name,
+				Clients:        r.Clients,
+				Ops:            r.Ops,
+				ThroughputMops: r.ThroughputMops,
+				P50Us:          r.P50Us,
+				P99Us:          r.P99Us,
+				Attribution:    fs.Attribution,
+			}
+			attrib = append(attrib, row)
+			row.Section, row.Attribution = "pin", obs.AttributionReport{}
+			row.FingerprintOff, row.FingerprintOn, row.Unperturbed = fpOff, fpOn, fpOff == fpOn
+			pins = append(pins, row)
 			if sample == nil {
 				sample = &fs.Timeline
 			}
 		}
 	}
-
-	// pin: zero-perturbation double runs per scheduler, recorder off then
-	// on, from fresh builds.
-	for _, sched := range bothSchedulers {
-		for _, name := range HeadToHeadSystems {
-			for _, pt := range pinPoints(sched, sc) {
-				rOff, _, fpOff, err := pt.recorded(name, sc, false)
-				if err != nil {
-					return nil, nil, fmt.Errorf("attribution pin %s/%s/%s off: %w", SchedulerName(sched), name, pt.mix.Name, err)
-				}
-				_, fs, fpOn, err := pt.recorded(name, sc, true)
-				if err != nil {
-					return nil, nil, fmt.Errorf("attribution pin %s/%s/%s on: %w", SchedulerName(sched), name, pt.mix.Name, err)
-				}
-				pin := row("pin", pt, name, rOff, fs)
-				pin.FingerprintOff, pin.FingerprintOn, pin.Unperturbed = fpOff, fpOn, fpOff == fpOn
-				rows = append(rows, pin)
-			}
-		}
-	}
-	return rows, sample, nil
+	return append(attrib, pins...), sample, nil
 }
 
 // AttributionRows is the experiment's table (chimectl also renders its
@@ -196,7 +157,7 @@ func (rows AttributionRows) grids(t *Table) []grid {
 	phases := rows.phaseColumns()
 	shares := func(title string) grid {
 		g := grid{title: "## " + title + "\n", cols: []col{
-			{"sched", "%-6s"}, {"system", "%-8s"}, {"mix", "%-4s"}, {"class", "%-11s"},
+			{"system", "%-8s"}, {"mix", "%-4s"}, {"class", "%-11s"},
 			{"ops", "%8d"}, {"mean(us)", "%9.1f"}, {"p99(us)", "%9.1f"}, {"cov%", "%5.1f%%"},
 		}}
 		for _, ph := range phases {
@@ -208,16 +169,16 @@ func (rows AttributionRows) grids(t *Table) []grid {
 	tail := shares("p99-tail attribution (ops at and above the p99 bucket)")
 	tail.title = "\n" + tail.title
 	pin := grid{title: "\n## Zero-perturbation pin (recorder off vs on, fresh builds)\n", cols: []col{
-		{"", "%-6s"}, {"", "%-8s"}, {"", "%-4s"}, {"", "clients=%-3d"}, {"", "off=%s"}, {"", "on=%s"}, {"", "unperturbed=%t"},
+		{"", "%-8s"}, {"", "%-4s"}, {"", "clients=%-3d"}, {"", "off=%s"}, {"", "on=%s"}, {"", "unperturbed=%t"},
 	}}
 	for _, r := range rows {
 		if r.Section == "pin" {
-			pin.rows = append(pin.rows, []any{r.Scheduler, r.System, r.Mix, r.Clients, r.FingerprintOff, r.FingerprintOn, r.Unperturbed})
+			pin.rows = append(pin.rows, []any{r.System, r.Mix, r.Clients, r.FingerprintOff, r.FingerprintOn, r.Unperturbed})
 			continue
 		}
 		for _, ca := range r.Attribution.Classes {
 			line := func(coverage float64, share obs.PhaseShare) []any {
-				cells := []any{r.Scheduler, r.System, r.Mix, ca.Class, ca.Ops, ca.MeanNs / 1e3, float64(ca.P99Ns) / 1e3, coverage * 100}
+				cells := []any{r.System, r.Mix, ca.Class, ca.Ops, ca.MeanNs / 1e3, float64(ca.P99Ns) / 1e3, coverage * 100}
 				for _, ph := range phases {
 					cells = append(cells, share[ph]*100)
 				}

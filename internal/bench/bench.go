@@ -325,8 +325,8 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 			// client, and nobody has joined the cohort yet.
 			return Result{}, fmt.Errorf("bench: %s clients do not implement the batch interfaces (RDWC enabled?)", sys.Name())
 		}
-		// Cohort membership bounds virtual-clock skew between clients so
-		// the NIC queueing model stays faithful.
+		// Cohort membership orders the clients' verbs on the virtual
+		// timeline, so the NIC queueing model stays faithful.
 		clients[ci].DM().JoinCohort()
 	}
 	fab := clients[0].DM().Fabric()
@@ -346,6 +346,10 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 			defer wg.Done()
 			cl := clients[ci]
 			defer cl.DM().LeaveCohort()
+			// First park before anything shared is touched: from here on
+			// this goroutine runs when the scheduler says so, never in
+			// host order (dmsim.Client.Sync).
+			cl.DM().Sync()
 			gen, err := ycsb.NewGenerator(cfg.Mix, cfg.KeySpace, cfg.Seed+int64(ci)*7919)
 			if err != nil {
 				outs[ci].err = err

@@ -41,6 +41,38 @@ func TestSameSeedBitIdenticalRows(t *testing.T) {
 	}
 }
 
+// TestWarmCohortBitIdentical: a contended multi-client run is a function
+// of its seed. All four systems, the 50/50 update mix and the read-only
+// one on Zipfian keys, sixteen clients sharing one CN — its node cache,
+// CHIME's hotspot buffer, the local lock table and the RDWC combiner all
+// on — each point run twice on fresh fabrics: the Result row and the
+// fabric's NIC, MN-CPU and frontier totals must agree to the last bit,
+// whatever GOMAXPROCS is and whatever else the host is doing. Nothing
+// here is left to host order: the cohort scheduler runs one member at a
+// time in (clock, slot) order, waiting on a leader or a lock holder is
+// an event on that timeline, and every harness goroutine parks before it
+// first touches CN-shared state (dmsim.Client.Sync).
+func TestWarmCohortBitIdentical(t *testing.T) {
+	sc := tinyScale
+	sc.LoadN = 3000
+	sc.MNSize = 256 << 20
+	for _, name := range HeadToHeadSystems {
+		for _, mix := range []ycsb.Mix{ycsb.WorkloadA, ycsb.WorkloadC} {
+			pt := point{mix: mix, clients: 16, ops: 3200, seed: 7}
+			r, _, err := twice(func() (Result, string, error) { return pt.run(name, sc) })
+			if err != nil {
+				t.Errorf("%s/%s: %v", name, mix.Name, err)
+				continue
+			}
+			// The premise: the CN-shared paths were actually exercised.
+			if r.DelegatedReads == 0 || mix.Name == "A" && r.CombinedWrites == 0 {
+				t.Errorf("%s/%s: %d delegated reads and %d combined writes: the cohort did not contend",
+					name, mix.Name, r.DelegatedReads, r.CombinedWrites)
+			}
+		}
+	}
+}
+
 // TestFullHotspotBufferRowPinned pins, end to end, that the hotspot
 // buffer evicts the same victim it always has: a single-client YCSB-C
 // Zipf run (single loader, so no host interleaving reaches the tree or

@@ -151,20 +151,17 @@ func measured(label, name string, sc Scale, mut func(*SystemConfig), mix ycsb.Mi
 
 // point is one measured point on a fabric of its own, the unit the
 // determinism-pinning experiments (offload, attribution, persist) double-
-// run: a fresh single-MN fabric under the given scheduler, a
-// single-threaded bulk load (parallel loaders race host-side for
-// virtual-time ties, which would break the fingerprint), one workload.
+// run: a fresh single-MN fabric, a single-threaded bulk load (the tree
+// under every point is then the one the two-clock benchmark and the
+// single-client goldens build), one workload.
 type point struct {
-	sched       dmsim.SchedulerKind
 	mnCPUs      int    // 0 = model default
 	mnServiceNs int64  // 0 = model default
 	persistDir  string // "" = durability plane off
 	offload     offroute.Mode
 
 	// cold drops the CN cache, the hotspot buffer and RDWC: every
-	// one-sided op pays the full descent, and there is no shared LRU or
-	// combiner whose state would depend on how the host interleaves
-	// concurrent clients.
+	// one-sided op pays the full descent.
 	cold bool
 
 	mix     ycsb.Mix
@@ -178,7 +175,6 @@ type point struct {
 func (p point) run(name string, sc Scale) (Result, string, error) {
 	sys, cfg, err := buildSystem(name, sc, 1, func(c *SystemConfig) {
 		fcfg := testbedConfig(1, sc.MNSize)
-		fcfg.Scheduler = p.sched
 		fcfg.MNCPUs = p.mnCPUs
 		fcfg.MNServiceTime = time.Duration(p.mnServiceNs)
 		fcfg.Persist.Dir = p.persistDir
@@ -214,18 +210,25 @@ func fingerprint(f *dmsim.Fabric, parts ...any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// SchedulerName is the name rows and artifacts carry for a cohort
-// scheduler.
-func SchedulerName(mode dmsim.SchedulerKind) string {
-	if mode == dmsim.SchedulerEventLoop {
-		return "event"
+// twice makes a deterministic measurement two times, on state built
+// afresh each time, and returns the second one with the fingerprint
+// both share. The simulator has one deterministic scheduler, so two
+// runs that fingerprint differently are a bug to report, not a property
+// of the row.
+func twice[T any](run func() (T, string, error)) (T, string, error) {
+	v, fp, err := run()
+	if err != nil {
+		return v, "", err
 	}
-	return "gate"
+	v, again, err := run()
+	if err != nil {
+		return v, "", fmt.Errorf("rerun: %w", err)
+	}
+	if fp != again {
+		return v, "", fmt.Errorf("not bit-identical across two runs: fingerprints %s and %s", fp, again)
+	}
+	return v, fp, nil
 }
-
-// bothSchedulers is the order the scheduler-comparing experiments run
-// the cohort schedulers in.
-var bothSchedulers = []dmsim.SchedulerKind{dmsim.SchedulerGate, dmsim.SchedulerEventLoop}
 
 // Experiment is a named, runnable reproduction of one paper artifact or
 // one beyond-the-paper plane. Adding one is one file: the row type with

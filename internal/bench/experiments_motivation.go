@@ -196,8 +196,9 @@ func Fig4c(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		// The cohort shares one virtual epoch and the time gate, so the
-		// NIC's IOPS/bandwidth ceilings bind exactly as configured.
+		// The cohort shares one virtual epoch and its verbs meet the NIC in
+		// clock order, so the IOPS/bandwidth ceilings bind exactly as
+		// configured.
 		cls := make([]*dmsim.Client, sc.Clients)
 		for ci := range cls {
 			cls[ci] = f.NewClient()

@@ -24,14 +24,10 @@ import (
 //	           policies split; the adaptive router should match or beat
 //	           the better static one.
 //
-// Every point is run twice from a fresh build and the row records
-// whether its fingerprint — a hash of the full Result row plus the
-// fabric's NIC, MN-CPU, persistence and frontier totals — came out the
-// same. It always does under the event loop and for a single client
-// (the two schedulers are not bit-identical to each other; see
-// internal/dmsim). A multi-client gate cohort's timings can differ
-// between runs on a multi-core host: the condvar gate arbitrates
-// same-window NIC arrivals in host lock order (DESIGN.md §5e).
+// Every point is run twice from a fresh build and its fingerprint — a
+// hash of the full Result row plus the fabric's NIC, MN-CPU,
+// persistence and frontier totals — must come out the same, or the
+// experiment fails.
 
 // offloadDeepMix is the deep/cold section's workload: uniform point
 // reads, so the CN cache can't learn a hot set and every one-sided op
@@ -58,7 +54,6 @@ type offloadOptions struct {
 // OffloadRow is one measured point (BENCH_OFFLOAD.json).
 type OffloadRow struct {
 	Section        string  `json:"section" col:"section,%-9s"`
-	Scheduler      string  `json:"scheduler" col:"sched,%-6s"`
 	System         string  `json:"system" col:"system,%-8s"`
 	Mode           string  `json:"mode" col:"mode,%-9s"`
 	Mix            string  `json:"mix" col:"mix,%-4s"`
@@ -72,11 +67,10 @@ type OffloadRow struct {
 	FallbacksPerOp float64 `json:"mn_fallbacks_per_op" col:"fallb/op,%8.4f"`
 	MNUtilization  float64 `json:"mn_utilization" col:"mncpu%,%6.1f,*100"`
 	Fingerprint    string  `json:"fingerprint"`
-	Reproducible   bool    `json:"reproducible" col:"repro,%6t"`
 }
 
-// runOffload runs the four sections for every system, mode and
-// scheduler, double-running each point for the reproducibility pin.
+// runOffload runs the four sections for every system and mode,
+// double-running each point.
 func runOffload(sc Scale, opts offloadOptions) ([]OffloadRow, error) {
 	if len(opts.modes) == 0 {
 		opts.modes = []offroute.Mode{offroute.ModeOff, offroute.ModeAlways, offroute.ModeAdaptive}
@@ -84,14 +78,10 @@ func runOffload(sc Scale, opts offloadOptions) ([]OffloadRow, error) {
 	// The saturation sweep's high end: past the default MN CPU's
 	// closed-loop capacity for point ops.
 	satClients := max(sc.Clients*4, 64)
-	// Multi-client sections stay read-only: concurrent reads commute, so
-	// the double-run fingerprints are bit-identical, while contended
-	// write outcomes within a cohort window depend on host scheduling
-	// (which client's CAS lands first at equal virtual times). The
-	// write-bearing mixed section therefore runs a single client —
-	// routing is per-client anyway, so the adaptive-vs-static comparison
-	// is unaffected. Cold sections also shed the CN cache and RDWC so the
-	// trips accounting is the raw protocol's.
+	// Cold sections shed the CN cache and RDWC so the trips accounting
+	// is the raw protocol's. The write-bearing mixed section runs a
+	// single client: routing is per-client, so the adaptive-vs-static
+	// comparison needs no more.
 	sections := []struct {
 		name  string
 		modes []offroute.Mode
@@ -103,42 +93,32 @@ func runOffload(sc Scale, opts offloadOptions) ([]OffloadRow, error) {
 		{"mixed", opts.modes, point{mix: ycsb.WorkloadB, clients: 1, ops: sc.Ops / 2}},
 	}
 	var rows []OffloadRow
-	for _, sched := range bothSchedulers {
-		for _, name := range HeadToHeadSystems {
-			for _, sec := range sections {
-				for _, mode := range sec.modes {
-					pt := sec.point
-					pt.sched, pt.offload, pt.seed = sched, mode, 23
-					pt.mnCPUs, pt.mnServiceNs = opts.mnCPUs, opts.mnServiceNs
-					r, fp, err := pt.run(name, sc)
-					if err != nil {
-						return nil, fmt.Errorf("offload %s/%s/%s/%s: %w",
-							SchedulerName(sched), name, sec.name, mode, err)
-					}
-					_, fp2, err := pt.run(name, sc)
-					if err != nil {
-						return nil, fmt.Errorf("offload %s/%s/%s/%s rerun: %w",
-							SchedulerName(sched), name, sec.name, mode, err)
-					}
-					rows = append(rows, OffloadRow{
-						Section:        sec.name,
-						Scheduler:      SchedulerName(sched),
-						System:         name,
-						Mode:           mode.String(),
-						Mix:            pt.mix.Name,
-						Clients:        r.Clients,
-						Ops:            r.Ops,
-						ThroughputMops: r.ThroughputMops,
-						P50Us:          r.P50Us,
-						P99Us:          r.P99Us,
-						TripsPerOp:     r.TripsPerOp,
-						OffloadsPerOp:  r.OffloadsPerOp,
-						FallbacksPerOp: r.MNFallbacksPerOp,
-						MNUtilization:  r.MNUtilization,
-						Fingerprint:    fp,
-						Reproducible:   fp == fp2,
-					})
+	for _, name := range HeadToHeadSystems {
+		for _, sec := range sections {
+			for _, mode := range sec.modes {
+				pt := sec.point
+				pt.offload, pt.seed = mode, 23
+				pt.mnCPUs, pt.mnServiceNs = opts.mnCPUs, opts.mnServiceNs
+				r, fp, err := twice(func() (Result, string, error) { return pt.run(name, sc) })
+				if err != nil {
+					return nil, fmt.Errorf("offload %s/%s/%s: %w", name, sec.name, mode, err)
 				}
+				rows = append(rows, OffloadRow{
+					Section:        sec.name,
+					System:         name,
+					Mode:           mode.String(),
+					Mix:            pt.mix.Name,
+					Clients:        r.Clients,
+					Ops:            r.Ops,
+					ThroughputMops: r.ThroughputMops,
+					P50Us:          r.P50Us,
+					P99Us:          r.P99Us,
+					TripsPerOp:     r.TripsPerOp,
+					OffloadsPerOp:  r.OffloadsPerOp,
+					FallbacksPerOp: r.MNFallbacksPerOp,
+					MNUtilization:  r.MNUtilization,
+					Fingerprint:    fp,
+				})
 			}
 		}
 	}

@@ -33,8 +33,7 @@ import (
 //
 // Every section double-runs its points; fingerprints over the Result
 // row plus the fabric's NIC/MN-CPU/persistence totals must come back
-// bit-identical (single-client measured phases, so the host cannot
-// reorder anything observable).
+// bit-identical, or the experiment fails.
 
 // PersistRow is one measured point (BENCH_PERSIST.json). Sections fill
 // disjoint column subsets.
@@ -58,14 +57,12 @@ type PersistRow struct {
 	RestoreMs  float64 `json:"restore_ms,omitempty" col:"restoreMs,%9.1f"`
 	Speedup    float64 `json:"warmstart_speedup,omitempty" col:"speedup,%8.1f"`
 
-	Fingerprint  string `json:"fingerprint"`
-	Reproducible bool   `json:"reproducible" col:"repro,%6t"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // persistMix is the overhead section's workload: write-heavy so the
-// write-behind log sees every update, single-client for the
-// reproducibility pin (contended write order is host-scheduling-
-// dependent; see the offload experiment's mixed section).
+// write-behind log sees every update, single-client so the delta is the
+// log's charge and not a change in who contends with whom.
 var persistMix = ycsb.WorkloadA
 
 // runOverhead measures every system with the log off and on.
@@ -86,13 +83,9 @@ func runOverhead(sc Scale) ([]PersistRow, error) {
 				}
 				return pt.run(name, sc)
 			}
-			r, fp, err := run()
+			r, fp, err := twice(run)
 			if err != nil {
 				return nil, fmt.Errorf("persist overhead %s persist=%t: %w", name, persist, err)
-			}
-			_, fp2, err := run()
-			if err != nil {
-				return nil, fmt.Errorf("persist overhead %s persist=%t rerun: %w", name, persist, err)
 			}
 			row := PersistRow{
 				Section:        "overhead",
@@ -104,7 +97,6 @@ func runOverhead(sc Scale) ([]PersistRow, error) {
 				P50Us:          r.P50Us,
 				P99Us:          r.P99Us,
 				Fingerprint:    fp,
-				Reproducible:   fp == fp2,
 			}
 			if !persist {
 				offMops = r.ThroughputMops
@@ -127,10 +119,10 @@ func runRecovery(sc Scale) ([]PersistRow, error) {
 		if n < 256 {
 			n = 256
 		}
-		point := func() (dmsim.RecoveryStats, dmsim.PersistStats, string, error) {
+		row, fp, err := twice(func() (PersistRow, string, error) {
 			dir, err := folio.ScratchDir("chime-persist-recovery")
 			if err != nil {
-				return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
+				return PersistRow{}, "", err
 			}
 			defer folio.RemoveDir(dir)
 			cfg := testbedConfig(1, 64<<20)
@@ -139,43 +131,37 @@ func runRecovery(sc Scale) ([]PersistRow, error) {
 			c := f.NewClient()
 			region, err := c.AllocRPC(0, 1<<20)
 			if err != nil {
-				return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
+				return PersistRow{}, "", err
 			}
 			buf := make([]byte, 64)
 			for i := 0; i < n; i++ {
 				if err := c.Write(region.Add(uint64(i*64%(1<<20))), buf); err != nil {
-					return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
+					return PersistRow{}, "", err
 				}
 			}
 			ps := f.PersistStats()
 			if err := f.KillMN(0); err != nil {
-				return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
+				return PersistRow{}, "", err
 			}
 			stats, err := f.RestartMN(0)
 			if err != nil {
-				return dmsim.RecoveryStats{}, dmsim.PersistStats{}, "", err
+				return PersistRow{}, "", err
 			}
-			return stats, ps, fingerprint(f, stats, ps), nil
-		}
-		stats, ps, fp, err := point()
+			return PersistRow{
+				Section:    "recovery",
+				System:     "fabric",
+				Persist:    true,
+				Ops:        int64(n),
+				LogRecords: ps.Records,
+				LogBytes:   ps.Bytes,
+				RecoverNs:  stats.RecoverNs,
+			}, fingerprint(f, stats, ps), nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("persist recovery n=%d: %w", n, err)
 		}
-		_, _, fp2, err := point()
-		if err != nil {
-			return nil, fmt.Errorf("persist recovery n=%d rerun: %w", n, err)
-		}
-		rows = append(rows, PersistRow{
-			Section:      "recovery",
-			System:       "fabric",
-			Persist:      true,
-			Ops:          int64(n),
-			LogRecords:   ps.Records,
-			LogBytes:     ps.Bytes,
-			RecoverNs:    stats.RecoverNs,
-			Fingerprint:  fp,
-			Reproducible: fp == fp2,
-		})
+		row.Fingerprint = fp
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -318,23 +304,18 @@ func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 		}
 		return ms, fingerprint(fabW, r), nil
 	}
-	_, fp, err := restore()
-	if err != nil {
-		return PersistRow{}, err
-	}
-	restoreMs, fp2, err := restore()
+	restoreMs, fp, err := twice(restore)
 	if err != nil {
 		return PersistRow{}, err
 	}
 
 	row := PersistRow{
-		Section:      "warmstart",
-		System:       name,
-		Persist:      true,
-		ColdLoadMs:   coldMs,
-		RestoreMs:    restoreMs,
-		Fingerprint:  fp,
-		Reproducible: fp == fp2,
+		Section:     "warmstart",
+		System:      name,
+		Persist:     true,
+		ColdLoadMs:  coldMs,
+		RestoreMs:   restoreMs,
+		Fingerprint: fp,
 	}
 	if restoreMs > 0 {
 		row.Speedup = coldMs / restoreMs

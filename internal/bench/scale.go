@@ -19,31 +19,24 @@ import (
 // other experiment measures virtual time (what the simulated fabric
 // does); this one measures how many simulated verbs per wall-clock
 // second the host can push through dmsim as the client count sweeps
-// 1k→100k, comparing the condvar time gate against the batch event
-// loop (ISSUE 6 / ROADMAP item 3). The workload is deliberately
-// index-free — depth-pipelined 64 B reads against per-client disjoint
-// slots — so the numbers isolate the scheduler + verb hot path, and so
-// multi-lane event-loop runs stay bit-identical (no cross-lane races on
-// remote lines).
+// 1k→100k. The workload is deliberately index-free — depth-pipelined
+// 64 B reads against per-client disjoint slots — so the numbers isolate
+// the scheduler + verb hot path, and so multi-lane runs stay
+// bit-identical (no cross-lane races on remote lines).
 
 // scaleOptions parameterizes runScale (the chime-bench -sweep, -verb-ops,
-// -lanes, -gate-cap and -verify flags land here).
+// -lanes and -verify flags land here).
 type scaleOptions struct {
 	// clientSweep is the simulated-client axis (default 1k, 10k, 100k).
 	clientSweep []int
 	// opsPerClient is the measured verbs each client issues (default
 	// scaled so every point issues at least ~2M verbs total).
 	opsPerClient int
-	// lanes is the event-loop lane count (default 1: single-core hosts
-	// gain nothing from more, and 1 keeps shard timing bit-compatible
-	// with the gate's single-server NIC).
+	// lanes is the scheduler's lane count (default 1: single-core hosts
+	// gain nothing from more, and 1 keeps the single-server NIC every
+	// index experiment runs on).
 	lanes int
-	// gateCap caps the client count for condvar-gate points (default
-	// 10k): the gate's O(members) broadcast makes 100k-member windows
-	// take minutes of host time, which is the finding, not a bug worth
-	// waiting on in every run.
-	gateCap int
-	// verify re-runs each point and records whether the fingerprint —
+	// verify runs each point twice and fails unless the fingerprint —
 	// every client clock and counter plus the NIC totals — reproduced
 	// bit-identically.
 	verify bool
@@ -56,9 +49,6 @@ func (o scaleOptions) withDefaults() scaleOptions {
 	if o.lanes <= 0 {
 		o.lanes = 1
 	}
-	if o.gateCap <= 0 {
-		o.gateCap = 10_000
-	}
 	return o
 }
 
@@ -67,36 +57,22 @@ const scaleDepth = 8
 
 // ScaleRow is one measured point (BENCH_SCALE.json).
 type ScaleRow struct {
-	Scheduler    string  `json:"scheduler" col:"sched,%-6s"` // "gate" | "event"
-	Clients      int     `json:"clients" col:"clients,%8d"`
-	Lanes        int     `json:"lanes" col:"lanes,%6d"`
-	Depth        int     `json:"depth" col:"depth,%6d"`
-	QuantumRTTs  int     `json:"quantum_rtts" col:"qRTTs,%8d"`
-	Ops          int64   `json:"ops" col:"ops,%10d"` // simulated verbs issued
-	HostSeconds  float64 `json:"host_seconds" col:"host(s),%9.2f"`
-	HostMops     float64 `json:"host_mops" col:"Mops/s,%10.2f"` // simulated verbs / host second, millions
-	VirtualMs    float64 `json:"virtual_ms" col:"virt(ms),%9.1f"`
-	RSSMB        float64 `json:"rss_mb" col:"rss(MB),%8.0f"`
-	AllocsPerOp  float64 `json:"allocs_per_op" col:"allocs/op,%11.4f"`
-	Fingerprint  string  `json:"fingerprint"`
-	Reproducible *bool   `json:"reproducible,omitempty" col:"repro,%6t"` // set by verify
+	Clients     int     `json:"clients" col:"clients,%8d"`
+	Lanes       int     `json:"lanes" col:"lanes,%6d"`
+	Depth       int     `json:"depth" col:"depth,%6d"`
+	QuantumRTTs int     `json:"quantum_rtts" col:"qRTTs,%8d"`
+	Ops         int64   `json:"ops" col:"ops,%10d"` // simulated verbs issued
+	HostSeconds float64 `json:"host_seconds" col:"host(s),%9.2f"`
+	HostMops    float64 `json:"host_mops" col:"Mops/s,%10.2f"` // simulated verbs / host second, millions
+	VirtualMs   float64 `json:"virtual_ms" col:"virt(ms),%9.1f"`
+	RSSMB       float64 `json:"rss_mb" col:"rss(MB),%8.0f"`
+	AllocsPerOp float64 `json:"allocs_per_op" col:"allocs/op,%11.4f"`
+	Fingerprint string  `json:"fingerprint"`
 }
 
-// ScaleRows is the sweep's table; its text adds the headline ratio.
-type ScaleRows []ScaleRow
-
-func (rows ScaleRows) grids(*Table) []grid {
-	gs := []grid{gridOf([]ScaleRow(rows))}
-	if at, sp := scaleSpeedup(rows); at > 0 {
-		gs = append(gs, grid{title: fmt.Sprintf("event/gate speedup at %d clients: %.1fx\n", at, sp)})
-	}
-	return gs
-}
-
-// scalePoint runs one (scheduler, clients) point and returns its row.
-func scalePoint(mode dmsim.SchedulerKind, clients, ops, lanes, quantumRTTs int) (ScaleRow, error) {
+// scalePoint runs one (clients, lanes, window) point and returns its row.
+func scalePoint(clients, ops, lanes, quantumRTTs int) (ScaleRow, error) {
 	cfg := dmsim.DefaultConfig()
-	cfg.Scheduler = mode
 	cfg.Lanes = lanes
 	cfg.QuantumRTTs = quantumRTTs
 	// One private 64 B slot per client (plus the nil line at offset 0).
@@ -109,7 +85,7 @@ func scalePoint(mode dmsim.SchedulerKind, clients, ops, lanes, quantumRTTs int) 
 	cls := make([]*dmsim.Client, clients)
 	for i := range cls {
 		cls[i] = f.NewClient()
-		cls[i].JoinCohort() // join order fixes event-loop lane assignment
+		cls[i].JoinCohort() // join order fixes the lane assignment
 	}
 
 	// Spawn every worker and let it allocate its scratch before the clock
@@ -167,7 +143,6 @@ func scalePoint(mode dmsim.SchedulerKind, clients, ops, lanes, quantumRTTs int) 
 
 	totalOps := int64(clients) * int64(ops)
 	row := ScaleRow{
-		Scheduler:   SchedulerName(mode),
 		Clients:     clients,
 		Lanes:       lanes,
 		Depth:       scaleDepth,
@@ -215,9 +190,9 @@ func readRSSMB() float64 {
 	return 0
 }
 
-// faithfulQuantumRTTs is the window width index experiments run under:
-// tight enough that cohort members stay closely synchronized in virtual
-// time. Head-to-head scheduler comparisons happen here.
+// faithfulQuantumRTTs is the tight window of the sweep: members stay
+// closely synchronized in virtual time, and the row measures what the
+// scheduler costs per window.
 const faithfulQuantumRTTs = 8
 
 // capacityQuantumRTTs is the loosely-coupled window for a given cohort
@@ -228,22 +203,16 @@ func capacityQuantumRTTs(clients int) int {
 	return 20 * clients
 }
 
-// runScale sweeps the client axis. Each point runs the head-to-head
-// pair at the faithful window (faithfulQuantumRTTs, the width index
-// experiments use) plus the event loop at a capacity window that scales
+// runScale sweeps the client axis. Each point runs at the faithful
+// window (faithfulQuantumRTTs) and at a capacity window that scales
 // with the cohort (capacityQuantumRTTs), the loosely-coupled regime that
-// shows the simulator's raw verb ceiling. Window width trades
-// synchronization fidelity for park amortization identically in both
-// schedulers, so cross-scheduler speedups are only quoted between
-// same-quantum rows. Gate points stop at gateCap. With verify, each
-// configuration runs twice and Reproducible records whether the
-// fingerprints matched — the expected outcome is true for every event
-// row (the loop is deterministic by construction) and false for
-// multi-client gate rows (the condvar gate admits host-scheduling
-// interleavings at the NIC).
-func runScale(opts scaleOptions) (ScaleRows, error) {
+// shows the simulator's raw verb ceiling: window width trades
+// synchronization fidelity for park amortization. With verify, each
+// configuration runs twice and fingerprints that differ are an error
+// (the scheduler is deterministic by construction).
+func runScale(opts scaleOptions) ([]ScaleRow, error) {
 	opts = opts.withDefaults()
-	var rows ScaleRows
+	var rows []ScaleRow
 	for _, clients := range opts.clientSweep {
 		ops := opts.opsPerClient
 		if ops <= 0 {
@@ -252,81 +221,41 @@ func runScale(opts scaleOptions) (ScaleRows, error) {
 			// structures) do not masquerade as steady-state cost.
 			ops = max(2_000_000/clients, 300)
 		}
-		configs := []struct {
-			mode    dmsim.SchedulerKind
-			quantum int
-		}{
-			{dmsim.SchedulerGate, faithfulQuantumRTTs},
-			{dmsim.SchedulerEventLoop, faithfulQuantumRTTs},
-			{dmsim.SchedulerEventLoop, capacityQuantumRTTs(clients)},
-		}
-		for _, cf := range configs {
-			if cf.mode == dmsim.SchedulerGate && clients > opts.gateCap {
-				continue
+		for _, quantum := range []int{faithfulQuantumRTTs, capacityQuantumRTTs(clients)} {
+			run := func() (ScaleRow, string, error) {
+				row, err := scalePoint(clients, ops, opts.lanes, quantum)
+				runtime.GC()
+				return row, row.Fingerprint, err
 			}
-			lanes := 1
-			if cf.mode == dmsim.SchedulerEventLoop {
-				lanes = opts.lanes
-			}
-			row, err := scalePoint(cf.mode, clients, ops, lanes, cf.quantum)
-			if err != nil {
-				return nil, fmt.Errorf("scale %s/%d: %w", SchedulerName(cf.mode), clients, err)
-			}
+			measure := run
 			if opts.verify {
-				again, err := scalePoint(cf.mode, clients, ops, lanes, cf.quantum)
-				if err != nil {
-					return nil, fmt.Errorf("scale %s/%d verify: %w", SchedulerName(cf.mode), clients, err)
-				}
-				repro := again.Fingerprint == row.Fingerprint
-				row.Reproducible = &repro
+				measure = func() (ScaleRow, string, error) { return twice(run) }
+			}
+			row, _, err := measure()
+			if err != nil {
+				return nil, fmt.Errorf("scale %d clients, %d-RTT window: %w", clients, quantum, err)
 			}
 			rows = append(rows, row)
-			runtime.GC()
 		}
 	}
 	return rows, nil
 }
 
-// scaleSpeedup returns the event/gate host-throughput ratio at the
-// largest client count both schedulers covered (0 when no pair exists).
-// Only same-quantum rows are compared: window width changes the
-// park/advance amortization for both schedulers alike, so cross-quantum
-// ratios would measure the window, not the scheduler.
-func scaleSpeedup(rows []ScaleRow) (int, float64) {
-	best := 0
-	var gate, event float64
-	for _, r := range rows {
-		for _, o := range rows {
-			if r.Scheduler == "gate" && o.Scheduler == "event" &&
-				r.Clients == o.Clients && r.QuantumRTTs == o.QuantumRTTs && r.Clients > best {
-				best, gate, event = r.Clients, r.HostMops, o.HostMops
-			}
-		}
-	}
-	if best == 0 || gate == 0 {
-		return 0, 0
-	}
-	return best, event / gate
-}
-
 // scaleTable wraps the sweep's rows in its artifact envelope.
-func scaleTable(opts scaleOptions, rows ScaleRows) *Table {
-	at, speedup := scaleSpeedup(rows)
+func scaleTable(opts scaleOptions, rows []ScaleRow) *Table {
 	return &Table{ID: "scale", Rows: rows, Params: []Param{
 		{"depth", scaleDepth}, {"lanes", opts.withDefaults().lanes},
-		{"speedup_clients", at}, {"speedup_event_vs_gate", speedup},
 	}}
 }
 
 func init() {
 	var opts scaleOptions
 	register(Experiment{
-		ID: "scale", Title: "host-side capacity sweep, gate vs event loop", Rows: ScaleRows(nil), HostSide: true,
+		ID: "scale", Title: "host-side capacity sweep of the cohort scheduler", Rows: []ScaleRow(nil), HostSide: true,
 		Flags: func(fs *flag.FlagSet) {
-			fs.IntVar(&opts.lanes, "lanes", 0, "scale experiment: event-loop lane count (default 1)")
+			fs.IntVar(&opts.lanes, "lanes", 0, "scale experiment: scheduler lane count (default 1)")
 			fs.IntVar(&opts.opsPerClient, "verb-ops", 0, "scale experiment: measured verbs per client (default auto)")
-			fs.IntVar(&opts.gateCap, "gate-cap", 0, "scale experiment: largest client count measured under the condvar gate (default 10000)")
-			fs.BoolVar(&opts.verify, "verify", false, "scale experiment: double-run each point and record reproducibility")
+			fs.BoolVar(&opts.verify, "verify", false, "scale experiment: run each point twice and fail unless both are bit-identical")
 		},
 		Table: func(sc Scale) (*Table, error) {
 			opts := opts

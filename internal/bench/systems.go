@@ -133,6 +133,7 @@ func parallelLoad(cfg SystemConfig, newClient func() Client) error {
 		go func(cl Client, keys []uint64) {
 			defer wg.Done()
 			defer cl.DM().LeaveCohort()
+			cl.DM().Sync() // first park: scheduler order from here on
 			value := make([]byte, cfg.ValueSize)
 			for _, k := range keys {
 				if err := cl.Insert(k, value); err != nil {

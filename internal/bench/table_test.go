@@ -41,7 +41,7 @@ func TestGoldenTables(t *testing.T) {
 		"writepipe": func(rows any, _ *Table) *Table { return depthTable("writepipe", sc, rows) },
 		"faults":    func(rows any, _ *Table) *Table { return faultsTable(sc, rows.([]FaultRow)) },
 		"scale": func(rows any, _ *Table) *Table {
-			return scaleTable(scaleOptions{lanes: 2}, rows.(ScaleRows))
+			return scaleTable(scaleOptions{lanes: 2}, rows.([]ScaleRow))
 		},
 		"offload": func(rows any, _ *Table) *Table {
 			return offloadTable(sc, offloadOptions{mnCPUs: 4, mnServiceNs: 300}, rows.([]OffloadRow))

@@ -22,11 +22,11 @@ import (
 // MNs, contended locks, torn reads past a small local budget); the
 // client then redoes the op with one-sided verbs, which reach
 // everything. The retry budgets are deliberately tiny compared to the
-// client's maxRetries: an MN-local retry costs no round trip, but under
-// the event-loop scheduler the program executes inside the issuing
-// client's lane slot, so spinning on a lock held by a same-lane peer
-// cannot make progress — give up early and let the one-sided fallback
-// path (which parks at the sync gate) absorb the contention.
+// client's maxRetries: an MN-local retry costs no round trip, but the
+// program executes inside the issuing client's turn on its scheduler
+// lane, so spinning on a lock held by a same-lane peer cannot make
+// progress — give up early and let the one-sided fallback path (which
+// parks at its next verb) absorb the contention.
 const (
 	// mnTornRetries bounds MN-local optimistic re-reads of a torn node.
 	mnTornRetries = 64

@@ -17,7 +17,7 @@ const ChunkSize = 16 << 20
 // more expensive than a one-sided verb — which is why CHIME amortizes it
 // over 16 MB chunks.
 func (c *Client) AllocRPC(mnIdx int, size int) (GAddr, error) {
-	c.syncGate()
+	c.Sync()
 	if mnIdx < 0 || mnIdx >= len(c.f.mns) {
 		return NilGAddr, fmt.Errorf("dmsim: AllocRPC on unknown MN %d", mnIdx)
 	}

@@ -32,11 +32,11 @@ import (
 // as racy as real hardware and must be validated by the layers above
 // (version checks), as with the synchronous verbs.
 //
-// The time-gate contract is unchanged: posting synchronizes with the
-// cohort window (a gated client cannot flood the NIC with posts from the
-// future), while polling is local and never blocks on the gate. A client
-// that Suspend()s with verbs in flight may still Poll them; the clock
-// jump is reconciled by Resume exactly as for synchronous waiters.
+// The cohort contract is the synchronous verbs': posting synchronizes
+// with the cohort window (a member cannot flood the NIC with posts from
+// the future), and a Poll whose completion carries the member's clock
+// past the window edge parks it there, so whatever it does with the
+// result happens after every member that is further behind.
 
 // Completion is the handle for one posted verb. It is owned by the
 // client that posted it and, like the client itself, is not safe for
@@ -178,7 +178,8 @@ func (c *Client) payloads(n int) []int {
 }
 
 // Poll reaps one completion: the client's clock advances to the verb's
-// completion time (never backward) and the handle is marked done.
+// completion time (never backward) and the handle is marked done. A
+// cohort member carried past the window edge parks before it returns.
 // Polling twice is harmless. Returns the client's clock after the poll.
 //
 //chime:noalloc
@@ -197,6 +198,7 @@ func (c *Client) Poll(h *Completion) int64 {
 				h.ledMNQueue, h.ledMNSvc, c.rttNs)
 		}
 		c.now = t
+		c.Sync()
 	}
 	return c.now
 }
@@ -219,7 +221,7 @@ func (c *Client) Inflight() int { return int(c.inflight) }
 //
 //chime:noalloc
 func (c *Client) PostRead(a GAddr, buf []byte) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	mn, err := c.f.checkRange(a, len(buf))
 	if err != nil {
 		return nil, err
@@ -248,7 +250,7 @@ func (c *Client) PostRead(a GAddr, buf []byte) (*Completion, error) {
 //
 //chime:noalloc
 func (c *Client) PostReadBatch(addrs []GAddr, bufs [][]byte) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	if len(addrs) != len(bufs) {
 		//lint:allow noalloc batch-validation error path, never taken by correct callers
 		return nil, fmt.Errorf("dmsim: PostReadBatch got %d addrs, %d bufs", len(addrs), len(bufs))
@@ -311,7 +313,7 @@ func batchServiceNs(n *nic, payloads []int) int64 {
 //
 //chime:noalloc
 func (c *Client) PostWrite(a GAddr, data []byte) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	mn, err := c.f.checkRange(a, len(data))
 	if err != nil {
 		return nil, err
@@ -345,7 +347,7 @@ func (c *Client) PostWrite(a GAddr, data []byte) (*Completion, error) {
 //
 //chime:noalloc
 func (c *Client) PostWriteBatch(addrs []GAddr, datas [][]byte) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	if len(addrs) != len(datas) {
 		//lint:allow noalloc batch-validation error path, never taken by correct callers
 		return nil, fmt.Errorf("dmsim: PostWriteBatch got %d addrs, %d bufs", len(addrs), len(datas))
@@ -407,7 +409,7 @@ func (c *Client) PostCAS(a GAddr, old, new uint64) (*Completion, error) {
 //
 //chime:noalloc
 func (c *Client) PostMaskedCAS(a GAddr, cmp, swap, cmpMask, swapMask uint64) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	mn, err := c.f.checkRange(a, 8)
 	if err != nil {
 		return nil, err
@@ -452,7 +454,7 @@ func (c *Client) PostMaskedCAS(a GAddr, cmp, swap, cmpMask, swapMask uint64) (*C
 //
 //chime:noalloc
 func (c *Client) PostFetchAdd(a GAddr, delta uint64) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	mn, err := c.f.checkRange(a, 8)
 	if err != nil {
 		return nil, err

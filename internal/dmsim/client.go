@@ -44,7 +44,7 @@ type Client struct {
 	f     *Fabric
 	id    int64
 	now   int64 // virtual nanoseconds
-	gated bool  // member of the fabric's time-gate cohort
+	gated bool  // member of the fabric's cohort (eventloop.go)
 
 	inflight int64 // posted but not yet polled completions
 
@@ -61,18 +61,27 @@ type Client struct {
 	faultRetries int
 	crashed      bool
 
-	// Event-loop scheduler state (eventloop.go). evSlot is the dense
-	// cohort slot assigned at first join (-1 until then); evLane/evLocal
-	// are derived from it. evPark is the cap-1 wake channel; evBaton
-	// marks this client as its lane's current runner; evMustPark forces
-	// an unconditional park at the first syncGate after join/resume so
-	// execution order is loop-controlled before any verb issues.
-	evSlot     int32
-	evLane     int32
-	evLocal    int32
-	evPark     chan struct{}
-	evBaton    bool
-	evMustPark bool
+	// Cohort scheduler state (eventloop.go). evSlot is the dense cohort
+	// slot assigned at first join (-1 until then); evLane/evLocal are
+	// derived from it. evPark is the cap-1 wake channel; evBaton marks
+	// this client as its lane's current runner; evMustPark forces an
+	// unconditional park at the first Sync after join so everything after
+	// it runs in loop-controlled order. evWaiting (blocked in Wait),
+	// evSignalled (a Signal arrived before its Wait) and evWakeAt (the
+	// signal's virtual time) are written under the lane lock for a cohort
+	// member, and ordered by the evPark token for a freewheeling client.
+	evSlot      int32
+	evLane      int32
+	evLocal     int32
+	evPark      chan struct{}
+	evBaton     bool
+	evMustPark  bool
+	evWaiting   bool
+	evSignalled bool
+	evWakeAt    int64
+
+	// waitNext links the client into the WaitQueue it is queued on.
+	waitNext *Client
 
 	// Completion freelist (async.go): recycled handles so steady-state
 	// post/poll performs zero heap allocations.
@@ -115,6 +124,7 @@ func (f *Fabric) NewClient() *Client {
 		timeoutNs:    timeout,
 		faultRetries: retries,
 		evSlot:       -1,
+		evPark:       make(chan struct{}, 1),
 	}
 }
 
@@ -144,39 +154,33 @@ func (c *Client) SetFlight(fl *obs.Flight) { c.fl = fl }
 // off). Layers above use it to bracket ops and label phases.
 func (c *Client) Flight() *obs.Flight { return c.fl }
 
-// JoinCohort enrolls the client in the fabric's virtual-time gate: its
-// verbs will stay within one RTT-sized quantum of every other cohort
-// member, which keeps the NIC queueing model faithful when many
-// simulated clients share few host CPUs. Benchmark cohorts must join
-// before issuing measured operations and call LeaveCohort when done.
+// JoinCohort enrolls the client in the fabric's cohort scheduler
+// (eventloop.go): its verbs will stay within one quantum of every other
+// cohort member and run in virtual-clock order, which keeps the NIC
+// queueing model faithful when many simulated clients share few host
+// CPUs. Benchmark cohorts must join before issuing measured operations
+// and call LeaveCohort when done. A member's goroutine should Sync
+// before it first touches state it shares with other members.
 func (c *Client) JoinCohort() {
 	if !c.gated {
 		c.gated = true
-		if c.f.loop != nil {
-			c.f.loop.join(c)
-		} else {
-			c.f.gate.join(c.now)
-		}
+		c.f.loop.join(c)
 	}
 }
 
-// LeaveCohort withdraws the client from the time gate.
+// LeaveCohort withdraws the client from the cohort.
 func (c *Client) LeaveCohort() {
 	if c.gated {
 		c.gated = false
-		if c.f.loop != nil {
-			c.f.loop.leave(c)
-		} else {
-			c.f.gate.leave()
-		}
+		c.f.loop.leave(c)
 	}
 }
 
 // shard picks the NIC shard this client's verbs are charged to. A
-// gated event-loop member uses its lane's shard (lane-private NIC
-// state, the basis of parallel-deterministic execution); freewheeling
-// clients hash by ID so bootstrap loaders spread across shards. With
-// one shard (any gate-mode fabric) this is always 0.
+// cohort member uses its lane's shard (lane-private NIC state, the
+// basis of parallel-deterministic execution); freewheeling clients hash
+// by ID so bootstrap loaders spread across shards. With one shard
+// (Config.Lanes <= 1) this is always 0.
 //
 //chime:noalloc
 func (c *Client) shard() int32 {
@@ -189,61 +193,107 @@ func (c *Client) shard() int32 {
 	return int32(c.id % int64(c.f.shards))
 }
 
-// syncGate blocks a cohort member until its clock is inside the gate
-// window; freewheeling clients pass straight through.
+// Sync blocks a cohort member until its clock is inside the cohort
+// window; freewheeling clients pass straight through. Every verb syncs
+// before it is issued and again when its completion moves the clock, so
+// a member's clock crosses the window edge only inside the verb API and
+// parks there: what it does between verbs — cache, combiner, lock table
+// — it does at a clock inside the window, after every member that is
+// further behind. The first Sync after JoinCohort parks unconditionally,
+// and from then on the member runs only when the scheduler says so — so
+// a goroutine that touches state shared between members before its
+// first verb syncs first, or it touches that state in host order.
 //
 //chime:noalloc
-func (c *Client) syncGate() {
+func (c *Client) Sync() {
+	if c.gated && (c.evMustPark || c.now >= c.f.loop.window) {
+		c.f.loop.park(c)
+	}
+}
+
+// Wait blocks the caller until another client calls Signal on it, and
+// returns with the caller's clock at max(its own, the signal's time):
+// waiting is an event on the virtual timeline, not on the host's. The
+// difference is charged to the flight ledger's active phase. A cohort
+// member stays a member while it waits: it hands its lane's baton on
+// and stops holding the window back, and resumes in clock order once
+// signalled. Every Wait is matched by exactly one Signal; a Signal that
+// arrives first (the waiter has published itself to the signaller but
+// not yet blocked) is kept, not lost.
+//
+//chime:noalloc
+func (c *Client) Wait() {
 	if c.gated {
-		if c.f.loop != nil {
-			c.f.loop.sync(c)
-		} else {
-			c.f.gate.sync(c.now)
-		}
+		c.f.loop.wait(c)
+	} else {
+		<-c.evPark
+	}
+	if at := c.evWakeAt; at > c.now {
+		c.fl.ChargeActive(at - c.now)
+		c.now = at
 	}
 }
 
-// Suspend temporarily withdraws a cohort member that is about to block
-// on another client's progress (e.g. a delegated read waiting for its
-// leader). A suspended member no longer holds up the gate window; it
-// must call Resume before issuing verbs again. No-op for freewheeling
-// clients. Returns whether the client was actually suspended.
+// Signal wakes w, which is in (or about to enter) Wait, at virtual time
+// at — the signaller's clock plus whatever the wake-up costs. w must
+// have published itself to the caller through a lock both hold in turn,
+// and must not change cohort membership between publishing and waking.
 //
 //chime:noalloc
-func (c *Client) Suspend() bool {
-	if !c.gated {
-		return false
+func (c *Client) Signal(w *Client, at int64) {
+	if w.gated {
+		w.f.loop.signal(c, w, at)
+		return
 	}
-	c.gated = false
-	if c.f.loop != nil {
-		c.f.loop.leave(c)
-	} else {
-		c.f.gate.leave()
-	}
-	return true
+	w.evWakeAt = at
+	w.evPark <- struct{}{}
 }
 
-// Resume re-enrolls a suspended client, optionally fast-forwarding its
-// clock to at least now (virtual time never runs backward). The gate
-// window is NOT widened: the client blocks at its next verb until the
-// cohort's window reaches its (possibly far-ahead) clock.
+// WaitQueue is a FIFO of clients that are about to Wait, linked through
+// the clients themselves — a client waits in one place at a time — so
+// queuing allocates nothing. The zero value is empty. The lock that
+// guards what the clients wait for guards the queue.
+type WaitQueue struct {
+	head, tail *Client
+	n          int
+}
+
+// Len returns the number of queued clients.
+func (q *WaitQueue) Len() int { return q.n }
+
+// Push appends c.
 //
 //chime:noalloc
-func (c *Client) Resume(now int64) {
-	if now > c.now {
-		// The fast-forward is the time this client spent parked on its
-		// leader; charged to the active phase (the rdwc layer sets
-		// PhaseWriteCombine around delegated waits).
-		c.fl.ChargeActive(now - c.now)
-		c.now = now
-	}
-	c.gated = true
-	if c.f.loop != nil {
-		c.f.loop.join(c)
+func (q *WaitQueue) Push(c *Client) {
+	if q.tail == nil {
+		q.head = c
 	} else {
-		c.f.gate.rejoin()
+		q.tail.waitNext = c
 	}
+	q.tail = c
+	q.n++
 }
+
+// Pop removes and returns the longest-queued client, nil when empty.
+//
+//chime:noalloc
+func (q *WaitQueue) Pop() *Client {
+	c := q.head
+	if c == nil {
+		return nil
+	}
+	q.head, c.waitNext = c.waitNext, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	return c
+}
+
+// parkKey is the clock a parked or signalled client resumes at.
+//
+//chime:noalloc
+func (c *Client) parkKey() int64 { return max(c.now, c.evWakeAt) }
 
 // Stats returns a snapshot of the client's traffic counters.
 func (c *Client) Stats() ClientStats { return c.stats }
@@ -267,6 +317,7 @@ func (c *Client) Fabric() *Fabric { return c.f }
 //chime:noalloc
 func (c *Client) finish(nicDone int64) {
 	c.now = nicDone + c.rttNs
+	c.Sync()
 }
 
 // Read fetches len(buf) bytes from the remote address into buf using a

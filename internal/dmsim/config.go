@@ -29,27 +29,6 @@ import (
 	"time"
 )
 
-// SchedulerKind selects the cohort-ordering substrate: the legacy
-// mutex+condvar time gate, or the calendar-queue batch event loop that
-// scales to very large cohorts (100k+ clients).
-type SchedulerKind int
-
-const (
-	// SchedulerGate is the default: cohort members synchronize through
-	// the condvar time gate (timegate.go). Every window advance
-	// broadcasts to the whole cohort, which is fine for hundreds of
-	// members and ruinous for tens of thousands.
-	SchedulerGate SchedulerKind = iota
-
-	// SchedulerEventLoop replaces the gate with the batch event loop
-	// (eventloop.go): parked members wait on a calendar queue keyed on
-	// virtual ns, lanes execute one member at a time in deterministic
-	// order, and window advances wake exactly one member per lane.
-	// Results are bit-identical for the same seed and lane count
-	// regardless of GOMAXPROCS.
-	SchedulerEventLoop
-)
-
 // Config describes the simulated fabric.
 type Config struct {
 	// MNs is the number of memory nodes in the memory pool.
@@ -109,18 +88,13 @@ type Config struct {
 	// surfaces. Zero selects the default (8).
 	MaxVerbRetries int
 
-	// Scheduler selects the cohort-ordering substrate (see
-	// SchedulerKind). The zero value keeps the legacy condvar gate, so
-	// existing fabrics behave bit-identically.
-	Scheduler SchedulerKind
-
-	// Lanes is the number of parallel execution lanes (and per-MN NIC
-	// shards) in event-loop mode: cohort members are partitioned by
-	// join order across lanes, each lane runs its members one at a time
-	// in deterministic calendar order, and each lane owns 1/Lanes of
-	// every NIC's capacity so host cores never serialize on one busy
-	// horizon. Zero or one means a single lane (bit-compatible with the
-	// gate's single-server NIC). Ignored under SchedulerGate.
+	// Lanes is the number of parallel execution lanes of the cohort
+	// scheduler (and per-MN NIC shards): cohort members are partitioned
+	// by join order across lanes, each lane runs its members one at a
+	// time in virtual-clock order, and each lane owns 1/Lanes of every
+	// NIC's capacity so host cores never serialize on one busy horizon.
+	// Zero or one means a single lane: one single-server NIC per MN and
+	// one member running at a time.
 	Lanes int
 
 	// QuantumRTTs widens the cohort synchronization window to this many
@@ -189,9 +163,6 @@ func (c Config) Validate() error {
 	if c.ChunkBytes < 0 {
 		return fmt.Errorf("dmsim: negative ChunkBytes")
 	}
-	if c.Scheduler != SchedulerGate && c.Scheduler != SchedulerEventLoop {
-		return fmt.Errorf("dmsim: unknown Scheduler %d", c.Scheduler)
-	}
 	if c.Lanes < 0 {
 		return fmt.Errorf("dmsim: negative Lanes")
 	}
@@ -206,10 +177,7 @@ func (c Config) Validate() error {
 
 // lanes returns the effective lane/shard count (>= 1).
 func (c Config) lanes() int {
-	if c.Scheduler == SchedulerEventLoop && c.Lanes > 1 {
-		return c.Lanes
-	}
-	return 1
+	return max(c.Lanes, 1)
 }
 
 // quantumNs returns the effective cohort window size in virtual ns.

@@ -420,3 +420,65 @@ func TestPeekPoke(t *testing.T) {
 		t.Fatal("expected error for unknown MN")
 	}
 }
+
+func TestFrontierTracksNICBusy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MNSize = 1 << 20
+	f := MustNewFabric(cfg)
+	if f.Frontier() != 0 {
+		t.Fatal("fresh fabric frontier must be 0")
+	}
+	c := f.NewClient()
+	if err := c.Write(GAddr{Off: 64}, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if f.Frontier() <= 0 {
+		t.Fatal("frontier must advance with NIC busy time")
+	}
+	// A later client starts at the frontier.
+	c2 := f.NewClient()
+	if c2.Now() != f.Frontier() {
+		t.Fatalf("new client clock %d, frontier %d", c2.Now(), f.Frontier())
+	}
+}
+
+func TestWriteBatchStats(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MNSize = 1 << 20
+	f := MustNewFabric(cfg)
+	c := f.NewClient()
+	err := c.WriteBatch(
+		[]GAddr{{Off: 64}, {Off: 256}},
+		[][]byte{make([]byte, 10), make([]byte, 20)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Stats()
+	if s.Writes != 2 || s.Trips != 1 || s.BytesWritten != 30 {
+		t.Fatalf("batch stats: %+v", s)
+	}
+	if err := c.WriteBatch(nil, nil); err != nil {
+		t.Fatal("empty batch must be a no-op")
+	}
+	if err := c.WriteBatch([]GAddr{{Off: 0}}, [][]byte{{1}, {2}}); err == nil {
+		t.Fatal("mismatched batch must error")
+	}
+}
+
+func TestChunkAllocatorOversized(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MNSize = 64 << 20
+	cfg.ChunkBytes = 1 << 20
+	f := MustNewFabric(cfg)
+	c := f.NewClient()
+	al := NewChunkAllocator(c, 0)
+	// Larger than a chunk: dedicated RPC.
+	addr, err := al.Alloc(2 << 20)
+	if err != nil || addr.IsNil() {
+		t.Fatalf("oversized alloc: %v %v", addr, err)
+	}
+	if _, err := al.Alloc(-1); err == nil {
+		t.Fatal("negative alloc must fail")
+	}
+}

@@ -1,113 +1,122 @@
 package dmsim
 
 import (
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"chime/internal/dmsim/sched"
 )
 
-// evLoop is the batch event-loop scheduler (Config.Scheduler ==
-// SchedulerEventLoop): the ordering substrate that replaces the
-// condvar timeGate for large cohorts.
+// evLoop is the cohort scheduler: the one mechanism that orders the
+// verbs of concurrently simulated clients on the virtual timeline.
 //
-// The gate's contract is preserved — a cohort member may only issue
-// verbs while its virtual clock is inside the current window
-// [0, window), and the window advances one quantum past the slowest
-// member — but the mechanism is event-driven instead of broadcast-
-// driven:
+// Why order at all: the NIC's FIFO queueing recurrence (completion =
+// max(arrival, free) + service) is only faithful when verbs arrive in
+// nondecreasing virtual-time order. Goroutines on a small host run in
+// long real-time slices, so an unsynchronized cohort would present
+// arrivals wildly out of order: one client's entire run executes first,
+// pushing the NIC's busy horizon far past the epoch, and every later
+// client appears to queue behind history that "hasn't happened yet".
 //
-//   - Parked members sit in a per-lane calendar queue (sched.Calendar)
-//     keyed on their virtual clock. A window advance pops exactly one
-//     member per lane instead of broadcasting to every member, so the
-//     per-window wakeup cost is O(lanes), not O(members) spurious
-//     wakeups contending one mutex.
+// The window contract: a cohort member may only issue verbs while its
+// virtual clock is inside the current window [0, window). A member that
+// reaches the edge parks; when every member has parked the window opens
+// one quantum (Config.QuantumRTTs base RTTs) past the slowest of them.
+// Inside a window, members run in clock order:
+//
+//   - Parked members sit in a per-lane event calendar (sched.Calendar),
+//     a min-heap on (virtual clock, slot). A window advance pops exactly
+//     one member per lane, so the per-window wakeup cost is O(lanes).
 //   - Members are partitioned across lanes by join order. Within a
-//     lane, exactly one member runs at a time (a baton handed from the
-//     parking member to the next calendar entry), in calendar order —
-//     a pure function of virtual clocks. Across lanes, members run in
-//     parallel against lane-private NIC shards (nic.go), so the only
-//     cross-lane interactions are the quantum-boundary barriers and
-//     whatever shared remote memory the workload itself touches.
-//   - The window advances when every member is parked (the running
-//     count hits zero): the last parker becomes the barrier leader,
-//     computes min(parked clocks) + quantum, and seeds each lane's
-//     baton. This is the "barrier merge at quantum boundaries" of the
-//     parallel-deterministic design.
+//     lane, exactly one member runs at a time — a baton handed from the
+//     parking member to the calendar's next entry, the member whose
+//     clock is furthest behind. Across lanes, members run in parallel
+//     against lane-private NIC shards (nic.go), so the only cross-lane
+//     interactions are the quantum-boundary barriers and whatever
+//     shared state the workload itself touches.
+//   - The window advances when every member is parked or waiting (the
+//     running count hits zero): the last to stop becomes the barrier
+//     leader, computes min(parked clocks) + quantum, and seeds each
+//     lane's baton.
+//   - Waiting on another client is an event on the same timeline
+//     (Client.Wait / Client.Signal): the waiter hands its baton on and
+//     holds nothing back, and the signaller re-files it at the clock the
+//     wake-up happens at — into the running window when the signaller
+//     holds that lane's baton, so a handover costs no virtual time the
+//     model did not ask for.
 //
-// Determinism: lane assignment (join order), intra-lane execution
-// order (calendar pop order), NIC shard state (lane-private) and
-// window arithmetic (min over parked clocks) are all pure functions of
-// the simulation's virtual-time history, so a cohort whose members
-// touch disjoint remote lines replays bit-identically for the same
-// seed regardless of GOMAXPROCS or host scheduling. Members that race
-// on the same remote line across lanes within one window keep exactly
-// the relaxed semantics real hardware (and the gate) gives them.
+// Determinism: lane assignment (join order), intra-lane execution order
+// (calendar pop order, a function of the set of parked clocks), NIC
+// shard state (lane-private) and window arithmetic (min over parked
+// clocks) are all pure functions of the simulation's virtual-time
+// history, so a cohort replays bit-identically for the same seed
+// regardless of GOMAXPROCS or host scheduling — on one lane without
+// qualification once every member has parked for the first time (only
+// one member runs at a time), on several lanes as long as members of
+// different lanes touch disjoint state within a window. Members that
+// race on the same remote line or CN structure across lanes within one
+// window keep exactly the relaxed semantics real hardware gives them.
 type evLoop struct {
 	quantum int64
 	nlanes  int
 
-	// mu serializes membership transitions (join/leave/rejoin) and
-	// barrier advances against each other.
+	// mu serializes membership transitions (join/leave) and barrier
+	// advances against each other.
 	mu    sync.Mutex
 	seq   int32 // next dense cohort slot, guarded by mu
 	lanes []evLane
 
 	// window is the exclusive upper bound of runnable virtual time. It
-	// is written only by a barrier leader while every member is parked;
+	// is written only by a barrier leader while no member is running;
 	// running members read it through the happens-before edge of the
 	// token channel that woke them.
 	window int64
 
-	// running counts members not currently parked. The member that
-	// decrements it to zero leads the next barrier.
+	// running counts members that are neither parked nor waiting. The
+	// member that decrements it to zero leads the next barrier.
 	running atomic.Int64
-	members atomic.Int64
 }
 
-// evLane is one execution lane: a calendar of parked members, the
-// slot→client table, and the pending list. lane.mu guards all three;
-// it is uncontended in steady state (one running member per lane) and
-// only sees real contention during the initial descent, before the
-// first barrier establishes the baton discipline.
+// evLane is one execution lane: the calendar of parked members, the
+// slot→client table, and the pending list. lane.mu guards all three; it
+// is uncontended in steady state (one running member per lane) and only
+// sees real contention during the initial descent, before the first
+// barrier establishes the baton discipline.
 //
-// pending exists for determinism: calendar chains pop in push order,
-// so push order must be a pure function of virtual-time history. The
-// baton holder's parks are sequential within the lane and may push
-// directly, but members parking concurrently (the initial descent
-// after join, rejoins after Resume) would file in host-scheduling
-// order. Those parks are staged here instead, and the next barrier
-// leader flushes them into the calendar in slot order.
+// pending exists for determinism: the baton holder is the lane's only
+// runner, so what it files is in the calendar when it next pops. Anyone
+// else — a member parking before it ever held the baton, a signaller on
+// another lane or outside the cohort — files at a host-chosen moment
+// relative to the baton holder's pops. Those entries are staged here
+// and enter the calendar at the next barrier, when nobody pops.
 type evLane struct {
 	mu      sync.Mutex
-	cal     *sched.Calendar
+	cal     sched.Calendar
 	clients []*Client
 	pending []int32
 	_       [64]byte // keep lanes off each other's cache lines
 }
 
+// stage files a slot on the pending list. Caller holds lane.mu.
+//
+//chime:noalloc
+func (lane *evLane) stage(s int32) {
+	//lint:allow noalloc pending retains capacity across barriers
+	lane.pending = append(lane.pending, s)
+}
+
 func newEvLoop(quantum int64, nlanes int) *evLoop {
-	if quantum < 1 {
-		quantum = 1
-	}
-	if nlanes < 1 {
-		nlanes = 1
-	}
-	l := &evLoop{quantum: quantum, nlanes: nlanes, lanes: make([]evLane, nlanes)}
-	for i := range l.lanes {
-		l.lanes[i].cal = sched.NewCalendar(quantum, 64)
-	}
-	return l
+	return &evLoop{quantum: quantum, nlanes: nlanes, lanes: make([]evLane, nlanes)}
 }
 
 // join enrolls a client. First-time members get a dense slot (join
 // order is the deterministic lane assignment); rejoining members keep
 // theirs. The member counts as running until it first parks, and its
-// first sync parks unconditionally so no verb is issued before the
-// first barrier establishes deterministic lane order.
+// first sync parks unconditionally so nothing it does afterwards runs
+// before the first barrier establishes deterministic lane order.
 //
-//chime:coldalloc first-time enrollment allocates the park channel and lane slot
+//chime:coldalloc first-time enrollment grows the lane's slot tables
 func (l *evLoop) join(c *Client) {
 	l.mu.Lock()
 	if c.evSlot < 0 {
@@ -115,9 +124,6 @@ func (l *evLoop) join(c *Client) {
 		l.seq++
 		c.evLane = c.evSlot % int32(l.nlanes)
 		c.evLocal = c.evSlot / int32(l.nlanes)
-		if c.evPark == nil {
-			c.evPark = make(chan struct{}, 1)
-		}
 		lane := &l.lanes[c.evLane]
 		lane.mu.Lock()
 		lane.cal.Grow(int(c.evLocal) + 1)
@@ -129,7 +135,6 @@ func (l *evLoop) join(c *Client) {
 	}
 	c.evBaton = false
 	c.evMustPark = true
-	l.members.Add(1)
 	l.running.Add(1)
 	l.mu.Unlock()
 }
@@ -139,15 +144,9 @@ func (l *evLoop) join(c *Client) {
 // last runner, lead a barrier so the parked survivors keep advancing.
 func (l *evLoop) leave(c *Client) {
 	l.mu.Lock()
-	l.members.Add(-1)
 	lane := &l.lanes[c.evLane]
 	lane.mu.Lock()
-	if c.evBaton {
-		c.evBaton = false
-		if s := lane.cal.PopBelow(l.window); s != sched.NoSlot {
-			l.grant(lane, s)
-		}
-	}
+	l.passBaton(lane, c)
 	lane.mu.Unlock()
 	if l.running.Add(-1) == 0 {
 		l.advanceLocked()
@@ -155,25 +154,23 @@ func (l *evLoop) leave(c *Client) {
 	l.mu.Unlock()
 }
 
-// sync is the event-loop half of Client.syncGate: park when the clock
-// has reached the window edge (or unconditionally on the first sync
-// after join/rejoin, so execution order is loop-controlled from the
-// first verb).
+// passBaton hands c's baton, if it holds one, to the next member parked
+// inside the window. Caller holds lane.mu.
 //
 //chime:noalloc
-func (l *evLoop) sync(c *Client) {
-	if !c.evMustPark && c.now < l.window {
-		return
+func (l *evLoop) passBaton(lane *evLane, c *Client) {
+	if c.evBaton {
+		c.evBaton = false
+		if s := lane.cal.PopBelow(l.window); s != sched.NoSlot {
+			l.grant(lane, s)
+		}
 	}
-	l.park(c)
 }
 
-// park enqueues the caller — the baton holder files straight into the
-// calendar and hands the baton on; a batonless parker (initial descent,
-// rejoin) is staged on the pending list for the next barrier to file
-// deterministically — and blocks until a baton or barrier wakes it. The
-// caller returns runnable: its clock is inside the (possibly advanced)
-// window.
+// park is the scheduler half of Client.Sync, for a member whose clock
+// has reached the window edge (or that has not parked since it joined):
+// the baton holder files itself in the calendar and hands the baton on;
+// anyone else is staged for the next barrier.
 //
 //chime:noalloc
 func (l *evLoop) park(c *Client) {
@@ -181,32 +178,77 @@ func (l *evLoop) park(c *Client) {
 	lane.mu.Lock()
 	if c.evBaton {
 		lane.cal.Push(c.evLocal, c.now)
-		c.evBaton = false
-		if s := lane.cal.PopBelow(l.window); s != sched.NoSlot {
-			if s == c.evLocal {
-				// The calendar handed the baton straight back (possible
-				// only for a lagging clock, which files at the scan
-				// cursor): keep running without a channel round trip.
-				c.evBaton = true
-				lane.mu.Unlock()
-				return
-			}
-			l.grant(lane, s)
-		}
+		l.passBaton(lane, c)
 	} else {
-		//lint:allow noalloc pending retains capacity across barriers
-		lane.pending = append(lane.pending, c.evLocal)
+		lane.stage(c.evLocal)
 	}
 	lane.mu.Unlock()
+	l.block(c)
+}
+
+// wait is the scheduler half of Client.Wait: the caller stays a member
+// but leaves the run order — it is in no calendar while it waits, so it
+// never holds the window back — until a signal re-files it. A signal
+// that already arrived is consumed without blocking.
+//
+//chime:noalloc
+func (l *evLoop) wait(c *Client) {
+	lane := &l.lanes[c.evLane]
+	lane.mu.Lock()
+	if c.evSignalled {
+		c.evSignalled = false
+		lane.mu.Unlock()
+		return
+	}
+	c.evWaiting = true
+	l.passBaton(lane, c)
+	lane.mu.Unlock()
+	l.block(c)
+}
+
+// block stops counting the caller as running — the last runner leads
+// the barrier — and sleeps until a baton or barrier wakes it. The
+// caller returns runnable: its clock is inside the (possibly advanced)
+// window.
+//
+//chime:noalloc
+func (l *evLoop) block(c *Client) {
 	if l.running.Add(-1) == 0 {
-		l.mu.Lock()
-		if l.running.Load() == 0 {
-			l.advanceLocked()
-		}
-		l.mu.Unlock()
+		l.barrier()
 	}
 	<-c.evPark
 	c.evMustPark = false
+}
+
+// signal is the scheduler half of Client.Signal: wake cohort member w
+// at virtual time at. A waiter that has not blocked yet keeps the
+// signal for its Wait to find. A blocked one is re-filed at max(its
+// clock, at): straight into the calendar when the signaller holds the
+// lane's baton, so the waiter can run in the same window; through
+// pending otherwise, and then the signaller leads the barrier itself if
+// nobody is left running to do it.
+//
+//chime:noalloc
+func (l *evLoop) signal(from, w *Client, at int64) {
+	lane := &l.lanes[w.evLane]
+	lane.mu.Lock()
+	w.evWakeAt = at
+	if !w.evWaiting {
+		w.evSignalled = true
+		lane.mu.Unlock()
+		return
+	}
+	w.evWaiting = false
+	if from.evBaton && from.evLane == w.evLane {
+		lane.cal.Push(w.evLocal, w.parkKey())
+		lane.mu.Unlock()
+		return
+	}
+	lane.stage(w.evLocal)
+	lane.mu.Unlock()
+	if l.running.Load() == 0 {
+		l.barrier()
+	}
 }
 
 // grant wakes one parked member: it becomes its lane's runner. The
@@ -221,35 +263,42 @@ func (l *evLoop) grant(lane *evLane, s int32) {
 	c.evPark <- struct{}{}
 }
 
-// advanceLocked is the barrier: every member is parked (running == 0),
-// so the leader has exclusive access to all lane state. Pending parks
-// are flushed into the calendars in slot order (the deterministic tie
-// break for members that parked concurrently), then the window opens
-// one quantum past the slowest parked member — the same arithmetic as
-// timeGate.advanceLocked — and exactly one member per lane is woken to
-// seed the batons.
+// barrier runs advanceLocked if, under the loop lock, still nobody is
+// running.
+//
+//chime:noalloc
+func (l *evLoop) barrier() {
+	l.mu.Lock()
+	if l.running.Load() == 0 {
+		l.advanceLocked()
+	}
+	l.mu.Unlock()
+}
+
+// advanceLocked is the barrier: no member is running, so nobody pops.
+// Pending entries enter the calendars (in any order: pop order depends
+// only on the set), then the window opens one quantum past the slowest
+// parked member and exactly one member per lane is woken to seed the
+// batons. The lane locks are taken against signallers outside the
+// cohort, which may be staging a waiter meanwhile.
 //
 //chime:noalloc
 func (l *evLoop) advanceLocked() {
-	min := int64(maxInt64)
+	min := int64(math.MaxInt64)
 	for i := range l.lanes {
 		lane := &l.lanes[i]
-		if len(lane.pending) > 0 {
-			// Slot order is the deterministic tie break; the sort must
-			// stay O(n log n) because the first barrier sees the whole
-			// lane here (100k-member descents arrive in host order).
-			slices.Sort(lane.pending)
-			for _, s := range lane.pending {
-				lane.cal.Push(s, lane.clients[s].now)
-			}
-			lane.pending = lane.pending[:0]
+		lane.mu.Lock()
+		for _, s := range lane.pending {
+			lane.cal.Push(s, lane.clients[s].parkKey())
 		}
+		lane.pending = lane.pending[:0]
 		if k := lane.cal.MinKey(); k < min {
 			min = k
 		}
+		lane.mu.Unlock()
 	}
-	if min == maxInt64 {
-		return // no parked members (cohort drained)
+	if min == math.MaxInt64 {
+		return // nobody parked: the cohort drained, or every member waits
 	}
 	next := min + l.quantum
 	if next <= l.window {
@@ -258,8 +307,10 @@ func (l *evLoop) advanceLocked() {
 	l.window = next
 	for i := range l.lanes {
 		lane := &l.lanes[i]
+		lane.mu.Lock()
 		if s := lane.cal.PopBelow(l.window); s != sched.NoSlot {
 			l.grant(lane, s)
 		}
+		lane.mu.Unlock()
 	}
 }

@@ -1,19 +1,15 @@
 package dmsim
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-var errMustSuspend = errors.New("gated client must suspend")
-
 func evConfig(lanes int) Config {
 	cfg := DefaultConfig()
 	cfg.MNSize = 1 << 20
-	cfg.Scheduler = SchedulerEventLoop
 	cfg.Lanes = lanes
 	return cfg
 }
@@ -75,9 +71,9 @@ func runEvCohort(t *testing.T, cfg Config, clients, ops int) evFingerprint {
 	return fp
 }
 
-// TestEventLoopCohortOverlapsVirtualTime is the event-mode twin of
-// TestCohortOverlapsVirtualTime: cohort members must share virtual
-// time, not serialize behind each other.
+// TestEventLoopCohortOverlapsVirtualTime is TestCohortOverlapsVirtualTime
+// on one lane and on four: cohort members must share virtual time, not
+// serialize behind each other.
 func TestEventLoopCohortOverlapsVirtualTime(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
 		fp := runEvCohort(t, evConfig(lanes), 8, 200)
@@ -116,30 +112,9 @@ func TestEventLoopDeterministicAcrossRunsAndProcs(t *testing.T) {
 	}
 }
 
-// TestEventLoopSingleLaneMatchesGateFrontier sanity-checks the shard
-// capacity scaling: the same single-client verb stream must cost the
-// same virtual time under both schedulers (one shard each).
-func TestEventLoopSingleLaneMatchesGateFrontier(t *testing.T) {
-	run := func(cfg Config) int64 {
-		f := MustNewFabric(cfg)
-		c := f.NewClient()
-		buf := make([]byte, 256)
-		for i := 0; i < 100; i++ {
-			if err := c.Write(GAddr{Off: 64}, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return f.Frontier()
-	}
-	gate := func() Config { c := DefaultConfig(); c.MNSize = 1 << 20; return c }()
-	if g, e := run(gate), run(evConfig(1)); g != e {
-		t.Fatalf("frontier: gate %d != event %d", g, e)
-	}
-}
-
-// TestEventLoopSuspendResume is the event-mode twin of
-// TestSuspendReleasesGate: a suspended member must not stall the
-// cohort, and a member resuming far ahead must not widen the window.
+// TestEventLoopSuspendResume: a member waiting on another client must
+// not stall the cohort, and one woken far ahead of it must neither
+// widen the window nor run its clock backward.
 func TestEventLoopSuspendResume(t *testing.T) {
 	f := MustNewFabric(evConfig(2))
 	a, b := f.NewClient(), f.NewClient()
@@ -148,40 +123,49 @@ func TestEventLoopSuspendResume(t *testing.T) {
 
 	done := make(chan struct{})
 	var bErr error
+	var wokeAt int64
 	go func() {
 		defer close(done)
-		if !b.Suspend() {
-			bErr = errMustSuspend
-			return
-		}
-		// Resume far ahead and issue one more verb: must not deadlock
-		// and must not run the clock backward.
-		b.Resume(b.Now() + 1_000_000)
+		defer b.LeaveCohort()
+		b.Wait()
+		wokeAt = b.Now()
 		bErr = b.Read(GAddr{Off: 128}, make([]byte, 64))
-		b.LeaveCohort()
 	}()
 
+	// a runs many windows alone while b waits, then wakes b 1 ms ahead of
+	// itself and keeps going: b's verb must wait for the window to reach
+	// its clock, not pull the window there.
 	buf := make([]byte, 64)
+	var sigAt int64
 	for i := 0; i < 600; i++ {
+		if i == 300 {
+			sigAt = a.Now() + 1_000_000
+			a.Signal(b, sigAt)
+		}
 		if err := a.Read(GAddr{Off: 64}, buf); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if a.Now() < 600*2000 || a.Now() > sigAt {
+		t.Fatalf("a finished at %dns: stalled by the waiter, or dragged to its wake time %d", a.Now(), sigAt)
 	}
 	a.LeaveCohort()
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("event loop wedged on suspend/resume")
+		t.Fatal("cohort wedged on wait/signal")
 	}
 	if bErr != nil {
 		t.Fatal(bErr)
 	}
+	if wokeAt != sigAt {
+		t.Fatalf("b woke at %d, want the signal's %d", wokeAt, sigAt)
+	}
 }
 
-// TestEventLoopJoinLeaveChurn: members joining and leaving mid-flight
-// must never wedge the loop (the gate's churn test, in event mode).
-func TestEventLoopJoinLeaveChurn(t *testing.T) {
-	f := MustNewFabric(evConfig(3))
+// churn drives members that leave and rejoin the cohort mid-flight.
+func churn(t *testing.T, lanes int) {
+	f := MustNewFabric(evConfig(lanes))
 	const members = 6
 	var wg sync.WaitGroup
 	for m := 0; m < members; m++ {
@@ -198,9 +182,9 @@ func TestEventLoopJoinLeaveChurn(t *testing.T) {
 					break
 				}
 				if j%50 == 25 {
-					c.Suspend()
+					c.LeaveCohort()
 					c.Advance(10_000)
-					c.Resume(0)
+					c.JoinCohort()
 				}
 			}
 			c.LeaveCohort()
@@ -211,9 +195,14 @@ func TestEventLoopJoinLeaveChurn(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("event loop wedged under join/leave churn")
+		t.Fatal("cohort wedged under join/leave churn")
 	}
 }
+
+// Members joining and leaving mid-flight must never wedge the cohort,
+// on one lane or on several.
+func TestGateJoinLeaveChurn(t *testing.T)      { churn(t, 1) }
+func TestEventLoopJoinLeaveChurn(t *testing.T) { churn(t, 3) }
 
 // TestShardedNICStatsAggregate pins the ResetStats/obs interaction on
 // the sharded path (ISSUE 6 satellite): client stats reset per window

@@ -202,8 +202,7 @@ func wordStripes(off uint64) (stripes [2]uint64, n int) {
 type Fabric struct {
 	cfg  Config
 	mns  []*memoryNode
-	gate *timeGate // cohort synchronizer under SchedulerGate
-	loop *evLoop   // cohort synchronizer under SchedulerEventLoop (nil otherwise)
+	loop *evLoop // cohort scheduler (eventloop.go)
 
 	// shards is the per-MN NIC shard count (== effective lanes).
 	shards int32
@@ -242,12 +241,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{cfg: cfg, shards: int32(cfg.lanes())}
-	if cfg.Scheduler == SchedulerEventLoop {
-		f.loop = newEvLoop(cfg.quantumNs(), cfg.lanes())
-	} else {
-		f.gate = newTimeGate(cfg.quantumNs())
-	}
+	f := &Fabric{cfg: cfg, shards: int32(cfg.lanes()), loop: newEvLoop(cfg.quantumNs(), cfg.lanes())}
 	for i := 0; i < cfg.MNs; i++ {
 		f.mns = append(f.mns, &memoryNode{
 			mem: make([]byte, cfg.MNSize),

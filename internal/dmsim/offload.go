@@ -268,7 +268,7 @@ const offHeaderBytes = 32
 // MN CPU charge for the program, pooled completion. The per-client
 // scratch MNCtx keeps the steady state allocation-free.
 func (c *Client) postOffload(id MNProgramID, mn int, kind offKind, key, arg uint64, val []byte, limit int, dst []byte) (*Completion, error) {
-	c.syncGate()
+	c.Sync()
 	if mn < 0 || mn >= len(c.f.mns) {
 		return nil, fmt.Errorf("dmsim: offload to MN %d of %d", mn, len(c.f.mns))
 	}

@@ -2,6 +2,7 @@ package dmsim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -408,50 +409,22 @@ func sameOffloadFP(t *testing.T, label string, a, b offloadFingerprint) {
 	}
 }
 
-// sameOffloadCounts compares what no interleaving of a cohort can move:
-// how many verbs of each kind every client issued and the MN received.
-// Clocks, queueing totals and the bytes of reads that raced a write are
-// left out.
-func sameOffloadCounts(t *testing.T, label string, a, b offloadFingerprint) {
-	t.Helper()
-	if a.nic.Verbs != b.nic.Verbs || a.mncpu.Ops != b.mncpu.Ops {
-		t.Fatalf("%s: MN saw %d verbs / %d programs, then %d / %d",
-			label, a.nic.Verbs, a.mncpu.Ops, b.nic.Verbs, b.mncpu.Ops)
-	}
-	for i := range a.stats {
-		x, y := a.stats[i], b.stats[i]
-		if x.Reads != y.Reads || x.Writes != y.Writes || x.Trips != y.Trips ||
-			x.Offloads != y.Offloads || x.Posted != y.Posted {
-			t.Fatalf("%s: client %d counts %+v != %+v", label, i, x, y)
-		}
-	}
-}
-
-// TestOffloadDeterministicAcrossSchedulers pins the determinism claim
-// at the dmsim layer for an offload-heavy cohort. The event loop is
-// bit-identical across reruns at one and four lanes regardless of
-// GOMAXPROCS, and so is the condvar gate with a single client. A
-// multi-client gate cohort is not: the gate arbitrates same-window NIC
-// arrivals in host lock order, so on a multi-core host its clocks and
-// queueing totals may differ between runs (every multi-client gate row
-// of BENCH_SCALE.json says reproducible: false) — for it only the verb
-// counts are held. (Gate and event loop are not identical to one
-// another either: they order concurrent verbs within a quantum
-// differently, with or without offload.)
-func TestOffloadDeterministicAcrossSchedulers(t *testing.T) {
-	sameOffloadFP(t, "gate rerun, one client",
-		runOffloadCohort(t, testConfig(), 1, 60), runOffloadCohort(t, testConfig(), 1, 60))
-	sameOffloadCounts(t, "gate rerun, eight clients",
-		runOffloadCohort(t, testConfig(), 8, 60), runOffloadCohort(t, testConfig(), 8, 60))
-
+// TestOffloadDeterministicAcrossProcs pins the determinism claim at the
+// dmsim layer for an offload-heavy cohort: every client clock, every
+// counter and the NIC and MN-CPU totals are bit-identical across reruns,
+// for one client and for eight, at one lane and at four, regardless of
+// GOMAXPROCS.
+func TestOffloadDeterministicAcrossProcs(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
-		cfg := evConfig(lanes)
-		base := runOffloadCohort(t, cfg, 8, 60)
-		for trial := 0; trial < 3; trial++ {
-			prev := runtime.GOMAXPROCS(1 + trial)
-			got := runOffloadCohort(t, cfg, 8, 60)
-			runtime.GOMAXPROCS(prev)
-			sameOffloadFP(t, "event-loop rerun", base, got)
+		for _, clients := range []int{1, 8} {
+			cfg := evConfig(lanes)
+			base := runOffloadCohort(t, cfg, clients, 60)
+			for trial := 0; trial < 3; trial++ {
+				prev := runtime.GOMAXPROCS(1 + trial)
+				got := runOffloadCohort(t, cfg, clients, 60)
+				runtime.GOMAXPROCS(prev)
+				sameOffloadFP(t, fmt.Sprintf("rerun, %d lanes, %d clients", lanes, clients), base, got)
+			}
 		}
 	}
 }
@@ -460,7 +433,6 @@ func TestOffloadDeterministicAcrossSchedulers(t *testing.T) {
 // offload verb path: steady-state offload issue/poll allocates nothing.
 func TestOffloadRoundTripZeroAllocs(t *testing.T) {
 	cfg := testConfig()
-	cfg.Scheduler = SchedulerEventLoop
 	f := MustNewFabric(cfg)
 	p := buildKVTable(t, f, 4)
 	id := f.RegisterMNProgram(p)
@@ -489,7 +461,6 @@ func TestOffloadRoundTripZeroAllocs(t *testing.T) {
 func BenchmarkOffloadRoundTrip(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.MNSize = 1 << 20
-	cfg.Scheduler = SchedulerEventLoop
 	f := MustNewFabric(cfg)
 	p := buildKVTable(b, f, 4)
 	id := f.RegisterMNProgram(p)

@@ -1,6 +1,7 @@
 package dmsim
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -115,40 +116,16 @@ func BenchmarkVerbRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkGateAdvance measures the scheduler advance itself — cohort
-// members crossing window edges as fast as they can — for the condvar
-// gate and the event loop at several cohort sizes. Every sync is an
-// edge crossing (the member's clock advances one quantum per issue), so
-// ns/op is the per-member cost of one window advance.
-func BenchmarkGateAdvance(b *testing.B) {
+// BenchmarkCohortAdvance measures the scheduler advance itself — cohort
+// members crossing window edges as fast as they can — at several cohort
+// sizes. Every sync is an edge crossing (the member's clock advances one
+// quantum per issue), so ns/op is the per-member cost of one window
+// advance.
+func BenchmarkCohortAdvance(b *testing.B) {
 	for _, members := range []int{8, 64, 512} {
-		b.Run(benchName("gate", members), func(b *testing.B) {
-			g := newTimeGate(1000)
-			for m := 0; m < members; m++ {
-				g.join(0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			per := b.N / members
-			for m := 0; m < members; m++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer g.leave()
-					now := int64(0)
-					for j := 0; j < per; j++ {
-						g.sync(now)
-						now += 1000
-					}
-				}()
-			}
-			wg.Wait()
-		})
-		b.Run(benchName("event", members), func(b *testing.B) {
+		b.Run(strconv.Itoa(members), func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.MNSize = 1 << 20
-			cfg.Scheduler = SchedulerEventLoop
 			f := MustNewFabric(cfg)
 			cls := make([]*Client, members)
 			for m := range cls {
@@ -166,23 +143,12 @@ func BenchmarkGateAdvance(b *testing.B) {
 					defer wg.Done()
 					defer c.LeaveCohort()
 					for j := 0; j < per; j++ {
-						c.syncGate()
+						c.Sync()
 						c.now += quantum
 					}
 				}(cls[m])
 			}
 			wg.Wait()
 		})
-	}
-}
-
-func benchName(kind string, members int) string {
-	switch members {
-	case 8:
-		return kind + "/8"
-	case 64:
-		return kind + "/64"
-	default:
-		return kind + "/512"
 	}
 }

@@ -1,95 +1,58 @@
-// Package sched provides the deterministic scheduling substrate for
-// dmsim's batch event loop: a calendar queue (Brown, CACM '88) keyed on
-// virtual nanoseconds, specialized for cohort scheduling where keys
-// advance through quantum-sized windows.
+// Package sched provides the ordering substrate of dmsim's cohort
+// scheduler: the event calendar of one lane — the set of parked members
+// — popped in virtual-clock order.
 //
-// The queue is intrusive and allocation-free in steady state: members
-// are dense int32 slots, and the per-slot key/next arrays double as the
-// chain storage, so parking and unparking a client never allocates.
-// Every operation is single-threaded by contract (the caller holds its
-// lane's lock); determinism follows because the pop order is a pure
-// function of the push history, never of host scheduling.
+// Members are dense int32 slots and the per-slot arrays are sized by
+// Grow, so parking and unparking a client never allocates. Every
+// operation is single-threaded by contract (the caller holds its lane's
+// lock). Pop order is a pure function of the SET of parked (key, slot)
+// pairs — never of the order they were pushed in, and never of host
+// scheduling — which is what lets the event loop file concurrent
+// parkers in whatever order the host produced them.
 package sched
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // NoSlot is returned by PopBelow when no entry is eligible.
 const NoSlot = int32(-1)
 
-const nilSlot = int32(-1)
-
-// Calendar is a bucketed ring of virtual-time buckets. Bucket i holds
-// entries whose key falls in [i*width, (i+1)*width) modulo the ring
-// horizon; entries past the horizon wait on an overflow chain and are
-// refiled as the scan cursor advances. With bucket width set to the
-// cohort quantum, the common case — every parked client's key within
-// one window of the cursor — touches exactly one bucket per window, so
-// enqueue and harvest are O(1) amortized per client per window.
+// Calendar is a binary min-heap of parked slots ordered by (key, slot):
+// the smallest virtual clock first, the lower slot among equal clocks.
+// The NIC's queueing recurrence is only faithful for arrivals in time
+// order, so the member that runs next is always the one whose clock is
+// furthest behind. The zero value is an empty calendar; Grow before
+// Push.
 type Calendar struct {
-	width   int64   // bucket span in virtual ns (the cohort quantum)
-	buckets []int32 // chain head per bucket, nilSlot when empty
-	next    []int32 // per-slot chain link
-	key     []int64 // per-slot virtual-ns key
-	parked  []bool  // per-slot membership (guards double push/pop)
-
-	overflow int32 // chain of entries at or past the ring horizon
-	base     int64 // scan cursor: every entry's key is >= base or clamped to it
-	count    int
-}
-
-// NewCalendar returns a calendar with the given bucket width (clamped
-// to >= 1) and bucket count (rounded up to a power of two, minimum 8).
-func NewCalendar(width int64, nbuckets int) *Calendar {
-	if width < 1 {
-		width = 1
-	}
-	nb := 8
-	for nb < nbuckets {
-		nb <<= 1
-	}
-	c := &Calendar{width: width, buckets: make([]int32, nb), overflow: nilSlot}
-	for i := range c.buckets {
-		c.buckets[i] = nilSlot
-	}
-	return c
+	heap   []int32 // parked slots in heap order; capacity reserved by Grow
+	key    []int64 // per-slot virtual-ns key
+	parked []bool  // per-slot membership (guards double push)
 }
 
 // Grow ensures the calendar can hold slots [0, n).
 func (c *Calendar) Grow(n int) {
 	for len(c.key) < n {
 		c.key = append(c.key, 0)
-		c.next = append(c.next, nilSlot)
 		c.parked = append(c.parked, false)
 	}
+	c.heap = slices.Grow(c.heap, len(c.key)-len(c.heap))
 }
 
 // Len returns the number of parked slots.
-func (c *Calendar) Len() int { return c.count }
+func (c *Calendar) Len() int { return len(c.heap) }
 
-// Parked reports whether the slot is currently enqueued.
-func (c *Calendar) Parked(slot int32) bool { return c.parked[slot] }
-
-// horizon is the exclusive upper bound of keys the ring can file.
-func (c *Calendar) horizon() int64 {
-	h := c.base + c.width*int64(len(c.buckets))
-	if h < c.base { // overflow guard for huge virtual times
-		return math.MaxInt64
-	}
-	return h
+// before reports whether slot a pops ahead of slot b.
+//
+//chime:noalloc
+func (c *Calendar) before(a, b int32) bool {
+	return c.key[a] < c.key[b] || c.key[a] == c.key[b] && a < b
 }
 
-// bucketOf maps a key (already clamped to >= base, < horizon) to its
-// ring bucket.
-func (c *Calendar) bucketOf(key int64) int {
-	return int((key / c.width) & int64(len(c.buckets)-1))
-}
-
-// Push parks a slot at the given key. Keys behind the scan cursor are
-// legal (a rejoined client whose clock lags the cohort window) and are
-// filed at the cursor's bucket with their true key, so they pop on the
-// very next harvest. Pushing an already-parked slot panics: the caller
-// has lost track of who is running, and continuing would corrupt the
-// chains.
+// Push parks a slot at the given key. Pushing an already-parked slot
+// panics: the caller has lost track of who is running, and continuing
+// would run one member twice.
 //
 //chime:noalloc
 func (c *Calendar) Push(slot int32, key int64) {
@@ -98,149 +61,60 @@ func (c *Calendar) Push(slot int32, key int64) {
 	}
 	c.parked[slot] = true
 	c.key[slot] = key
-	c.count++
-	filed := key
-	if filed < c.base {
-		filed = c.base
+	i := len(c.heap)
+	c.heap = c.heap[:i+1] // within the capacity Grow reserved
+	for i > 0 {
+		up := (i - 1) / 2
+		if !c.before(slot, c.heap[up]) {
+			break
+		}
+		c.heap[i] = c.heap[up]
+		i = up
 	}
-	if filed >= c.horizon() {
-		c.next[slot] = c.overflow
-		c.overflow = slot
-		return
-	}
-	b := c.bucketOf(filed)
-	c.next[slot] = c.buckets[b]
-	c.buckets[b] = slot
+	c.heap[i] = slot
 }
 
 // MinKey returns the smallest parked key, or math.MaxInt64 when empty.
-// The first nonempty ring bucket at or after the cursor bounds every
-// later bucket's keys from below, so only that bucket's chain (plus the
-// rare overflow chain when the ring is empty) is scanned.
 //
 //chime:noalloc
 func (c *Calendar) MinKey() int64 {
-	if c.count == 0 {
+	if len(c.heap) == 0 {
 		return math.MaxInt64
 	}
-	b := c.bucketOf(c.base)
-	for scanned := 0; scanned < len(c.buckets); scanned++ {
-		if head := c.buckets[(b+scanned)&(len(c.buckets)-1)]; head != nilSlot {
-			min := int64(math.MaxInt64)
-			for s := head; s != nilSlot; s = c.next[s] {
-				if c.key[s] < min {
-					min = c.key[s]
-				}
-			}
-			return min
-		}
-	}
-	min := int64(math.MaxInt64)
-	for s := c.overflow; s != nilSlot; s = c.next[s] {
-		if c.key[s] < min {
-			min = c.key[s]
-		}
-	}
-	return min
+	return c.key[c.heap[0]]
 }
 
-// PopBelow removes and returns one slot whose key is < limit, or NoSlot
-// when none is eligible. Buckets are scanned in ascending virtual-time
-// order from the cursor, so successive pops drain a window in coarse
-// clock order; within a bucket the chain order (a pure function of push
-// history) decides. Advancing limit moves the scan cursor forward and
-// refiles overflow entries that enter the ring horizon.
+// PopBelow removes and returns the first slot in (key, slot) order if
+// its key is < limit, or NoSlot when nothing is parked below limit.
 //
 //chime:noalloc
 func (c *Calendar) PopBelow(limit int64) int32 {
-	if c.count == 0 {
-		c.advanceTo(limit)
+	if len(c.heap) == 0 || c.key[c.heap[0]] >= limit {
 		return NoSlot
 	}
-	start := c.bucketOf(c.base)
-	bound := limit
-	if h := c.horizon(); bound > h {
-		bound = h
-	}
-	// Number of buckets the window [base, bound) spans, capped at one
-	// full ring revolution (computed in int64 to survive huge keys).
-	span := 0
-	if bound > c.base {
-		if d := bound - c.base; d >= c.width*int64(len(c.buckets)) {
-			span = len(c.buckets)
-		} else {
-			span = int((d + c.width - 1) / c.width)
+	top := c.heap[0]
+	c.parked[top] = false
+	n := len(c.heap) - 1
+	last := c.heap[n]
+	c.heap = c.heap[:n]
+	// Sift the displaced last entry down from the root.
+	i := 0
+	for {
+		kid := 2*i + 1
+		if kid >= n {
+			break
 		}
-	}
-	for i := 0; i < span; i++ {
-		b := (start + i) & (len(c.buckets) - 1)
-		prev := nilSlot
-		for s := c.buckets[b]; s != nilSlot; s = c.next[s] {
-			if c.key[s] < limit {
-				if prev == nilSlot {
-					c.buckets[b] = c.next[s]
-				} else {
-					c.next[prev] = c.next[s]
-				}
-				c.unfile(s)
-				return s
-			}
-			prev = s
+		if kid+1 < n && c.before(c.heap[kid+1], c.heap[kid]) {
+			kid++
 		}
-	}
-	// Ring exhausted below limit: check the overflow chain (rare — only
-	// populated by keys far past the horizon).
-	prev := nilSlot
-	for s := c.overflow; s != nilSlot; s = c.next[s] {
-		if c.key[s] < limit {
-			if prev == nilSlot {
-				c.overflow = c.next[s]
-			} else {
-				c.next[prev] = c.next[s]
-			}
-			c.unfile(s)
-			return s
+		if !c.before(c.heap[kid], last) {
+			break
 		}
-		prev = s
+		c.heap[i] = c.heap[kid]
+		i = kid
 	}
-	c.advanceTo(limit)
-	return NoSlot
-}
-
-//chime:noalloc
-func (c *Calendar) unfile(s int32) {
-	c.next[s] = nilSlot
-	c.parked[s] = false
-	c.count--
-}
-
-// advanceTo moves the scan cursor forward to limit (never backward) and
-// refiles overflow entries that the wider horizon can now hold.
-//
-//chime:noalloc
-func (c *Calendar) advanceTo(limit int64) {
-	if limit <= c.base {
-		return
+	if n > 0 {
+		c.heap[i] = last
 	}
-	c.base = limit
-	h := c.horizon()
-	var keep int32 = nilSlot
-	s := c.overflow
-	for s != nilSlot {
-		n := c.next[s]
-		filed := c.key[s]
-		if filed < c.base {
-			filed = c.base
-		}
-		if filed < h {
-			b := c.bucketOf(filed)
-			c.next[s] = c.buckets[b]
-			c.buckets[b] = s
-		} else {
-			c.next[s] = keep
-			keep = s
-		}
-		s = n
-	}
-	c.overflow = keep
+	return top
 }

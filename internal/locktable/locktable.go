@@ -9,9 +9,12 @@
 // vacancy bitmap and argmax) without any network traffic. The remote
 // word is only written back when no local contender wants the lock.
 //
-// Virtual-time semantics: waiters Suspend from the fabric's time gate
-// and Resume at the releaser's clock plus a small local handover cost,
-// which is exactly the latency a handover costs on real hardware.
+// Virtual-time semantics: a waiter parks in virtual time
+// (dmsim.Client.Wait) — it stays a member of the fabric's cohort and
+// holds nothing back while it waits — and the releaser's Signal re-files
+// it at the releaser's clock plus a small local handover cost, which is
+// exactly the latency a handover costs on real hardware. Acquire Syncs
+// first, so a cohort member reaches the table in scheduler order.
 package locktable
 
 import (
@@ -24,25 +27,21 @@ import (
 // one CN.
 const handoverNs = 200
 
-type handoff struct {
+// lockState is one held slot: its presence in the table is the hold.
+// The handover fields are a mailbox of one — only the client at the
+// head of the queue is ever handed the slot, and it reads them before
+// it can release in turn.
+type lockState struct {
+	waiters dmsim.WaitQueue // FIFO of local contenders
+
 	word uint64 // lock-word payload carried across the handover
 	ok   bool   // false: lock not held remotely; acquire it yourself
-	at   int64  // releaser's virtual time
-}
-
-type waiter struct {
-	ch chan handoff
-}
-
-type lockState struct {
-	held    bool
-	waiters []*waiter
 }
 
 // Table is one compute node's local lock table. Safe for concurrent use.
 type Table struct {
 	mu sync.Mutex
-	m  map[uint64]*lockState
+	m  map[uint64]lockState // by value: acquiring and queuing allocate nothing
 
 	handovers int64
 	acquires  int64
@@ -50,7 +49,7 @@ type Table struct {
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{m: make(map[uint64]*lockState)}
+	return &Table{m: make(map[uint64]lockState)}
 }
 
 // Stats reports total acquisitions and how many were served by local
@@ -67,36 +66,28 @@ func (t *Table) Stats() (acquires, handovers int64) {
 // caller must acquire the remote lock itself (the slot is reserved for
 // it, so same-CN contention is off the wire).
 func (t *Table) Acquire(dc *dmsim.Client, addr uint64) (word uint64, viaHandover bool) {
+	dc.Sync()
 	t.mu.Lock()
 	t.acquires++
-	st := t.m[addr]
-	if st == nil {
-		st = &lockState{}
-		t.m[addr] = st
-	}
-	if !st.held {
-		st.held = true
+	st, held := t.m[addr]
+	if !held {
+		t.m[addr] = lockState{}
 		t.mu.Unlock()
 		return 0, false
 	}
-	w := &waiter{ch: make(chan handoff, 1)}
-	st.waiters = append(st.waiters, w)
+	st.waiters.Push(dc)
+	t.m[addr] = st
 	t.mu.Unlock()
 
-	suspended := dc.Suspend()
-	h := <-w.ch
-	at := h.at + handoverNs
-	if suspended {
-		dc.Resume(at)
-	} else if at > dc.Now() {
-		dc.Advance(at - dc.Now())
-	}
-	if h.ok {
-		t.mu.Lock()
+	dc.Wait()
+
+	t.mu.Lock()
+	st = t.m[addr]
+	if st.ok {
 		t.handovers++
-		t.mu.Unlock()
 	}
-	return h.word, h.ok
+	t.mu.Unlock()
+	return st.word, st.ok
 }
 
 // HasWaiters reports whether a local contender is queued; releasers use
@@ -110,10 +101,7 @@ func (t *Table) Waiters(addr uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.m[addr]
-	if st == nil {
-		return 0
-	}
-	return len(st.waiters)
+	return st.waiters.Len()
 }
 
 // ReleaseHandover passes the (still remotely held) lock to the next
@@ -121,17 +109,7 @@ func (t *Table) Waiters(addr uint64) int {
 // false when no waiter was queued after all — the caller must then
 // release the remote lock and call ReleaseRemote.
 func (t *Table) ReleaseHandover(dc *dmsim.Client, addr uint64, word uint64) bool {
-	t.mu.Lock()
-	st := t.m[addr]
-	if st == nil || len(st.waiters) == 0 {
-		t.mu.Unlock()
-		return false
-	}
-	w := st.waiters[0]
-	st.waiters = st.waiters[1:]
-	t.mu.Unlock()
-	w.ch <- handoff{word: word, ok: true, at: dc.Now()}
-	return true
+	return t.release(dc, addr, word, true)
 }
 
 // ReleaseRemote marks the slot free after the caller released the
@@ -139,21 +117,27 @@ func (t *Table) ReleaseHandover(dc *dmsim.Client, addr uint64, word uint64) bool
 // woken with instructions to acquire remotely itself (the slot passes
 // to it).
 func (t *Table) ReleaseRemote(dc *dmsim.Client, addr uint64) {
+	t.release(dc, addr, 0, false)
+}
+
+// release passes the slot to the longest-queued waiter, waking it at the
+// releaser's clock plus the handover cost; remote says whether the
+// remote lock comes with it. With nobody queued it reports false, and
+// the slot is free unless the caller still holds the remote lock.
+func (t *Table) release(dc *dmsim.Client, addr uint64, word uint64, remote bool) bool {
 	t.mu.Lock()
 	st := t.m[addr]
-	if st == nil {
+	w := st.waiters.Pop()
+	if w == nil {
+		if !remote {
+			delete(t.m, addr)
+		}
 		t.mu.Unlock()
-		return
+		return false
 	}
-	if len(st.waiters) > 0 {
-		w := st.waiters[0]
-		st.waiters = st.waiters[1:]
-		// Slot stays held, now owned by the woken waiter.
-		t.mu.Unlock()
-		w.ch <- handoff{ok: false, at: dc.Now()}
-		return
-	}
-	st.held = false
-	delete(t.m, addr)
+	st.word, st.ok = word, remote
+	t.m[addr] = st
 	t.mu.Unlock()
+	dc.Signal(w, dc.Now()+handoverNs)
+	return true
 }

@@ -1,6 +1,7 @@
 package locktable
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,4 +142,67 @@ func TestDistinctAddressesIndependent(t *testing.T) {
 	}
 	tbl.ReleaseRemote(a, 1)
 	tbl.ReleaseRemote(b, 2)
+}
+
+// TestAcquireAllocs: the lock table allocates nothing once its map has
+// its buckets — not for an uncontended acquire/release, and not per
+// waiter for a contended one: held slots live in the map by value and
+// the queue links run through the waiting clients.
+func TestAcquireAllocs(t *testing.T) {
+	f := fabric()
+	tbl := New()
+	holder := f.NewClient()
+	if n := testing.AllocsPerRun(200, func() {
+		tbl.Acquire(holder, 42)
+		tbl.ReleaseRemote(holder, 42)
+	}); n != 0 {
+		t.Fatalf("uncontended acquire/release: %.1f allocs, want 0", n)
+	}
+
+	// Three waiters queue behind the holder and take the slot in turn,
+	// each handing it to the next; the last hands it back to the holder.
+	const waiters = 3
+	var wg sync.WaitGroup
+	turn := make(chan struct{})
+	for i := 0; i < waiters; i++ {
+		dc := f.NewClient()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range turn {
+				tbl.Acquire(dc, 42)
+				if !tbl.ReleaseHandover(dc, 42, 7) {
+					tbl.ReleaseRemote(dc, 42)
+				}
+			}
+		}()
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		tbl.Acquire(holder, 42)
+		for i := 0; i < waiters; i++ {
+			turn <- struct{}{}
+		}
+		for tbl.Waiters(42) != waiters {
+			runtime.Gosched()
+		}
+		if !tbl.ReleaseHandover(holder, 42, 7) {
+			t.Fatal("handover with waiters queued must succeed")
+		}
+		// The slot is free again once the last waiter found nobody queued.
+		for tbl.held(42) {
+			runtime.Gosched()
+		}
+	}); n != 0 {
+		t.Fatalf("contended round of %d waiters: %.1f allocs, want 0", waiters, n)
+	}
+	close(turn)
+	wg.Wait()
+}
+
+// held reports whether the slot is taken.
+func (t *Table) held(addr uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.m[addr]
+	return ok
 }

@@ -14,9 +14,11 @@
 //
 // Virtual-time semantics: a follower's clock advances to the leader's
 // completion time (never backward), exactly as if it had waited for the
-// in-flight verb. Followers Suspend from the fabric's time gate while
-// blocked so they do not stall the window, and Resume at the adopted
-// completion time.
+// in-flight verb. A follower parks in virtual time (dmsim.Client.Wait):
+// it stays a member of the fabric's cohort, holds nothing back while it
+// waits, and the leader's Signal re-files it at the adopted completion
+// time. Both entry points Sync first, so a cohort member reaches the
+// combiner's maps in scheduler order, never in host order.
 package rdwc
 
 import (
@@ -30,29 +32,30 @@ import (
 type readFlight struct {
 	startAt int64 // leader's virtual clock when the read was issued
 
-	// done is closed once the result below is in. The first follower
-	// creates it, under Combiner.mu: most flights never get one, and their
-	// leader allocates nothing for followers that did not come.
-	done chan struct{}
+	// followers queue here under Combiner.mu until the leader
+	// unregisters the flight; it then owns the queue.
+	followers dmsim.WaitQueue
 
-	// The result, published under Combiner.mu as the leader unregisters.
-	val    []byte
-	err    error
-	doneAt int64 // leader's virtual completion time
+	// The result, written by the leader before it signals the first
+	// follower and never again.
+	val []byte
+	err error
 }
 
-// writeFlight is one in-flight combined write for a key.
+// writeFlight is one round of a combined write for a key: the leader's
+// own write, or one flush of the value deposited behind it. While a
+// round is being written the key's next round collects depositors.
 type writeFlight struct {
-	startAt int64
+	startAt int64 // the first leader's virtual clock
 
-	mu      sync.Mutex
-	pending []byte // latest value queued behind the in-flight write
-	waiters []chan writeResult
-}
+	// pending and waiters are guarded by Combiner.mu until the leader
+	// seals the round by registering its successor.
+	pending []byte // latest value deposited for this round to flush
+	waiters dmsim.WaitQueue
 
-type writeResult struct {
-	err    error
-	doneAt int64
+	// err is the flush's result, written by the leader before it signals
+	// the round's waiters and never again.
+	err error
 }
 
 // Combiner coalesces same-key operations from one compute node. All
@@ -66,6 +69,12 @@ type Combiner struct {
 
 	delegated int64 // reads served from a leader's flight
 	combined  int64 // updates absorbed into a pending value
+
+	// Flight records nobody but their leader ever held — a read no
+	// follower joined, a write round nobody deposited into: most of them
+	// — go round again instead of to the collector.
+	freeReads  []*readFlight
+	freeWrites []*writeFlight
 }
 
 // DefaultWindowNs bounds coalescing to operations whose virtual
@@ -92,6 +101,30 @@ func NewCombinerWindow(windowNs int64) *Combiner {
 	}
 }
 
+// newRead and newWrite hand out a zeroed flight record, recycled when
+// there is one. Caller holds c.mu.
+func (c *Combiner) newRead(startAt int64) *readFlight {
+	n := len(c.freeReads)
+	if n == 0 {
+		return &readFlight{startAt: startAt}
+	}
+	fl := c.freeReads[n-1]
+	c.freeReads = c.freeReads[:n-1]
+	*fl = readFlight{startAt: startAt}
+	return fl
+}
+
+func (c *Combiner) newWrite(startAt int64) *writeFlight {
+	n := len(c.freeWrites)
+	if n == 0 {
+		return &writeFlight{startAt: startAt}
+	}
+	fl := c.freeWrites[n-1]
+	c.freeWrites = c.freeWrites[:n-1]
+	*fl = writeFlight{startAt: startAt}
+	return fl
+}
+
 // Stats reports how many operations were coalesced.
 func (c *Combiner) Stats() (delegatedReads, combinedWrites int64) {
 	c.mu.Lock()
@@ -100,10 +133,10 @@ func (c *Combiner) Stats() (delegatedReads, combinedWrites int64) {
 }
 
 // Read performs a delegated read: the first caller for a key becomes
-// the leader and runs fn; concurrent callers for the same key block
-// (suspended from the time gate) and adopt the leader's result and
-// completion time.
+// the leader and runs fn; concurrent callers for the same key wait in
+// virtual time and adopt the leader's result and completion time.
 func (c *Combiner) Read(dc *dmsim.Client, key uint64, fn func() ([]byte, error)) ([]byte, error) {
+	dc.Sync()
 	// Record followers as ops in their own right: the leader's nested
 	// index op is absorbed by flight reentrancy, and a follower — whose
 	// fn never runs — still ledgers its wait as write-combine time.
@@ -115,21 +148,9 @@ func (c *Combiner) Read(dc *dmsim.Client, key uint64, fn func() ([]byte, error))
 	c.mu.Lock()
 	if fl, ok := c.reads[key]; ok && now <= fl.startAt+c.window && now+c.window >= fl.startAt {
 		c.delegated++
-		if fl.done == nil {
-			fl.done = make(chan struct{})
-		}
-		done := fl.done
+		fl.followers.Push(dc)
 		c.mu.Unlock()
-		fr := dc.Flight()
-		prev := fr.SetPhase(obs.PhaseWriteCombine)
-		suspended := dc.Suspend()
-		<-done
-		if suspended {
-			dc.Resume(fl.doneAt)
-		} else if fl.doneAt > dc.Now() {
-			dc.Advance(fl.doneAt - dc.Now())
-		}
-		fr.SetPhase(prev)
+		wait(dc)
 		return fl.val, fl.err
 	}
 	if _, ok := c.reads[key]; ok {
@@ -138,21 +159,39 @@ func (c *Combiner) Read(dc *dmsim.Client, key uint64, fn func() ([]byte, error))
 		c.mu.Unlock()
 		return fn()
 	}
-	fl := &readFlight{startAt: now}
+	fl := c.newRead(now)
 	c.reads[key] = fl
 	c.mu.Unlock()
 
 	val, err := fn()
 
 	c.mu.Lock()
-	fl.val, fl.err, fl.doneAt = val, err, dc.Now()
-	delete(c.reads, key)
-	done := fl.done // no follower can join, or create it, past this point
-	c.mu.Unlock()
-	if done != nil {
-		close(done)
+	delete(c.reads, key) // no follower can join past this point
+	if fl.followers.Len() == 0 {
+		c.freeReads = append(c.freeReads, fl)
+		c.mu.Unlock()
+		return val, err
 	}
+	c.mu.Unlock()
+	fl.val, fl.err = val, err
+	signalAll(dc, &fl.followers)
 	return val, err
+}
+
+// wait parks dc until its leader signals, ledgering the wait as
+// write-combine time.
+func wait(dc *dmsim.Client) {
+	fr := dc.Flight()
+	defer fr.SetPhase(fr.SetPhase(obs.PhaseWriteCombine))
+	dc.Wait()
+}
+
+// signalAll wakes every client queued on q — a queue the caller has made
+// its own — at the caller's clock: the completion time they adopt.
+func signalAll(dc *dmsim.Client, q *dmsim.WaitQueue) {
+	for w := q.Pop(); w != nil; w = q.Pop() {
+		dc.Signal(w, dc.Now())
+	}
 }
 
 // Write performs a combined write: the first caller for a key becomes
@@ -162,6 +201,7 @@ func (c *Combiner) Read(dc *dmsim.Client, key uint64, fn func() ([]byte, error))
 // finishes, it writes the latest pending value too, so every combined
 // caller's durability obligation is met with at most two remote writes.
 func (c *Combiner) Write(dc *dmsim.Client, key uint64, value []byte, fn func(v []byte) error) error {
+	dc.Sync()
 	if fr := dc.Flight(); fr != nil {
 		fr.Begin(obs.OpUpdate, dc.Now())
 		defer func() { fr.End(dc.Now()) }()
@@ -175,64 +215,45 @@ func (c *Combiner) Write(dc *dmsim.Client, key uint64, value []byte, fn func(v [
 	// lets a hot key absorb arbitrarily deep update queues with O(1)
 	// remote writes per flight lifetime, as SMART's write combining does.
 	if fl, ok := c.writes[key]; ok && now+c.window >= fl.startAt {
-		// Combine: replace the pending value and wait for a flush.
-		ch := make(chan writeResult, 1)
-		fl.mu.Lock()
+		// Combine: replace the round's pending value and wait for its flush.
 		fl.pending = value
-		fl.waiters = append(fl.waiters, ch)
-		fl.mu.Unlock()
+		fl.waiters.Push(dc)
 		c.combined++
 		c.mu.Unlock()
-
-		fr := dc.Flight()
-		prev := fr.SetPhase(obs.PhaseWriteCombine)
-		suspended := dc.Suspend()
-		res := <-ch
-		if suspended {
-			dc.Resume(res.doneAt)
-		} else if res.doneAt > dc.Now() {
-			dc.Advance(res.doneAt - dc.Now())
-		}
-		fr.SetPhase(prev)
-		return res.err
+		wait(dc)
+		return fl.err
 	}
 	if _, ok := c.writes[key]; ok {
 		c.mu.Unlock()
 		return fn(value) // no virtual overlap: write independently
 	}
-	fl := &writeFlight{startAt: now}
+	fl := c.newWrite(now)
 	c.writes[key] = fl
 	c.mu.Unlock()
 
 	err := fn(value)
 
-	// Flush pending rounds until no more values were combined while we
-	// were writing. The flight is only unregistered under c.mu once it
-	// is provably drained, so no combiner can deposit a value that
-	// nobody will ever flush.
+	// Flush round after round until no value was deposited while the
+	// last one was being written. The key is only unregistered under
+	// c.mu once its collecting round is provably empty, so no combiner
+	// can deposit a value that nobody will ever flush.
 	for {
 		c.mu.Lock()
-		fl.mu.Lock()
-		if fl.pending == nil && len(fl.waiters) == 0 {
+		if fl.pending == nil && fl.waiters.Len() == 0 {
 			delete(c.writes, key)
-			fl.mu.Unlock()
+			c.freeWrites = append(c.freeWrites, fl)
 			c.mu.Unlock()
 			return err
 		}
-		pending := fl.pending
-		waiters := fl.waiters
-		fl.pending = nil
-		fl.waiters = nil
-		fl.mu.Unlock()
+		// Seal the round: depositors from here on collect in the next.
+		next := c.newWrite(fl.startAt)
+		c.writes[key] = next
 		c.mu.Unlock()
 
-		var flushErr error
-		if pending != nil {
-			flushErr = fn(pending)
+		if fl.pending != nil {
+			fl.err = fn(fl.pending)
 		}
-		res := writeResult{err: flushErr, doneAt: dc.Now()}
-		for _, ch := range waiters {
-			ch <- res
-		}
+		signalAll(dc, &fl.waiters)
+		fl = next
 	}
 }
