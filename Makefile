@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint suppressions build test race check bench-check bench-core profile chaos
+.PHONY: all vet lint suppressions build test race check bench-check bench-core bench-pairs profile chaos
 
 all: check
 
@@ -44,6 +44,7 @@ race:
 		./internal/folio/...
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
+	$(GO) test -race -cpu 1,2,4 -run 'TestScanUnderChurn' ./internal/fault/
 	$(GO) test -race -cpu 1,2 -count=5 ./internal/rdwc/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestMNReadLineAtomicity|TestStraddlingAtomicVsWrite|TestWriterNotStarvedByReaders' ./internal/dmsim/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'Wait|Signal|Suspend|Gate|Chain|CrossLane|TestNIC' ./internal/dmsim/
@@ -57,6 +58,16 @@ chaos:
 # so `go vet/build/test ./...` at the root never see it.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# A performance claim, measured: N alternating parent/change pairs of
+# `bash benchmark/run.sh` (pair i on seed i, which side runs first
+# alternating), the parent's committed files unpacked under
+# .bench_build/pairs/, then the driver's -compare table (medians, both
+# sides' spread, verdicts) and per cell the pairs won and whether every
+# run of the change beats every run of the parent. REV is required; W
+# defaults to every workload (about 35 s per run and side), N to 10.
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -rev $(REV) -w $(or $(W),all) -n $(or $(N),10)
 
 check: vet lint build test race bench-check
 

@@ -122,8 +122,11 @@ func TestFullHotspotBufferRowPinned(t *testing.T) {
 // single loader, so no host interleaving reaches the tree or the op
 // stream) reads whole leaves along sibling chains with inserts landing
 // between the scans, and reports the same virtual throughput, latency,
-// trips and bytes it did at the last commit whose decoder copied every
-// cell.
+// trips and bytes it did when the scan window landed — the one declared
+// virtual-time change of this row (CHANGES.md, PR 20: a scan reads only
+// the leaves it returns from, 3.511 → 2.5815 trips, and overlaps the
+// ones it is certain to need, MaxInflight 1 → 2); before that it had
+// held since the last commit whose decoder copied every cell.
 func TestScanRowPinned(t *testing.T) {
 	sc := tinyScale
 	sc.LoadN = 3000
@@ -139,12 +142,12 @@ func TestScanRowPinned(t *testing.T) {
 	}
 	want := Result{
 		System: "CHIME", Mix: "E", Clients: 1, Ops: 2000,
-		ThroughputMops: 0.1206350251852758, P50Us: 7.04, P99Us: 14.08,
-		TripsPerOp: 3.511, ReadBytes: 5179.106, WriteBytes: 3.198,
-		MaxInflight:    1,
+		ThroughputMops: 0.18527681143054173, P50Us: 4.992, P99Us: 9.472,
+		TripsPerOp: 2.5815, ReadBytes: 3755.112, WriteBytes: 3.198,
+		MaxInflight:    2,
 		CacheBytes:     5836,
 		CacheHitRatio:  1,
-		NICUtilization: 0.05009568468610133,
+		NICUtilization: 0.05592904787450905,
 	}
 	if got != want {
 		t.Fatalf("YCSB-E row moved:\n got: %+v\nwant: %+v", got, want)

@@ -54,10 +54,11 @@ func TestSearchAllocsBounded(t *testing.T) {
 }
 
 // TestScanAllocsBounded pins the allocation floor of a warm 50-key scan:
-// the result slice, its value arena, and per leaf a verb completion
-// (the first leaf's synchronous read also makes a fetched mask).
-// The copying decoder this replaced allocated once per decoded cell —
-// some 1,780 objects for the same scan — and a per-leaf batch besides.
+// the result slice and its value arena. Leaf images come from the pool,
+// verb completions from the client's free list, and the window, the
+// parent's names and the in-range slots are client scratch. The copying
+// decoder this replaced allocated once per decoded cell — some 1,780
+// objects for the same scan — and a per-leaf batch besides.
 func TestScanAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	start := uint64(700) * 7
@@ -72,7 +73,7 @@ func TestScanAllocsBounded(t *testing.T) {
 			t.Fatalf("Scan: %d results, err %v", len(kvs), err)
 		}
 	})
-	const maxAllocs = 12 // measured 6
+	const maxAllocs = 6 // measured 2; under -race sync.Pool drops some leaf images, four objects each
 	if avg > maxAllocs {
 		t.Fatalf("warm 50-key Scan allocates %.1f objects/op, want <= %d (a per-entry or per-leaf allocation is back)", avg, maxAllocs)
 	}

@@ -181,6 +181,19 @@ func (im *internalImage) childFor(key uint64) (child dmsim.GAddr, entryIdx int, 
 	return child, entryIdx, next
 }
 
+// childrenAfter appends to dst the children that follow the one
+// covering key, in key order, and returns that child too: on a level-1
+// node, the leaves a scan from key walks into next. The point paths take
+// only the first of them (childFor's next); a scan asks for the rest
+// once its descent is over, so they pay nothing for it.
+func (im *internalImage) childrenAfter(dst []dmsim.GAddr, key uint64) (child dmsim.GAddr, after []dmsim.GAddr) {
+	child, entryIdx, _ := im.childFor(key)
+	for i := entryIdx + 1; i < im.nkeys; i++ {
+		dst = append(dst, im.childAt(i))
+	}
+	return child, dst
+}
+
 // route is what one internal node tells a descent about a key, copied
 // out of the image so the image can move on at once.
 type route struct {

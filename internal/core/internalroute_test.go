@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"testing"
 
@@ -91,6 +92,18 @@ func checkRouting(t *testing.T, lay *internalLayout, im *internalImage, key uint
 	}
 	if got, want := im.route(key), refRoute(ref, key); got != want {
 		t.Fatalf("keySize %d, %d keys: route(%#x) in place = %+v, on the decoded node %+v", lay.keySize, im.nkeys, key, got, want)
+	}
+	// What a scan's window reads ahead: the children after the routed one,
+	// appended behind whatever dst holds.
+	var wantAfter []dmsim.GAddr
+	for _, e := range ref.entries[wi+1:] {
+		wantAfter = append(wantAfter, e.child)
+	}
+	sentinel := gaddr(2, 0x40)
+	ac, after := im.childrenAfter([]dmsim.GAddr{sentinel}, key)
+	if ac != wc || after[0] != sentinel || !slices.Equal(after[1:], wantAfter) {
+		t.Fatalf("keySize %d, %d keys: childrenAfter(%#x) in place = (%v, %v), on the decoded node (%v, %v)",
+			lay.keySize, im.nkeys, key, ac, after[1:], wc, wantAfter)
 	}
 	full := lay.decodeInternal(gaddr(0, 64), im)
 	if full.internalHeader != ref.internalHeader || len(full.entries) != len(ref.entries) {

@@ -68,12 +68,12 @@ func TestHopBitmapsConsistentVsReference(t *testing.T) {
 				verdicts := map[bool]int{}
 				for round := 0; round < rounds; round++ {
 					im := randomLeaf(t, lay, r, r.Float64())
-					if !im.hopBitmapsConsistent() || !refHopBitmapsConsistent(im) {
+					if !scanWalk(t, im, r.Uint64()) || !refHopBitmapsConsistent(im) {
 						t.Fatalf("round %d: freshly built leaf reported inconsistent", round)
 					}
 					for step := 0; step < 8; step++ {
 						perturb(im, r)
-						got, want := im.hopBitmapsConsistent(), refHopBitmapsConsistent(im)
+						got, want := scanWalk(t, im, r.Uint64()>>uint(r.Intn(64))), refHopBitmapsConsistent(im)
 						if got != want {
 							t.Fatalf("round %d step %d: one-pass says %v, per-home reference says %v", round, step, got, want)
 						}
@@ -123,7 +123,7 @@ func TestHopBitmapsConsistentStrays(t *testing.T) {
 		home := im.entry(3)
 		home.hopBM = tc.bm
 		im.setEntryNoBump(3, home)
-		if got, ref := im.hopBitmapsConsistent(), refHopBitmapsConsistent(im); got != tc.want || ref != tc.want {
+		if got, ref := scanWalk(t, im, 0), refHopBitmapsConsistent(im); got != tc.want || ref != tc.want {
 			t.Errorf("key homed at 3 in slot %d, stored bitmap %b: one-pass %v, reference %v, want %v", tc.slot, tc.bm, got, ref, tc.want)
 		}
 	}

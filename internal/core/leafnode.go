@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
+	"chime/internal/offroute"
 )
 
 // Leaf node remote layout (paper Figure 10, optimized):
@@ -136,7 +138,7 @@ type leafImage struct {
 	lay  *leafLayout
 	buf  []byte
 	vals []byte   // span*valSize gather area; nil unless entry cells are big
-	hop  []uint16 // span expected-bitmap scratch of hopBitmapsConsistent
+	hop  []uint16 // inRangeIfConsistent scratch: span expected bitmaps, then span stored
 
 	covered []cell // checkRanges scratch, room for every cell
 }
@@ -145,7 +147,7 @@ func newLeafImage(lay *leafLayout) *leafImage {
 	im := &leafImage{
 		lay:     lay,
 		buf:     make([]byte, lay.size),
-		hop:     make([]uint16, lay.span),
+		hop:     make([]uint16, 2*lay.span),
 		covered: make([]cell, 0, len(lay.allCells)),
 	}
 	if lay.entryCells[0].Big {
@@ -314,26 +316,33 @@ func (im *leafImage) reconstructHopBitmap(home int) uint16 {
 	return bm
 }
 
-// hopBitmapsConsistent is the third synchronization level (§4.1.2) over
-// a whole leaf: it reports whether every home entry's stored hopscotch
-// bitmap equals reconstructHopBitmap of that home, in one pass instead
-// of span of them. Slot i can only ever set one bit of one home's
-// reconstructed bitmap — bit (i-home) mod span of its key's home, and
-// only when that distance is below h — because reconstructHopBitmap(home)
-// looks at slot i exactly when i = (home+d) mod span for some d < h and
-// counts it exactly when the key's home is `home`. So hashing each
-// occupied slot once and OR-ing that bit into an expected bitmap per home
-// builds the same span values the per-home loops would.
+// inRangeIfConsistent is the one walk a scan makes of a whole fetched
+// leaf. It is the third synchronization level (§4.1.2) — it reports
+// whether every home entry's stored hopscotch bitmap equals
+// reconstructHopBitmap of that home, in one pass instead of span of them
+// — and, since that pass visits every occupied slot with its key, it
+// also appends the slots holding keys >= start to dst, in slot order
+// (meaningful only when the leaf is consistent).
 //
-//chime:noalloc
-func (im *leafImage) hopBitmapsConsistent() bool {
+// Slot i can only ever set one bit of one home's reconstructed bitmap —
+// bit (i-home) mod span of its key's home, and only when that distance
+// is below h — because reconstructHopBitmap(home) looks at slot i
+// exactly when i = (home+d) mod span for some d < h and counts it
+// exactly when the key's home is `home`. So hashing each occupied slot
+// once and OR-ing that bit into an expected bitmap per home builds the
+// same span values the per-home loops would.
+func (im *leafImage) inRangeIfConsistent(dst []offroute.ScanSlot, start uint64) ([]offroute.ScanSlot, bool) {
 	lay := im.lay
-	want := im.hop
+	want, stored := im.hop[:lay.span], im.hop[lay.span:]
 	clear(want)
-	for i := 0; i < lay.span; i++ {
-		occupied, _, key := im.slot(i)
+	for i := range stored {
+		occupied, bm, key := im.slot(i)
+		stored[i] = bm
 		if !occupied {
 			continue
+		}
+		if key >= start {
+			dst = append(dst, offroute.ScanSlot{Key: key, Idx: i})
 		}
 		home := lay.homeOf(key)
 		d := i - home
@@ -344,12 +353,7 @@ func (im *leafImage) hopBitmapsConsistent() bool {
 			want[home] |= 1 << uint(d)
 		}
 	}
-	for home, bm := range want {
-		if _, stored, _ := im.slot(home); stored != bm {
-			return false
-		}
-	}
-	return true
+	return dst, slices.Equal(want, stored)
 }
 
 // probe looks key up in a fetched neighborhood window of its home: the

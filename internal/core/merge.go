@@ -31,7 +31,7 @@ import (
 // for correctness.
 func (c *Client) maybeMergeLeaf(addr dmsim.GAddr, key uint64) {
 	// Confirm the leaf is empty outside any lock first (cheap bail-out).
-	im, _, metaG, err := c.fetchWholeLeaf(addr)
+	im, metaG, err := c.fetchWholeLeaf(addr)
 	if err != nil {
 		return
 	}
@@ -110,7 +110,7 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 
 	// Re-verify under the locks: victim still empty and valid, left
 	// still points at it.
-	vIm, _, vMetaG, err := c.fetchWholeLeaf(victim)
+	vIm, vMetaG, err := c.fetchWholeLeaf(victim)
 	if err != nil {
 		abort()
 		return
@@ -120,7 +120,7 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 		abort()
 		return
 	}
-	lIm, _, lMetaG, err := c.fetchWholeLeaf(leftAddr)
+	lIm, lMetaG, err := c.fetchWholeLeaf(leftAddr)
 	if err != nil {
 		abort()
 		return

@@ -359,8 +359,9 @@ func (p *mnProgram) updateInChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, key uint64
 }
 
 // readWholeLeaf mirrors readLeafForScan: a full node image with version
-// validation plus hop-bitmap reconstruction for every home entry.
-func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr) (*leafImage, mnStep) {
+// validation plus hop-bitmap reconstruction for every home entry, the
+// walk that also leaves the leaf's slots with keys >= start in sc.slots.
+func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, sc *mnScanState) (*leafImage, mnStep) {
 	lay := p.ix.leaf
 	im := lay.getImage()
 	clear(im.buf[:lineSize])
@@ -373,7 +374,8 @@ func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr) (*leafImag
 			runtime.Gosched()
 			continue
 		}
-		if !im.hopBitmapsConsistent() {
+		var ok bool
+		if sc.slots, ok = im.inRangeIfConsistent(sc.slots[:0], start); !ok {
 			runtime.Gosched()
 			continue
 		}
@@ -431,7 +433,7 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, limit int, sc *mnScanState) mnStep {
 	lay := p.ix.leaf
 	for hops := 0; hops < mnChainHops; hops++ {
-		im, step := p.readWholeLeaf(ctx, leaf)
+		im, step := p.readWholeLeaf(ctx, leaf, start, sc)
 		if im == nil {
 			if step.st == dmsim.OffloadRetry {
 				return sc.conflict()
@@ -443,7 +445,7 @@ func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, 
 			lay.putImage(im)
 			return sc.conflict()
 		}
-		step, more := p.emitLeaf(ctx, im, start, limit, sc)
+		step, more := p.emitLeaf(ctx, im, limit, sc)
 		lay.putImage(im) // the records emitLeaf sorted aliased it
 		if !more {
 			return step
@@ -456,11 +458,10 @@ func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, 
 	return sc.conflict() // chain budget exhausted
 }
 
-// emitLeaf sorts one validated leaf's in-range entries and emits them.
-// more reports that the leaf is exhausted with the limit not yet
-// reached; otherwise the step is the scan's verdict.
-func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, start uint64, limit int, sc *mnScanState) (step mnStep, more bool) {
-	sc.slots = im.inRange(sc.slots[:0], start)
+// emitLeaf sorts one validated leaf's in-range entries (sc.slots) and
+// emits them. more reports that the leaf is exhausted with the limit not
+// yet reached; otherwise the step is the scan's verdict.
+func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, limit int, sc *mnScanState) (step mnStep, more bool) {
 	for _, s := range offroute.SortedPrefix(sc.slots, limit-sc.emitted) {
 		val := im.entry(s.Idx).value
 		if p.ix.opts.Indirect {

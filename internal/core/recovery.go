@@ -95,7 +95,7 @@ func (c *Client) tryStealLeafLease(leaf dmsim.GAddr, prev uint64) (lockWord, boo
 // repairLeaf re-reads the whole leaf under the (stolen) lock and
 // recomputes the lock-word payload from the entries themselves.
 func (c *Client) repairLeaf(leaf dmsim.GAddr) (lockWord, error) {
-	im, _, _, err := c.fetchWholeLeaf(leaf)
+	im, _, err := c.fetchWholeLeaf(leaf)
 	if err != nil {
 		return lockWord{}, err
 	}

@@ -14,12 +14,15 @@ type KV = offroute.KV
 // scanOneSided returns up to count items with keys >= start, in
 // ascending key order (§4.4), using one-sided verbs only; the public
 // Scan (offload.go) routes between this and the MN-side offload
-// program. Leaves along the range are fetched whole (their entries
-// are hash-ordered, not key-ordered) and the sibling chain is followed;
-// each leaf costs one round trip, as in Table 1. The chain is pipelined
-// with posted verbs: the next sibling's read is posted as soon as the
-// current leaf's metadata is decoded, overlapping it with the current
-// leaf's indirect-value reads (which are themselves posted as a group).
+// program. Leaves along the range are fetched whole (their entries are
+// hash-ordered, not key-ordered), one posted read each, and a leaf is
+// read only if the scan returns entries from it: Table 1's 1 + leaves.
+// Which leaf is read when is offroute.ScanWindow's rule — the chain's
+// next leaf once the scan is known to be short, and ahead of that every
+// leaf the cached parent names that the scan is certain to reach, so a
+// scan longer than one span overlaps its reads instead of paying a
+// round trip per leaf. A leaf's indirect-value reads are posted as a
+// group after the reads of the leaves that follow it, and overlap them.
 func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		out, err := c.scanOnce(start, count)
@@ -37,79 +40,176 @@ func (c *Client) scanOnce(start uint64, count int) ([]KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pre leafPrefetch
-	out, err := c.scanChain(ref.addr, start, count, &pre)
-	// A prefetch can be outstanding on every exit path (errors, early
-	// count satisfaction); drain it so in-flight accounting stays balanced
-	// and its image returns to the pool.
-	pre.abandon(c)
+	out, err := c.scanChain(ref, start, count)
+	// Reads are still in flight when the walk ends on an error; drain
+	// them so in-flight accounting stays balanced and their images return
+	// to the pool.
+	c.dropLeafReads()
 	return out, err
 }
 
-// scanChain walks the leaf chain from addr, appending each leaf's
-// in-range entries in key order until count are collected or the chain
-// ends. pre is the caller's prefetch slot; whatever it still holds on
-// return is the caller's to abandon.
-func (c *Client) scanChain(addr dmsim.GAddr, start uint64, count int, pre *leafPrefetch) ([]KV, error) {
+// leafRead is one posted whole-leaf read of a scan. im is nil when the
+// post itself failed: finishLeafRead then re-reads the leaf
+// synchronously and re-reports the error.
+type leafRead struct {
+	im *leafImage
+	h  *dmsim.Completion
+}
+
+// scanNames returns the leaves the scan's window may read ahead of the
+// chain: the children the cached level-1 parent lists after the leaf the
+// descent reached. There are none when the leaf has no parent (the root
+// is a leaf), the parent is not cached, or the cached node no longer
+// routes start to that leaf. They are hints the chain validates
+// (offroute.ScanWindow), so a stale list costs reads, never results.
+func (c *Client) scanNames(ref leafRef, start uint64) []dmsim.GAddr {
+	if ref.parentAddr.IsNil() {
+		return nil
+	}
+	n := c.cn.cache.get(ref.parentAddr)
+	if n == nil || !n.valid || !n.covers(start) {
+		return nil
+	}
+	if c.scanAhead == nil {
+		c.scanAhead = make([]dmsim.GAddr, 0, c.ix.inner.span)
+	}
+	child, after := n.childrenAfter(c.scanAhead[:0], start)
+	if child != ref.addr {
+		return nil
+	}
+	return after
+}
+
+// scanChain walks the leaf chain from the leaf ref names, appending each
+// leaf's in-range entries in key order until count are collected or the
+// chain ends. Reads it leaves in flight are the caller's to drop.
+func (c *Client) scanChain(ref leafRef, start uint64, count int) ([]KV, error) {
 	lay := c.ix.leaf
 	valSize := lay.valSize
 	if c.ix.opts.Indirect {
 		valSize = c.ix.opts.ValueSize
 	}
 	sb := offroute.NewScanBuf(count, valSize)
+	w := &c.scanWin
+	w.Reset(lay.span, count, ref.addr, c.scanNames(ref, start))
+	c.postLeafReads()
 	for leaves := 0; leaves <= maxRetries; leaves++ {
-		var im *leafImage
-		var meta leafMeta
-		var err error
-		if pre.posted {
-			im, meta, err = c.finishLeafPrefetch(pre)
-		} else {
-			im, meta, err = c.readLeafForScan(addr)
+		addr, rd, ok := w.Pop()
+		if !ok {
+			return sb.Out, nil // count reached, or the chain ended
 		}
+		im, slots, err := c.finishLeafRead(addr, rd, start)
 		if err != nil {
 			return nil, err
 		}
-		if !meta.valid {
-			lay.putImage(im)
-			return nil, errRestart
-		}
-
-		// Post the sibling's whole-node read before resolving this
-		// leaf's values: its round trip proceeds while the indirect
-		// block reads below are in flight.
-		if !meta.sibling.IsNil() && len(sb.Out) < count {
-			*pre = c.postLeafRead(meta.sibling)
-		}
-		addr = meta.sibling
-
-		err = c.collectLeafBatch(im, start, count, &sb)
+		err = c.collectLeaf(ref, im, slots, &sb)
 		lay.putImage(im)
 		if err != nil {
 			return nil, err
-		}
-		if len(sb.Out) >= count || addr.IsNil() {
-			return sb.Out, nil
 		}
 	}
 	return nil, fmt.Errorf("core: Scan(%#x): sibling chain too long", start)
 }
 
-// collectLeafBatch appends the in-range entries of a validated leaf
-// image to sb.Out in key order, stopping at count results. Values are
-// copied into the scan's arena (or fetched from their blocks and
-// copied), so the image can be recycled as soon as this returns.
-// Indirect block reads are posted as a group — for every in-range entry,
-// in slot order, wanted or not, which is what the modelled client does —
-// so their round trips overlap each other and any sibling prefetch
-// already in flight.
-func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *offroute.ScanBuf) error {
+// postLeafReads posts the whole-node read of every leaf the window says
+// the scan needs now. Post errors (range violations) are deferred to
+// finishLeafRead.
+func (c *Client) postLeafReads() {
+	lay, w := c.ix.leaf, &c.scanWin
+	for addr, ok := w.Next(); ok; addr, ok = w.Next() {
+		im := lay.getImage()
+		h, err := c.dc.PostRead(addr.Add(lineSize), im.buf[lineSize:])
+		if err != nil {
+			lay.putImage(im)
+			im = nil
+		}
+		w.Push(addr, leafRead{im: im, h: h})
+	}
+}
+
+// dropLeafReads drains the reads in flight that will not be consumed.
+// The polls charge the client the verbs' completion times — strictly
+// conservative (a wasted read can only slow the scan down, never speed
+// it up).
+func (c *Client) dropLeafReads() {
+	for _, rd, ok := c.scanWin.Pop(); ok; _, rd, ok = c.scanWin.Pop() {
+		if rd.im != nil {
+			c.reap(rd.h)
+			c.ix.leaf.putImage(rd.im)
+		}
+	}
+}
+
+// finishLeafRead polls a posted leaf read and validates it on all three
+// levels: version bytes, plus hopscotch-bitmap reconstruction for every
+// home entry so a mid-flight hop-range write cannot hide a key. The
+// same walk yields the leaf's in-range slots (client scratch, slot
+// order). Any validation failure falls back to the synchronous retry
+// loop.
+func (c *Client) finishLeafRead(addr dmsim.GAddr, rd leafRead, start uint64) (*leafImage, []offroute.ScanSlot, error) {
 	lay := c.ix.leaf
 	if c.scanSlots == nil {
 		c.scanSlots = make([]offroute.ScanSlot, 0, lay.span)
 	}
-	slots := c.scanSlots[:0]
+	if rd.im != nil {
+		c.reap(rd.h)
+		if checkVersions(rd.im.buf, 0, lay.allCells) == nil {
+			if slots, ok := rd.im.inRangeIfConsistent(c.scanSlots[:0], start); ok {
+				return rd.im, slots, nil
+			}
+		}
+		lay.putImage(rd.im)
+		c.backoff.Yield(c.dc)
+	}
+	return c.readLeafForScan(addr, start)
+}
+
+// readLeafForScan is finishLeafRead's retry: synchronous whole-leaf
+// reads until one passes the three-level validation.
+func (c *Client) readLeafForScan(addr dmsim.GAddr, start uint64) (*leafImage, []offroute.ScanSlot, error) {
+	lay := c.ix.leaf
+	for try := 0; try < maxRetries; try++ {
+		im, _, err := c.fetchWholeLeaf(addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if slots, ok := im.inRangeIfConsistent(c.scanSlots[:0], start); ok {
+			return im, slots, nil
+		}
+		lay.putImage(im)
+		c.backoff.Yield(c.dc)
+	}
+	return nil, nil, fmt.Errorf("core: scan leaf %v: retries exhausted", addr)
+}
+
+// collectLeaf takes one arrived, validated leaf of a scan, with its
+// in-range slots: it tells the window what the leaf holds and where it
+// points, posts the reads the scan now knows it needs, and appends the
+// entries the scan wants to sb.Out in key order. Values are copied into
+// the scan's arena (or fetched from their blocks and copied), so the
+// image can be recycled as soon as this returns. Indirect block reads are
+// posted as a group, for the wanted entries only — their keys are in the
+// leaf — after the leaf reads, so all those round trips overlap.
+func (c *Client) collectLeaf(ref leafRef, im *leafImage, slots []offroute.ScanSlot, sb *offroute.ScanBuf) error {
+	meta := im.meta(0)
+	if !meta.valid {
+		// Merged away: a cached parent that still routes here must go, or
+		// the retry meets the same deleted leaf.
+		c.invalidateRefParent(ref)
+		return errRestart
+	}
+	want, stale := c.scanWin.Arrive(meta.sibling, len(slots))
+	if stale {
+		// A leaf split since the parent was cached (§4.2.3): what was
+		// read past this leaf is not what follows it.
+		c.dropLeafReads()
+		c.invalidateRefParent(ref)
+	}
+	c.postLeafReads()
+
+	slots = offroute.SortedPrefix(slots, want)
 	if !c.ix.opts.Indirect {
-		for _, s := range offroute.SortedPrefix(im.inRange(slots, start), count-len(sb.Out)) {
+		for _, s := range slots {
 			sb.Add(s.Key, im.entry(s.Idx).value)
 		}
 		return nil
@@ -117,32 +217,27 @@ func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *of
 
 	blockSize := 8 + c.ix.opts.ValueSize
 	if c.scanBlocks == nil {
-		c.scanBlocks = make([]byte, lay.span*blockSize)
-		c.scanPends = make([]*dmsim.Completion, 0, lay.span)
+		c.scanBlocks = make([]byte, c.ix.leaf.span*blockSize)
+		c.scanPends = make([]*dmsim.Completion, 0, c.ix.leaf.span)
 	}
 	block := func(n int) []byte { return c.scanBlocks[n*blockSize : (n+1)*blockSize] }
 	pends := c.scanPends[:0]
 	var firstErr error
-	for i := 0; i < lay.span; i++ {
-		e := im.entry(i)
-		if !e.occupied || e.key < start {
-			continue
-		}
-		ptr := ptrOf(e.value)
+	for n, s := range slots {
+		ptr := ptrOf(im.entry(s.Idx).value)
 		if ptr.IsNil() {
 			firstErr = errRestart
 			break
 		}
-		h, err := c.dc.PostRead(ptr, block(len(pends)))
+		h, err := c.dc.PostRead(ptr, block(n))
 		if err != nil {
 			firstErr = err
 			break
 		}
-		slots = append(slots, offroute.ScanSlot{Key: e.key, Idx: len(pends)})
 		pends = append(pends, h)
 	}
 	for n, h := range pends {
-		c.dc.Poll(h)
+		c.reap(h)
 		if firstErr == nil && binary.LittleEndian.Uint64(block(n)[:8]) != slots[n].Key {
 			firstErr = errRestart
 		}
@@ -150,94 +245,8 @@ func (c *Client) collectLeafBatch(im *leafImage, start uint64, count int, sb *of
 	if firstErr != nil {
 		return firstErr
 	}
-	for _, s := range offroute.SortedPrefix(slots, count-len(sb.Out)) {
-		sb.Add(s.Key, block(s.Idx)[8:])
+	for n, s := range slots {
+		sb.Add(s.Key, block(n)[8:])
 	}
 	return nil
-}
-
-// inRange appends the leaf's occupied slots with keys >= start to dst, in
-// slot order.
-func (im *leafImage) inRange(dst []offroute.ScanSlot, start uint64) []offroute.ScanSlot {
-	for i := 0; i < im.lay.span; i++ {
-		if occupied, _, key := im.slot(i); occupied && key >= start {
-			dst = append(dst, offroute.ScanSlot{Key: key, Idx: i})
-		}
-	}
-	return dst
-}
-
-// leafPrefetch is a posted whole-leaf read in flight (posted is false
-// for the empty slot). im is nil when the post itself failed: the
-// synchronous path then re-reads addr and re-reports the error.
-type leafPrefetch struct {
-	posted bool
-	addr   dmsim.GAddr
-	im     *leafImage
-	h      *dmsim.Completion
-}
-
-// postLeafRead posts the whole-node read of a sibling leaf. Post errors
-// (range violations) are deferred: finishLeafPrefetch falls back to the
-// synchronous path, which re-reports them.
-func (c *Client) postLeafRead(addr dmsim.GAddr) leafPrefetch {
-	lay := c.ix.leaf
-	im := lay.getImage()
-	clear(im.buf[:lineSize])
-	h, err := c.dc.PostRead(addr.Add(lineSize), im.buf[lineSize:])
-	if err != nil {
-		lay.putImage(im)
-		return leafPrefetch{posted: true, addr: addr}
-	}
-	return leafPrefetch{posted: true, addr: addr, im: im, h: h}
-}
-
-// finishLeafPrefetch empties the slot: it polls the posted leaf read and
-// validates it exactly as readLeafForScan does (version bytes plus
-// hopscotch-bitmap reconstruction); any validation failure falls back to
-// the synchronous retry loop.
-func (c *Client) finishLeafPrefetch(p *leafPrefetch) (*leafImage, leafMeta, error) {
-	lay := c.ix.leaf
-	addr, im, h := p.addr, p.im, p.h
-	*p = leafPrefetch{}
-	if im == nil {
-		return c.readLeafForScan(addr)
-	}
-	c.dc.Poll(h)
-	if checkVersions(im.buf, 0, lay.allCells) == nil && im.hopBitmapsConsistent() {
-		return im, im.meta(0), nil
-	}
-	lay.putImage(im)
-	c.backoff.Yield(c.dc)
-	return c.readLeafForScan(addr)
-}
-
-// abandon drains a prefetch that will not be consumed. The poll charges
-// the client the verb's completion time — strictly conservative (a
-// wasted prefetch can only slow the scan down, never speed it up).
-func (p *leafPrefetch) abandon(c *Client) {
-	if p.im != nil {
-		c.dc.Poll(p.h)
-		c.ix.leaf.putImage(p.im)
-	}
-}
-
-// readLeafForScan fetches a whole leaf with full three-level
-// validation: version bytes, plus hopscotch-bitmap reconstruction for
-// every home entry so a mid-flight hop-range write cannot hide a key.
-func (c *Client) readLeafForScan(addr dmsim.GAddr) (*leafImage, leafMeta, error) {
-	lay := c.ix.leaf
-	for try := 0; try < maxRetries; try++ {
-		im, _, metaG, err := c.fetchWholeLeaf(addr)
-		if err != nil {
-			return nil, leafMeta{}, err
-		}
-		if !im.hopBitmapsConsistent() {
-			lay.putImage(im)
-			c.backoff.Yield(c.dc)
-			continue
-		}
-		return im, im.meta(metaG), nil
-	}
-	return nil, leafMeta{}, fmt.Errorf("core: scan leaf %v: retries exhausted", addr)
 }

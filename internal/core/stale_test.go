@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"chime/internal/dmsim"
@@ -110,5 +111,69 @@ func TestHotspotStaleAfterCrossCNUpdate(t *testing.T) {
 	}
 	if _, err := cl1.Search(hot); err == nil {
 		t.Fatal("deleted key still visible through hotspot buffer")
+	}
+}
+
+// TestStaleParentRoutesToMergedLeaf: CN2 empties a leaf until it is
+// merged away; CN1's cached parent still routes that leaf's key range to
+// the deleted node. Every op of CN1 that lands there must drop the stale
+// parent before it retries — a retry through the same cached parent meets
+// the same deleted leaf until the retries run out.
+func TestStaleParentRoutesToMergedLeaf(t *testing.T) {
+	opts := DefaultOptions()
+	opts.SpanSize, opts.Neighborhood = 16, 4
+	ix, err := Bootstrap(testFabric(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl2 := ix.NewComputeNode(64<<20, 0).NewClient()
+	for i := uint64(1); i <= 100; i++ {
+		if err := cl2.Insert(i*16, val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := walkChain(t, cl2)
+	for _, tc := range []struct {
+		op string
+		do func(cl *Client, key uint64) error
+	}{
+		{"Search", func(cl *Client, key uint64) error { _, err := cl.Search(key); return err }},
+		{"Update", func(cl *Client, key uint64) error { return cl.Update(key, val8(1)) }},
+		{"Delete", func(cl *Client, key uint64) error { return cl.Delete(key) }},
+		{"Scan", func(cl *Client, key uint64) error {
+			kvs, err := cl.Scan(key, 5)
+			if err != nil {
+				return err
+			}
+			if len(kvs) != 5 || kvs[0].Key <= key {
+				t.Errorf("Scan(%d, 5) returned %d entries from key %d", key, len(kvs), kvs[0].Key)
+			}
+			return ErrNotFound // the key itself is gone
+		}},
+	} {
+		op, do := tc.op, tc.do
+		t.Run(op, func(t *testing.T) {
+			cl1 := ix.NewComputeNode(64<<20, 0).NewClient()
+			victim := chain[len(chain)/2] // not its parent's leftmost child: mergeable
+			chain = append(chain[:len(chain)/2], chain[len(chain)/2+1:]...)
+			if _, err := cl1.Search(victim.keys[0]); err != nil { // CN1 caches the parent
+				t.Fatal(err)
+			}
+			for _, k := range victim.keys {
+				if err := cl2.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if after := walkChain(t, cl2); len(after) != len(chain) {
+				t.Fatalf("chain has %d leaves after the deletes, want %d: the victim was not merged away", len(after), len(chain))
+			}
+			inv0 := cl1.cn.CacheStats().Invalidations
+			if err := do(cl1, victim.keys[0]); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s of a key whose leaf was merged away: %v, want ErrNotFound", op, err)
+			}
+			if inv := cl1.cn.CacheStats().Invalidations; inv != inv0+1 {
+				t.Errorf("cache invalidations %d -> %d, want the stale parent dropped once", inv0, inv)
+			}
+		})
 	}
 }

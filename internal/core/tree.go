@@ -200,12 +200,19 @@ type Client struct {
 	// per op (offload.go).
 	port offroute.Port
 
-	// Per-leaf scratch of collectLeafBatch (scan.go), made on the first
-	// scan and reused by every later one: the leaf's in-range slots, and
-	// on the indirect path its posted block reads and their buffers.
+	// Scan state (scan.go), made on the first scan and reused by every
+	// later one: the window of whole-leaf reads and the leaves the cached
+	// parent named for it, the arrived leaf's in-range slots, and on the
+	// indirect path its posted block reads and their buffers.
+	scanWin    offroute.ScanWindow[leafRead]
+	scanAhead  []dmsim.GAddr
 	scanSlots  []offroute.ScanSlot
 	scanPends  []*dmsim.Completion
 	scanBlocks []byte
+
+	// wholeLeaf is the all-true fetched mask of an insert that fell back
+	// to the whole leaf (write.go).
+	wholeLeaf []bool
 
 	// innerFree holds the internal-node images this client fetched and
 	// the cache declined, for its next fetches (getInternal).
@@ -424,6 +431,9 @@ func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage,
 // (possible half-split).
 func (c *Client) validateLeafMeta(ref *leafRef, meta leafMeta, key uint64, found bool) (followSibling bool, err error) {
 	if !meta.valid {
+		// Merged away: a cached parent that still routes here must go, or
+		// the retry meets the same deleted leaf.
+		c.invalidateRefParent(*ref)
 		return false, errRestart
 	}
 	mismatch := ref.expectedKnown && meta.sibling != ref.expected

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"flag"
 	"os"
+	"slices"
 	"testing"
 
 	"chime/internal/dmsim"
 	"chime/internal/nodelayout"
+	"chime/internal/offroute"
 )
 
 // TestMain turns the use-after-put guard on for the whole suite: every
@@ -48,8 +50,27 @@ func refEntry(im *leafImage, i int) leafEntry {
 	}
 }
 
+// scanWalk runs the scan's one walk of a whole leaf, inRangeIfConsistent,
+// for the given start and returns its verdict, after checking the slots
+// it collected against the copying decode: every occupied slot with a
+// key >= start, in slot order.
+func scanWalk(t *testing.T, im *leafImage, start uint64) bool {
+	t.Helper()
+	got, ok := im.inRangeIfConsistent(nil, start)
+	var want []offroute.ScanSlot
+	for i := 0; i < im.lay.span; i++ {
+		if e := refEntry(im, i); e.occupied && e.key >= start {
+			want = append(want, offroute.ScanSlot{Key: e.key, Idx: i})
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("inRangeIfConsistent(start %#x) collected %v, the copying decode %v", start, got, want)
+	}
+	return ok
+}
+
 // refHopBitmapsConsistent is the per-home whole-leaf check the one-pass
-// hopBitmapsConsistent replaced: span reconstructions of h decodes each.
+// inRangeIfConsistent replaced: span reconstructions of h decodes each.
 func refHopBitmapsConsistent(im *leafImage) bool {
 	for home := 0; home < im.lay.span; home++ {
 		var bm uint16

@@ -331,12 +331,12 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 		// The conservative window could not prove a feasible hop; fetch
 		// the whole node and re-plan with exact occupancy.
 		lay.putImage(im)
-		im, fetched, metaG, err = c.fetchWholeLeaf(ref.addr)
+		im, metaG, err = c.fetchWholeLeaf(ref.addr)
 		if err != nil {
 			c.unlockLeaf(ref.addr, lw)
 			return false, err
 		}
-		full = true
+		fetched, full = c.wholeLeafMask(), true
 		meta = im.meta(metaG)
 		moves, free, planErr = hopscotch.Plan(lay.span, lay.h, home,
 			func(i int) bool { return im.entry(i).occupied },
@@ -383,8 +383,8 @@ func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*le
 	// that may contain an empty slot.
 	count := c.probeCount(home, lw.vacancy)
 	if count >= lay.span {
-		im, fetched, metaG, err := c.fetchWholeLeaf(leaf)
-		return im, fetched, true, metaG, err
+		im, metaG, err := c.fetchWholeLeaf(leaf)
+		return im, c.wholeLeafMask(), true, metaG, err
 	}
 	if count < lay.h {
 		count = lay.h
@@ -487,8 +487,21 @@ func (c *Client) probeCount(home int, vacancy uint64) int {
 	return lay.span
 }
 
-// fetchWholeLeaf reads the complete leaf image (splits and fallbacks).
-func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, []bool, int, error) {
+// wholeLeafMask is the fetched mask of a whole-leaf read: every entry.
+// It is the client's own and read-only.
+func (c *Client) wholeLeafMask() []bool {
+	if c.wholeLeaf == nil {
+		c.wholeLeaf = make([]bool, c.ix.leaf.span)
+		for i := range c.wholeLeaf {
+			c.wholeLeaf[i] = true
+		}
+	}
+	return c.wholeLeaf
+}
+
+// fetchWholeLeaf reads the complete leaf image (splits and fallbacks)
+// and returns it with its metadata replica group.
+func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, int, error) {
 	lay := c.ix.leaf
 	im := lay.getImage()
 	// A recycled buffer carries a stale lock line; the read below only
@@ -500,21 +513,17 @@ func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, []bool, int, erro
 	for try := 0; try < maxRetries; try++ {
 		if err := c.dc.Read(leaf.Add(lineSize), im.buf[lineSize:]); err != nil {
 			lay.putImage(im)
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		if err := checkVersions(im.buf, 0, lay.allCells); err != nil {
 			c.obs.TornReads.Inc()
 			c.backoff.Yield(c.dc)
 			continue
 		}
-		fetched := make([]bool, lay.span)
-		for i := range fetched {
-			fetched[i] = true
-		}
-		return im, fetched, 0, nil
+		return im, 0, nil
 	}
 	lay.putImage(im)
-	return nil, nil, 0, fmt.Errorf("core: leaf %v: whole-node read retries exhausted", leaf)
+	return nil, 0, fmt.Errorf("core: leaf %v: whole-node read retries exhausted", leaf)
 }
 
 // applyHops executes the hop moves on the local image, inserts the key
@@ -710,6 +719,7 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 		if !meta.valid {
 			c.unlockLeaf(addr, lw)
 			lay.putImage(im)
+			c.invalidateRefParent(ref)
 			return errRestart
 		}
 

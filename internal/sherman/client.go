@@ -27,7 +27,9 @@ func (n *node) covers(key uint64) bool {
 	return key >= n.hdr.fenceLow && (n.hdr.fenceInf || key < n.hdr.fenceHi)
 }
 
-func (n *node) childFor(key uint64) dmsim.GAddr {
+// rank returns how many pivots are <= key: kids[rank-1] covers key (the
+// leftmost child when rank is 0) and kids[rank:] follow it in key order.
+func (n *node) rank(key uint64) int {
 	lo, hi := 0, len(n.piv)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -37,10 +39,14 @@ func (n *node) childFor(key uint64) dmsim.GAddr {
 			lo = mid + 1
 		}
 	}
-	if lo == 0 {
-		return n.hdr.leftmost
+	return lo
+}
+
+func (n *node) childFor(key uint64) dmsim.GAddr {
+	if r := n.rank(key); r > 0 {
+		return n.kids[r-1]
 	}
-	return n.kids[lo-1]
+	return n.hdr.leftmost
 }
 
 // ComputeNode holds the CN-shared internal-node cache and the local
@@ -170,6 +176,11 @@ type Client struct {
 	wBufs     [][]byte
 	scanSlots []offroute.ScanSlot
 	block     []byte
+
+	// A scan's window of posted whole-leaf reads, and the leaf images
+	// between two of them: a scan owns the images its reads fill.
+	scanWin offroute.ScanWindow[leafRead]
+	scanIms []*image
 
 	// Write-pipeline counters: leaf write cycles executed and batch keys
 	// absorbed into an already-open cycle (per-leaf write combining).
@@ -670,7 +681,10 @@ type KV = offroute.KV
 // scanOneSided returns up to count items with keys >= start in
 // ascending order, reading whole leaves along the sibling chain with
 // one-sided verbs; the public Scan (offload.go) routes between this and
-// the MN-side offload program.
+// the MN-side offload program. A leaf is read only if the scan returns
+// entries from it, and the leaves the level-1 parent names are read in
+// parallel as soon as the scan is certain to reach them — Sherman's range
+// query — by offroute.ScanWindow's rule, the one CHIME's scan follows.
 func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		leaf, _, err := c.descend(start)
@@ -678,6 +692,8 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 			return nil, err
 		}
 		out, err := c.scanChain(leaf, start, count)
+		// Reads are still in flight when the walk ends on an error.
+		c.dropLeafReads()
 		if err == errRestart {
 			c.noteRestart()
 			continue
@@ -687,44 +703,130 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 	return nil, fmt.Errorf("sherman: Scan(%#x) exhausted", start)
 }
 
-// scanChain walks the leaf chain from leaf, appending each leaf's
-// in-range entries in key order until count are collected or the chain
-// ends. Values are copied out of the leaf image into the scan's arena
-// before the next leaf is read into it. An indirect leaf costs one block
-// read per in-range entry, wanted or not — what the modelled client does.
+// leafRead is one posted whole-leaf read of a scan, into an image the
+// scan owns until it hands it back to scanIms. im is nil when the post
+// itself failed: finishLeafRead re-reads the leaf and re-reports the
+// error.
+type leafRead struct {
+	im *image
+	h  *dmsim.Completion
+}
+
+// scanChain walks the leaf chain from leaf — the one the client's descent
+// just reached — appending each leaf's in-range entries in key order
+// until count are collected or the chain ends. Values are copied out of
+// a leaf image into the scan's arena before the image is refilled. An
+// indirect leaf costs one block read per entry the scan returns. Reads
+// left in flight are the caller's to drop.
 func (c *Client) scanChain(leaf dmsim.GAddr, start uint64, count int) ([]KV, error) {
 	lay := c.ix.leaf
 	sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
+	parent := c.desc.parent
+	var names []dmsim.GAddr
+	if parent != nil {
+		names = parent.kids[parent.rank(start):]
+	}
+	w := &c.scanWin
+	w.Reset(lay.span, count, leaf, names)
+	c.postLeafReads()
 	for leaves := 0; leaves <= maxRetries; leaves++ {
-		im, hdr, err := c.readNode(lay, leaf)
+		addr, rd, ok := w.Pop()
+		if !ok {
+			return sb.Out, nil // count reached, or the chain ended
+		}
+		im, hdr, err := c.finishLeafRead(addr, rd)
+		if err == nil {
+			err = c.collectLeaf(im, hdr, start, parent, &sb)
+		}
+		if rd.im != nil {
+			c.scanIms = append(c.scanIms, rd.im)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if !hdr.valid {
-			return nil, errRestart
-		}
-		slots := im.occupied(c.scanSlots[:0], start)
-		c.scanSlots = slots[:0]
-		offroute.SortSlots(slots)
-		if !lay.indirect {
-			slots = slots[:min(count-len(sb.Out), len(slots))]
-		}
-		for _, s := range slots {
-			v := im.value(s.Idx)
-			if lay.indirect {
-				if v, err = c.readIndirect(ptrOf(v), s.Key); err != nil {
-					return nil, err
-				}
-			}
-			sb.Add(s.Key, v)
-		}
-		if len(sb.Out) >= count {
-			return sb.Out[:count], nil
-		}
-		if hdr.sibling.IsNil() {
-			return sb.Out, nil
-		}
-		leaf = hdr.sibling
 	}
 	return nil, fmt.Errorf("sherman: Scan(%#x): leaf chain too long", start)
+}
+
+// collectLeaf takes one arrived leaf of a scan: it tells the window what
+// the leaf holds and where it points, posts the reads the scan now knows
+// it needs, and appends the entries the scan wants to sb in key order.
+// parent is the node the window's names came from, dropped from the cache
+// when the chain contradicts it.
+func (c *Client) collectLeaf(im *image, hdr header, start uint64, parent *node, sb *offroute.ScanBuf) error {
+	if !hdr.valid {
+		return errRestart
+	}
+	slots := im.occupied(c.scanSlots[:0], start)
+	c.scanSlots = slots[:0]
+	want, stale := c.scanWin.Arrive(hdr.sibling, len(slots))
+	if stale {
+		// A leaf split since the parent was cached: what was read past
+		// this leaf is not what follows it.
+		c.dropLeafReads()
+		c.cn.cacheDrop(parent.addr)
+	}
+	// Before this leaf's values are resolved: the leaf reads overlap the
+	// block reads below.
+	c.postLeafReads()
+	for _, s := range offroute.SortedPrefix(slots, want) {
+		v := im.value(s.Idx)
+		if c.ix.leaf.indirect {
+			var err error
+			if v, err = c.readIndirect(ptrOf(v), s.Key); err != nil {
+				return err
+			}
+		}
+		sb.Add(s.Key, v)
+	}
+	return nil
+}
+
+// postLeafReads posts the whole-node read of every leaf the window says
+// the scan needs now. Post errors (range violations) are deferred to
+// finishLeafRead.
+func (c *Client) postLeafReads() {
+	lay, w := c.ix.leaf, &c.scanWin
+	for addr, ok := w.Next(); ok; addr, ok = w.Next() {
+		var im *image
+		if n := len(c.scanIms); n > 0 {
+			im, c.scanIms = c.scanIms[n-1], c.scanIms[:n-1]
+		}
+		im = lay.recycle(im)
+		h, err := c.dc.PostRead(addr.Add(lineSize), im.body())
+		if err != nil {
+			c.scanIms = append(c.scanIms, im)
+			im = nil
+		}
+		w.Push(addr, leafRead{im: im, h: h})
+	}
+}
+
+// dropLeafReads drains the reads in flight that will not be consumed.
+// The polls charge the client the verbs' completion times: a wasted read
+// can only slow the scan down.
+func (c *Client) dropLeafReads() {
+	for _, rd, ok := c.scanWin.Pop(); ok; _, rd, ok = c.scanWin.Pop() {
+		if rd.im != nil {
+			c.reap(rd.h)
+			c.scanIms = append(c.scanIms, rd.im)
+		}
+	}
+}
+
+// finishLeafRead polls a posted leaf read and validates its version
+// bytes; a torn one is re-read synchronously into the client's read
+// image (readNode), whose retry loop it then shares with every other
+// whole-node read.
+func (c *Client) finishLeafRead(addr dmsim.GAddr, rd leafRead) (*image, header, error) {
+	if rd.im != nil {
+		c.reap(rd.h)
+		if rd.im.check() == nil {
+			c.ys.Reset()
+			return rd.im, rd.im.header(), nil
+		}
+		c.obs.TornReads.Inc()
+		c.ys.Yield(c.dc)
+	}
+	return c.readNode(c.ix.leaf, addr)
 }

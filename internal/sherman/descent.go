@@ -21,6 +21,12 @@ type descent struct {
 	path []pathEntry // internal nodes routed through, root first
 	leaf dmsim.GAddr // the leaf, once step reports descArrived
 
+	// parent is the level-1 node the walk routed on to reach leaf (nil
+	// when the root is a leaf). A decoded node is never written once a
+	// descent routes on it or the cache holds it, so a scan may read its
+	// child list for as long as it likes.
+	parent *node
+
 	hops, torn int
 
 	// The read in flight: the super block, or (fetching) the internal
@@ -100,7 +106,7 @@ func (d *descent) step(c *Client) descentStatus {
 
 func (d *descent) fromRoot(c *Client) descentStatus {
 	if c.rootLevel == 0 {
-		d.leaf = c.rootAddr // the root is a leaf
+		d.leaf, d.parent = c.rootAddr, nil // the root is a leaf
 		return descArrived
 	}
 	d.cur = c.rootAddr
@@ -158,7 +164,7 @@ func (d *descent) apply(c *Client, n *node, fromCache bool) (st descentStatus, w
 		return descRestart, false
 	}
 	if n.hdr.level == 1 {
-		d.leaf = child
+		d.leaf, d.parent = child, n
 		return descArrived, false
 	}
 	d.cur = child

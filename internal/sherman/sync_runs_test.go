@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"testing"
@@ -55,6 +56,7 @@ type syncHarness struct {
 	run  syncRun
 
 	pinCacheBytes bool
+	scanned       bool // the script has scanned (scan): its rows may follow a declared scan change
 }
 
 func newSyncHarness(t *testing.T, name string, ix *Index, cacheBytes int64) *syncHarness {
@@ -86,7 +88,20 @@ func (h *syncHarness) did(err error) {
 	}
 }
 
+// scan is did for a Scan, which also counts the items returned.
+func (h *syncHarness) scan(start uint64, count int) {
+	h.t.Helper()
+	kvs, err := h.cl.Scan(start, count)
+	h.run.Items += len(kvs)
+	h.scanned = true
+	h.did(err)
+}
+
+// scanRows records, by row name, whether the row's script scans.
+var scanRows = map[string]bool{}
+
 func (h *syncHarness) finish() syncRun {
+	scanRows[h.run.Name] = h.scanned
 	r := h.run
 	st := h.cl.DM().Stats()
 	r.ClockNs = h.cl.DM().Now()
@@ -132,9 +147,7 @@ func ycsbSyncRunOn(h *syncHarness, mix ycsb.Mix, opts Options) syncRun {
 		case ycsb.OpInsert:
 			h.did(h.cl.Insert(op.Key, ycsb.FillValue(op.Key, opts.ValueSize, 0)))
 		case ycsb.OpScan:
-			kvs, err := h.cl.Scan(op.Key, op.ScanLen)
-			h.run.Items += len(kvs)
-			h.did(err)
+			h.scan(op.Key, op.ScanLen)
 		}
 	}
 	return h.finish()
@@ -178,13 +191,12 @@ func staleCacheSyncRun(t *testing.T, indirect bool) (reader, writer syncRun) {
 			_, err := h.cl.Search(i*16 + 3)
 			h.did(err)
 		case 2:
-			kvs, err := h.cl.Scan(i*16-40, 12)
-			h.run.Items += len(kvs)
-			h.did(err)
+			h.scan(i*16-40, 12)
 		default:
 			h.did(h.cl.Insert(i*16+5, val8(i)))
 		}
 	}
+	w.scanned = h.scanned // one script, one NIC: the writer's clock follows the reader's scans
 	return h.finish(), w.finish()
 }
 
@@ -220,17 +232,13 @@ func deleteHeavySyncRun(t *testing.T, valueSize int) syncRun {
 			h.did(h.cl.Insert(i*8, val(i, 5))) // upsert, or refill of a deleted key
 		}
 		if i%11 == 0 {
-			kvs, err := h.cl.Scan(i*8, 20)
-			h.run.Items += len(kvs)
-			h.did(err)
+			h.scan(i*8, 20)
 		}
 	}
 	for i := uint64(1); i <= n; i += 2 {
 		h.did(h.cl.Insert(i*8+1, val(i, 2)))
 	}
-	kvs, err := h.cl.Scan(0, 3*n)
-	h.run.Items += len(kvs)
-	h.did(err)
+	h.scan(0, 3*n)
 	return h.finish()
 }
 
@@ -320,10 +328,51 @@ func TestSyncRunsMatchGolden(t *testing.T) {
 	if err := json.Unmarshal(want, &wantRuns); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
+	if *rewriteScanRows {
+		rewriteGoldenScanRows(t, path, runs, wantRuns)
+		return
+	}
 	for i := range runs {
 		if i < len(wantRuns) && runs[i] != wantRuns[i] {
 			t.Errorf("run %s differs from the golden:\n got  %+v\n want %+v", runs[i].Name, runs[i], wantRuns[i])
 		}
 	}
 	t.Fatalf("%s does not match (%d runs now, %d in the file)", path, len(runs), len(wantRuns))
+}
+
+// rewriteScanRows is for a declared virtual-time change of the scan path
+// and nothing else: it rewrites the golden's rows whose scripts scan and
+// refuses to touch any other.
+var rewriteScanRows = flag.Bool("rewrite-scan-rows", false,
+	"rewrite the rows of testdata/golden/sync_runs.json whose scripts scan; a differing row whose script does not scan still fails")
+
+// rewriteGoldenScanRows writes the file back with the differing rows of
+// scanning scripts replaced, every other row as it was, and logs old →
+// new for the README beside the file.
+func rewriteGoldenScanRows(t *testing.T, path string, runs, wantRuns []syncRun) {
+	if len(runs) != len(wantRuns) {
+		t.Fatalf("%d runs now, %d in %s: -rewrite-scan-rows neither adds nor removes rows", len(runs), len(wantRuns), path)
+	}
+	merged := append([]syncRun(nil), wantRuns...)
+	for i, r := range runs {
+		old := wantRuns[i]
+		switch {
+		case r == old:
+		case r.Name != old.Name || !scanRows[r.Name]:
+			t.Errorf("run %s differs from the golden and its script does not scan: not rewritten\n got  %+v\n want %+v", r.Name, r, old)
+		default:
+			merged[i] = r
+			t.Logf("| `%s` | %d → %d | %d → %d | %d → %d |", r.Name, old.ClockNs, r.ClockNs, old.Trips, r.Trips, old.BytesRead, r.BytesRead)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	out, err := json.MarshalIndent(merged, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

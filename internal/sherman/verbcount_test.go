@@ -1,6 +1,13 @@
 package sherman
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"chime/internal/dmsim"
+	"chime/internal/obs"
+	"chime/internal/offroute"
+)
 
 func tripsOf(t *testing.T, cl *Client, f func()) int64 {
 	t.Helper()
@@ -54,6 +61,235 @@ func TestSearchTripCount(t *testing.T) {
 			})
 			if got != tc.want {
 				t.Errorf("SearchBatch(1 key, depth 1) cost %d trips, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// chainLeaf is one leaf of a tree as a chain walk finds it: its address
+// and its keys in order.
+type chainLeaf struct {
+	addr dmsim.GAddr
+	keys []uint64
+}
+
+// walkChain reads the whole leaf chain, leftmost leaf first.
+func walkChain(t *testing.T, cl *Client) []chainLeaf {
+	t.Helper()
+	addr, _, err := cl.descend(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain []chainLeaf
+	for !addr.IsNil() {
+		im, hdr, err := cl.readNode(cl.ix.leaf, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := chainLeaf{addr: addr}
+		slots := im.occupied(nil, 0)
+		for _, s := range offroute.SortedPrefix(slots, len(slots)) {
+			leaf.keys = append(leaf.keys, s.Key)
+		}
+		chain = append(chain, leaf)
+		addr = hdr.sibling
+	}
+	return chain
+}
+
+// scanModel is what Scan(start, n) must return from a chain, and the
+// leaves it must read to do so: every leaf from the one at index li (the
+// one covering start) on that contributes an entry.
+func scanModel(chain []chainLeaf, li int, start uint64, n int) (keys []uint64, leaves int) {
+	for ; li < len(chain) && len(keys) < n; li++ {
+		took := false
+		for _, k := range chain[li].keys {
+			if k >= start && len(keys) < n {
+				keys, took = append(keys, k), true
+			}
+		}
+		if took {
+			leaves++
+		}
+	}
+	return keys, leaves
+}
+
+// scanCost runs one scan and returns its result keys and the traffic it
+// cost the client.
+func scanCost(t *testing.T, cl *Client, start uint64, n int) ([]uint64, dmsim.ClientStats) {
+	t.Helper()
+	cl.DM().ResetStats()
+	kvs, err := cl.Scan(start, n)
+	if err != nil {
+		t.Fatalf("Scan(%d, %d): %v", start, n, err)
+	}
+	keys := make([]uint64, len(kvs))
+	for i, kv := range kvs {
+		keys[i] = kv.Key
+	}
+	return keys, cl.DM().Stats()
+}
+
+// TestScanTripCount: with the descent cached, Scan(start, n) posts
+// exactly as many whole-leaf reads as it returns entries from, never one
+// more — whether it starts on a leaf's first key, its last or in between,
+// stops exactly at a leaf's end or one entry into the next, or runs off
+// the chain — and nothing else. Up to one span of entries the reads are
+// one at a time; past it the scan is certain to need a second leaf and
+// has it in flight with the first.
+func TestScanTripCount(t *testing.T) {
+	cl := newSyncIndex(t, DefaultOptions()).NewComputeNode(64 << 20).NewClient()
+	for i := uint64(1); i <= 1500; i++ {
+		if err := cl.Insert(i*7, val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cl.rootLevel != 1 {
+		t.Fatalf("tree has %d internal levels, the counts assume 1 (every leaf named by one cached parent)", cl.rootLevel)
+	}
+	chain := walkChain(t, cl)
+	span := cl.ix.leaf.span
+	leafBytes := int64(cl.ix.leaf.size - lineSize)
+	check := func(li int, start uint64, n int) {
+		t.Helper()
+		want, leaves := scanModel(chain, li, start, n)
+		got, st := scanCost(t, cl, start, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Scan(%d, %d) from leaf %d returned %d keys %v, want %d keys %v", start, n, li, len(got), got, len(want), want)
+		}
+		if st.Reads != int64(leaves) || st.Trips != st.Reads || st.BytesRead != st.Reads*leafBytes {
+			t.Errorf("Scan(%d, %d) from leaf %d: %d reads, %d trips, %d bytes; it returns entries from %d leaves of %d bytes",
+				start, n, li, st.Reads, st.Trips, st.BytesRead, leaves, leafBytes)
+		}
+		switch {
+		case n <= span && st.MaxInflight != 1:
+			t.Errorf("Scan(%d, %d): %d reads in flight at once, want 1 up to one span", start, n, st.MaxInflight)
+		case n > span && leaves > 1 && st.MaxInflight < 2:
+			t.Errorf("Scan(%d, %d): leaf reads never overlapped (max in flight %d) on a scan certain to need two", start, n, st.MaxInflight)
+		}
+	}
+	for _, li := range []int{0, 7, len(chain) / 2} {
+		keys := chain[li].keys
+		for _, at := range []int{0, len(keys) / 2, len(keys) - 1} {
+			start, k := keys[at], len(keys)-at
+			for _, n := range []int{1, k, k + 1, span, span + 1, 2*span + 1} {
+				check(li, start, n)
+			}
+		}
+	}
+	// Off the end of the chain: the last two leaves and no read after.
+	li := len(chain) - 2
+	check(li, chain[li].keys[0], 10*span)
+	check(len(chain)-1, chain[len(chain)-1].keys[0], 10*span)
+}
+
+// TestScanWindowStaleParent: a second compute node splits a leaf the
+// scanning client's cached parent still lists whole — the first leaf of
+// the scan, one it read ahead, the last one it read ahead. The result is
+// the chain's either way. What staleness costs is the reads posted past
+// the split leaf, visible in the client's verb and byte counts and
+// nowhere else (no restart, no sibling chase, no torn read); the parent
+// leaves the cache; and the next scan, which refetches it, reads exactly
+// the leaves it returns from again.
+func TestScanWindowStaleParent(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		split int // which leaf of the scan splits, 0 = the one covering start
+	}{
+		{"first", 0},
+		{"middle", 1},
+		{"last_read_ahead", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.SpanSize = 16
+			h := newSyncHarness(t, tc.name, newSyncIndex(t, opts), 64<<20)
+			cl, span := h.cl, opts.SpanSize
+			for i := uint64(1); i <= 100; i++ {
+				if err := cl.Insert(i*16, val8(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cl.rootLevel != 1 {
+				t.Fatalf("tree has %d internal levels, the counts assume 1", cl.rootLevel)
+			}
+			before := walkChain(t, cl)
+			li := len(before) / 2
+			start, n := before[li].keys[0], 2*span+1
+			// n entries past one span twice over: leaves li, li+1 and li+2
+			// are posted before the first arrives.
+			if _, st := scanCost(t, cl, start, n); st.MaxInflight != 3 {
+				t.Fatalf("warm scan had %d reads in flight, the scenario assumes 3", st.MaxInflight)
+			}
+
+			// The writer, on its own compute node, fills the gaps of one
+			// leaf's key range until the chain grows by a leaf.
+			writer := cl.ix.NewComputeNode(64 << 20).NewClient()
+			victim := before[li+tc.split]
+			for j := uint64(1); len(walkChain(t, writer)) == len(before); j++ {
+				if j > 15 {
+					t.Fatal("victim leaf never split")
+				}
+				for _, k := range victim.keys {
+					if err := writer.Insert(k+j, val8(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			after := walkChain(t, writer)
+			if after[li+tc.split].addr != victim.addr || after[li+tc.split+1].addr == before[li+tc.split+1].addr {
+				t.Fatalf("leaf %d did not split in place", li+tc.split)
+			}
+
+			// Reads in flight when the split leaf arrives: leaves posted
+			// up front and not yet arrived, plus leaf li+3 if the first two
+			// left the scan more than a span short.
+			var dropped int64
+			switch tc.split {
+			case 0:
+				dropped = 2
+			case 1:
+				dropped = 1
+			case 2:
+				if n-len(after[li].keys)-len(after[li+1].keys) > span {
+					dropped = 1
+				}
+			}
+			leafBytes := int64(cl.ix.leaf.size - lineSize)
+			counters := func() [3]int64 {
+				reg := h.sink.Registry()
+				return [3]int64{reg.Counter(obs.NameRetry).Load(), reg.Counter(obs.NameSiblingChase).Load(), reg.Counter(obs.NameTornRead).Load()}
+			}
+			c0 := counters()
+			_, _, nodes0, _ := h.cn.CacheStats()
+
+			want, leaves := scanModel(after, li, start, n)
+			got, st := scanCost(t, cl, start, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("scan through the stale parent returned %v, want %v", got, want)
+			}
+			if st.Reads != int64(leaves)+dropped || st.Trips != st.Reads || st.BytesRead != st.Reads*leafBytes {
+				t.Errorf("stale scan: %d reads, %d trips, %d bytes; want %d leaves returned from + %d dropped, %d bytes each",
+					st.Reads, st.Trips, st.BytesRead, leaves, dropped, leafBytes)
+			}
+			if c := counters(); c != c0 {
+				t.Errorf("stale scan moved retries/sibling chases/torn reads %v -> %v", c0, c)
+			}
+			if _, _, nodes, _ := h.cn.CacheStats(); nodes != nodes0-1 {
+				t.Errorf("cached nodes %d -> %d, want the stale parent dropped", nodes0, nodes)
+			}
+
+			// The next scan fetches the parent afresh and wastes nothing.
+			got, st = scanCost(t, cl, start, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("scan after the drop returned %v, want %v", got, want)
+			}
+			if wantBytes := (int64(leaves))*leafBytes + int64(cl.ix.inner.size-lineSize); st.Reads != int64(leaves)+1 || st.BytesRead != wantBytes {
+				t.Errorf("scan after the drop: %d reads, %d bytes; want the parent + %d leaves = %d bytes", st.Reads, st.BytesRead, leaves, wantBytes)
+			}
+			if _, st = scanCost(t, cl, start, n); st.Reads != int64(leaves) {
+				t.Errorf("third scan: %d reads for %d leaves returned from", st.Reads, leaves)
 			}
 		})
 	}
