@@ -45,7 +45,7 @@ race:
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
 	$(GO) test -race -cpu 1,2,4 -run 'TestScanUnderChurn' ./internal/fault/
-	$(GO) test -race -cpu 1,2 -count=5 ./internal/rdwc/
+	$(GO) test -race -cpu 1,2,4 -count=5 ./internal/rdwc/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestMNReadLineAtomicity|TestStraddlingAtomicVsWrite|TestWriterNotStarvedByReaders' ./internal/dmsim/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'Wait|Signal|Suspend|Gate|Chain|CrossLane|TestNIC' ./internal/dmsim/
 

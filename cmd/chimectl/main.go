@@ -160,6 +160,10 @@ func main() {
 	fmt.Printf("\nfabric: %d verbs, %.1f MB read, %.1f MB written, NIC busy %.2f ms (queued %.2f ms)\n",
 		ns.Verbs, float64(ns.BytesOut)/1e6, float64(ns.BytesIn)/1e6,
 		float64(ns.ServedNs)/1e6, float64(ns.QueuedNs)/1e6)
+	if !*noRDWC {
+		fmt.Printf("rdwc: %d delegated reads, %d combined writes, %d rounds handed to a successor\n",
+			res.DelegatedReads, res.CombinedWrites, res.Handoffs)
+	}
 
 	if fr := observer.FlightReport(); fr != nil {
 		rows := bench.AttributionRows{{

@@ -200,6 +200,7 @@ type Result struct {
 	NICUtilization     float64
 	DelegatedReads     int64
 	CombinedWrites     int64
+	Handoffs           int64 // combined write rounds flushed by a successor
 	WCCycles           int64
 	WCCombinedKeys     int64
 
@@ -286,10 +287,11 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 	if cfg.Obs != nil {
 		snapBefore = cfg.Obs.Sink().Registry().Snapshot()
 	}
-	var dlgBefore, cwBefore int64
+	var dlgBefore, cwBefore, hoBefore int64
 	comb, _ := sys.(CombinerReporter)
 	if comb != nil && comb.Combiner() != nil {
 		dlgBefore, cwBefore = comb.Combiner().Stats()
+		hoBefore = comb.Combiner().Handoffs()
 	}
 	var cacheHitsBefore, cacheMissesBefore int64
 	cacheRep, _ := sys.(CacheHitMissReporter)
@@ -510,6 +512,7 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 		dlg, cw := comb.Combiner().Stats()
 		res.DelegatedReads = dlg - dlgBefore
 		res.CombinedWrites = cw - cwBefore
+		res.Handoffs = comb.Combiner().Handoffs() - hoBefore
 	}
 	if cacheRep != nil {
 		h, m := cacheRep.CacheHitMiss()

@@ -28,13 +28,16 @@ func TestMain(m *testing.M) {
 func gaddr(mn uint8, off uint64) dmsim.GAddr { return dmsim.GAddr{MN: mn, Off: off} }
 
 // The whole-cell copying codec the in-place accessors replaced; tests
-// keep it as the reference.
+// keep it as the reference. It copies through nodelayout's sub-range
+// helpers, which that package pins against its own whole-cell reference.
 func writeCellContent(img []byte, c cell, content []byte) {
-	nodelayout.WriteCellContent(img, c, content)
+	nodelayout.WriteCellContentAt(img, c, 0, content)
 }
 
 func readCellContent(img []byte, c cell, dst []byte) []byte {
-	return nodelayout.ReadCellContent(img, c, dst)
+	dst = slices.Grow(dst[:0], c.Content)[:c.Content]
+	nodelayout.ReadCellContentAt(img, c, 0, dst)
+	return dst
 }
 
 // refEntry decodes slot i the way leafImage.entry did before it went in

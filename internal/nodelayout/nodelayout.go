@@ -27,7 +27,6 @@ package nodelayout
 
 import (
 	"errors"
-	"fmt"
 )
 
 // LineSize is the cache-line granularity of version placement.
@@ -96,52 +95,6 @@ func LayoutCells(start int, contents []int) ([]Cell, int) {
 		}
 	}
 	return cells, cur - start
-}
-
-// WriteCellContent scatters content bytes into the image around the
-// cell's version bytes. len(content) must equal c.Content. It and
-// ReadCellContent are the whole-cell copying codec every index once
-// decoded and encoded through; no non-test code calls either any more
-// (the indexes read and write cells where they lie, through ContentAt
-// and the *At helpers below), and they stay as the reference the
-// packages' fuzz targets compare the in-place accessors against.
-func WriteCellContent(img []byte, c Cell, content []byte) {
-	if len(content) != c.Content {
-		panic(fmt.Sprintf("nodelayout: cell content %d bytes, cell holds %d", len(content), c.Content))
-	}
-	if !c.Big {
-		copy(img[c.Off+1:], content)
-		return
-	}
-	rem := content
-	for l := 0; l < c.Lines && len(rem) > 0; l++ {
-		n := LineSize - 1
-		if n > len(rem) {
-			n = len(rem)
-		}
-		copy(img[c.Off+l*LineSize+1:], rem[:n])
-		rem = rem[n:]
-	}
-}
-
-// ReadCellContent gathers a cell's content bytes from the image (tests'
-// reference only: see WriteCellContent).
-func ReadCellContent(img []byte, c Cell, dst []byte) []byte {
-	dst = dst[:0]
-	if !c.Big {
-		return append(dst, img[c.Off+1:c.Off+1+c.Content]...)
-	}
-	rem := c.Content
-	for l := 0; l < c.Lines && rem > 0; l++ {
-		n := LineSize - 1
-		if n > rem {
-			n = rem
-		}
-		base := c.Off + l*LineSize + 1
-		dst = append(dst, img[base:base+n]...)
-		rem -= n
-	}
-	return dst
 }
 
 // ContentAt maps content offset off of the cell to its image offset and

@@ -2,10 +2,58 @@ package nodelayout
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// WriteCellContent and ReadCellContent are the whole-cell copying codec
+// every index once decoded and encoded through. The indexes read and
+// write cells where they lie now, through ContentAt and the *At helpers,
+// and this pair stays as the reference those are pinned against
+// (TestContentAtHelpersMatchWholeCellCodec); other packages' reference
+// codecs copy whole cells through the pinned helpers at offset 0.
+
+// WriteCellContent scatters content bytes into the image around the
+// cell's version bytes. len(content) must equal c.Content.
+func WriteCellContent(img []byte, c Cell, content []byte) {
+	if len(content) != c.Content {
+		panic(fmt.Sprintf("nodelayout: cell content %d bytes, cell holds %d", len(content), c.Content))
+	}
+	if !c.Big {
+		copy(img[c.Off+1:], content)
+		return
+	}
+	rem := content
+	for l := 0; l < c.Lines && len(rem) > 0; l++ {
+		n := LineSize - 1
+		if n > len(rem) {
+			n = len(rem)
+		}
+		copy(img[c.Off+l*LineSize+1:], rem[:n])
+		rem = rem[n:]
+	}
+}
+
+// ReadCellContent gathers a cell's content bytes from the image.
+func ReadCellContent(img []byte, c Cell, dst []byte) []byte {
+	dst = dst[:0]
+	if !c.Big {
+		return append(dst, img[c.Off+1:c.Off+1+c.Content]...)
+	}
+	rem := c.Content
+	for l := 0; l < c.Lines && rem > 0; l++ {
+		n := LineSize - 1
+		if n > rem {
+			n = rem
+		}
+		base := c.Off + l*LineSize + 1
+		dst = append(dst, img[base:base+n]...)
+		rem -= n
+	}
+	return dst
+}
 
 func TestPackVerRoundTrip(t *testing.T) {
 	for nv := uint8(0); nv < 16; nv++ {

@@ -9,8 +9,10 @@
 //     of K from the same CN wait for the leader's result instead of
 //     issuing their own remote reads.
 //   - Write combining: while an update of key K is in flight, further
-//     updates of K overwrite a pending value; when the leader finishes
-//     it (or a successor) writes only the latest pending value remotely.
+//     updates of K overwrite a pending value; when the writer finishes,
+//     the first of the callers that deposited meanwhile writes only the
+//     latest pending value remotely, for all of them, and the duty passes
+//     on the same way: nobody serves more than one flush.
 //
 // Virtual-time semantics: a follower's clock advances to the leader's
 // completion time (never backward), exactly as if it had waited for the
@@ -42,19 +44,26 @@ type readFlight struct {
 	err error
 }
 
-// writeFlight is one round of a combined write for a key: the leader's
-// own write, or one flush of the value deposited behind it. While a
-// round is being written the key's next round collects depositors.
+// writeFlight is one round of a combined write for a key: the callers
+// that deposited a value while the write before theirs was in flight,
+// and the one flush that serves them all. While a round is being written
+// the key's next round collects depositors.
 type writeFlight struct {
 	startAt int64 // the first leader's virtual clock
 
-	// pending and waiters are guarded by Combiner.mu until the leader
-	// seals the round by registering its successor.
+	// pending and waiters are guarded by Combiner.mu until the writer
+	// before this round seals it by registering the next one.
 	pending []byte // latest value deposited for this round to flush
 	waiters dmsim.WaitQueue
 
-	// err is the flush's result, written by the leader before it signals
-	// the round's waiters and never again.
+	// leader is the round's first depositor, named by whoever sealed the
+	// round before waking it: the one waiter that flushes instead of
+	// adopting a result. The sealer takes it off waiters.
+	leader *dmsim.Client
+
+	// err is the flush's result, written by the round's leader before it
+	// signals the other waiters and never again. They read it after they
+	// wake, so a sealed round's record is left to the collector.
 	err error
 }
 
@@ -69,6 +78,7 @@ type Combiner struct {
 
 	delegated int64 // reads served from a leader's flight
 	combined  int64 // updates absorbed into a pending value
+	handoffs  int64 // sealed rounds passed to their first depositor
 
 	// Flight records nobody but their leader ever held — a read no
 	// follower joined, a write round nobody deposited into: most of them
@@ -130,6 +140,14 @@ func (c *Combiner) Stats() (delegatedReads, combinedWrites int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.delegated, c.combined
+}
+
+// Handoffs reports how many sealed write rounds were passed to a
+// successor: the remote writes combining cost beyond the leaders' own.
+func (c *Combiner) Handoffs() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.handoffs
 }
 
 // Read performs a delegated read: the first caller for a key becomes
@@ -196,10 +214,23 @@ func signalAll(dc *dmsim.Client, q *dmsim.WaitQueue) {
 
 // Write performs a combined write: the first caller for a key becomes
 // the leader and runs fn with its own value; callers arriving while a
-// write is in flight deposit their value (overwriting earlier pending
-// ones — last writer wins, as in SMART) and wait. When the leader
-// finishes, it writes the latest pending value too, so every combined
-// caller's durability obligation is met with at most two remote writes.
+// write is in flight deposit their value in the key's collecting round
+// (overwriting earlier pending ones — last writer wins, as in SMART) and
+// wait. Whoever finishes a write seals the round that collected behind
+// it and wakes that round's first depositor at its own completion clock;
+// the woken caller flushes the round's latest value with its own fn,
+// wakes the rest of the round, passes the next round on the same way and
+// returns. So:
+//
+//   - a deposited value is never dropped: the key leaves c.writes only
+//     under c.mu, with an empty collecting round;
+//   - within a round the last depositor wins, and rounds flush in the
+//     order they were sealed;
+//   - a caller returns only once a remote write of its own value, or of
+//     one deposited after it, has completed — with that write's error;
+//   - no caller runs fn more than once, however hot the key;
+//   - the hand-off is a Signal from the baton holder, so the successor
+//     runs in the same window and a cohort replays to the bit.
 func (c *Combiner) Write(dc *dmsim.Client, key uint64, value []byte, fn func(v []byte) error) error {
 	dc.Sync()
 	if fr := dc.Flight(); fr != nil {
@@ -212,48 +243,55 @@ func (c *Combiner) Write(dc *dmsim.Client, key uint64, value []byte, fn func(v [
 	// the follower's virtual future: the deposited value is always
 	// flushed before the follower resumes, so — unlike delegated reads —
 	// there is no staleness bound to respect. Under backlog this is what
-	// lets a hot key absorb arbitrarily deep update queues with O(1)
-	// remote writes per flight lifetime, as SMART's write combining does.
-	if fl, ok := c.writes[key]; ok && now+c.window >= fl.startAt {
+	// lets a hot key absorb arbitrarily deep update queues with one
+	// remote write per round, as SMART's write combining does.
+	fl, ok := c.writes[key]
+	if ok && now+c.window >= fl.startAt {
 		// Combine: replace the round's pending value and wait for its flush.
 		fl.pending = value
 		fl.waiters.Push(dc)
 		c.combined++
 		c.mu.Unlock()
 		wait(dc)
+		if fl.leader != dc {
+			return fl.err
+		}
+		// The round is sealed and this caller leads it.
+		fl.err = fn(fl.pending)
+		signalAll(dc, &fl.waiters)
+		c.handOff(dc, key)
 		return fl.err
 	}
-	if _, ok := c.writes[key]; ok {
+	if ok {
 		c.mu.Unlock()
 		return fn(value) // no virtual overlap: write independently
 	}
-	fl := c.newWrite(now)
-	c.writes[key] = fl
+	c.writes[key] = c.newWrite(now)
 	c.mu.Unlock()
 
 	err := fn(value)
+	c.handOff(dc, key)
+	return err
+}
 
-	// Flush round after round until no value was deposited while the
-	// last one was being written. The key is only unregistered under
-	// c.mu once its collecting round is provably empty, so no combiner
-	// can deposit a value that nobody will ever flush.
-	for {
-		c.mu.Lock()
-		if fl.pending == nil && fl.waiters.Len() == 0 {
-			delete(c.writes, key)
-			c.freeWrites = append(c.freeWrites, fl)
-			c.mu.Unlock()
-			return err
-		}
-		// Seal the round: depositors from here on collect in the next.
-		next := c.newWrite(fl.startAt)
-		c.writes[key] = next
+// handOff ends dc's turn as the key's writer, at dc's completion clock.
+// If values were deposited meanwhile, the collecting round is sealed —
+// depositors from here on collect in the next — and its first depositor
+// woken to flush it. If none were, the key is unregistered: under c.mu,
+// so no combiner can deposit a value that nobody will ever flush.
+func (c *Combiner) handOff(dc *dmsim.Client, key uint64) {
+	c.mu.Lock()
+	fl := c.writes[key]
+	leader := fl.waiters.Pop()
+	if leader == nil {
+		delete(c.writes, key)
+		c.freeWrites = append(c.freeWrites, fl)
 		c.mu.Unlock()
-
-		if fl.pending != nil {
-			fl.err = fn(fl.pending)
-		}
-		signalAll(dc, &fl.waiters)
-		fl = next
+		return
 	}
+	c.writes[key] = c.newWrite(fl.startAt)
+	c.handoffs++
+	fl.leader = leader
+	c.mu.Unlock()
+	dc.Signal(leader, dc.Now())
 }

@@ -3,6 +3,7 @@ package rdwc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,48 +284,70 @@ func TestReadBypassOutsideVirtualWindow(t *testing.T) {
 func TestWriteMergesAcrossBacklog(t *testing.T) {
 	// Unlike reads, writes combine with an in-flight write even when the
 	// writer is far ahead in virtual time: its value still gets flushed.
-	cls := newClients(2)
+	// Each sealed round is flushed exactly once, by its first depositor,
+	// with the value deposited last.
+	cls := newClients(4)
 	c := NewCombinerWindow(1000)
-	started := make(chan struct{})
-	release := make(chan struct{})
+	type flush struct {
+		by  int
+		val string
+	}
 	var mu sync.Mutex
-	var written []string
-
-	go func() {
-		c.Write(cls[0], 6, []byte("v0"), func(v []byte) error {
+	var flushes []flush
+	// The first two writes hold until released, so that a round collects
+	// behind each of them.
+	started := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	done := make(chan error, len(cls))
+	write := func(i int) {
+		done <- c.Write(cls[i], 6, []byte(fmt.Sprintf("v%d", i)), func(v []byte) error {
 			mu.Lock()
-			written = append(written, string(v))
-			first := len(written) == 1
+			flushes = append(flushes, flush{i, string(v)})
+			n := len(flushes)
 			mu.Unlock()
-			if first {
-				close(started)
-				<-release
+			if n <= len(started) {
+				close(started[n-1])
+				<-release[n-1]
 			}
 			return nil
 		})
-	}()
-	<-started
-	cls[1].Advance(1_000_000) // far in the virtual future
-	done := make(chan error, 1)
-	go func() {
-		done <- c.Write(cls[1], 6, []byte("v1"), func(v []byte) error {
-			t.Error("combined writer must not issue its own remote write")
-			return nil
-		})
-	}()
-	for {
-		if _, combined := c.Stats(); combined == 1 {
-			break
+	}
+	deposited := func(n int64) {
+		for {
+			if _, combined := c.Stats(); combined == n {
+				return
+			}
 		}
 	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+
+	go write(0)
+	<-started[0]
+	cls[1].Advance(1_000_000) // far in the virtual future
+	go write(1)
+	deposited(1)
+	go write(2)
+	deposited(2)
+	close(release[0]) // seals {1, 2}: client 1 flushes v2
+	<-started[1]
+	go write(3)
+	deposited(3)
+	close(release[1]) // seals {3}: client 3 flushes its own value
+	for range cls {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(written) != 2 || written[1] != "v1" {
-		t.Fatalf("flush sequence = %v", written)
+	want := []flush{{0, "v0"}, {1, "v2"}, {3, "v3"}}
+	if !slices.Equal(flushes, want) {
+		t.Fatalf("flushes = %v, want %v", flushes, want)
+	}
+	if h := c.Handoffs(); h != 2 {
+		t.Fatalf("handoffs = %d, want 2", h)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.writes) != 0 {
+		t.Fatal("key still registered after its last round drained")
 	}
 }
 

@@ -15,6 +15,15 @@ import (
 // cell's content in a fresh buffer, scatter it. Tests keep it as the
 // reference.
 
+// readCell gathers a whole cell's content through nodelayout's sub-range
+// helpers (as the encoders below scatter it), which that package pins
+// against its own whole-cell reference codec.
+func readCell(img []byte, c nodelayout.Cell) []byte {
+	content := make([]byte, c.Content)
+	nodelayout.ReadCellContentAt(img, c, 0, content)
+	return content
+}
+
 type refEntry struct {
 	occupied bool
 	hopBM    uint16 // hopscotch-leaf mode only
@@ -35,7 +44,7 @@ func refEncodeEntry(l *layout, img []byte, i int, e refEntry, bump bool) {
 	}
 	binary.LittleEndian.PutUint64(content[off:off+8], e.key)
 	copy(content[off+8:], e.val)
-	nodelayout.WriteCellContent(img, c, content)
+	nodelayout.WriteCellContentAt(img, c, 0, content)
 	if bump {
 		nodelayout.BumpEV(img, c)
 	}
@@ -43,7 +52,7 @@ func refEncodeEntry(l *layout, img []byte, i int, e refEntry, bump bool) {
 
 func refDecodeEntry(l *layout, img []byte, i int) refEntry {
 	c := l.entryCells[i]
-	content := nodelayout.ReadCellContent(img, c, make([]byte, 0, c.Content))
+	content := readCell(img, c)
 	e := refEntry{occupied: content[0]&flagOccupied != 0}
 	off := 1
 	if l.hop {
@@ -58,11 +67,11 @@ func refDecodeEntry(l *layout, img []byte, i int) refEntry {
 func refSetChain(l *layout, img []byte, chain dmsim.GAddr) {
 	content := make([]byte, l.header.Content)
 	binary.LittleEndian.PutUint64(content, chain.Pack())
-	nodelayout.WriteCellContent(img, l.header, content)
+	nodelayout.WriteCellContentAt(img, l.header, 0, content)
 }
 
 func refChain(l *layout, img []byte) dmsim.GAddr {
-	content := nodelayout.ReadCellContent(img, l.header, make([]byte, 0, 8))
+	content := readCell(img, l.header)
 	return dmsim.UnpackGAddr(binary.LittleEndian.Uint64(content))
 }
 

@@ -15,6 +15,15 @@ import (
 // cell's content in a fresh buffer, scatter it. Tests keep it as the
 // reference.
 
+// readCell gathers a whole cell's content through nodelayout's sub-range
+// helpers (as the encoders below scatter it), which that package pins
+// against its own whole-cell reference codec.
+func readCell(img []byte, c nodelayout.Cell) []byte {
+	content := make([]byte, c.Content)
+	nodelayout.ReadCellContentAt(img, c, 0, content)
+	return content
+}
+
 type refEntry struct {
 	occupied bool
 	key      uint64
@@ -35,11 +44,11 @@ func refEncodeHeader(l *layout, img []byte, h header) {
 	binary.LittleEndian.PutUint64(content[12:20], h.fenceHi)
 	binary.LittleEndian.PutUint64(content[20:28], h.sibling.Pack())
 	binary.LittleEndian.PutUint64(content[28:36], h.leftmost.Pack())
-	nodelayout.WriteCellContent(img, l.header, content)
+	nodelayout.WriteCellContentAt(img, l.header, 0, content)
 }
 
 func refDecodeHeader(l *layout, img []byte) header {
-	content := nodelayout.ReadCellContent(img, l.header, make([]byte, 0, l.header.Content))
+	content := readCell(img, l.header)
 	h := header{
 		valid:    content[0]&flagValid != 0,
 		fenceInf: content[0]&flagFenceInf != 0,
@@ -64,7 +73,7 @@ func refEncodeEntry(l *layout, img []byte, i int, e refEntry, bump bool) {
 	}
 	binary.LittleEndian.PutUint64(content[1:9], e.key)
 	copy(content[1+l.keySize:], e.val)
-	nodelayout.WriteCellContent(img, c, content)
+	nodelayout.WriteCellContentAt(img, c, 0, content)
 	if bump {
 		nodelayout.BumpEV(img, c)
 	}
@@ -72,7 +81,7 @@ func refEncodeEntry(l *layout, img []byte, i int, e refEntry, bump bool) {
 
 func refDecodeEntry(l *layout, img []byte, i int) refEntry {
 	c := l.entryCells[i]
-	content := nodelayout.ReadCellContent(img, c, make([]byte, 0, c.Content))
+	content := readCell(img, c)
 	return refEntry{
 		occupied: content[0]&flagOccupied != 0,
 		key:      binary.LittleEndian.Uint64(content[1:9]),
