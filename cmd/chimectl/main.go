@@ -140,6 +140,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if shape, err := bench.TreeShape(sys); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	} else if shape.Levels > 0 {
+		fmt.Printf("tree: %v\n", shape)
+	}
 
 	res, err := bench.Run(sys, bench.RunConfig{
 		Mix:          mix,

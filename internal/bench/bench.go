@@ -183,6 +183,10 @@ type Result struct {
 
 	CacheBytes int64
 
+	// Shape is the tree as the run left it, from one out-of-band census
+	// walk (TreeShape); zero for a system that is not a B-tree.
+	Shape Shape
+
 	// Observability columns. The combiner, write-combining, cache-hit
 	// and NIC-utilization figures are folded on every run; the per-op
 	// protocol-event rates (retries, torn reads, lock backoffs, sibling
@@ -482,6 +486,11 @@ func Run(sys System, cfg RunConfig) (Result, error) {
 		WriteBytes:     float64(stats.BytesWritten) / float64(ops),
 		MaxInflight:    stats.MaxInflight,
 		CacheBytes:     sys.CacheBytes(),
+	}
+
+	var err error
+	if res.Shape, err = TreeShape(sys); err != nil {
+		return Result{}, err
 	}
 
 	// NIC utilization: fraction of the run's virtual wall time the NICs

@@ -56,6 +56,31 @@ func TestRunMixedWorkloads(t *testing.T) {
 	}
 }
 
+// TestClientScanReusesItsBuffer: every scan of a harness client fills the
+// one buffer its adapter holds, so a short scan after a long one must
+// count its own results and not the long one's tail — for all four
+// indexes, whose scans end differently (count reached inside a leaf, a
+// group truncated, a radix walk cut off).
+func TestClientScanReusesItsBuffer(t *testing.T) {
+	for _, name := range HeadToHeadSystems {
+		sys, cfg, err := buildSystem(name, tinyScale, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := sys.NewClient()
+		start := cfg.LoadKeys[len(cfg.LoadKeys)/2]
+		for _, count := range []int{300, 7, 120, 1} {
+			n, err := cl.Scan(start, count)
+			if err != nil || n != count {
+				t.Errorf("%s: Scan(%d keys) = %d, %v", name, count, n, err)
+			}
+		}
+		if n, err := cl.Scan(cfg.LoadKeys[len(cfg.LoadKeys)-3], 50); err != nil || n != 3 {
+			t.Errorf("%s: a scan from the third-last key counts %d, %v; want 3", name, n, err)
+		}
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	sys, _, err := buildSystem("CHIME", tinyScale, 1, nil)
 	if err != nil {
@@ -162,10 +187,13 @@ func TestQuickExperimentsRun(t *testing.T) {
 
 // TestTable1Shape runs the round-trip experiment and sanity-checks the
 // best-case numbers against the paper's Table 1. The scan row is held to
-// the count: the probes' 20-key scans return entries from 1.60 leaves on
-// average, so 1 + leaves means 1.60 trips with the descent cached — a
-// scan that reads one leaf past the last it returns from shows as 2.60 —
-// and the uncached column adds the descent a search pays, nothing more.
+// the count the tree itself gives: the experiment takes a census of the
+// tree its probes ran on and says how many leaves their 20 keys lie in,
+// so 1 + leaves means exactly that many trips with the descent cached — a
+// scan that reads one leaf past the last it returns from shows as one more
+// — and the uncached column adds the descent a search pays, nothing more.
+// An insert is the paper's three trips plus the splits its share of the
+// probes meets.
 func TestTable1Shape(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Table1(&buf, tinyScale); err != nil {
@@ -189,13 +217,22 @@ func TestTable1Shape(t *testing.T) {
 		t.Fatalf("no %s row", op)
 		return 0, 0
 	}
+	var leaves float64
+	if _, tail, ok := strings.Cut(out, "keys lie in "); !ok {
+		t.Fatal("no census line")
+	} else if _, err := fmt.Sscanf(tail, "%f leaves", &leaves); err != nil {
+		t.Fatalf("census line %q: %v", tail, err)
+	}
 	searchBest, searchWorst := row("search")
 	scanBest, scanWorst := row("scan")
-	if scanBest != 1.60 {
-		t.Errorf("scan best case %.2f trips, want 1.60: the leaves a 20-key scan returns from and not one more", scanBest)
+	if scanBest != leaves {
+		t.Errorf("scan best case %.2f trips, want %.2f: the leaves a 20-key scan returns from and not one more", scanBest, leaves)
 	}
 	if descent := searchWorst - searchBest; math.Abs(scanWorst-scanBest-descent) > 0.015 {
 		t.Errorf("scan worst case %.2f trips, want the best case %.2f + the %.2f of an uncached descent", scanWorst, scanBest, descent)
+	}
+	if insertBest, _ := row("insert"); insertBest < 3 || insertBest > 3.15 {
+		t.Errorf("insert best case %.2f trips, want the paper's 3 and at most 0.15 of splits", insertBest)
 	}
 }
 

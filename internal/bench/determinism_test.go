@@ -82,7 +82,11 @@ func TestWarmCohortBitIdentical(t *testing.T) {
 // victim, and a different victim shows in the hit ratio and the bytes
 // read. The row was recorded at the last commit that found the victim
 // by scanning the whole map; a host-only change to the buffer must
-// reproduce it bit for bit.
+// reproduce it bit for bit. (Re-recorded once since, with the tree: the
+// split rule of PR 23 loads the same 3 000 sorted keys into 66 leaves
+// where the median built 99, so a few hot keys changed slot — hit ratio
+// 0.102 → 0.1015, 183.518 → 183.618 bytes per read. With SplitPoint
+// forced to the median the old row reproduces bit for bit.)
 func TestFullHotspotBufferRowPinned(t *testing.T) {
 	sc := tinyScale
 	sc.LoadN = 3000
@@ -102,13 +106,14 @@ func TestFullHotspotBufferRowPinned(t *testing.T) {
 	}
 	want := Result{
 		System: "CHIME", Mix: "C", Clients: 1, Ops: 4000,
-		ThroughputMops: 0.4221885409586213, P50Us: 2.368, P99Us: 2.368,
-		TripsPerOp: 1.00025, ReadBytes: 183.518,
+		ThroughputMops: 0.42218782798716886, P50Us: 2.368, P99Us: 2.368,
+		TripsPerOp: 1.00025, ReadBytes: 183.618,
 		MaxInflight:     1,
-		CacheBytes:      6860,
+		CacheBytes:      5401,
+		Shape:           Shape{Levels: 3, Nodes: [shapeLevels]int{66, 2, 1}, Keys: 3000},
 		CacheHitRatio:   1,
-		HotspotHitRatio: 0.102,
-		NICUtilization:  0.007624725049712701,
+		HotspotHitRatio: 0.1015,
+		NICUtilization:  0.007626400924760218,
 	}
 	if got != want {
 		t.Fatalf("full-buffer row moved:\n got: %+v\nwant: %+v", got, want)
@@ -126,7 +131,12 @@ func TestFullHotspotBufferRowPinned(t *testing.T) {
 // virtual-time change of this row (CHANGES.md, PR 20: a scan reads only
 // the leaves it returns from, 3.511 → 2.5815 trips, and overlaps the
 // ones it is certain to need, MaxInflight 1 → 2); before that it had
-// held since the last commit whose decoder copied every cell.
+// held since the last commit whose decoder copied every cell. The second
+// declared change is the tree under the scans (PR 23: the sorted load
+// leaves 46 keys in a leaf, not 30 — 2.5815 → 2.136 trips, 3755 → 3067
+// bytes per op, and the run's 5 % inserts meet fuller leaves, 3.2 → 7.4
+// bytes written per op); with SplitPoint forced to the median the old row
+// reproduces bit for bit.
 func TestScanRowPinned(t *testing.T) {
 	sc := tinyScale
 	sc.LoadN = 3000
@@ -142,12 +152,13 @@ func TestScanRowPinned(t *testing.T) {
 	}
 	want := Result{
 		System: "CHIME", Mix: "E", Clients: 1, Ops: 2000,
-		ThroughputMops: 0.18527681143054173, P50Us: 4.992, P99Us: 9.472,
-		TripsPerOp: 2.5815, ReadBytes: 3755.112, WriteBytes: 3.198,
+		ThroughputMops: 0.22851574907691063, P50Us: 4.736, P99Us: 7.04,
+		TripsPerOp: 2.136, ReadBytes: 3066.7625, WriteBytes: 7.4165,
 		MaxInflight:    2,
-		CacheBytes:     5836,
+		CacheBytes:     4377,
+		Shape:          Shape{Levels: 3, Nodes: [shapeLevels]int{67, 2, 1}, Keys: 3091},
 		CacheHitRatio:  1,
-		NICUtilization: 0.05592904787450905,
+		NICUtilization: 0.05650965958922923,
 	}
 	if got != want {
 		t.Fatalf("YCSB-E row moved:\n got: %+v\nwant: %+v", got, want)

@@ -37,7 +37,7 @@ func newCHIMELearned(cfg SystemConfig) (System, error) {
 		return nil, err
 	}
 	sys := &rolexSystem{ix: ix, cn: ix.NewComputeNode(), comb: rdwc.NewCombiner()}
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapter{sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapt(sys.cn.NewClient()) })
 	return &learnedSystem{rolexSystem: sys}, nil
 }
 

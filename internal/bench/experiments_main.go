@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"chime/internal/ycsb"
 )
@@ -163,6 +164,11 @@ func Table1(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "# Table 1: round trips per operation (measured, CHIME)\n")
 	fmt.Fprintf(w, "%-10s %12s %12s\n", "op", "best", "worst")
 
+	// What the tree says the scan row must read, from the census of the
+	// tree the best-case probes ran on.
+	var shape Shape
+	var scanLeaves int
+	const probes, scanLen = 200, 20
 	measure := func(cacheBytes int64) (search, insert, update, scan float64, err error) {
 		sys, cfg, err := buildSystem("CHIME", sc, 1, func(c *SystemConfig) {
 			c.CacheBytes = cacheBytes
@@ -189,7 +195,6 @@ func Table1(w io.Writer, sc Scale) error {
 			}
 			return float64(cl.DM().Stats().Trips-before) / float64(n), nil
 		}
-		const probes = 200
 		keys := cfg.LoadKeys
 		val := make([]byte, cfg.ValueSize)
 		if search, err = trips(func(i int) error {
@@ -203,16 +208,30 @@ func Table1(w io.Writer, sc Scale) error {
 		}, probes); err != nil {
 			return
 		}
+		resident := append([]uint64(nil), keys...)
 		if insert, err = trips(func(i int) error {
-			return cl.Insert(ycsb.KeyOf(uint64(len(keys)+i+int(cacheBytes%97)*1000)), val)
+			k := ycsb.KeyOf(uint64(len(keys) + i + int(cacheBytes%97)*1000))
+			resident = append(resident, k)
+			return cl.Insert(k, val)
 		}, probes); err != nil {
 			return
 		}
+		scanStart := func(i int) uint64 { return keys[(i*41)%len(keys)] }
 		if scan, err = trips(func(i int) error {
-			_, err := cl.Scan(keys[(i*41)%len(keys)], 20)
+			_, err := cl.Scan(scanStart(i), scanLen)
 			return err
 		}, probes); err != nil {
 			return
+		}
+		if cacheBytes > 0 {
+			var leafKeys []int
+			if shape, leafKeys, err = census(sys); err != nil {
+				return
+			}
+			slices.Sort(resident)
+			for i := 0; i < probes; i++ {
+				scanLeaves += leavesUnder(leafKeys, resident, scanStart(i), scanLen)
+			}
 		}
 		return search, insert, update, scan, nil
 	}
@@ -229,5 +248,24 @@ func Table1(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-10s %12.2f %12.2f   (paper: 3 / h+3; +1 with block alloc)\n", "insert", bi, wi)
 	fmt.Fprintf(w, "%-10s %12.2f %12.2f   (paper: 3-4 / h+3-h+4)\n", "update", bu, wu)
 	fmt.Fprintf(w, "%-10s %12.2f %12.2f   (paper: 1+leaves / h+1+leaves)\n", "scan", bsc, wsc)
+	fmt.Fprintf(w, "(tree: %v, h = %d; the scan probes' %d keys lie in %.2f leaves)\n", shape, shape.Levels-1, scanLen, float64(scanLeaves)/probes)
 	return nil
+}
+
+// leavesUnder counts the leaves that hold the first count keys >= start,
+// given every resident key in order and how many each leaf of the chain
+// holds: what a scan that reads no leaf in vain reads.
+func leavesUnder(leafKeys []int, resident []uint64, start uint64, count int) int {
+	first, _ := slices.BinarySearch(resident, start)
+	last := min(first+count, len(resident)) - 1
+	leaves, end := 0, 0 // end: keys in the leaves up to this one
+	for _, n := range leafKeys {
+		if end += n; end > first && n > 0 {
+			leaves++
+		}
+		if end > last {
+			break
+		}
+	}
+	return leaves
 }

@@ -67,7 +67,9 @@ func TestHandoffBoundsTheWriteLeader(t *testing.T) {
 	}{
 		// Measured here / at the parent: Sherman 7.68 / 5.33 Mops, most
 		// index updates in one Update 1 / 78, slowest over median client
-		// 1.134 / 1.631; CHIME 10.04 / 6.86 Mops, 1 / 66, 1.199 / 1.644.
+		// 1.134 / 1.631; CHIME 10.04 / 6.86 Mops, 1 / 66, 1.199 / 1.644
+		// (7.82 and 10.24 Mops, 1.116 and 1.159 since PR 23 packed the
+		// trees this loads).
 		// A client runs 93 ops, so what is left of the ratio is the draw:
 		// how many of them are updates, and of hot keys. The bounds leave
 		// 6 points for other changes to move clocks.

@@ -17,8 +17,9 @@ import (
 // v4 adds the optional flight section (per-op-class tail-latency
 // attribution plus the virtual-time timeline) emitted when the flight
 // recorder is enabled (chime-bench -flightrec). v5 adds MaxInflight to
-// the rows' Result, v6 Handoffs.
-const MetricsSchema = "chime-bench/metrics/v6"
+// the rows' Result, v6 Handoffs, v7 Shape (the B-tree's levels, nodes per
+// level and keys after the run).
+const MetricsSchema = "chime-bench/metrics/v7"
 
 // Observer ties one obs.Sink to the bench harness: systems built with
 // SystemConfig.Obs count protocol events (and optionally trace spans)

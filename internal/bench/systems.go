@@ -60,17 +60,25 @@ type index interface {
 	Insert(key uint64, value []byte) error
 	Update(key uint64, value []byte) error
 	Delete(key uint64) error
-	Scan(start uint64, count int) ([]offroute.KV, error)
+	ScanTo(buf *offroute.ScanBuf, start uint64, count int) error
 	DM() *dmsim.Client
 }
 
-// adapter puts an index client behind Client: only Scan's result needs
-// reshaping.
-type adapter struct{ index }
+// adapter puts an index client behind Client: only Scan needs reshaping.
+// Client.Scan keeps the count alone, so every scan of a client fills the
+// one buffer.
+type adapter struct {
+	index
+	scan *offroute.ScanBuf
+}
+
+func adapt(cl index) adapter { return adapter{cl, new(offroute.ScanBuf)} }
 
 func (a adapter) Scan(start uint64, count int) (int, error) {
-	kvs, err := a.index.Scan(start, count)
-	return len(kvs), err
+	if err := a.ScanTo(a.scan, start, count); err != nil {
+		return 0, err
+	}
+	return len(a.scan.Out), nil
 }
 
 // batcher is the posted-verb batch surface of the tree indexes.
@@ -90,7 +98,7 @@ func adaptBatching[C interface {
 	index
 	batcher
 }](cl C) Client {
-	return batchAdapter{adapter{cl}, cl}
+	return batchAdapter{adapt(cl), cl}
 }
 
 func loadClients(cfg SystemConfig) int {
@@ -171,6 +179,7 @@ func (s *chimeSystem) HotspotHitMiss() (hits, lookups int64) {
 	hs := s.cn.HotspotStats()
 	return hs.Hits, hs.Lookups
 }
+func (s *chimeSystem) Census() ([]int, []int, error) { return s.ix.Census() }
 func (s *chimeSystem) CacheBytes() int64 {
 	cs := s.cn.CacheStats()
 	hs := s.cn.HotspotStats()
@@ -230,6 +239,7 @@ func (s *shermanSystem) CacheHitMiss() (hits, misses int64) {
 	h, m, _, _ := s.cn.CacheStats()
 	return h, m
 }
+func (s *shermanSystem) Census() ([]int, []int, error) { return s.ix.Census() }
 func (s *shermanSystem) CacheBytes() int64 {
 	_, _, _, used := s.cn.CacheStats()
 	return used
@@ -300,7 +310,7 @@ func NewSMART(cfg SystemConfig) (System, error) {
 	}
 	sys := &smartSystem{ix: ix, cn: ix.NewComputeNode(cfg.CacheBytes), comb: rdwc.NewCombiner()}
 	sys.cn.SetObserver(cfg.Obs.Sink())
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapter{sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapt(sys.cn.NewClient()) })
 	if err := parallelLoad(cfg, sys.NewClient); err != nil {
 		return nil, fmt.Errorf("smart load: %w", err)
 	}
@@ -344,7 +354,7 @@ func NewROLEX(cfg SystemConfig) (System, error) {
 	}
 	sys := &rolexSystem{ix: ix, cn: ix.NewComputeNode(), comb: rdwc.NewCombiner()}
 	sys.cn.SetObserver(cfg.Obs.Sink())
-	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapter{sys.cn.NewClient()} })
+	sys.newC = withRDWC(cfg, sys.comb, func() Client { return adapt(sys.cn.NewClient()) })
 	return sys, nil
 }
 

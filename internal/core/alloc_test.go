@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chime/internal/dmsim"
+	"chime/internal/offroute"
 )
 
 // buildAllocTree loads a tree big enough to have real internal levels,
@@ -76,6 +77,41 @@ func TestScanAllocsBounded(t *testing.T) {
 	const maxAllocs = 6 // measured 2; under -race sync.Pool drops some leaf images, four objects each
 	if avg > maxAllocs {
 		t.Fatalf("warm 50-key Scan allocates %.1f objects/op, want <= %d (a per-entry or per-leaf allocation is back)", avg, maxAllocs)
+	}
+}
+
+// TestScanToAllocatesNothing: a scan into the buffer of the scan before
+// it costs no allocation at all — the result and the arena are the
+// caller's, everything else the client's — and returns what Scan returns.
+func TestScanToAllocatesNothing(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	start := uint64(700) * 7
+	want, err := cl.Scan(start, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf offroute.ScanBuf
+	for _, count := range []int{80, 50} { // a longer scan first: the shorter one must not keep its tail
+		if err := cl.ScanTo(&buf, start, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(buf.Out) != len(want) {
+		t.Fatalf("ScanTo: %d results, Scan %d", len(buf.Out), len(want))
+	}
+	for i := range want {
+		if buf.Out[i].Key != want[i].Key || !bytes.Equal(buf.Out[i].Value, want[i].Value) {
+			t.Fatalf("result %d: ScanTo %v, Scan %v", i, buf.Out[i], want[i])
+		}
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := cl.ScanTo(&buf, start, 50); err != nil || len(buf.Out) != 50 {
+			t.Fatalf("ScanTo: %d results, err %v", len(buf.Out), err)
+		}
+	})
+	const maxAllocs = 4 // measured 0; under -race sync.Pool drops some leaf images, four objects each
+	if avg > maxAllocs {
+		t.Fatalf("warm 50-key ScanTo allocates %.1f objects/op, want <= %d", avg, maxAllocs)
 	}
 }
 

@@ -307,13 +307,14 @@ func (l *internalLayout) encodeInternal(n *internalNode, prev []byte) []byte {
 	return img
 }
 
-// decodeInternal copies a fetched node out of its image for rewriting;
-// addr is where the node lives.
+// decodeInternal copies a fetched node out of its image for rewriting,
+// with room for the one entry a split below adds; addr is where the node
+// lives.
 func (l *internalLayout) decodeInternal(addr dmsim.GAddr, im *internalImage) *internalNode {
 	n := &internalNode{
 		internalHeader: im.internalHeader,
 		addr:           addr,
-		entries:        make([]pivotEntry, im.nkeys),
+		entries:        make([]pivotEntry, im.nkeys, im.nkeys+1),
 	}
 	for i := range n.entries {
 		n.entries[i] = pivotEntry{

@@ -11,41 +11,42 @@ import (
 // KV is one result of a range scan.
 type KV = offroute.KV
 
-// scanOneSided returns up to count items with keys >= start, in
+// scanOneSided fills sb with up to count items with keys >= start, in
 // ascending key order (§4.4), using one-sided verbs only; the public
-// Scan (offload.go) routes between this and the MN-side offload
-// program. Leaves along the range are fetched whole (their entries are
-// hash-ordered, not key-ordered), one posted read each, and a leaf is
-// read only if the scan returns entries from it: Table 1's 1 + leaves.
+// Scan and ScanTo (offload.go) route between this and the MN-side
+// offload program. Leaves along the range are fetched whole (their
+// entries are hash-ordered, not key-ordered), one posted read each, and a
+// leaf is read only if the scan returns entries from it: Table 1's
+// 1 + leaves.
 // Which leaf is read when is offroute.ScanWindow's rule — the chain's
 // next leaf once the scan is known to be short, and ahead of that every
 // leaf the cached parent names that the scan is certain to reach, so a
 // scan longer than one span overlaps its reads instead of paying a
 // round trip per leaf. A leaf's indirect-value reads are posted as a
 // group after the reads of the leaves that follow it, and overlap them.
-func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
+func (c *Client) scanOneSided(sb *offroute.ScanBuf, start uint64, count int) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		out, err := c.scanOnce(start, count)
+		err := c.scanOnce(sb, start, count)
 		if err == errRestart {
 			c.noteRestart()
 			continue
 		}
-		return out, err
+		return err
 	}
-	return nil, fmt.Errorf("core: Scan(%#x): retries exhausted", start)
+	return fmt.Errorf("core: Scan(%#x): retries exhausted", start)
 }
 
-func (c *Client) scanOnce(start uint64, count int) ([]KV, error) {
+func (c *Client) scanOnce(sb *offroute.ScanBuf, start uint64, count int) error {
 	ref, err := c.descend(start)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := c.scanChain(ref, start, count)
+	err = c.scanChain(sb, ref, start, count)
 	// Reads are still in flight when the walk ends on an error; drain
 	// them so in-flight accounting stays balanced and their images return
 	// to the pool.
 	c.dropLeafReads()
-	return out, err
+	return err
 }
 
 // leafRead is one posted whole-leaf read of a scan. im is nil when the
@@ -80,35 +81,36 @@ func (c *Client) scanNames(ref leafRef, start uint64) []dmsim.GAddr {
 	return after
 }
 
-// scanChain walks the leaf chain from the leaf ref names, appending each
-// leaf's in-range entries in key order until count are collected or the
-// chain ends. Reads it leaves in flight are the caller's to drop.
-func (c *Client) scanChain(ref leafRef, start uint64, count int) ([]KV, error) {
+// scanChain walks the leaf chain from the leaf ref names, filling sb
+// with each leaf's in-range entries in key order until count are
+// collected or the chain ends. Reads it leaves in flight are the caller's
+// to drop.
+func (c *Client) scanChain(sb *offroute.ScanBuf, ref leafRef, start uint64, count int) error {
 	lay := c.ix.leaf
 	valSize := lay.valSize
 	if c.ix.opts.Indirect {
 		valSize = c.ix.opts.ValueSize
 	}
-	sb := offroute.NewScanBuf(count, valSize)
+	sb.Reset(count, valSize)
 	w := &c.scanWin
 	w.Reset(lay.span, count, ref.addr, c.scanNames(ref, start))
 	c.postLeafReads()
 	for leaves := 0; leaves <= maxRetries; leaves++ {
 		addr, rd, ok := w.Pop()
 		if !ok {
-			return sb.Out, nil // count reached, or the chain ended
+			return nil // count reached, or the chain ended
 		}
 		im, slots, err := c.finishLeafRead(addr, rd, start)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		err = c.collectLeaf(ref, im, slots, &sb)
+		err = c.collectLeaf(ref, im, slots, sb)
 		lay.putImage(im)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return nil, fmt.Errorf("core: Scan(%#x): sibling chain too long", start)
+	return fmt.Errorf("core: Scan(%#x): sibling chain too long", start)
 }
 
 // postLeafReads posts the whole-node read of every leaf the window says

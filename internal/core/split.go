@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
+	"chime/internal/nodelayout"
 )
 
 // This file implements node splits and Sherman-style up-propagation
@@ -15,28 +18,33 @@ import (
 // root) as needed. The new node is always written before the old one, so
 // it only becomes reachable once the old node's sibling pointer commits.
 
+// kvPair is one resident entry of a leaf being split or built: its key,
+// its value where it lies in the source image, and the slot it sits in.
 type kvPair struct {
-	key uint64
-	val []byte
+	key  uint64
+	val  []byte
+	slot int
 }
 
 // splitLeaf splits a locked, fully fetched leaf. It allocates and writes
 // the new right node, rewrites the old node (moved entries cleared,
 // sibling pointer and fences updated) and releases the lock with the
 // same WRITE. The pending insert key is NOT placed; the caller
-// retraverses and retries, which is guaranteed to land in a half-empty
-// node.
+// retraverses and retries, which is guaranteed to land in a node with
+// room.
 func (c *Client) splitLeaf(ref leafRef, im *leafImage, meta leafMeta, lw lockWord, pendingKey uint64) error {
 	c.obs.Splits.Inc()
 	lay := c.ix.leaf
 
-	// Collect all resident KV pairs.
-	var kvs []kvPair
+	// The resident entries in key order. The leaf is locked and im is this
+	// client's until the split is written, so values stay where they are.
+	kvs := c.splitKVs[:0]
 	for i := 0; i < lay.span; i++ {
 		if e := im.entry(i); e.occupied {
-			kvs = append(kvs, kvPair{key: e.key, val: append([]byte(nil), e.value...)})
+			kvs = append(kvs, kvPair{key: e.key, val: e.value, slot: i})
 		}
 	}
+	c.splitKVs = kvs[:0]
 	if len(kvs) < 2 {
 		// A split cannot help a node this empty: the insert failed from
 		// pathological collisions, not from capacity.
@@ -44,18 +52,24 @@ func (c *Client) splitLeaf(ref leafRef, im *leafImage, meta leafMeta, lw lockWor
 		return fmt.Errorf("core: leaf %v: hopscotch neighborhood saturated with %d keys (key %#x)",
 			ref.addr, len(kvs), pendingKey)
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].key < kvs[j].key })
+	slices.SortFunc(kvs, func(a, b kvPair) int { return cmp.Compare(a.key, b.key) })
+	var keyBuf [64]uint64 // the default span: a wider leaf's keys go to the heap
+	keys := keyBuf[:0]
+	for _, kv := range kvs {
+		keys = append(keys, kv.key)
+	}
+	prev, havePrev := c.placed.At(0)
+	splitAt, run := nodelayout.SplitPoint(keys, pendingKey, prev, havePrev)
+	if run {
+		c.obs.RunSplits.Inc()
+	}
 
-	// Try the median first, then move fewer keys if the right node's
-	// hopscotch build fails (vanishingly rare at half load).
+	// Move fewer keys if the right node's hopscotch build fails
+	// (vanishingly rare below full load).
 	var rightIm *leafImage
-	var splitKey uint64
-	var splitAt int
-	for splitAt = len(kvs) / 2; splitAt < len(kvs); splitAt++ {
-		splitKey = kvs[splitAt].key
+	for ; splitAt < len(kvs); splitAt++ {
 		var ok bool
-		rightIm, ok = buildLeafImage(lay, kvs[splitAt:])
-		if ok {
+		if rightIm, ok = buildLeafImage(lay, kvs[splitAt:]); ok {
 			break
 		}
 	}
@@ -64,6 +78,7 @@ func (c *Client) splitLeaf(ref leafRef, im *leafImage, meta leafMeta, lw lockWor
 		return fmt.Errorf("core: leaf %v: could not rebuild right node", ref.addr)
 	}
 	defer lay.putImage(rightIm)
+	splitKey := kvs[splitAt].key
 
 	rightAddr, err := c.alloc.Alloc(lay.size)
 	if err != nil {
@@ -84,23 +99,15 @@ func (c *Client) splitLeaf(ref leafRef, im *leafImage, meta leafMeta, lw lockWor
 
 	// Rewrite the old node: clear moved entries and their home-bitmap
 	// bits; this is a node write, so bump NV across the node.
-	moved := map[uint64]bool{}
 	for _, kv := range kvs[splitAt:] {
-		moved[kv.key] = true
-	}
-	for i := 0; i < lay.span; i++ {
-		e := im.entry(i)
-		if !e.occupied || !moved[e.key] {
-			continue
-		}
-		home := lay.homeOf(e.key)
+		home := lay.homeOf(kv.key)
 		hEntry := im.entry(home)
-		d := ((i-home)%lay.span + lay.span) % lay.span
+		d := ((kv.slot-home)%lay.span + lay.span) % lay.span
 		hEntry.hopBM &^= 1 << uint(d)
 		im.setEntryNoBump(home, hEntry)
-		e = im.entry(i)
+		e := im.entry(kv.slot)
 		e.occupied = false
-		im.setEntryNoBump(i, e)
+		im.setEntryNoBump(kv.slot, e)
 	}
 	im.setAllMeta(leafMeta{
 		valid:    true,
@@ -127,13 +134,11 @@ func (c *Client) splitLeaf(ref leafRef, im *leafImage, meta leafMeta, lw lockWor
 // cannot be placed (caller adjusts the split point).
 func buildLeafImage(lay *leafLayout, kvs []kvPair) (*leafImage, bool) {
 	im := lay.getImageZeroed()
-	occupied := make([]bool, lay.span)
-	homes := make([]int, lay.span)
 	for _, kv := range kvs {
 		home := lay.homeOf(kv.key)
 		moves, free, err := hopscotch.Plan(lay.span, lay.h, home,
-			func(i int) bool { return occupied[i] },
-			func(i int) int { return homes[i] })
+			func(i int) bool { occupied, _, _ := im.slot(i); return occupied },
+			func(i int) int { _, _, key := im.slot(i); return lay.homeOf(key) })
 		if err != nil {
 			lay.putImage(im)
 			return nil, false
@@ -153,8 +158,6 @@ func buildLeafImage(lay *leafLayout, kvs []kvPair) (*leafImage, bool) {
 			hE.hopBM &^= 1 << uint(dOld)
 			hE.hopBM |= 1 << uint(dNew)
 			im.setEntryNoBump(kHome, hE)
-			occupied[m.To], occupied[m.From] = true, false
-			homes[m.To] = homes[m.From]
 		}
 		e := im.entry(free)
 		e.occupied, e.key = true, kv.key
@@ -164,8 +167,6 @@ func buildLeafImage(lay *leafLayout, kvs []kvPair) (*leafImage, bool) {
 		d := ((free-home)%lay.span + lay.span) % lay.span
 		hE.hopBM |= 1 << uint(d)
 		im.setEntryNoBump(home, hE)
-		occupied[free] = true
-		homes[free] = home
 	}
 	return im, true
 }
@@ -363,6 +364,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 				return false, dmsim.NilGAddr, err
 			}
 			c.cn.cache.put(addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
+			c.placed.Note(level, splitKey)
 			return true, dmsim.NilGAddr, nil
 		}
 
@@ -384,17 +386,26 @@ func (c *Client) writeInternalAndUnlock(addr dmsim.GAddr, img []byte) error {
 	)
 }
 
-// splitInternal splits a locked internal node n that is full, first
-// logically adding (splitKey→rightAddr). The median pivot moves up.
+// splitInternal splits a locked internal node n that is full, logically
+// adding (splitKey→rightAddr): the pivot at the split point moves up.
 func (c *Client) splitInternal(n *internalNode, prevImg []byte, splitKey uint64, rightAddr dmsim.GAddr, path []pathEntry) error {
 	c.obs.Splits.Inc()
+	pivots := make([]uint64, len(n.entries))
+	for i, e := range n.entries {
+		pivots[i] = e.pivot
+	}
+	prev, havePrev := c.placed.At(n.level)
+	mid, run := nodelayout.SplitPoint(pivots, splitKey, prev, havePrev)
+	if run {
+		c.obs.RunSplits.Inc()
+	}
+	c.placed.Note(n.level, splitKey)
+
 	// Insert into the (local) decoded node beyond capacity, then split.
 	i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].pivot >= splitKey })
 	n.entries = append(n.entries, pivotEntry{})
 	copy(n.entries[i+1:], n.entries[i:])
 	n.entries[i] = pivotEntry{pivot: splitKey, child: rightAddr}
-
-	mid := len(n.entries) / 2
 	midKey := n.entries[mid].pivot
 
 	newAddr, err := c.alloc.Alloc(c.ix.inner.size)

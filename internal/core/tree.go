@@ -7,6 +7,7 @@ import (
 
 	"chime/internal/dmsim"
 	"chime/internal/locktable"
+	"chime/internal/nodelayout"
 	"chime/internal/obs"
 	"chime/internal/offroute"
 )
@@ -213,6 +214,12 @@ type Client struct {
 	// wholeLeaf is the all-true fetched mask of an insert that fell back
 	// to the whole leaf (write.go).
 	wholeLeaf []bool
+
+	// placed is the key this client last placed at each level, by which a
+	// split tells an ascending run (nodelayout.SplitPoint); splitKVs the
+	// resident entries of the leaf being split (split.go).
+	placed   nodelayout.Placed
+	splitKVs []kvPair
 
 	// innerFree holds the internal-node images this client fetched and
 	// the cache declined, for its next fetches (getInternal).
@@ -466,4 +473,52 @@ func (c *Client) detachValue(stored []byte) (val []byte, ptr dmsim.GAddr) {
 		return nil, ptrOf(stored)
 	}
 	return append([]byte(nil), stored...), dmsim.NilGAddr
+}
+
+// Census counts the tree's nodes per level (leaves first) and the keys
+// each leaf holds, in chain order, walking each level's sibling chain
+// from its leftmost node. It reads MN memory out of band (Fabric.Peek):
+// no verb, no virtual time, no client — a census through verbs would move
+// the NIC timeline and the client numbering of the run it describes. The
+// tree must be quiescent.
+func (ix *Index) Census() (nodes []int, leafKeys []int, err error) {
+	peek := func(a dmsim.GAddr, buf []byte) error {
+		return ix.fabric.Peek(a, buf) //lint:allow verbgate a census must not perturb the virtual timeline it describes
+	}
+	var w [8]byte
+	if err := peek(ix.super, w[:]); err != nil {
+		return nil, nil, err
+	}
+	first, rootLevel := unpackSuper(binary.LittleEndian.Uint64(w[:]))
+	nodes = make([]int, int(rootLevel)+1)
+	inner, leaf := newInternalImage(ix.inner), newLeafImage(ix.leaf)
+	for level := int(rootLevel); level >= 0; level-- {
+		var below dmsim.GAddr
+		for addr := first; !addr.IsNil(); nodes[level]++ {
+			if level > 0 {
+				if err := peek(addr, inner.buf); err != nil {
+					return nil, nil, err
+				}
+				inner.decodeHeader()
+				if addr == first {
+					below = inner.leftmost
+				}
+				addr = inner.sibling
+				continue
+			}
+			if err := peek(addr, leaf.buf); err != nil {
+				return nil, nil, err
+			}
+			keys := 0
+			for i := 0; i < ix.leaf.span; i++ {
+				if occupied, _, _ := leaf.slot(i); occupied {
+					keys++
+				}
+			}
+			leafKeys = append(leafKeys, keys)
+			addr = leaf.meta(0).sibling
+		}
+		first = below
+	}
+	return nodes, leafKeys, nil
 }

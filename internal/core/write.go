@@ -305,6 +305,7 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 			e.value = val
 			im.setEntry(i, e)
 			cellC := lay.entryCells[i]
+			c.placed.Note(0, key)
 			err = c.writeRangeAndUnlock(ref.addr, im, []byteRange{{Off: cellC.Off, End: cellC.End()}}, lw)
 			return true, err
 		}
@@ -357,6 +358,7 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 		return false, err
 	}
 	changed := c.applyHops(im, moves, free, home, key, val)
+	c.placed.Note(0, key)
 
 	// Lock-word bookkeeping (§4.2.1, §4.2.3): vacancy bit of the filled
 	// slot's group, and the argmax index.

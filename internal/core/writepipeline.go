@@ -588,6 +588,9 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 			cy.im.setEntry(i, e)
 			changed[i] = true
 			done = append(done, op)
+			if op.kind == writeUpsert {
+				c.placed.Note(0, op.key)
+			}
 			continue
 		}
 		if op.kind == writeUpdate {
@@ -631,6 +634,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		for _, i := range c.applyHops(cy.im, moves, free, home, op.key, op.val) {
 			changed[i] = true
 		}
+		c.placed.Note(0, op.key)
 		if !cy.full {
 			newLW.vacancy = c.updateVacancy(cy.im, cy.fetched, newLW.vacancy, free)
 			c.updateArgmaxOnInsert(&newLW, cy.im, cy.fetched, free, op.key)

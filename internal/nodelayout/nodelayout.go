@@ -27,6 +27,7 @@ package nodelayout
 
 import (
 	"errors"
+	"slices"
 )
 
 // LineSize is the cache-line granularity of version placement.
@@ -166,10 +167,9 @@ func ZeroCellContentAt(img []byte, c Cell, off, n int) {
 // BumpNV increments the node-level version in every version byte of the
 // given cells (a node write).
 func BumpNV(img []byte, cells []Cell) {
-	var offs []int
+	var offs [16]int
 	for _, c := range cells {
-		offs = c.VersionOffsets(offs[:0])
-		for _, o := range offs {
+		for _, o := range c.VersionOffsets(offs[:0]) {
 			b := img[o]
 			img[o] = PackVer(VerNV(b)+1, VerEV(b))
 		}
@@ -214,4 +214,70 @@ func CheckVersions(win []byte, winOff int, cells []Cell) error {
 		}
 	}
 	return nil
+}
+
+// SplitPoint returns where a full node holding the sorted keys splits
+// to make room for pending, which is not among them: keys[:at] stay,
+// keys[at:] move to the new right sibling. It is the one split-point
+// rule of the B-trees in this repository, leaves and internal nodes.
+//
+// A split is the median, at len(keys)/2, unless pending continues an
+// ascending run: it sorts directly after every key of the node, or
+// directly after prev — the key the splitting client last placed at this
+// level (havePrev false when it has placed none). A run never comes back
+// to what it leaves behind, so it leaves more behind: the split is at
+// pending's rank, held to [n/2, 3n/4]. Three quarters of a full node is
+// about the fill a randomly loaded B-tree converges to (ln 2), so a
+// sorted load builds the tree a shuffled one builds instead of the
+// half-empty worst case. Other clients' keys above the run (a loader's
+// chunk ending where the next one began) do not hide it from the second
+// signal, and other clients' keys inside it (interleaved ascending
+// inserters) do not hide it from the first.
+//
+// A client that has placed a key is only believed when that key is in
+// the node. One random insert in n+1 sorts after every key of its node;
+// its client's previous key is in that node once in a tree's worth of
+// leaves, so a random load splits at the median as if the rule were not
+// there.
+//
+// For len(keys) >= 2 both sides are non-empty. run reports whether the
+// split was taken as a run's (the obs.RunSplits count).
+func SplitPoint(keys []uint64, pending, prev uint64, havePrev bool) (at int, run bool) {
+	n := len(keys)
+	rank, _ := slices.BinarySearch(keys, pending)
+	run = rank == n
+	if havePrev {
+		prevAt, resident := slices.BinarySearch(keys, prev)
+		run = resident && (run || prevAt == rank-1)
+	}
+	if !run {
+		return n / 2, false
+	}
+	return min(max(rank, n/2), 3*n/4), true
+}
+
+// Placed is one client's memory of the key it last placed at each level
+// of its tree (level 0: the last key it inserted into a leaf; level l:
+// the last pivot it put into a level-l node): SplitPoint's prev.
+type Placed struct{ at []placedKey }
+
+type placedKey struct {
+	key uint64
+	ok  bool
+}
+
+// Note records key as the last one placed at level.
+func (p *Placed) Note(level uint8, key uint64) {
+	for int(level) >= len(p.at) {
+		p.at = append(p.at, placedKey{})
+	}
+	p.at[level] = placedKey{key, true}
+}
+
+// At returns the key last placed at level, if any.
+func (p *Placed) At(level uint8) (key uint64, ok bool) {
+	if int(level) >= len(p.at) {
+		return 0, false
+	}
+	return p.at[level].key, p.at[level].ok
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -268,5 +269,114 @@ func TestContentAtPanicsOutsideTheCell(t *testing.T) {
 				c.ContentAt(off)
 			}()
 		}
+	}
+}
+
+func TestSplitPoint(t *testing.T) {
+	keys := []uint64{10, 20, 30, 40, 50, 60, 70, 80} // n/2 = 4, 3n/4 = 6
+	for _, tc := range []struct {
+		name     string
+		keys     []uint64
+		pending  uint64
+		prev     uint64
+		havePrev bool
+		at       int
+		run      bool
+	}{
+		{"above every key, nothing placed yet", keys, 90, 0, false, 6, true},
+		{"above every key, directly after prev", keys, 90, 80, true, 6, true},
+		{"above every key, prev in the node further down", keys, 90, 30, true, 6, true},
+		{"above every key, prev in another node", keys, 90, 5, true, 4, false},
+		{"above every key, prev between two keys", keys, 90, 45, true, 4, false},
+		{"directly after prev, others' keys above: at the rank", keys, 55, 50, true, 5, true},
+		{"directly after prev, rank above three quarters", keys, 75, 70, true, 6, true},
+		{"directly after prev, rank below the median", keys, 25, 20, true, 4, true},
+		{"after prev but not directly", keys, 55, 30, true, 4, false},
+		{"below prev", keys, 25, 50, true, 4, false},
+		{"below every key", keys, 5, 80, true, 4, false},
+		{"in the middle, nothing placed yet", keys, 55, 0, false, 4, false},
+		{"two keys, a run", []uint64{1, 2}, 3, 2, true, 1, true},
+		{"two keys, no run", []uint64{1, 3}, 2, 0, false, 1, false},
+		{"three keys, a run", []uint64{1, 2, 3}, 4, 3, true, 2, true},
+		{"odd count, median", []uint64{1, 3, 5, 7, 9}, 4, 0, false, 2, false},
+	} {
+		at, run := SplitPoint(tc.keys, tc.pending, tc.prev, tc.havePrev)
+		if at != tc.at || run != tc.run {
+			t.Errorf("%s: SplitPoint(%v, %d, %d, %v) = %d, %v; want %d, %v",
+				tc.name, tc.keys, tc.pending, tc.prev, tc.havePrev, at, run, tc.at, tc.run)
+		}
+	}
+}
+
+// FuzzSplitPoint holds the rule to its contract on arbitrary nodes: the
+// median whenever pending is neither above every key nor directly after
+// prev, always within [n/2, 3n/4], both sides non-empty, and never past
+// the median on the word of a prev that is not in the node.
+func FuzzSplitPoint(f *testing.F) {
+	f.Add(int64(1), uint8(64), uint64(1<<63), uint64(1<<62), true)
+	f.Add(int64(2), uint8(2), uint64(0), uint64(0), false)
+	f.Add(int64(3), uint8(59), ^uint64(0), ^uint64(0)-1, true)
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, pending, prev uint64, havePrev bool) {
+		n := 2 + int(size)%127
+		r := rand.New(rand.NewSource(seed))
+		seen := map[uint64]bool{pending: true}
+		keys := make([]uint64, 0, n)
+		for len(keys) < n {
+			// Narrow draws around pending and prev so that adjacency happens.
+			k := pending + uint64(r.Intn(4*n)) - uint64(2*n)
+			if r.Intn(2) == 0 {
+				k = prev + uint64(r.Intn(4*n)) - uint64(2*n)
+			}
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		if r.Intn(4) == 0 {
+			prev = keys[r.Intn(n)] // a prev that is in the node
+		}
+		at, run := SplitPoint(keys, pending, prev, havePrev)
+
+		rank, _ := slices.BinarySearch(keys, pending)
+		prevAt, resident := slices.BinarySearch(keys, prev)
+		aboveAll := rank == n
+		afterPrev := havePrev && resident && prevAt == rank-1
+		if !aboveAll && !afterPrev && (at != n/2 || run) {
+			t.Fatalf("no run, yet split at %d (run %v) of %d", at, run, n)
+		}
+		if havePrev && !resident && (at != n/2 || run) {
+			t.Fatalf("prev %d is not in the node, yet split at %d (run %v) of %d", prev, at, run, n)
+		}
+		if at < n/2 || at > 3*n/4 {
+			t.Fatalf("split at %d outside [%d, %d]", at, n/2, 3*n/4)
+		}
+		if at < 1 || at > n-1 {
+			t.Fatalf("split at %d of %d leaves a side empty", at, n)
+		}
+		if run && at != min(max(rank, n/2), 3*n/4) {
+			t.Fatalf("run split at %d, want pending's rank %d held to [%d, %d]", at, rank, n/2, 3*n/4)
+		}
+	})
+}
+
+func TestPlaced(t *testing.T) {
+	var p Placed
+	if _, ok := p.At(0); ok {
+		t.Fatal("an empty memory has a key at level 0")
+	}
+	p.Note(2, 7)
+	if _, ok := p.At(1); ok {
+		t.Fatal("noting level 2 set level 1")
+	}
+	if k, ok := p.At(2); !ok || k != 7 {
+		t.Fatalf("At(2) = %d, %v; want 7, true", k, ok)
+	}
+	p.Note(0, 0) // key 0 is a key
+	if k, ok := p.At(0); !ok || k != 0 {
+		t.Fatalf("At(0) = %d, %v; want 0, true", k, ok)
+	}
+	if _, ok := p.At(9); ok {
+		t.Fatal("a level never noted has a key")
 	}
 }

@@ -174,6 +174,8 @@ func (s *Sink) FlightRecorder() *FlightRecorder {
 //   - SiblingChases: B-link sibling hops after half-splits (for ROLEX:
 //     overflow-chain hops).
 //   - Splits / Merges: structural modifications performed.
+//   - RunSplits: the splits among Splits that were taken as an ascending
+//     run's, past the median (nodelayout.SplitPoint).
 //   - HotspotHits / HotspotMisses: speculative single-entry reads that
 //     did / did not resolve the key (CHIME only).
 //   - WCCycles / WCCombined: leaf write cycles executed by the batch
@@ -195,6 +197,7 @@ type IndexInstruments struct {
 	LockBackoffs  *Counter
 	SiblingChases *Counter
 	Splits        *Counter
+	RunSplits     *Counter
 	Merges        *Counter
 	HotspotHits   *Counter
 	HotspotMisses *Counter
@@ -211,6 +214,7 @@ const (
 	NameLockBackoff  = "idx.lock_backoff"
 	NameSiblingChase = "idx.sibling_chase"
 	NameSplit        = "idx.split"
+	NameRunSplit     = "idx.split.run"
 	NameMerge        = "idx.merge"
 	NameHotspotHit   = "idx.hotspot.hit"
 	NameHotspotMiss  = "idx.hotspot.miss"
@@ -235,6 +239,7 @@ func ResolveIndex(s *Sink) IndexInstruments {
 		LockBackoffs:  r.Counter(NameLockBackoff),
 		SiblingChases: r.Counter(NameSiblingChase),
 		Splits:        r.Counter(NameSplit),
+		RunSplits:     r.Counter(NameRunSplit),
 		Merges:        r.Counter(NameMerge),
 		HotspotHits:   r.Counter(NameHotspotHit),
 		HotspotMisses: r.Counter(NameHotspotMiss),

@@ -45,7 +45,7 @@ type Port struct {
 	// index that does not route updates through the port.
 	SearchOneSided func(key uint64) ([]byte, error)
 	UpdateOneSided func(key uint64, value []byte) error
-	ScanOneSided   func(start uint64, count int) ([]KV, error)
+	ScanOneSided   func(buf *ScanBuf, start uint64, count int) error
 
 	// ReadOK / UpdateOK say whether the program serves searches and
 	// scans / in-place updates for this index configuration.
@@ -168,12 +168,14 @@ func (p *Port) Update(key uint64, value []byte) (err error) {
 	return err
 }
 
-// Scan returns up to count items with keys >= start in ascending key
-// order. Offloaded, the whole range collection is one ScatterGatherScan
-// RPC whose response carries [8B key][value] records.
-func (p *Port) Scan(start uint64, count int) (out []KV, err error) {
+// ScanTo fills buf with up to count items with keys >= start in
+// ascending key order; what buf held is overwritten. Offloaded, the
+// whole range collection is one ScatterGatherScan RPC whose response
+// carries [8B key][value] records.
+func (p *Port) ScanTo(buf *ScanBuf, start uint64, count int) (err error) {
 	if count <= 0 {
-		return nil, nil
+		buf.Out = buf.Out[:0]
+		return nil
 	}
 	sp := p.begin(".scan", obs.OpScan)
 	tk := p.admit(p.ReadOK)
@@ -185,23 +187,31 @@ func (p *Port) Scan(start uint64, count int) (out []KV, err error) {
 		switch {
 		case verr != nil:
 			p.end(sp)
-			return nil, verr
+			return verr
 		case st.Fallback():
 			oneSided = true
 		default:
-			out = make([]KV, 0, n/p.RecSize)
+			buf.Reset(n/p.RecSize, p.RecSize-8)
 			for off := 0; off+p.RecSize <= n; off += p.RecSize {
-				rec := dst[off : off+p.RecSize : off+p.RecSize]
-				out = append(out, KV{Key: binary.LittleEndian.Uint64(rec), Value: rec[8:]})
+				buf.Add(binary.LittleEndian.Uint64(dst[off:]), dst[off+8:off+p.RecSize])
 			}
 		}
 	}
 	if oneSided {
-		out, err = p.ScanOneSided(start, count)
+		err = p.ScanOneSided(buf, start, count)
 	}
 	p.settle(tk)
 	p.end(sp)
-	return out, err
+	return err
+}
+
+// Scan is ScanTo into a buffer of the scan's own.
+func (p *Port) Scan(start uint64, count int) ([]KV, error) {
+	var buf ScanBuf
+	if err := p.ScanTo(&buf, start, count); err != nil {
+		return nil, err
+	}
+	return buf.Out, nil
 }
 
 // OffloadStats reports how many routed ops went to each path (zeros with

@@ -10,22 +10,26 @@ import (
 // costs nothing until the index actually yields that much.
 const scanReserve = 1024
 
-// ScanBuf is the storage a one-sided scan hands to its caller: the
+// ScanBuf is the storage a one-sided scan fills for its caller: the
 // result and the arena its values are carved from, so a scan costs a
-// couple of allocations however many entries it returns.
+// couple of allocations however many entries it returns — and none when
+// the caller hands the buffer of a scan it is done with to the next
+// (ScanTo). The zero value is an empty buffer.
 type ScanBuf struct {
 	Out   []KV
 	arena []byte // value bytes of Out; a chunk is only ever appended to
 }
 
-// NewScanBuf reserves room for a scan of up to count results of valSize
-// bytes each.
-func NewScanBuf(count, valSize int) ScanBuf {
-	reserve := min(count, scanReserve)
-	return ScanBuf{
-		Out:   make([]KV, 0, reserve),
-		arena: make([]byte, 0, reserve*valSize),
+// Reset empties the buffer for a scan of up to count results of valSize
+// bytes each. The results of the scan before are dead: their storage is
+// what the new ones go into. A buffer that has none yet reserves it.
+func (b *ScanBuf) Reset(count, valSize int) {
+	if b.Out == nil {
+		reserve := min(count, scanReserve)
+		b.Out = make([]KV, 0, reserve)
+		b.arena = make([]byte, 0, reserve*valSize)
 	}
+	b.Out, b.arena = b.Out[:0], b.arena[:0]
 }
 
 // Own copies v into the arena and returns the copy, capped at its own

@@ -441,18 +441,18 @@ type KV = offroute.KV
 // the scan's arena before the next group is read into them. An indirect
 // entry costs its block read whether the result is wanted or not — what
 // the modelled client does.
-func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
+func (c *Client) scanOneSided(sb *offroute.ScanBuf, start uint64, count int) error {
 	lay := c.ix.lay
 	g := c.ix.route(start)
 	c.chargeModel()
-	sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
+	sb.Reset(count, c.ix.opts.ValueSize)
 	if c.ix.opts.Indirect && c.block == nil {
 		c.block = make([]byte, 8+c.ix.opts.ValueSize)
 	}
 	for ; g < c.ix.numGroups; g++ {
 		leaves, err := c.readWholeGroup(g)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		slots := c.scanSlots[:0]
 		for n, lf := range leaves {
@@ -467,16 +467,17 @@ func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
 			v := leaves[s.Idx/lay.span].im.value(s.Idx % lay.span)
 			if c.ix.opts.Indirect {
 				if v, err = c.readBlock(v, s.Key, c.block); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			sb.Add(s.Key, v)
 		}
 		if len(sb.Out) >= count {
-			return sb.Out[:count], nil
+			sb.Out = sb.Out[:count]
+			return nil
 		}
 	}
-	return sb.Out, nil
+	return nil
 }
 
 // inRange appends the leaf's occupied slots with keys >= start to dst, in

@@ -9,6 +9,7 @@ import (
 	"chime/internal/dmsim"
 	"chime/internal/lease"
 	"chime/internal/locktable"
+	"chime/internal/nodelayout"
 	"chime/internal/obs"
 	"chime/internal/offroute"
 )
@@ -169,6 +170,10 @@ type Client struct {
 	leafIm, innerIm nodeImages
 	wcFree          []*image
 	wcChanged       []int // slots one write cycle mutated
+
+	// placed is the key this client last placed at each level, by which a
+	// split tells an ascending run (nodelayout.SplitPoint).
+	placed nodelayout.Placed
 
 	// Staging the verbs of one op reuse: the address/buffer lists of a
 	// write batch, a scan's in-range slots and its indirect KV block.
@@ -548,25 +553,36 @@ func (c *Client) insertIntoLeaf(leaf dmsim.GAddr, path []pathEntry, key uint64, 
 		// Upsert in place or fill a free slot: one entry write + combined
 		// unlock.
 		im.setEntry(slot, key, val, true)
+		c.placed.Note(0, key)
 		return true, c.writeEntryAndUnlock(leaf, im, slot)
 	}
-	// Leaf full: split (median key), write new right node then old node.
-	return false, c.splitLeaf(leaf, path, im, hdr)
+	// Leaf full: split, write new right node then old node.
+	return false, c.splitLeaf(leaf, path, im, hdr, key)
 }
 
-// splitLeaf moves the upper half of a full, locked leaf (im, fetched or
-// mutated under the lock) into a fresh right sibling, rewrites the leaf
-// compacted, unlocks it and propagates the split key. Both halves are
-// assembled in the client's build image, one after the other, reading
-// entries out of im, which is not modified and is dead once the leaf is
-// written — before any parent is read.
-func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr header) error {
+// splitLeaf moves the upper part of a full, locked leaf (im, fetched or
+// mutated under the lock) into a fresh right sibling — from where
+// nodelayout.SplitPoint cuts it for pending, the key that found no slot —
+// rewrites the leaf compacted, unlocks it and propagates the split key.
+// Both parts are assembled in the client's build image, one after the
+// other, reading entries out of im, which is not modified and is dead
+// once the leaf is written — before any parent is read.
+func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr header, pending uint64) error {
 	c.obs.Splits.Inc()
 	lay := c.ix.leaf
 	all := im.occupied(c.scanSlots[:0], 0)
 	c.scanSlots = all[:0]
 	offroute.SortSlots(all)
-	mid := len(all) / 2
+	var keyBuf [64]uint64 // the default span: a wider leaf's keys go to the heap
+	keys := keyBuf[:0]
+	for _, s := range all {
+		keys = append(keys, s.Key)
+	}
+	prev, havePrev := c.placed.At(0)
+	mid, run := nodelayout.SplitPoint(keys, pending, prev, havePrev)
+	if run {
+		c.obs.RunSplits.Inc()
+	}
 	splitKey := all[mid].Key
 
 	rightAddr, err := c.alloc.Alloc(lay.size)
@@ -678,29 +694,30 @@ func (c *Client) modify(key uint64, val *[]byte) error {
 // KV is one scan result.
 type KV = offroute.KV
 
-// scanOneSided returns up to count items with keys >= start in
+// scanOneSided fills sb with up to count items with keys >= start in
 // ascending order, reading whole leaves along the sibling chain with
-// one-sided verbs; the public Scan (offload.go) routes between this and
-// the MN-side offload program. A leaf is read only if the scan returns
-// entries from it, and the leaves the level-1 parent names are read in
-// parallel as soon as the scan is certain to reach them — Sherman's range
-// query — by offroute.ScanWindow's rule, the one CHIME's scan follows.
-func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
+// one-sided verbs; the public Scan and ScanTo (offload.go) route between
+// this and the MN-side offload program. A leaf is read only if the scan
+// returns entries from it, and the leaves the level-1 parent names are
+// read in parallel as soon as the scan is certain to reach them —
+// Sherman's range query — by offroute.ScanWindow's rule, the one CHIME's
+// scan follows.
+func (c *Client) scanOneSided(sb *offroute.ScanBuf, start uint64, count int) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		leaf, _, err := c.descend(start)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out, err := c.scanChain(leaf, start, count)
+		err = c.scanChain(sb, leaf, start, count)
 		// Reads are still in flight when the walk ends on an error.
 		c.dropLeafReads()
 		if err == errRestart {
 			c.noteRestart()
 			continue
 		}
-		return out, err
+		return err
 	}
-	return nil, fmt.Errorf("sherman: Scan(%#x) exhausted", start)
+	return fmt.Errorf("sherman: Scan(%#x) exhausted", start)
 }
 
 // leafRead is one posted whole-leaf read of a scan, into an image the
@@ -713,14 +730,14 @@ type leafRead struct {
 }
 
 // scanChain walks the leaf chain from leaf — the one the client's descent
-// just reached — appending each leaf's in-range entries in key order
+// just reached — filling sb with each leaf's in-range entries in key order
 // until count are collected or the chain ends. Values are copied out of
 // a leaf image into the scan's arena before the image is refilled. An
 // indirect leaf costs one block read per entry the scan returns. Reads
 // left in flight are the caller's to drop.
-func (c *Client) scanChain(leaf dmsim.GAddr, start uint64, count int) ([]KV, error) {
+func (c *Client) scanChain(sb *offroute.ScanBuf, leaf dmsim.GAddr, start uint64, count int) error {
 	lay := c.ix.leaf
-	sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
+	sb.Reset(count, c.ix.opts.ValueSize)
 	parent := c.desc.parent
 	var names []dmsim.GAddr
 	if parent != nil {
@@ -732,20 +749,20 @@ func (c *Client) scanChain(leaf dmsim.GAddr, start uint64, count int) ([]KV, err
 	for leaves := 0; leaves <= maxRetries; leaves++ {
 		addr, rd, ok := w.Pop()
 		if !ok {
-			return sb.Out, nil // count reached, or the chain ended
+			return nil // count reached, or the chain ended
 		}
 		im, hdr, err := c.finishLeafRead(addr, rd)
 		if err == nil {
-			err = c.collectLeaf(im, hdr, start, parent, &sb)
+			err = c.collectLeaf(im, hdr, start, parent, sb)
 		}
 		if rd.im != nil {
 			c.scanIms = append(c.scanIms, rd.im)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return nil, fmt.Errorf("sherman: Scan(%#x): leaf chain too long", start)
+	return fmt.Errorf("sherman: Scan(%#x): leaf chain too long", start)
 }
 
 // collectLeaf takes one arrived leaf of a scan: it tells the window what

@@ -33,6 +33,12 @@ func (c *Client) Update(key uint64, value []byte) error { return c.port.Update(k
 // possibly as a single ScatterGatherScan RPC.
 func (c *Client) Scan(start uint64, count int) ([]KV, error) { return c.port.Scan(start, count) }
 
+// ScanTo is Scan into the caller's buffer, whose storage it reuses: what
+// the buffer held before is overwritten.
+func (c *Client) ScanTo(buf *offroute.ScanBuf, start uint64, count int) error {
+	return c.port.ScanTo(buf, start, count)
+}
+
 // OffloadStats reports how many of this client's routed ops went to
 // each path (zeros with offload off).
 func (c *Client) OffloadStats() (offloaded, onesided uint64) { return c.port.OffloadStats() }

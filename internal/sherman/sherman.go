@@ -442,3 +442,50 @@ func packSuper(addr dmsim.GAddr, level uint8) uint64 {
 func unpackSuper(w uint64) (dmsim.GAddr, uint8) {
 	return dmsim.UnpackTagged(w)
 }
+
+// Census counts the tree's nodes per level (leaves first) and the keys
+// each leaf holds, in chain order, walking each level's sibling chain
+// from its leftmost node. It reads MN memory out of band (Fabric.Peek):
+// no verb, no virtual time, no client — a census through verbs would move
+// the NIC timeline and the client numbering of the run it describes. The
+// tree must be quiescent.
+func (ix *Index) Census() (nodes []int, leafKeys []int, err error) {
+	peek := func(a dmsim.GAddr, buf []byte) error {
+		return ix.fabric.Peek(a, buf) //lint:allow verbgate a census must not perturb the virtual timeline it describes
+	}
+	var w [8]byte
+	if err := peek(ix.super, w[:]); err != nil {
+		return nil, nil, err
+	}
+	first, rootLevel := unpackSuper(binary.LittleEndian.Uint64(w[:]))
+	nodes = make([]int, int(rootLevel)+1)
+	inner, leaf := ix.inner.newImage(), ix.leaf.newImage()
+	for level := int(rootLevel); level >= 0; level-- {
+		im := inner
+		if level == 0 {
+			im = leaf
+		}
+		var below dmsim.GAddr
+		for addr := first; !addr.IsNil(); nodes[level]++ {
+			if err := peek(addr, im.buf); err != nil {
+				return nil, nil, err
+			}
+			hdr := im.header()
+			if addr == first {
+				below = hdr.leftmost
+			}
+			if level == 0 {
+				keys := 0
+				for i := 0; i < ix.leaf.span; i++ {
+					if occupied, _ := im.slot(i); occupied {
+						keys++
+					}
+				}
+				leafKeys = append(leafKeys, keys)
+			}
+			addr = hdr.sibling
+		}
+		first = below
+	}
+	return nodes, leafKeys, nil
+}

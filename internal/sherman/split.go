@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chime/internal/dmsim"
+	"chime/internal/nodelayout"
 )
 
 // Up-propagation after a split, following the same Step 1–3 protocol as
@@ -99,6 +100,7 @@ func encodeInternalNode(n *node, im *image, nodeWrite bool) {
 }
 
 func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64, rightAddr dmsim.GAddr, path []pathEntry) (bool, error) {
+	prev, havePrev := c.placed.At(level)
 	for hops := 0; hops <= maxRetries; hops++ {
 		if err := c.lock(addr); err != nil {
 			return false, err
@@ -123,6 +125,10 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			return false, nil
 		}
 
+		// Where the node splits if the entry overflows it: asked of the
+		// pivots it holds, before the entry joins them.
+		mid, _ := nodelayout.SplitPoint(n.piv, splitKey, prev, havePrev)
+
 		// Sorted insert of the routing entry.
 		pos := 0
 		for pos < len(n.piv) && n.piv[pos] < splitKey {
@@ -135,6 +141,8 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		copy(n.kids[pos+1:], n.kids[pos:])
 		n.kids[pos] = rightAddr
 
+		c.placed.Note(level, splitKey)
+
 		if len(n.piv) <= c.ix.inner.span {
 			encodeInternalNode(n, im, true)
 			if err := c.writeNodeAndUnlock(addr, im); err != nil {
@@ -144,8 +152,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			return true, nil
 		}
 
-		// Parent overflow: split it; the median pivot moves up.
-		mid := len(n.piv) / 2
+		// Parent overflow: split it; the pivot at the split point moves up.
 		midKey := n.piv[mid]
 		newAddr, err := c.alloc.Alloc(c.ix.inner.size)
 		if err != nil {

@@ -56,7 +56,9 @@ type syncHarness struct {
 	run  syncRun
 
 	pinCacheBytes bool
-	scanned       bool // the script has scanned (scan): its rows may follow a declared scan change
+	// peer is the other client of a script with two (stale_cache): one
+	// tree, so one verdict on whether the split rule moved it.
+	peer *syncHarness
 }
 
 func newSyncHarness(t *testing.T, name string, ix *Index, cacheBytes int64) *syncHarness {
@@ -93,15 +95,19 @@ func (h *syncHarness) scan(start uint64, count int) {
 	h.t.Helper()
 	kvs, err := h.cl.Scan(start, count)
 	h.run.Items += len(kvs)
-	h.scanned = true
 	h.did(err)
 }
 
-// scanRows records, by row name, whether the row's script scans.
-var scanRows = map[string]bool{}
+// runSplitRows records, by row name, whether the split rule moved a
+// split of the row's tree off the median (obs.NameRunSplit).
+var runSplitRows = map[string]bool{}
+
+func (h *syncHarness) runSplits() int64 {
+	return h.sink.Registry().Counter(obs.NameRunSplit).Load()
+}
 
 func (h *syncHarness) finish() syncRun {
-	scanRows[h.run.Name] = h.scanned
+	runSplitRows[h.run.Name] = h.runSplits() > 0 || h.peer != nil && h.peer.runSplits() > 0
 	r := h.run
 	st := h.cl.DM().Stats()
 	r.ClockNs = h.cl.DM().Now()
@@ -196,7 +202,7 @@ func staleCacheSyncRun(t *testing.T, indirect bool) (reader, writer syncRun) {
 			h.did(h.cl.Insert(i*16+5, val8(i)))
 		}
 	}
-	w.scanned = h.scanned // one script, one NIC: the writer's clock follows the reader's scans
+	h.peer, w.peer = w, h
 	return h.finish(), w.finish()
 }
 
@@ -328,8 +334,8 @@ func TestSyncRunsMatchGolden(t *testing.T) {
 	if err := json.Unmarshal(want, &wantRuns); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	if *rewriteScanRows {
-		rewriteGoldenScanRows(t, path, runs, wantRuns)
+	if *rewriteSplitRows {
+		rewriteGoldenSplitRows(t, path, runs, wantRuns)
 		return
 	}
 	for i := range runs {
@@ -340,29 +346,30 @@ func TestSyncRunsMatchGolden(t *testing.T) {
 	t.Fatalf("%s does not match (%d runs now, %d in the file)", path, len(runs), len(wantRuns))
 }
 
-// rewriteScanRows is for a declared virtual-time change of the scan path
-// and nothing else: it rewrites the golden's rows whose scripts scan and
-// refuses to touch any other.
-var rewriteScanRows = flag.Bool("rewrite-scan-rows", false,
-	"rewrite the rows of testdata/golden/sync_runs.json whose scripts scan; a differing row whose script does not scan still fails")
+// rewriteSplitRows is for a declared change of where nodes split
+// (nodelayout.SplitPoint) and nothing else: it rewrites the golden's rows
+// in whose trees the rule moved a split off the median and refuses to
+// touch any other.
+var rewriteSplitRows = flag.Bool("rewrite-split-rows", false,
+	"rewrite the rows of testdata/golden/sync_runs.json in whose trees a split left the median; any other differing row still fails")
 
-// rewriteGoldenScanRows writes the file back with the differing rows of
-// scanning scripts replaced, every other row as it was, and logs old →
-// new for the README beside the file.
-func rewriteGoldenScanRows(t *testing.T, path string, runs, wantRuns []syncRun) {
+// rewriteGoldenSplitRows writes the file back with the differing rows of
+// such trees replaced, every other row as it was, and logs old → new for
+// the README beside the file.
+func rewriteGoldenSplitRows(t *testing.T, path string, runs, wantRuns []syncRun) {
 	if len(runs) != len(wantRuns) {
-		t.Fatalf("%d runs now, %d in %s: -rewrite-scan-rows neither adds nor removes rows", len(runs), len(wantRuns), path)
+		t.Fatalf("%d runs now, %d in %s: -rewrite-split-rows neither adds nor removes rows", len(runs), len(wantRuns), path)
 	}
 	merged := append([]syncRun(nil), wantRuns...)
 	for i, r := range runs {
 		old := wantRuns[i]
 		switch {
 		case r == old:
-		case r.Name != old.Name || !scanRows[r.Name]:
-			t.Errorf("run %s differs from the golden and its script does not scan: not rewritten\n got  %+v\n want %+v", r.Name, r, old)
+		case r.Name != old.Name || !runSplitRows[r.Name]:
+			t.Errorf("run %s differs from the golden and no split of its tree left the median: not rewritten\n got  %+v\n want %+v", r.Name, r, old)
 		default:
 			merged[i] = r
-			t.Logf("| `%s` | %d → %d | %d → %d | %d → %d |", r.Name, old.ClockNs, r.ClockNs, old.Trips, r.Trips, old.BytesRead, r.BytesRead)
+			t.Logf("| `%s` | %d → %d | %d → %d | %d → %d | %d → %d |", r.Name, old.ClockNs, r.ClockNs, old.Trips, r.Trips, old.BytesRead, r.BytesRead, old.Splits, r.Splits)
 		}
 	}
 	if t.Failed() {

@@ -415,6 +415,9 @@ func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 			return
 		}
 		cy.img.setEntry(slot, op.key, op.val, true)
+		if op.kind == writeUpsert {
+			c.placed.Note(0, op.key)
+		}
 		changed = append(changed, slot)
 		done = append(done, op)
 	}
@@ -460,7 +463,7 @@ func (c *Client) applyWCycle(st *swSched, stepped *wOp) {
 // already-applied mutation) and unlocks internally. Applied ops
 // complete; the splitting op and the not-yet-applied rest retraverse.
 func (c *Client) splitWCycle(st *swSched, cy *wCycle, stepped, splitter *wOp, hdr header, done, rest []*wOp) {
-	err := c.splitLeaf(cy.leaf, splitter.d.path, cy.img, hdr)
+	err := c.splitLeaf(cy.leaf, splitter.d.path, cy.img, hdr, splitter.key)
 	for _, op := range done {
 		op.cy = nil
 		if op.notFound {

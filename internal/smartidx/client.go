@@ -843,22 +843,19 @@ type KV = offroute.KV
 // scanOneSided walks the radix tree in byte order; every result costs
 // its own small leaf READ — the IOPS-bound behaviour that makes SMART
 // lose YCSB E in the paper (§5.2).
-func (c *Client) scanOneSided(start uint64, count int) ([]KV, error) {
+func (c *Client) scanOneSided(sb *offroute.ScanBuf, start uint64, count int) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		sb := offroute.NewScanBuf(count, c.ix.opts.ValueSize)
+		sb.Reset(count, c.ix.opts.ValueSize)
 		var acc [8]byte
-		err := c.scanNode(0, nodeRef{c.ix.root, kindN256}, acc, start, count, &sb)
+		err := c.scanNode(0, nodeRef{c.ix.root, kindN256}, acc, start, count, sb)
 		if err == errRestart {
 			c.obs.Retries.Inc()
 			c.backoff.Yield(c.dc)
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
-		return sb.Out, nil
+		return err
 	}
-	return nil, fmt.Errorf("smartidx: Scan(%#x) exhausted", start)
+	return fmt.Errorf("smartidx: Scan(%#x) exhausted", start)
 }
 
 // subtreeMax returns the largest key under a path whose first d bytes
