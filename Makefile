@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint suppressions build test race check bench-check bench-core bench-pairs profile chaos
+.PHONY: all vet lint suppressions build test test-slowest race check bench-check bench-core bench-pairs profile chaos
 
 all: check
 
@@ -28,8 +28,20 @@ suppressions:
 build:
 	$(GO) build ./...
 
+# -timeout: tier-1 takes about a minute on two cores; a slide back to
+# zeroing MN pools took internal/bench alone past 2.5 min (and far longer
+# under -race), which the default 10 min would sit through.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
+
+# The same run read from `go test -json`, then its five slowest packages
+# (seconds, verdict, package): CI's test step, so the suite's next long
+# pole is in the log. A failing run is repeated in readable form.
+test-slowest:
+	$(GO) test -timeout 5m -json ./... > test.json || { $(GO) test -timeout 5m ./...; exit 1; }
+	@grep -v '"Test":' test.json | \
+		sed -n 's/.*"Action":"\(pass\|fail\)","Package":"\([^"]*\)","Elapsed":\([0-9.]*\).*/\3\t\1\t\2/p' | \
+		sort -rn | head -5
 
 # Everything under internal/ runs under the race detector: the verb
 # layer, clients, instruments and harness are concurrency-sensitive,
@@ -41,7 +53,7 @@ race:
 		./internal/fault/... ./internal/locktable/... ./internal/ycsb/... \
 		./internal/hopscotch/... ./internal/nodelayout/... ./internal/rdwc/... \
 		./internal/lease/... ./internal/analysis/... ./internal/offroute/... \
-		./internal/folio/...
+		./internal/folio/... ./internal/hostmem/...
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
 	$(GO) test -race -cpu 1,2,4 -run 'TestScanUnderChurn' ./internal/fault/

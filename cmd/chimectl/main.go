@@ -106,6 +106,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	defer fabric.Close()
 	fabric.SetObserver(observer.Sink())
 
 	scaled := func(paperMB int64) int64 {

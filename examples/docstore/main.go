@@ -17,6 +17,7 @@ import (
 
 func main() {
 	fabric := dmsim.MustNewFabric(dmsim.DefaultConfig())
+	defer fabric.Close()
 	opts := core.DefaultOptions()
 	opts.VarKeys = true
 	tree, err := core.Bootstrap(fabric, opts)

@@ -33,6 +33,7 @@ func main() {
 	cfg.MNs = 2
 	cfg.MNSize = 512 << 20
 	fabric := dmsim.MustNewFabric(cfg)
+	defer fabric.Close()
 
 	tree, err := core.Bootstrap(fabric, core.DefaultOptions())
 	if err != nil {

@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer fabric.Close()
 
 	// Bootstrap a CHIME tree: span-64 nodes, neighborhood-8 hopscotch
 	// leaves, every paper technique enabled.

@@ -34,6 +34,7 @@ func main() {
 	fmt.Printf("event log: %d minutes x %d events\n\n", minutes, eventsPerMin)
 
 	chimeFabric := dmsim.MustNewFabric(dmsim.DefaultConfig())
+	defer chimeFabric.Close()
 	chimeTree, err := core.Bootstrap(chimeFabric, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -41,6 +42,7 @@ func main() {
 	chimeCl := chimeTree.NewComputeNode(16<<20, 0).NewClient()
 
 	shermanFabric := dmsim.MustNewFabric(dmsim.DefaultConfig())
+	defer shermanFabric.Close()
 	shermanTree, err := sherman.Bootstrap(shermanFabric, sherman.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

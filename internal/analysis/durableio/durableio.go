@@ -5,9 +5,10 @@
 // whose append/flush costs are charged to virtual time as pure
 // functions of byte counts, never of host I/O timing. One stray
 // os.Open in an index or the fabric reintroduces host-dependent state
-// and breaks crash-recovery replay. cmd/ front ends (artifact files,
-// progress logs) and the analysis tree (the lint tool must read
-// source) stay free to do real I/O.
+// and breaks crash-recovery replay. The one other confined package is
+// internal/hostmem, which maps the memory behind an MN pool. cmd/ front
+// ends (artifact files, progress logs) and the analysis tree (the lint
+// tool must read source) stay free to do real I/O.
 package durableio
 
 import (
@@ -17,10 +18,13 @@ import (
 	"chime/internal/analysis"
 )
 
-// Confined are the internal packages allowed to import the host I/O
-// surface: the durability plane itself.
+// Confined are the internal packages allowed to import the host
+// surface: the durability plane (files) and the package that asks the
+// kernel for a memory node's pool (hostmem: mmap, no descriptor, no
+// state that outlives the process — nothing a replay could depend on).
 var Confined = map[string]bool{
-	"chime/internal/folio": true,
+	"chime/internal/folio":   true,
+	"chime/internal/hostmem": true,
 }
 
 // exemptPrefixes are internal subtrees outside the simulation: the
@@ -44,7 +48,7 @@ var banned = map[string]string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "durableio",
-	Doc:  "confine host file I/O imports (os, io/ioutil, os/exec, path/filepath, syscall) to internal/folio and cmd/; simulation packages must stay filesystem-free",
+	Doc:  "confine host file I/O imports (os, io/ioutil, os/exec, path/filepath, syscall) to internal/folio, internal/hostmem and cmd/; simulation packages must stay filesystem-free",
 	Run:  run,
 }
 
@@ -68,7 +72,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !bad {
 				continue
 			}
-			pass.Reportf(imp.Path.Pos(), "import %q (%s): host I/O is confined to internal/folio and cmd/; %s must stay filesystem-free — route durable bytes through folio (ScratchDir, Exists, Join) or move the I/O to a cmd front end",
+			pass.Reportf(imp.Path.Pos(), "import %q (%s): host I/O is confined to internal/folio, internal/hostmem and cmd/; %s must stay filesystem-free — route durable bytes through folio (ScratchDir, Exists, Join) or move the I/O to a cmd front end",
 				ip, what, path)
 		}
 	}

@@ -10,5 +10,6 @@ import (
 func TestDurableIO(t *testing.T) {
 	analysistest.Run(t, "testdata", durableio.Analyzer,
 		"chime/internal/simpkg", "chime/internal/hostprobe",
+		"chime/internal/dmsim", "chime/internal/hostmem",
 		"chime/internal/folio", "chime/cmd/dump")
 }

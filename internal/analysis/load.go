@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -205,6 +206,13 @@ func (l *loader) load(path string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Build constraints and GOOS/GOARCH suffixes select files as the
+		// go tool would for this host (internal/hostmem has one per OS).
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

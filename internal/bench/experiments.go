@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -97,12 +95,10 @@ func hotspotBudgetFor(sc Scale) int64 {
 }
 
 // buildSystem stands up one named system on a fresh fabric. Scale.MNSize
-// is the memory pool's TOTAL size, split across the MNs; the previous
-// system's multi-GB pool is explicitly released first so back-to-back
-// experiments fit small hosts.
+// is the memory pool's TOTAL size, split across the MNs. The caller
+// closes cfg.Fabric when it is done with the system, so back-to-back
+// rows hold one pool's touched pages at a time.
 func buildSystem(name string, sc Scale, mns int, cfgMut func(*SystemConfig)) (System, SystemConfig, error) {
-	runtime.GC()
-	debug.FreeOSMemory()
 	cfg := baseConfig(nil, sc, SortedLoadKeys(sc.LoadN))
 	if cfgMut != nil {
 		cfgMut(&cfg)
@@ -118,6 +114,9 @@ func buildSystem(name string, sc Scale, mns int, cfgMut func(*SystemConfig)) (Sy
 		return nil, cfg, fmt.Errorf("bench: unknown system %q", name)
 	}
 	sys, err := factory(cfg)
+	if err != nil {
+		cfg.Fabric.Close()
+	}
 	return sys, cfg, err
 }
 
@@ -141,6 +140,7 @@ func measured(label, name string, sc Scale, mut func(*SystemConfig), mix ycsb.Mi
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", label, err)
 	}
+	defer cfg.Fabric.Close()
 	r, err := runPoint(sys, cfg, mix, sc.Clients, sc.Ops, seed)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", label, mix.Name, err)
@@ -190,6 +190,7 @@ func (p point) run(name string, sc Scale) (Result, string, error) {
 	if err != nil {
 		return Result{}, "", err
 	}
+	defer cfg.Fabric.Close()
 	r, err := runPoint(sys, cfg, p.mix, p.clients, p.ops, p.seed)
 	if err != nil {
 		return Result{}, "", err

@@ -39,6 +39,7 @@ func DiscWriteAmp(w io.Writer, sc Scale) error {
 		}
 		mix := ycsb.Mix{Name: "U", UpdatePct: 1.0, Dist: ycsb.DistUniform}
 		r, err := runPoint(sys, cfg, mix, sc.Clients, subScale.Ops, 45)
+		cfg.Fabric.Close()
 		if err != nil {
 			return err
 		}
@@ -68,12 +69,15 @@ func DiscMemory(w io.Writer, sc Scale) error {
 	for _, vs := range []int{8, 248} {
 		opts := core.DefaultOptions()
 		opts.ValueSize = vs
-		ix, err := core.Bootstrap(DefaultFabric(1, 64<<20), opts)
+		f := DefaultFabric(1, 64<<20)
+		ix, err := core.Bootstrap(f, opts)
 		if err != nil {
+			f.Close()
 			return err
 		}
 		kv := 8 + vs
 		perSlot := float64(ix.LeafNodeSize()-64) / 64.0 // lock line excluded, span 64
+		f.Close()
 		meta := perSlot - float64(kv)
 		fmt.Fprintf(w, "%-8d %10d %12.1f %12.1f %11.1f%%\n",
 			vs, kv, perSlot, meta, 100*meta/float64(kv))
@@ -111,6 +115,7 @@ func DiscHeight(w io.Writer, sc Scale) error {
 	if err != nil {
 		return err
 	}
+	defer cfg.Fabric.Close()
 	cl := sys.NewClient()
 	before := cl.DM().Stats().Trips
 	const probes = 200

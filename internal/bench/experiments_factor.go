@@ -99,6 +99,7 @@ func Fig17(w io.Writer, sc Scale) error {
 			r.System = variant.label
 			rows = append(rows, r)
 		}
+		cfg.Fabric.Close()
 	}
 	fmt.Fprint(w, FormatResults(rows))
 	return nil

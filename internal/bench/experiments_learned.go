@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
 
 	"chime/internal/rdwc"
 	"chime/internal/rolex"
@@ -61,15 +59,15 @@ func Fig15b(w io.Writer, sc Scale) error {
 		fmt.Fprintf(w, "# Figure 15b: CHIME vs CHIME-Learned, YCSB %s\n", mix.Name)
 		var rows []Result
 		for _, b := range builders {
-			runtime.GC()
-			debug.FreeOSMemory()
 			f := DefaultFabric(1, sc.MNSize)
 			cfg := baseConfig(f, sc, SortedLoadKeys(sc.LoadN))
 			sys, err := b.factory(cfg)
 			if err != nil {
+				f.Close()
 				return fmt.Errorf("%s: %w", b.name, err)
 			}
 			r, err := runPoint(sys, cfg, mix, sc.Clients, sc.Ops, 155)
+			f.Close()
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", b.name, mix.Name, err)
 			}

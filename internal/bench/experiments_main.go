@@ -42,6 +42,7 @@ func MainObs(w io.Writer, sc Scale) error {
 				return fmt.Errorf("%s/%s: %w", name, mix.Name, err)
 			}
 			r, err := runPoint(sys, cfg, mix, sc.Clients, sc.Ops, 20)
+			cfg.Fabric.Close()
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", name, mix.Name, err)
 			}
@@ -84,6 +85,7 @@ func Fig12(w io.Writer, sc Scale) error {
 				}
 				rows = append(rows, r)
 			}
+			cfg.Fabric.Close()
 		}
 		fmt.Fprint(w, FormatResults(rows))
 	}
@@ -149,6 +151,7 @@ func Fig14(w io.Writer, sc Scale) error {
 				}
 			}
 			bytes := sys.CacheBytes()
+			cfg.Fabric.Close()
 			perKey := float64(bytes) / float64(n)
 			fmt.Fprintf(w, "%-10s %10d %14.2f %14.2f %16.1f\n",
 				name, n, float64(bytes)/1e6, perKey, perKey*60e6/1e6)
@@ -177,6 +180,7 @@ func Table1(w io.Writer, sc Scale) error {
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
+		defer cfg.Fabric.Close()
 		cl := sys.NewClient()
 		if cacheBytes > 0 {
 			// Warm the cache with a full pass.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"chime/internal/dmsim"
@@ -77,6 +75,7 @@ func Fig3b(w io.Writer, sc Scale) error {
 			}
 			rows = append(rows, r)
 		}
+		cfg.Fabric.Close()
 	}
 	fmt.Fprint(w, FormatResults(rows))
 	return nil
@@ -107,6 +106,7 @@ func Fig3c(w io.Writer, sc Scale) error {
 			}
 			rows = append(rows, r)
 		}
+		cfg.Fabric.Close()
 	}
 	fmt.Fprint(w, FormatResults(rows))
 	return nil
@@ -177,8 +177,6 @@ func Fig4c(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-6s %10s %12s %12s\n", "H", "bytes", "Mops", "GB/s")
 	for _, h := range []int{1, 2, 4, 8, 16} {
 		block := h * entryBytes
-		runtime.GC()
-		debug.FreeOSMemory()
 		f := DefaultFabric(1, sc.MNSize)
 		opsPer := sc.Ops / sc.Clients * 4
 		if opsPer < 500 {
@@ -194,6 +192,7 @@ func Fig4c(w io.Writer, sc Scale) error {
 		setup := f.NewClient()
 		region, err := setup.AllocRPC(0, span+block)
 		if err != nil {
+			f.Close()
 			return err
 		}
 		// The cohort shares one virtual epoch and its verbs meet the NIC in
@@ -223,6 +222,7 @@ func Fig4c(w io.Writer, sc Scale) error {
 			}(ci)
 		}
 		wg.Wait()
+		f.Close()
 		var maxDur int64 = 1
 		for _, d := range durs {
 			if d > maxDur {

@@ -41,6 +41,7 @@ func Fig18a(w io.Writer, sc Scale) error {
 			}
 			rows = append(rows, r)
 		}
+		cfg.Fabric.Close()
 	}
 	fmt.Fprint(w, FormatResults(rows))
 	return nil
@@ -187,6 +188,7 @@ func Fig19c(w io.Writer, sc Scale) error {
 			return err
 		}
 		r, err := runPoint(sys, cfg, ycsb.WorkloadC, sc.Clients, sc.Ops, 24)
+		cfg.Fabric.Close()
 		if err != nil {
 			return err
 		}

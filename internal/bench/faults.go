@@ -114,6 +114,7 @@ func runFaults(sc Scale, seed int64, rates []float64) ([]FaultRow, error) {
 					Recoveries:        r.Recoveries,
 				})
 			}
+			cfg.Fabric.Close()
 		}
 	}
 	return rows, nil

@@ -3,8 +3,6 @@ package bench
 import (
 	"flag"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -128,6 +126,7 @@ func runRecovery(sc Scale) ([]PersistRow, error) {
 			cfg := testbedConfig(1, 64<<20)
 			cfg.Persist.Dir = dir
 			f := dmsim.MustNewFabric(cfg)
+			defer f.Close()
 			c := f.NewClient()
 			region, err := c.AllocRPC(0, 1<<20)
 			if err != nil {
@@ -227,20 +226,15 @@ func attachWarm(name string, fab *dmsim.Fabric, cfg SystemConfig) (System, error
 // (the -snapshot contract: load once, restore forever).
 func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 	keys := SortedLoadKeys(sc.LoadN)
-	// Multi-GB fabrics from earlier sections and phases must actually be
-	// gone before each timed phase, or the wall-clock numbers measure the
-	// host's memory pressure instead of the load-vs-restore work.
-	freeMem := func() {
-		runtime.GC()
-		debug.FreeOSMemory()
-	}
 
 	// Cold: bootstrap + bulk load on a plain fabric, host-wall-timed.
 	// (Wall time is the point: this is the host-side cost warm-start
 	// amortizes, exactly like the scale experiment's capacity numbers.)
-	freeMem()
+	// Each phase closes its fabric, so no timed phase runs against the
+	// resident pages of the one before.
 	coldMs, err := func() (float64, error) {
 		fabC := DefaultFabric(1, sc.MNSize)
+		defer fabC.Close()
 		cfgC := baseConfig(fabC, sc, keys)
 		start := time.Now() //lint:allow virtualclock warm-start compares host wall-clock by design
 		if _, err := Factories[name](cfgC); err != nil {
@@ -257,9 +251,9 @@ func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 
 	// Load once: only if the snapshot is not already cached in dir.
 	if !folio.Exists(folio.Join(dir, "mn0.folio")) {
-		freeMem()
 		if err := func() error {
 			fabP := dmsim.MustNewFabric(pcfg)
+			defer fabP.Close()
 			cfgP := baseConfig(fabP, sc, keys)
 			sysP, err := Factories[name](cfgP)
 			if err != nil {
@@ -284,14 +278,13 @@ func warmstartPoint(name string, sc Scale, dir string) (PersistRow, error) {
 	// Warm: fabric restore + attach, twice — the fingerprint of a small
 	// read-only run over each restore pins restore determinism.
 	restore := func() (float64, string, error) {
-		freeMem()
 		fabW := dmsim.MustNewFabric(pcfg)
+		defer fabW.Close()
 		cfgW := baseConfig(fabW, sc, keys)
 		// Restore cost = the fabric's own restore work (file decode +
 		// materialization, measured inside NewFabric) plus the attach.
-		// Fabric-shell construction — dominated by the MN memory
-		// allocation, whose cost swings ~100× with host heap state — is
-		// excluded, exactly as the cold timer excludes it.
+		// Fabric-shell construction is excluded, exactly as the cold
+		// timer excludes it.
 		start := time.Now() //lint:allow virtualclock warm-start compares host wall-clock by design
 		sysW, err := attachWarm(name, fabW, cfgW)
 		if err != nil {

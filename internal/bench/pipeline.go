@@ -115,6 +115,7 @@ func depthSweep(sc Scale, depths []int, mixes []ycsb.Mix, batchWrites bool) ([]W
 					CombinedKeys: r.WCCombinedKeys,
 				})
 			}
+			cfg.Fabric.Close()
 		}
 	}
 	return rows, nil

@@ -81,6 +81,7 @@ func scalePoint(clients, ops, lanes, quantumRTTs int) (ScaleRow, error) {
 	if err != nil {
 		return ScaleRow{}, err
 	}
+	defer f.Close()
 
 	cls := make([]*dmsim.Client, clients)
 	for i := range cls {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"chime/internal/hostmem"
 	"chime/internal/obs"
 )
 
@@ -16,7 +17,11 @@ const lockStripes = 256
 // NIC, a striped lock table for line atomicity, and a bump allocator
 // that services chunk-allocation RPCs.
 type memoryNode struct {
+	// mem is pool.Bytes(): demand-zero memory off the Go heap, so a pool
+	// costs the host what verbs touched, not what it can address
+	// (DESIGN.md §5 "Where a pool's bytes come from"). nil after Close.
 	mem   []byte
+	pool  *hostmem.Region
 	nic   *nic
 	cpu   *mnCPU                  // bounded offload compute (mncpu.go)
 	locks [lockStripes]sync.Mutex // striped by 64-byte line, see copyOut
@@ -243,20 +248,35 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	}
 	f := &Fabric{cfg: cfg, shards: int32(cfg.lanes()), loop: newEvLoop(cfg.quantumNs(), cfg.lanes())}
 	for i := 0; i < cfg.MNs; i++ {
+		pool := hostmem.Zeroed(cfg.MNSize)
 		f.mns = append(f.mns, &memoryNode{
-			mem: make([]byte, cfg.MNSize),
-			nic: newNIC(cfg),
-			cpu: newMNCPU(cfg),
+			mem:  pool.Bytes(),
+			pool: pool,
+			nic:  newNIC(cfg),
+			cpu:  newMNCPU(cfg),
 			// Offset 0 is the nil address; start allocating at 64.
 			allocOff: 64,
 		})
 	}
 	if cfg.Persist.Enabled() {
 		if err := f.openPersist(); err != nil {
+			f.Close()
 			return nil, err
 		}
 	}
 	return f, nil
+}
+
+// Close releases every MN's pool now rather than when the collector
+// gets to it. The fabric must be quiesced; afterwards every verb fails
+// the ordinary bounds check (there are no bytes left to address).
+// Calling it again is a no-op. It does not close the durability plane:
+// ClosePersist is the clean shutdown, dropping the stores is the crash.
+func (f *Fabric) Close() {
+	for _, mn := range f.mns {
+		mn.mem = nil
+		mn.pool.Release()
+	}
 }
 
 // MustNewFabric is NewFabric that panics on a bad configuration. Useful
@@ -361,6 +381,7 @@ func (f *Fabric) Peek(a GAddr, buf []byte) error {
 		return err
 	}
 	copy(buf, mn.mem[a.Off:])
+	runtime.KeepAlive(mn) // mn.pool's finalizer unmaps what the copy reads
 	return nil
 }
 

@@ -16,9 +16,11 @@ import (
 // still tear between lines.
 
 // A region that starts and ends mid-line, so every transfer has partial
-// lines at both ends as well as whole ones between them.
+// lines at both ends as well as whole ones between them, and that lies
+// across a page boundary of the pool's mapping (8192), so the contract
+// is exercised where two pages fault in separately.
 const (
-	contractOff   = 4096 + 24
+	contractOff   = 2*4096 - 1000 // 24 bytes into its line
 	contractLines = 32
 	contractSize  = contractLines * 64
 
@@ -238,7 +240,7 @@ func TestStraddlingAtomicVsWrite(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MNSize = 1 << 16
 	f := MustNewFabric(cfg)
-	word := GAddr{Off: 64*9 + 60}
+	word := GAddr{Off: 4096 - 4} // last line of one page, first of the next
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -256,7 +258,7 @@ func TestStraddlingAtomicVsWrite(t *testing.T) {
 		c := f.NewClient()
 		data := make([]byte, 32)
 		for i := 0; i < 2000; i++ {
-			if err := c.Write(GAddr{Off: 64 * 10}, data); err != nil {
+			if err := c.Write(GAddr{Off: 4096}, data); err != nil {
 				t.Error(err)
 				return
 			}

@@ -194,8 +194,8 @@ func (f *Fabric) openPersist() error {
 	f.pmeta = map[string]string{}
 	// Host wall time of the restore work alone (file decode + page
 	// materialization), for the warm-start bench: fabric construction
-	// around it — dominated by the MN memory allocation — is common to
-	// cold and warm paths and must not pollute the comparison.
+	// around it is common to cold and warm paths and must not pollute
+	// the comparison.
 	start := time.Now() //lint:allow virtualclock host-side restore cost is a wall-clock figure by design
 	defer func() {
 		f.restoreHostNs = time.Since(start).Nanoseconds() //lint:allow virtualclock host-side restore cost is a wall-clock figure by design
@@ -374,9 +374,7 @@ func (f *Fabric) KillMN(mnIdx int) error {
 	if err := mn.ps.st.Abandon(); err != nil {
 		return fmt.Errorf("dmsim: abandoning MN %d store: %w", mnIdx, err)
 	}
-	for i := range mn.mem {
-		mn.mem[i] = 0
-	}
+	mn.pool.Reset()
 	mn.allocMu.Lock()
 	mn.allocOff = 64
 	mn.allocMu.Unlock()

@@ -1,10 +1,5 @@
 package offroute
 
-import (
-	"cmp"
-	"slices"
-)
-
 // scanReserve caps the result entries (and value bytes) a scan reserves
 // up front; a longer scan grows by append, so an arbitrarily large count
 // costs nothing until the index actually yields that much.
@@ -58,9 +53,53 @@ type ScanSlot struct {
 	Idx int
 }
 
-// SortSlots orders slots by key.
-func SortSlots(slots []ScanSlot) {
-	slices.SortFunc(slots, func(a, b ScanSlot) int { return cmp.Compare(a.Key, b.Key) })
+// SortSlots orders slots by key. Keys are unique within a node, so the
+// order is total and every correct sort returns the same slice; this one
+// compares the integers where it stands instead of through a comparator
+// call per pair (slices.SortFunc spent a fifth of a scan there):
+// quicksort on the median of three, the smaller side by recursion, and
+// insertion sort once a run is short. It allocates nothing.
+func SortSlots(s []ScanSlot) {
+	for len(s) > 12 {
+		m, hi := len(s)/2, len(s)-1
+		if s[m].Key < s[0].Key {
+			s[m], s[0] = s[0], s[m]
+		}
+		if s[hi].Key < s[m].Key {
+			s[hi], s[m] = s[m], s[hi]
+			if s[m].Key < s[0].Key {
+				s[m], s[0] = s[0], s[m]
+			}
+		}
+		// The pivot's value is in the slice, so both scans stop inside it.
+		pivot, i, j := s[m].Key, 0, hi
+		for i <= j {
+			for s[i].Key < pivot {
+				i++
+			}
+			for s[j].Key > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i, j = i+1, j-1
+			}
+		}
+		if left, right := s[:j+1], s[i:]; len(left) < len(right) {
+			SortSlots(left)
+			s = right
+		} else {
+			SortSlots(right)
+			s = left
+		}
+	}
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && x.Key < s[j-1].Key; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
 }
 
 // SortedPrefix sorts slots by key and returns the first n of them.
