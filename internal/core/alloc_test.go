@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"chime/internal/dmsim"
@@ -185,31 +187,95 @@ func TestScanResultOwnership(t *testing.T) {
 	}
 }
 
-// TestInsertAllocsBounded pins image pooling on the write path: a warm
-// upsert (same key re-inserted) locks, fetches one insert window into a
-// pooled buffer, and writes back. Without pooling every write allocates
-// a full leaf image, blowing well past this ceiling.
+// allocsPerOp is the mean number of heap objects one call of op
+// allocates over n calls; between calls, outside the count, reset runs
+// (nil for none). It counts like testing.AllocsPerRun, for an op whose
+// setup must not be counted with it, and rounds the mean down the same
+// way: a GC that empties the image pool mid-count costs one refill, a
+// few objects over n calls, which must not read as an allocating op.
+func allocsPerOp(n int, op, reset func(i int)) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < n; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		op(i)
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+		if reset != nil {
+			reset(i)
+		}
+	}
+	return float64(total / uint64(n))
+}
+
+// writeAllocSlack is what an allocation bound on a leaf write leaves
+// for the race detector: under -race sync.Pool drops what it is handed,
+// and a leaf image that comes back new is four objects.
+func writeAllocSlack() float64 {
+	if raceBuild {
+		return 4
+	}
+	return 0
+}
+
+// freshKey is the i-th key buildAllocTree did not load, spread over
+// its leaves so that no leaf gains more than a few of them.
+func freshKey(i int) uint64 { return uint64(i%1990+5)*7 + 3 }
+
+// TestInsertAllocsBounded pins the write kernels' scratch on the insert
+// path. A warm upsert locks, fetches its insert window into a pooled
+// image, overwrites the entry and writes back with the unlock; a fresh
+// insert (no split) also plans its hop over the fetched mask. The window
+// geometry, the mask, the hop plan, the changed set, the write-back
+// ranges, the doorbell batch and the lock-word bytes all live in the client's
+// scratch, and the write's completion goes back to the client's free
+// list: neither allocates anything beyond the caller's value. The code
+// this replaced made 14 objects per upsert and 13 per fresh insert.
 func TestInsertAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	key := uint64(700) * 7
-	for i := 0; i < 3; i++ { // warm cache and pools
+	for i := 0; i < 3; i++ { // warm cache, pools and scratch
 		if err := cl.Insert(key, val8(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		if err := cl.Insert(key, val8(2)); err != nil {
+	v := val8(2)
+	upsert := testing.AllocsPerRun(200, func() {
+		if err := cl.Insert(key, v); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const maxAllocs = 60
-	if avg > maxAllocs {
-		t.Fatalf("warm Insert allocates %.1f objects/op, want <= %d (write-path image pooling regressed?)", avg, maxAllocs)
+	// One placement round outside the count: a fresh key whose leaf has
+	// no room splits it here, so the counted round inserts without a
+	// split.
+	for i := 0; i < 200; i++ {
+		if err := cl.Insert(freshKey(i), v); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Delete(freshKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := allocsPerOp(200, func(i int) {
+		if err := cl.Insert(freshKey(i), v); err != nil {
+			t.Fatal(err)
+		}
+	}, func(i int) {
+		if err := cl.Delete(freshKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm upsert %.2f objects/op, fresh insert %.2f", upsert, fresh)
+	if max := writeAllocSlack(); upsert > max || fresh > max {
+		t.Fatalf("warm upsert allocates %.2f objects/op, fresh insert %.2f, want <= %.0f: a write kernel allocates again", upsert, fresh, max)
 	}
 }
 
-// TestUpdateAllocsBounded does the same for the update/delete window
-// path (fetchLeafWindow + writeRangeAndUnlock).
+// TestUpdateAllocsBounded does the same for the update path
+// (fetchLeafWindow, the changed entry, writeRangeAndUnlock): 8 objects
+// per op before the write kernels took client scratch.
 func TestUpdateAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	key := uint64(700) * 7
@@ -218,36 +284,126 @@ func TestUpdateAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	v := val8(3)
 	avg := testing.AllocsPerRun(200, func() {
-		if err := cl.Update(key, val8(3)); err != nil {
+		if err := cl.Update(key, v); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const maxAllocs = 60
-	if avg > maxAllocs {
-		t.Fatalf("warm Update allocates %.1f objects/op, want <= %d (write-path image pooling regressed?)", avg, maxAllocs)
+	t.Logf("warm Update %.2f objects/op", avg)
+	if max := writeAllocSlack(); avg > max {
+		t.Fatalf("warm Update allocates %.2f objects/op, want <= %.0f: a write kernel allocates again", avg, max)
 	}
 }
 
-func BenchmarkSearch(b *testing.B) {
-	cl := buildAllocTree(b, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i%2000+1) * 7
-		if _, err := cl.Search(k); err != nil {
-			b.Fatal(err)
+// TestDeleteAllocsBounded: a delete clears the entry and its home
+// entry's hop bit, so it writes back a changed set of two and the
+// vacancy bit; 9 objects per op before the write kernels took client
+// scratch. The key is put back outside the count.
+func TestDeleteAllocsBounded(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	v := val8(4)
+	for i := 0; i < 3; i++ {
+		if err := cl.Delete(freshKey(0)); err != nil && err != ErrNotFound {
+			t.Fatal(err)
+		}
+		if err := cl.Insert(freshKey(0), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := allocsPerOp(200, func(i int) {
+		if err := cl.Delete(freshKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}, func(i int) {
+		if err := cl.Insert(freshKey(i+1), v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm Delete %.2f objects/op", avg)
+	if max := writeAllocSlack(); avg > max {
+		t.Fatalf("warm Delete allocates %.2f objects/op, want <= %.0f: a write kernel allocates again", avg, max)
+	}
+}
+
+// TestWriteBatchAllocsBounded pins the batch writer's singleton cycle:
+// one key, depth 1, so one write cycle with the synchronous path's
+// narrow window. Its geometry, doorbell batch, lock word and write-back
+// ranges take scratch and its completions come back from the fabric
+// client's free list; what is left is the batch's own bookkeeping and
+// the cycle, allocated per batch — 16 objects for UpdateBatch and 17
+// for InsertBatch (which also plans a hop), against 25 and 32 while the
+// cycle kernels allocated.
+func TestWriteBatchAllocsBounded(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	keys := []uint64{uint64(700) * 7}
+	vals := [][]byte{val8(5)}
+	for _, tc := range []struct {
+		name  string
+		write func([]uint64, [][]byte, int) []error
+		max   float64
+	}{
+		{"UpdateBatch", cl.UpdateBatch, 16},
+		{"InsertBatch", cl.InsertBatch, 17},
+	} {
+		for i := 0; i < 3; i++ {
+			if err := tc.write(keys, vals, 1)[0]; err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			if err := tc.write(keys, vals, 1)[0]; err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("warm singleton %s %.2f objects/op", tc.name, avg)
+		if max := tc.max + writeAllocSlack(); avg > max {
+			t.Fatalf("warm singleton %s allocates %.2f objects/op, want <= %.0f: a cycle kernel allocates again", tc.name, avg, max)
 		}
 	}
 }
 
-func BenchmarkScan(b *testing.B) {
-	cl := buildAllocTree(b, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Scan(uint64(i%1000+1)*7, 50); err != nil {
-			b.Fatal(err)
+// completionPool reads two unexported fields of a fabric client: the
+// length of its completion free list, and how many handles its
+// newCompletion allocated because that list was empty.
+func completionPool(dc *dmsim.Client) (free int, allocated int64) {
+	v := reflect.ValueOf(dc).Elem()
+	return v.FieldByName("free").Len(), v.FieldByName("completionAllocs").Int()
+}
+
+// TestWritesReleaseCompletions: every completion a warm write polls goes
+// back to the fabric client's free list. A write that dropped its
+// write-and-unlock handle unreleased left the list one short, so the
+// next verb allocated a new handle — 1 000 updates, 1 000 handles. Now
+// the list stays within the deepest pipeline the client ran and no
+// handle is allocated after warm-up, on the synchronous path and the
+// batch writer's.
+func TestWritesReleaseCompletions(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	keys := []uint64{uint64(700) * 7}
+	vals := [][]byte{val8(6)}
+	for name, write := range map[string]func() error{
+		"Update":      func() error { return cl.Update(keys[0], vals[0]) },
+		"UpdateBatch": func() error { return cl.UpdateBatch(keys, vals, 1)[0] },
+		"InsertBatch": func() error { return cl.InsertBatch(keys, vals, 1)[0] },
+	} {
+		for i := 0; i < 3; i++ {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, before := completionPool(cl.dc)
+		for i := 0; i < 1000; i++ {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		free, after := completionPool(cl.dc)
+		if after != before {
+			t.Errorf("%s: 1000 warm writes allocated %d completions: a polled handle is not released", name, after-before)
+		}
+		if peak := cl.dc.Stats().MaxInflight; int64(free) > peak {
+			t.Errorf("%s: completion free list holds %d handles, more than the peak pipeline depth %d", name, free, peak)
 		}
 	}
 }

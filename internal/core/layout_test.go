@@ -286,7 +286,7 @@ func TestNeighborhoodSegments(t *testing.T) {
 	lay := newLeafLayout(DefaultOptions())
 
 	// Mid-node, non-wrapping: one segment, containing a replica.
-	segs, idxs := lay.neighborhoodSegments(nil, 10, 8, true), lay.neighborhoodIndexes(10, 8)
+	segs, idxs := lay.neighborhoodSegments(nil, 10, 8, true), lay.neighborhoodIndexes(nil, 10, 8)
 	if len(segs) != 1 {
 		t.Fatalf("non-wrap segments = %d", len(segs))
 	}
@@ -304,7 +304,7 @@ func TestNeighborhoodSegments(t *testing.T) {
 	}
 
 	// Wrap-around: two segments, replica available.
-	segs, idxs = lay.neighborhoodSegments(nil, 60, 8, true), lay.neighborhoodIndexes(60, 8)
+	segs, idxs = lay.neighborhoodSegments(nil, 60, 8, true), lay.neighborhoodIndexes(idxs[:0], 60, 8)
 	if len(segs) != 2 {
 		t.Fatalf("wrap segments = %d", len(segs))
 	}

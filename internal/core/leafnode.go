@@ -411,34 +411,44 @@ func (l *leafLayout) cellSpanRange(first, count int, includeMeta bool) byteRange
 // wrap-around) covering entries [home, home+count) circularly, each
 // extended to include a metadata replica when includeMeta is set. A dst
 // with room for two makes it allocation-free.
+//
+//chime:noalloc
 func (l *leafLayout) neighborhoodSegments(dst []byteRange, home, count int, includeMeta bool) []byteRange {
 	if count > l.span {
 		count = l.span
 	}
+	var segs [2]byteRange
+	n := 1
 	if home+count <= l.span {
-		return append(dst, l.cellSpanRange(home, count, includeMeta))
+		segs[0] = l.cellSpanRange(home, count, includeMeta)
+	} else {
+		first := l.span - home
+		segs[0] = l.cellSpanRange(home, first, includeMeta)
+		// The second segment starts at entry 0, whose group replica is
+		// replica 0, located just before it.
+		segs[1] = l.cellSpanRange(0, count-first, false)
+		if includeMeta {
+			segs[1].Off = l.replicaCells[0].Off
+		}
+		n = 2
 	}
-	first := l.span - home
-	// The second segment starts at entry 0, whose group replica is
-	// replica 0, located just before it.
-	second := l.cellSpanRange(0, count-first, false)
-	if includeMeta {
-		second.Off = l.replicaCells[0].Off
-	}
-	return append(dst, l.cellSpanRange(home, first, includeMeta), second)
+	//lint:allow noalloc segment scratch retains capacity after warm-up
+	return append(dst, segs[:n]...)
 }
 
-// neighborhoodIndexes lists the entry indexes neighborhoodSegments
-// covers, in fetch order.
-func (l *leafLayout) neighborhoodIndexes(home, count int) []int {
+// neighborhoodIndexes appends to dst the entry indexes
+// neighborhoodSegments covers, in fetch order.
+//
+//chime:noalloc
+func (l *leafLayout) neighborhoodIndexes(dst []int, home, count int) []int {
 	if count > l.span {
 		count = l.span
 	}
-	idxs := make([]int, count)
-	for i := range idxs {
-		idxs[i] = (home + i) % l.span
+	for d := 0; d < count; d++ {
+		//lint:allow noalloc index scratch retains capacity after warm-up
+		dst = append(dst, (home+d)%l.span)
 	}
-	return idxs
+	return dst
 }
 
 // coveredCells appends to dst the cells fully contained in the given

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"chime/internal/dmsim"
 )
 
@@ -176,7 +174,6 @@ func deleteLeftEmpty(im *leafImage, idxs []int, lw lockWord) bool {
 	if lw.vacancy != 0 {
 		return false
 	}
-	sort.Ints(idxs)
 	for _, i := range idxs {
 		if im.entry(i).occupied {
 			return false

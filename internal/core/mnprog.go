@@ -116,16 +116,15 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, mnStep) 
 // readLeafWindow mirrors Client.fetchLeafWindow against local memory:
 // entries [home, home+count) plus a metadata replica, version-validated.
 // The caller owns the returned image.
-func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, count int) (*leafImage, []int, int, mnStep) {
+func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, count int) (*leafImage, int, mnStep) {
 	lay := p.ix.leaf
 	im := lay.getImage()
 	segs := lay.neighborhoodSegments(nil, home, count, p.ix.opts.ReplicateMeta)
-	idxs := lay.neighborhoodIndexes(home, count)
 	for try := 0; try < mnTornRetries; try++ {
 		for _, s := range segs {
 			if !ctx.Read(leaf.Add(uint64(s.Off)), im.buf[s.Off:s.End]) {
 				lay.putImage(im)
-				return nil, nil, 0, mnDone(dmsim.OffloadCrossMN)
+				return nil, 0, mnDone(dmsim.OffloadCrossMN)
 			}
 		}
 		ranges := segs
@@ -134,7 +133,7 @@ func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, cou
 			rc := lay.replicaCells[0]
 			if !ctx.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End()]) {
 				lay.putImage(im)
-				return nil, nil, 0, mnDone(dmsim.OffloadCrossMN)
+				return nil, 0, mnDone(dmsim.OffloadCrossMN)
 			}
 			metaG = 0
 			ranges = append(append([]byteRange{}, segs...), byteRange{Off: rc.Off, End: rc.End()})
@@ -143,10 +142,10 @@ func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, cou
 			runtime.Gosched()
 			continue
 		}
-		return im, idxs, metaG, mnDone(dmsim.OffloadOK)
+		return im, metaG, mnDone(dmsim.OffloadOK)
 	}
 	lay.putImage(im)
-	return nil, nil, 0, mnDone(dmsim.OffloadRetry)
+	return nil, 0, mnDone(dmsim.OffloadRetry)
 }
 
 // emitValue resolves a found entry's stored bytes into the response:
@@ -209,7 +208,7 @@ func (p *mnProgram) Search(ctx *dmsim.MNCtx, key, arg uint64) dmsim.OffloadStatu
 func (p *mnProgram) searchLeafChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, key uint64, home int) (dmsim.OffloadStatus, bool) {
 	lay := p.ix.leaf
 	for hops := 0; hops < mnChainHops; hops++ {
-		im, _, metaG, step := p.readLeafWindow(ctx, leaf, home, lay.h)
+		im, metaG, step := p.readLeafWindow(ctx, leaf, home, lay.h)
 		if im == nil {
 			return step.st, false
 		}
@@ -307,11 +306,15 @@ func (p *mnProgram) Update(ctx *dmsim.MNCtx, key, arg uint64, val []byte) dmsim.
 
 func (p *mnProgram) updateInChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, key uint64, val []byte, home int) (dmsim.OffloadStatus, bool) {
 	lay := p.ix.leaf
+	// The neighborhood's entry indexes, in scratch of this call: one
+	// program value serves every MN and client at once.
+	var idxBuf [maxNeighborhood]int
+	idxs := lay.neighborhoodIndexes(idxBuf[:0], home, lay.h)
 	for hops := 0; hops < mnChainHops; hops++ {
 		if step := p.lockLeaf(ctx, leaf); step.st != dmsim.OffloadOK {
 			return step.st, false
 		}
-		im, idxs, metaG, step := p.readLeafWindow(ctx, leaf, home, lay.h)
+		im, metaG, step := p.readLeafWindow(ctx, leaf, home, lay.h)
 		if im == nil {
 			p.unlockLeaf(ctx, leaf)
 			return step.st, false

@@ -113,12 +113,16 @@ func DefaultOptions() Options {
 	}
 }
 
+// maxNeighborhood bounds Options.Neighborhood: a home entry's hopscotch
+// bitmap is 2 bytes.
+const maxNeighborhood = 16
+
 // Validate reports whether the options describe a buildable tree.
 func (o Options) Validate() error {
 	if o.SpanSize < 2 || o.SpanSize > 1024 {
 		return fmt.Errorf("core: SpanSize %d out of [2,1024]", o.SpanSize)
 	}
-	if o.Neighborhood < 1 || o.Neighborhood > 16 {
+	if o.Neighborhood < 1 || o.Neighborhood > maxNeighborhood {
 		return fmt.Errorf("core: Neighborhood %d out of [1,16] (paper max 16: 2-byte hopscotch bitmap)", o.Neighborhood)
 	}
 	if o.Neighborhood > o.SpanSize {

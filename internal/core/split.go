@@ -91,7 +91,7 @@ func (c *Client) splitLeaf(ref leafRef, im *leafImage, meta leafMeta, lw lockWor
 		fenceInf: meta.fenceInf,
 		fenceHi:  meta.fenceHi,
 	})
-	copy(rightIm.buf[:8], encodeLockBytes(recomputeLockWord(rightIm)))
+	copy(rightIm.buf[:8], c.lockBytes(recomputeLockWord(rightIm)))
 	if err := c.dc.Write(rightAddr, rightIm.buf); err != nil {
 		c.unlockLeaf(ref.addr, lw)
 		return err
@@ -322,7 +322,7 @@ func (c *Client) lockNode(addr dmsim.GAddr) error {
 }
 
 func (c *Client) unlockNode(addr dmsim.GAddr) error {
-	return c.dc.Write(addr, encodeLockBytes(lockWord{}))
+	return c.dc.Write(addr, c.lockBytes(lockWord{}))
 }
 
 // insertIntoParent is Step 2: lock the candidate parent, validate that
@@ -382,7 +382,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 func (c *Client) writeInternalAndUnlock(addr dmsim.GAddr, img []byte) error {
 	return c.dc.WriteBatch(
 		[]dmsim.GAddr{addr.Add(lineSize), addr},
-		[][]byte{img[lineSize:], encodeLockBytes(lockWord{})},
+		[][]byte{img[lineSize:], c.lockBytes(lockWord{})},
 	)
 }
 

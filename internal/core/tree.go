@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"chime/internal/dmsim"
+	"chime/internal/hopscotch"
 	"chime/internal/locktable"
 	"chime/internal/nodelayout"
 	"chime/internal/obs"
@@ -211,9 +212,22 @@ type Client struct {
 	scanPends  []*dmsim.Completion
 	scanBlocks []byte
 
-	// wholeLeaf is the all-true fetched mask of an insert that fell back
-	// to the whole leaf (write.go).
-	wholeLeaf []bool
+	// Scratch of the synchronous leaf writes (write.go): the fetched
+	// window, the neighborhood's entry indexes, the changed entries and
+	// their write-back ranges. The batch writer's cycles overlap, so each
+	// cycle has its own window (writepipeline.go). moves is every writer's
+	// hop plan, applied before the next is made.
+	win     leafWindow
+	idxs    []int
+	changed []int
+	wb      [2]byteRange
+	moves   []hopscotch.Move
+
+	// db stages every doorbell batch this client posts and lockBuf every
+	// lock word it writes: verbs copy their data at post time, so nothing
+	// of either outlives the post.
+	db      doorbell
+	lockBuf [8]byte
 
 	// placed is the key this client last placed at each level, by which a
 	// split tells an ascending run (nodelayout.SplitPoint); splitKVs the
@@ -234,11 +248,6 @@ type Client struct {
 	// batch to reuse, and the FIFO ring of the ops in flight.
 	opFree []*searchOp
 	opRing []*searchOp
-
-	// segAddrs/segBufs stage the doorbell batch of a leaf window that
-	// wraps around the leaf (two segments).
-	segAddrs [2]dmsim.GAddr
-	segBufs  [2][]byte
 }
 
 // NewClient creates a client handle bound to this compute node.
@@ -363,14 +372,10 @@ type leafRef struct {
 }
 
 // postWindowBatch posts the doorbell batch of a leaf window that wraps
-// around the leaf (two segments), staged in client scratch: the verb
-// copies at post time and keeps neither slice.
+// around the leaf (two segments), staged in the client's doorbell.
 func (c *Client) postWindowBatch(leaf dmsim.GAddr, im *leafImage, segs []byteRange) (*dmsim.Completion, error) {
-	for i, s := range segs {
-		c.segAddrs[i] = leaf.Add(uint64(s.Off))
-		c.segBufs[i] = im.buf[s.Off:s.End]
-	}
-	return c.dc.PostReadBatch(c.segAddrs[:len(segs)], c.segBufs[:len(segs)])
+	c.db.stage(leaf, im, segs)
+	return c.dc.PostReadBatch(c.db.addrs, c.db.bufs)
 }
 
 // reap polls a posted verb and recycles its handle; the caller drops
@@ -388,7 +393,7 @@ func (c *Client) reap(h *dmsim.Completion) {
 func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage, int, error) {
 	lay := c.ix.leaf
 	im := lay.getImage()
-	var segBuf [2]byteRange
+	var segBuf [3]byteRange // two segments, and room for the replica's
 	segs := lay.neighborhoodSegments(segBuf[:0], home, count, c.ix.opts.ReplicateMeta)
 
 	for try := 0; try < maxRetries; try++ {
@@ -417,7 +422,7 @@ func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage,
 				return nil, 0, err
 			}
 			metaG = 0
-			ranges = append(append([]byteRange{}, segs...), byteRange{Off: rc.Off, End: rc.End()})
+			ranges = append(segs, byteRange{Off: rc.Off, End: rc.End()})
 		}
 
 		if err := im.checkRanges(ranges); err != nil {

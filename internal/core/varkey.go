@@ -267,10 +267,10 @@ func (c *Client) DeleteKV(key []byte) error {
 		return err
 	}
 	fp := FingerprintOf(key)
-	return c.modifyEntry(fp, func(e *leafEntry) (bool, error) {
-		chain, err := c.readChain(ptrOf(e.value))
+	return c.modifyEntry(fp, func(old []byte) ([]byte, bool, error) {
+		chain, err := c.readChain(ptrOf(old))
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
 		found := false
 		for _, b := range chain {
@@ -280,17 +280,16 @@ func (c *Client) DeleteKV(key []byte) error {
 			}
 		}
 		if !found {
-			return false, ErrNotFound
+			return nil, false, ErrNotFound
 		}
 		head, err := c.rebuildChain(chain, key, nil, false)
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
 		if head == nil {
-			return false, nil // chain empty: drop the entry
+			return nil, false, nil // chain empty: drop the entry
 		}
-		e.value = head
-		return true, nil
+		return head, true, nil
 	})
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
@@ -67,10 +67,13 @@ func (c *Client) acquireLeafLock(leaf dmsim.GAddr) (lockWord, error) {
 	return lockWord{}, fmt.Errorf("core: leaf %v: lock acquisition starved", leaf)
 }
 
-func encodeLockBytes(lw lockWord) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], lw.encode())
-	return b[:]
+// lockBytes encodes lw into the client's lock-word buffer. Every verb
+// copies its data at post time, so the next call may reuse the buffer.
+//
+//chime:noalloc
+func (c *Client) lockBytes(lw lockWord) []byte {
+	binary.LittleEndian.PutUint64(c.lockBuf[:], lw.encode())
+	return c.lockBuf[:]
 }
 
 // unlockLeaf releases the lock. When a same-CN contender is queued the
@@ -82,18 +85,44 @@ func (c *Client) unlockLeaf(leaf dmsim.GAddr, lw lockWord) error {
 		// Lease mode bypasses the local lock table (recovery.go): write
 		// the payload back with the lock bit (and our lease) cleared.
 		lw.locked = false
-		return c.dc.Write(leafLockAddr(leaf), encodeLockBytes(lw))
+		return c.dc.Write(leafLockAddr(leaf), c.lockBytes(lw))
 	}
 	lw.locked = true
 	if c.cn.locks.ReleaseHandover(c.dc, leaf.Pack(), lw.encode()) {
 		return nil
 	}
 	lw.locked = false
-	if err := c.dc.Write(leafLockAddr(leaf), encodeLockBytes(lw)); err != nil {
+	if err := c.dc.Write(leafLockAddr(leaf), c.lockBytes(lw)); err != nil {
 		return err
 	}
 	c.cn.locks.ReleaseRemote(c.dc, leaf.Pack())
 	return nil
+}
+
+// doorbell stages the addresses and buffers of one doorbell batch. A
+// verb copies both at post time and keeps neither, so one per client
+// serves every batch it posts, the write cycles' included.
+type doorbell struct {
+	addrs []dmsim.GAddr
+	bufs  [][]byte
+}
+
+//chime:noalloc
+func (d *doorbell) add(a dmsim.GAddr, b []byte) {
+	//lint:allow noalloc doorbell scratch retains capacity after warm-up
+	d.addrs, d.bufs = append(d.addrs, a), append(d.bufs, b)
+}
+
+// stage restarts the batch with the non-empty ranges of a leaf image.
+//
+//chime:noalloc
+func (d *doorbell) stage(leaf dmsim.GAddr, im *leafImage, ranges []byteRange) {
+	d.addrs, d.bufs = d.addrs[:0], d.bufs[:0]
+	for _, r := range ranges {
+		if r.size() > 0 {
+			d.add(leaf.Add(uint64(r.Off)), im.buf[r.Off:r.End])
+		}
+	}
 }
 
 // postWriteRangesAndUnlock posts the modified image ranges together
@@ -101,26 +130,20 @@ func (c *Client) unlockLeaf(leaf dmsim.GAddr, lw lockWord) error {
 // completion without polling: a single round trip whose latency
 // pipelined callers overlap with other keys' work. dmsim moves data at
 // post time, so the remote lock is observably released the moment this
-// returns; the local lock-table slot is cleared for the same reason.
-// Callers that need a local handover (HasWaiters) must not use this —
-// the handover keeps the remote word locked.
+// returns, and the local lock-table slot is cleared here too. Callers
+// that need a local handover (HasWaiters) must not use this — the
+// handover keeps the remote word locked.
+//
+//chime:noalloc
 func (c *Client) postWriteRangesAndUnlock(leaf dmsim.GAddr, im *leafImage, ranges []byteRange, lw lockWord) (*dmsim.Completion, error) {
-	addrs := make([]dmsim.GAddr, 0, len(ranges)+1)
-	bufs := make([][]byte, 0, len(ranges)+1)
-	for _, r := range ranges {
-		if r.size() <= 0 {
-			continue
-		}
-		addrs = append(addrs, leaf.Add(uint64(r.Off)))
-		bufs = append(bufs, im.buf[r.Off:r.End])
-	}
+	c.db.stage(leaf, im, ranges)
 	lw.locked = false
-	addrs = append(addrs, leafLockAddr(leaf))
-	bufs = append(bufs, encodeLockBytes(lw))
-	h, err := c.dc.PostWriteBatch(addrs, bufs)
+	c.db.add(leafLockAddr(leaf), c.lockBytes(lw))
+	h, err := c.dc.PostWriteBatch(c.db.addrs, c.db.bufs)
 	if err != nil {
 		return nil, err
 	}
+	//lint:allow noalloc the lock-table release only rewrites a slot a waiter already holds, and Pack formats only its overflow panic
 	c.cn.locks.ReleaseRemote(c.dc, leaf.Pack())
 	return h, nil
 }
@@ -132,17 +155,9 @@ func (c *Client) postWriteRangesAndUnlock(leaf dmsim.GAddr, im *leafImage, range
 // only the data is written and the lock is handed over locally.
 func (c *Client) writeRangeAndUnlock(leaf dmsim.GAddr, im *leafImage, ranges []byteRange, lw lockWord) error {
 	if c.cn.locks.HasWaiters(leaf.Pack()) {
-		addrs := make([]dmsim.GAddr, 0, len(ranges))
-		bufs := make([][]byte, 0, len(ranges))
-		for _, r := range ranges {
-			if r.size() <= 0 {
-				continue
-			}
-			addrs = append(addrs, leaf.Add(uint64(r.Off)))
-			bufs = append(bufs, im.buf[r.Off:r.End])
-		}
-		if len(addrs) > 0 {
-			if err := c.dc.WriteBatch(addrs, bufs); err != nil {
+		c.db.stage(leaf, im, ranges)
+		if len(c.db.addrs) > 0 {
+			if err := c.dc.WriteBatch(c.db.addrs, c.db.bufs); err != nil {
 				return err
 			}
 		}
@@ -154,7 +169,7 @@ func (c *Client) writeRangeAndUnlock(leaf dmsim.GAddr, im *leafImage, ranges []b
 		// (cannot happen today — waiters never abandon — but stay safe):
 		// fall through to a remote unlock.
 		lw.locked = false
-		if err := c.dc.Write(leafLockAddr(leaf), encodeLockBytes(lw)); err != nil {
+		if err := c.dc.Write(leafLockAddr(leaf), c.lockBytes(lw)); err != nil {
 			return err
 		}
 		c.cn.locks.ReleaseRemote(c.dc, leaf.Pack())
@@ -164,7 +179,7 @@ func (c *Client) writeRangeAndUnlock(leaf dmsim.GAddr, im *leafImage, ranges []b
 	if err != nil {
 		return err
 	}
-	c.dc.Poll(h)
+	c.reap(h)
 	return nil
 }
 
@@ -257,7 +272,7 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 	// From here every early exit must unlock.
 	home := lay.homeOf(key)
 
-	im, fetched, full, metaG, err := c.fetchInsertWindow(ref.addr, home, lw)
+	im, err := c.fetchInsertWindow(ref.addr, home, lw)
 	if err != nil {
 		c.unlockLeaf(ref.addr, lw)
 		return false, err
@@ -265,10 +280,11 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 	// Every write verb below copies out of the image at post time, so the
 	// buffer can be recycled on any exit (split paths included).
 	defer func() { lay.putImage(im) }()
+	w := &c.win
 
 	// Validate that this leaf still covers the key (half-split during
 	// our traversal): the lock is held, so the metadata is stable.
-	meta := im.meta(metaG)
+	meta := im.meta(w.metaG)
 	if !meta.valid {
 		c.unlockLeaf(ref.addr, lw)
 		c.invalidateRefParent(ref)
@@ -293,7 +309,7 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 	// Upsert: if the key already exists in its neighborhood, update it.
 	for d := 0; d < lay.h; d++ {
 		i := (home + d) % lay.span
-		if !fetched[i] {
+		if !w.fetched[i] {
 			continue
 		}
 		if e := im.entry(i); e.occupied && e.key == key {
@@ -304,9 +320,9 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 			}
 			e.value = val
 			im.setEntry(i, e)
-			cellC := lay.entryCells[i]
 			c.placed.Note(0, key)
-			err = c.writeRangeAndUnlock(ref.addr, im, []byteRange{{Off: cellC.Off, End: cellC.End()}}, lw)
+			c.changed = append(c.changed[:0], i)
+			err = c.writeRangeAndUnlock(ref.addr, im, c.changedRanges(&c.wb, c.changed, home), lw)
 			return true, err
 		}
 	}
@@ -314,32 +330,32 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 	// Hop planning over the fetched occupancy; unfetched slots are
 	// treated as occupied-and-immovable, which is exact for every slot
 	// the plan may touch (see fetchInsertWindow).
-	moves, free, planErr := hopscotch.Plan(lay.span, lay.h, home,
+	moves, free, planErr := hopscotch.AppendPlan(c.moves[:0], lay.span, lay.h, home,
 		func(i int) bool {
-			if !fetched[i] {
+			if !w.fetched[i] {
 				return true
 			}
 			return im.entry(i).occupied
 		},
 		func(i int) int {
-			if !fetched[i] {
+			if !w.fetched[i] {
 				return i
 			}
 			return lay.homeOf(im.entry(i).key)
 		},
 	)
-	if planErr != nil && !full {
+	if planErr != nil && !w.full {
 		// The conservative window could not prove a feasible hop; fetch
 		// the whole node and re-plan with exact occupancy.
 		lay.putImage(im)
-		im, metaG, err = c.fetchWholeLeaf(ref.addr)
+		im, _, err = c.fetchWholeLeaf(ref.addr)
 		if err != nil {
 			c.unlockLeaf(ref.addr, lw)
 			return false, err
 		}
-		fetched, full = c.wholeLeafMask(), true
-		meta = im.meta(metaG)
-		moves, free, planErr = hopscotch.Plan(lay.span, lay.h, home,
+		w.setWhole(lay)
+		meta = im.meta(w.metaG)
+		moves, free, planErr = hopscotch.AppendPlan(c.moves[:0], lay.span, lay.h, home,
 			func(i int) bool { return im.entry(i).occupied },
 			func(i int) int { return lay.homeOf(im.entry(i).key) },
 		)
@@ -357,106 +373,164 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 		c.unlockLeaf(ref.addr, lw)
 		return false, err
 	}
-	changed := c.applyHops(im, moves, free, home, key, val)
+	c.moves = moves
+	c.changed = c.applyHops(c.changed[:0], im, moves, free, home, key, val)
 	c.placed.Note(0, key)
 
 	// Lock-word bookkeeping (§4.2.1, §4.2.3): vacancy bit of the filled
 	// slot's group, and the argmax index.
-	lw.vacancy = c.updateVacancy(im, fetched, lw.vacancy, free)
-	c.updateArgmaxOnInsert(&lw, im, fetched, free, key)
+	lw.vacancy = c.updateVacancy(im, w.fetched, lw.vacancy, free)
+	c.updateArgmaxOnInsert(&lw, im, w.fetched, free, key)
 
-	ranges := c.changedRanges(changed, home)
-	if err := c.writeRangeAndUnlock(ref.addr, im, ranges, lw); err != nil {
+	if err := c.writeRangeAndUnlock(ref.addr, im, c.changedRanges(&c.wb, c.changed, home), lw); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// fetchInsertWindow reads the insert working set in one round trip: the
-// neighborhood of home extended through the first vacancy-bitmap group
-// that may contain an empty slot, plus the argmax entry when it falls
-// outside (fetched in the same doorbell batch). It returns the image,
-// a per-entry fetched mask, whether the whole node was read, and the
-// metadata replica group.
-func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*leafImage, []bool, bool, int, error) {
+// leafWindow is the fetch geometry of one leaf write: the byte ranges
+// read and version-checked together, and the entries they cover. Its
+// slices are scratch that the next window laid out in it reuses.
+type leafWindow struct {
+	// ranges are what the version check covers. The first n are read in
+	// one doorbell batch; one more past them is replica 0, read on its own
+	// (the ReplicateMeta ablation, or a window holding no replica).
+	ranges  []byteRange
+	n       int
+	metaG   int    // the replica group meta decodes
+	full    bool   // the whole leaf: every entry fetched
+	fetched []bool // per entry
+}
+
+// batch is the ranges read in the window's doorbell batch.
+func (w *leafWindow) batch() []byteRange { return w.ranges[:w.n] }
+
+// metaRead is the replica range read on its own, if any.
+func (w *leafWindow) metaRead() (byteRange, bool) {
+	if len(w.ranges) > w.n {
+		return w.ranges[w.n], true
+	}
+	return byteRange{}, false
+}
+
+// setNarrow lays out the window of entries [home, home+count)
+// circularly (count < span), extended to a metadata replica, plus the
+// cell of entry argmax when argmax >= 0 names one outside it: the
+// argmax entry rides in the same doorbell batch (§4.2.3). It is the one
+// insert/update window geometry of the synchronous and the batch
+// writer.
+//
+//chime:noalloc
+func (w *leafWindow) setNarrow(lay *leafLayout, home, count, argmax int, replicateMeta bool) {
+	w.full = false
+	w.fetched = resetMask(w.fetched, lay.span, false)
+	for d := 0; d < count; d++ {
+		w.fetched[(home+d)%lay.span] = true
+	}
+	w.ranges = lay.neighborhoodSegments(w.ranges[:0], home, count, replicateMeta)
+	w.metaG = lay.metaInRanges(w.ranges)
+	var extra [2]byteRange
+	k := 0
+	if argmax >= 0 && argmax < lay.span && !w.fetched[argmax] {
+		cellC := lay.entryCells[argmax]
+		extra[k] = byteRange{Off: cellC.Off, End: cellC.End()}
+		k++
+		w.fetched[argmax] = true
+	}
+	w.n = len(w.ranges) + k
+	if !replicateMeta || w.metaG < 0 {
+		rc := lay.replicaCells[0]
+		extra[k] = byteRange{Off: rc.Off, End: rc.End()}
+		k++
+		w.metaG = 0
+	}
+	//lint:allow noalloc window scratch retains capacity after warm-up
+	w.ranges = append(w.ranges, extra[:k]...)
+}
+
+// setWhole lays out a whole-leaf read: every cell past the lock line.
+func (w *leafWindow) setWhole(lay *leafLayout) {
+	w.full = true
+	w.ranges = append(w.ranges[:0], byteRange{Off: lineSize, End: lay.size})
+	w.n = 1
+	w.metaG = 0
+	w.fetched = resetMask(w.fetched, lay.span, true)
+}
+
+// resetMask returns mask resized to n entries, each set to v.
+//
+//chime:coldalloc grows once to a leaf's span, then is reused
+func resetMask(mask []bool, n int, v bool) []bool {
+	if cap(mask) < n {
+		mask = make([]bool, n)
+	}
+	mask = mask[:n]
+	for i := range mask {
+		mask[i] = v
+	}
+	return mask
+}
+
+// argmaxSlot is the argmax entry a window fetches along, or -1.
+func (lw lockWord) argmaxSlot() int {
+	if lw.argmaxValid {
+		return lw.argmax
+	}
+	return -1
+}
+
+// fetchInsertWindow reads the insert working set in one round trip into
+// c.win and a pooled image: the neighborhood of home extended through
+// the first vacancy-bitmap group that may contain an empty slot, plus
+// the argmax entry when it falls outside (fetched in the same doorbell
+// batch) — or the whole leaf when every group advertises full.
+func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*leafImage, error) {
 	lay := c.ix.leaf
+	w := &c.win
 
 	// Walk vacancy groups forward from home's group looking for a group
 	// that may contain an empty slot.
 	count := c.probeCount(home, lw.vacancy)
 	if count >= lay.span {
-		im, metaG, err := c.fetchWholeLeaf(leaf)
-		return im, c.wholeLeafMask(), true, metaG, err
+		im, _, err := c.fetchWholeLeaf(leaf)
+		w.setWhole(lay)
+		return im, err
 	}
-	if count < lay.h {
-		count = lay.h
-	}
-
-	segs := lay.neighborhoodSegments(nil, home, count, c.ix.opts.ReplicateMeta)
-	idxs := lay.neighborhoodIndexes(home, count)
-	ranges := segs
-
-	// Include the argmax entry in the same batch when it is outside the
-	// window (no extra round trip; §4.2.3).
-	fetchedSet := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		fetchedSet[i] = true
-	}
-	if lw.argmaxValid && !fetchedSet[lw.argmax] && lw.argmax < lay.span {
-		cellC := lay.entryCells[lw.argmax]
-		ranges = append(append([]byteRange{}, segs...), byteRange{Off: cellC.Off, End: cellC.End()})
-		fetchedSet[lw.argmax] = true
-	}
+	w.setNarrow(lay, home, max(count, lay.h), lw.argmaxSlot(), c.ix.opts.ReplicateMeta)
 
 	// Pooled image: only the fetched ranges are ever decoded or written
 	// back (the fetched mask gates every consumer), so a recycled buffer's
 	// stale bytes are unreachable.
 	im := lay.getImage()
 	for try := 0; try < maxRetries; try++ {
-		addrs := make([]dmsim.GAddr, 0, len(ranges)+1)
-		bufs := make([][]byte, 0, len(ranges)+1)
-		for _, r := range ranges {
-			addrs = append(addrs, leaf.Add(uint64(r.Off)))
-			bufs = append(bufs, im.buf[r.Off:r.End])
-		}
 		var err error
-		if len(addrs) == 1 {
-			err = c.dc.Read(addrs[0], bufs[0])
+		if b := w.batch(); len(b) == 1 {
+			err = c.dc.Read(leaf.Add(uint64(b[0].Off)), im.buf[b[0].Off:b[0].End])
 		} else {
-			err = c.dc.ReadBatch(addrs, bufs)
+			c.db.stage(leaf, im, b)
+			err = c.dc.ReadBatch(c.db.addrs, c.db.bufs)
+		}
+		if err == nil {
+			if rc, ok := w.metaRead(); ok {
+				err = c.dc.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End])
+			}
 		}
 		if err != nil {
 			lay.putImage(im)
-			return nil, nil, false, 0, err
-		}
-
-		checkRanges := ranges
-		metaG := lay.metaInRanges(checkRanges)
-		if !c.ix.opts.ReplicateMeta || metaG < 0 {
-			rc := lay.replicaCells[0]
-			if err := c.dc.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End()]); err != nil {
-				lay.putImage(im)
-				return nil, nil, false, 0, err
-			}
-			metaG = 0
-			checkRanges = append(append([]byteRange{}, ranges...), byteRange{Off: rc.Off, End: rc.End()})
+			return nil, err
 		}
 		// We hold the lock, so no writer races us; a version mismatch
 		// can only come from our own read tearing against nothing —
 		// still validate for defense in depth.
-		if err := im.checkRanges(checkRanges); err != nil {
+		if err := im.checkRanges(w.ranges); err != nil {
 			c.obs.TornReads.Inc()
 			c.backoff.Yield(c.dc)
 			continue
 		}
-		fetched := make([]bool, lay.span)
-		for i := range fetchedSet {
-			fetched[i] = true
-		}
-		return im, fetched, false, metaG, nil
+		return im, nil
 	}
 	lay.putImage(im)
-	return nil, nil, false, 0, fmt.Errorf("core: leaf %v: insert window retries exhausted", leaf)
+	return nil, fmt.Errorf("core: leaf %v: insert window retries exhausted", leaf)
 }
 
 // probeCount returns how many entries past home must be fetched so that
@@ -489,18 +563,6 @@ func (c *Client) probeCount(home int, vacancy uint64) int {
 	return lay.span
 }
 
-// wholeLeafMask is the fetched mask of a whole-leaf read: every entry.
-// It is the client's own and read-only.
-func (c *Client) wholeLeafMask() []bool {
-	if c.wholeLeaf == nil {
-		c.wholeLeaf = make([]bool, c.ix.leaf.span)
-		for i := range c.wholeLeaf {
-			c.wholeLeaf[i] = true
-		}
-	}
-	return c.wholeLeaf
-}
-
 // fetchWholeLeaf reads the complete leaf image (splits and fallbacks)
 // and returns it with its metadata replica group.
 func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, int, error) {
@@ -529,12 +591,13 @@ func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, int, error) {
 }
 
 // applyHops executes the hop moves on the local image, inserts the key
-// at the freed slot, and returns the indexes of all modified entries.
-// Hop-entry modifications bump entry-level versions; readers detect the
-// intermediate states via the reused-hopscotch-bitmap check (§4.1.2).
-func (c *Client) applyHops(im *leafImage, moves []hopscotch.Move, free, home int, key uint64, val []byte) []int {
+// at the freed slot, and appends to dst the indexes of all modified
+// entries, sorted and each once. Hop-entry modifications bump
+// entry-level versions; readers detect the intermediate states via the
+// reused-hopscotch-bitmap check (§4.1.2).
+func (c *Client) applyHops(dst []int, im *leafImage, moves []hopscotch.Move, free, home int, key uint64, val []byte) []int {
 	lay := im.lay
-	changedSet := map[int]bool{}
+	start := len(dst)
 	for _, m := range moves {
 		e := im.entry(m.From)
 		kHome := lay.homeOf(e.key)
@@ -558,9 +621,7 @@ func (c *Client) applyHops(im *leafImage, moves []hopscotch.Move, free, home int
 		hEntry.hopBM |= 1 << uint(dNew)
 		im.setEntry(kHome, hEntry)
 
-		changedSet[m.From] = true
-		changedSet[m.To] = true
-		changedSet[kHome] = true
+		dst = append(dst, m.From, m.To, kHome)
 	}
 
 	e := im.entry(free)
@@ -572,47 +633,37 @@ func (c *Client) applyHops(im *leafImage, moves []hopscotch.Move, free, home int
 	d := ((free-home)%lay.span + lay.span) % lay.span
 	hEntry.hopBM |= 1 << uint(d)
 	im.setEntry(home, hEntry)
-	changedSet[free] = true
-	changedSet[home] = true
+	dst = append(dst, free, home)
 
-	changed := make([]int, 0, len(changedSet))
-	for i := range changedSet {
-		changed = append(changed, i)
-	}
-	sort.Ints(changed)
-	return changed
+	slices.Sort(dst[start:])
+	return append(dst[:start], slices.Compact(dst[start:])...)
 }
 
-// changedRanges converts modified entry indexes into 1–2 contiguous
-// write-back byte ranges. The fetched window is circularly contiguous
-// starting at home, so indexes >= home belong to the window's first
-// (high) segment and indexes < home to its wrapped (low) segment;
-// splitting there guarantees every byte written back — including
-// untouched cells between changed ones — was fetched. Safe under the
-// node lock.
-func (c *Client) changedRanges(changed []int, home int) []byteRange {
-	lay := c.ix.leaf
-	if len(changed) == 0 {
-		return nil
+// changedRanges converts sorted modified entry indexes into 1–2
+// contiguous write-back byte ranges, laid out in dst. The fetched window
+// is circularly contiguous starting at home, so indexes >= home belong
+// to the window's first (high) segment and indexes < home to its
+// wrapped (low) segment; splitting there guarantees every byte written
+// back — including untouched cells between changed ones — was fetched.
+// Safe under the node lock.
+//
+//chime:noalloc
+func (c *Client) changedRanges(dst *[2]byteRange, changed []int, home int) []byteRange {
+	cells := c.ix.leaf.entryCells
+	k := 0 // changed[:k] is the low part, changed[k:] the high one
+	for k < len(changed) && changed[k] < home {
+		k++
 	}
-	var high, low []int // sorted input keeps each part sorted
-	for _, i := range changed {
-		if i >= home {
-			high = append(high, i)
-		} else {
-			low = append(low, i)
-		}
+	n := 0
+	if k < len(changed) {
+		dst[n] = byteRange{Off: cells[changed[k]].Off, End: cells[changed[len(changed)-1]].End()}
+		n++
 	}
-	var ranges []byteRange
-	for _, run := range [][]int{high, low} {
-		if len(run) == 0 {
-			continue
-		}
-		lo := lay.entryCells[run[0]].Off
-		hi := lay.entryCells[run[len(run)-1]].End()
-		ranges = append(ranges, byteRange{Off: lo, End: hi})
+	if k > 0 {
+		dst[n] = byteRange{Off: cells[changed[0]].Off, End: cells[changed[k-1]].End()}
+		n++
 	}
-	return ranges
+	return dst[:n]
 }
 
 // updateVacancy recomputes the vacancy bit of the group containing the
@@ -660,10 +711,7 @@ func (c *Client) updateOneSided(key uint64, value []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.modifyEntry(key, func(e *leafEntry) (bool, error) {
-		e.value = val
-		return true, nil
-	})
+	return c.modifyEntry(key, func([]byte) ([]byte, bool, error) { return val, true, nil })
 }
 
 // Delete removes a key, returning ErrNotFound if it is absent. Per
@@ -684,9 +732,9 @@ func (c *Client) Delete(key uint64) error {
 // modifyEntry implements the shared update/delete protocol: lock, read
 // the neighborhood, mutate (or clear) the entry, write back + unlock in
 // one trip. mutate == nil means delete; a non-nil mutate runs under the
-// leaf lock (it may issue verbs) and returns keep=false to delete the
-// entry after all.
-func (c *Client) modifyEntry(key uint64, mutate func(*leafEntry) (bool, error)) error {
+// leaf lock (it may issue verbs) with the entry's stored bytes and
+// returns the bytes to store, or keep=false to delete the entry after all.
+func (c *Client) modifyEntry(key uint64, mutate func(old []byte) (val []byte, keep bool, err error)) error {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		ref, err := c.descend(key)
 		if err != nil {
@@ -702,7 +750,7 @@ func (c *Client) modifyEntry(key uint64, mutate func(*leafEntry) (bool, error)) 
 	return fmt.Errorf("core: modify(%#x): retries exhausted", key)
 }
 
-func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (bool, error)) error {
+func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func([]byte) ([]byte, bool, error)) error {
 	lay := c.ix.leaf
 	addr := ref.addr
 	for hops := 0; hops <= maxRetries; hops++ {
@@ -712,11 +760,11 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 		}
 		home := lay.homeOf(key)
 		im, metaG, err := c.fetchLeafWindow(addr, home, lay.h)
-		idxs := lay.neighborhoodIndexes(home, lay.h)
 		if err != nil {
 			c.unlockLeaf(addr, lw)
 			return err
 		}
+		c.idxs = lay.neighborhoodIndexes(c.idxs[:0], home, lay.h)
 		meta := im.meta(metaG)
 		if !meta.valid {
 			c.unlockLeaf(addr, lw)
@@ -726,7 +774,7 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 		}
 
 		foundIdx := -1
-		for _, i := range idxs {
+		for _, i := range c.idxs {
 			if e := im.entry(i); e.occupied && e.key == key {
 				foundIdx = i
 				break
@@ -747,11 +795,11 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 			return ErrNotFound
 		}
 
-		changed := []int{foundIdx}
+		c.changed = append(c.changed[:0], foundIdx)
 		keep := false
 		if mutate != nil {
 			e := im.entry(foundIdx)
-			k, err := mutate(&e)
+			val, k, err := mutate(e.value)
 			if err != nil {
 				c.unlockLeaf(addr, lw)
 				lay.putImage(im)
@@ -759,6 +807,7 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 			}
 			keep = k
 			if keep {
+				e.value = val
 				im.setEntry(foundIdx, e)
 			}
 		}
@@ -772,8 +821,8 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 			d := ((foundIdx-home)%lay.span + lay.span) % lay.span
 			hEntry.hopBM &^= 1 << uint(d)
 			im.setEntry(home, hEntry)
-			changed = append(changed, home)
-			sort.Ints(changed)
+			c.changed = append(c.changed, home)
+			slices.Sort(c.changed)
 
 			g := groupOf(foundIdx, lay.vacPerBit)
 			lw.vacancy &^= 1 << uint(g)
@@ -781,8 +830,8 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 				lw.argmaxValid = false
 			}
 		}
-		err = c.writeRangeAndUnlock(addr, im, c.changedRanges(changed, home), lw)
-		mergeCheck := err == nil && !keep && deleteLeftEmpty(im, idxs, lw)
+		err = c.writeRangeAndUnlock(addr, im, c.changedRanges(&c.wb, c.changed, home), lw)
+		mergeCheck := err == nil && !keep && deleteLeftEmpty(im, c.idxs, lw)
 		lay.putImage(im)
 		if mergeCheck {
 			// §4.4: a delete that may have emptied the leaf triggers a

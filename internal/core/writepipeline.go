@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
@@ -72,6 +72,7 @@ type writeOp struct {
 
 // writeCycle is one lock/fetch/write round over a single leaf, shared by
 // every batch key that resolved to that leaf while it was collecting.
+// Cycles of one batch overlap, so each owns the window its fetch fills.
 type writeCycle struct {
 	leaf       dmsim.GAddr
 	leader     *writeOp
@@ -81,13 +82,9 @@ type writeCycle struct {
 	lw      lockWord
 	lockBuf [8]byte // dedicated word read (PiggybackVacancy off)
 
-	im        *leafImage
-	fetched   []bool
-	full      bool
-	metaG     int
-	ranges    []byteRange
-	metaRange byteRange
-	h, h2     *dmsim.Completion
+	im *leafImage
+	leafWindow
+	h, h2 *dmsim.Completion
 
 	// settled holds the ops whose outcome (success or ErrNotFound) commits
 	// when the posted doorbell write+unlock completes.
@@ -304,6 +301,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 		cy := op.cy
 		c.dc.Poll(cy.h)
 		prev, ok := cy.h.CASResult()
+		c.dc.Release(cy.h)
 		cy.h = nil
 		if !ok {
 			if c.ix.opts.LeaseLocks {
@@ -346,23 +344,19 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 
 	case wpLockRead:
 		cy := op.cy
-		c.dc.Poll(cy.h)
+		c.reap(cy.h)
 		cy.h = nil
 		cy.lw = decodeLockWord(binary.LittleEndian.Uint64(cy.lockBuf[:]))
 		c.postCycleFetch(st, op)
 
 	case wpFetchWait:
 		cy := op.cy
-		c.dc.Poll(cy.h)
-		c.dc.Poll(cy.h2)
+		c.reap(cy.h)
+		c.reap(cy.h2)
 		cy.h, cy.h2 = nil, nil
-		check := cy.ranges
-		if cy.metaRange.size() > 0 {
-			check = append(append([]byteRange{}, cy.ranges...), cy.metaRange)
-		}
 		// The lock is held, so tearing cannot happen; validate anyway for
 		// defense in depth (mirrors the sync path).
-		if err := cy.im.checkRanges(check); err != nil {
+		if err := cy.im.checkRanges(cy.ranges); err != nil {
 			op.torn++
 			if op.torn > maxRetries {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", cy.leaf), true)
@@ -376,7 +370,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 
 	case wpWriteWait:
 		cy := op.cy
-		c.dc.Poll(cy.h)
+		c.reap(cy.h)
 		cy.h = nil
 		c.backoff.Reset()
 		for _, d := range cy.settled {
@@ -411,43 +405,16 @@ func (c *Client) postCycleFetch(st *wpSched, drv *writeOp) {
 	if len(cy.ops) == 1 {
 		op := cy.ops[0]
 		home := lay.homeOf(op.key)
-		count := lay.h
+		count, argmax := lay.h, -1
 		if op.kind == writeUpsert {
-			count = c.probeCount(home, cy.lw.vacancy)
-			if count < lay.h {
-				count = lay.h
-			}
+			count = max(c.probeCount(home, cy.lw.vacancy), lay.h)
+			argmax = cy.lw.argmaxSlot()
 		}
 		if count < lay.span {
-			segs := lay.neighborhoodSegments(nil, home, count, c.ix.opts.ReplicateMeta)
-			idxs := lay.neighborhoodIndexes(home, count)
-			ranges := segs
-			fetchedSet := make(map[int]bool, len(idxs))
-			for _, i := range idxs {
-				fetchedSet[i] = true
-			}
-			if op.kind == writeUpsert && cy.lw.argmaxValid && !fetchedSet[cy.lw.argmax] && cy.lw.argmax < lay.span {
-				cellC := lay.entryCells[cy.lw.argmax]
-				ranges = append(append([]byteRange{}, segs...), byteRange{Off: cellC.Off, End: cellC.End()})
-				fetchedSet[cy.lw.argmax] = true
-			}
 			if cy.im == nil {
 				cy.im = lay.getImage()
 			}
-			cy.full = false
-			cy.ranges = ranges
-			cy.metaRange = byteRange{}
-			cy.metaG = lay.metaInRanges(ranges)
-			if !c.ix.opts.ReplicateMeta || cy.metaG < 0 {
-				rc := lay.replicaCells[0]
-				cy.metaRange = byteRange{Off: rc.Off, End: rc.End()}
-				cy.metaG = 0
-			}
-			fetched := make([]bool, lay.span)
-			for i := range fetchedSet {
-				fetched[i] = true
-			}
-			cy.fetched = fetched
+			cy.setNarrow(lay, home, count, argmax, c.ix.opts.ReplicateMeta)
 			c.postCycleRanges(st, drv)
 			return
 		}
@@ -468,15 +435,7 @@ func (c *Client) postCycleWholeFetch(st *wpSched, drv *writeOp) {
 	for i := range cy.im.buf[:lineSize] {
 		cy.im.buf[i] = 0
 	}
-	cy.full = true
-	cy.ranges = []byteRange{{Off: lineSize, End: lay.size}}
-	cy.metaRange = byteRange{}
-	cy.metaG = 0
-	fetched := make([]bool, lay.span)
-	for i := range fetched {
-		fetched[i] = true
-	}
-	cy.fetched = fetched
+	cy.setWhole(lay)
 	c.postCycleRanges(st, drv)
 }
 
@@ -485,22 +444,14 @@ func (c *Client) postCycleWholeFetch(st *wpSched, drv *writeOp) {
 func (c *Client) postCycleRanges(st *wpSched, drv *writeOp) {
 	cy := drv.cy
 	var err error
-	if cy.full {
-		cy.h, err = c.dc.PostRead(cy.leaf.Add(lineSize), cy.im.buf[lineSize:])
-	} else if len(cy.ranges) == 1 {
-		r := cy.ranges[0]
-		cy.h, err = c.dc.PostRead(cy.leaf.Add(uint64(r.Off)), cy.im.buf[r.Off:r.End])
+	if b := cy.batch(); len(b) == 1 {
+		cy.h, err = c.dc.PostRead(cy.leaf.Add(uint64(b[0].Off)), cy.im.buf[b[0].Off:b[0].End])
 	} else {
-		addrs := make([]dmsim.GAddr, len(cy.ranges))
-		bufs := make([][]byte, len(cy.ranges))
-		for i, r := range cy.ranges {
-			addrs[i] = cy.leaf.Add(uint64(r.Off))
-			bufs[i] = cy.im.buf[r.Off:r.End]
-		}
-		cy.h, err = c.dc.PostReadBatch(addrs, bufs)
+		c.db.stage(cy.leaf, cy.im, b)
+		cy.h, err = c.dc.PostReadBatch(c.db.addrs, c.db.bufs)
 	}
-	if err == nil && cy.metaRange.size() > 0 {
-		cy.h2, err = c.dc.PostRead(cy.leaf.Add(uint64(cy.metaRange.Off)), cy.im.buf[cy.metaRange.Off:cy.metaRange.End])
+	if rc, ok := cy.metaRead(); err == nil && ok {
+		cy.h2, err = c.dc.PostRead(cy.leaf.Add(uint64(rc.Off)), cy.im.buf[rc.Off:rc.End])
 	}
 	if err != nil {
 		c.failCycle(st, drv, err, true)
@@ -578,7 +529,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		cy.leader = pending[0]
 	}
 
-	changed := map[int]bool{}
+	var changed []int
 	newLW := cy.lw
 	var done []*writeOp
 	for pi, op := range pending {
@@ -586,7 +537,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 			e := cy.im.entry(i)
 			e.value = op.val
 			cy.im.setEntry(i, e)
-			changed[i] = true
+			changed = append(changed, i)
 			done = append(done, op)
 			if op.kind == writeUpsert {
 				c.placed.Note(0, op.key)
@@ -601,7 +552,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		// Fresh placement: hop planning over the fetched occupancy;
 		// unfetched slots are occupied-and-immovable (window cycles only).
 		home := lay.homeOf(op.key)
-		moves, free, planErr := hopscotch.Plan(lay.span, lay.h, home,
+		moves, free, planErr := hopscotch.AppendPlan(c.moves[:0], lay.span, lay.h, home,
 			func(i int) bool {
 				if !cy.fetched[i] {
 					return true
@@ -631,9 +582,8 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 			c.splitCycle(st, cy, stepped, op, meta, newLW, done, pending[pi+1:])
 			return
 		}
-		for _, i := range c.applyHops(cy.im, moves, free, home, op.key, op.val) {
-			changed[i] = true
-		}
+		c.moves = moves
+		changed = c.applyHops(changed, cy.im, moves, free, home, op.key, op.val)
 		c.placed.Note(0, op.key)
 		if !cy.full {
 			newLW.vacancy = c.updateVacancy(cy.im, cy.fetched, newLW.vacancy, free)
@@ -642,18 +592,15 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		done = append(done, op)
 	}
 
+	slices.Sort(changed)
+	changed = slices.Compact(changed)
 	var ranges []byteRange
 	if cy.full {
 		// A node-granular write: derive the exact lock word from the image.
 		newLW = recomputeLockWord(cy.im)
-		ranges = mergedCellRanges(lay, changed)
+		ranges = mergedCellRanges(nil, lay, changed)
 	} else {
-		idxs := make([]int, 0, len(changed))
-		for i := range changed {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		ranges = c.changedRanges(idxs, lay.homeOf(pending[0].key))
+		ranges = c.changedRanges(&c.wb, changed, lay.homeOf(pending[0].key))
 	}
 	h, err := c.postWriteRangesAndUnlock(cy.leaf, cy.im, ranges, newLW)
 	if err != nil {
@@ -724,21 +671,13 @@ func (cy *writeCycle) findSlot(lay *leafLayout, key uint64) int {
 	return -1
 }
 
-// mergedCellRanges converts a changed-slot set into write-back ranges,
-// merging exactly-abutting cells. Unlike changedRanges it never spans
-// untouched cells — node-granular cycles may dirty non-contiguous slots
-// with unfetchable gaps between them.
-func mergedCellRanges(lay *leafLayout, changed map[int]bool) []byteRange {
-	if len(changed) == 0 {
-		return nil
-	}
-	idxs := make([]int, 0, len(changed))
-	for i := range changed {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var out []byteRange
-	for _, i := range idxs {
+// mergedCellRanges converts sorted changed slots into write-back ranges,
+// laid out in dst's storage, merging exactly-abutting cells. Unlike
+// changedRanges it never spans untouched cells — node-granular cycles
+// may dirty non-contiguous slots with unfetchable gaps between them.
+func mergedCellRanges(dst []byteRange, lay *leafLayout, changed []int) []byteRange {
+	out := dst[:0]
+	for _, i := range changed {
 		cell := lay.entryCells[i]
 		if n := len(out); n > 0 && out[n-1].End >= cell.Off {
 			if cell.End() > out[n-1].End {
@@ -811,8 +750,8 @@ func (c *Client) failCycle(st *wpSched, stepped *writeOp, err error, locked bool
 
 // releaseCycle drains any in-flight completions and recycles the image.
 func (c *Client) releaseCycle(cy *writeCycle) {
-	c.dc.Poll(cy.h)
-	c.dc.Poll(cy.h2)
+	c.reap(cy.h)
+	c.reap(cy.h2)
 	cy.h, cy.h2 = nil, nil
 	if cy.im != nil {
 		c.ix.leaf.putImage(cy.im)

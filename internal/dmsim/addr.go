@@ -24,6 +24,8 @@ const maxOff = 1<<56 - 1
 // when the sum wraps uint64 or leaves the 56-bit packable range — a
 // silently truncated pointer would corrupt whatever node it aliases, so
 // arithmetic overflow is a simulation bug, never data.
+//
+//chime:coldalloc allocates only when building the overflow panic
 func (a GAddr) Add(d uint64) GAddr {
 	off := a.Off + d
 	if off < a.Off || off > maxOff {

@@ -97,6 +97,7 @@ func (c *Client) newCompletion() *Completion {
 		*h = Completion{c: c}
 		return h
 	}
+	c.completionAllocs++
 	return &Completion{c: c}
 }
 

@@ -84,8 +84,11 @@ type Client struct {
 	waitNext *Client
 
 	// Completion freelist (async.go): recycled handles so steady-state
-	// post/poll performs zero heap allocations.
-	free []*Completion
+	// post/poll performs zero heap allocations. completionAllocs counts
+	// the handles newCompletion found no free one for and allocated; a
+	// caller that drops handles unreleased keeps it climbing.
+	free             []*Completion
+	completionAllocs int64
 
 	// payloadScratch backs the per-segment payload slice of batched
 	// verbs, reused across batches.

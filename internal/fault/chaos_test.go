@@ -302,7 +302,13 @@ func runChaos(t *testing.T, sys chaosSystem, withCrashes bool) {
 		victims[0], victims[1] = true, true
 	}
 
+	// Every worker joins the cohort before any starts, and each Syncs
+	// before its first verb: the run is then a function of the schedule's
+	// seed, not of which goroutine the host starts first.
 	logs := make([]*workerLog, chaosWorkers)
+	for _, cl := range clients {
+		cl.DM().JoinCohort()
+	}
 	var wg sync.WaitGroup
 	for i := range clients {
 		logs[i] = &workerLog{issued: map[uint64]uint64{}, acked: map[uint64]uint64{}}
@@ -311,8 +317,8 @@ func runChaos(t *testing.T, sys chaosSystem, withCrashes bool) {
 			defer wg.Done()
 			cl := clients[w]
 			dc := cl.DM()
-			dc.JoinCohort()
 			defer dc.LeaveCohort()
+			dc.Sync()
 			lg := logs[w]
 			for op := 0; op < chaosOpsPerWkr; op++ {
 				key := keys[(op*chaosWorkers+w)%chaosKeys]

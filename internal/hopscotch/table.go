@@ -40,11 +40,17 @@ var ErrFull = errors.New("hopscotch: no feasible hop")
 // eligible predecessor into the empty slot until the hole reaches the
 // neighborhood.
 func Plan(n, h, home int, occupied func(int) bool, homeOf func(int) int) ([]Move, int, error) {
+	return AppendPlan(nil, n, h, home, occupied, homeOf)
+}
+
+// AppendPlan is Plan appending the moves to dst, for a caller that
+// reuses their storage. On error it returns dst as it was.
+func AppendPlan(dst []Move, n, h, home int, occupied func(int) bool, homeOf func(int) int) ([]Move, int, error) {
 	if n <= 0 || h <= 0 || h > n {
-		return nil, 0, fmt.Errorf("hopscotch: bad geometry n=%d h=%d", n, h)
+		return dst, 0, fmt.Errorf("hopscotch: bad geometry n=%d h=%d", n, h)
 	}
 	if home < 0 || home >= n {
-		return nil, 0, fmt.Errorf("hopscotch: home %d out of [0,%d)", home, n)
+		return dst, 0, fmt.Errorf("hopscotch: home %d out of [0,%d)", home, n)
 	}
 
 	// dist is the forward circular distance from a to b.
@@ -60,10 +66,10 @@ func Plan(n, h, home int, occupied func(int) bool, homeOf func(int) int) ([]Move
 		}
 	}
 	if empty == -1 {
-		return nil, 0, ErrFull
+		return dst, 0, ErrFull
 	}
 
-	var moves []Move
+	moves := dst
 	for dist(home, empty) >= h {
 		// Search the H-1 slots before empty for the farthest key (i.e.
 		// the one earliest in the window) that may legally move into
@@ -85,7 +91,7 @@ func Plan(n, h, home int, occupied func(int) bool, homeOf func(int) int) ([]Move
 			}
 		}
 		if !moved {
-			return nil, 0, ErrFull
+			return dst, 0, ErrFull
 		}
 	}
 	return moves, empty, nil
