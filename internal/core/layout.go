@@ -39,3 +39,7 @@ func bumpEV(img []byte, c cell)       { nodelayout.BumpEV(img, c) }
 func checkVersions(win []byte, winOff int, cells []cell) error {
 	return nodelayout.CheckVersions(win, winOff, cells)
 }
+
+func checkVersionsNV(win []byte, winOff int, cells []cell, nv uint8) error {
+	return nodelayout.CheckVersionsNV(win, winOff, cells, nv)
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -327,21 +328,18 @@ func TestNeighborhoodSegments(t *testing.T) {
 func TestCoveredCells(t *testing.T) {
 	lay := newLeafLayout(DefaultOptions())
 	segs := lay.neighborhoodSegments(nil, 10, 8, true)
-	cells := lay.coveredCells(nil, segs)
+	cells := lay.cellsIn(segs[0])
 	// At least the 8 entries plus 1 replica.
-	if len(cells) < 9 {
-		t.Fatalf("covered cells = %d, want >= 9", len(cells))
+	if len(segs) != 1 || len(cells) < 9 {
+		t.Fatalf("%d segments, covered cells = %d, want 1 and >= 9", len(segs), len(cells))
 	}
 	for _, c := range cells {
-		inside := false
-		for _, s := range segs {
-			if c.Off >= s.Off && c.End() <= s.End {
-				inside = true
-			}
-		}
-		if !inside {
+		if c.Off < segs[0].Off || c.End() > segs[0].End {
 			t.Fatalf("cell at %d reported covered but isn't", c.Off)
 		}
+	}
+	if want := refCoveredCells(lay, segs); !slices.Equal(cells, want) {
+		t.Fatalf("covered cells %v, reference %v", cells, want)
 	}
 }
 

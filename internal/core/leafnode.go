@@ -139,16 +139,13 @@ type leafImage struct {
 	buf  []byte
 	vals []byte   // span*valSize gather area; nil unless entry cells are big
 	hop  []uint16 // inRangeIfConsistent scratch: span expected bitmaps, then span stored
-
-	covered []cell // checkRanges scratch, room for every cell
 }
 
 func newLeafImage(lay *leafLayout) *leafImage {
 	im := &leafImage{
-		lay:     lay,
-		buf:     make([]byte, lay.size),
-		hop:     make([]uint16, 2*lay.span),
-		covered: make([]cell, 0, len(lay.allCells)),
+		lay: lay,
+		buf: make([]byte, lay.size),
+		hop: make([]uint16, 2*lay.span),
 	}
 	if lay.entryCells[0].Big {
 		im.vals = make([]byte, lay.span*lay.valSize)
@@ -219,17 +216,24 @@ func (im *leafImage) slot(i int) (occupied bool, hopBM uint16, key uint64) {
 //
 //chime:noalloc
 func (im *leafImage) entry(i int) leafEntry {
-	lay := im.lay
 	var e leafEntry
 	e.occupied, e.hopBM, e.key = im.slot(i)
-	if c := lay.entryCells[i]; c.Big {
-		e.value = im.vals[i*lay.valSize : (i+1)*lay.valSize : (i+1)*lay.valSize]
-		readCellContentAt(im.buf, c, lay.valOff, e.value)
-	} else {
-		v := c.Off + 1 + lay.valOff
-		e.value = im.buf[v : v+lay.valSize : v+lay.valSize]
-	}
+	e.value = im.value(i)
 	return e
+}
+
+// value is slot i's value, in place (a scan knows the rest of the slot).
+//
+//chime:noalloc
+func (im *leafImage) value(i int) []byte {
+	lay := im.lay
+	if lay.entryCells[0].Big {
+		v := im.vals[i*lay.valSize : (i+1)*lay.valSize : (i+1)*lay.valSize]
+		readCellContentAt(im.buf, lay.entryCells[i], lay.valOff, v)
+		return v
+	}
+	v := lay.entryCells[i].Off + 1 + lay.valOff
+	return im.buf[v : v+lay.valSize : v+lay.valSize]
 }
 
 // setEntryNoBump encodes slot i in place without touching versions (bulk
@@ -374,8 +378,8 @@ func (im *leafImage) probe(home int, key uint64) (slot int, value []byte, consis
 			continue
 		}
 		i := (home + d) % im.lay.span
-		if e := im.entry(i); e.occupied && e.key == key {
-			return i, e.value, true
+		if occupied, _, k := im.slot(i); occupied && k == key {
+			return i, im.value(i), true
 		}
 	}
 	return -1, nil, true
@@ -451,25 +455,48 @@ func (l *leafLayout) neighborhoodIndexes(dst []int, home, count int) []int {
 	return dst
 }
 
-// coveredCells appends to dst the cells fully contained in the given
-// ranges: what a version check over exactly the fetched bytes covers.
-func (l *leafLayout) coveredCells(dst []cell, ranges []byteRange) []cell {
-	for _, c := range l.allCells {
-		for _, r := range ranges {
-			if c.Off >= r.Off && c.End() <= r.End {
-				dst = append(dst, c)
-				break
-			}
+// cellsIn returns the cells fully inside r. Cells are laid out one
+// after another, so they form one run of allCells: its first cell is
+// one binary search on the cells' starts, and it ends at the first cell
+// that reaches past r, no further than the check of the run walks.
+//
+//chime:noalloc
+func (l *leafLayout) cellsIn(r byteRange) []cell {
+	cells := l.allCells
+	lo, hi := 0, len(cells)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); cells[m].Off < r.Off {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return dst
+	for hi < len(cells) && cells[hi].End() <= r.End {
+		hi++
+	}
+	return cells[lo:hi]
 }
 
 // checkRanges validates the version bytes of every cell the fetched
-// ranges cover.
+// ranges cover, all against the NV of the first.
+//
+//chime:noalloc
 func (im *leafImage) checkRanges(ranges []byteRange) error {
-	im.covered = im.lay.coveredCells(im.covered[:0], ranges)
-	return checkVersions(im.buf, 0, im.covered)
+	var nv uint8
+	first := true
+	for _, r := range ranges {
+		cells := im.lay.cellsIn(r)
+		if len(cells) == 0 {
+			continue
+		}
+		if first {
+			nv, first = verNV(im.buf[cells[0].Off]), false
+		}
+		if err := checkVersionsNV(im.buf, 0, cells, nv); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // metaInRanges returns the group index of a metadata replica fully

@@ -44,9 +44,11 @@ const (
 type mnProgram struct {
 	ix *Index
 
-	// nodes recycles internal-node images across descents: the program
-	// has no client whose free list it could use.
+	// nodes recycles internal-node images across descents, and scans
+	// the offloaded scans' state: the program has no client whose free
+	// list or scratch it could use.
 	nodes sync.Pool // of *internalImage
+	scans sync.Pool // of *mnScanState
 }
 
 // mnStep is the internal control-flow verdict of the program's helpers:
@@ -389,12 +391,14 @@ func (p *mnProgram) readWholeLeaf(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint
 }
 
 // mnScanState carries one offloaded scan attempt along the leaf chain:
-// its progress and the scratch every leaf reuses.
+// its progress and the scratch every leaf reuses. The scratch outlives
+// the invocation in mnProgram.scans; emitted starts over per attempt.
 type mnScanState struct {
 	emitted int
 	slots   []offroute.ScanSlot // one leaf's in-range entries
 	rec     []byte              // the [8B key][value] record being emitted
 	block   []byte              // indirect: the KV block being read
+	sort    offroute.SortScratch
 }
 
 // conflict is the verdict for an optimistic conflict met mid-scan.
@@ -417,11 +421,16 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 	if limit <= 0 {
 		return dmsim.OffloadOK
 	}
+	sc, _ := p.scans.Get().(*mnScanState)
+	if sc == nil {
+		sc = new(mnScanState)
+	}
+	defer p.scans.Put(sc)
 	for attempt := 0; attempt < mnTornRetries; attempt++ {
 		leaf, step := p.descend(ctx, start)
 		if step.done && step.st == dmsim.OffloadOK {
-			var sc mnScanState
-			step = p.scanChain(ctx, leaf, start, limit, &sc)
+			sc.emitted = 0
+			step = p.scanChain(ctx, leaf, start, limit, sc)
 		}
 		if step.done {
 			return step.st
@@ -465,8 +474,8 @@ func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, leaf dmsim.GAddr, start uint64, 
 // emits them. more reports that the leaf is exhausted with the limit not
 // yet reached; otherwise the step is the scan's verdict.
 func (p *mnProgram) emitLeaf(ctx *dmsim.MNCtx, im *leafImage, limit int, sc *mnScanState) (step mnStep, more bool) {
-	for _, s := range offroute.SortedPrefix(sc.slots, limit-sc.emitted) {
-		val := im.entry(s.Idx).value
+	for _, s := range offroute.SortedPrefix(sc.slots, limit-sc.emitted, &sc.sort) {
+		val := im.value(s.Idx)
 		if p.ix.opts.Indirect {
 			ptr := ptrOf(val)
 			if ptr.IsNil() {

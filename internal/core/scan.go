@@ -209,10 +209,10 @@ func (c *Client) collectLeaf(ref leafRef, im *leafImage, slots []offroute.ScanSl
 	}
 	c.postLeafReads()
 
-	slots = offroute.SortedPrefix(slots, want)
+	slots = offroute.SortedPrefix(slots, want, &c.scanSort)
 	if !c.ix.opts.Indirect {
 		for _, s := range slots {
-			sb.Add(s.Key, im.entry(s.Idx).value)
+			sb.Add(s.Key, im.value(s.Idx))
 		}
 		return nil
 	}
@@ -226,7 +226,7 @@ func (c *Client) collectLeaf(ref leafRef, im *leafImage, slots []offroute.ScanSl
 	pends := c.scanPends[:0]
 	var firstErr error
 	for n, s := range slots {
-		ptr := ptrOf(im.entry(s.Idx).value)
+		ptr := ptrOf(im.value(s.Idx))
 		if ptr.IsNil() {
 			firstErr = errRestart
 			break

@@ -204,11 +204,13 @@ type Client struct {
 
 	// Scan state (scan.go), made on the first scan and reused by every
 	// later one: the window of whole-leaf reads and the leaves the cached
-	// parent named for it, the arrived leaf's in-range slots, and on the
-	// indirect path its posted block reads and their buffers.
+	// parent named for it, the arrived leaf's in-range slots and the
+	// scratch that sorts them, and on the indirect path its posted block
+	// reads and their buffers.
 	scanWin    offroute.ScanWindow[leafRead]
 	scanAhead  []dmsim.GAddr
 	scanSlots  []offroute.ScanSlot
+	scanSort   offroute.SortScratch
 	scanPends  []*dmsim.Completion
 	scanBlocks []byte
 

@@ -215,7 +215,7 @@ func walkChain(t *testing.T, cl *Client) []chainLeaf {
 			t.Fatal(err)
 		}
 		leaf := chainLeaf{addr: addr}
-		for _, s := range offroute.SortedPrefix(slots, len(slots)) {
+		for _, s := range offroute.SortedPrefix(slots, len(slots), new(offroute.SortScratch)) {
 			leaf.keys = append(leaf.keys, s.Key)
 		}
 		chain = append(chain, leaf)

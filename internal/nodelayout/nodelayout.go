@@ -167,11 +167,9 @@ func ZeroCellContentAt(img []byte, c Cell, off, n int) {
 // BumpNV increments the node-level version in every version byte of the
 // given cells (a node write).
 func BumpNV(img []byte, cells []Cell) {
-	var offs [16]int
 	for _, c := range cells {
-		for _, o := range c.VersionOffsets(offs[:0]) {
-			b := img[o]
-			img[o] = PackVer(VerNV(b)+1, VerEV(b))
+		for o := c.Off; o < c.End(); o += LineSize {
+			img[o] = PackVer(VerNV(img[o])+1, VerEV(img[o]))
 		}
 	}
 }
@@ -179,10 +177,8 @@ func BumpNV(img []byte, cells []Cell) {
 // BumpEV increments the entry-level version in one cell's version bytes
 // (an entry write).
 func BumpEV(img []byte, c Cell) {
-	var offs [16]int
-	for _, o := range c.VersionOffsets(offs[:0]) {
-		b := img[o]
-		img[o] = PackVer(VerNV(b), VerEV(b)+1)
+	for o := c.Off; o < c.End(); o += LineSize {
+		img[o] = PackVer(VerNV(img[o]), VerEV(img[o])+1)
 	}
 }
 
@@ -194,22 +190,34 @@ var ErrTornRead = errors.New("nodelayout: torn read (version mismatch)")
 // given cell must carry the same NV, and within each cell all version
 // bytes must be identical (same NV and EV). Cell offsets are image
 // offsets; winOff is the image offset where the window begins.
+//
+//chime:noalloc
 func CheckVersions(win []byte, winOff int, cells []Cell) error {
-	first := true
-	var nv uint8
-	var offs [16]int
-	for _, c := range cells {
-		vo := c.VersionOffsets(offs[:0])
-		b0 := win[vo[0]-winOff]
-		if first {
-			nv = VerNV(b0)
-			first = false
-		} else if VerNV(b0) != nv {
+	if len(cells) == 0 {
+		return nil
+	}
+	return CheckVersionsNV(win, winOff, cells, VerNV(win[cells[0].Off-winOff]))
+}
+
+// CheckVersionsNV is CheckVersions against a given NV: a window fetched
+// as several ranges checks the cells of each against the NV of the
+// first. A cell's version bytes are the bytes at Off, Off+LineSize, ...
+// up to its end — one for a cell that fits a line, which is most of
+// them, and nothing to compare it to but nv.
+//
+//chime:noalloc
+func CheckVersionsNV(win []byte, winOff int, cells []Cell, nv uint8) error {
+	for i := range cells {
+		c := &cells[i]
+		b0 := win[c.Off-winOff]
+		if VerNV(b0) != nv {
 			return ErrTornRead
 		}
-		for _, o := range vo[1:] {
-			if win[o-winOff] != b0 {
-				return ErrTornRead
+		if c.Big {
+			for o := c.Off + LineSize - winOff; o < c.End()-winOff; o += LineSize {
+				if win[o] != b0 {
+					return ErrTornRead
+				}
 			}
 		}
 	}

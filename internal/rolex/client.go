@@ -459,7 +459,7 @@ func (c *Client) scanOneSided(sb *offroute.ScanBuf, start uint64, count int) err
 			slots = lf.im.inRange(slots, start, n*lay.span)
 		}
 		c.scanSlots = slots[:0]
-		offroute.SortSlots(slots)
+		offroute.SortSlots(slots, &c.slotSort)
 		if !c.ix.opts.Indirect {
 			slots = slots[:min(count-len(sb.Out), len(slots))]
 		}

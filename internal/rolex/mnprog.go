@@ -40,6 +40,7 @@ type mnScratch struct {
 	slots []offroute.ScanSlot // one group's in-range entries
 	block []byte              // indirect: the KV block being read
 	rec   []byte              // the [8B key][value] record being emitted
+	sort  offroute.SortScratch
 }
 
 // acquire takes a scratch for one invocation; the caller defers release.
@@ -238,7 +239,7 @@ func (p *mnProgram) Scan(ctx *dmsim.MNCtx, start, arg uint64, limit int) dmsim.O
 		for n, lf := range s.group.leaves {
 			s.slots = lf.im.inRange(s.slots, start, n*lay.span)
 		}
-		offroute.SortSlots(s.slots)
+		offroute.SortSlots(s.slots, &s.sort)
 		for _, sl := range s.slots {
 			stored := s.group.leaves[sl.Idx/lay.span].im.value(sl.Idx % lay.span)
 			val, st := p.resolve(ctx, s, sl.Key, stored, dmsim.OffloadRetry)

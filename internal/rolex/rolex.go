@@ -558,11 +558,13 @@ type Client struct {
 
 	// Staging the verbs of one op reuse: the address/buffer lists of a
 	// read or write batch, the cells a neighborhood read covers, a scan's
-	// in-range slots and its indirect KV block.
+	// in-range slots and the scratch that sorts them, and its indirect KV
+	// block.
 	addrs     []dmsim.GAddr
 	bufs      [][]byte
 	covered   []nodelayout.Cell
 	scanSlots []offroute.ScanSlot
+	slotSort  offroute.SortScratch
 	block     []byte
 	hopSlots  []int // the two cells a hopscotch-leaf delete rewrites
 

@@ -176,10 +176,12 @@ type Client struct {
 	placed nodelayout.Placed
 
 	// Staging the verbs of one op reuse: the address/buffer lists of a
-	// write batch, a scan's in-range slots and its indirect KV block.
+	// write batch, a scan's (or a split's) slots and the scratch that
+	// sorts them, and a scan's indirect KV block.
 	wAddrs    []dmsim.GAddr
 	wBufs     [][]byte
 	scanSlots []offroute.ScanSlot
+	slotSort  offroute.SortScratch
 	block     []byte
 
 	// A scan's window of posted whole-leaf reads, and the leaf images
@@ -572,7 +574,7 @@ func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr he
 	lay := c.ix.leaf
 	all := im.occupied(c.scanSlots[:0], 0)
 	c.scanSlots = all[:0]
-	offroute.SortSlots(all)
+	offroute.SortSlots(all, &c.slotSort)
 	var keyBuf [64]uint64 // the default span: a wider leaf's keys go to the heap
 	keys := keyBuf[:0]
 	for _, s := range all {
@@ -786,7 +788,7 @@ func (c *Client) collectLeaf(im *image, hdr header, start uint64, parent *node, 
 	// Before this leaf's values are resolved: the leaf reads overlap the
 	// block reads below.
 	c.postLeafReads()
-	for _, s := range offroute.SortedPrefix(slots, want) {
+	for _, s := range offroute.SortedPrefix(slots, want, &c.slotSort) {
 		v := im.value(s.Idx)
 		if c.ix.leaf.indirect {
 			var err error

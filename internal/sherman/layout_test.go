@@ -218,7 +218,7 @@ func TestSortEntries(t *testing.T) {
 	im.setEntry(2, 10, val8(10), false)
 	im.setEntry(5, 20, val8(20), false)
 	out := im.occupied(nil, 0)
-	offroute.SortSlots(out)
+	offroute.SortSlots(out, new(offroute.SortScratch))
 	want := []offroute.ScanSlot{{Key: 10, Idx: 2}, {Key: 20, Idx: 5}, {Key: 30, Idx: 0}}
 	if len(out) != len(want) {
 		t.Fatalf("sorted slots: %+v", out)

@@ -41,6 +41,7 @@ type mnScratch struct {
 	slots       []offroute.ScanSlot // one leaf's in-range entries
 	block       []byte              // indirect: the KV block being read
 	rec         []byte              // the [8B key][value] record being emitted
+	slotSort    offroute.SortScratch
 }
 
 // acquire takes a scratch for one invocation; the caller defers release.
@@ -325,7 +326,7 @@ func (p *mnProgram) scanChain(ctx *dmsim.MNCtx, s *mnScratch, leaf dmsim.GAddr, 
 			return conflict()
 		}
 		s.slots = im.occupied(s.slots[:0], start)
-		offroute.SortSlots(s.slots)
+		offroute.SortSlots(s.slots, &s.slotSort)
 		for _, sl := range s.slots {
 			val, st, restart := p.resolve(ctx, s, sl.Key, im.value(sl.Idx))
 			if restart {

@@ -88,7 +88,7 @@ func walkChain(t *testing.T, cl *Client) []chainLeaf {
 		}
 		leaf := chainLeaf{addr: addr}
 		slots := im.occupied(nil, 0)
-		for _, s := range offroute.SortedPrefix(slots, len(slots)) {
+		for _, s := range offroute.SortedPrefix(slots, len(slots), new(offroute.SortScratch)) {
 			leaf.keys = append(leaf.keys, s.Key)
 		}
 		chain = append(chain, leaf)
