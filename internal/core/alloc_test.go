@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"reflect"
-	"runtime"
-	"slices"
 	"testing"
 
 	"chime/internal/dmsim"
 	"chime/internal/offroute"
+	"chime/internal/testsupport"
 )
 
 // buildAllocTree loads a tree big enough to have real internal levels,
@@ -46,7 +44,7 @@ func TestSearchAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := allocsPerOp(func(int) {
+	avg := testsupport.AllocsPerOp(func(int) {
 		if _, err := cl.Search(key); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +69,7 @@ func TestScanAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := allocsPerOp(func(int) {
+	avg := testsupport.AllocsPerOp(func(int) {
 		kvs, err := cl.Scan(start, 50)
 		if err != nil || len(kvs) != 50 {
 			t.Fatalf("Scan: %d results, err %v", len(kvs), err)
@@ -107,7 +105,7 @@ func TestScanToAllocatesNothing(t *testing.T) {
 			t.Fatalf("result %d: ScanTo %v, Scan %v", i, buf.Out[i], want[i])
 		}
 	}
-	avg := allocsPerOp(func(int) {
+	avg := testsupport.AllocsPerOp(func(int) {
 		if err := cl.ScanTo(&buf, start, 50); err != nil || len(buf.Out) != 50 {
 			t.Fatalf("ScanTo: %d results, err %v", len(buf.Out), err)
 		}
@@ -147,7 +145,7 @@ func TestOffloadedScanAllocsBounded(t *testing.T) {
 		}
 	}
 	offBefore, _ := cl.OffloadStats()
-	avg := allocsPerOp(func(int) {
+	avg := testsupport.AllocsPerOp(func(int) {
 		if err := cl.ScanTo(&buf, start, 200); err != nil || len(buf.Out) != 200 {
 			t.Fatalf("ScanTo: %d results, err %v", len(buf.Out), err)
 		}
@@ -234,38 +232,6 @@ func TestScanResultOwnership(t *testing.T) {
 	}
 }
 
-// allocsPerOp counts the heap objects one call of op allocates: the
-// median, over allocRounds rounds of allocRoundOps calls, of each
-// round's mean. Between calls, outside the count, reset runs (nil for
-// none), with the same running index as op. A GC that empties a pool
-// mid-count costs the round it lands in a refill, a few objects, and
-// the median does not see that round: an allocating op shows in every
-// round. TestLeafSplitAllocsBounded takes its median the same way.
-func allocsPerOp(op, reset func(i int)) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var ms runtime.MemStats
-	means := make([]float64, allocRounds)
-	for r := range means {
-		var total uint64
-		for j := 0; j < allocRoundOps; j++ {
-			i := r*allocRoundOps + j
-			runtime.ReadMemStats(&ms)
-			before := ms.Mallocs
-			op(i)
-			runtime.ReadMemStats(&ms)
-			total += ms.Mallocs - before
-			if reset != nil {
-				reset(i)
-			}
-		}
-		means[r] = float64(total) / allocRoundOps
-	}
-	slices.Sort(means)
-	return means[allocRounds/2]
-}
-
-const allocRounds, allocRoundOps = 9, 20
-
 // writeAllocSlack is what an allocation bound on a leaf write leaves
 // for the race detector: under -race sync.Pool drops what it is handed,
 // and a leaf image that comes back new is four objects.
@@ -298,7 +264,7 @@ func TestInsertAllocsBounded(t *testing.T) {
 		}
 	}
 	v := val8(2)
-	upsert := allocsPerOp(func(int) {
+	upsert := testsupport.AllocsPerOp(func(int) {
 		if err := cl.Insert(key, v); err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +272,7 @@ func TestInsertAllocsBounded(t *testing.T) {
 	// One placement round outside the count: a fresh key whose leaf has
 	// no room splits it here, so the counted rounds insert without a
 	// split.
-	for i := 0; i < allocRounds*allocRoundOps; i++ {
+	for i := 0; i < testsupport.AllocRounds*testsupport.AllocRoundOps; i++ {
 		if err := cl.Insert(freshKey(i), v); err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +280,7 @@ func TestInsertAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh := allocsPerOp(func(i int) {
+	fresh := testsupport.AllocsPerOp(func(i int) {
 		if err := cl.Insert(freshKey(i), v); err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +307,7 @@ func TestUpdateAllocsBounded(t *testing.T) {
 		}
 	}
 	v := val8(3)
-	avg := allocsPerOp(func(int) {
+	avg := testsupport.AllocsPerOp(func(int) {
 		if err := cl.Update(key, v); err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +333,7 @@ func TestDeleteAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := allocsPerOp(func(i int) {
+	avg := testsupport.AllocsPerOp(func(i int) {
 		if err := cl.Delete(freshKey(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +373,7 @@ func TestWriteBatchAllocsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		avg := allocsPerOp(func(int) {
+		avg := testsupport.AllocsPerOp(func(int) {
 			if err := tc.write(keys, vals, 1)[0]; err != nil {
 				t.Fatal(err)
 			}
@@ -417,14 +383,6 @@ func TestWriteBatchAllocsBounded(t *testing.T) {
 			t.Fatalf("warm singleton %s allocates %.2f objects/op, want <= %.0f: a cycle kernel allocates again", tc.name, avg, max)
 		}
 	}
-}
-
-// completionPool reads two unexported fields of a fabric client: the
-// length of its completion free list, and how many handles its
-// newCompletion allocated because that list was empty.
-func completionPool(dc *dmsim.Client) (free int, allocated int64) {
-	v := reflect.ValueOf(dc).Elem()
-	return v.FieldByName("free").Len(), v.FieldByName("completionAllocs").Int()
 }
 
 // TestWritesReleaseCompletions: every completion a warm write polls goes
@@ -448,13 +406,13 @@ func TestWritesReleaseCompletions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, before := completionPool(cl.dc)
+		_, before := testsupport.CompletionPool(cl.dc)
 		for i := 0; i < 1000; i++ {
 			if err := write(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		free, after := completionPool(cl.dc)
+		free, after := testsupport.CompletionPool(cl.dc)
 		if after != before {
 			t.Errorf("%s: 1000 warm writes allocated %d completions: a polled handle is not released", name, after-before)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -112,11 +113,41 @@ func (f *tearOnce) Decide(v dmsim.VerbInfo) dmsim.FaultDecision {
 
 func (*tearOnce) ObserveCAS(dmsim.CASInfo) {}
 
+// holdLock is a fault injector standing in for another CN's writer that
+// holds one leaf lock: the word carries the lock bit from before the
+// test starts until just before the writer's (n+1)-th atomic, when the
+// holder's release writes the free word back. The writer's first n lock
+// CASes fail.
+type holdLock struct {
+	writer  int64
+	n       int64
+	w       *dmsim.Client
+	addr    dmsim.GAddr
+	free    []byte
+	atomics int64
+}
+
+func (h *holdLock) Decide(v dmsim.VerbInfo) dmsim.FaultDecision {
+	if v.Client != h.writer || v.Class != dmsim.VerbAtomic {
+		return dmsim.FaultDecision{}
+	}
+	if h.atomics++; h.atomics == h.n+1 {
+		if err := h.w.Write(h.addr, h.free); err != nil {
+			panic(err)
+		}
+	}
+	return dmsim.FaultDecision{}
+}
+
+func (*holdLock) ObserveCAS(dmsim.CASInfo) {}
+
 // TestBatchPathsCountTornReadsAndSiblingChases: the batch entry points
 // run the same descent and leaf stage as the synchronous ones, so a torn
 // internal-node read and a half-split sibling chase met under
 // SearchBatch / InsertBatch / UpdateBatch show up in the obs counters
-// (they never did while the batch engines were separate copies).
+// (they never did while the batch engines were separate copies), and so
+// does a failed lock CAS of a batch write (the batch writers counted
+// none).
 func TestBatchPathsCountTornReadsAndSiblingChases(t *testing.T) {
 	for _, path := range []string{"SearchBatch", "UpdateBatch", "InsertBatch"} {
 		t.Run(path, func(t *testing.T) {
@@ -205,6 +236,33 @@ func TestBatchPathsCountTornReadsAndSiblingChases(t *testing.T) {
 			}
 			if got := counter(obs.NameTornRead) - torn0; got != 1 {
 				t.Errorf("%s: obs %s moved by %d across one torn root read, want 1", path, obs.NameTornRead, got)
+			}
+
+			// A contended leaf lock: another CN's writer holds the leaf of
+			// keys[0] through the batch's first two lock CASes.
+			if path == "SearchBatch" {
+				return
+			}
+			ref, err := cl.descend(keys[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := leafLockAddr(ref.addr)
+			free := make([]byte, 8)
+			if err := w.DM().Read(addr, free); err != nil {
+				t.Fatal(err)
+			}
+			locked := binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(free)|lockBit)
+			if err := w.DM().Write(addr, locked); err != nil {
+				t.Fatal(err)
+			}
+			hold := &holdLock{writer: cl.DM().ID(), n: 2, w: w.DM(), addr: addr, free: free}
+			f.SetFaultInjector(hold)
+			backoffs0 := counter(obs.NameLockBackoff)
+			batch(keys[:1])
+			f.SetFaultInjector(nil)
+			if got := counter(obs.NameLockBackoff) - backoffs0; got != 2 {
+				t.Errorf("%s: obs %s moved by %d across two failed lock CASes, want 2", path, obs.NameLockBackoff, got)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"chime/internal/dmsim"
 	"chime/internal/obs"
+	"chime/internal/offroute"
 )
 
 // The point-read engine. One key is a small state machine (searchOp)
@@ -94,77 +95,44 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 // keys). depth <= 1 degenerates to sequential pipelining of one key at
 // a time; results are positionally aligned with keys.
 func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
-	n := len(keys)
-	vals := make([][]byte, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return vals, errs
-	}
-	if sp := c.obs.Tracer.Begin("chime.search_batch", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		sp.Arg("keys", n)
-		sp.Arg("depth", depth)
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpBatchRead, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if depth < 1 {
-		depth = 1
-	}
-
-	// The ops in flight form a FIFO ring of depth slots.
-	if cap(c.opRing) < depth {
-		c.opRing = make([]*searchOp, depth)
-	}
-	ring := c.opRing[:depth]
-	head, live, next := 0, 0, 0
-	finish := func(op *searchOp) {
-		vals[op.idx], errs[op.idx] = op.val, op.err
-		c.opFree = append(c.opFree, op)
-	}
-	admit := func() {
-		for next < n && live < depth {
-			op := c.newSearchOp(keys[next], next)
-			next++
-			c.beginOp(op)
-			if op.state == opDone {
-				finish(op)
-				continue
-			}
-			ring[(head+live)%depth] = op
-			live++
-		}
-	}
-	admit()
-	for live > 0 {
-		op := ring[head]
-		head = (head + 1) % depth
-		live--
-		c.stepOp(op)
-		if op.state == opDone {
-			finish(op)
-			admit()
-		} else {
-			ring[(head+live)%depth] = op
-			live++
-		}
-	}
+	b := &c.sb
+	b.c, b.keys, b.vals = c, keys, make([][]byte, len(keys))
+	errs := b.ring.Run(&c.port, ".search_batch", obs.OpBatchRead, len(keys), depth, b)
+	vals := b.vals
+	b.keys, b.vals = nil, nil
 	return vals, errs
 }
 
-// newSearchOp returns a reset batch op for key, reusing a finished one
-// (and its path capacity) when the client has any.
-func (c *Client) newSearchOp(key uint64, idx int) *searchOp {
-	var op *searchOp
-	if n := len(c.opFree); n > 0 {
-		op = c.opFree[n-1]
-		c.opFree = c.opFree[:n-1]
-	} else {
-		op = new(searchOp)
-	}
-	op.reset(key, idx, false)
+// searchBatch runs SearchBatch's ops on the ring, reusing finished ones
+// (and their path capacity) from batch to batch.
+type searchBatch struct {
+	c      *Client
+	ring   offroute.Ring[*searchOp]
+	keys   []uint64
+	vals   [][]byte
+	opFree offroute.Free[searchOp]
+}
+
+func (b *searchBatch) Start(i int) *searchOp {
+	op := b.opFree.Get()
+	op.reset(b.keys[i], i, false)
+	b.c.beginOp(op)
 	return op
+}
+
+func (b *searchBatch) Step(op *searchOp) { b.c.stepOp(op) }
+
+func (b *searchBatch) State(op *searchOp) offroute.OpState {
+	if op.state == opDone {
+		return offroute.OpDone
+	}
+	return offroute.OpRunnable
+}
+
+func (b *searchBatch) Finish(op *searchOp) (int, error) {
+	b.vals[op.idx] = op.val
+	b.opFree.Put(op)
+	return op.idx, op.err
 }
 
 // beginOp (re)starts a key's traversal.

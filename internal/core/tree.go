@@ -189,11 +189,6 @@ type Client struct {
 
 	backoff dmsim.Backoff
 
-	// Write-pipeline counters: leaf write cycles executed and batch keys
-	// absorbed into an already-open cycle (per-leaf write combining).
-	wcCycles   int64
-	wcCombined int64
-
 	// Instruments resolved from the CN's sink at construction; all
 	// fields are nil-safe no-ops without a sink.
 	obs obs.IndexInstruments
@@ -246,10 +241,10 @@ type Client struct {
 	desc descent
 	sop  searchOp
 
-	// SearchBatch scratch (pipeline.go): finished ops for the next
-	// batch to reuse, and the FIFO ring of the ops in flight.
-	opFree []*searchOp
-	opRing []*searchOp
+	// The batch ops (pipeline.go, writepipeline.go), last: the hot
+	// fields above keep their cache lines.
+	sb  searchBatch
+	wps wpSched
 }
 
 // NewClient creates a client handle bound to this compute node.

@@ -186,13 +186,7 @@ func (c *Client) writeRangeAndUnlock(leaf dmsim.GAddr, im *leafImage, ranges []b
 // Insert adds or overwrites a key (upsert semantics, as YCSB inserts
 // and loads expect).
 func (c *Client) Insert(key uint64, value []byte) error {
-	if sp := c.obs.Tracer.Begin("chime.insert", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpInsert, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
+	defer c.port.End(c.port.Begin(".insert", obs.OpInsert))
 	val, err := c.prepareValue(key, value)
 	if err != nil {
 		return err
@@ -719,13 +713,7 @@ func (c *Client) updateOneSided(key uint64, value []byte) error {
 // merges are not triggered (structural merging is a rare path the paper
 // inherits from DM B+ trees).
 func (c *Client) Delete(key uint64) error {
-	if sp := c.obs.Tracer.Begin("chime.delete", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpDelete, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
+	defer c.port.End(c.port.Begin(".delete", obs.OpDelete))
 	return c.modifyEntry(key, nil)
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
-	"chime/internal/obs"
+	"chime/internal/offroute"
 )
 
 // Pipelined batch writes (async verb pipelining, write side). InsertBatch
@@ -91,30 +91,34 @@ type writeCycle struct {
 	settled []*writeOp
 }
 
-// wpSched is the per-batch scheduler state.
+// wpSched is a client's batch writer: the ring its ops run on and the
+// batch being run.
 type wpSched struct {
+	c      *Client
+	ring   offroute.Ring[*writeOp]
+	kind   writeKind
+	keys   []uint64
+	values [][]byte
+
 	// cycles maps packed leaf address -> the currently collecting cycle.
 	cycles map[uint64]*writeCycle
-	// wake collects ops whose state was changed off-queue (restarted or
-	// completed followers, promoted leaders); the scheduler re-settles
-	// them after every step.
-	wake []*writeOp
 
-	cyclesN  int64
-	combined int64
+	// Leaf write cycles run and keys absorbed into an already-open cycle,
+	// over the client's batches (per-leaf write combining).
+	cyclesN, combined int64
 }
 
 // InsertBatch performs up to depth concurrent upserts (Insert semantics)
 // on this client. Results are positionally aligned with keys; a nil
 // error means the key is durably written.
 func (c *Client) InsertBatch(keys []uint64, values [][]byte, depth int) []error {
-	return c.runWriteBatch(writeUpsert, keys, values, depth)
+	return c.writeBatch(writeUpsert, keys, values, depth)
 }
 
 // UpdateBatch performs up to depth concurrent overwrite-only updates,
 // returning ErrNotFound per absent key.
 func (c *Client) UpdateBatch(keys []uint64, values [][]byte, depth int) []error {
-	return c.runWriteBatch(writeUpdate, keys, values, depth)
+	return c.writeBatch(writeUpdate, keys, values, depth)
 }
 
 // MultiPut is the bench-facing alias for InsertBatch.
@@ -126,106 +130,50 @@ func (c *Client) MultiPut(keys []uint64, values [][]byte, depth int) []error {
 // pipeline has executed on this client and how many batch keys were
 // absorbed into an already-open cycle on the same leaf.
 func (c *Client) WriteCombineStats() (cycles, combinedKeys int64) {
-	return c.wcCycles, c.wcCombined
+	return c.wps.cyclesN, c.wps.combined
 }
 
-func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, depth int) []error {
-	n := len(keys)
-	errs := make([]error, n)
-	if n == 0 {
-		return errs
+func (c *Client) writeBatch(kind writeKind, keys []uint64, values [][]byte, depth int) []error {
+	st := &c.wps
+	if st.c == nil {
+		*st = wpSched{c: c, cycles: make(map[uint64]*writeCycle)}
 	}
-	if sp := c.obs.Tracer.Begin("chime.write_batch", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		sp.Arg("keys", n)
-		sp.Arg("depth", depth)
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpBatchWrite, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if len(values) != n {
-		err := fmt.Errorf("core: write batch: %d keys but %d values", n, len(values))
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	if depth < 1 {
-		depth = 1
-	}
-
-	st := &wpSched{cycles: make(map[uint64]*writeCycle)}
-	var queue []*writeOp
-	var all []*writeOp
-	live := 0
-	next := 0
-
-	settle := func(op *writeOp) {
-		switch op.state {
-		case wpDone:
-			errs[op.idx] = op.err
-			live--
-		case wpJoined:
-			// Parked on a cycle; its leader drives it from here.
-		default:
-			queue = append(queue, op)
-		}
-	}
-	drain := func() {
-		for len(st.wake) > 0 {
-			w := st.wake
-			st.wake = nil
-			for _, op := range w {
-				settle(op)
-			}
-		}
-	}
-	admit := func() {
-		for next < n && live < depth {
-			op := &writeOp{kind: kind, key: keys[next], idx: next}
-			next++
-			live++
-			all = append(all, op)
-			val, err := c.prepareValue(op.key, values[op.idx])
-			if err != nil {
-				op.err, op.state = err, wpDone
-			} else {
-				op.val = val
-				c.beginWriteOp(st, op)
-			}
-			settle(op)
-			drain()
-		}
-	}
-
-	admit()
-	for live > 0 {
-		if len(queue) == 0 {
-			// Every live op must be queued or parked under a queued leader;
-			// an empty queue with live ops is a scheduler bug. Fail them
-			// rather than spin forever.
-			for _, op := range all {
-				if op.state != wpDone {
-					errs[op.idx] = fmt.Errorf("core: write batch(%#x): scheduler stalled in state %d", op.key, op.state)
-				}
-			}
-			break
-		}
-		op := queue[0]
-		queue = queue[1:]
-		c.stepWriteOp(st, op)
-		settle(op)
-		drain()
-		admit()
-	}
-
-	c.wcCycles += st.cyclesN
-	c.wcCombined += st.combined
-	c.obs.WCCycles.Add(st.cyclesN)
-	c.obs.WCCombined.Add(st.combined)
+	st.kind, st.keys, st.values = kind, keys, values
+	cycles, combined := st.cyclesN, st.combined
+	errs := st.ring.Write(&c.port, len(keys), len(values), depth, st)
+	st.keys, st.values = nil, nil
+	c.obs.WCCycles.Add(st.cyclesN - cycles)
+	c.obs.WCCombined.Add(st.combined - combined)
 	return errs
 }
+
+// Start admits key i: its op, prepared and begun.
+func (st *wpSched) Start(i int) *writeOp {
+	c := st.c
+	op := &writeOp{kind: st.kind, key: st.keys[i], idx: i}
+	val, err := c.prepareValue(op.key, st.values[i])
+	if err != nil {
+		op.err, op.state = err, wpDone
+		return op
+	}
+	op.val = val
+	c.beginWriteOp(st, op)
+	return op
+}
+
+func (st *wpSched) Step(op *writeOp) { st.c.stepWriteOp(st, op) }
+
+func (st *wpSched) State(op *writeOp) offroute.OpState {
+	switch op.state {
+	case wpDone:
+		return offroute.OpDone
+	case wpJoined:
+		return offroute.OpParked
+	}
+	return offroute.OpRunnable
+}
+
+func (st *wpSched) Finish(op *writeOp) (int, error) { return op.idx, op.err }
 
 // beginWriteOp (re)starts a key's traversal toward its leaf.
 func (c *Client) beginWriteOp(st *wpSched, op *writeOp) {
@@ -324,6 +272,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: lock acquisition starved", cy.leaf), false)
 				return
 			}
+			c.obs.LockBackoffs.Inc()
 			c.backoff.Yield(c.dc)
 			c.postCycleLock(st, op) // the cycle keeps collecting meanwhile
 			return
@@ -357,6 +306,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 		// The lock is held, so tearing cannot happen; validate anyway for
 		// defense in depth (mirrors the sync path).
 		if err := cy.im.checkRanges(cy.ranges); err != nil {
+			c.obs.TornReads.Inc()
 			op.torn++
 			if op.torn > maxRetries {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", cy.leaf), true)
@@ -380,7 +330,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 			}
 			d.state = wpDone
 			if d != op {
-				st.wake = append(st.wake, d)
+				st.ring.Wake(d)
 			}
 		}
 		c.releaseCycle(cy)
@@ -473,7 +423,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		op.cy = nil
 		f(op)
 		if op != stepped {
-			st.wake = append(st.wake, op)
+			st.ring.Wake(op)
 		}
 	}
 
@@ -525,7 +475,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		c.releaseCycle(cy)
 		return
 	}
-	if !containsWriteOp(pending, cy.leader) {
+	if !slices.Contains(pending, cy.leader) {
 		cy.leader = pending[0]
 	}
 
@@ -574,7 +524,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 			drv := cy.leader
 			c.postCycleWholeFetch(st, drv)
 			if drv != stepped {
-				st.wake = append(st.wake, drv)
+				st.ring.Wake(drv)
 			}
 			return
 		}
@@ -616,7 +566,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 	drv := cy.leader
 	drv.state = wpWriteWait
 	if drv != stepped {
-		st.wake = append(st.wake, drv)
+		st.ring.Wake(drv)
 	}
 }
 
@@ -634,7 +584,7 @@ func (c *Client) splitCycle(st *wpSched, cy *writeCycle, stepped, splitter *writ
 		}
 		op.state = wpDone
 		if op != stepped {
-			st.wake = append(st.wake, op)
+			st.ring.Wake(op)
 		}
 	}
 	splitter.cy = nil
@@ -644,13 +594,13 @@ func (c *Client) splitCycle(st *wpSched, cy *writeCycle, stepped, splitter *writ
 		c.restartWriteOp(st, splitter)
 	}
 	if splitter != stepped {
-		st.wake = append(st.wake, splitter)
+		st.ring.Wake(splitter)
 	}
 	for _, op := range rest {
 		op.cy = nil
 		c.restartWriteOp(st, op)
 		if op != stepped {
-			st.wake = append(st.wake, op)
+			st.ring.Wake(op)
 		}
 	}
 	c.releaseCycle(cy)
@@ -688,15 +638,6 @@ func mergedCellRanges(dst []byteRange, lay *leafLayout, changed []int) []byteRan
 		}
 	}
 	return out
-}
-
-func containsWriteOp(ops []*writeOp, op *writeOp) bool {
-	for _, o := range ops {
-		if o == op {
-			return true
-		}
-	}
-	return false
 }
 
 // rearriveWriteOp re-enters the leaf layer at a sibling (B-link chase).
@@ -742,7 +683,7 @@ func (c *Client) failCycle(st *wpSched, stepped *writeOp, err error, locked bool
 		op.cy = nil
 		c.failWriteOp(op, err)
 		if op != stepped {
-			st.wake = append(st.wake, op)
+			st.ring.Wake(op)
 		}
 	}
 	c.releaseCycle(cy)

@@ -70,7 +70,10 @@ type ticket struct {
 	t0, trips0      int64
 }
 
-func (p *Port) begin(op string, class obs.OpClass) (sp *obs.Span) {
+// Begin opens one op: its trace span, "<prefix><op>", and its
+// flight-ledger op of the class. End closes both. The routed entry points
+// bracket themselves; an index brackets its other ops with the pair.
+func (p *Port) Begin(op string, class obs.OpClass) (sp *obs.Span) {
 	now := p.DC.Now()
 	if p.Tracer != nil { // the name is only built when someone records it
 		sp = p.Tracer.Begin(p.SpanPrefix+op, "idx", p.DC.ID(), now)
@@ -79,7 +82,8 @@ func (p *Port) begin(op string, class obs.OpClass) (sp *obs.Span) {
 	return sp
 }
 
-func (p *Port) end(sp *obs.Span) {
+// End closes what Begin opened.
+func (p *Port) End(sp *obs.Span) {
 	now := p.DC.Now()
 	p.DC.Flight().End(now)
 	sp.End(now)
@@ -114,7 +118,7 @@ func (p *Port) arg(key uint64) uint64 {
 // Search performs a point query, ErrNotFound when the key is absent.
 // Offloaded, it is one LeafSearchAtMN RPC.
 func (p *Port) Search(key uint64) (val []byte, err error) {
-	sp := p.begin(".search", obs.OpSearch)
+	sp := p.Begin(".search", obs.OpSearch)
 	tk := p.admit(p.ReadOK)
 	oneSided := !tk.offload
 	if tk.offload {
@@ -124,7 +128,7 @@ func (p *Port) Search(key uint64) (val []byte, err error) {
 		n, st, verr := p.DC.LeafSearchAtMN(p.Prog, p.MN, key, p.arg(key), p.buf)
 		switch {
 		case verr != nil:
-			p.end(sp)
+			p.End(sp)
 			return nil, verr
 		case st.Fallback():
 			oneSided = true
@@ -138,21 +142,21 @@ func (p *Port) Search(key uint64) (val []byte, err error) {
 		val, err = p.SearchOneSided(key)
 	}
 	p.settle(tk)
-	p.end(sp)
+	p.End(sp)
 	return val, err
 }
 
 // Update overwrites the value of an existing key, ErrNotFound when it is
 // absent. Offloaded, it is one CompareAndCASAtMN RPC.
 func (p *Port) Update(key uint64, value []byte) (err error) {
-	sp := p.begin(".update", obs.OpUpdate)
+	sp := p.Begin(".update", obs.OpUpdate)
 	tk := p.admit(p.UpdateOK)
 	oneSided := !tk.offload
 	if tk.offload {
 		st, verr := p.DC.CompareAndCASAtMN(p.Prog, p.MN, key, p.arg(key), value)
 		switch {
 		case verr != nil:
-			p.end(sp)
+			p.End(sp)
 			return verr
 		case st.Fallback():
 			oneSided = true
@@ -164,7 +168,7 @@ func (p *Port) Update(key uint64, value []byte) (err error) {
 		err = p.UpdateOneSided(key, value)
 	}
 	p.settle(tk)
-	p.end(sp)
+	p.End(sp)
 	return err
 }
 
@@ -177,7 +181,7 @@ func (p *Port) ScanTo(buf *ScanBuf, start uint64, count int) (err error) {
 		buf.Out = buf.Out[:0]
 		return nil
 	}
-	sp := p.begin(".scan", obs.OpScan)
+	sp := p.Begin(".scan", obs.OpScan)
 	tk := p.admit(p.ReadOK)
 	oneSided := !tk.offload
 	if tk.offload {
@@ -186,7 +190,7 @@ func (p *Port) ScanTo(buf *ScanBuf, start uint64, count int) (err error) {
 		n, st, verr := p.DC.ScatterGatherScan(p.Prog, p.MN, start, arg, count, dst)
 		switch {
 		case verr != nil:
-			p.end(sp)
+			p.End(sp)
 			return verr
 		case st.Fallback():
 			oneSided = true
@@ -201,7 +205,7 @@ func (p *Port) ScanTo(buf *ScanBuf, start uint64, count int) (err error) {
 		err = p.ScanOneSided(buf, start, count)
 	}
 	p.settle(tk)
-	p.end(sp)
+	p.End(sp)
 	return err
 }
 

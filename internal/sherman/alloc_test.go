@@ -2,9 +2,11 @@ package sherman
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"chime/internal/dmsim"
+	"chime/internal/testsupport"
 )
 
 // buildAllocTree loads n keys (7, 14, …; key 7i holds val8(i)) and
@@ -33,8 +35,10 @@ func buildAllocTree(tb testing.TB, n int) *Client {
 
 // The bounds below are the measured warm figures plus a little slack, so
 // they trip on a per-slot, per-node or per-entry allocation coming back,
-// not on noise. Decoding every probed slot into a fresh slice cost this
-// search 30 allocations, this update 32 and this 50-key scan 371.
+// not on noise; testsupport.AllocsPerOp takes the median of nine rounds,
+// so a GC landing in one round does not trip them either. Decoding every
+// probed slot into a fresh slice cost this search 30 allocations, this
+// update 32 and this 50-key scan 371.
 
 func TestSearchAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
@@ -44,34 +48,148 @@ func TestSearchAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(200, func() {
+	avg := testsupport.AllocsPerOp(func(int) {
 		if _, err := cl.Search(key); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}, nil)
 	const maxAllocs = 2 // measured 1: the returned value
 	if avg > maxAllocs {
-		t.Fatalf("warm Search allocates %.1f objects/op, want <= %d", avg, maxAllocs)
+		t.Fatalf("warm Search allocates %.2f objects/op, want <= %d", avg, maxAllocs)
+	}
+}
+
+// The one-key writes allocate nothing: Update, Insert and Delete step
+// the client's own op and cycle, whose descent, leaf image, doorbell
+// lists and completions are all reused, and the local lock table keeps
+// its slots by value. pinNoAllocs warms write over every index a counted
+// round uses — so a leaf that must split has split — then pins it at 0.
+func pinNoAllocs(t *testing.T, name string, write func(i int)) {
+	t.Helper()
+	for i := 0; i < testsupport.AllocRounds*testsupport.AllocRoundOps; i++ {
+		write(i)
+	}
+	avg := testsupport.AllocsPerOp(write, nil)
+	t.Logf("warm %s %.2f objects/op", name, avg)
+	if avg > 0 {
+		t.Errorf("warm %s allocates %.2f objects/op, want 0", name, avg)
 	}
 }
 
 func TestUpdateAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
-	key := uint64(700) * 7
-	val := val8(3)
-	for i := 0; i < 3; i++ {
-		if err := cl.Update(key, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if err := cl.Update(key, val); err != nil {
+	key, v := uint64(700)*7, val8(3)
+	pinNoAllocs(t, "Update", func(int) {
+		if err := cl.Update(key, v); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const maxAllocs = 2 // measured 1: the local lock table's queue entry
-	if avg > maxAllocs {
-		t.Fatalf("warm Update allocates %.1f objects/op, want <= %d", avg, maxAllocs)
+}
+
+func TestInsertAllocsBounded(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	key, v := uint64(700)*7, val8(4)
+	pinNoAllocs(t, "upsert Insert", func(int) {
+		if err := cl.Insert(key, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestDeleteAllocsBounded counts a Delete with the fresh Insert that puts
+// its key back, a key buildAllocTree did not load.
+func TestDeleteAllocsBounded(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	v := val8(5)
+	pinNoAllocs(t, "Insert+Delete", func(i int) {
+		k := uint64(i%1990+5)*7 + 3
+		if err := cl.Insert(k, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestWriteBatchAllocsBounded pins a singleton batch write: one key,
+// depth 1. Its op, cycle and ring are the batch writer's own and reused;
+// what is left is the result slice the caller gets. The batch writer
+// allocated 16 objects per singleton UpdateBatch and InsertBatch while it
+// allocated its scheduler, ops and cycle per batch.
+func TestWriteBatchAllocsBounded(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	keys := []uint64{uint64(700) * 7}
+	vals := [][]byte{val8(5)}
+	for name, write := range map[string]func([]uint64, [][]byte, int) []error{
+		"UpdateBatch": cl.UpdateBatch,
+		"InsertBatch": cl.InsertBatch,
+	} {
+		for i := 0; i < 3; i++ {
+			if err := write(keys, vals, 1)[0]; err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testsupport.AllocsPerOp(func(int) {
+			if err := write(keys, vals, 1)[0]; err != nil {
+				t.Fatal(err)
+			}
+		}, nil)
+		const maxAllocs = 1 // the results
+		if avg > maxAllocs {
+			t.Errorf("warm singleton %s allocates %.2f objects/op, want <= %d", name, avg, maxAllocs)
+		}
+	}
+}
+
+// TestWritesReleaseCompletions: every completion a warm write polls goes
+// back to the fabric client's free list, so no handle is allocated after
+// warm-up and the list stays within the deepest pipeline the client ran.
+// The batch writer never released the handles of its lock, fetch and
+// write polls: 1 000 singleton UpdateBatches allocated 3 000.
+func TestWritesReleaseCompletions(t *testing.T) {
+	cl := buildAllocTree(t, 2000)
+	key := uint64(700) * 7
+	v := val8(6)
+	fresh := uint64(700)*7 + 3
+	var keys8 []uint64
+	var vals8 [][]byte
+	for i := uint64(0); i < 8; i++ {
+		keys8 = append(keys8, (700+50*i)*7)
+		vals8 = append(vals8, v)
+	}
+	for name, write := range map[string]func() error{
+		"Update": func() error { return cl.Update(key, v) },
+		"Insert": func() error { return cl.Insert(key, v) },
+		"Delete": func() error {
+			if err := cl.Insert(fresh, v); err != nil {
+				return err
+			}
+			return cl.Delete(fresh)
+		},
+		"UpdateBatch/1": func() error { return cl.UpdateBatch(keys8[:1], vals8[:1], 1)[0] },
+		"InsertBatch/1": func() error { return cl.InsertBatch(keys8[:1], vals8[:1], 1)[0] },
+		"UpdateBatch/8": func() error { return errors.Join(cl.UpdateBatch(keys8, vals8, 8)...) },
+		"InsertBatch/8": func() error { return errors.Join(cl.InsertBatch(keys8, vals8, 8)...) },
+	} {
+		for i := 0; i < 3; i++ {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, before := testsupport.CompletionPool(cl.dc)
+		for i := 0; i < 1000; i++ {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		free, after := testsupport.CompletionPool(cl.dc)
+		if after != before {
+			t.Errorf("%s: 1000 warm writes allocated %d completions: a polled handle is not released", name, after-before)
+		}
+		if peak := cl.dc.Stats().MaxInflight; int64(free) > peak {
+			t.Errorf("%s: completion free list holds %d handles, more than the peak pipeline depth %d", name, free, peak)
+		}
 	}
 }
 
@@ -83,15 +201,15 @@ func TestScanAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(200, func() {
+	avg := testsupport.AllocsPerOp(func(int) {
 		kvs, err := cl.Scan(start, 50)
 		if err != nil || len(kvs) != 50 {
 			t.Fatalf("Scan: %d results, err %v", len(kvs), err)
 		}
-	})
+	}, nil)
 	const maxAllocs = 4 // measured 2: the result slice and its value arena
 	if avg > maxAllocs {
-		t.Fatalf("warm 50-key Scan allocates %.1f objects/op, want <= %d", avg, maxAllocs)
+		t.Fatalf("warm 50-key Scan allocates %.2f objects/op, want <= %d", avg, maxAllocs)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"chime/internal/dmsim"
-	"chime/internal/lease"
 	"chime/internal/locktable"
 	"chime/internal/nodelayout"
 	"chime/internal/obs"
@@ -24,9 +23,7 @@ type node struct {
 	kids []dmsim.GAddr
 }
 
-func (n *node) covers(key uint64) bool {
-	return key >= n.hdr.fenceLow && (n.hdr.fenceInf || key < n.hdr.fenceHi)
-}
+func (n *node) covers(key uint64) bool { return n.hdr.covers(key) }
 
 // rank returns how many pivots are <= key: kids[rank-1] covers key (the
 // leftmost child when rank is 0) and kids[rank:] follow it in key order.
@@ -157,26 +154,22 @@ type Client struct {
 	rootLevel uint8
 	ys        dmsim.Backoff
 
-	// desc is the descent the synchronous write and scan paths step to
-	// their leaf (descent.go); sop the one op Search steps to completion;
-	// opFree the finished SearchBatch ops the next batch reuses.
-	desc   descent
-	sop    batchOp
-	opFree []*batchOp
+	// desc is the descent the scan path steps to its leaf (descent.go);
+	// sop the one op Search steps to completion.
+	desc descent
+	sop  batchOp
 
 	// The node images the synchronous paths fetch into and build in, one
-	// pair per layout, and the leaf images of finished write cycles the
-	// next cycles reuse. An image is good until its next fill (image).
+	// pair per layout. An image is good until its next fill (image).
 	leafIm, innerIm nodeImages
-	wcFree          []*image
-	wcChanged       []int // slots one write cycle mutated
 
 	// placed is the key this client last placed at each level, by which a
 	// split tells an ascending run (nodelayout.SplitPoint).
 	placed nodelayout.Placed
 
 	// Staging the verbs of one op reuse: the address/buffer lists of a
-	// write batch, a scan's (or a split's) slots and the scratch that
+	// write's doorbell batch (room for a range per leaf slot and the
+	// unlock), a scan's (or a split's) slots and the scratch that
 	// sorts them, and a scan's indirect KV block.
 	wAddrs    []dmsim.GAddr
 	wBufs     [][]byte
@@ -189,16 +182,22 @@ type Client struct {
 	scanWin offroute.ScanWindow[leafRead]
 	scanIms []*image
 
-	// Write-pipeline counters: leaf write cycles executed and batch keys
-	// absorbed into an already-open cycle (per-leaf write combining).
-	wcCycles   int64
-	wcCombined int64
-
 	obs obs.IndexInstruments
 
 	// port holds the routed entry points: one-sided vs. MN-side offload
 	// per op (offload.go).
 	port offroute.Port
+
+	// The write engine (write.go): the op and cycle Insert, Update and
+	// Delete step to completion, the batch writer, and its scratch — the
+	// slots one cycle changed and the ops that left it. Then SearchBatch
+	// (pipeline.go). Last, so the hot fields above keep their cache lines.
+	wop       wOp
+	wcy       wCycle
+	wb        wBatch
+	wcChanged []int
+	wLeft     []*wOp
+	sb        searchBatch
 }
 
 // NewClient creates a client bound to the compute node.
@@ -207,8 +206,10 @@ func (cn *ComputeNode) NewClient() *Client {
 	dc.SetFlight(cn.obs.Flight.NewFlight(dc.ID()))
 	c := &Client{
 		cn: cn, ix: cn.ix, dc: dc,
-		alloc: dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
-		obs:   cn.obs,
+		alloc:  dmsim.NewChunkAllocator(dc, int(dc.ID())%cn.ix.fabric.MNs()),
+		obs:    cn.obs,
+		wAddrs: make([]dmsim.GAddr, 0, cn.ix.leaf.span+1),
+		wBufs:  make([][]byte, 0, cn.ix.leaf.span+1),
 	}
 	c.port = c.newPort()
 	return c
@@ -340,22 +341,25 @@ func (c *Client) readIndirect(ptr dmsim.GAddr, key uint64) ([]byte, error) {
 	return c.block[8:], nil
 }
 
-// lock acquires a node's lock bit, absorbing same-CN contention in the
-// local lock table (Sherman's design): only the first local contender
-// issues remote CASes; later ones receive the lock by local handover.
+// lock acquires a node's lock bit (an internal node's: a leaf's is a
+// state of the write op), absorbing same-CN contention in the local lock
+// table outside lease mode (Sherman's design): only the first local
+// contender issues remote CASes; later ones receive the lock by local
+// handover. unlock and writeAndUnlock release it with local set to
+// whether the table is in use.
 func (c *Client) lock(addr dmsim.GAddr) error {
 	// All time until the lock is held — handover waits, CAS round
 	// trips, backoff — is lock time in the flight ledger.
 	fl := c.dc.Flight()
 	defer fl.SetPhase(fl.SetPhase(obs.PhaseLockBackoff))
-	if c.ix.opts.LeaseLocks {
-		return c.lockLease(addr)
-	}
-	if _, handover := c.cn.locks.Acquire(c.dc, addr.Pack()); handover {
-		return nil
+	if !c.ix.opts.LeaseLocks {
+		if _, handover := c.cn.locks.Acquire(c.dc, addr.Pack()); handover {
+			return nil
+		}
 	}
 	for try := 0; try < maxRetries; try++ {
-		_, ok, err := c.dc.MaskedCAS(addr, 0, 1, 1, 1)
+		word, mask := c.lockSwap()
+		prev, ok, err := c.dc.MaskedCAS(addr, 0, word, 1, mask)
 		if err != nil {
 			return err
 		}
@@ -363,213 +367,22 @@ func (c *Client) lock(addr dmsim.GAddr) error {
 			c.ys.Reset()
 			return nil
 		}
-		c.obs.LockBackoffs.Inc()
-		c.ys.Yield(c.dc)
+		if held, err := c.lockLost(addr, prev, word); held || err != nil {
+			return err
+		}
 	}
 	return fmt.Errorf("sherman: lock %v starved", addr)
-}
-
-// lockLease is the lease-mode acquisition: the CAS installs our
-// (owner, expiry) lease and a lock stuck under an expired lease is
-// stolen with a full-word CAS (internal/lease). No repair read is
-// needed — every write re-reads the node under the lock before
-// touching it, so a steal leaves nothing stale behind.
-func (c *Client) lockLease(addr dmsim.GAddr) error {
-	leaseNs := c.ix.opts.LeaseNs
-	if leaseNs <= 0 {
-		leaseNs = lease.DefaultNs
-	}
-	for try := 0; try < maxRetries; try++ {
-		word := lease.Word(c.dc.ID(), c.dc.Now()+leaseNs)
-		prev, ok, err := c.dc.MaskedCAS(addr, 0, word, 1, ^uint64(0))
-		if err != nil {
-			return err
-		}
-		if ok {
-			c.ys.Reset()
-			return nil
-		}
-		if lease.Expired(prev, c.dc.Now()) {
-			c.obs.LeaseExpired.Inc()
-			if _, won, err := c.dc.CAS(addr, prev, word); err != nil {
-				return err
-			} else if won {
-				c.obs.Recoveries.Inc()
-				c.ys.Reset()
-				return nil
-			}
-		}
-		c.obs.LockBackoffs.Inc()
-		c.ys.Yield(c.dc)
-	}
-	return fmt.Errorf("sherman: lock %v starved", addr)
-}
-
-func (c *Client) unlock(addr dmsim.GAddr) error {
-	if c.ix.opts.LeaseLocks {
-		return c.dc.Write(addr, unlocked[:])
-	}
-	if c.cn.locks.ReleaseHandover(c.dc, addr.Pack(), 1) {
-		return nil
-	}
-	if err := c.dc.Write(addr, unlocked[:]); err != nil {
-		return err
-	}
-	c.cn.locks.ReleaseRemote(c.dc, addr.Pack())
-	return nil
-}
-
-// unlocked is a released lock word, as a write's source buffer.
-var unlocked [8]byte
-
-// writeAndUnlock writes buf at off in the locked node and releases its
-// lock: a combined doorbell batch when no local contender waits, a local
-// handover otherwise.
-func (c *Client) writeAndUnlock(addr dmsim.GAddr, off int, buf []byte) error {
-	if c.cn.locks.HasWaiters(addr.Pack()) {
-		if err := c.dc.Write(addr.Add(uint64(off)), buf); err != nil {
-			return err
-		}
-		if c.cn.locks.ReleaseHandover(c.dc, addr.Pack(), 1) {
-			return nil
-		}
-	}
-	c.wAddrs = append(c.wAddrs[:0], addr.Add(uint64(off)), addr)
-	c.wBufs = append(c.wBufs[:0], buf, unlocked[:])
-	if err := c.dc.WriteBatch(c.wAddrs, c.wBufs); err != nil {
-		return err
-	}
-	c.cn.locks.ReleaseRemote(c.dc, addr.Pack())
-	return nil
-}
-
-// writeEntryAndUnlock writes one entry cell and releases the lock.
-func (c *Client) writeEntryAndUnlock(addr dmsim.GAddr, im *image, slot int) error {
-	return c.writeAndUnlock(addr, im.lay.entryCells[slot].Off, im.cell(slot))
-}
-
-// writeNodeAndUnlock writes the whole node body and releases the lock.
-func (c *Client) writeNodeAndUnlock(addr dmsim.GAddr, im *image) error {
-	return c.writeAndUnlock(addr, lineSize, im.body())
-}
-
-func (c *Client) prepareValue(key uint64, value []byte) ([]byte, error) {
-	if !c.ix.opts.Indirect {
-		if len(value) != c.ix.opts.ValueSize {
-			return nil, fmt.Errorf("sherman: value is %dB, tree stores %dB", len(value), c.ix.opts.ValueSize)
-		}
-		return value, nil
-	}
-	block := make([]byte, 8+len(value))
-	binary.LittleEndian.PutUint64(block[:8], key)
-	copy(block[8:], value)
-	addr, err := c.alloc.Alloc(len(block))
-	if err != nil {
-		return nil, err
-	}
-	if err := c.dc.Write(addr, block); err != nil {
-		return nil, err
-	}
-	ptr := make([]byte, 8)
-	binary.LittleEndian.PutUint64(ptr, addr.Pack())
-	return ptr, nil
-}
-
-// Insert adds or overwrites a key (upsert).
-func (c *Client) Insert(key uint64, value []byte) error {
-	if sp := c.obs.Tracer.Begin("sherman.insert", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpInsert, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	val, err := c.prepareValue(key, value)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, path, err := c.descend(key)
-		if err != nil {
-			return err
-		}
-		done, err := c.insertIntoLeaf(leaf, path, key, val)
-		if err == errRestart {
-			c.noteRestart()
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-	return fmt.Errorf("sherman: Insert(%#x) exhausted", key)
-}
-
-// lockCovering locks and fetches the leaf that covers key, starting at
-// leaf and chasing the B-link sibling chain under per-leaf locks: a stale
-// cached parent may route to a long-split leaf whose keys moved right,
-// and the chain — not a retraversal through the same stale cache — is
-// what reaches them. On errRestart (the leaf is gone, or starts past the
-// key) and on any other error no lock is held.
-func (c *Client) lockCovering(leaf dmsim.GAddr, key uint64) (dmsim.GAddr, *image, header, error) {
-	for hops := 0; hops <= maxRetries; hops++ {
-		if err := c.lock(leaf); err != nil {
-			return leaf, nil, header{}, err
-		}
-		im, hdr, err := c.readNode(c.ix.leaf, leaf)
-		if err != nil {
-			c.unlock(leaf)
-			return leaf, nil, header{}, err
-		}
-		if !hdr.valid || key < hdr.fenceLow {
-			c.unlock(leaf)
-			return leaf, nil, header{}, errRestart
-		}
-		if hdr.fenceInf || key < hdr.fenceHi {
-			return leaf, im, hdr, nil
-		}
-		next := hdr.sibling
-		c.unlock(leaf)
-		if next.IsNil() {
-			return leaf, nil, header{}, errRestart
-		}
-		c.obs.SiblingChases.Inc()
-		leaf = next
-	}
-	return leaf, nil, header{}, fmt.Errorf("sherman: leaf chain of %#x too long", key)
-}
-
-func (c *Client) insertIntoLeaf(leaf dmsim.GAddr, path []pathEntry, key uint64, val []byte) (bool, error) {
-	leaf, im, hdr, err := c.lockCovering(leaf, key)
-	if err != nil {
-		return false, err
-	}
-	slot, free := im.find(key)
-	if slot < 0 {
-		slot = free
-	}
-	if slot >= 0 {
-		// Upsert in place or fill a free slot: one entry write + combined
-		// unlock.
-		im.setEntry(slot, key, val, true)
-		c.placed.Note(0, key)
-		return true, c.writeEntryAndUnlock(leaf, im, slot)
-	}
-	// Leaf full: split, write new right node then old node.
-	return false, c.splitLeaf(leaf, path, im, hdr, key)
 }
 
 // splitLeaf moves the upper part of a full, locked leaf (im, fetched or
 // mutated under the lock) into a fresh right sibling — from where
 // nodelayout.SplitPoint cuts it for pending, the key that found no slot —
-// rewrites the leaf compacted, unlocks it and propagates the split key.
+// rewrites the leaf compacted, unlocks it the way it was locked (local:
+// holding the CN's lock-table slot) and propagates the split key.
 // Both parts are assembled in the client's build image, one after the
 // other, reading entries out of im, which is not modified and is dead
 // once the leaf is written — before any parent is read.
-func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr header, pending uint64) error {
+func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr header, pending uint64, local bool) error {
 	c.obs.Splits.Inc()
 	lay := c.ix.leaf
 	all := im.occupied(c.scanSlots[:0], 0)
@@ -589,7 +402,7 @@ func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr he
 
 	rightAddr, err := c.alloc.Alloc(lay.size)
 	if err != nil {
-		c.unlock(leaf)
+		c.unlock(leaf, local)
 		return err
 	}
 	right := c.buildImage(lay)
@@ -602,7 +415,7 @@ func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr he
 		right.setEntry(i, s.Key, im.value(s.Idx), false)
 	}
 	if err := c.dc.Write(rightAddr, right.buf); err != nil {
-		c.unlock(leaf)
+		c.unlock(leaf, local)
 		return err
 	}
 
@@ -622,7 +435,7 @@ func (c *Client) splitLeaf(leaf dmsim.GAddr, path []pathEntry, im *image, hdr he
 		sibling: rightAddr,
 	})
 	left.bumpNV()
-	if err := c.writeNodeAndUnlock(leaf, left); err != nil {
+	if err := c.writeAndUnlock(leaf, lineSize, left.body(), local); err != nil {
 		return err
 	}
 	return c.propagate(path, 0, splitKey, rightAddr)
@@ -639,58 +452,6 @@ func (im *image) occupied(dst []offroute.ScanSlot, start uint64) []offroute.Scan
 		}
 	}
 	return dst
-}
-
-// updateOneSided overwrites an existing key's value with one-sided
-// verbs; the public Update (offload.go) routes between this and the
-// MN-side offload program.
-func (c *Client) updateOneSided(key uint64, value []byte) error {
-	val, err := c.prepareValue(key, value)
-	if err != nil {
-		return err
-	}
-	return c.modify(key, &val)
-}
-
-// Delete removes a key.
-func (c *Client) Delete(key uint64) error {
-	if sp := c.obs.Tracer.Begin("sherman.delete", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpDelete, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	return c.modify(key, nil)
-}
-
-func (c *Client) modify(key uint64, val *[]byte) error {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, _, err := c.descend(key)
-		if err != nil {
-			return err
-		}
-		leaf, im, _, err := c.lockCovering(leaf, key)
-		if err == errRestart {
-			c.noteRestart()
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		slot, _ := im.find(key)
-		if slot < 0 {
-			c.unlock(leaf)
-			return ErrNotFound
-		}
-		if val != nil {
-			im.setEntry(slot, key, *val, true)
-		} else {
-			im.clearEntry(slot, true)
-		}
-		return c.writeEntryAndUnlock(leaf, im, slot)
-	}
-	return fmt.Errorf("sherman: modify(%#x) exhausted", key)
 }
 
 // KV is one scan result.

@@ -6,6 +6,7 @@ import (
 
 	"chime/internal/dmsim"
 	"chime/internal/obs"
+	"chime/internal/offroute"
 )
 
 // The point-read engine for the Sherman baseline: the same posted-verb
@@ -64,63 +65,44 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 // client; results are positionally aligned with keys and absent keys
 // report ErrNotFound.
 func (c *Client) SearchBatch(keys []uint64, depth int) ([][]byte, []error) {
-	n := len(keys)
-	vals := make([][]byte, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return vals, errs
-	}
-	if sp := c.obs.Tracer.Begin("sherman.search_batch", "idx", c.dc.ID(), c.dc.Now()); sp != nil {
-		sp.Arg("keys", n)
-		sp.Arg("depth", depth)
-		defer func() { sp.End(c.dc.Now()) }()
-	}
-	if fl := c.dc.Flight(); fl != nil {
-		fl.Begin(obs.OpBatchRead, c.dc.Now())
-		defer func() { fl.End(c.dc.Now()) }()
-	}
-	if depth < 1 {
-		depth = 1
-	}
-
-	ops := make([]*batchOp, 0, depth)
-	next := 0
-	finish := func(op *batchOp) {
-		vals[op.idx], errs[op.idx] = op.val, op.err
-		c.opFree = append(c.opFree, op)
-	}
-	admit := func() {
-		for next < n && len(ops) < depth {
-			var op *batchOp
-			if f := len(c.opFree); f > 0 {
-				op = c.opFree[f-1]
-				c.opFree = c.opFree[:f-1]
-			} else {
-				op = new(batchOp)
-			}
-			op.reset(keys[next], next)
-			next++
-			c.beginOp(op)
-			if op.state == sOpDone {
-				finish(op)
-				continue
-			}
-			ops = append(ops, op)
-		}
-	}
-	admit()
-	for len(ops) > 0 {
-		op := ops[0]
-		ops = ops[1:]
-		c.stepOp(op)
-		if op.state == sOpDone {
-			finish(op)
-			admit()
-		} else {
-			ops = append(ops, op)
-		}
-	}
+	b := &c.sb
+	b.c, b.keys, b.vals = c, keys, make([][]byte, len(keys))
+	errs := b.ring.Run(&c.port, ".search_batch", obs.OpBatchRead, len(keys), depth, b)
+	vals := b.vals
+	b.keys, b.vals = nil, nil
 	return vals, errs
+}
+
+// searchBatch runs SearchBatch's ops on the ring, reusing finished ones
+// from batch to batch.
+type searchBatch struct {
+	c      *Client
+	ring   offroute.Ring[*batchOp]
+	keys   []uint64
+	vals   [][]byte
+	opFree offroute.Free[batchOp]
+}
+
+func (b *searchBatch) Start(i int) *batchOp {
+	op := b.opFree.Get()
+	op.reset(b.keys[i], i)
+	b.c.beginOp(op)
+	return op
+}
+
+func (b *searchBatch) Step(op *batchOp) { b.c.stepOp(op) }
+
+func (b *searchBatch) State(op *batchOp) offroute.OpState {
+	if op.state == sOpDone {
+		return offroute.OpDone
+	}
+	return offroute.OpRunnable
+}
+
+func (b *searchBatch) Finish(op *batchOp) (int, error) {
+	b.vals[op.idx] = op.val
+	b.opFree.Put(op)
+	return op.idx, op.err
 }
 
 // beginOp (re)starts a key's traversal.

@@ -143,6 +143,11 @@ type header struct {
 	leftmost dmsim.GAddr
 }
 
+// covers says whether key lies between the node's fences.
+func (h header) covers(key uint64) bool {
+	return key >= h.fenceLow && (h.fenceInf || key < h.fenceHi)
+}
+
 // image is a node-sized buffer one node at a time is fetched into, read
 // from and written back out of where it lies. Everything read from it —
 // a value above all, which aliases buf — is good until the image's owner
@@ -316,6 +321,8 @@ func (im *image) find(key uint64) (slot, free int) {
 // beyond its 8 bytes) and may alias this or another image, another
 // slot's decoded value included: it is copied before anything else of
 // the slot's value field is touched.
+//
+//chime:noalloc
 func (im *image) setEntry(i int, key uint64, val []byte, bump bool) {
 	lay := im.lay
 	c := lay.entryCells[i]
@@ -342,6 +349,8 @@ func (im *image) setChild(i int, key uint64, child dmsim.GAddr) {
 }
 
 // clearEntry empties slot i: every content byte zero.
+//
+//chime:noalloc
 func (im *image) clearEntry(i int, bump bool) {
 	c := im.lay.entryCells[i]
 	nodelayout.ZeroCellContentAt(im.buf, c, 0, c.Content)

@@ -101,23 +101,24 @@ func encodeInternalNode(n *node, im *image, nodeWrite bool) {
 
 func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64, rightAddr dmsim.GAddr, path []pathEntry) (bool, error) {
 	prev, havePrev := c.placed.At(level)
+	local := !c.ix.opts.LeaseLocks
 	for hops := 0; hops <= maxRetries; hops++ {
 		if err := c.lock(addr); err != nil {
 			return false, err
 		}
 		im, hdr, err := c.readNode(c.ix.inner, addr)
 		if err != nil {
-			c.unlock(addr)
+			c.unlock(addr, local)
 			return false, err
 		}
 		if !hdr.valid || hdr.level != level {
-			c.unlock(addr)
+			c.unlock(addr, local)
 			return false, nil
 		}
 		n := decodeInternal(addr, im, hdr)
 		if !n.covers(splitKey) {
 			sib := hdr.sibling
-			c.unlock(addr)
+			c.unlock(addr, local)
 			if !hdr.fenceInf && splitKey >= hdr.fenceHi && !sib.IsNil() {
 				addr = sib
 				continue
@@ -145,7 +146,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 
 		if len(n.piv) <= c.ix.inner.span {
 			encodeInternalNode(n, im, true)
-			if err := c.writeNodeAndUnlock(addr, im); err != nil {
+			if err := c.writeAndUnlock(addr, lineSize, im.body(), local); err != nil {
 				return false, err
 			}
 			c.cn.cachePut(addr, n)
@@ -156,7 +157,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		midKey := n.piv[mid]
 		newAddr, err := c.alloc.Alloc(c.ix.inner.size)
 		if err != nil {
-			c.unlock(addr)
+			c.unlock(addr, local)
 			return false, err
 		}
 		right := &node{
@@ -173,7 +174,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		rightIm := c.buildImage(c.ix.inner)
 		encodeInternalNode(right, rightIm, false)
 		if err := c.dc.Write(newAddr, rightIm.buf); err != nil {
-			c.unlock(addr)
+			c.unlock(addr, local)
 			return false, err
 		}
 		n.piv = n.piv[:mid]
@@ -182,7 +183,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		n.hdr.fenceHi = midKey
 		n.hdr.sibling = newAddr
 		encodeInternalNode(n, im, true)
-		if err := c.writeNodeAndUnlock(addr, im); err != nil {
+		if err := c.writeAndUnlock(addr, lineSize, im.body(), local); err != nil {
 			return false, err
 		}
 		c.cn.cachePut(addr, n)
