@@ -295,9 +295,9 @@ func TestInsertAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestUpdateAllocsBounded does the same for the update path
-// (fetchLeafWindow, the changed entry, writeRangeAndUnlock): 8 objects
-// per op before the write kernels took client scratch.
+// TestUpdateAllocsBounded does the same for the update path (the
+// neighborhood window, the changed entry, the doorbell write+unlock): 8
+// objects per op before the write kernels took client scratch.
 func TestUpdateAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	key := uint64(700) * 7
@@ -349,13 +349,12 @@ func TestDeleteAllocsBounded(t *testing.T) {
 }
 
 // TestWriteBatchAllocsBounded pins the batch writer's singleton cycle:
-// one key, depth 1, so one write cycle with the synchronous path's
-// narrow window. Its geometry, doorbell batch, lock word and write-back
-// ranges take scratch and its completions come back from the fabric
-// client's free list; what is left is the batch's own bookkeeping and
-// the cycle, allocated per batch — 16 objects for UpdateBatch and 17
-// for InsertBatch (which also plans a hop), against 25 and 32 while the
-// cycle kernels allocated.
+// one key, depth 1, so one write cycle with a one-key write's narrow
+// window. The op and the cycle come back from the batch's free lists,
+// every kernel takes scratch and the completions come back from the
+// fabric client's free list; what is left is the result slice — 1
+// object, against 16 for UpdateBatch and 17 for InsertBatch while each
+// batch allocated its ops and cycles.
 func TestWriteBatchAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	keys := []uint64{uint64(700) * 7}
@@ -365,8 +364,8 @@ func TestWriteBatchAllocsBounded(t *testing.T) {
 		write func([]uint64, [][]byte, int) []error
 		max   float64
 	}{
-		{"UpdateBatch", cl.UpdateBatch, 16},
-		{"InsertBatch", cl.InsertBatch, 17},
+		{"UpdateBatch", cl.UpdateBatch, 1},
+		{"InsertBatch", cl.InsertBatch, 1},
 	} {
 		for i := 0; i < 3; i++ {
 			if err := tc.write(keys, vals, 1)[0]; err != nil {

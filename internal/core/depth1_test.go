@@ -74,6 +74,58 @@ func TestDepth1SearchEqualsSearchBatch(t *testing.T) {
 	}
 }
 
+// TestDepth1WritesEqualWriteBatch pins "sync = depth 1" for writes: N
+// one-key Inserts and Updates and N singleton InsertBatch / UpdateBatch
+// calls at depth 1 over the same tree and key stream are the same verbs
+// at the same virtual times — same final clock, same ClientStats, same
+// cache counters, same results, with upserts, fresh keys that split
+// their leaves, absent keys and the ablations' extra reads — because
+// they step the same write engine.
+func TestDepth1WritesEqualWriteBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		mut        func(*Options)
+		cacheBytes int64
+	}{
+		{"cached", func(*Options) {}, 64 << 20},
+		{"cold", func(*Options) {}, 0},
+		{"indirect", func(o *Options) { o.Indirect = true }, 64 << 20},
+		{"dedicated_meta_read", func(o *Options) { o.ReplicateMeta = false }, 0},
+		{"dedicated_lock_read", func(o *Options) { o.PiggybackVacancy = false }, 64 << 20},
+		{"lease_locks", func(o *Options) { o.LeaseLocks = true }, 64 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tc.mut(&opts)
+			a, b := depth1Tree(t, opts, tc.cacheBytes), depth1Tree(t, opts, tc.cacheBytes)
+			for i := uint64(0); i < 3000; i++ {
+				k := (i*2654435761%3000 + 1) * 5
+				v := [][]byte{val8(i)}
+				var ea, eb error
+				if i%3 == 0 {
+					k += i % 2 // odd i: absent
+					ea, eb = a.Update(k, v[0]), b.UpdateBatch([]uint64{k}, v, 1)[0]
+				} else {
+					k += i % 5 // 0: an upsert, else a fresh key
+					ea, eb = a.Insert(k, v[0]), b.InsertBatch([]uint64{k}, v, 1)[0]
+				}
+				if !errors.Is(eb, ea) {
+					t.Fatalf("op %d, key %d: one-key write = %v, singleton batch = %v", i, k, ea, eb)
+				}
+			}
+			if an, bn := a.DM().Now(), b.DM().Now(); an != bn {
+				t.Errorf("final clock: one-key writes %d ns, singleton batches at depth 1 %d ns", an, bn)
+			}
+			if as, bs := a.DM().Stats(), b.DM().Stats(); as != bs {
+				t.Errorf("ClientStats:\n one-key %+v\n batch   %+v", as, bs)
+			}
+			if ac, bc := a.cn.CacheStats(), b.cn.CacheStats(); ac != bc {
+				t.Errorf("CacheStats:\n one-key %+v\n batch   %+v", ac, bc)
+			}
+		})
+	}
+}
+
 // tearOnce is a fault injector that tears one node under a reader: just
 // before the reader's nth READ it has a second client overwrite the
 // back half of the node at addr with a copy whose node version is

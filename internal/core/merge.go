@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"chime/internal/dmsim"
+	"chime/internal/obs"
 )
 
 // Leaf merging (§4.4 Delete: "Otherwise, a node merge is triggered like
@@ -48,7 +51,9 @@ func leafEmpty(im *leafImage) bool {
 	return true
 }
 
-// mergeEmptyLeaf unlinks the (believed empty) leaf covering key.
+// mergeEmptyLeaf unlinks the (believed empty) leaf covering key. Every
+// lock taken is released on the way out, in reverse order: the victim,
+// the left leaf, the parent — unless the parent's rewrite released it.
 func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	// Locate the parent with a fresh remote walk — the cache may be
 	// what is stale.
@@ -56,12 +61,17 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	if err != nil {
 		return
 	}
-	if err := c.lockNode(parentAddr); err != nil {
+	if _, _, err := c.lockNode(parentAddr, false); err != nil {
 		return
 	}
+	parentLocked := true
+	defer func() {
+		if parentLocked {
+			c.unlockNode(parentAddr)
+		}
+	}()
 	pim, err := c.readInternal(parentAddr)
 	if err != nil || !pim.valid || pim.level != 1 || !pim.covers(key) {
-		c.unlockNode(parentAddr)
 		return
 	}
 
@@ -73,59 +83,44 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	if child != victim || entryIdx < 0 {
 		// Either the tree moved, or the victim is the leftmost child
 		// (entryIdx == -1): skip.
-		c.unlockNode(parentAddr)
 		return
 	}
-	var leftAddr dmsim.GAddr
-	if entryIdx == 0 {
-		leftAddr = parent.leftmost
-	} else {
+	leftAddr := parent.leftmost
+	if entryIdx > 0 {
 		leftAddr = parent.entries[entryIdx-1].child
 	}
 	if leftAddr.IsNil() {
-		c.unlockNode(parentAddr)
 		return
 	}
 
 	// Lock left then victim (chain order).
-	leftLW, err := c.acquireLeafLock(leftAddr)
+	local := !c.ix.opts.LeaseLocks
+	leftLW, err := c.lockLeaf(leftAddr)
 	if err != nil {
-		c.unlockNode(parentAddr)
 		return
 	}
-	victimLW, err := c.acquireLeafLock(victim)
+	defer c.unlockLeaf(leftAddr, leftLW, local)
+	victimLW, err := c.lockLeaf(victim)
 	if err != nil {
-		c.unlockLeaf(leftAddr, leftLW)
-		c.unlockNode(parentAddr)
 		return
 	}
-
-	abort := func() {
-		c.unlockLeaf(victim, victimLW)
-		c.unlockLeaf(leftAddr, leftLW)
-		c.unlockNode(parentAddr)
-	}
+	defer c.unlockLeaf(victim, victimLW, local)
 
 	// Re-verify under the locks: victim still empty and valid, left
 	// still points at it.
 	vIm, vMetaG, err := c.fetchWholeLeaf(victim)
 	if err != nil {
-		abort()
 		return
 	}
 	vMeta := vIm.meta(vMetaG)
 	if !vMeta.valid || !leafEmpty(vIm) {
-		abort()
 		return
 	}
 	lIm, lMetaG, err := c.fetchWholeLeaf(leftAddr)
 	if err != nil {
-		abort()
 		return
 	}
-	lMeta := lIm.meta(lMetaG)
-	if !lMeta.valid || lMeta.sibling != victim {
-		abort()
+	if lMeta := lIm.meta(lMetaG); !lMeta.valid || lMeta.sibling != victim {
 		return
 	}
 
@@ -139,7 +134,6 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	})
 	lIm.bumpAllNV()
 	if err := c.dc.Write(leftAddr.Add(lineSize), lIm.buf[lineSize:]); err != nil {
-		abort()
 		return
 	}
 
@@ -147,35 +141,70 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	vIm.setAllMeta(leafMeta{valid: false, sibling: vMeta.sibling, fenceInf: vMeta.fenceInf, fenceHi: vMeta.fenceHi})
 	vIm.bumpAllNV()
 	if err := c.dc.Write(victim.Add(lineSize), vIm.buf[lineSize:]); err != nil {
-		abort()
 		return
 	}
 
 	// 3. Remove the routing entry from the parent and release it.
 	parent.entries = append(parent.entries[:entryIdx], parent.entries[entryIdx+1:]...)
 	img := c.ix.inner.encodeInternal(parent, parentImg)
+	parentLocked = false
 	if err := c.writeInternalAndUnlock(parentAddr, img); err != nil {
-		c.unlockLeaf(victim, victimLW)
-		c.unlockLeaf(leftAddr, leftLW)
 		return
 	}
 	c.cn.cache.put(parentAddr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 	c.obs.Merges.Inc()
-
-	c.unlockLeaf(victim, victimLW)
-	c.unlockLeaf(leftAddr, leftLW)
 }
 
-// deleteLeftEmpty is invoked from the delete path: it reports whether
-// the post-delete window hints that the whole leaf might now be empty
-// (no occupied entry in the fetched neighborhood and an all-clear
-// vacancy bitmap), which gates the more expensive whole-node check.
-func deleteLeftEmpty(im *leafImage, idxs []int, lw lockWord) bool {
+// lockLeaf takes a leaf's lock for a merge, which holds the parent and
+// two leaves at once and so runs outside the write engine: the one-key
+// write's lock stages as one synchronous loop — the CN's lock-table slot
+// first outside LeaseLocks, which a failed acquire gives back — and
+// returns the lock word's payload.
+func (c *Client) lockLeaf(leaf dmsim.GAddr) (lw lockWord, err error) {
+	fl := c.dc.Flight()
+	defer fl.SetPhase(fl.SetPhase(obs.PhaseLockBackoff))
+	if !c.ix.opts.LeaseLocks {
+		if word, handover := c.cn.locks.Acquire(c.dc, leaf.Pack()); handover {
+			return decodeLockWord(word), nil
+		}
+		defer func() {
+			if err != nil {
+				c.cn.locks.ReleaseRemote(c.dc, leaf.Pack())
+			}
+		}()
+	}
+	prev, stolen, err := c.lockNode(leafLockAddr(leaf), true)
+	switch {
+	case err != nil:
+		return lockWord{}, err
+	case stolen:
+		// The dead holder took the payload with it: recompute it.
+		im, _, err := c.fetchWholeLeaf(leaf)
+		if err != nil {
+			return lockWord{}, err
+		}
+		defer c.ix.leaf.putImage(im)
+		return recomputeLockWord(im), nil
+	case !c.ix.opts.PiggybackVacancy:
+		var b [8]byte
+		if err := c.dc.Read(leafLockAddr(leaf), b[:]); err != nil {
+			return lockWord{}, err
+		}
+		prev = binary.LittleEndian.Uint64(b[:])
+	}
+	return decodeLockWord(prev), nil
+}
+
+// deleteLeftEmpty reports whether a delete's post-write window hints
+// that the whole leaf might now be empty — no occupied entry in the
+// neighborhood of home and an all-clear vacancy bitmap — which gates the
+// more expensive whole-node check.
+func deleteLeftEmpty(im *leafImage, home int, lw lockWord) bool {
 	if lw.vacancy != 0 {
 		return false
 	}
-	for _, i := range idxs {
-		if im.entry(i).occupied {
+	for d := 0; d < im.lay.h; d++ {
+		if im.entry((home + d) % im.lay.span).occupied {
 			return false
 		}
 	}

@@ -115,7 +115,8 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, mnStep) 
 	return dmsim.NilGAddr, mnDone(dmsim.OffloadRetry)
 }
 
-// readLeafWindow mirrors Client.fetchLeafWindow against local memory:
+// readLeafWindow mirrors a client's neighborhood window (a search's leaf
+// read, an update's fetch under the lock) against local memory:
 // entries [home, home+count) plus a metadata replica, version-validated.
 // The caller owns the returned image.
 func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, count int) (*leafImage, int, mnStep) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"chime/internal/dmsim"
 	"chime/internal/lease"
 )
@@ -40,98 +38,51 @@ import (
 // caller's usual re-validation of the node under the stolen lock —
 // rolls the node forward to a state any surviving writer can build on.
 
-// leaseNs returns the configured lease duration.
-func (c *Client) leaseNs() int64 {
-	if n := c.ix.opts.LeaseNs; n > 0 {
-		return n
+// lockSwap is what a lock CAS swaps in, under which mask: the lock bit
+// alone; for a leaf with PiggybackVacancy the lock bit over the whole
+// word, so the vacancy bitmap and argmax come back in the previous word
+// and the unlock writes them back; or under LeaseLocks this client's
+// (owner, expiry) lease over the whole word. Every lock of the tree (the
+// write op's, lockNode, the merge's) swaps what this says.
+//
+//chime:noalloc
+func (c *Client) lockSwap(leaf bool) (word, mask uint64) {
+	if c.ix.opts.LeaseLocks {
+		leaseNs := c.ix.opts.LeaseNs
+		if leaseNs <= 0 {
+			leaseNs = lease.DefaultNs
+		}
+		return lease.Word(c.dc.ID(), c.dc.Now()+leaseNs), ^uint64(0)
 	}
-	return lease.DefaultNs
+	if leaf && c.ix.opts.PiggybackVacancy {
+		return lockBit, ^uint64(0)
+	}
+	return lockBit, lockBit
 }
 
-// lockSwapWord returns the word a lease-mode acquire CAS installs:
-// lock bit plus this client's fresh lease.
-func (c *Client) lockSwapWord() uint64 {
-	return lease.Word(c.dc.ID(), c.dc.Now()+c.leaseNs())
-}
-
-// tryStealLock steals a lock whose lease has expired: a full-word CAS
-// from the exact stale word to a fresh lease of our own, so concurrent
-// stealers (and a holder that is merely slow, whose release WRITE
-// changes the word) race safely — at most one CAS wins. Returns whether
-// this client now holds the lock. The caller must re-read the node
-// under the stolen lock before trusting any cached state.
-func (c *Client) tryStealLock(addr dmsim.GAddr, prev uint64) (bool, error) {
-	if !lease.Expired(prev, c.dc.Now()) {
-		return false, nil
-	}
-	c.obs.LeaseExpired.Inc()
-	_, ok, err := c.dc.CAS(addr, prev, c.lockSwapWord())
-	if err != nil || !ok {
-		return false, err
-	}
-	c.obs.Recoveries.Inc()
-	return true, nil
-}
-
-// tryStealLeafLease steals an expired leaf lock and repairs the
-// piggybacked metadata the dead holder took with it. On success the
-// returned lock word carries a freshly recomputed vacancy bitmap and
-// argmax, exactly as a piggyback acquire would have delivered.
-func (c *Client) tryStealLeafLease(leaf dmsim.GAddr, prev uint64) (lockWord, bool, error) {
-	stolen, err := c.tryStealLock(leafLockAddr(leaf), prev)
-	if err != nil || !stolen {
-		return lockWord{}, false, err
-	}
-	lw, err := c.repairLeaf(leaf)
-	if err != nil {
-		// The steal succeeded but the repair read failed (fabric fault):
-		// surface the error; our own lease on the stuck lock lets the
-		// next contender recover.
-		return lockWord{}, false, err
-	}
-	return lw, true, nil
-}
-
-// repairLeaf re-reads the whole leaf under the (stolen) lock and
-// recomputes the lock-word payload from the entries themselves.
-func (c *Client) repairLeaf(leaf dmsim.GAddr) (lockWord, error) {
-	im, _, err := c.fetchWholeLeaf(leaf)
-	if err != nil {
-		return lockWord{}, err
-	}
-	lw := recomputeLockWord(im)
-	c.ix.leaf.putImage(im)
-	return lw, nil
-}
-
-// acquireLeafLease is the lease-mode leaf lock acquisition: the same
-// piggyback masked-CAS as acquireLeafLock, but the swap word carries
-// our lease and a failed CAS may steal from an expired holder. The
-// same-CN lock table is bypassed entirely — a local handover would hand
-// a waiter the *holder's* lease, turning a live client into a theft
-// target — so cross-client contention is all remote, as on a fabric
-// whose CNs crashed independently.
-func (c *Client) acquireLeafLease(leaf dmsim.GAddr) (lockWord, error) {
-	addr := leafLockAddr(leaf)
-	for try := 0; try < maxRetries; try++ {
-		prev, ok, err := c.dc.MaskedCAS(addr, 0, c.lockSwapWord(), lockBit, ^uint64(0))
+// lockLost acts on a lock CAS that found prev instead of a free lock:
+// under LeaseLocks a lock stuck under an expired lease is stolen with a
+// full-word CAS from the exact stale word to a fresh lease of our own, so
+// concurrent stealers (and a holder that is merely slow, whose release
+// WRITE changes the word) race safely — at most one CAS wins. Otherwise
+// it backs off; held reports a steal. A stolen leaf's payload left with
+// its dead holder: the caller recomputes it from a whole-leaf read, as
+// every lock holder re-reads the node before touching it.
+//
+//chime:noalloc
+func (c *Client) lockLost(addr dmsim.GAddr, prev uint64) (held bool, err error) {
+	if c.ix.opts.LeaseLocks && lease.Expired(prev, c.dc.Now()) {
+		c.obs.LeaseExpired.Inc()
+		word, _ := c.lockSwap(false)
+		_, won, err := c.dc.CAS(addr, prev, word)
 		if err != nil {
-			return lockWord{}, err
+			return false, err
 		}
-		if ok {
-			c.backoff.Reset()
-			return decodeLockWord(prev), nil
+		if won {
+			c.obs.Recoveries.Inc()
+			return true, nil
 		}
-		lw, stolen, err := c.tryStealLeafLease(leaf, prev)
-		if err != nil {
-			return lockWord{}, err
-		}
-		if stolen {
-			c.backoff.Reset()
-			return lw, nil
-		}
-		c.obs.LockBackoffs.Inc()
-		c.backoff.Yield(c.dc)
 	}
-	return lockWord{}, fmt.Errorf("core: leaf %v: lock acquisition starved", leaf)
+	c.backoff.Yield(c.dc)
+	return false, nil
 }

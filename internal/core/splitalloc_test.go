@@ -19,7 +19,7 @@ import (
 // the measured phase of every inserting workload.
 //
 // Each round fills the rightmost leaf through Insert, then locks and
-// fetches it the way insertIntoLeaf does and counts the objects splitLeaf
+// fetches it whole, as a write op whose window finds no room does, and counts the objects splitLeaf
 // allocates, the up-propagation included.
 func TestLeafSplitAllocsBounded(t *testing.T) {
 	prev := poisonRecycled
@@ -49,7 +49,7 @@ func TestLeafSplitAllocsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lw, err := cl.acquireLeafLock(ref.addr)
+		lw, err := cl.lockLeaf(ref.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestLeafSplitAllocsBounded(t *testing.T) {
 		}
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		err = cl.splitLeaf(ref, im, im.meta(metaG), lw, pending)
+		err = cl.splitLeaf(ref.addr, cl.desc.path, im, im.meta(metaG), lw, pending, true)
 		runtime.ReadMemStats(&ms)
 		ix.leaf.putImage(im)
 		if err != nil {

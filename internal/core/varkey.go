@@ -176,22 +176,23 @@ func (c *Client) InsertKV(key, value []byte) error {
 		return err
 	}
 	fp := FingerprintOf(key)
-	return c.insertWith(fp, func(old []byte, exists bool) ([]byte, error) {
+	return c.writeOne(writeUpsert, fp, nil, func(old []byte, exists bool) ([]byte, bool, error) {
 		if !exists {
 			addr, err := c.writeVarBlock(dmsim.NilGAddr, key, value)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return ptrBytes(addr), nil
+			return ptrBytes(addr), true, nil
 		}
 		// Fingerprint collision or update: rebuild the chain with the
 		// new (key, value) replacing any exact match, keeping blocks
 		// immutable.
 		chain, err := c.readChain(ptrOf(old))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return c.rebuildChain(chain, key, value, true)
+		head, err := c.rebuildChain(chain, key, value, true)
+		return head, true, err
 	})
 }
 
@@ -267,7 +268,7 @@ func (c *Client) DeleteKV(key []byte) error {
 		return err
 	}
 	fp := FingerprintOf(key)
-	return c.modifyEntry(fp, func(old []byte) ([]byte, bool, error) {
+	return c.writeOne(writeDelete, fp, nil, func(old []byte, _ bool) ([]byte, bool, error) {
 		chain, err := c.readChain(ptrOf(old))
 		if err != nil {
 			return nil, false, err

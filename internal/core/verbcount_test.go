@@ -121,7 +121,7 @@ func TestSearchTripCount(t *testing.T) {
 		}
 		lay := cl.ix.leaf
 		home := lay.homeOf(key)
-		im, _, err := cl.fetchLeafWindow(ref.addr, home, lay.h)
+		im, _, err := cl.fetchWholeLeaf(ref.addr)
 		if err != nil {
 			t.Fatal(err)
 		}

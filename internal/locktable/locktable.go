@@ -104,6 +104,14 @@ func (t *Table) Waiters(addr uint64) int {
 	return st.waiters.Len()
 }
 
+// Held reports whether a client of the CN holds addr's slot.
+func (t *Table) Held(addr uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, held := t.m[addr]
+	return held
+}
+
 // ReleaseHandover passes the (still remotely held) lock to the next
 // local waiter along with the current lock-word payload. It reports
 // false when no waiter was queued after all — the caller must then

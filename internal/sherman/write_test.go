@@ -392,3 +392,66 @@ func TestWritesUnderLeaseLocks(t *testing.T) {
 		})
 	}
 }
+
+// crashAtAtomic is a fault injector that crashes one client at its nth
+// atomic verb from arming; every verb of the client fails after that.
+type crashAtAtomic struct {
+	client, n, atomics int64
+}
+
+func (f *crashAtAtomic) Decide(v dmsim.VerbInfo) dmsim.FaultDecision {
+	if v.Client != f.client || v.Class != dmsim.VerbAtomic {
+		return dmsim.FaultDecision{}
+	}
+	f.atomics++
+	return dmsim.FaultDecision{Crash: f.atomics == f.n}
+}
+
+func (*crashAtAtomic) ObserveCAS(dmsim.CASInfo) {}
+
+// TestFailedLockGivesTheSlotBack: an internal node's lock takes the
+// node's slot in the CN's lock table before its CAS; when the CAS fails
+// with an error — the writer crashes at the parent's lock while it
+// propagates a leaf split — the slot goes back, so the next same-CN
+// writer of the node is not parked behind a holder that has given up.
+func TestFailedLockGivesTheSlotBack(t *testing.T) {
+	ix, loader := newTestTree(t, DefaultOptions())
+	const n = 2000
+	for i := uint64(1); i <= n; i++ {
+		if err := loader.Insert(i*8, val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cn := ix.NewComputeNode(64 << 20)
+	cl := cn.NewClient()
+	// Ascending keys fill the rightmost leaf until it splits: the split's
+	// write is the first atomic that is not the leaf lock's.
+	inj := &crashAtAtomic{client: cl.DM().ID()}
+	ix.fabric.SetFaultInjector(inj)
+	key := uint64(n * 8)
+	for {
+		if key++; key > n*8+1000 {
+			t.Fatal("1000 inserts split no leaf")
+		}
+		inj.n, inj.atomics = 2, 0
+		err := cl.Insert(key, val8(key))
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, dmsim.ErrClientCrashed) {
+			t.Fatal(err)
+		}
+		break
+	}
+	ix.fabric.SetFaultInjector(nil)
+	_, path, err := loader.descend(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parent := path[len(path)-1].addr; cn.locks.Held(parent.Pack()) {
+		t.Fatal("the failed lock left the parent's lock-table slot held")
+	}
+	if err := cn.NewClient().Insert(key, val8(1)); err != nil {
+		t.Fatalf("a second writer of the CN: %v", err)
+	}
+}
