@@ -132,12 +132,20 @@ func (c *nodeCache) put(addr dmsim.GAddr, n *internalImage, size int64) bool {
 
 // invalidate drops a stale node (a sibling-based cache validation
 // failure, §4.2.3).
-func (c *nodeCache) invalidate(addr dmsim.GAddr) {
+func (c *nodeCache) invalidate(addr dmsim.GAddr) { c.invalidateCopy(addr, nil) }
+
+// invalidateCopy is invalidate of one copy of the node: with im set it
+// drops addr's entry only while the cache holds im, so a fresher copy
+// put since stays.
+func (c *nodeCache) invalidateCopy(addr dmsim.GAddr, im *internalImage) {
 	s := c.shardOf(addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[addr]; ok {
 		slot := el.Value.(*cacheSlot)
+		if im != nil && slot.node != im {
+			return
+		}
 		s.lru.Remove(el)
 		delete(s.items, addr)
 		s.used -= slot.size

@@ -21,10 +21,11 @@ type descent struct {
 	path []pathEntry // internal nodes routed through, root first
 	leaf dmsim.GAddr // the leaf, once step reports descArrived
 
-	// parent is the level-1 node the walk routed on to reach leaf (nil
-	// when the root is a leaf). A decoded node is never written once a
-	// descent routes on it or the cache holds it, so a scan may read its
-	// child list for as long as it likes.
+	// parent is the node the walk routed on last: once it arrives, the
+	// level-1 node that routed it to leaf (nil when the root is a leaf). A
+	// decoded node is never written once a descent routes on it or the
+	// cache holds it, so a scan may read its child list for as long as it
+	// likes.
 	parent *node
 
 	hops, torn int
@@ -149,12 +150,15 @@ func (d *descent) apply(c *Client, n *node, fromCache bool) (st descentStatus, w
 		}
 		if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
 			c.obs.SiblingChases.Inc()
+			if len(d.path) > 0 {
+				c.dropParent(d.parent)
+			}
 			d.cur = n.hdr.sibling // half-split: chase the B-link sibling
 			return 0, true
 		}
 		return descRestart, false
 	}
-	d.path = append(d.path, pathEntry{addr: d.cur, level: n.hdr.level})
+	d.path, d.parent = append(d.path, pathEntry{addr: d.cur, level: n.hdr.level}), n
 	child := n.childFor(key)
 	if child.IsNil() {
 		if fromCache {
@@ -164,7 +168,7 @@ func (d *descent) apply(c *Client, n *node, fromCache bool) (st descentStatus, w
 		return descRestart, false
 	}
 	if n.hdr.level == 1 {
-		d.leaf, d.parent = child, n
+		d.leaf = child
 		return descArrived, false
 	}
 	d.cur = child
@@ -182,6 +186,18 @@ func (d *descent) fail(c *Client, err error) descentStatus {
 func (d *descent) release(c *Client) {
 	c.reap(d.h)
 	d.h, d.fetching = nil, false
+}
+
+// dropParent drops from the cache the copy of the node a walk routed
+// through last: at a B-link chase it routed to a node that no longer
+// covers the key, so it predates the split, and kept it would send every
+// later op on the same chase — when another compute node split the node.
+// A split of this CN updates the parent in the cache itself, so while one
+// is in flight nothing is dropped, and a fresher copy put since stays.
+func (c *Client) dropParent(parent *node) {
+	if parent != nil && c.cn.splits.Load() == 0 {
+		c.cn.cacheDropCopy(parent.addr, parent)
+	}
 }
 
 // reap polls a posted verb and recycles its handle; the caller drops

@@ -188,6 +188,7 @@ func (c *Client) finishLeafOp(op *batchOp) {
 			return
 		}
 		c.obs.SiblingChases.Inc()
+		c.dropParent(op.d.parent)
 		if op.d.hops++; op.d.hops > maxRetries {
 			c.failOp(op, fmt.Errorf("sherman: search(%#x): leaf chain too long", op.key))
 			return

@@ -103,3 +103,46 @@ func TestAccessors(t *testing.T) {
 		t.Fatalf("leaf %dB implausibly small", ix.LeafNodeSize())
 	}
 }
+
+// TestStaleParentHeals: a compute node whose cached parents went stale
+// under another node's splits pays for each stale parent once. CN 1
+// loads 10 000 keys, CN 2 inserts 10 000 more (splitting leaves and
+// level-1 nodes under CN 1's cache), then CN 1 searches all 20 000 keys
+// twice. A chase across a split drops the parent that routed it there,
+// so the second pass costs what a freshly warmed node pays — one trip per
+// search. A parent kept cached sent every later search of its range on
+// the same chase: 1.534 trips per search, pass after pass.
+func TestStaleParentHeals(t *testing.T) {
+	cfg := dmsim.DefaultConfig()
+	cfg.MNSize = 512 << 20
+	ix, err := Bootstrap(dmsim.MustNewFabric(cfg), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl1 := ix.NewComputeNode(64 << 20).NewClient()
+	cl2 := ix.NewComputeNode(64 << 20).NewClient()
+	const n = 10000
+	for i := uint64(0); i < 2*n; i++ {
+		cl := cl1
+		if i >= n {
+			cl = cl2
+		}
+		if err := cl.Insert(ycsb.KeyOf(i), val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var trips [2]float64
+	for pass := range trips {
+		cl1.DM().ResetStats()
+		for i := uint64(0); i < 2*n; i++ {
+			if _, err := cl1.Search(ycsb.KeyOf(i)); err != nil {
+				t.Fatalf("pass %d, key %d: %v", pass, i, err)
+			}
+		}
+		trips[pass] = float64(cl1.DM().Stats().Trips) / (2 * n)
+	}
+	t.Logf("trips per search: %.3f, then %.3f", trips[0], trips[1])
+	if trips[1] > 1.01 {
+		t.Fatalf("second pass costs %.3f trips per search, want <= 1.01: a stale cached parent was kept", trips[1])
+	}
+}

@@ -691,10 +691,12 @@ func (c *Client) writeAndUnlock(addr dmsim.GAddr, off int, buf []byte, local boo
 }
 
 // rearriveWOp re-enters the leaf layer at a sibling (B-link chase). The
-// op keeps its path: sibling leaves propagate splits through the same
-// ancestors.
+// parent that routed the op here predates the split and leaves the
+// cache. The op keeps its path: sibling leaves propagate splits through
+// the same ancestors.
 func (c *Client) rearriveWOp(b *wBatch, op *wOp, leaf dmsim.GAddr) {
 	c.obs.SiblingChases.Inc()
+	c.dropParent(op.d.parent)
 	if op.d.hops++; op.d.hops > maxRetries {
 		c.failWOp(op, fmt.Errorf("sherman: write(%#x): leaf chain too long", op.key))
 		return
