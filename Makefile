@@ -47,13 +47,16 @@ test-slowest:
 # layer, clients, instruments and harness are concurrency-sensitive,
 # and the remaining packages (ycsb, hopscotch, nodelayout, rdwc, lease,
 # analysis) are cheap enough that sweeping the whole tree costs little.
+# -timeout: internal/bench alone takes about 10 min under -race on the
+# two-core host (595 s idle, past 600 s beside another build), right at
+# go test's default; 20 min leaves it twice that.
 race:
-	$(GO) test -race ./internal/dmsim/... ./internal/core/... ./internal/sherman/... \
+	$(GO) test -race -timeout 20m ./internal/dmsim/... ./internal/core/... ./internal/sherman/... \
 		./internal/smartidx/... ./internal/rolex/... ./internal/obs/... ./internal/bench/... \
 		./internal/fault/... ./internal/locktable/... ./internal/ycsb/... \
 		./internal/hopscotch/... ./internal/nodelayout/... ./internal/rdwc/... \
 		./internal/lease/... ./internal/analysis/... ./internal/offroute/... \
-		./internal/folio/... ./internal/hostmem/...
+		./internal/folio/... ./internal/hostmem/... ./internal/nodecache/...
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestHotspotConcurrent' ./internal/core/
 	$(GO) test -race -cpu 1,2 -count=5 -run 'TestSearch.*TripCount|TestDepth1' ./internal/core/ ./internal/sherman/
 	$(GO) test -race -cpu 1,2,4 -run 'TestScanUnderChurn' ./internal/fault/
@@ -85,7 +88,9 @@ check: vet lint build test race bench-check
 
 # Index-client micro-benchmarks. Hotspot buffer (record on a full buffer,
 # neighbourhood lookup, a search's lookup+record from every thread) on
-# one thread and on two: the buffer has one mutex. Then a warm point
+# one thread and on two: the buffer has one mutex. The node cache's hit
+# at the fit budget, CHIME's 16 stripes and the baselines' one, on one
+# thread and two. Then a warm point
 # search and a warm 50-key scan on one thread: the leaf-image decode and
 # whole-leaf validation floor, ns and allocs per simulated op; the same
 # search with the caches off, sync (BenchmarkSearchCold) and through
@@ -97,6 +102,7 @@ check: vet lint build test race bench-check
 # MN's reader counts are striped).
 bench-core:
 	$(GO) test -run '^$$' -bench Hotspot -benchmem -cpu 1,2 ./internal/core
+	$(GO) test -run '^$$' -bench BenchmarkNodeCacheGet -benchmem -cpu 1,2 ./internal/nodecache
 	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkSearch' -benchmem -cpu 1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkUpdate|BenchmarkScan' -benchmem -cpu 1 \
 		./internal/sherman ./internal/rolex ./internal/smartidx

@@ -277,7 +277,7 @@ func TestBatchPathsCountTornReadsAndSiblingChases(t *testing.T) {
 			}
 			torn := append([]byte(nil), good...)
 			nodelayout.BumpNV(torn, ix.inner.allCells)
-			cn.cache.invalidate(root)
+			cn.cache.Drop(root)
 			inj := &tearOnce{reader: cl.DM().ID(), nth: 1, w: w.DM(), addr: root, good: good, torn: torn}
 			f.SetFaultInjector(inj)
 			torn0 := counter(obs.NameTornRead)

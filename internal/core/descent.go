@@ -111,7 +111,7 @@ func (d *descent) fromRoot(c *Client) descentStatus {
 // posted) or the walk ends.
 func (d *descent) walk(c *Client) descentStatus {
 	for ; d.hops < maxRetries; d.hops++ {
-		n := c.cn.cache.get(d.cur)
+		n := c.cn.cache.Get(d.cur)
 		if n == nil {
 			d.node = c.getInternal()
 			return d.postNode(c)
@@ -138,7 +138,7 @@ func (d *descent) apply(c *Client, n *internalImage, r route, fromCache bool) (s
 	if r.kind != routeDown {
 		if fromCache {
 			// Stale cached node: drop it and retry this address remotely.
-			c.cn.cache.invalidate(d.cur)
+			c.cn.cache.Drop(d.cur)
 			return 0, true
 		}
 		if r.kind == routeRight {
@@ -171,7 +171,7 @@ func (d *descent) apply(c *Client, n *internalImage, r route, fromCache bool) (s
 // is in flight nothing is dropped, and a fresher copy put since stays.
 func (d *descent) dropParent(c *Client) {
 	if n := len(d.path); n > 0 && c.cn.splits.Load() == 0 {
-		c.cn.cache.invalidateCopy(d.path[n-1].addr, d.via)
+		c.cn.cache.DropCopy(d.path[n-1].addr, d.via)
 	}
 }
 

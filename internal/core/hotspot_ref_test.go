@@ -152,9 +152,24 @@ func newHotspotPair(t *testing.T, entries, span, hn int) *hotspotPair {
 }
 
 // has reports whether the buffer holds an entry for (leaf, idx).
+// posAt and recAt read slot rid's heap position and record.
+func (h *hotspotBuffer) posAt(rid int32) int32 {
+	_, pos := h.slot(rid)
+	return *pos
+}
+
+func (h *hotspotBuffer) recAt(rid int32) hotRec {
+	r, _ := h.slot(rid)
+	return *r
+}
+
 func (h *hotspotBuffer) has(leaf dmsim.GAddr, idx int) bool {
 	b, ok := h.leaves[leaf.Pack()]
-	return ok && h.block(b)[idx] >= 0
+	if !ok {
+		return false
+	}
+	c := h.block(b)[1+idx/hotChunkSlots] - 1
+	return c >= 0 && h.posAt(c*hotChunkSlots+int32(idx%hotChunkSlots)) >= 0
 }
 
 func (p *hotspotPair) record(leaf dmsim.GAddr, idx int, key uint64) {
@@ -198,9 +213,9 @@ func (p *hotspotPair) checkSame() {
 	p.t.Helper()
 	checkInvariants(p.t, p.h)
 	got := make(map[refHotspotKey]refHotspotVal, len(p.h.heap))
-	for _, ei := range p.h.heap {
-		e := p.h.ents[ei]
-		got[refHotspotKey{dmsim.UnpackGAddr(e.leaf), e.idx}] = refHotspotVal{e.fp, e.counter}
+	for _, it := range p.h.heap {
+		r := p.h.recAt(it.rec)
+		got[refHotspotKey{dmsim.UnpackGAddr(it.leaf), it.idx}] = refHotspotVal{r.fp, r.counter}
 	}
 	if len(got) != len(p.ref.m) {
 		p.t.Fatalf("step %d: %d entries, reference has %d", p.step, len(got), len(p.ref.m))
@@ -217,42 +232,61 @@ func (p *hotspotPair) checkSame() {
 
 // checkInvariants verifies the buffer's internal structure: the heap is
 // ordered by the stale keys and every key is a lower bound of its live
-// counter; heap positions, slab entries and the leaf index refer to each
-// other consistently; free lists account for everything not in use.
+// counter; heap positions, records, chunks, blocks and the leaf index
+// refer to each other consistently; free lists account for everything
+// not in use.
 func checkInvariants(t *testing.T, h *hotspotBuffer) {
 	t.Helper()
 	if len(h.heap) > h.cap {
 		t.Fatalf("%d entries exceed capacity %d", len(h.heap), h.cap)
 	}
-	for i, ei := range h.heap {
-		e := &h.ents[ei]
-		if int(e.pos) != i {
-			t.Fatalf("heap[%d] = entry %d whose pos is %d", i, ei, e.pos)
+	const g = hotChunkSlots
+	for i, it := range h.heap {
+		if pos := h.posAt(it.rec); int(pos) != i {
+			t.Fatalf("heap[%d] = slot %d whose pos is %d", i, it.rec, pos)
 		}
-		if e.key > e.counter {
-			t.Fatalf("entry %d: heap key %d above live counter %d", ei, e.key, e.counter)
+		if r := h.recAt(it.rec); it.key > r.counter || r.counter == 0 {
+			t.Fatalf("heap[%d]: heap key %d, live counter %d", i, it.key, r.counter)
 		}
-		if i > 0 && h.less(ei, h.heap[(i-1)/2]) {
+		if i > 0 && it.before(&h.heap[(i-1)/2]) {
 			t.Fatalf("heap[%d] orders before its parent", i)
 		}
-		if b, ok := h.leaves[e.leaf]; !ok || b != e.block || h.block(b)[e.idx] != ei {
-			t.Fatalf("entry %d (leaf %#x idx %d block %d) not reachable through the leaf index", ei, e.leaf, e.idx, e.block)
+		b, ok := h.leaves[it.leaf]
+		if c := it.rec / g; !ok || h.block(b)[1+int(it.idx)/g] != c+1 || it.rec%g != int32(it.idx)%g || h.chunks[c/hotPage].meta[c%hotPage].block != b {
+			t.Fatalf("heap[%d] (leaf %#x idx %d slot %d) not reachable through the leaf index", i, it.leaf, it.idx, it.rec)
 		}
 	}
-	indexed := 0
+	indexed, chunks := 0, 0
 	for pl, b := range h.leaves {
+		blk := h.block(b)
 		n := 0
-		for idx, ei := range h.block(b) {
-			if ei < 0 {
+		for ci, c1 := range blk[1:] {
+			c := c1 - 1
+			if c < 0 {
 				continue
 			}
-			n++
-			if e := &h.ents[ei]; e.leaf != pl || int(e.idx) != idx || h.heap[e.pos] != ei {
-				t.Fatalf("leaf %#x slot %d → entry %d = %+v", pl, idx, ei, *e)
+			chunks++
+			live := 0
+			for j := int32(0); j < g; j++ {
+				pos, r := h.posAt(c*g+j), h.recAt(c*g+j)
+				if pos < 0 {
+					if r != (hotRec{}) {
+						t.Fatalf("leaf %#x chunk %d slot %d: empty record %+v", pl, ci, j, r)
+					}
+					continue
+				}
+				live++
+				if it := h.heap[pos]; it.leaf != pl || int32(it.idx) != int32(ci)*g+j {
+					t.Fatalf("leaf %#x slot %d → heap[%d] = %+v", pl, int32(ci)*g+j, pos, it)
+				}
 			}
+			if m := h.chunks[c/hotPage].meta[c%hotPage]; live == 0 || int(m.live) != live || m.block != b {
+				t.Fatalf("leaf %#x chunk %d: %+v, %d records set, block %d", pl, c, m, live, b)
+			}
+			n += live
 		}
-		if n == 0 || int(h.live[b]) != n {
-			t.Fatalf("leaf %#x block %d: live %d, %d slots set", pl, b, h.live[b], n)
+		if n == 0 || int(blk[0]) != n {
+			t.Fatalf("leaf %#x block %d: live %d, %d slots set", pl, b, blk[0], n)
 		}
 		indexed += n
 	}
@@ -260,23 +294,28 @@ func checkInvariants(t *testing.T, h *hotspotBuffer) {
 		t.Fatalf("leaf index holds %d entries, heap %d", indexed, len(h.heap))
 	}
 	free := 0
-	for ei := h.freeEnt; ei >= 0; ei = h.ents[ei].pos {
+	for c := h.freeChunk; c >= 0; c = h.chunks[c/hotPage].meta[c%hotPage].block {
 		free++
-	}
-	if free+len(h.heap) != len(h.ents) {
-		t.Fatalf("slab of %d: %d in heap, %d free", len(h.ents), len(h.heap), free)
-	}
-	free = 0
-	for b := h.freeBlock; b >= 0; b = h.live[b] {
-		free++
-		for _, ei := range h.block(b) {
-			if ei >= 0 {
-				t.Fatalf("free block %d still indexes entry %d", b, ei)
+		for j := int32(0); j < g; j++ {
+			if pos, r := h.posAt(c*g+j), h.recAt(c*g+j); pos >= 0 || r != (hotRec{}) {
+				t.Fatalf("free chunk %d still holds %+v at %d", c, r, pos)
 			}
 		}
 	}
-	if free+len(h.leaves) != len(h.live) {
-		t.Fatalf("%d blocks: %d in use, %d free", len(h.live), len(h.leaves), free)
+	if free+chunks != int(h.nchunks) {
+		t.Fatalf("%d chunks: %d in use, %d free", h.nchunks, chunks, free)
+	}
+	free = 0
+	for b := h.freeBlock; b >= 0; b = h.block(b)[0] {
+		free++
+		for _, c := range h.block(b)[1:] {
+			if c != 0 {
+				t.Fatalf("free block %d still holds chunk %d", b, c-1)
+			}
+		}
+	}
+	if free+len(h.leaves) != int(h.nblocks) {
+		t.Fatalf("%d blocks: %d in use, %d free", h.nblocks, len(h.leaves), free)
 	}
 }
 
@@ -310,8 +349,8 @@ func (p *hotspotPair) diffOp(leaves []dmsim.GAddr, kind, a, b int) {
 		}
 	default:
 		if n := len(p.h.heap); n > 0 && b%4 < 2 {
-			e := p.h.ents[p.h.heap[(b%4)*(n-1)]] // root, or last slot
-			leaf, idx = dmsim.UnpackGAddr(e.leaf), int(e.idx)
+			it := p.h.heap[(b%4)*(n-1)] // root, or last slot
+			leaf, idx = dmsim.UnpackGAddr(it.leaf), int(it.idx)
 		}
 		p.drop(leaf, idx)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"chime/internal/dmsim"
 	"chime/internal/ycsb"
@@ -285,29 +286,29 @@ func TestHotspotConcurrentWriteRead(t *testing.T) {
 func TestNodeCacheLRUOrder(t *testing.T) {
 	c := newNodeCache(3 * 100)
 	n := testNode(internalHeader{valid: true})
-	c.put(haddr(1), n, 100)
-	c.put(haddr(2), n, 100)
-	c.put(haddr(3), n, 100)
+	c.Put(haddr(1), n, 100)
+	c.Put(haddr(2), n, 100)
+	c.Put(haddr(3), n, 100)
 	// Touch 1 so 2 becomes LRU.
-	if c.get(haddr(1)) == nil {
+	if c.Get(haddr(1)) == nil {
 		t.Fatal("miss on resident node")
 	}
-	c.put(haddr(4), n, 100) // evicts 2
-	if c.get(haddr(2)) != nil {
+	c.Put(haddr(4), n, 100) // evicts 2
+	if c.Get(haddr(2)) != nil {
 		t.Fatal("LRU victim survived")
 	}
-	if c.get(haddr(1)) == nil || c.get(haddr(3)) == nil || c.get(haddr(4)) == nil {
+	if c.Get(haddr(1)) == nil || c.Get(haddr(3)) == nil || c.Get(haddr(4)) == nil {
 		t.Fatal("wrong node evicted")
 	}
 }
 
 func TestNodeCacheOversizedRejected(t *testing.T) {
 	c := newNodeCache(100)
-	c.put(haddr(1), testNode(internalHeader{}), 500)
-	if c.get(haddr(1)) != nil {
+	c.Put(haddr(1), testNode(internalHeader{}), 500)
+	if c.Get(haddr(1)) != nil {
 		t.Fatal("oversized entry must not be cached")
 	}
-	s := c.stats()
+	s := c.Stats()
 	if s.UsedBytes != 0 {
 		t.Fatalf("used = %d", s.UsedBytes)
 	}
@@ -317,12 +318,12 @@ func TestNodeCacheReplaceSameAddr(t *testing.T) {
 	c := newNodeCache(1000)
 	a := testNode(internalHeader{level: 1})
 	b := testNode(internalHeader{level: 2})
-	c.put(haddr(1), a, 100)
-	c.put(haddr(1), b, 200)
-	if got := c.get(haddr(1)); got == nil || got.level != 2 {
+	c.Put(haddr(1), a, 100)
+	c.Put(haddr(1), b, 200)
+	if got := c.Get(haddr(1)); got == nil || got.level != 2 {
 		t.Fatal("replacement not visible")
 	}
-	if s := c.stats(); s.UsedBytes != 200 || s.Nodes != 1 {
+	if s := c.Stats(); s.UsedBytes != 200 || s.Nodes != 1 {
 		t.Fatalf("accounting after replace: %+v", s)
 	}
 }
@@ -336,6 +337,106 @@ func TestFingerprintSpread(t *testing.T) {
 	for fp, n := range seen {
 		if n > 8 {
 			t.Fatalf("fingerprint %#x repeats %d times", fp, n)
+		}
+	}
+}
+
+// TestHotspotMultiMatch: several slots of one neighborhood carry the
+// key's fingerprint (the key moved, or fingerprints collide). The
+// hottest wins and a tie goes to the slot nearest home, also when the
+// neighborhood wraps past the span and spans several chunks.
+func TestHotspotMultiMatch(t *testing.T) {
+	type rec struct{ idx, times int }
+	for _, tc := range []struct {
+		name           string
+		span, home, hn int
+		recs           []rec
+		want           int
+	}{
+		{"two, the farther hotter", 64, 10, 8, []rec{{11, 1}, {15, 3}}, 15},
+		{"two tied", 64, 10, 8, []rec{{16, 2}, {12, 2}}, 12},
+		{"three, the middle hottest", 64, 4, 8, []rec{{4, 2}, {7, 5}, {11, 1}}, 7},
+		{"three, wrap, tied before it", 64, 60, 8, []rec{{1, 3}, {62, 3}, {63, 1}}, 62},
+		{"three, wrap, hottest after it", 64, 60, 8, []rec{{61, 1}, {63, 2}, {2, 4}}, 2},
+		{"two, wrap, tied across it", 64, 58, 16, []rec{{0, 2}, {59, 2}}, 59},
+		{"three, whole span wraps", 8, 5, 8, []rec{{6, 1}, {4, 3}, {0, 3}}, 0},
+		{"hotter ones outside", 64, 10, 8, []rec{{9, 9}, {18, 9}, {13, 1}, {17, 1}}, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newHotspotPair(t, 64, tc.span, tc.hn)
+			leaf := haddr(4096)
+			for _, r := range tc.recs {
+				for i := 0; i < r.times; i++ {
+					p.record(leaf, r.idx, 0x77)
+				}
+			}
+			p.record(leaf, (tc.home+tc.hn/2)%tc.span, 0x78) // another key in between
+			if got := p.lookup(leaf, 0x77, tc.home); got != tc.want {
+				t.Fatalf("lookup = %d, want %d", got, tc.want)
+			}
+			p.checkSame()
+		})
+	}
+}
+
+// footprint is the bytes the buffer's arrays hold, from their
+// capacities, plus its leaf map once it has held leaves leaves.
+func (h *hotspotBuffer) footprint(leaves int) int64 {
+	n := int64(cap(h.heap))*int64(unsafe.Sizeof(hotItem{})) + mapBytes(leaves, 16)
+	for _, p := range h.blocks {
+		n += int64(cap(p)) * 4
+	}
+	return n + int64(len(h.chunks))*int64(unsafe.Sizeof(hotChunkPage{}))
+}
+
+// mapBytes is what a Go map of n entries of slot bytes holds: groups of
+// eight slots and a control word, at most 7/8 full, doubling.
+func mapBytes(n int, slot int64) int64 {
+	c := 8
+	for c*7/8 < n {
+		c *= 2
+	}
+	return int64(c/8) * (8 + 8*slot)
+}
+
+// TestHotspotFootprint pins the bytes a recorded entry costs at the two
+// shapes benchmark/ runs the buffer at — c_paper's full 3 276-entry
+// buffer under Zipf, where most leaves hold one or two hot slots, and a
+// fit budget holding three of every four slots — to no more than the
+// layout before inline records held: a 32-byte slab entry and a 4-byte
+// heap slot per entry of capacity, reserved whole, a block of 4 bytes per
+// slot and a live count for every leaf that held an entry at once,
+// counted without the slack its append growth left, and a map of 16-byte
+// slots to the blocks.
+func TestHotspotFootprint(t *testing.T) {
+	for _, sh := range []struct {
+		name  string
+		h     *hotspotBuffer
+		slots []uint64
+	}{
+		{"c_paper", newHotspotBuffer(benchPaperEntries*hotspotEntryBytes, 64), zipfRanks(1<<16, 1)},
+		{"c_fit", newHotspotBuffer(2<<20, 64), nil},
+	} {
+		if sh.slots == nil {
+			for r := uint64(0); r < benchHotspotSlots; r++ {
+				if r%4 != 3 {
+					sh.slots = append(sh.slots, r)
+				}
+			}
+		}
+		h, peak := sh.h, 0
+		for _, r := range sh.slots {
+			leaf, idx := hotspotSlot(r)
+			h.record(leaf, idx, r)
+			peak = max(peak, len(h.leaves))
+		}
+		entries := int64(len(h.heap))
+		old := int64(h.cap)*(32+4) + int64(peak)*int64(4*h.span+4) + mapBytes(peak, 16)
+		now := h.footprint(peak)
+		t.Logf("%s: %d entries, at most %d leaves: %d → %d bytes, %.1f → %.1f per entry",
+			sh.name, entries, peak, old, now, float64(old)/float64(entries), float64(now)/float64(entries))
+		if now > old {
+			t.Errorf("%s: %d bytes, the slab layout held %d", sh.name, now, old)
 		}
 	}
 }

@@ -36,10 +36,11 @@ func (c *Client) maybeMergeLeaf(addr dmsim.GAddr, key uint64) {
 	if err != nil {
 		return
 	}
-	if !im.meta(metaG).valid || !leafEmpty(im) {
-		return
+	empty := im.meta(metaG).valid && leafEmpty(im)
+	c.ix.leaf.putImage(im)
+	if empty {
+		c.mergeEmptyLeaf(addr, key)
 	}
-	c.mergeEmptyLeaf(addr, key)
 }
 
 func leafEmpty(im *leafImage) bool {
@@ -54,6 +55,8 @@ func leafEmpty(im *leafImage) bool {
 // mergeEmptyLeaf unlinks the (believed empty) leaf covering key. Every
 // lock taken is released on the way out, in reverse order: the victim,
 // the left leaf, the parent — unless the parent's rewrite released it.
+// The images it reads go back to their pools on the way out too, after
+// the writes made from them.
 func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	// Locate the parent with a fresh remote walk — the cache may be
 	// what is stale.
@@ -71,23 +74,24 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 		}
 	}()
 	pim, err := c.readInternal(parentAddr)
-	if err != nil || !pim.valid || pim.level != 1 || !pim.covers(key) {
+	if err != nil {
+		return
+	}
+	defer c.putInternal(pim)
+	if !pim.valid || pim.level != 1 || !pim.covers(key) {
 		return
 	}
 
-	// Identify the victim's routing entry and its left neighbor. The
-	// parent is about to be rewritten, so it is decoded in full, and its
-	// fetched bytes stay here for encodeInternal to bump versions from.
+	// Identify the victim's routing entry and its left neighbor.
 	child, entryIdx, _ := pim.childFor(key)
-	parent, parentImg := c.ix.inner.decodeInternal(parentAddr, pim), pim.buf
 	if child != victim || entryIdx < 0 {
 		// Either the tree moved, or the victim is the leftmost child
 		// (entryIdx == -1): skip.
 		return
 	}
-	leftAddr := parent.leftmost
+	leftAddr := pim.leftmost
 	if entryIdx > 0 {
-		leftAddr = parent.entries[entryIdx-1].child
+		leftAddr = pim.childAt(entryIdx - 1)
 	}
 	if leftAddr.IsNil() {
 		return
@@ -112,6 +116,7 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	if err != nil {
 		return
 	}
+	defer c.ix.leaf.putImage(vIm)
 	vMeta := vIm.meta(vMetaG)
 	if !vMeta.valid || !leafEmpty(vIm) {
 		return
@@ -120,6 +125,7 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 	if err != nil {
 		return
 	}
+	defer c.ix.leaf.putImage(lIm)
 	if lMeta := lIm.meta(lMetaG); !lMeta.valid || lMeta.sibling != victim {
 		return
 	}
@@ -144,14 +150,17 @@ func (c *Client) mergeEmptyLeaf(victim dmsim.GAddr, key uint64) {
 		return
 	}
 
-	// 3. Remove the routing entry from the parent and release it.
+	// 3. Remove the routing entry from the parent and release it. The
+	//    parent is rewritten, so it is decoded in full, and its fetched
+	//    bytes are what encodeInternal bumps versions from.
+	parent := c.ix.inner.decodeInternal(parentAddr, pim)
 	parent.entries = append(parent.entries[:entryIdx], parent.entries[entryIdx+1:]...)
-	img := c.ix.inner.encodeInternal(parent, parentImg)
+	img := c.ix.inner.encodeInternal(parent, pim.buf)
 	parentLocked = false
 	if err := c.writeInternalAndUnlock(parentAddr, img); err != nil {
 		return
 	}
-	c.cn.cache.put(parentAddr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
+	c.cn.cache.Put(parentAddr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 	c.obs.Merges.Inc()
 }
 

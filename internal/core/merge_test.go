@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -230,5 +231,64 @@ func TestMergeWithVarKeys(t *testing.T) {
 	out, err := cl.ScanKV([]byte("doc/000500"), 200)
 	if err != nil || len(out) != 200 {
 		t.Fatalf("post-merge scan: %d %v", len(out), err)
+	}
+}
+
+// TestMergeCheckGivesImagesBack: the merge check reads whole leaves — the
+// confirmation read outside the locks, then the victim and its left
+// sibling under them — and the parent; every exit gives those images
+// back, so a check that finds the leaf not empty allocates nothing,
+// before the locks or under them, and a delete loop that empties and
+// merges leaves allocates no image per merge.
+func TestMergeCheckGivesImagesBack(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops what it is handed under the race detector")
+	}
+	defer func(p bool) { poisonRecycled = p }(poisonRecycled)
+	poisonRecycled = false // poisoning allocates
+	_, cl := newTestTree(t, DefaultOptions())
+	const n = 4000
+	keys := make([]uint64, 0, n)
+	for i := uint64(0); i < n; i++ {
+		keys = append(keys, ycsb.KeyOf(i))
+		if err := cl.Insert(keys[i], val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sortU64(keys)
+
+	// A full leaf in the middle of the tree: not its parent's leftmost
+	// child, so the check under the locks runs to the victim's re-read.
+	key := keys[n/2]
+	ref, err := cl.descend(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(500, func() { cl.maybeMergeLeaf(ref.addr, key) }); a != 0 {
+		t.Errorf("merge check of a full leaf: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(500, func() { cl.mergeEmptyLeaf(ref.addr, key) }); a != 0 {
+		t.Errorf("merge check of a full leaf under the locks: %v allocs, want 0", a)
+	}
+
+	// Empty a band of leaves: every delete that empties one merges it.
+	band := keys[500:3500]
+	var stats runtime.MemStats
+	runtime.ReadMemStats(&stats)
+	before := stats.Mallocs
+	for _, k := range band {
+		if err := cl.Delete(k); err != nil {
+			t.Fatalf("delete %#x: %v", k, err)
+		}
+	}
+	runtime.ReadMemStats(&stats)
+	perDelete := float64(stats.Mallocs-before) / float64(len(band))
+	if trips := fullScanTrips(t, cl, n-len(band)); trips > 60 {
+		t.Fatalf("full scan cost %d trips; the band's leaves did not merge", trips)
+	}
+	// About 0.1 here — the parent's rewrite, a handful of objects per
+	// merge — against 0.7 while each check left its images behind.
+	if perDelete > 0.2 {
+		t.Errorf("emptying %d keys' leaves: %.3f allocs per delete, want ≤ 0.2", len(band), perDelete)
 	}
 }

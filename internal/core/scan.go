@@ -67,7 +67,7 @@ func (c *Client) scanNames(ref leafRef, start uint64) []dmsim.GAddr {
 	if ref.parentAddr.IsNil() {
 		return nil
 	}
-	n := c.cn.cache.get(ref.parentAddr)
+	n := c.cn.cache.Get(ref.parentAddr)
 	if n == nil || !n.valid || !n.covers(start) {
 		return nil
 	}

@@ -336,7 +336,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			if err := c.writeInternalAndUnlock(addr, img); err != nil {
 				return false, dmsim.NilGAddr, err
 			}
-			c.cn.cache.put(addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
+			c.cn.cache.Put(addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 			c.placed.Note(level, splitKey)
 			return true, dmsim.NilGAddr, nil
 		}
@@ -412,7 +412,7 @@ func (c *Client) splitInternal(n *internalNode, prevImg []byte, splitKey uint64,
 	if err := c.writeInternalAndUnlock(n.addr, img); err != nil {
 		return err
 	}
-	c.cn.cache.put(n.addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
+	c.cn.cache.Put(n.addr, c.ix.inner.imageOf(img), int64(c.ix.inner.size))
 
 	return c.propagateSplit(path, n.level, midKey, newAddr)
 }

@@ -9,6 +9,7 @@ import (
 	"chime/internal/dmsim"
 	"chime/internal/hopscotch"
 	"chime/internal/locktable"
+	"chime/internal/nodecache"
 	"chime/internal/nodelayout"
 	"chime/internal/obs"
 	"chime/internal/offroute"
@@ -141,7 +142,7 @@ func (ix *Index) writeSuper(c *dmsim.Client, root dmsim.GAddr, level uint8) erro
 // hotspot buffer shared by all of its clients (§2.2, §4.3).
 type ComputeNode struct {
 	ix      *Index
-	cache   *nodeCache
+	cache   *nodecache.Cache[*internalImage] // every client routes on its images; it never writes one
 	hotspot *hotspotBuffer
 	locks   *locktable.Table
 	obs     obs.IndexInstruments
@@ -175,8 +176,21 @@ func (ix *Index) NewComputeNode(cacheBytes, hotspotBytes int64) *ComputeNode {
 	}
 }
 
+// cacheShards stripes the node cache: one mutex would serialize every
+// traversal of every client goroutine on the CN.
+const cacheShards = 16
+
+// newNodeCache returns a node cache of budget encoded node bytes, the
+// unit the paper reports cache consumption in.
+func newNodeCache(budget int64) *nodecache.Cache[*internalImage] {
+	return nodecache.New[*internalImage](budget, cacheShards)
+}
+
+// CacheStats is a snapshot of the node cache's behaviour and footprint.
+type CacheStats = nodecache.Stats
+
 // CacheStats reports the CN's internal-node cache counters.
-func (cn *ComputeNode) CacheStats() CacheStats { return cn.cache.stats() }
+func (cn *ComputeNode) CacheStats() CacheStats { return cn.cache.Stats() }
 
 // HotspotStats reports the CN's hotspot-buffer counters.
 func (cn *ComputeNode) HotspotStats() HotspotStats { return cn.hotspot.stats() }
@@ -318,7 +332,7 @@ func (c *Client) putInternal(im *internalImage) {
 // it if the cache declines (or the node is a deleted one, which must
 // not be cached). Either way the image is no longer the caller's.
 func (c *Client) keepInternal(addr dmsim.GAddr, im *internalImage) {
-	if !im.valid || !c.cn.cache.put(addr, im, int64(c.ix.inner.size)) {
+	if !im.valid || !c.cn.cache.Put(addr, im, int64(c.ix.inner.size)) {
 		c.putInternal(im)
 	}
 }
@@ -393,7 +407,7 @@ func (c *Client) validateLeafMeta(ref *leafRef, meta leafMeta, key uint64, found
 	if mismatch && ref.parentFromCache {
 		// Cache validation (§4.2.3 rule 1): the cached parent predates a
 		// split; invalidate and retry the whole search.
-		c.cn.cache.invalidate(ref.parentAddr)
+		c.cn.cache.Drop(ref.parentAddr)
 		return false, errRestart
 	}
 	if found {

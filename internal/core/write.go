@@ -966,7 +966,7 @@ func (d *doorbell) stage(leaf dmsim.GAddr, im *leafImage, ranges []byteRange) {
 // retry to the same outdated leaf.
 func (c *Client) invalidateRefParent(ref leafRef) {
 	if ref.parentFromCache && !ref.parentAddr.IsNil() {
-		c.cn.cache.invalidate(ref.parentAddr)
+		c.cn.cache.Drop(ref.parentAddr)
 	}
 }
 

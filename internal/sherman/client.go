@@ -1,14 +1,13 @@
 package sherman
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"chime/internal/dmsim"
 	"chime/internal/locktable"
+	"chime/internal/nodecache"
 	"chime/internal/nodelayout"
 	"chime/internal/obs"
 	"chime/internal/offroute"
@@ -58,13 +57,9 @@ type ComputeNode struct {
 	// to the parent's update (dropParent).
 	splits atomic.Int32
 
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	lru    *list.List
-	items  map[dmsim.GAddr]*list.Element
-
-	hits, misses int64
+	// cache holds internal nodes, each costing ix.inner.size, under one
+	// mutex: one LRU over the whole CN.
+	cache *nodecache.Cache[*node]
 
 	obs obs.IndexInstruments
 }
@@ -77,80 +72,15 @@ func (cn *ComputeNode) SetObserver(s *obs.Sink) {
 	cn.obs = obs.ResolveIndex(s)
 }
 
-type cacheSlot struct {
-	addr dmsim.GAddr
-	n    *node
-}
-
 // NewComputeNode creates CN state with an internal-node cache budget.
 func (ix *Index) NewComputeNode(cacheBytes int64) *ComputeNode {
-	return &ComputeNode{
-		ix:     ix,
-		locks:  locktable.New(),
-		budget: cacheBytes,
-		lru:    list.New(),
-		items:  make(map[dmsim.GAddr]*list.Element),
-	}
+	return &ComputeNode{ix: ix, locks: locktable.New(), cache: nodecache.New[*node](cacheBytes, 1)}
 }
 
 // CacheStats reports hit/miss/occupancy counters.
 func (cn *ComputeNode) CacheStats() (hits, misses, nodes int64, usedBytes int64) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.hits, cn.misses, int64(len(cn.items)), cn.used
-}
-
-func (cn *ComputeNode) cacheGet(addr dmsim.GAddr) *node {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if el, ok := cn.items[addr]; ok {
-		cn.hits++
-		cn.lru.MoveToFront(el)
-		return el.Value.(*cacheSlot).n
-	}
-	cn.misses++
-	return nil
-}
-
-func (cn *ComputeNode) cachePut(addr dmsim.GAddr, n *node) {
-	size := int64(cn.ix.inner.size)
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if cn.budget <= 0 {
-		return
-	}
-	if el, ok := cn.items[addr]; ok {
-		el.Value.(*cacheSlot).n = n
-		cn.lru.MoveToFront(el)
-		return
-	}
-	cn.items[addr] = cn.lru.PushFront(&cacheSlot{addr: addr, n: n})
-	cn.used += size
-	for cn.used > cn.budget {
-		back := cn.lru.Back()
-		if back == nil {
-			break
-		}
-		slot := back.Value.(*cacheSlot)
-		cn.lru.Remove(back)
-		delete(cn.items, slot.addr)
-		cn.used -= size
-	}
-}
-
-func (cn *ComputeNode) cacheDrop(addr dmsim.GAddr) { cn.cacheDropCopy(addr, nil) }
-
-// cacheDropCopy is cacheDrop of one copy of the node: with n set it drops
-// addr's entry only while the cache holds n, so a fresher copy put since
-// stays.
-func (cn *ComputeNode) cacheDropCopy(addr dmsim.GAddr, n *node) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if el, ok := cn.items[addr]; ok && (n == nil || el.Value.(*cacheSlot).n == n) {
-		cn.lru.Remove(el)
-		delete(cn.items, addr)
-		cn.used -= int64(cn.ix.inner.size)
-	}
+	st := cn.cache.Stats()
+	return st.Hits, st.Misses, int64(st.Nodes), st.UsedBytes
 }
 
 // Client is one Sherman client; not safe for concurrent use.
@@ -561,7 +491,7 @@ func (c *Client) collectLeaf(im *image, hdr header, start uint64, parent *node, 
 		// A leaf split since the parent was cached: what was read past
 		// this leaf is not what follows it.
 		c.dropLeafReads()
-		c.cn.cacheDrop(parent.addr)
+		c.cn.cache.Drop(parent.addr)
 	}
 	// Before this leaf's values are resolved: the leaf reads overlap the
 	// block reads below.

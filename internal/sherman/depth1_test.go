@@ -264,7 +264,7 @@ func TestBatchPathsCountTornReadsAndSiblingChases(t *testing.T) {
 			}
 			torn := append([]byte(nil), good...)
 			nodelayout.BumpNV(torn, ix.inner.allCells)
-			cn.cacheDrop(root)
+			cn.cache.Drop(root)
 			inj := &tearOnce{reader: cl.DM().ID(), nth: 1, w: w.DM(), addr: root, good: good, torn: torn}
 			ix.fabric.SetFaultInjector(inj)
 			torn0 := counter(obs.NameTornRead)

@@ -98,7 +98,7 @@ func (d *descent) step(c *Client) descentStatus {
 		return descRestart
 	}
 	n := decodeInternal(d.cur, d.img, hdr)
-	c.cn.cachePut(d.cur, n)
+	c.cn.cache.Put(d.cur, n, int64(c.ix.inner.size))
 	if st, walkOn := d.apply(c, n, false); !walkOn {
 		return st
 	}
@@ -118,7 +118,7 @@ func (d *descent) fromRoot(c *Client) descentStatus {
 // posted) or the walk ends.
 func (d *descent) walk(c *Client) descentStatus {
 	for ; d.hops < maxRetries; d.hops++ {
-		n := c.cn.cacheGet(d.cur)
+		n := c.cn.cache.Get(d.cur)
 		if n == nil {
 			return d.postNode(c)
 		}
@@ -145,7 +145,7 @@ func (d *descent) apply(c *Client, n *node, fromCache bool) (st descentStatus, w
 	key := d.key
 	if !n.covers(key) {
 		if fromCache {
-			c.cn.cacheDrop(d.cur) // stale: retry this address remotely
+			c.cn.cache.Drop(d.cur) // stale: retry this address remotely
 			return 0, true
 		}
 		if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
@@ -162,7 +162,7 @@ func (d *descent) apply(c *Client, n *node, fromCache bool) (st descentStatus, w
 	child := n.childFor(key)
 	if child.IsNil() {
 		if fromCache {
-			c.cn.cacheDrop(d.cur)
+			c.cn.cache.Drop(d.cur)
 			return 0, true
 		}
 		return descRestart, false
@@ -196,7 +196,7 @@ func (d *descent) release(c *Client) {
 // is in flight nothing is dropped, and a fresher copy put since stays.
 func (c *Client) dropParent(parent *node) {
 	if parent != nil && c.cn.splits.Load() == 0 {
-		c.cn.cacheDropCopy(parent.addr, parent)
+		c.cn.cache.DropCopy(parent.addr, parent)
 	}
 }
 

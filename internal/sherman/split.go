@@ -149,7 +149,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 			if err := c.writeAndUnlock(addr, lineSize, im.body(), local); err != nil {
 				return false, err
 			}
-			c.cn.cachePut(addr, n)
+			c.cn.cache.Put(addr, n, int64(c.ix.inner.size))
 			return true, nil
 		}
 
@@ -186,7 +186,7 @@ func (c *Client) insertIntoParent(addr dmsim.GAddr, level uint8, splitKey uint64
 		if err := c.writeAndUnlock(addr, lineSize, im.body(), local); err != nil {
 			return false, err
 		}
-		c.cn.cachePut(addr, n)
+		c.cn.cache.Put(addr, n, int64(c.ix.inner.size))
 		// im is dead here: the recursion reads this level's parent into it.
 		if err := c.propagate(path, level, midKey, newAddr); err != nil {
 			return false, err

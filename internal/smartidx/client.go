@@ -1,13 +1,12 @@
 package smartidx
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"chime/internal/dmsim"
 	"chime/internal/lease"
+	"chime/internal/nodecache"
 	"chime/internal/obs"
 	"chime/internal/offroute"
 )
@@ -18,13 +17,9 @@ import (
 type ComputeNode struct {
 	ix *Index
 
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	lru    *list.List
-	items  map[dmsim.GAddr]*list.Element
-
-	hits, misses int64
+	// cache holds nodes of every kind, each costing its kind's size,
+	// under one mutex: one LRU over the whole CN.
+	cache *nodecache.Cache[*node]
 
 	obs obs.IndexInstruments
 }
@@ -37,82 +32,15 @@ func (cn *ComputeNode) SetObserver(s *obs.Sink) {
 	cn.obs = obs.ResolveIndex(s)
 }
 
-type cacheSlot struct {
-	addr dmsim.GAddr
-	n    *node
-	size int64
-}
-
 // NewComputeNode creates CN state with a cache byte budget.
 func (ix *Index) NewComputeNode(cacheBytes int64) *ComputeNode {
-	return &ComputeNode{
-		ix:     ix,
-		budget: cacheBytes,
-		lru:    list.New(),
-		items:  make(map[dmsim.GAddr]*list.Element),
-	}
+	return &ComputeNode{ix: ix, cache: nodecache.New[*node](cacheBytes, 1)}
 }
 
 // CacheStats reports hit/miss/occupancy counters.
 func (cn *ComputeNode) CacheStats() (hits, misses, nodes, usedBytes int64) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.hits, cn.misses, int64(len(cn.items)), cn.used
-}
-
-func (cn *ComputeNode) cacheGet(addr dmsim.GAddr) *node {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if el, ok := cn.items[addr]; ok {
-		cn.hits++
-		cn.lru.MoveToFront(el)
-		return el.Value.(*cacheSlot).n
-	}
-	cn.misses++
-	return nil
-}
-
-// cachePut offers a fetched node to the cache and reports whether the
-// cache took it: a taken node (and its image) is the cache's, shared and
-// never written again; a declined one stays its fetcher's.
-func (cn *ComputeNode) cachePut(addr dmsim.GAddr, n *node) bool {
-	size := int64(nodeSize(n.hdr.kind))
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if cn.budget <= 0 || size > cn.budget {
-		return false
-	}
-	if el, ok := cn.items[addr]; ok {
-		s := el.Value.(*cacheSlot)
-		cn.used += size - s.size
-		s.n, s.size = n, size
-		cn.lru.MoveToFront(el)
-	} else {
-		cn.items[addr] = cn.lru.PushFront(&cacheSlot{addr: addr, n: n, size: size})
-		cn.used += size
-	}
-	for cn.used > cn.budget {
-		back := cn.lru.Back()
-		if back == nil {
-			break
-		}
-		s := back.Value.(*cacheSlot)
-		cn.lru.Remove(back)
-		delete(cn.items, s.addr)
-		cn.used -= s.size
-	}
-	return true
-}
-
-func (cn *ComputeNode) cacheDrop(addr dmsim.GAddr) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if el, ok := cn.items[addr]; ok {
-		s := el.Value.(*cacheSlot)
-		cn.lru.Remove(el)
-		delete(cn.items, addr)
-		cn.used -= s.size
-	}
+	st := cn.cache.Stats()
+	return st.Hits, st.Misses, int64(st.Nodes), st.UsedBytes
 }
 
 // Client is one SMART client; not safe for concurrent use.
@@ -180,7 +108,7 @@ func (c *Client) fetch(set *nodeSet, addr dmsim.GAddr, kind int) (*node, error) 
 
 // keep offers a valid node just fetched into set to the CN cache.
 func (c *Client) keep(set *nodeSet, n *node) {
-	if n.hdr.valid && c.cn.cachePut(n.addr, n) {
+	if n.hdr.valid && c.cn.cache.Put(n.addr, n, int64(nodeSize(n.hdr.kind))) {
 		set.gone(n)
 	}
 }
@@ -188,7 +116,7 @@ func (c *Client) keep(set *nodeSet, n *node) {
 // getNode returns a node from the cache, or fetched into set (and
 // offered to the cache), and whether it came from the cache.
 func (c *Client) getNode(set *nodeSet, addr dmsim.GAddr, kind int) (*node, bool, error) {
-	if n := c.cn.cacheGet(addr); n != nil {
+	if n := c.cn.cache.Get(addr); n != nil {
 		return n, true, nil
 	}
 	n, err := c.fetch(set, addr, kind)
@@ -245,9 +173,9 @@ func (c *Client) descend(key uint64) (nodeRef, []step, uint64, error) {
 				// The node was replaced (expansion / prefix split). Drop
 				// it AND the cached parent that still routes here, or the
 				// stale pointer would recur forever.
-				c.cn.cacheDrop(cur)
+				c.cn.cache.Drop(cur)
 				if len(path) > 0 {
-					c.cn.cacheDrop(path[len(path)-1].addr)
+					c.cn.cache.Drop(path[len(path)-1].addr)
 				}
 				restart = true
 				break
@@ -273,9 +201,9 @@ func (c *Client) descend(key uint64) (nodeRef, []step, uint64, error) {
 					return nodeRef{}, nil, 0, err
 				}
 				if !fresh.hdr.valid {
-					c.cn.cacheDrop(cur)
+					c.cn.cache.Drop(cur)
 					if len(path) > 0 {
-						c.cn.cacheDrop(path[len(path)-1].addr)
+						c.cn.cache.Drop(path[len(path)-1].addr)
 					}
 					restart = true
 					break
@@ -344,7 +272,7 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 		if !leaf {
 			// A concurrent split replaced the leaf with a subtree.
 			c.obs.Retries.Inc()
-			c.cn.cacheDrop(at.addr)
+			c.cn.cache.Drop(at.addr)
 			c.backoff.Yield(c.dc)
 			continue
 		}
@@ -355,7 +283,7 @@ func (c *Client) searchOneSided(key uint64) ([]byte, error) {
 		if k != key {
 			// Stale cache or concurrent structural change.
 			c.obs.Retries.Inc()
-			c.cn.cacheDrop(at.addr)
+			c.cn.cache.Drop(at.addr)
 			if _, err := c.fetch(&c.walk, at.addr, at.kind); err != nil {
 				return nil, err
 			}
@@ -530,7 +458,7 @@ func (c *Client) lockFresh(at nodeRef) (*node, error) {
 	}
 	if !fresh.hdr.valid {
 		c.unlockNode(at.addr)
-		c.cn.cacheDrop(at.addr)
+		c.cn.cache.Drop(at.addr)
 		return nil, errRestart
 	}
 	return fresh, nil
@@ -573,7 +501,7 @@ func (c *Client) install(at nodeRef, path []step, key uint64, leafWord uint64) (
 		if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: leafWord, keyByte: kb[d]}, true); err != nil {
 			return false, err
 		}
-		c.cn.cacheDrop(at.addr)
+		c.cn.cache.Drop(at.addr)
 		return true, nil
 	}
 
@@ -582,7 +510,7 @@ func (c *Client) install(at nodeRef, path []step, key uint64, leafWord uint64) (
 		// The key belongs deeper; a subtree grew under this byte
 		// since our descent. Retry from the top.
 		c.unlockNode(at.addr)
-		c.cn.cacheDrop(at.addr)
+		c.cn.cache.Drop(at.addr)
 		return false, errRestart
 	}
 	exKey, _, err := c.readLeaf(addr, c.leaf)
@@ -595,7 +523,7 @@ func (c *Client) install(at nodeRef, path []step, key uint64, leafWord uint64) (
 		if err := c.writeSlotAndUnlock(fresh, slotIdx, slot{child: leafWord, keyByte: kb[d]}, false); err != nil {
 			return false, err
 		}
-		c.cn.cacheDrop(at.addr)
+		c.cn.cache.Drop(at.addr)
 		return true, nil
 	}
 	// Case B: two distinct keys share the path; grow a Node4 with
@@ -629,7 +557,7 @@ func (c *Client) leafSplit(n *node, slotIdx int, kbyte byte, depth int, exKey ui
 	if err := c.writeSlotAndUnlock(n, slotIdx, slot{child: word, keyByte: kbyte}, false); err != nil {
 		return err
 	}
-	c.cn.cacheDrop(n.addr)
+	c.cn.cache.Drop(n.addr)
 	return nil
 }
 
@@ -665,7 +593,7 @@ func (c *Client) replaceNode(n *node, parent step, newWord uint64) error {
 	if err := c.invalidateAndUnlock(n.addr); err != nil {
 		return err
 	}
-	c.cn.cacheDrop(n.addr)
+	c.cn.cache.Drop(n.addr)
 	return nil
 }
 
@@ -728,7 +656,7 @@ func (c *Client) swingParent(parent step, oldAddr dmsim.GAddr, newWord uint64) e
 	if err := c.writeSlotAndUnlock(pn, slotIdx, slot{child: newWord, keyByte: parent.kb}, false); err != nil {
 		return err
 	}
-	c.cn.cacheDrop(parent.addr)
+	c.cn.cache.Drop(parent.addr)
 	return nil
 }
 
@@ -811,7 +739,7 @@ func (c *Client) replaceLeaf(at nodeRef, key uint64, newWord uint64) (bool, erro
 	addr, leaf, _ := unpackChild(child)
 	if !leaf {
 		c.unlockNode(at.addr)
-		c.cn.cacheDrop(at.addr)
+		c.cn.cache.Drop(at.addr)
 		return false, errRestart
 	}
 	exKey, _, err := c.readLeaf(addr, c.leaf)
@@ -833,7 +761,7 @@ func (c *Client) replaceLeaf(at nodeRef, key uint64, newWord uint64) (bool, erro
 			return false, err
 		}
 	}
-	c.cn.cacheDrop(at.addr)
+	c.cn.cache.Drop(at.addr)
 	return true, nil
 }
 
@@ -885,7 +813,7 @@ func (c *Client) scanNode(level int, at nodeRef, acc [8]byte, start uint64, coun
 		return err
 	}
 	if !n.hdr.valid {
-		c.cn.cacheDrop(at.addr)
+		c.cn.cache.Drop(at.addr)
 		n, err = c.fetch(&c.scanLevels[level], at.addr, at.kind)
 		if err != nil {
 			return err
@@ -923,7 +851,7 @@ func (c *Client) scanNode(level int, at nodeRef, acc [8]byte, start uint64, coun
 		}
 		if err := c.scanNode(level+1, nodeRef{caddr, ckind}, acc, start, count, sb); err != nil {
 			if err == errRestart {
-				c.cn.cacheDrop(at.addr)
+				c.cn.cache.Drop(at.addr)
 			}
 			return err
 		}
