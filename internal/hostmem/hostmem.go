@@ -1,15 +1,18 @@
-// Package hostmem is where the bytes behind a simulated memory node
-// come from. A pool is tens of MB to tens of GB of which an index
-// touches a sliver, so it is asked of the kernel as demand-zero pages
-// instead of the Go heap: nothing is zeroed up front, nothing the
-// simulation never touches becomes resident, the collector neither
-// scans nor sizes its target by it, and forgetting a pool (a crashed
-// MN) is a page-table operation. It is the one package besides
-// internal/folio that may talk to the host (durableio), and the only
-// one that imports syscall.
+// Package hostmem is where the bytes behind a simulated memory node,
+// and a large hotspot-buffer heap, come from. A pool is tens of MB to
+// tens of GB of which an index touches a sliver, so it is asked of the
+// kernel as demand-zero pages instead of the Go heap: nothing is
+// zeroed up front, nothing the simulation never touches becomes
+// resident, the collector neither scans nor sizes its target by it, and
+// forgetting a pool (a crashed MN) is a page-table operation. It is the
+// one package besides internal/folio that may talk to the host
+// (durableio), and the only one that imports syscall.
 package hostmem
 
-import "runtime"
+import (
+	"runtime"
+	"unsafe"
+)
 
 // Region is n bytes of memory that read zero until written. It is not
 // safe for concurrent Reset or Release; reads and writes of Bytes are
@@ -59,4 +62,21 @@ func (r *Region) Release() {
 		runtime.SetFinalizer(r, nil)
 	}
 	r.b, r.mapped = nil, false
+}
+
+// SizeOf is the bytes one T takes in an array.
+func SizeOf[T any]() int {
+	var t T
+	return int(unsafe.Sizeof(t))
+}
+
+// View is the n Ts at byte offset off of b, aliasing b. T must hold no
+// pointers, since the collector does not scan a mapping, and off must be
+// a multiple of T's alignment.
+func View[T any](b []byte, off, n int) []T {
+	var t T
+	if n == 0 || off%int(unsafe.Alignof(t)) != 0 || off+n*int(unsafe.Sizeof(t)) > len(b) {
+		panic("hostmem: empty, misaligned or out-of-range view")
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[off])), n)
 }

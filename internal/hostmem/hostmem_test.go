@@ -77,3 +77,32 @@ func TestMappedRegionLargerThanHost(t *testing.T) {
 		t.Fatalf("after Reset: first %d last %d", p[0], p[n-1])
 	}
 }
+
+// A view aliases the region's bytes, and one that would reach past them
+// or sit misaligned panics instead.
+func TestView(t *testing.T) {
+	type item struct {
+		a uint64
+		b uint32
+	}
+	if n := SizeOf[item](); n != 16 {
+		t.Fatalf("SizeOf = %d, want 16", n)
+	}
+	r := Zeroed(64)
+	defer r.Release()
+	v := View[item](r.Bytes(), 16, 3)
+	v[0].a = 0x0102030405060708
+	if got := r.Bytes()[16]; got != 0x08 {
+		t.Fatalf("byte 16 = %#x after writing the view", got)
+	}
+	for _, bad := range []struct{ off, n int }{{16, 4}, {4, 1}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("View(off %d, n %d) did not panic", bad.off, bad.n)
+				}
+			}()
+			View[item](r.Bytes(), bad.off, bad.n)
+		}()
+	}
+}
